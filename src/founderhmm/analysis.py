@@ -80,8 +80,8 @@ def detect_errors(model: FounderHMM, corpus, threshold: float = DEFAULT_RATIO_TH
     """
     if threshold <= 0:
         raise InputError("threshold must be positive")
-    batch = batched_posteriors(model, corpus, naive=naive, block_size=block_size)
     genos = list(corpus)
+    batch = batched_posteriors(model, genos, naive=naive, block_size=block_size)
     ids = _entry_locus_ids(locus_ids, len(genos[0]))
     entries = []
     for g in genos:
@@ -159,7 +159,7 @@ def recover_missing(model: FounderHMM, corpus, *, naive: bool = False,
     left untouched and reported in ``failures``.
     """
     genos = list(corpus)
-    batch = batched_posteriors(model, corpus, naive=naive, block_size=block_size)
+    batch = batched_posteriors(model, genos, naive=naive, block_size=block_size)
     fills = []
     failures = dict(batch.failures)
     out = []

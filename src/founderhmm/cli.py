@@ -5,9 +5,11 @@ correct, recover, impute, phase, pipeline, simulate, evaluate, sweep,
 bench. Every option resolves as flags > config file (JSON, via --config or
 the FOUNDERHMM_CONFIG environment variable) > built-in default, and the
 effective settings are echoed as a ``#config:`` line into each output.
-Engine toggles (--naive, --block-size, --threads) change how answers are
-computed, never what they are, so they stay out of the echo and outputs
-stay diffable across engines. Timing goes to stderr or to explicitly
+Engine toggles (--naive, --block-size, --threads) resolve the same way
+and change how answers are computed, never what they are, so they stay
+out of the echo and outputs stay diffable across engines. --threads
+defaults to 1: the window pool contends for the interpreter lock, so more
+threads slow imputation down. Timing goes to stderr or to explicitly
 requested log files, never into primary artifacts (bench excepted — its
 whole artifact is a timing table).
 
@@ -140,7 +142,7 @@ def _build_parser():
                    help="typed loci on each side of a window (default 10)")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--threads", type=int, default=None,
-                   help="windows trained in parallel (default: all cores)")
+                   help="windows trained in parallel (default 1)")
     p.set_defaults(handler=_cmd_impute)
 
     p = sub.add_parser("phase", parents=[common],
@@ -346,7 +348,7 @@ def _cmd_detect(args, resolve):
     locus_ids = _map_typed_ids(args.map, len(corpus[0])) if args.map else None
     report = detect_errors(model, corpus, threshold, locus_ids=locus_ids,
                            naive=bool(resolve("naive", False)),
-                           block_size=args.block_size)
+                           block_size=resolve("block_size", None))
     echo = _echo("detect", {"model": args.model, "genotypes": args.genotypes,
                             "threshold": threshold,
                             "map": args.map or "-"})
@@ -372,7 +374,7 @@ def _cmd_recover(args, resolve):
     corpus = read_genotypes(args.genotypes)
     result = recover_missing(model, corpus,
                              naive=bool(resolve("naive", False)),
-                             block_size=args.block_size)
+                             block_size=resolve("block_size", None))
     echo = _echo("recover", {"model": args.model, "genotypes": args.genotypes})
     write_genotypes(args.out, result.corpus, config_line=echo)
     if args.fills:
@@ -380,10 +382,6 @@ def _cmd_recover(args, resolve):
                        json_mode=bool(resolve("json", False)))
     skipped = f", {len(result.failures)} samples skipped" if result.failures else ""
     _note(f"filled {len(result.fills)} missing symbols{skipped}")
-
-
-def _default_threads(resolve):
-    return int(resolve("threads", os.cpu_count() or 1))
 
 
 def _cmd_impute(args, resolve):
@@ -397,8 +395,8 @@ def _cmd_impute(args, resolve):
     result = impute_untyped(reference, corpus, locus_map, cfg,
                             window=WindowSpec(flank=flank),
                             naive=bool(resolve("naive", False)),
-                            block_size=args.block_size,
-                            threads=_default_threads(resolve))
+                            block_size=resolve("block_size", None),
+                            threads=int(resolve("threads", 1)))
     echo = _echo("impute", {"panel": args.panel, "genotypes": args.genotypes,
                             "map": args.map, "founders": founders,
                             "flank": flank, "seed": seed})
@@ -437,8 +435,8 @@ def _cmd_pipeline(args, resolve):
     result = run_pipeline(mode, reference, corpus, locus_map, cfg,
                           window=WindowSpec(flank=flank), threshold=threshold,
                           naive=bool(resolve("naive", False)),
-                          block_size=args.block_size,
-                          threads=_default_threads(resolve))
+                          block_size=resolve("block_size", None),
+                          threads=int(resolve("threads", 1)))
     echo = _echo("pipeline", {"mode": mode, "panel": args.panel,
                               "genotypes": args.genotypes, "map": args.map,
                               "founders": founders, "flank": flank,
@@ -539,7 +537,7 @@ def _cmd_sweep(args, resolve):
                     seed=int(resolve("seed", 0)))
     data = simulate(cfg)
     rows = sweep(data, founder_counts=founder_counts, panel_sizes=panel_sizes,
-                 flanks=flanks, modes=modes, threads=_default_threads(resolve))
+                 flanks=flanks, modes=modes, threads=int(resolve("threads", 1)))
     echo = _echo("sweep", {"founders_grid": ",".join(map(str, founder_counts)),
                            "panel_grid": ",".join(map(str, panel_sizes)),
                            "flank_grid": ",".join(map(str, flanks)),

@@ -7,6 +7,13 @@ step costs O(K^3) instead of the O(K^4) unfactored form. Every stored
 matrix is rescaled to unit mass and the normalizers are recorded, which
 keeps long genotypes out of the underflow range while allowing exact
 reconstruction of unscaled quantities and log-likelihoods.
+
+One kernel, :func:`_walk`, runs that recurrence for every engine: a single
+genotype is a walk over one row, and the batch engine walks prefix-sorted
+distinct rows, resuming each after the prefix it shares with the row
+before it. The backward direction is the same walk over reversed rows,
+since stepping through a transposed transition retreats where the
+original advances.
 """
 from __future__ import annotations
 
@@ -14,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (FounderHMM, InputError, MultilocusGenotype,
+from .model import (MISSING, FounderHMM, InputError, MultilocusGenotype,
                     ZeroProbabilityError, emission_stack, symbol_plane)
 
 
@@ -28,6 +35,12 @@ def _check_length(model: FounderHMM, symbols: np.ndarray):
     if symbols.shape[0] != model.loci:
         raise InputError(
             f"genotype has {symbols.shape[0]} loci but the model has {model.loci}")
+
+
+def _planes(symbols: np.ndarray) -> list:
+    """Emission-plane index of each symbol, as (nested) lists; MISSING reads
+    the all-ones plane 3."""
+    return np.where(symbols == MISSING, 3, symbols).tolist()
 
 
 def _absorb(state: np.ndarray, emat: np.ndarray):
@@ -46,77 +59,120 @@ def _absorb(state: np.ndarray, emat: np.ndarray):
     return tmp, mass
 
 
-def _advance(tmp: np.ndarray, trans: np.ndarray) -> np.ndarray:
-    # Two chained K-contractions; the inner product is the half-collapsed
-    # buffer indexed by (previous first-chain state, next second-chain state).
-    return trans.T @ (tmp @ trans)
+def _walk(rows, lcps, emit, trans, state, log):
+    """The inference kernel: absorb, renormalize and step along each row.
 
-
-def _retreat(tmp: np.ndarray, trans: np.ndarray) -> np.ndarray:
-    return trans @ (tmp @ trans.T)
-
-
-def _forward_sweep(model, symbols, etab, *, tolerate_zero, store=True):
-    """Left-to-right scan.
-
-    Returns (states, pre_logs, masses, init_norm): states[i] is the scaled
-    founder-pair belief at locus i given symbols 0..i-1 (unit mass),
-    pre_logs[i] the log probability of those preceding symbols, and
-    masses[i] the conditional probability of symbol i given its prefix.
+    Depth d absorbs plane rows[r][d] of emit[d] and then, while
+    d < len(trans), steps the belief to trans[d].T @ belief @ trans[d]
+    (two chained K-contractions, one per founder chain). Row r resumes at
+    depth lcps[r], so its first lcps[r] planes must equal those of the row
+    before it; walking prefix-sorted rows thus evaluates each distinct
+    prefix once. After each row this yields (states, logs, masses):
+    states[d] is the unit-mass belief before depth d, logs[d] the log of
+    the normalizers before it (logs[0] = ``log``) and masses[d] the
+    normalizer of depth d. The next row overwrites these buffers.
     """
-    n = model.loci
-    trans = model.transitions
-    states = np.empty((n,) + etab.shape[2:], dtype=np.float64) if store else None
-    pre_logs = np.empty(n, dtype=np.float64)
-    masses = np.empty(n, dtype=np.float64)
+    depths, steps = len(emit), len(trans)
+    states = np.empty((steps + 1,) + state.shape, dtype=np.float64)
+    logs = np.empty(depths + 1, dtype=np.float64)
+    masses = np.empty(depths, dtype=np.float64)
+    states[0] = state
+    logs[0] = log
+    for row, lcp in zip(rows, lcps):
+        log = logs[lcp]
+        with np.errstate(divide="ignore"):
+            for d in range(lcp, depths):
+                tmp, mass = _absorb(states[d], emit[d, row[d]])
+                masses[d] = mass
+                log = log + np.log(mass)
+                logs[d + 1] = log
+                if d < steps:
+                    t = trans[d]
+                    states[d + 1] = t.T @ (tmp @ t)
+        yield states, logs, masses
+
+
+def _prior(model: FounderHMM):
+    """Unit-mass founder-pair prior and its normalizer."""
     state = np.outer(model.initial, model.initial)
-    init_norm = float(state.sum())
-    state /= init_norm
-    cum = np.log(init_norm)
-    with np.errstate(divide="ignore"):
-        for i in range(n):
-            if store:
-                states[i] = state
-            pre_logs[i] = cum
-            tmp, mass = _absorb(state, etab[i, symbol_plane(symbols[i])])
-            if mass == 0.0 and not tolerate_zero:
-                raise ZeroProbabilityError(i)
-            masses[i] = mass
-            cum += np.log(mass)
-            if i < n - 1:
-                state = _advance(tmp, trans[i])
-    return states, pre_logs, masses, init_norm
+    norm = float(state.sum())
+    return state / norm, norm
 
 
-def _backward_sweep(model, symbols, etab, *, tolerate_zero, store=True):
-    """Right-to-left scan mirroring :func:`_forward_sweep`.
+def _reversed(etab: np.ndarray, trans: np.ndarray):
+    """Emission and step tables of the right-to-left walk: depth d is locus
+    n-1-d, and it retreats through trans[n-2-d]."""
+    return etab[::-1], trans[::-1].transpose(0, 2, 1)
 
-    Returns (states, suf_logs, betas): states[i] is the scaled probability
-    of symbols i+1..n-1 given the founder pair at locus i (the last one is
-    the all-ones matrix), and states[i] * exp(suf_logs[i]) reconstructs the
-    unscaled value. betas are the per-locus normalizers (betas[n-1] = 1).
+
+def _forward_walk(model, etab, rows, lcps):
+    state, norm = _prior(model)
+    return _walk(rows, lcps, etab, model.transitions, state, np.log(norm))
+
+
+def _backward_walk(model, etab, rows, lcps):
+    """Walk of reversed rows; it also absorbs locus 0, which no backward
+    state needs."""
+    k = model.founders
+    return _walk(rows, lcps, *_reversed(etab, model.transitions),
+                 np.ones((k, k), dtype=np.float64), 0.0)
+
+
+def _combine(fstates, bstates, etab) -> np.ndarray:
+    """Per-locus substitution weights, shape (n, 3)."""
+    prod = fstates * bstates
+    return np.einsum("ikl,ixkl->ix", prod, etab[:, :3])
+
+
+def _scan_rows(model, etab, rows, lcps, rrows, rlcps, back_of) -> list:
+    """PosteriorScan per forward row. A backward walk over the reversed
+    rows caches states and suffix logs per reversed row; the forward walk
+    then combines row r with cache entry back_of[r]."""
+    n = model.loci
+    cache = [(states[::-1].copy(), logs[:n][::-1].copy())
+             for states, logs, _ in _backward_walk(model, etab, rrows, rlcps)]
+    scans = []
+    for (states, logs, _), b in zip(_forward_walk(model, etab, rows, lcps), back_of):
+        bstates, blogs = cache[b]
+        scans.append(PosteriorScan(_combine(states, bstates, etab),
+                                   logs[:n].copy(), blogs, float(logs[n])))
+    return scans
+
+
+def _scan_rows_blocked(model, etab, rows, lcps, block_size) -> list:
+    """Memory-bounded :func:`_scan_rows` over one set of prefix-sorted rows.
+
+    The forward walk keeps only each row's states and logs at block starts.
+    Blocks are then processed right to left: each row re-walks the block
+    forward from its checkpoint, and backward from the state carried over
+    from the block to its right. Numbers match :func:`_scan_rows` exactly.
     """
     n, k = model.loci, model.founders
-    trans = model.transitions
-    states = np.empty((n, k, k), dtype=np.float64) if store else None
-    suf_logs = np.empty(n, dtype=np.float64)
-    betas = np.empty(n, dtype=np.float64)
-    state = np.ones((k, k), dtype=np.float64)
-    betas[n - 1] = 1.0
-    cum = 0.0
-    with np.errstate(divide="ignore"):
-        for i in range(n - 1, -1, -1):
-            if store:
-                states[i] = state
-            suf_logs[i] = cum
-            if i > 0:
-                tmp, mass = _absorb(state, etab[i, symbol_plane(symbols[i])])
-                if mass == 0.0 and not tolerate_zero:
-                    raise ZeroProbabilityError(i)
-                betas[i - 1] = mass
-                cum += np.log(mass)
-                state = _retreat(tmp, trans[i - 1])
-    return states, suf_logs, betas
+    checkpoints = [(states[::block_size].copy(), logs[:n:block_size].copy(),
+                    float(logs[n]))
+                   for states, logs, _ in _forward_walk(model, etab, rows, lcps)]
+    retab, rtrans = _reversed(etab, model.transitions)
+    triples = np.empty((len(rows), n, 3), dtype=np.float64)
+    flogs = np.empty((len(rows), n), dtype=np.float64)
+    blogs = np.empty((len(rows), n), dtype=np.float64)
+    carry = [(np.ones((k, k), dtype=np.float64), 0.0)] * len(rows)
+    for b, lo in reversed(list(enumerate(range(0, n, block_size)))):
+        hi = min(lo + block_size, n)
+        span = hi - lo
+        for r, row in enumerate(rows):
+            fstates, fl, _ = next(_walk(
+                [row[lo:hi]], [0], etab[lo:hi], model.transitions[lo:hi - 1],
+                checkpoints[r][0][b], checkpoints[r][1][b]))
+            bstates, bl, _ = next(_walk(
+                [row[lo:hi][::-1]], [0], retab[n - hi:n - lo],
+                rtrans[n - hi:n - lo], *carry[r]))
+            carry[r] = bstates[-1], bl[-1]
+            flogs[r, lo:hi] = fl[:span]
+            blogs[r, lo:hi] = bl[:span][::-1]
+            triples[r, lo:hi] = _combine(fstates, bstates[:span][::-1].copy(),
+                                         etab[lo:hi])
+    return [PosteriorScan(triples[r], flogs[r], blogs[r], checkpoints[r][2])
+            for r in range(len(rows))]
 
 
 @dataclass(frozen=True)
@@ -131,9 +187,6 @@ class ForwardPass:
     matrices: np.ndarray       # (n, K, K)
     scale_factors: np.ndarray  # (n,)
 
-    def unscaled(self, locus: int) -> np.ndarray:
-        return self.matrices[locus] * np.prod(self.scale_factors[:locus + 1])
-
 
 @dataclass(frozen=True)
 class BackwardPass:
@@ -142,9 +195,6 @@ class BackwardPass:
 
     matrices: np.ndarray
     scale_factors: np.ndarray
-
-    def unscaled(self, locus: int) -> np.ndarray:
-        return self.matrices[locus] * np.prod(self.scale_factors[locus:])
 
 
 @dataclass(frozen=True)
@@ -215,74 +265,70 @@ class PosteriorTable:
         return self.probs.shape[0]
 
 
+def _prepare(model: FounderHMM, genotype, etab=None):
+    symbols = _symbols_of(genotype)
+    _check_length(model, symbols)
+    return _planes(symbols), emission_stack(model) if etab is None else etab
+
+
+def _forward_row(model, etab, planes):
+    """Forward walk of one genotype; raises at its first zero-mass locus."""
+    states, logs, masses = next(_forward_walk(model, etab, [planes], [0]))
+    dead = np.flatnonzero(masses == 0.0)
+    if dead.size:
+        raise ZeroProbabilityError(int(dead[0]))
+    return states, logs, masses
+
+
+def _backward_row(model, etab, planes):
+    """Backward states of one genotype in locus order and their normalizers
+    (betas[i - 1] is that of locus i, betas[n - 1] = 1); raises at the
+    first zero-mass locus from the right."""
+    states, _, masses = next(_backward_walk(model, etab, [planes[::-1]], [0]))
+    betas = np.append(masses[:-1][::-1], 1.0)
+    dead = np.flatnonzero(betas == 0.0)
+    if dead.size:
+        raise ZeroProbabilityError(int(dead[-1]) + 1)
+    return states[::-1].copy(), betas
+
+
+def _forward_norms(model, masses) -> np.ndarray:
+    return np.concatenate(([_prior(model)[1]], masses[:-1]))
+
+
 def forward(model: FounderHMM, genotype) -> ForwardPass:
     """Scaled forward sweep; raises ZeroProbabilityError when the model
     puts no mass on some prefix."""
-    symbols = _symbols_of(genotype)
-    _check_length(model, symbols)
-    etab = emission_stack(model)
-    states, _, masses, init_norm = _forward_sweep(
-        model, symbols, etab, tolerate_zero=False)
-    factors = np.concatenate(([init_norm], masses[:-1])) if model.loci > 1 \
-        else np.array([init_norm])
-    return ForwardPass(states, factors)
+    planes, etab = _prepare(model, genotype)
+    states, _, masses = _forward_row(model, etab, planes)
+    return ForwardPass(states, _forward_norms(model, masses))
 
 
 def backward(model: FounderHMM, genotype) -> BackwardPass:
-    symbols = _symbols_of(genotype)
-    _check_length(model, symbols)
-    etab = emission_stack(model)
-    states, _, betas = _backward_sweep(model, symbols, etab, tolerate_zero=False)
-    return BackwardPass(states, betas)
+    planes, etab = _prepare(model, genotype)
+    return BackwardPass(*_backward_row(model, etab, planes))
 
 
 def forward_backward(model: FounderHMM, genotype) -> ForwardBackwardResult:
-    symbols = _symbols_of(genotype)
-    _check_length(model, symbols)
-    etab = emission_stack(model)
-    fstates, _, masses, init_norm = _forward_sweep(
-        model, symbols, etab, tolerate_zero=False)
-    bstates, _, betas = _backward_sweep(model, symbols, etab, tolerate_zero=False)
-    log_likelihood = float(np.log(init_norm) + np.log(masses).sum())
-    fnorms = np.concatenate(([init_norm], masses[:-1])) if model.loci > 1 \
-        else np.array([init_norm])
-    return ForwardBackwardResult(fstates, bstates, masses, log_likelihood,
-                                 fnorms, betas)
+    planes, etab = _prepare(model, genotype)
+    fstates, logs, masses = _forward_row(model, etab, planes)
+    bstates, betas = _backward_row(model, etab, planes)
+    return ForwardBackwardResult(fstates, bstates, masses, float(logs[-1]),
+                                 _forward_norms(model, masses), betas)
 
 
 def total_log_likelihood(model: FounderHMM, genotype) -> float:
     """log P(genotype); -inf when the model puts no mass on it."""
-    symbols = _symbols_of(genotype)
-    _check_length(model, symbols)
-    etab = emission_stack(model)
-    _, _, masses, init_norm = _forward_sweep(
-        model, symbols, etab, tolerate_zero=True, store=False)
-    if np.any(masses == 0.0):
-        return float("-inf")
-    return float(np.log(init_norm) + np.log(masses).sum())
-
-
-def _combine(fstates, bstates, etab) -> np.ndarray:
-    """Per-locus substitution weights, shape (n, 3)."""
-    prod = fstates * bstates
-    return np.einsum("ikl,ixkl->ix", prod, etab[:, :3])
+    planes, etab = _prepare(model, genotype)
+    _, logs, _ = next(_forward_walk(model, etab, [planes], [0]))
+    return float(logs[-1])
 
 
 def posterior_scan(model: FounderHMM, genotype, etab=None) -> PosteriorScan:
     """Tolerant two-sweep scan; zero-probability genotypes produce exact
     zero rows instead of raising."""
-    symbols = _symbols_of(genotype)
-    _check_length(model, symbols)
-    if etab is None:
-        etab = emission_stack(model)
-    fstates, pre_logs, masses, init_norm = _forward_sweep(
-        model, symbols, etab, tolerate_zero=True)
-    bstates, suf_logs, _ = _backward_sweep(
-        model, symbols, etab, tolerate_zero=True)
-    triples = _combine(fstates, bstates, etab)
-    with np.errstate(divide="ignore"):
-        log_likelihood = float(np.log(init_norm) + np.log(masses).sum())
-    return PosteriorScan(triples, pre_logs, suf_logs, log_likelihood)
+    planes, etab = _prepare(model, genotype, etab)
+    return _scan_rows(model, etab, [planes], [0], [planes[::-1]], [0], [0])[0]
 
 
 def table_from_scan(scan: PosteriorScan) -> PosteriorTable:

@@ -63,6 +63,17 @@ def _fail(path, line_no, message):
     raise InputError(f"{path}:{line_no}: {message}")
 
 
+def _zero_probability(path, line_no, line):
+    """(sample id, locus) named by a ``#zero-probability`` line."""
+    parts = line.split("\t")
+    if len(parts) != 3:
+        _fail(path, line_no, "expected #zero-probability<TAB>sample<TAB>locus")
+    try:
+        return parts[1], int(parts[2])
+    except ValueError:
+        _fail(path, line_no, f"non-integer locus {parts[2]!r}")
+
+
 def _config_lines(config_line):
     return [config_line] if config_line else []
 
@@ -360,8 +371,8 @@ def read_error_report(path) -> ErrorReport:
                 _fail(path, line_no, "malformed threshold header")
             continue
         if line.startswith("#zero-probability\t"):
-            _, sample_id, locus = line.split("\t")
-            failures[sample_id] = int(locus)
+            sample_id, locus = _zero_probability(path, line_no, line)
+            failures[sample_id] = locus
             continue
         if line.startswith("#"):
             continue
@@ -444,8 +455,7 @@ def read_imputation(path) -> ImputationResult:
         if not line.strip():
             continue
         if line.startswith("#zero-probability\t"):
-            _, sample_id, locus = line.split("\t")
-            failures.append((sample_id, int(locus)))
+            failures.append(_zero_probability(path, line_no, line))
             continue
         if line.startswith("#"):
             continue

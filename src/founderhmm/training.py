@@ -138,11 +138,16 @@ def _m_step(stats, pseudocount, k):
 
 
 def _check_params(init, trans, emis):
+    """Guard every M-step. A failure here is a fault of the update, not of
+    the input, so it raises RuntimeError."""
     atol = 1e-9
-    assert np.all(init >= 0) and abs(init.sum() - 1.0) <= atol
-    if trans.size:
-        assert np.all(trans >= 0) and np.allclose(trans.sum(axis=2), 1.0, atol=atol)
-    assert np.all(emis >= 0.0) and np.all(emis <= 1.0)
+    if not (np.all(init >= 0) and abs(init.sum() - 1.0) <= atol):
+        raise RuntimeError("M-step left an invalid initial distribution")
+    if trans.size and not (np.all(trans >= 0)
+                           and np.allclose(trans.sum(axis=2), 1.0, atol=atol)):
+        raise RuntimeError("M-step left non-stochastic transitions")
+    if not (np.all(emis >= 0.0) and np.all(emis <= 1.0)):
+        raise RuntimeError("M-step left emissions outside [0, 1]")
 
 
 def train_founder_hmm(panel, config: TrainConfig):

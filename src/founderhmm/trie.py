@@ -1,16 +1,27 @@
 """Batched posterior inference over a genotype corpus.
 
-Genotypes sharing a prefix share forward work: the corpus is loaded into a
-prefix trie and the forward sweep runs once per trie node instead of once
-per sample per locus. Backward sweeps are shared through a trie over the
-reversed genotypes and cached per distinct genotype. MISSING branches like
-any other symbol. Scale histories are tracked per node as prefix-cumulative
-log sums, so shared prefixes also share their scaling.
+Genotypes sharing a prefix share forward work. The corpus is reduced to
+its distinct rows in sorted order, where each row shares its longest
+common prefix (LCP) with the row before it: the prefix-sorting idea of
+PBWT (Durbin 2014). Those rows and LCPs are a prefix trie, one node per
+distinct (depth, prefix), and the inference kernel walks them so that
+each node costs one locus evaluation. Backward sweeps are shared the same
+way over the sorted reversed rows and cached per distinct genotype.
+MISSING branches like any other symbol. Scale histories are prefix-
+cumulative log sums kept per depth, so shared prefixes also share their
+scaling.
 
-Memory for the default mode is O(distinct genotypes * loci * K^2); a
-block-chunked mode bounds the backward cache for long genotypes by
-re-deriving per-block forward states from checkpoints, trading repeated
-locus evaluations for memory while producing identical numbers.
+Memory: every mode returns a scan per distinct genotype of 5 x 8 bytes
+per locus (substitution triples, prefix and suffix log sums). The default
+mode also caches the backward state of every distinct genotype, distinct
+genotypes x loci x K^2 x 8 bytes: 3.9 GB at 1000 distinct genotypes x
+10 000 loci x K = 7. The block-chunked mode (``block_size`` = b) replaces
+that cache with, per distinct genotype, forward checkpoints at block
+starts and one carried backward state, (ceil(loci / b) + 1) x K^2 x 8
+bytes, plus the states of one block at a time: 40 MB for the example
+above at b = 100. It re-derives each block's forward states from its
+checkpoint, trading repeated locus evaluations for memory while
+producing identical numbers.
 """
 from __future__ import annotations
 
@@ -18,94 +29,50 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .inference import (PosteriorScan, _absorb, _advance, _combine, _retreat,
+from .inference import (_planes, _scan_rows, _scan_rows_blocked,
                         posterior_scan, table_from_scan)
 from .model import (FounderHMM, InputError, MultilocusGenotype,
-                    ZeroProbabilityError, emission_stack, symbol_plane)
-
-
-class TrieNode:
-    __slots__ = ("symbol", "depth", "children", "count", "sample_ids")
-
-    def __init__(self, symbol, depth):
-        self.symbol = symbol
-        self.depth = depth
-        self.children = {}
-        self.count = 0          # genotypes passing through this node
-        self.sample_ids = []    # multiset of their sample ids
-
-    def is_leaf(self):
-        return not self.children
+                    ZeroProbabilityError, emission_stack)
 
 
 class GenotypeTrie:
-    """Prefix trie over equal-length genotypes; construction touches each
-    symbol once."""
+    """Prefix trie over equal-length genotypes, held as sorted rows.
 
-    def __init__(self, loci: int):
-        self.loci = loci
-        self.root = TrieNode(None, 0)
-        self.size = 0
+    rows are the distinct genotypes in lexicographic order, lcps[r] is the
+    length of the prefix row r shares with row r - 1 (0 for the first), so
+    row r adds loci - lcps[r] trie nodes, and row_of[j] is the row of the
+    j-th genotype, whose id is sample_ids[j].
+    """
 
-    def insert(self, symbols, sample_id: str):
-        if len(symbols) != self.loci:
-            raise InputError(
-                f"genotype {sample_id!r} has {len(symbols)} loci, trie expects {self.loci}")
-        node = self.root
-        node.count += 1
-        node.sample_ids.append(sample_id)
-        for s in symbols:
-            s = int(s)
-            child = node.children.get(s)
-            if child is None:
-                child = TrieNode(s, node.depth + 1)
-                node.children[s] = child
-            child.count += 1
-            child.sample_ids.append(sample_id)
-            node = child
-        self.size += 1
+    def __init__(self, symbols: np.ndarray, sample_ids):
+        self.rows, row_of = np.unique(symbols, axis=0, return_inverse=True)
+        self.row_of = row_of.ravel()
+        differs = self.rows[1:] != self.rows[:-1]
+        self.lcps = np.concatenate(([0], differs.argmax(axis=1)))
+        self.sample_ids = list(sample_ids)
+
+    @property
+    def loci(self) -> int:
+        return self.rows.shape[1]
 
     def node_count(self) -> int:
         """Number of non-root nodes."""
-        return sum(self.depth_counts())
+        return int(self.rows.size - self.lcps.sum())
 
     def depth_counts(self) -> tuple:
         """Distinct prefixes per depth 1..loci."""
-        counts = [0] * self.loci
-        stack = list(self.root.children.values())
-        while stack:
-            node = stack.pop()
-            counts[node.depth - 1] += 1
-            stack.extend(node.children.values())
-        return tuple(counts)
+        counts = np.cumsum(np.bincount(self.lcps, minlength=self.loci))
+        return tuple(int(c) for c in counts)
 
     def distinct_count(self) -> int:
-        return sum(1 for _ in self.leaves())
-
-    def leaves(self):
-        stack = list(self.root.children.values())
-        while stack:
-            node = stack.pop()
-            if node.is_leaf():
-                yield node
-            else:
-                stack.extend(node.children.values())
+        return self.rows.shape[0]
 
     def genotypes(self):
-        """Reconstruct (symbol tuple, sample ids) per distinct genotype."""
-        out = []
-        path = []
-        stack = [(c, 1) for c in reversed(list(self.root.children.values()))]
-        while stack:
-            node, depth = stack.pop()
-            del path[depth - 1:]
-            path.append(node.symbol)
-            if node.is_leaf():
-                out.append((tuple(path), list(node.sample_ids)))
-            else:
-                for c in reversed(list(node.children.values())):
-                    stack.append((c, depth + 1))
-        return out
+        """(symbol tuple, sample ids) per distinct genotype."""
+        ids = [[] for _ in range(self.distinct_count())]
+        for sample_id, r in zip(self.sample_ids, self.row_of):
+            ids[r].append(sample_id)
+        return [(tuple(row), group) for row, group in zip(self.rows.tolist(), ids)]
 
 
 def _corpus_symbols(corpus):
@@ -124,20 +91,16 @@ def _corpus_symbols(corpus):
 
 
 def build_trie(corpus) -> GenotypeTrie:
-    genos, n = _corpus_symbols(corpus)
-    trie = GenotypeTrie(n)
-    for g in genos:
-        trie.insert(g.symbols, g.sample_id)
-    return trie
+    genos, _ = _corpus_symbols(corpus)
+    return GenotypeTrie(np.stack([g.symbols for g in genos]),
+                        [g.sample_id for g in genos])
 
 
 def reversed_trie(corpus) -> GenotypeTrie:
     """Trie over reversed genotypes, so shared suffixes share nodes."""
-    genos, n = _corpus_symbols(corpus)
-    trie = GenotypeTrie(n)
-    for g in genos:
-        trie.insert(g.symbols[::-1], g.sample_id)
-    return trie
+    genos, _ = _corpus_symbols(corpus)
+    return GenotypeTrie(np.stack([g.symbols[::-1] for g in genos]),
+                        [g.sample_id for g in genos])
 
 
 @dataclass(frozen=True)
@@ -179,13 +142,6 @@ class BatchPosteriorResult:
     stats: BatchStats
 
 
-def _init_root_state(model):
-    state = np.outer(model.initial, model.initial)
-    norm = float(state.sum())
-    state /= norm
-    return state, float(np.log(norm))
-
-
 def batched_posteriors(model: FounderHMM, corpus, *, naive: bool = False,
                        block_size: int | None = None) -> BatchPosteriorResult:
     """Posterior scans for every corpus genotype.
@@ -216,25 +172,29 @@ def batched_posteriors(model: FounderHMM, corpus, *, naive: bool = False,
         return _assemble(genos, scans, stats)
 
     etab = emission_stack(model)
-    prefix_trie = build_trie(genos)
-    suffix_trie = reversed_trie(genos)
-
+    prefix, suffix = build_trie(genos), reversed_trie(genos)
+    rows = _planes(prefix.rows)
     if block_size is None:
-        bcaches, bevals = _reversed_traversal(model, suffix_trie, etab)
-        scans_by_key, fevals = _forward_traversal(model, prefix_trie, etab, bcaches)
-        engine = "trie"
+        back_of = np.empty(len(rows), dtype=np.intp)
+        back_of[prefix.row_of] = suffix.row_of
+        row_scans = _scan_rows(model, etab, rows, prefix.lcps,
+                               _planes(suffix.rows), suffix.lcps, back_of)
+        fevals, bevals, engine = prefix.node_count(), suffix.node_count(), "trie"
     else:
-        scans_by_key, fevals, bevals = _chunked_traversal(
-            model, prefix_trie, etab, block_size)
+        row_scans = _scan_rows_blocked(model, etab, rows, prefix.lcps, block_size)
+        # the first walk visits each prefix node, then every block walks
+        # each distinct genotype once in each direction
+        fevals = prefix.node_count() + prefix.rows.size
+        bevals = prefix.rows.size
         engine = "trie-chunked"
 
-    scans = {g.sample_id: scans_by_key[g.key()] for g in genos}
+    scans = {sid: row_scans[r] for sid, r in zip(ids, prefix.row_of)}
     stats = BatchStats(samples=len(genos), loci=n,
-                       distinct_genotypes=len(scans_by_key),
+                       distinct_genotypes=len(row_scans),
                        forward_locus_evals=fevals,
                        backward_locus_evals=bevals,
-                       prefix_nodes=prefix_trie.node_count(),
-                       suffix_nodes=suffix_trie.node_count(),
+                       prefix_nodes=prefix.node_count(),
+                       suffix_nodes=suffix.node_count(),
                        engine=engine)
     return _assemble(genos, scans, stats)
 
@@ -261,152 +221,3 @@ def _assemble(genos, scans, stats):
             failures[g.sample_id] = value
     return BatchPosteriorResult(tables=tables, log_likelihoods=log_likelihoods,
                                 scans=scans, failures=failures, stats=stats)
-
-
-def _reversed_traversal(model, suffix_trie, etab):
-    """Backward sweeps shared over the reversed trie.
-
-    Returns ({genotype key: (backward states (n,K,K), suffix log sums (n,))},
-    evaluation count). The leaf step absorbs the first locus' emission so
-    every non-root node performs exactly one locus evaluation.
-    """
-    n, k = model.loci, model.founders
-    trans = model.transitions
-    bstack = np.empty((n + 1, k, k), dtype=np.float64)
-    bcum = np.empty(n + 1, dtype=np.float64)
-    bstack[0] = 1.0
-    bcum[0] = 0.0
-    path = [0] * n
-    caches = {}
-    evals = 0
-    stack = list(reversed(list(suffix_trie.root.children.values())))
-    with np.errstate(divide="ignore"):
-        while stack:
-            node = stack.pop()
-            d = node.depth
-            locus = n - d  # this node's symbol sits at locus index n - d
-            path[d - 1] = node.symbol
-            tmp, mass = _absorb(bstack[d - 1], etab[locus, symbol_plane(node.symbol)])
-            evals += 1
-            cum = bcum[d - 1] + np.log(mass)
-            if d < n:
-                bstack[d] = _retreat(tmp, trans[locus - 1])
-                bcum[d] = cum
-                stack.extend(reversed(list(node.children.values())))
-            else:
-                key = tuple(reversed(path))
-                caches[key] = (bstack[:n][::-1].copy(), bcum[:n][::-1].copy())
-    return caches, evals
-
-
-def _forward_traversal(model, prefix_trie, etab, bcaches):
-    """Forward sweep over the prefix trie, combining with cached backward
-    states at each leaf. Returns ({key: PosteriorScan}, evaluation count)."""
-    n, k = model.loci, model.founders
-    trans = model.transitions
-    fstack = np.empty((n, k, k), dtype=np.float64)
-    fcum = np.empty(n, dtype=np.float64)
-    fstack[0], fcum[0] = _init_root_state(model)
-    path = [0] * n
-    scans = {}
-    evals = 0
-    stack = list(reversed(list(prefix_trie.root.children.values())))
-    with np.errstate(divide="ignore"):
-        while stack:
-            node = stack.pop()
-            d = node.depth
-            locus = d - 1  # this node's symbol sits at locus index d - 1
-            path[locus] = node.symbol
-            tmp, mass = _absorb(fstack[d - 1], etab[locus, symbol_plane(node.symbol)])
-            evals += 1
-            cum = fcum[d - 1] + np.log(mass)
-            if d < n:
-                fstack[d] = _advance(tmp, trans[locus])
-                fcum[d] = cum
-                stack.extend(reversed(list(node.children.values())))
-            else:
-                key = tuple(path)
-                bstates, blogs = bcaches[key]
-                triples = _combine(fstack[:n], bstates, etab)
-                scans[key] = PosteriorScan(triples, fcum[:n].copy(), blogs,
-                                           float(cum))
-    return scans, evals
-
-
-def _chunked_traversal(model, prefix_trie, etab, block_size):
-    """Memory-bounded variant: one shared forward pass records per-genotype
-    checkpoints at block boundaries, then blocks are processed right to
-    left with per-genotype forward re-derivation and rolling backward
-    states. Numbers match the default mode exactly."""
-    n, k = model.loci, model.founders
-    trans = model.transitions
-    boundaries = list(range(0, n, block_size))
-
-    fstack = np.empty((n, k, k), dtype=np.float64)
-    fcum = np.empty(n, dtype=np.float64)
-    fstack[0], fcum[0] = _init_root_state(model)
-    path = [0] * n
-    ckpts = {}
-    fevals = 0
-    stack = list(reversed(list(prefix_trie.root.children.values())))
-    with np.errstate(divide="ignore"):
-        while stack:
-            node = stack.pop()
-            d = node.depth
-            locus = d - 1
-            path[locus] = node.symbol
-            tmp, mass = _absorb(fstack[d - 1], etab[locus, symbol_plane(node.symbol)])
-            fevals += 1
-            cum = fcum[d - 1] + np.log(mass)
-            if d < n:
-                fstack[d] = _advance(tmp, trans[locus])
-                fcum[d] = cum
-                stack.extend(reversed(list(node.children.values())))
-            else:
-                key = tuple(path)
-                ckpts[key] = (fstack[boundaries].copy(), fcum[boundaries].copy(),
-                              float(cum))
-
-    keys = list(ckpts.keys())
-    triples = {key: np.empty((n, 3), dtype=np.float64) for key in keys}
-    lf = {key: np.empty(n, dtype=np.float64) for key in keys}
-    lb = {key: np.empty(n, dtype=np.float64) for key in keys}
-    bstate = {key: np.ones((k, k), dtype=np.float64) for key in keys}
-    bcum = {key: 0.0 for key in keys}
-    bevals = 0
-    with np.errstate(divide="ignore"):
-        for bi in range(len(boundaries) - 1, -1, -1):
-            lo = boundaries[bi]
-            hi = boundaries[bi + 1] if bi + 1 < len(boundaries) else n
-            span = hi - lo
-            for key in keys:
-                states, cums, _ = ckpts[key]
-                state = states[bi].copy()
-                cum = float(cums[bi])
-                fs = np.empty((span, k, k), dtype=np.float64)
-                for i in range(lo, hi):
-                    fs[i - lo] = state
-                    lf[key][i] = cum
-                    tmp, mass = _absorb(state, etab[i, symbol_plane(key[i])])
-                    fevals += 1
-                    cum += np.log(mass)
-                    if i < n - 1:
-                        state = _advance(tmp, trans[i])
-                bs = np.empty((span, k, k), dtype=np.float64)
-                state = bstate[key]
-                cum = bcum[key]
-                for i in range(hi - 1, lo - 1, -1):
-                    bs[i - lo] = state
-                    lb[key][i] = cum
-                    if i > 0:
-                        tmp, mass = _absorb(state, etab[i, symbol_plane(key[i])])
-                        bevals += 1
-                        cum += np.log(mass)
-                        state = _retreat(tmp, trans[i - 1])
-                bstate[key] = state
-                bcum[key] = cum
-                triples[key][lo:hi] = _combine(fs, bs, etab[lo:hi])
-
-    scans = {key: PosteriorScan(triples[key], lf[key], lb[key], ckpts[key][2])
-             for key in keys}
-    return scans, fevals, bevals

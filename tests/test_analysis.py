@@ -198,6 +198,15 @@ def test_recover_matches_posterior_argmax():
             assert f.confidence == pytest.approx(table[i].max(), rel=1e-12)
 
 
+@pytest.mark.parametrize("flow", [detect_errors, recover_missing])
+def test_flows_accept_a_one_shot_iterator(flow):
+    rng = np.random.default_rng(10)
+    model = random_model(rng, 3, 8)
+    corpus = random_corpus(rng, 5, 8, missing_rate=0.2)
+    # the results hold arrays, so compare their exact reprs
+    assert repr(flow(model, iter(corpus))) == repr(flow(model, corpus))
+
+
 def test_recover_skips_impossible_samples():
     model = FounderHMM(initial=np.array([1.0]),
                        transitions=np.ones((2, 1, 1)),

@@ -159,10 +159,10 @@ def test_zero_probability_raises_with_locus():
     with pytest.raises(ZeroProbabilityError) as err:
         forward(m, g)
     assert err.value.locus == 1
-    with pytest.raises(ZeroProbabilityError):
-        backward(m, g)
-    with pytest.raises(ZeroProbabilityError):
-        forward_backward(m, g)
+    for sweep in (backward, forward_backward):
+        with pytest.raises(ZeroProbabilityError) as err:
+            sweep(m, g)
+        assert err.value.locus == 1
 
 
 def test_zero_probability_likelihood_is_neg_inf():

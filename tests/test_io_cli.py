@@ -14,7 +14,8 @@ from founderhmm import (ErrorEntry, ErrorReport, HaplotypeSequence,
                         ImputationEntry, ImputationResult, InputError,
                         LocusMap, MultilocusGenotype, TrainConfig,
                         train_founder_hmm)
-from founderhmm.io_formats import (CONFIG_ENV, atomic_write, fmt,
+from founderhmm.io_formats import (CONFIG_ENV, ERROR_REPORT_COLUMNS,
+                                   IMPUTATION_COLUMNS, atomic_write, fmt,
                                    load_config_file, read_error_report,
                                    read_genotypes, read_haplotypes,
                                    read_imputation, read_locus_map,
@@ -177,9 +178,13 @@ def test_error_report_reader_wants_threshold_and_header(tmp_path):
     path.write_text("sample_id\tlocus_id\tlocus_index\tobserved\tratio\tflagged\tsuggested\n")
     with pytest.raises(InputError, match="threshold"):
         read_error_report(path)
-    path.write_text("#threshold=10\nwrong\theader\n")
-    with pytest.raises(InputError, match=LOCATED):
-        read_error_report(path)
+    header = "\t".join(ERROR_REPORT_COLUMNS) + "\n"
+    for text in ("#threshold=10\nwrong\theader\n",
+                 "#threshold=10\n#zero-probability\tS0\n" + header,
+                 "#threshold=10\n#zero-probability\tS0\tx\n" + header):
+        path.write_text(text)
+        with pytest.raises(InputError, match=LOCATED):
+            read_error_report(path)
 
 
 @pytest.mark.parametrize("json_mode", [False, True])
@@ -199,6 +204,15 @@ def test_imputation_round_trip(tmp_path, json_mode):
         assert tuple(b.probs) == tuple(a.probs)  # exact, not approximate
         assert b.confidence == a.confidence
     assert back.failures == (("S2", 7),)
+
+
+def test_imputation_reader_locates_malformed_failure_lines(tmp_path):
+    path = tmp_path / "i.tsv"
+    header = "\t".join(IMPUTATION_COLUMNS) + "\n"
+    for line in ("#zero-probability\tS0\n", "#zero-probability\tS0\tx\n"):
+        path.write_text(line + header)
+        with pytest.raises(InputError, match=LOCATED):
+            read_imputation(path)
 
 
 def test_fmt_round_trips_doubles():
@@ -326,13 +340,19 @@ def test_repeat_runs_are_byte_identical(ws):
 def test_detect_engine_toggles_match(ws):
     root = ws["root"]
     outs = {}
+    cfg = root / "engine-block.json"
+    cfg.write_text('{"block_size": 5}')
     for name, extra in (("plain", []), ("naive", ["--naive"]),
-                        ("blocked", ["--block-size", "7"])):
+                        ("blocked", ["--block-size", "7"]),
+                        ("configured", ["--config", str(cfg)])):
         path = str(root / f"engine-{name}.tsv")
         assert run_cli("detect", "--model", ws["model"],
-                       "--genotypes", ws["gen"], "--out", path) == 0
+                       "--genotypes", ws["gen"], "--out", path, *extra) == 0
         outs[name] = open(path, "rb").read()
-    assert outs["plain"] == outs["naive"] == outs["blocked"]
+    assert outs["plain"] == outs["naive"] == outs["blocked"] == outs["configured"]
+    cfg.write_text('{"block_size": 0}')  # read from the file, and checked
+    assert run_cli("detect", "--model", ws["model"], "--genotypes", ws["gen"],
+                   "--out", str(root / "engine-bad.tsv"), "--config", str(cfg)) == 1
 
 
 def test_phase_writes_two_rows_per_sample(ws):

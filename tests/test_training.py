@@ -1,12 +1,17 @@
 """Expectation-maximization training from haplotype panels."""
+import ast
+import pathlib
+
 import numpy as np
 import pytest
 from dataclasses import replace
 
 import oracle
 from conftest import random_panel
+import founderhmm
 from founderhmm import (HaplotypeSequence, InputError, TrainConfig,
                         loglik_haplotype, train_founder_hmm, window_config)
+from founderhmm.training import _check_params
 
 
 def test_config_validation():
@@ -135,3 +140,24 @@ def test_training_fits_a_two_founder_panel_tightly():
     hi, _ = train_founder_hmm(panel, TrainConfig(founders=2, max_iterations=40, seed=0))
     gain = sum(loglik_haplotype(hi, h) - loglik_haplotype(lo, h) for h in panel)
     assert gain > 50.0
+
+
+def test_invalid_m_step_raises_runtime_error():
+    emis = np.full((2, 2), 0.5)
+    trans = np.full((1, 2, 2), 0.5)
+    with pytest.raises(RuntimeError, match="initial"):
+        _check_params(np.array([0.5, 0.6]), trans, emis)
+    with pytest.raises(RuntimeError, match="transitions"):
+        _check_params(np.array([0.5, 0.5]), trans * 1.1, emis)
+    with pytest.raises(RuntimeError, match="emissions"):
+        _check_params(np.array([0.5, 0.5]), trans, emis + 0.6)
+
+
+def test_package_has_no_assert_statements():
+    # ``python -O`` strips asserts, so no check in the package may use one
+    package = pathlib.Path(founderhmm.__file__).parent
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(package.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Assert)]
+    assert found == []

@@ -72,14 +72,26 @@ def test_batch_matches_per_sample_bitwise():
         corpus = random_corpus(rng, m, n, missing_rate=0.15)
         # force duplicates so sharing is exercised
         corpus.append(MultilocusGenotype("dup0", corpus[0].symbols.copy()))
-        batch = batched_posteriors(model, corpus)
-        for g in corpus:
-            direct = genotype_posteriors(model, g)
-            got = batch.tables[g.sample_id]
-            assert np.array_equal(np.asarray(got.probs),
-                                  np.asarray(direct.probs))
-            assert got.log_marginals == pytest.approx(direct.log_marginals,
-                                                      rel=1e-12)
+        shuffled = [corpus[j] for j in
+                    np.random.default_rng(trial).permutation(len(corpus))]
+        engines = ({}, {"naive": True},
+                   *({"block_size": b} for b in (1, 3, n, n + 5)))
+        for rows in (corpus, shuffled):
+            for engine in engines:
+                batch = batched_posteriors(model, rows, **engine)
+                for g in corpus:
+                    want = posterior_scan(model, g)
+                    got = batch.scans[g.sample_id]
+                    for field in ("triples", "prefix_logs", "suffix_logs",
+                                  "log_likelihood"):
+                        assert np.array_equal(getattr(got, field),
+                                              getattr(want, field)), (engine, field)
+                    direct = genotype_posteriors(model, g)
+                    table = batch.tables[g.sample_id]
+                    assert np.array_equal(np.asarray(table.probs),
+                                          np.asarray(direct.probs))
+                    assert table.log_marginals == pytest.approx(
+                        direct.log_marginals, rel=1e-12)
 
 
 def test_duplicates_share_one_scan_object():
@@ -116,6 +128,19 @@ def test_chunked_mode_is_bitwise_identical(block_size):
                               np.asarray(chunked.tables[g.sample_id].probs))
         assert np.array_equal(np.asarray(full.scans[g.sample_id].triples),
                               np.asarray(chunked.scans[g.sample_id].triples))
+
+
+@pytest.mark.parametrize("block_size", [1, 2, 5])
+def test_chunked_mode_counts(block_size):
+    rng = np.random.default_rng(6)
+    model = random_model(rng, 3, 5)
+    stats = batched_posteriors(model, shared_prefix_corpus(),
+                               block_size=block_size).stats
+    # one walk over the 23 prefix nodes, then every block walks each of the
+    # 7 distinct genotypes once in each direction
+    assert stats.engine == "trie-chunked"
+    assert stats.forward_locus_evals == 23 + 7 * 5
+    assert stats.backward_locus_evals == 7 * 5
 
 
 def test_impossible_sample_is_isolated_not_fatal():
