@@ -68,8 +68,7 @@ def _suggest(row, observed):
 
 
 def detect_errors(model: FounderHMM, corpus, threshold: float = DEFAULT_RATIO_THRESHOLD,
-                  *, locus_ids=None, naive: bool = False,
-                  block_size: int | None = None) -> ErrorReport:
+                  *, locus_ids=None, block_size: int | None = None) -> ErrorReport:
     """Likelihood-ratio screen of every typed symbol.
 
     The ratio compares the best single-symbol substitution at a locus with
@@ -78,10 +77,10 @@ def detect_errors(model: FounderHMM, corpus, threshold: float = DEFAULT_RATIO_TH
     observed symbol yields an infinite ratio rather than an error. A symbol
     is flagged when its ratio exceeds ``threshold``.
     """
-    if threshold <= 0:
-        raise InputError("threshold must be positive")
+    if not threshold > 0:
+        raise InputError(f"threshold must be positive, got {threshold}")
     genos = list(corpus)
-    batch = batched_posteriors(model, genos, naive=naive, block_size=block_size)
+    batch = batched_posteriors(model, genos, block_size=block_size)
     ids = _entry_locus_ids(locus_ids, len(genos[0]))
     entries = []
     for g in genos:
@@ -150,7 +149,7 @@ class RecoveryResult:
     stats: object
 
 
-def recover_missing(model: FounderHMM, corpus, *, naive: bool = False,
+def recover_missing(model: FounderHMM, corpus, *,
                     block_size: int | None = None) -> RecoveryResult:
     """Replace every MISSING symbol with its posterior argmax.
 
@@ -159,7 +158,7 @@ def recover_missing(model: FounderHMM, corpus, *, naive: bool = False,
     left untouched and reported in ``failures``.
     """
     genos = list(corpus)
-    batch = batched_posteriors(model, genos, naive=naive, block_size=block_size)
+    batch = batched_posteriors(model, genos, block_size=block_size)
     fills = []
     failures = dict(batch.failures)
     out = []
@@ -226,9 +225,6 @@ class ImputationResult:
     forward_locus_evals: int
     backward_locus_evals: int
 
-    def calls_by_position(self):
-        return {(e.sample_id, e.locus_index): e.call for e in self.entries}
-
 
 def window_spans(locus_map: LocusMap, spec: WindowSpec):
     """Group untyped loci by the contiguous span of their flank windows.
@@ -271,7 +267,7 @@ def _window_corpus(genos, locus_map, lo, hi):
 
 
 def impute_untyped(reference, corpus, locus_map: LocusMap, config: TrainConfig,
-                   *, window: WindowSpec = WindowSpec(), naive: bool = False,
+                   *, window: WindowSpec = WindowSpec(),
                    block_size: int | None = None, threads: int = 1,
                    keep_models: bool = False) -> ImputationResult:
     """Posterior calls at every untyped locus.
@@ -281,6 +277,8 @@ def impute_untyped(reference, corpus, locus_map: LocusMap, config: TrainConfig,
     scored in one batched pass per window with the target column MISSING.
     Windows are independent, so they parallelize across ``threads``.
     """
+    if not threads >= 1:
+        raise InputError(f"threads must be >= 1, got {threads}")
     reference = list(reference)
     genos = list(corpus)
     if not reference:
@@ -302,7 +300,7 @@ def impute_untyped(reference, corpus, locus_map: LocusMap, config: TrainConfig,
         ref_window = [HaplotypeSequence(h.id, h.alleles[lo:hi + 1]) for h in reference]
         wmodel, wreport = train_founder_hmm(ref_window, wcfg)
         wcorpus = _window_corpus(genos, locus_map, lo, hi)
-        batch = batched_posteriors(wmodel, wcorpus, naive=naive, block_size=block_size)
+        batch = batched_posteriors(wmodel, wcorpus, block_size=block_size)
         rows = {}
         for g in genos:
             scan = batch.scans[g.sample_id]
@@ -451,7 +449,7 @@ class PipelineResult:
 
 def run_pipeline(mode: str, reference, corpus, locus_map: LocusMap,
                  config: TrainConfig, *, window: WindowSpec = WindowSpec(),
-                 threshold: float = DEFAULT_RATIO_THRESHOLD, naive: bool = False,
+                 threshold: float = DEFAULT_RATIO_THRESHOLD,
                  block_size: int | None = None, threads: int = 1) -> PipelineResult:
     """Run one of the two supported flows.
 
@@ -488,8 +486,7 @@ def run_pipeline(mode: str, reference, corpus, locus_map: LocusMap,
 
         t0 = time.perf_counter()
         error_report = detect_errors(model1, working, threshold,
-                                     locus_ids=typed_ids, naive=naive,
-                                     block_size=block_size)
+                                     locus_ids=typed_ids, block_size=block_size)
         working, changes = correct_errors(working, error_report)
         stages.append(StageReport("detect-correct", time.perf_counter() - t0, {
             "flagged": len(error_report.flagged()),
@@ -499,8 +496,7 @@ def run_pipeline(mode: str, reference, corpus, locus_map: LocusMap,
         }))
 
         t0 = time.perf_counter()
-        recovery = recover_missing(model1, working, naive=naive,
-                                   block_size=block_size)
+        recovery = recover_missing(model1, working, block_size=block_size)
         working = recovery.corpus
         stages.append(StageReport("recover-missing", time.perf_counter() - t0, {
             "filled": len(recovery.fills),
@@ -510,8 +506,8 @@ def run_pipeline(mode: str, reference, corpus, locus_map: LocusMap,
 
     t0 = time.perf_counter()
     imputation = impute_untyped(reference, working, locus_map, config,
-                                window=window, naive=naive,
-                                block_size=block_size, threads=threads)
+                                window=window, block_size=block_size,
+                                threads=threads)
     stages.append(StageReport("impute-untyped", time.perf_counter() - t0, {
         "windows": len(imputation.windows),
         "entries": len(imputation.entries),

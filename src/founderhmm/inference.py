@@ -265,10 +265,10 @@ class PosteriorTable:
         return self.probs.shape[0]
 
 
-def _prepare(model: FounderHMM, genotype, etab=None):
+def _prepare(model: FounderHMM, genotype):
     symbols = _symbols_of(genotype)
     _check_length(model, symbols)
-    return _planes(symbols), emission_stack(model) if etab is None else etab
+    return _planes(symbols), emission_stack(model)
 
 
 def _forward_row(model, etab, planes):
@@ -324,10 +324,10 @@ def total_log_likelihood(model: FounderHMM, genotype) -> float:
     return float(logs[-1])
 
 
-def posterior_scan(model: FounderHMM, genotype, etab=None) -> PosteriorScan:
+def posterior_scan(model: FounderHMM, genotype) -> PosteriorScan:
     """Tolerant two-sweep scan; zero-probability genotypes produce exact
     zero rows instead of raising."""
-    planes, etab = _prepare(model, genotype, etab)
+    planes, etab = _prepare(model, genotype)
     return _scan_rows(model, etab, [planes], [0], [planes[::-1]], [0], [0])[0]
 
 

@@ -584,6 +584,8 @@ def load_config_file(path) -> dict:
         raise InputError(f"cannot read config file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}:{exc.lineno}: invalid JSON ({exc.msg})") from exc
+    except ValueError as exc:  # an integer too long to convert
+        raise InputError(f"{path}: invalid JSON ({exc})") from exc
     if not isinstance(payload, dict):
         raise InputError(f"{path}: config file must hold a JSON object")
     for key, value in payload.items():

@@ -53,6 +53,8 @@ class SimConfig:
             raise InputError("sample_count must be >= 1")
         if self.panel_size < 1:
             raise InputError("panel_size must be >= 1")
+        if not self.seed >= 0:
+            raise InputError(f"seed must be >= 0, got {self.seed}")
         for name in ("switch_rate", "error_rate", "missing_rate", "mask_fraction"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
@@ -309,6 +311,8 @@ def sweep(data: SimData, *, founder_counts=(7,), panel_sizes=(100,),
     dataset seed and the cell index, so results do not depend on execution
     order or thread count.
     """
+    if not min(threads, cell_threads) >= 1:
+        raise InputError("threads must be >= 1")
     cells = list(itertools.product(founder_counts, panel_sizes, flanks, modes))
     if not cells:
         return []
@@ -385,7 +389,6 @@ def _bench_cell(rng, n, k, m, repeats):
     symbols = rng.integers(0, 3, size=(m, n)).astype(np.int8)
     corpus = [MultilocusGenotype(f"B{j}", symbols[j]) for j in range(m)]
     times = []
-    batch = None
     for _ in range(repeats):
         start = time.perf_counter()
         batch = batched_posteriors(model, corpus)
@@ -402,6 +405,9 @@ def bench_scaling(*, loci_grid=(250, 500, 1000, 2000), loci_samples=40,
     """Time the batched posterior engine along three axes and fit growth
     exponents from a log-log regression. Median of ``repeats`` runs per
     cell to stabilize small timings."""
+    if not (repeats >= 1 and seed >= 0):
+        raise InputError(
+            f"need repeats >= 1 and seed >= 0, got {repeats} and {seed}")
     rng = np.random.default_rng(seed)
     rows = []
     for n in loci_grid:

@@ -36,10 +36,13 @@ class TrainConfig:
             raise InputError("founders must be >= 1")
         if self.max_iterations < 1:
             raise InputError("max_iterations must be >= 1")
-        if self.tolerance < 0:
-            raise InputError("tolerance must be >= 0")
-        if self.pseudocount < 0:
-            raise InputError("pseudocount must be >= 0")
+        if not self.tolerance >= 0:
+            raise InputError(f"tolerance must be >= 0, got {self.tolerance}")
+        if not 0 <= self.pseudocount < float("inf"):
+            raise InputError(
+                f"pseudocount must be finite and >= 0, got {self.pseudocount}")
+        if not self.seed >= 0:
+            raise InputError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ MISSING branches like any other symbol. Scale histories are prefix-
 cumulative log sums kept per depth, so shared prefixes also share their
 scaling.
 
-Memory: every mode returns a scan per distinct genotype of 5 x 8 bytes
+Memory: both modes return a scan per distinct genotype of 5 x 8 bytes
 per locus (substitution triples, prefix and suffix log sums). The default
 mode also caches the backward state of every distinct genotype, distinct
 genotypes x loci x K^2 x 8 bytes: 3.9 GB at 1000 distinct genotypes x
@@ -29,8 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .inference import (_planes, _scan_rows, _scan_rows_blocked,
-                        posterior_scan, table_from_scan)
+from .inference import _planes, _scan_rows, _scan_rows_blocked, table_from_scan
 from .model import (FounderHMM, InputError, MultilocusGenotype,
                     ZeroProbabilityError, emission_stack)
 
@@ -136,21 +135,18 @@ class BatchPosteriorResult:
     """
 
     tables: dict
-    log_likelihoods: dict
     scans: dict
     failures: dict
     stats: BatchStats
 
 
-def batched_posteriors(model: FounderHMM, corpus, *, naive: bool = False,
+def batched_posteriors(model: FounderHMM, corpus, *,
                        block_size: int | None = None) -> BatchPosteriorResult:
     """Posterior scans for every corpus genotype.
 
-    With ``naive`` the corpus is processed one sample at a time with no
-    sharing (the reference path used for equivalence tests and the CLI
-    escape hatch). ``block_size`` selects the memory-bounded chunked mode.
-    Results are identical across all three paths and independent of corpus
-    order.
+    ``block_size`` selects the memory-bounded chunked mode. Results are
+    identical in both modes, bitwise equal to per-sample
+    :func:`posterior_scan`, and independent of corpus order.
     """
     genos, n = _corpus_symbols(corpus)
     if n != model.loci:
@@ -160,16 +156,6 @@ def batched_posteriors(model: FounderHMM, corpus, *, naive: bool = False,
         raise InputError("corpus sample ids must be unique")
     if block_size is not None and block_size < 1:
         raise InputError("block_size must be >= 1")
-
-    if naive or len(genos) == 1:
-        etab = emission_stack(model)
-        scans = {g.sample_id: posterior_scan(model, g, etab) for g in genos}
-        stats = BatchStats(samples=len(genos), loci=n,
-                           distinct_genotypes=len({g.key() for g in genos}),
-                           forward_locus_evals=len(genos) * n,
-                           backward_locus_evals=len(genos) * (n - 1),
-                           prefix_nodes=0, suffix_nodes=0, engine="naive")
-        return _assemble(genos, scans, stats)
 
     etab = emission_stack(model)
     prefix, suffix = build_trie(genos), reversed_trie(genos)
@@ -188,7 +174,14 @@ def batched_posteriors(model: FounderHMM, corpus, *, naive: bool = False,
         bevals = prefix.rows.size
         engine = "trie-chunked"
 
-    scans = {sid: row_scans[r] for sid, r in zip(ids, prefix.row_of)}
+    row_tables, dead = {}, {}
+    for r, scan in enumerate(row_scans):
+        try:
+            row_tables[r] = table_from_scan(scan)
+        except ZeroProbabilityError as exc:
+            dead[r] = exc.locus
+    pairs = list(zip(ids, prefix.row_of.tolist()))
+    scans = {sid: row_scans[r] for sid, r in pairs}
     stats = BatchStats(samples=len(genos), loci=n,
                        distinct_genotypes=len(row_scans),
                        forward_locus_evals=fevals,
@@ -196,28 +189,8 @@ def batched_posteriors(model: FounderHMM, corpus, *, naive: bool = False,
                        prefix_nodes=prefix.node_count(),
                        suffix_nodes=suffix.node_count(),
                        engine=engine)
-    return _assemble(genos, scans, stats)
-
-
-def _assemble(genos, scans, stats):
-    tables = {}
-    log_likelihoods = {}
-    failures = {}
-    table_cache = {}
-    for g in genos:
-        scan = scans[g.sample_id]
-        log_likelihoods[g.sample_id] = scan.log_likelihood
-        cached = table_cache.get(id(scan))
-        if cached is None:
-            try:
-                cached = ("ok", table_from_scan(scan))
-            except ZeroProbabilityError as exc:
-                cached = ("dead", exc.locus)
-            table_cache[id(scan)] = cached
-        kind, value = cached
-        if kind == "ok":
-            tables[g.sample_id] = value
-        else:
-            failures[g.sample_id] = value
-    return BatchPosteriorResult(tables=tables, log_likelihoods=log_likelihoods,
-                                scans=scans, failures=failures, stats=stats)
+    return BatchPosteriorResult(
+        tables={sid: row_tables[r] for sid, r in pairs if r in row_tables},
+        scans=scans,
+        failures={sid: dead[r] for sid, r in pairs if r in dead},
+        stats=stats)

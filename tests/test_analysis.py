@@ -91,8 +91,9 @@ def test_impossible_symbol_gets_infinite_ratio_only_at_culprit():
 def test_threshold_must_be_positive():
     rng = np.random.default_rng(2)
     model = random_model(rng, 2, 4)
-    with pytest.raises(InputError):
-        detect_errors(model, random_corpus(rng, 2, 4), threshold=0.0)
+    for bad in (0.0, float("nan")):
+        with pytest.raises(InputError):
+            detect_errors(model, random_corpus(rng, 2, 4), threshold=bad)
 
 
 def test_detect_ratio_matches_oracle():
@@ -328,6 +329,9 @@ def test_impute_validates_alignment():
     bad_corpus = [MultilocusGenotype("s", np.zeros(3, dtype=np.int8))]
     with pytest.raises(InputError):
         impute_untyped(data.reference, bad_corpus, data.locus_map, cfg)
+    with pytest.raises(InputError):
+        impute_untyped(data.reference, data.observed, data.locus_map, cfg,
+                       threads=0)
 
 
 # ----------------------------------------------------------------- phasing

@@ -7,6 +7,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import founderhmm
 import founderhmm.cli as cli
@@ -235,7 +237,8 @@ def test_config_file_loading(tmp_path):
     good.write_text('{"founders": 3, "threshold": 50.0, "naive": true}')
     assert load_config_file(good) == {"founders": 3, "threshold": 50.0,
                                       "naive": True}
-    for text in ('["not", "an", "object"]', '{"nested": {"a": 1}}', "{broken"):
+    for text in ('["not", "an", "object"]', '{"nested": {"a": 1}}', "{broken",
+                 '{"founders": %s}' % ("9" * 5000)):
         bad = tmp_path / "bad.json"
         bad.write_text(text)
         with pytest.raises(InputError):
@@ -324,14 +327,12 @@ def test_impute_and_pipeline_agree(ws):
 
 def test_repeat_runs_are_byte_identical(ws):
     root = ws["root"]
-    outs = [str(root / f"rerun{i}.imp.tsv") for i in range(4)]
+    outs = [str(root / f"rerun{i}.imp.tsv") for i in range(3)]
     base = ["--panel", ws["ref"], "--genotypes", ws["gen"], "--map", ws["map"],
             "--founders", "3", "--flank", "4", "--seed", "0"]
     assert run_cli("impute", *base, "--threads", "1", "--out", outs[0]) == 0
     assert run_cli("impute", *base, "--threads", "1", "--out", outs[1]) == 0
     assert run_cli("impute", *base, "--threads", "3", "--out", outs[2]) == 0
-    assert run_cli("impute", *base, "--threads", "1", "--naive",
-                   "--out", outs[3]) == 0
     reference_bytes = open(outs[0], "rb").read()
     for other in outs[1:]:
         assert open(other, "rb").read() == reference_bytes
@@ -342,17 +343,21 @@ def test_detect_engine_toggles_match(ws):
     outs = {}
     cfg = root / "engine-block.json"
     cfg.write_text('{"block_size": 5}')
-    for name, extra in (("plain", []), ("naive", ["--naive"]),
-                        ("blocked", ["--block-size", "7"]),
-                        ("configured", ["--config", str(cfg)])):
+    text_cfg = root / "engine-text.json"  # "7" parses as --block-size 7 does,
+    text_cfg.write_text('{"block_size": "7", "naive": true}')  # naive: ignored
+    for name, extra in (("plain", []), ("blocked", ["--block-size", "7"]),
+                        ("configured", ["--config", str(cfg)]),
+                        ("text", ["--config", str(text_cfg)])):
         path = str(root / f"engine-{name}.tsv")
         assert run_cli("detect", "--model", ws["model"],
                        "--genotypes", ws["gen"], "--out", path, *extra) == 0
         outs[name] = open(path, "rb").read()
-    assert outs["plain"] == outs["naive"] == outs["blocked"] == outs["configured"]
-    cfg.write_text('{"block_size": 0}')  # read from the file, and checked
-    assert run_cli("detect", "--model", ws["model"], "--genotypes", ws["gen"],
-                   "--out", str(root / "engine-bad.tsv"), "--config", str(cfg)) == 1
+    assert outs["plain"] == outs["blocked"] == outs["configured"] == outs["text"]
+    for bad in ('{"block_size": 0}', '{"block_size": "0"}'):  # read and checked
+        cfg.write_text(bad)
+        assert run_cli("detect", "--model", ws["model"], "--genotypes", ws["gen"],
+                       "--out", str(root / "engine-bad.tsv"),
+                       "--config", str(cfg)) == 1
 
 
 def test_phase_writes_two_rows_per_sample(ws):
@@ -414,6 +419,13 @@ def test_bench_cli_writes_exponent_lines(ws):
     text = open(out).read()
     assert text.count("#exponent\t") == 3
     assert "seconds" in text  # bench IS the timing artifact
+    cfg = ws["root"] / "bench.json"  # the grids come from a config file too
+    cfg.write_text('{"repeats": 1, "loci_grid": "8,16", "sample_grid": "2,4", '
+                   '"founder_grid": "2,3"}')
+    assert run_cli("bench", "--out", out, "--config", str(cfg)) == 0
+    rows = [line.split("\t")[:2] for line in open(out) if line[0] != "#"]
+    assert rows[1:] == [["loci", "8"], ["loci", "16"], ["samples", "2"],
+                        ["samples", "4"], ["founders", "2"], ["founders", "3"]]
 
 
 def test_train_log_file_holds_trace_and_timing(ws):
@@ -474,6 +486,57 @@ def test_environment_supplies_the_config_file(ws, tmp_path, monkeypatch):
     assert founders_of(out2) == 3
 
 
+def test_config_does_not_carry_over_to_the_next_call(ws, tmp_path, monkeypatch):
+    monkeypatch.delenv(CONFIG_ENV, raising=False)
+    cfg = tmp_path / "json.json"
+    cfg.write_text('{"json": true, "threshold": 5}')
+    out = tmp_path / "carry.out"
+    base = ["detect", "--model", ws["model"], "--genotypes", ws["gen"],
+            "--out", str(out)]
+    assert run_cli(*base, "--config", str(cfg)) == 0
+    assert json.loads(out.read_text())["threshold"] == 5.0
+    assert run_cli(*base) == 0
+    assert out.read_text().splitlines()[1] == "#threshold=1000"
+
+
+@pytest.mark.parametrize("subcommand,field,value", [
+    ("train", "founders", "x"), ("train", "founders", 3.9),
+    ("train", "founders", 3.0), ("detect", "block_size", "x"),
+    ("detect", "json", "false"), ("pipeline", "mode", "x")])
+def test_bad_config_value_names_file_and_field(ws, tmp_path, monkeypatch,
+                                               capsys, subcommand, field, value):
+    monkeypatch.delenv(CONFIG_ENV, raising=False)
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps({field: value}))
+    argv = {"train": ["--panel", f"{ws['prefix']}.ref.typed.hap"],
+            "detect": ["--model", ws["model"], "--genotypes", ws["gen"]],
+            "pipeline": ["--panel", ws["ref"], "--genotypes", ws["gen"],
+                         "--map", ws["map"]]}[subcommand]
+    assert run_cli(subcommand, *argv, "--out", str(tmp_path / "o"),
+                   "--config", str(cfg)) == 1
+    assert f"{cfg}: field {field!r}: " in capsys.readouterr().err
+
+
+def test_per_subcommand_defaults_stay_apart():
+    parser, _ = cli._build_parser()
+    simulated = parser.parse_args(["simulate", "--out-prefix", "x"])
+    swept = parser.parse_args(["sweep", "--out", "x"])
+    assert (simulated.mask_fraction, swept.mask_fraction) == (0.0, 0.09)
+    assert (simulated.founders, swept.founders) == (5, 5)
+    trained = parser.parse_args(["train", "--panel", "p", "--out", "x"])
+    assert trained.founders == 7
+
+
+def test_every_subcommand_help_exits_zero(capsys):
+    _, commands = cli._build_parser()
+    assert len(commands) == 11
+    for name in commands:
+        with pytest.raises(SystemExit) as stop:
+            run_cli(name, "--help")
+        assert stop.value.code == 0
+        assert f"usage: founderhmm {name}" in capsys.readouterr().out
+
+
 # -------------------------------------------------------------- exit codes
 
 def test_usage_problems_exit_one(capsys):
@@ -496,6 +559,20 @@ def test_missing_and_malformed_inputs_exit_one(ws, tmp_path, capsys):
     cfg.write_text("{nope")
     assert run_cli("train", "--panel", f"{ws['prefix']}.ref.typed.hap",
                    "--out", str(tmp_path / "m"), "--config", str(cfg)) == 1
+    panel = f"{ws['prefix']}.ref.typed.hap"
+    out = str(tmp_path / "o")
+    impute = ["impute", "--panel", ws["ref"], "--genotypes", ws["gen"],
+              "--map", ws["map"], "--out", out]
+    for argv in (["train", "--panel", panel, "--out", out, "--seed", "-1"],
+                 ["train", "--panel", panel, "--out", out, "--pseudocount", "nan"],
+                 ["train", "--panel", panel, "--out", out, "--pseudocount", "inf"],
+                 ["simulate", "--out-prefix", out, "--seed", "-1"],
+                 ["bench", "--out", out, "--repeats", "0"],
+                 ["detect", "--model", ws["model"], "--genotypes", ws["gen"],
+                  "--out", out, "--threshold", "nan"],
+                 [*impute, "--threads", "0"]):
+        assert run_cli(*argv) == 1, argv
+        assert "error:" in capsys.readouterr().err
 
 
 def test_internal_faults_exit_two(ws, tmp_path, monkeypatch, capsys):
@@ -506,3 +583,66 @@ def test_internal_faults_exit_two(ws, tmp_path, monkeypatch, capsys):
                    "--out", str(tmp_path / "o"))
     assert code == 2
     assert "internal error" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------- config fuzzing
+
+# The options each subcommand takes from a config file: all but file paths.
+CONFIG_KEYS = {
+    "train": ("founders", "seed", "max_iterations", "tolerance", "pseudocount"),
+    "detect": ("threshold", "block_size", "json"),
+    "recover": ("block_size", "json"),
+    "impute": ("founders", "flank", "threads", "seed", "block_size", "json"),
+    "pipeline": ("founders", "flank", "threshold", "seed", "threads",
+                 "block_size", "json", "mode"),
+}
+
+
+def test_config_keys_are_the_non_path_options():
+    _, commands = cli._build_parser()
+    for name, keys in CONFIG_KEYS.items():
+        assert set(cli._settable(commands[name])) == set(keys), name
+
+
+@pytest.fixture(scope="module")
+def tiny(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    prefix = str(root / "t")
+    assert run_cli("simulate", "--out-prefix", prefix, "--seed", "2",
+                   "--founders", "2", "--loci", "12", "--samples", "3",
+                   "--panel-size", "8", "--error-rate", "0.05",
+                   "--missing-rate", "0.05", "--mask-fraction", "0.2") == 0
+    model = str(root / "t.model")
+    assert run_cli("train", "--panel", f"{prefix}.ref.typed.hap",
+                   "--out", model, "--founders", "2",
+                   "--max-iterations", "5") == 0
+    data = ["--genotypes", f"{prefix}.gen"]
+    panel = ["--panel", f"{prefix}.ref.hap", *data, "--map", f"{prefix}.map"]
+    return root, {"train": ["--panel", f"{prefix}.ref.typed.hap"],
+                  "detect": ["--model", model, *data],
+                  "recover": ["--model", model, *data],
+                  "impute": panel, "pipeline": panel}
+
+
+# Integers stay small and text holds no digits, so no drawn value can ask
+# for a large model, many iterations or many threads.
+CONFIG_VALUES = st.one_of(
+    st.text(st.characters(blacklist_categories=("Nd", "Cs")), max_size=6),
+    st.booleans(), st.floats(allow_nan=True, allow_infinity=True),
+    st.integers(-3, 6))
+
+
+@pytest.mark.parametrize("subcommand", sorted(CONFIG_KEYS))
+@settings(max_examples=250, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_any_config_exits_zero_or_one(tiny, subcommand, data):
+    root, argv = tiny  # --config outranks the environment variable
+    keys = st.sampled_from(CONFIG_KEYS[subcommand] + ("naive",))
+    config = data.draw(st.dictionaries(keys, CONFIG_VALUES), label="config")
+    cfg = root / f"{subcommand}.json"
+    cfg.write_text(json.dumps(config))
+    code = run_cli(subcommand, *argv[subcommand],
+                   "--out", str(root / f"{subcommand}.out"),
+                   "--config", str(cfg))
+    assert code in (0, 1), config

@@ -129,6 +129,13 @@ def test_config_validation():
     with pytest.raises(InputError):
         SimConfig(founder_count=2, loci=3,
                   founder_alleles=np.full((2, 3), 2))
+    with pytest.raises(InputError):
+        SimConfig(seed=-1)
+    for bad in (dict(seed=-1), dict(repeats=0)):
+        with pytest.raises(InputError):
+            founderhmm.bench_scaling(**bad)
+    with pytest.raises(InputError):
+        sweep(small_sim(), threads=0)
 
 
 # ---------------------------------------------------------------- scoring

@@ -23,6 +23,10 @@ def test_config_validation():
         TrainConfig(founders=2, tolerance=-1.0)
     with pytest.raises(InputError):
         TrainConfig(founders=2, pseudocount=-1e-9)
+    for bad in (dict(seed=-1), dict(tolerance=float("nan")),
+                dict(pseudocount=float("nan")), dict(pseudocount=float("inf"))):
+        with pytest.raises(InputError):
+            TrainConfig(founders=2, **bad)
 
 
 def test_window_config_caps_iterations():
