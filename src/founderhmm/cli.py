@@ -47,12 +47,21 @@ DEFAULT = "default: %(default)s"  # help of an option its name explains
 MODES = (PIPELINE_IMPUTE_ONLY, PIPELINE_REPAIR_IMPUTE)
 
 
+class _HelpShown(Exception):
+    """--help has printed its text; main returns 0."""
+
+
 class _Parser(argparse.ArgumentParser):
     """Argparse that reports usage problems as input errors (exit 1)
-    instead of hard-exiting with status 2."""
+    instead of hard-exiting with status 2, and returns from --help instead
+    of exiting the process."""
 
     def error(self, message):
         raise InputError(message)
+
+    def exit(self, status=0, message=None):
+        # error() above never exits, so only --help arrives here
+        raise _HelpShown()
 
 
 def _int_list(text):
@@ -326,6 +335,10 @@ def _echo(subcommand, pairs):
     return f"#config: {subcommand} {body}"
 
 
+def _joined(values):
+    return ",".join(map(str, values))
+
+
 def _note(message):
     print(message, file=sys.stderr)
 
@@ -472,7 +485,8 @@ def _sim_config(args, panel_size):
                     switch_rate=args.switch_rate, error_rate=args.error_rate,
                     missing_rate=args.missing_rate,
                     mask_fraction=args.mask_fraction, seed=args.seed)
-    return cfg, {"loci": cfg.loci, "samples": cfg.sample_count,
+    return cfg, {"founders": cfg.founder_count, "loci": cfg.loci,
+                 "samples": cfg.sample_count,
                  "switch_rate": cfg.switch_rate, "error_rate": cfg.error_rate,
                  "missing_rate": cfg.missing_rate,
                  "mask_fraction": cfg.mask_fraction, "seed": cfg.seed}
@@ -482,8 +496,7 @@ def _cmd_simulate(args):
     cfg, pairs = _sim_config(args, args.panel_size)
     data = simulate(cfg)
     prefix = args.out_prefix
-    echo = _echo("simulate", {**pairs, "founders": cfg.founder_count,
-                              "panel_size": cfg.panel_size})
+    echo = _echo("simulate", {**pairs, "panel_size": cfg.panel_size})
     write_genotypes(f"{prefix}.gen", data.observed, config_line=echo)
     write_locus_map(f"{prefix}.map", data.locus_map, config_line=echo)
     write_haplotypes(f"{prefix}.ref.hap", data.reference, config_line=echo)
@@ -531,11 +544,10 @@ def _cmd_sweep(args):
     rows = sweep(data, founder_counts=args.founders_grid,
                  panel_sizes=args.panel_grid, flanks=args.flank_grid,
                  modes=args.modes, threads=args.threads)
-    joined = lambda values: ",".join(map(str, values))
-    echo = _echo("sweep", {**pairs, "founders_grid": joined(args.founders_grid),
-                           "panel_grid": joined(args.panel_grid),
-                           "flank_grid": joined(args.flank_grid),
-                           "modes": joined(args.modes)})
+    echo = _echo("sweep", {**pairs, "founders_grid": _joined(args.founders_grid),
+                           "panel_grid": _joined(args.panel_grid),
+                           "flank_grid": _joined(args.flank_grid),
+                           "modes": _joined(args.modes)})
     write_sweep_table(args.out, rows, config_line=echo, with_seconds=False)
     if args.timings:
         write_sweep_table(args.timings, rows, config_line=echo,
@@ -549,7 +561,10 @@ def _cmd_bench(args):
                            sample_grid=args.sample_grid,
                            founder_grid=args.founder_grid,
                            repeats=args.repeats, seed=args.seed)
-    echo = _echo("bench", {"seed": args.seed, "repeats": args.repeats})
+    echo = _echo("bench", {"seed": args.seed, "repeats": args.repeats,
+                           "loci_grid": _joined(args.loci_grid),
+                           "sample_grid": _joined(args.sample_grid),
+                           "founder_grid": _joined(args.founder_grid)})
     write_bench_table(args.out, report, config_line=echo)
     exps = " ".join(f"{axis}={report.exponents[axis]:.3f}"
                     for axis in sorted(report.exponents))
@@ -565,6 +580,8 @@ def main(argv=None) -> int:
             _apply_config(commands[args.subcommand], path)
             args = parser.parse_args(argv)
         args.handler(args)
+        return 0
+    except _HelpShown:
         return 0
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -370,8 +370,8 @@ def fit_exponent(values, seconds):
     """Slope of log(seconds) against log(value) — the growth exponent."""
     v = np.log(np.asarray(values, dtype=float))
     t = np.log(np.asarray(seconds, dtype=float))
-    if v.size < 2:
-        raise InputError("need at least two points to fit an exponent")
+    if np.unique(v).size < 2:
+        raise InputError("need at least two distinct values to fit an exponent")
     return float(np.polyfit(v, t, 1)[0])
 
 
@@ -408,6 +408,11 @@ def bench_scaling(*, loci_grid=(250, 500, 1000, 2000), loci_samples=40,
     if not (repeats >= 1 and seed >= 0):
         raise InputError(
             f"need repeats >= 1 and seed >= 0, got {repeats} and {seed}")
+    grids = {"loci": loci_grid, "samples": sample_grid, "founders": founder_grid}
+    for axis, grid in grids.items():
+        if len(set(grid)) < 2:
+            raise InputError(f"the {axis} grid needs at least two distinct "
+                             f"values, got {list(grid)}")
     rng = np.random.default_rng(seed)
     rows = []
     for n in loci_grid:

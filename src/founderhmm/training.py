@@ -2,9 +2,14 @@
 
 The chain is fit on single haplotypes; a genotype model simply runs two
 copies of the fitted chain, so the trained parameters double as the
-founder-pair model. The E-step is vectorized across the whole panel
-(per-locus operations act on (panel, founders) arrays), which is also the
-natural internal parallelization point.
+founder-pair model. Expected counts are additive over haplotypes, so EM
+runs on the panel's distinct rows, each weighted by how often it occurs:
+the same estimator, with per-locus work proportional to distinct rows
+(fastPHASE fits its founder clusters the same way). The E-step is
+vectorized across those rows in a founder-major (loci, founders, rows)
+layout and holds two such float64 arrays, 2 x loci x K x distinct rows x 8
+bytes. np.unique sorts the rows, so the fit does not depend on the order
+of the panel.
 """
 from __future__ import annotations
 
@@ -41,6 +46,12 @@ class TrainConfig:
         if not 0 <= self.pseudocount < float("inf"):
             raise InputError(
                 f"pseudocount must be finite and >= 0, got {self.pseudocount}")
+        # the M-step normalizes sums of K (or two) pseudocounts; the factor
+        # 2 leaves room for the expected counts and for rounding
+        if not 2.0 * max(self.founders, 2) * self.pseudocount < float("inf"):
+            raise InputError(
+                f"pseudocount {self.pseudocount} is too large for "
+                f"{self.founders} founders: the M-step's sums would overflow")
         if not self.seed >= 0:
             raise InputError(f"seed must be >= 0, got {self.seed}")
 
@@ -82,52 +93,61 @@ def _emission_probs(emis_row, column):
     return np.where(column[:, None] == 1, emis_row[None, :], 1.0 - emis_row[None, :])
 
 
-def _e_step(haps, init, trans, emis):
-    """One scaled forward-backward over the whole panel.
+def _e_step(rows, counts, first, init, trans, emis):
+    """One scaled forward-backward over the distinct panel rows.
+
+    rows is the (distinct rows, loci) allele matrix, counts the multiplicity
+    of each row and first the lowest panel index holding it. Expected counts
+    are additive over haplotypes, so each row's statistics are weighted by
+    its count. Arrays are founder-major, (loci, K, rows), and two of them
+    are held: the emissions, divided by the scales and then multiplied by
+    beta during the backward sweep, and the weighted alphas, turned into
+    gammas in place.
 
     Returns (total log-likelihood, expected-count statistics).
     """
-    m, n = haps.shape
+    r, n = rows.shape
     k = init.shape[0]
-    eprobs = np.empty((n, m, k), dtype=np.float64)
-    for i in range(n):
-        eprobs[i] = _emission_probs(emis[i], haps[:, i])
+    ones = rows.T == 1
+    eprobs = np.where(ones[:, None, :], emis[:, :, None], 1.0 - emis[:, :, None])
 
-    alphas = np.empty((n, m, k), dtype=np.float64)
-    scales = np.empty((n, m), dtype=np.float64)
-    a = init[None, :] * eprobs[0]
-    for i in range(n):
-        if i > 0:
-            a = (a @ trans[i - 1]) * eprobs[i]
-        c = a.sum(axis=1)
-        if np.any(c <= 0.0):
-            bad = int(np.argmax(c <= 0.0))
-            raise ZeroProbabilityError(
-                i, f"panel haplotype {bad} has zero likelihood at locus {i}; "
-                   f"use a positive pseudocount")
-        a = a / c[:, None]
-        alphas[i] = a
-        scales[i] = c
+    alphas = np.empty((n, k, r), dtype=np.float64)
+    scales = np.empty((n, r), dtype=np.float64)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.multiply(init[:, None], eprobs[0], out=alphas[0])
+        for i in range(n):
+            a = alphas[i]
+            if i > 0:
+                np.matmul(trans[i - 1].T, alphas[i - 1], out=a)
+                np.multiply(a, eprobs[i], out=a)
+            np.sum(a, axis=0, out=scales[i])
+            np.divide(a, scales[i], out=a)
+    # a row whose mass vanishes at locus i has scale 0 there and NaN after,
+    # so the first locus with a zero scale is where the first row failed
+    failed = scales <= 0.0
+    if failed.any():
+        i = int(np.argmax(failed.any(axis=1)))
+        bad = int(first[failed[i]].min())
+        raise ZeroProbabilityError(
+            i, f"panel haplotype {bad} has zero likelihood at locus {i}; "
+               f"use a positive pseudocount")
 
-    loglik = float(np.log(scales).sum())
+    loglik = float(np.log(scales).sum(axis=0) @ counts)
 
-    b = np.ones((m, k), dtype=np.float64)
-    init_counts = np.zeros(k, dtype=np.float64)
-    trans_counts = np.zeros((max(n - 1, 0), k, k), dtype=np.float64)
-    emis_ones = np.zeros((n, k), dtype=np.float64)
-    emis_total = np.zeros((n, k), dtype=np.float64)
+    eprobs /= scales[:, None, :]
+    alphas *= counts
+    beta = np.ones((k, r), dtype=np.float64)
+    trans_counts = np.empty((max(n - 1, 0), k, k), dtype=np.float64)
     for i in range(n - 1, -1, -1):
-        gamma = alphas[i] * b  # rows sum to 1
-        sel = haps[:, i] == 1
-        emis_ones[i] = gamma[sel].sum(axis=0)
-        emis_total[i] = gamma.sum(axis=0)
-        if i == 0:
-            init_counts = gamma.sum(axis=0)
+        np.multiply(alphas[i], beta, out=alphas[i])  # weighted gamma
         if i > 0:
-            w = (eprobs[i] * b) / scales[i][:, None]
-            trans_counts[i - 1] = trans[i - 1] * (alphas[i - 1].T @ w)
-            b = w @ trans[i - 1].T
-    return loglik, (init_counts, trans_counts, emis_ones, emis_total)
+            w = np.multiply(eprobs[i], beta, out=eprobs[i])
+            np.matmul(alphas[i - 1], w.T, out=trans_counts[i - 1])
+            np.matmul(trans[i - 1], w, out=beta)
+    trans_counts *= trans
+    emis_total = alphas.sum(axis=2)
+    emis_ones = np.einsum("ikr,ir->ik", alphas, ones)
+    return loglik, (emis_total[0], trans_counts, emis_ones, emis_total)
 
 
 def _m_step(stats, pseudocount, k):
@@ -163,14 +183,15 @@ def train_founder_hmm(panel, config: TrainConfig):
     run returns parameters one (improving) update past the final entry.
     Initialization depends only on the seed.
     """
-    haps = _panel_matrix(panel)
-    m, n = haps.shape
+    rows, first, counts = np.unique(_panel_matrix(panel), axis=0,
+                                    return_index=True, return_counts=True)
+    n = rows.shape[1]
     k = config.founders
     init, trans, emis = _initial_params(n, k, config.seed)
     trace = []
     converged = False
     for _ in range(config.max_iterations):
-        loglik, stats = _e_step(haps, init, trans, emis)
+        loglik, stats = _e_step(rows, counts, first, init, trans, emis)
         trace.append(loglik)
         if len(trace) > 1:
             gain = trace[-1] - trace[-2]

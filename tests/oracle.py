@@ -1,12 +1,16 @@
-"""Brute-force reference answers by outright path-pair enumeration.
+"""Reference answers that adjudicate the fast implementations.
 
-Everything here is written against the generative story — enumerate every
-pair of founder paths, weight each by its chain probabilities, multiply the
-pair-emission terms — with no recurrences, no rescaling, and no shared code
-with the package. Exponential in the locus count, usable only at toy sizes,
-and deliberately so: these functions adjudicate the fast implementations.
+Most of this is brute force written against the generative story —
+enumerate every pair of founder paths, weight each by its chain
+probabilities, multiply the pair-emission terms — with no recurrences, no
+rescaling, and no shared code with the package. Exponential in the locus
+count, usable only at toy sizes, and deliberately so. The one recurrence,
+``e_step_per_row``, is the plain per-haplotype Baum-Welch E-step that the
+weighted distinct-row E-step of ``founderhmm.training`` must reproduce.
 """
 import numpy as np
+
+from founderhmm import ZeroProbabilityError
 
 MISSING = -1
 
@@ -100,3 +104,53 @@ def best_pair(model, symbols):
     flat = int(np.argmax(joint))
     a, b = np.unravel_index(flat, joint.shape)
     return float(np.log(joint[a, b])), paths[a].copy(), paths[b].copy()
+
+
+def e_step_per_row(haps, init, trans, emis):
+    """One scaled forward-backward over every panel row, row-major.
+
+    haps is the (panel, loci) allele matrix. Returns (total log-likelihood,
+    (initial, transition, emission-ones, emission-total expected counts)).
+    """
+    m, n = haps.shape
+    k = init.shape[0]
+    eprobs = np.empty((n, m, k), dtype=np.float64)
+    for i in range(n):
+        eprobs[i] = np.where(haps[:, i][:, None] == 1, emis[i][None, :],
+                             1.0 - emis[i][None, :])
+
+    alphas = np.empty((n, m, k), dtype=np.float64)
+    scales = np.empty((n, m), dtype=np.float64)
+    a = init[None, :] * eprobs[0]
+    for i in range(n):
+        if i > 0:
+            a = (a @ trans[i - 1]) * eprobs[i]
+        c = a.sum(axis=1)
+        if np.any(c <= 0.0):
+            bad = int(np.argmax(c <= 0.0))
+            raise ZeroProbabilityError(
+                i, f"panel haplotype {bad} has zero likelihood at locus {i}; "
+                   f"use a positive pseudocount")
+        a = a / c[:, None]
+        alphas[i] = a
+        scales[i] = c
+
+    loglik = float(np.log(scales).sum())
+
+    b = np.ones((m, k), dtype=np.float64)
+    init_counts = np.zeros(k, dtype=np.float64)
+    trans_counts = np.zeros((max(n - 1, 0), k, k), dtype=np.float64)
+    emis_ones = np.zeros((n, k), dtype=np.float64)
+    emis_total = np.zeros((n, k), dtype=np.float64)
+    for i in range(n - 1, -1, -1):
+        gamma = alphas[i] * b  # rows sum to 1
+        sel = haps[:, i] == 1
+        emis_ones[i] = gamma[sel].sum(axis=0)
+        emis_total[i] = gamma.sum(axis=0)
+        if i == 0:
+            init_counts = gamma.sum(axis=0)
+        if i > 0:
+            w = (eprobs[i] * b) / scales[i][:, None]
+            trans_counts[i - 1] = trans[i - 1] * (alphas[i - 1].T @ w)
+            b = w @ trans[i - 1].T
+    return loglik, (init_counts, trans_counts, emis_ones, emis_total)

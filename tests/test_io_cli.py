@@ -411,6 +411,18 @@ def test_sweep_cli_segregates_timings(ws):
     assert open(rerun, "rb").read() == open(table, "rb").read()
 
 
+def test_sweep_echoes_the_simulated_founder_count(ws):
+    echoes = []
+    for founders in ("3", "5"):
+        table = str(ws["root"] / f"sweep.f{founders}.tsv")
+        assert run_cli("sweep", "--out", table, "--founders", founders,
+                       "--founders-grid", "2", "--panel-grid", "20",
+                       "--flank-grid", "4", "--loci", "30", "--samples",
+                       "4", "--mask-fraction", "0.1") == 0
+        echoes.append(open(table).readline())
+    assert "founders=3 " in echoes[0] and "founders=5 " in echoes[1]
+
+
 def test_bench_cli_writes_exponent_lines(ws):
     out = str(ws["root"] / "bench.tsv")
     assert run_cli("bench", "--out", out, "--repeats", "1",
@@ -426,6 +438,9 @@ def test_bench_cli_writes_exponent_lines(ws):
     rows = [line.split("\t")[:2] for line in open(out) if line[0] != "#"]
     assert rows[1:] == [["loci", "8"], ["loci", "16"], ["samples", "2"],
                         ["samples", "4"], ["founders", "2"], ["founders", "3"]]
+    assert open(out).readline().split()[2:] == [
+        "founder_grid=2,3", "loci_grid=8,16", "repeats=1", "sample_grid=2,4",
+        "seed=0"]
 
 
 def test_train_log_file_holds_trace_and_timing(ws):
@@ -531,9 +546,7 @@ def test_every_subcommand_help_exits_zero(capsys):
     _, commands = cli._build_parser()
     assert len(commands) == 11
     for name in commands:
-        with pytest.raises(SystemExit) as stop:
-            run_cli(name, "--help")
-        assert stop.value.code == 0
+        assert run_cli(name, "--help") == 0
         assert f"usage: founderhmm {name}" in capsys.readouterr().out
 
 
@@ -568,6 +581,7 @@ def test_missing_and_malformed_inputs_exit_one(ws, tmp_path, capsys):
                  ["train", "--panel", panel, "--out", out, "--pseudocount", "inf"],
                  ["simulate", "--out-prefix", out, "--seed", "-1"],
                  ["bench", "--out", out, "--repeats", "0"],
+                 ["bench", "--out", out, "--loci-grid", "4,4"],
                  ["detect", "--model", ws["model"], "--genotypes", ws["gen"],
                   "--out", out, "--threshold", "nan"],
                  [*impute, "--threads", "0"]):

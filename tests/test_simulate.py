@@ -131,7 +131,8 @@ def test_config_validation():
                   founder_alleles=np.full((2, 3), 2))
     with pytest.raises(InputError):
         SimConfig(seed=-1)
-    for bad in (dict(seed=-1), dict(repeats=0)):
+    for bad in (dict(seed=-1), dict(repeats=0), dict(loci_grid=(4, 4)),
+                dict(sample_grid=(8,)), dict(founder_grid=())):
         with pytest.raises(InputError):
             founderhmm.bench_scaling(**bad)
     with pytest.raises(InputError):
@@ -276,8 +277,9 @@ def test_fit_exponent_recovers_exact_power_law():
     values = [10, 20, 40, 80]
     assert fit_exponent(values, [3e-6 * v**2 for v in values]) == pytest.approx(2.0)
     assert fit_exponent(values, [5e-4 * v for v in values]) == pytest.approx(1.0)
-    with pytest.raises(InputError):
-        fit_exponent([10], [0.1])
+    for values in ([10], [10, 10]):
+        with pytest.raises(InputError):
+            fit_exponent(values, [0.1] * len(values))
 
 
 def test_bench_scaling_reports_all_axes():

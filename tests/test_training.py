@@ -10,8 +10,9 @@ import oracle
 from conftest import random_panel
 import founderhmm
 from founderhmm import (HaplotypeSequence, InputError, TrainConfig,
-                        loglik_haplotype, train_founder_hmm, window_config)
-from founderhmm.training import _check_params
+                        ZeroProbabilityError, loglik_haplotype,
+                        train_founder_hmm, window_config)
+from founderhmm.training import _check_params, _e_step, _initial_params
 
 
 def test_config_validation():
@@ -24,9 +25,16 @@ def test_config_validation():
     with pytest.raises(InputError):
         TrainConfig(founders=2, pseudocount=-1e-9)
     for bad in (dict(seed=-1), dict(tolerance=float("nan")),
-                dict(pseudocount=float("nan")), dict(pseudocount=float("inf"))):
+                dict(pseudocount=float("nan")), dict(pseudocount=float("inf")),
+                dict(founders=4, pseudocount=4.49423283715579e+307),
+                dict(founders=1, pseudocount=1e308)):
         with pytest.raises(InputError):
-            TrainConfig(founders=2, **bad)
+            TrainConfig(**{"founders": 2, **bad})
+    # a pseudocount that large still leaves finite, stochastic parameters
+    panel = random_panel(np.random.default_rng(0), 5, 4)
+    model, _ = train_founder_hmm(panel, TrainConfig(founders=4, pseudocount=1e307,
+                                                    max_iterations=3))
+    assert np.allclose(model.initial, 0.25) and np.allclose(model.emissions, 0.5)
 
 
 def test_window_config_caps_iterations():
@@ -165,3 +173,62 @@ def test_package_has_no_assert_statements():
              for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def _weighted_e_step(haps, init, trans, emis):
+    rows, first, counts = np.unique(haps, axis=0, return_index=True,
+                                    return_counts=True)
+    return _e_step(rows, counts, first, init, trans, emis)
+
+
+def test_weighted_e_step_matches_per_row_reference():
+    rng = np.random.default_rng(8)
+    shapes = [(1, 1, 1), (1, 7, 3), (6, 1, 2), (9, 30, 5), (12, 5, 1)]
+    shapes += [(int(rng.integers(1, 40)), int(rng.integers(1, 31)),
+                int(rng.integers(1, 6))) for _ in range(20)]
+    for trial, (m, n, k) in enumerate(shapes):
+        # rows drawn from a small pool, so most panels repeat rows; every
+        # fourth panel is one row repeated m times
+        pool = rng.integers(0, 2, size=(1 if trial % 4 == 0 else
+                                        int(rng.integers(1, 8)), n))
+        haps = pool[rng.integers(0, len(pool), size=m)]
+        init, trans, emis = _initial_params(n, k, trial)
+        emis = rng.uniform(0.02, 0.98, size=(n, k))
+        want_ll, want = oracle.e_step_per_row(haps, init, trans, emis)
+        have_ll, have = _weighted_e_step(haps, init, trans, emis)
+        assert have_ll == pytest.approx(want_ll, rel=1e-12, abs=0.0)
+        for h, w in zip(have, want):
+            assert h.shape == w.shape
+            np.testing.assert_allclose(h, w, rtol=1e-12, atol=0.0)
+
+
+def test_zero_likelihood_names_locus_and_lowest_haplotype():
+    rng = np.random.default_rng(9)
+    haps = np.zeros((10, 6), dtype=np.int64)
+    haps[:, 3:] = rng.integers(0, 2, size=(10, 3))
+    haps[3] = haps[7] = [0, 1, 1, 0, 1, 0]
+    haps[9] = [0, 0, 1, 0, 0, 1]  # fails at the same locus, sorts first
+    haps[1, 4] = 1  # fails too, but only at a later locus
+    init, trans, emis = _initial_params(6, 3, 0)
+    emis[2] = 0.0  # allele 1 has emission 0 at locus 2 ...
+    emis[4] = 0.0  # ... and at locus 4
+    haps[[0, 2, 4, 5, 6, 8], 4] = 0
+    for e_step in (oracle.e_step_per_row, _weighted_e_step):
+        with pytest.raises(ZeroProbabilityError,
+                           match="panel haplotype 3 .* at locus 2;") as err:
+            e_step(haps, init, trans, emis)
+        assert err.value.locus == 2
+
+
+def test_training_does_not_depend_on_panel_order():
+    rng = np.random.default_rng(10)
+    pool = rng.integers(0, 2, size=(6, 14)).astype(np.int8)
+    panel = [HaplotypeSequence(f"h{j}", pool[j % 6]) for j in range(20)]
+    shuffled = [panel[j] for j in rng.permutation(len(panel))]
+    cfg = TrainConfig(founders=3, max_iterations=20, seed=4)
+    m1, r1 = train_founder_hmm(panel, cfg)
+    m2, r2 = train_founder_hmm(shuffled, cfg)
+    assert r1 == r2
+    assert np.array_equal(m1.initial, m2.initial)
+    assert np.array_equal(m1.transitions, m2.transitions)
+    assert np.array_equal(m1.emissions, m2.emissions)
