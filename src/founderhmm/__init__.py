@@ -14,8 +14,9 @@ from .analysis import (DEFAULT_RATIO_THRESHOLD, PIPELINE_IMPUTE_ONLY,
                        ImputationEntry, ImputationResult, PhaseResult,
                        PipelineResult, RecoveryFill, RecoveryResult,
                        StageReport, WindowReport, WindowSpec, correct_errors,
-                       detect_errors, impute_untyped, phase_decode,
-                       recover_missing, run_pipeline, window_spans)
+                       detect_errors, impute_untyped, phase_corpus,
+                       phase_decode, recover_missing, run_pipeline,
+                       window_spans)
 from .inference import (BackwardPass, ForwardBackwardResult, ForwardPass,
                         PosteriorScan, PosteriorTable, backward,
                         backward_naive, forward, forward_backward,

@@ -1,29 +1,40 @@
 """Analysis flows built on the founder-pair model.
 
-Four flows share the batched posterior engine: likelihood-ratio error
-detection (with correction), missing-symbol recovery, untyped-locus
-imputation through locally trained window models, and max-product decoding
-of a genotype into an ordered haplotype pair. ``run_pipeline`` strings them
-together in the two supported orders.
+Three flows share the batched posterior engine: likelihood-ratio error
+detection (with correction), missing-symbol recovery, and untyped-locus
+imputation through locally trained window models. Phasing decodes each
+genotype into an ordered haplotype pair by max-product over founder pairs.
+``run_pipeline`` strings them together in the two supported orders.
+
+Memory of phasing: duplicate genotypes are decoded once, and the distinct
+ones in chunks of rows. A chunk of B rows holds 2 x (loci - 1) x B x K^2
+back-pointers of the smallest unsigned dtype that holds K - 1 (one byte
+up to K = 256); B is as many rows as fit, with their work arrays, in
+``_PHASE_CHUNK_BYTES`` (384 KiB), and at least one. The decoded alleles
+and founder paths add 4 x loci bytes per distinct genotype at K <= 256.
 """
 from __future__ import annotations
 
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
 
 from .model import (MISSING, FounderHMM, InputError, HaplotypeSequence,
                     LocusMap, MultilocusGenotype, ZeroProbabilityError,
-                    emission_stack, symbol_plane)
+                    pair_emission_planes)
 from .training import TrainConfig, train_founder_hmm, window_config
 from .trie import batched_posteriors
 
 PIPELINE_IMPUTE_ONLY = "imp"
 PIPELINE_REPAIR_IMPUTE = "edc-mdr-imp"
 DEFAULT_RATIO_THRESHOLD = 1000.0
+# Byte cap on the back-pointers and work arrays of one chunk of genotypes
+# that phasing decodes together; chunks change the pace, never the answer.
+_PHASE_CHUNK_BYTES = 3 << 17
 
 
 class ErrorEntry(NamedTuple):
@@ -84,25 +95,22 @@ def detect_errors(model: FounderHMM, corpus, threshold: float = DEFAULT_RATIO_TH
     ids = _entry_locus_ids(locus_ids, len(genos[0]))
     entries = []
     for g in genos:
-        scan = batch.scans[g.sample_id]
-        for i, sym in enumerate(g.symbols):
-            sym = int(sym)
-            if sym == MISSING:
-                continue
-            row = scan.triples[i]
-            best = float(row.max())
-            observed = float(row[sym])
-            if observed > 0.0:
-                ratio = best / observed
-            elif best > 0.0:
-                ratio = float("inf")
-            else:
-                # Nothing at this locus can rescue the genotype; the
-                # observed symbol ties the (zero) maximum.
-                ratio = 1.0
-            flagged = ratio > threshold
-            entries.append(ErrorEntry(g.sample_id, i, ids[i], sym, ratio,
-                                      flagged, _suggest(row, sym)))
+        typed = np.flatnonzero(g.symbols != MISSING)
+        observed = g.symbols[typed].astype(np.intp)
+        rows = batch.scans[g.sample_id].triples[typed]
+        best = rows.max(axis=1)
+        weight = rows[np.arange(typed.size), observed]
+        # A zero-probability observed symbol gets an infinite ratio; when
+        # nothing at the locus can rescue the genotype, it ties the (zero)
+        # maximum and the ratio is 1.
+        ratio = np.where(best > 0.0, np.inf, 1.0)
+        np.divide(best, weight, out=ratio, where=weight > 0.0)
+        suggested = np.where(weight == best, observed, rows.argmax(axis=1))
+        loci = typed.tolist()
+        entries.extend(map(ErrorEntry, repeat(g.sample_id, len(loci)), loci,
+                           [ids[i] for i in loci], observed.tolist(),
+                           ratio.tolist(), (ratio > threshold).tolist(),
+                           suggested.tolist()))
     return ErrorReport(entries=tuple(entries), threshold=float(threshold),
                        failures=dict(batch.failures), stats=batch.stats)
 
@@ -345,89 +353,169 @@ def impute_untyped(reference, corpus, locus_map: LocusMap, config: TrainConfig,
 class PhaseResult:
     """Most probable haplotype pair explaining one genotype.
 
-    ``first`` <= ``second`` lexicographically; log_joint is the log
-    probability of the decoded founder path pair together with the
-    observed symbols.
+    ``first`` <= ``second`` lexicographically; ``founder_paths`` holds the
+    (2, n) founder indices of the two copies, read-only, in the smallest
+    unsigned dtype that holds K - 1; log_joint is the log probability of
+    the decoded founder path pair together with the observed symbols.
     """
 
     first: HaplotypeSequence
     second: HaplotypeSequence
-    founder_paths: np.ndarray  # (2, n)
+    founder_paths: np.ndarray
     log_joint: float
 
 
-def phase_decode(model: FounderHMM, genotype: MultilocusGenotype) -> PhaseResult:
-    """Max-product decode over founder pairs, then per-locus haplotype
-    assignment consistent with the observed symbol.
+def _pointer_dtype(founders: int):
+    """Smallest unsigned integer dtype that holds every founder index."""
+    return np.min_scalar_type(founders - 1)
 
-    The pair maximization collapses into two K-sized max-contractions per
-    locus (mirroring the sum-product factorization), with per-locus max
-    rescaling against underflow.
+
+def _phase_row_bytes(loci: int, founders: int) -> int:
+    """Bytes one genotype row holds while it is decoded: back-pointers and
+    one locus' work arrays during the max-product pass, then float and
+    index arrays over all loci during allele assignment."""
+    k = founders
+    return max(2 * (loci - 1) * k * k * _pointer_dtype(k).itemsize
+               + 8 * (2 * k ** 3 + 6 * k * k), 64 * loci)
+
+
+def _viterbi_paths(model: FounderHMM, rows: np.ndarray):
+    """Max-product founder paths of a (B, n) stack of genotype symbol rows.
+
+    Returns the (B, 2, n) paths, the (B,) log joints, and per row the
+    first locus with zero probability (-1 when there is none). A row that
+    dies keeps an all-zero state, so the others decode on.
     """
-    symbols = genotype.symbols
-    if symbols.shape[0] != model.loci:
-        raise InputError(
-            f"genotype has {symbols.shape[0]} loci but the model has {model.loci}")
-    n, k = model.loci, model.founders
-    etab = emission_stack(model)
+    b, n = rows.shape
+    k = model.founders
     trans = model.transitions
-    value = np.outer(model.initial, model.initial)
-    logscale = 0.0
-    back_first = np.empty((max(n - 1, 0), k, k), dtype=np.int64)
-    back_second = np.empty((max(n - 1, 0), k, k), dtype=np.int64)
+    planes = np.where(rows == MISSING, 3, rows)
+    every = np.arange(b)
+    value = np.outer(model.initial, model.initial)[None]
+    logscale = np.zeros(b)
+    dead = np.full(b, -1)
+    back_first = np.empty((max(n - 1, 0), b, k, k), dtype=_pointer_dtype(k))
+    back_second = np.empty_like(back_first)
     for i in range(n):
-        hit = value * etab[i, symbol_plane(symbols[i])]
-        peak = float(hit.max())
-        if peak <= 0.0:
-            raise ZeroProbabilityError(i)
-        hit /= peak
+        hit = value * pair_emission_planes(model.emissions[i])[planes[:, i]]
+        peak = hit.max(axis=(1, 2))
+        zero = peak <= 0.0
+        if zero.any():
+            dead[zero & (dead < 0)] = i
+            peak[zero] = 1.0
+        hit /= peak[:, None, None]
         logscale += np.log(peak)
         if i == n - 1:
             value = hit
             break
         # collapse the second chain, then the first
-        half = hit[:, :, None] * trans[i][None, :, :]      # (f, f', b)
-        back_second[i] = half.argmax(axis=1)
-        collapsed = half.max(axis=1)                       # (f, b)
-        full = trans[i][:, :, None] * collapsed[:, None, :]  # (f, a, b)
-        back_first[i] = full.argmax(axis=0)
-        value = full.max(axis=0)
+        half = hit[:, :, :, None] * trans[i]                # (B, f, f', b)
+        back_second[i] = half.argmax(axis=2)
+        collapsed = half.max(axis=2)                        # (B, f, b)
+        full = trans[i][:, :, None] * collapsed[:, :, None, :]  # (B, f, a, b)
+        back_first[i] = full.argmax(axis=1)
+        value = full.max(axis=1)
 
-    flat = int(np.argmax(value))
-    pair = np.unravel_index(flat, (k, k))
-    paths = np.empty((2, n), dtype=np.int64)
-    paths[0, n - 1], paths[1, n - 1] = int(pair[0]), int(pair[1])
-    log_joint = logscale + float(np.log(value[pair]))
+    pair_a, pair_b = np.divmod(value.reshape(b, k * k).argmax(axis=1), k)
+    with np.errstate(divide="ignore"):  # dead rows end at zero
+        log_joint = logscale + np.log(value[every, pair_a, pair_b])
+    paths = np.empty((b, 2, n), dtype=back_first.dtype)
+    paths[:, 0, n - 1], paths[:, 1, n - 1] = pair_a, pair_b
     for i in range(n - 2, -1, -1):
-        a, b = paths[0, i + 1], paths[1, i + 1]
-        f = int(back_first[i][a, b])
-        paths[0, i] = f
-        paths[1, i] = int(back_second[i][f, b])
+        a, second = paths[:, 0, i + 1], paths[:, 1, i + 1]
+        f = back_first[i][every, a, second]
+        paths[:, 0, i] = f
+        paths[:, 1, i] = back_second[i][every, f, second]
+    return paths, log_joint, dead
 
-    first = np.empty(n, dtype=np.int8)
-    second = np.empty(n, dtype=np.int8)
-    for i in range(n):
-        sym = int(symbols[i])
-        p = model.emissions[i, paths[0, i]]
-        q = model.emissions[i, paths[1, i]]
-        if sym == 0:
-            first[i], second[i] = 0, 0
-        elif sym == 2:
-            first[i], second[i] = 1, 1
-        elif sym == 1:
-            first[i], second[i] = (1, 0) if p * (1.0 - q) > (1.0 - p) * q else (0, 1)
-        else:
-            combos = np.array([(1.0 - p) * (1.0 - q), (1.0 - p) * q,
-                               p * (1.0 - q), p * q])
-            best = int(np.argmax(combos))
-            first[i], second[i] = best >> 1, best & 1
-    if tuple(second) < tuple(first):
-        first, second = second, first
-        paths = paths[::-1].copy()
-    return PhaseResult(
-        first=HaplotypeSequence(f"{genotype.sample_id}.h1", first),
-        second=HaplotypeSequence(f"{genotype.sample_id}.h2", second),
-        founder_paths=paths, log_joint=float(log_joint))
+
+def _assign_alleles(model: FounderHMM, rows: np.ndarray, paths: np.ndarray):
+    """The (B, n) allele rows of decoded founder paths, each pair ordered
+    lexicographically; ``paths`` is reordered to match, in place."""
+    loci = np.arange(rows.shape[1])
+    p = model.emissions[loci, paths[:, 0]]
+    q = model.emissions[loci, paths[:, 1]]
+    het = rows == 1
+    first_minor = p * (1.0 - q) > (1.0 - p) * q
+    first = np.where(het, first_minor, rows // 2).astype(np.int8)
+    second = np.where(het, ~first_minor, rows // 2).astype(np.int8)
+    missing = rows == MISSING
+    pm, qm = p[missing], q[missing]
+    best = np.argmax([(1.0 - pm) * (1.0 - qm), (1.0 - pm) * qm,
+                      pm * (1.0 - qm), pm * qm], axis=0)
+    first[missing], second[missing] = best >> 1, best & 1
+    # the first differing locus decides the order
+    every = np.arange(rows.shape[0])
+    differs = first != second
+    at = differs.argmax(axis=1)
+    swap = differs[every, at] & (second[every, at] < first[every, at])
+    first[swap], second[swap] = second[swap], first[swap]
+    paths[swap] = paths[swap, ::-1]
+    return first, second
+
+
+def _decode_distinct(model: FounderHMM, rows: np.ndarray):
+    """Alleles, paths, log joints and first dead loci of (D, n) distinct
+    rows, decoded in chunks whose back-pointers and work arrays stay
+    within ``_PHASE_CHUNK_BYTES``."""
+    d, n = rows.shape
+    k = model.founders
+    step = max(1, _PHASE_CHUNK_BYTES // _phase_row_bytes(n, k))
+    first = np.empty((d, n), dtype=np.int8)
+    second = np.empty_like(first)
+    paths = np.empty((d, 2, n), dtype=_pointer_dtype(k))
+    log_joint = np.empty(d)
+    dead = np.empty(d, dtype=np.int64)
+    for lo in range(0, d, step):
+        chunk = slice(lo, lo + step)
+        paths[chunk], log_joint[chunk], dead[chunk] = _viterbi_paths(
+            model, rows[chunk])
+        first[chunk], second[chunk] = _assign_alleles(model, rows[chunk],
+                                                      paths[chunk])
+    return first, second, paths, log_joint, dead
+
+
+def phase_corpus(model: FounderHMM, corpus) -> list:
+    """Max-product phasing of every genotype of ``corpus``, in corpus order.
+
+    Identical genotypes are decoded once: the distinct symbol rows are
+    decoded together, a chunk of rows at a time, with (rows, K, K) states
+    per locus. Each locus collapses the founder pair in two K-sized
+    max-contractions (mirroring the sum-product factorization), with
+    per-row max rescaling against underflow; back-pointer traceback and
+    allele assignment work on whole arrays. Results are bitwise those of
+    decoding each genotype alone. A genotype the model cannot explain
+    raises ``ZeroProbabilityError`` for the first such sample in corpus
+    order, at its first zero-probability locus.
+    """
+    genos = list(corpus)
+    for g in genos:
+        if len(g) != model.loci:
+            raise InputError(f"genotype {g.sample_id!r} has {len(g)} loci but "
+                             f"the model has {model.loci}")
+    if not genos:
+        return []
+    rows, row_of = np.unique(np.stack([g.symbols for g in genos]), axis=0,
+                             return_inverse=True)
+    row_of = row_of.ravel()
+    first, second, paths, log_joint, dead = _decode_distinct(model, rows)
+    failed = np.flatnonzero(dead[row_of] >= 0)
+    if failed.size:
+        sample = genos[failed[0]]
+        locus = int(dead[row_of[failed[0]]])
+        raise ZeroProbabilityError(
+            locus, f"sample {sample.sample_id!r} has zero probability at "
+                   f"locus {locus}")
+    paths.setflags(write=False)
+    return [PhaseResult(first=HaplotypeSequence(f"{g.sample_id}.h1", first[r]),
+                        second=HaplotypeSequence(f"{g.sample_id}.h2", second[r]),
+                        founder_paths=paths[r], log_joint=float(log_joint[r]))
+            for g, r in zip(genos, row_of.tolist())]
+
+
+def phase_decode(model: FounderHMM, genotype: MultilocusGenotype) -> PhaseResult:
+    """Max-product phasing of one genotype; see :func:`phase_corpus`."""
+    return phase_corpus(model, [genotype])[0]
 
 
 @dataclass(frozen=True)
@@ -472,10 +560,8 @@ def run_pipeline(mode: str, reference, corpus, locus_map: LocusMap,
 
         t0 = time.perf_counter()
         model0, report0 = train_founder_hmm(ref_typed, config)
-        phased = []
-        for g in working:
-            pr = phase_decode(model0, g)
-            phased.extend((pr.first, pr.second))
+        phased = [h for d in phase_corpus(model0, working)
+                  for h in (d.first, d.second)]
         model1, report1 = train_founder_hmm(ref_typed + phased, config)
         stages.append(StageReport("train-typed-model", time.perf_counter() - t0, {
             "reference_haplotypes": len(ref_typed),

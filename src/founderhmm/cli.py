@@ -28,7 +28,7 @@ import time
 
 from .analysis import (DEFAULT_RATIO_THRESHOLD, PIPELINE_IMPUTE_ONLY,
                        PIPELINE_REPAIR_IMPUTE, WindowSpec, correct_errors,
-                       detect_errors, impute_untyped, phase_decode,
+                       detect_errors, impute_untyped, phase_corpus,
                        recover_missing, run_pipeline)
 from .io_formats import (CONFIG_ENV, ERROR_REPORT_COLUMNS, IMPUTATION_COLUMNS,
                          RECOVERY_COLUMNS, atomic_write, fmt, load_config_file,
@@ -380,9 +380,18 @@ def _map_typed_ids(path, corpus_loci):
     return [locus_map.locus_ids[int(j)] for j in typed]
 
 
-def _cmd_detect(args):
+def _model_and_corpus(args):
+    """The --model and the --genotypes corpus, whose loci must match."""
     model = read_model(args.model)
     corpus = read_genotypes(args.genotypes)
+    if corpus and len(corpus[0]) != model.loci:
+        raise InputError(f"{args.genotypes}: genotypes have {len(corpus[0])} "
+                         f"loci but the model has {model.loci}")
+    return model, corpus
+
+
+def _cmd_detect(args):
+    model, corpus = _model_and_corpus(args)
     if not corpus:
         raise InputError(f"{args.genotypes}: empty corpus")
     locus_ids = _map_typed_ids(args.map, len(corpus[0])) if args.map else None
@@ -408,8 +417,7 @@ def _cmd_correct(args):
 
 
 def _cmd_recover(args):
-    model = read_model(args.model)
-    corpus = read_genotypes(args.genotypes)
+    model, corpus = _model_and_corpus(args)
     result = recover_missing(model, corpus, block_size=args.block_size)
     echo = _echo("recover", {"model": args.model, "genotypes": args.genotypes})
     write_genotypes(args.out, result.corpus, config_line=echo)
@@ -436,16 +444,12 @@ def _cmd_impute(args):
 
 
 def _cmd_phase(args):
-    model = read_model(args.model)
-    corpus = read_genotypes(args.genotypes)
-    haplotypes = []
-    for g in corpus:
-        try:
-            decoded = phase_decode(model, g)
-        except ZeroProbabilityError as exc:
-            raise InputError(f"{args.genotypes}: sample {g.sample_id!r} has "
-                             f"zero probability at locus {exc.locus}") from exc
-        haplotypes.extend((decoded.first, decoded.second))
+    model, corpus = _model_and_corpus(args)
+    try:
+        haplotypes = [h for d in phase_corpus(model, corpus)
+                      for h in (d.first, d.second)]
+    except ZeroProbabilityError as exc:
+        raise InputError(f"{args.genotypes}: {exc}") from exc
     echo = _echo("phase", {"model": args.model, "genotypes": args.genotypes})
     write_haplotypes(args.out, haplotypes, config_line=echo)
     _note(f"phased {len(corpus)} samples")

@@ -22,6 +22,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -74,6 +75,27 @@ def _zero_probability(path, line_no, line):
         _fail(path, line_no, f"non-integer locus {parts[2]!r}")
 
 
+@contextmanager
+def _text(path):
+    """``path`` opened as UTF-8 text; bytes that are not UTF-8 fail with
+    the line that holds them."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError:
+        with open(path, "rb") as fh:
+            data = fh.read()
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            before = data[:exc.start]  # lines end at \n, \r\n or a lone \r
+            line_no = (1 + before.count(b"\n") + before.count(b"\r")
+                       - before.count(b"\r\n"))
+            _fail(path, line_no,
+                  f"byte 0x{data[exc.start]:02x} is not UTF-8 text")
+        raise
+
+
 def _config_lines(config_line):
     return [config_line] if config_line else []
 
@@ -101,7 +123,7 @@ def write_genotypes(path, corpus, *, config_line=None):
 def _read_symbol_file(path, alphabet, what):
     declared = None
     rows = []
-    with open(path, "r") as fh:
+    with _text(path) as fh:
         for line_no, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n")
             if not line.strip():
@@ -178,7 +200,7 @@ def write_locus_map(path, locus_map: LocusMap, *, config_line=None):
 def read_locus_map(path) -> LocusMap:
     ids, positions, typed = [], [], []
     is_float = False
-    with open(path, "r") as fh:
+    with _text(path) as fh:
         for line_no, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n")
             if not line.strip() or line.startswith("#"):
@@ -235,7 +257,7 @@ def read_model(path) -> FounderHMM:
     transitions = None
     emissions = None
     saw_magic = False
-    with open(path, "r") as fh:
+    with _text(path) as fh:
         for line_no, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n")
             if not line.strip():
@@ -254,6 +276,11 @@ def read_model(path) -> FounderHMM:
                         _fail(path, line_no, f"malformed dimension header {line!r}")
                     if k < 1 or n < 1:
                         _fail(path, line_no, "founders and loci must be >= 1")
+                    # each value takes at least two bytes, a digit and a
+                    # separator, so the file size bounds the arrays below
+                    if 2 * k * (1 + (n - 1) * k + n) > os.fstat(fh.fileno()).st_size:
+                        _fail(path, line_no, f"{k} founders and {n} loci need "
+                                             f"more values than the file holds")
                     initial = None
                     transitions = np.full((max(n - 1, 0), k, k), np.nan)
                     emissions = np.full((n, k), np.nan)
@@ -339,7 +366,7 @@ def write_error_report(path, report: ErrorReport, *, config_line=None,
 
 
 def read_error_report(path) -> ErrorReport:
-    with open(path, "r") as fh:
+    with _text(path) as fh:
         text = fh.read()
     if text.lstrip().startswith("{"):
         try:
@@ -431,7 +458,7 @@ def write_imputation(path, result: ImputationResult, *, config_line=None,
 def read_imputation(path) -> ImputationResult:
     """Rebuild the callable entries of an imputation artifact (windows are
     summarized, models are never serialized)."""
-    with open(path, "r") as fh:
+    with _text(path) as fh:
         text = fh.read()
     if text.lstrip().startswith("{"):
         try:

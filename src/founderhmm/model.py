@@ -217,14 +217,20 @@ def emission_stack(model: FounderHMM) -> np.ndarray:
     Plane x in {0,1,2} holds P(genotype = x | founder pair); plane 3 is all
     ones and serves MISSING symbols, which contribute a unit factor.
     """
-    e = model.emissions  # (n, K)
-    p = e[:, :, None]
-    q = e[:, None, :]
-    out = np.empty((model.loci, 4, model.founders, model.founders), dtype=np.float64)
-    out[:, 0] = (1.0 - p) * (1.0 - q)
-    out[:, 1] = p * (1.0 - q) + (1.0 - p) * q
-    out[:, 2] = p * q
-    out[:, 3] = 1.0
+    return pair_emission_planes(model.emissions)
+
+
+def pair_emission_planes(emissions: np.ndarray) -> np.ndarray:
+    """The four pair-emission planes of :func:`emission_stack` for minor-
+    allele probabilities of shape (..., K): shape (..., 4, K, K)."""
+    p = emissions[..., :, None]
+    q = emissions[..., None, :]
+    k = emissions.shape[-1]
+    out = np.empty(emissions.shape[:-1] + (4, k, k), dtype=np.float64)
+    out[..., 0, :, :] = (1.0 - p) * (1.0 - q)
+    out[..., 1, :, :] = p * (1.0 - q) + (1.0 - p) * q
+    out[..., 2, :, :] = p * q
+    out[..., 3, :, :] = 1.0
     return out
 
 

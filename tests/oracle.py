@@ -4,9 +4,13 @@ Most of this is brute force written against the generative story —
 enumerate every pair of founder paths, weight each by its chain
 probabilities, multiply the pair-emission terms — with no recurrences, no
 rescaling, and no shared code with the package. Exponential in the locus
-count, usable only at toy sizes, and deliberately so. The one recurrence,
-``e_step_per_row``, is the plain per-haplotype Baum-Welch E-step that the
-weighted distinct-row E-step of ``founderhmm.training`` must reproduce.
+count, usable only at toy sizes, and deliberately so. The rest are the
+plain loops that vectorised code must reproduce: ``e_step_per_row``, the
+per-haplotype Baum-Welch E-step behind the weighted distinct-row E-step of
+``founderhmm.training``; ``phase_decode_per_sample``, the per-genotype
+Viterbi loop behind ``phase_corpus``, bit for bit; and
+``detect_entries_per_symbol``, the per-symbol entry loop behind
+``detect_errors``, bit for bit.
 """
 import numpy as np
 
@@ -154,3 +158,90 @@ def e_step_per_row(haps, init, trans, emis):
             trans_counts[i - 1] = trans[i - 1] * (alphas[i - 1].T @ w)
             b = w @ trans[i - 1].T
     return loglik, (init_counts, trans_counts, emis_ones, emis_total)
+
+
+def phase_decode_per_sample(model, symbols):
+    """Max-product phasing of one genotype, one locus at a time.
+
+    The plain (K, K) Viterbi loop that ``founderhmm.analysis.phase_corpus``
+    runs over stacks of distinct genotypes. Returns (first alleles, second
+    alleles, (2, n) founder paths, log joint); raises ZeroProbabilityError
+    at the first locus with no mass.
+    """
+    n, k = model.loci, model.founders
+    trans = model.transitions
+    value = np.outer(model.initial, model.initial)
+    logscale = 0.0
+    back_first = np.empty((max(n - 1, 0), k, k), dtype=np.int64)
+    back_second = np.empty((max(n - 1, 0), k, k), dtype=np.int64)
+    for i in range(n):
+        p = model.emissions[i]
+        hit = value * pair_emission(p[:, None], p[None, :], int(symbols[i]))
+        peak = float(hit.max())
+        if peak <= 0.0:
+            raise ZeroProbabilityError(i)
+        hit /= peak
+        logscale += np.log(peak)
+        if i == n - 1:
+            value = hit
+            break
+        half = hit[:, :, None] * trans[i][None, :, :]
+        back_second[i] = half.argmax(axis=1)
+        collapsed = half.max(axis=1)
+        full = trans[i][:, :, None] * collapsed[:, None, :]
+        back_first[i] = full.argmax(axis=0)
+        value = full.max(axis=0)
+
+    pair = np.unravel_index(int(np.argmax(value)), (k, k))
+    paths = np.empty((2, n), dtype=np.int64)
+    paths[0, n - 1], paths[1, n - 1] = int(pair[0]), int(pair[1])
+    log_joint = logscale + float(np.log(value[pair]))
+    for i in range(n - 2, -1, -1):
+        a, b = paths[0, i + 1], paths[1, i + 1]
+        f = int(back_first[i][a, b])
+        paths[0, i] = f
+        paths[1, i] = int(back_second[i][f, b])
+
+    first = np.empty(n, dtype=np.int8)
+    second = np.empty(n, dtype=np.int8)
+    for i in range(n):
+        sym = int(symbols[i])
+        p = model.emissions[i, paths[0, i]]
+        q = model.emissions[i, paths[1, i]]
+        if sym == 0:
+            first[i], second[i] = 0, 0
+        elif sym == 2:
+            first[i], second[i] = 1, 1
+        elif sym == 1:
+            first[i], second[i] = (1, 0) if p * (1.0 - q) > (1.0 - p) * q else (0, 1)
+        else:
+            combos = np.array([(1.0 - p) * (1.0 - q), (1.0 - p) * q,
+                               p * (1.0 - q), p * q])
+            best = int(np.argmax(combos))
+            first[i], second[i] = best >> 1, best & 1
+    if tuple(second) < tuple(first):
+        first, second = second, first
+        paths = paths[::-1].copy()
+    return first, second, paths, float(log_joint)
+
+
+def detect_entries_per_symbol(scan, symbols, threshold):
+    """(locus, observed, ratio, flagged, suggested) of every typed symbol
+    of one genotype, from its posterior scan, one symbol at a time."""
+    out = []
+    for i, sym in enumerate(symbols):
+        sym = int(sym)
+        if sym == MISSING:
+            continue
+        row = scan.triples[i]
+        best = float(row.max())
+        observed = float(row[sym])
+        if observed > 0.0:
+            ratio = best / observed
+        elif best > 0.0:
+            ratio = float("inf")
+        else:
+            ratio = 1.0
+        suggested = sym if row[sym] == row.max() else int(np.argmax(row))
+        out.append((i, sym, ratio, ratio > threshold, suggested))
+    return out

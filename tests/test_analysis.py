@@ -3,14 +3,25 @@ windows, phasing, and the end-to-end pipeline."""
 import numpy as np
 import pytest
 
+import founderhmm.analysis as analysis
 import oracle
 from conftest import random_corpus, random_genotype, random_model
 from founderhmm import (MISSING, FounderHMM, HaplotypeSequence, InputError,
                         LocusMap, MultilocusGenotype, SimConfig, TrainConfig,
-                        WindowSpec, ZeroProbabilityError, correct_errors,
-                        detect_errors, evaluate, genotype_from_haplotypes,
-                        impute_untyped, phase_decode, recover_missing,
+                        WindowSpec, ZeroProbabilityError,
+                        batched_posteriors, correct_errors, detect_errors,
+                        evaluate, genotype_from_haplotypes, impute_untyped,
+                        phase_corpus, phase_decode, recover_missing,
                         run_pipeline, simulate, substitute, window_spans)
+
+
+def with_dead_loci(rng, model, count):
+    """``model`` with every emission at ``count`` random loci set to 0, so
+    a 1 or 2 observed there has probability zero."""
+    emissions = model.emissions.copy()
+    emissions[rng.integers(0, model.loci, size=count)] = 0.0
+    return FounderHMM(initial=model.initial, transitions=model.transitions,
+                      emissions=emissions)
 
 
 def trained_sim(seed=0, **overrides):
@@ -86,6 +97,32 @@ def test_impossible_symbol_gets_infinite_ratio_only_at_culprit():
         assert by_locus[i].ratio == 1.0
         assert not by_locus[i].flagged
     assert report.failures == {"s": 0}
+
+
+def test_detect_entries_match_the_per_symbol_loop():
+    rng = np.random.default_rng(23)
+    ratios = set()
+    for trial in range(12):
+        k, n = int(rng.integers(1, 6)), int(rng.integers(1, 31))
+        model = with_dead_loci(rng, random_model(rng, k, n), trial % 3)
+        corpus = random_corpus(rng, int(rng.integers(1, 9)), n,
+                               missing_rate=0.2)
+        threshold = float(rng.choice([1.5, 10.0, 1e3]))
+        report = detect_errors(model, corpus, threshold)
+        scans = batched_posteriors(model, corpus).scans
+        want = [(g.sample_id, *entry) for g in corpus
+                for entry in oracle.detect_entries_per_symbol(
+                    scans[g.sample_id], g.symbols, threshold)]
+        got = [(e.sample_id, e.locus_index, e.observed, e.ratio, e.flagged,
+                e.suggested) for e in report.entries]
+        assert got == want
+        for e in report.entries:
+            assert e.locus_id == str(e.locus_index)
+            assert type(e.ratio) is float and type(e.flagged) is bool
+            assert all(type(v) is int
+                       for v in (e.locus_index, e.observed, e.suggested))
+        ratios.update(e.ratio for e in report.entries)
+    assert np.inf in ratios  # some observed symbols are impossible
 
 
 def test_threshold_must_be_positive():
@@ -368,6 +405,72 @@ def test_phase_zero_probability_raises():
     with pytest.raises(ZeroProbabilityError) as err:
         phase_decode(model, g)
     assert err.value.locus == 0
+
+
+def expected_phasing(model, corpus):
+    """Per-sample oracle decodes of ``corpus``, or the (sample id, locus)
+    of its first sample in corpus order that has zero probability."""
+    out = []
+    for g in corpus:
+        try:
+            out.append(oracle.phase_decode_per_sample(model, g.symbols))
+        except ZeroProbabilityError as exc:
+            return g.sample_id, exc.locus
+    return out
+
+
+@pytest.mark.parametrize("chunk_rows", [None, 1, 7])
+def test_phase_corpus_matches_per_sample_decode_bitwise(monkeypatch,
+                                                        chunk_rows):
+    rng = np.random.default_rng(22)
+    for trial in range(25):
+        k, n = int(rng.integers(1, 6)), int(rng.integers(1, 31))
+        model = with_dead_loci(rng, random_model(rng, k, n),
+                               int(trial % 6 == 5))
+        pool = random_corpus(rng, int(rng.integers(1, 6)), n,
+                             missing_rate=0.2)
+        corpus = [MultilocusGenotype(f"s{j}", pool[int(i)].symbols)
+                  for j, i in enumerate(rng.integers(0, len(pool), 12))]
+        shuffled = [corpus[int(j)] for j in rng.permutation(len(corpus))]
+        if chunk_rows is not None:
+            monkeypatch.setattr(analysis, "_PHASE_CHUNK_BYTES",
+                                chunk_rows * analysis._phase_row_bytes(n, k))
+        for order in (corpus, shuffled):
+            want = expected_phasing(model, order)
+            if isinstance(want, tuple):
+                with pytest.raises(ZeroProbabilityError) as err:
+                    phase_corpus(model, order)
+                assert err.value.locus == want[1]
+                assert f"sample {want[0]!r} " in str(err.value)
+                continue
+            got = phase_corpus(model, order)
+            assert len(got) == len(order)
+            for g, res, (first, second, paths, log_joint) in zip(order, got,
+                                                                 want):
+                assert res.first.id == f"{g.sample_id}.h1"
+                assert np.array_equal(res.first.alleles, first)
+                assert np.array_equal(res.second.alleles, second)
+                assert np.array_equal(res.founder_paths, paths)
+                assert res.log_joint == log_joint
+                assert not res.founder_paths.flags.writeable
+            one = phase_decode(model, order[0])
+            assert np.array_equal(one.founder_paths, want[0][2])
+            assert one.log_joint == want[0][3]
+
+
+@pytest.mark.filterwarnings("error")  # dead rows decode on without NaNs
+def test_phase_corpus_reports_the_first_failing_sample_in_corpus_order():
+    model = FounderHMM(initial=np.array([1.0]), transitions=np.ones((2, 1, 1)),
+                       emissions=np.zeros((3, 1)))
+    corpus = [MultilocusGenotype(sid, np.array(symbols, dtype=np.int8))
+              for sid, symbols in (("a", [0, 0, 0]), ("b", [0, 0, 2]),
+                                   ("c", [MISSING, 1, 0]))]
+    with pytest.raises(ZeroProbabilityError) as err:
+        phase_corpus(model, corpus)
+    assert err.value.locus == 2 and "sample 'b' " in str(err.value)
+    assert phase_corpus(model, []) == []
+    with pytest.raises(InputError):
+        phase_corpus(model, [MultilocusGenotype("d", np.zeros(2, np.int8))])
 
 
 def test_phase_is_deterministic():

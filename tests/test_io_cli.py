@@ -12,9 +12,9 @@ from hypothesis import strategies as st
 
 import founderhmm
 import founderhmm.cli as cli
-from founderhmm import (ErrorEntry, ErrorReport, HaplotypeSequence,
-                        ImputationEntry, ImputationResult, InputError,
-                        LocusMap, MultilocusGenotype, TrainConfig,
+from founderhmm import (ErrorEntry, ErrorReport, FounderHMM,
+                        HaplotypeSequence, ImputationEntry, ImputationResult,
+                        InputError, LocusMap, MultilocusGenotype, TrainConfig,
                         train_founder_hmm)
 from founderhmm.io_formats import (CONFIG_ENV, ERROR_REPORT_COLUMNS,
                                    IMPUTATION_COLUMNS, atomic_write, fmt,
@@ -154,6 +154,37 @@ def test_model_reader_rejects_damage(tmp_path):
     with pytest.raises(InputError, match="unknown row kind"):
         read_model(alien_row)
 
+    # a header the file cannot fill must not size arrays from itself
+    oversized = tmp_path / "e.model"
+    oversized.write_text(good.read_text().replace(
+        "#founders=3 loci=12", "#founders=3000 loci=1200000"))
+    with pytest.raises(InputError, match=r"e\.model:2: .*more values"):
+        read_model(oversized)
+
+
+def test_readers_locate_bytes_that_are_not_utf8(tmp_path):
+    rng = np.random.default_rng(4)
+    corpus = [MultilocusGenotype(f"S{j}", rng.integers(-1, 3, 6)) for j in range(3)]
+    panel = [HaplotypeSequence(f"H{j}", rng.integers(0, 2, 6)) for j in range(3)]
+    locus_map = LocusMap(locus_ids=tuple("abcdef"), positions=np.arange(1, 7),
+                         typed=np.ones(6, dtype=bool))
+    writers = {
+        "g.gen": (write_genotypes, corpus, read_genotypes),
+        "h.hap": (write_haplotypes, panel, read_haplotypes),
+        "m.map": (write_locus_map, locus_map, read_locus_map),
+        "t.model": (write_model, trained_toy_model(), read_model),
+        "r.tsv": (write_error_report, sample_error_report(), read_error_report),
+        "i.tsv": (write_imputation, sample_imputation(), read_imputation),
+    }
+    for name, (write, value, read) in writers.items():
+        path = tmp_path / name
+        write(path, value)
+        lines = path.read_bytes().split(b"\n")
+        lines[2] = lines[2][:1] + b"\x84" + lines[2][1:]
+        path.write_bytes(b"\r\n".join(lines))
+        with pytest.raises(InputError, match=f"{name}:3: byte 0x84 is not UTF-8"):
+            read(path)
+
 
 def sample_error_report():
     entries = (ErrorEntry("S0", 4, "L4", 2, float("inf"), True, 0),
@@ -189,13 +220,17 @@ def test_error_report_reader_wants_threshold_and_header(tmp_path):
             read_error_report(path)
 
 
-@pytest.mark.parametrize("json_mode", [False, True])
-def test_imputation_round_trip(tmp_path, json_mode):
+def sample_imputation():
     entries = (ImputationEntry("S0", 7, "L7", (0.25, 0.5, 0.25), 1, 0.5),
                ImputationEntry("S1", 7, "L7", (1.0 / 3, 1.0 / 3, 1.0 / 3), 0, 1.0 / 3))
-    result = ImputationResult(entries=entries, windows=(),
-                              failures=(("S2", 7),), forward_locus_evals=0,
-                              backward_locus_evals=0)
+    return ImputationResult(entries=entries, windows=(),
+                            failures=(("S2", 7),), forward_locus_evals=0,
+                            backward_locus_evals=0)
+
+
+@pytest.mark.parametrize("json_mode", [False, True])
+def test_imputation_round_trip(tmp_path, json_mode):
+    result = sample_imputation()
     path = tmp_path / ("i.json" if json_mode else "i.tsv")
     write_imputation(path, result, json_mode=json_mode)
     back = read_imputation(path)
@@ -370,6 +405,24 @@ def test_phase_writes_two_rows_per_sample(ws):
                    "--out", phased) == 0
     ids = [h.id for h in read_haplotypes(phased)]
     assert ids == [f"S{j}.h{k}" for j in range(6) for k in (1, 2)]
+
+
+def test_phase_names_the_first_impossible_sample_in_corpus_order(tmp_path,
+                                                                 capsys):
+    # No founder ever carries the minor allele, so a 1 or 2 is impossible.
+    # S1 fails at locus 2; S2, later in the file but first in sorted
+    # order, fails earlier, at locus 1.
+    model = tmp_path / "m.model"
+    write_model(model, FounderHMM(initial=np.array([1.0]),
+                                  transitions=np.ones((2, 1, 1)),
+                                  emissions=np.zeros((3, 1))))
+    gen = tmp_path / "g.gen"
+    gen.write_text("#samples=4 loci=3\nS0\t000\nS1\t002\nS2\t?10\nS3\t000\n")
+    assert run_cli("phase", "--model", str(model), "--genotypes", str(gen),
+                   "--out", str(tmp_path / "o.hap")) == 1
+    assert capsys.readouterr().err == (
+        f"error: {gen}: sample 'S1' has zero probability at locus 2\n")
+    assert not (tmp_path / "o.hap").exists()
 
 
 def test_evaluate_identity_is_zero_discordant(ws, capsys):
@@ -587,6 +640,13 @@ def test_missing_and_malformed_inputs_exit_one(ws, tmp_path, capsys):
                  [*impute, "--threads", "0"]):
         assert run_cli(*argv) == 1, argv
         assert "error:" in capsys.readouterr().err
+    short = tmp_path / "short.gen"
+    short.write_text("#samples=1 loci=3\nS0\t012\n")
+    for name in ("phase", "detect", "recover"):
+        assert run_cli(name, "--model", ws["model"], "--genotypes", str(short),
+                       "--out", out) == 1, name
+        assert capsys.readouterr().err == (
+            f"error: {short}: genotypes have 3 loci but the model has 36\n")
 
 
 def test_internal_faults_exit_two(ws, tmp_path, monkeypatch, capsys):
@@ -660,3 +720,102 @@ def test_any_config_exits_zero_or_one(tiny, subcommand, data):
                    "--out", str(root / f"{subcommand}.out"),
                    "--config", str(cfg))
     assert code in (0, 1), config
+
+
+# -------------------------------------------------------- artifact fuzzing
+
+@pytest.fixture(scope="module")
+def artifacts(tiny):
+    """One valid file of each format a subcommand reads, by name."""
+    root, _ = tiny
+    prefix = str(root / "t")
+    files = {"model": str(root / "t.model"), "gen": f"{prefix}.gen",
+             "truth": f"{prefix}.truth.gen", "map": f"{prefix}.map",
+             "panel": f"{prefix}.ref.hap",
+             "typed_panel": f"{prefix}.ref.typed.hap",
+             "report": str(root / "a.report.tsv"),
+             "report_json": str(root / "a.report.json"),
+             "imputed": str(root / "a.imputed.tsv"),
+             "imputed_json": str(root / "a.imputed.json")}
+    for key, flag in (("report", []), ("report_json", ["--json"])):
+        assert run_cli("detect", "--model", files["model"], "--genotypes",
+                       files["gen"], "--out", files[key], *flag) == 0
+    for key, flag in (("imputed", []), ("imputed_json", ["--json"])):
+        assert run_cli("impute", "--panel", files["panel"], "--genotypes",
+                       files["gen"], "--map", files["map"], "--founders", "2",
+                       "--out", files[key], *flag) == 0
+    return root, files
+
+
+def reading_commands(f, out):
+    """Every subcommand run that reads an artifact, with the keys of the
+    files it reads."""
+    return [
+        ({"typed_panel"}, ["train", "--panel", f["typed_panel"], "--out", out,
+                           "--founders", "2", "--max-iterations", "3"]),
+        ({"model", "gen", "map"}, ["detect", "--model", f["model"],
+                                   "--genotypes", f["gen"], "--map", f["map"],
+                                   "--out", out]),
+        ({"model", "gen"}, ["recover", "--model", f["model"], "--genotypes",
+                            f["gen"], "--out", out, "--fills", out + ".f"]),
+        ({"model", "gen"}, ["phase", "--model", f["model"], "--genotypes",
+                            f["gen"], "--out", out]),
+        *(({"gen", key}, ["correct", "--genotypes", f["gen"], "--report",
+                          f[key], "--out", out])
+          for key in ("report", "report_json")),
+        ({"panel", "gen", "map"}, ["pipeline", "--mode", "edc-mdr-imp",
+                                   "--panel", f["panel"], "--genotypes",
+                                   f["gen"], "--map", f["map"], "--founders",
+                                   "2", "--out", out]),
+        ({"gen", "truth", "map"}, ["evaluate", "--calls", f["gen"], "--truth",
+                                   f["truth"], "--map", f["map"]]),
+        *(({key, "truth", "map"}, ["evaluate", "--kind", "imputation",
+                                   "--calls", f[key], "--truth", f["truth"],
+                                   "--map", f["map"]])
+          for key in ("imputed", "imputed_json")),
+    ]
+
+
+# Format characters, digits, signs, letters of numbers and keywords, and
+# bytes that are not UTF-8 on their own.
+MUTATION_BYTES = st.sampled_from(sorted(set(b"\t\n\r #?-+.eE0129 {}[]\":,x")
+                                        | {0x00, 0x84, 0xc3, 0xff}))
+
+
+@st.composite
+def mutated(draw, data):
+    """``data`` after one to four byte edits: replace, insert, delete or
+    truncate."""
+    data = bytearray(data)
+    for _ in range(draw(st.integers(1, 4))):
+        at = draw(st.integers(0, len(data)))
+        edit = draw(st.sampled_from(("replace", "insert", "delete", "truncate")))
+        if edit == "replace" and at < len(data):
+            data[at] = draw(MUTATION_BYTES)
+        elif edit == "insert":
+            data[at:at] = bytes(draw(st.lists(MUTATION_BYTES, min_size=1,
+                                              max_size=3)))
+        elif edit == "delete":
+            del data[at:at + draw(st.integers(1, 12))]
+        elif edit == "truncate":
+            del data[at:]
+    return bytes(data)
+
+
+@pytest.mark.parametrize("key", ["model", "gen", "truth", "map", "panel",
+                                 "typed_panel", "report", "report_json",
+                                 "imputed", "imputed_json"])
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_any_damaged_artifact_exits_zero_or_one(artifacts, key, data):
+    root, files = artifacts
+    with open(files[key], "rb") as fh:
+        damaged = data.draw(mutated(fh.read()), label="file")
+    path = root / f"damaged.{key}"
+    path.write_bytes(damaged)
+    out = str(root / "damaged.out")
+    for reads, argv in reading_commands({**files, key: str(path)}, out):
+        if key in reads:
+            assert run_cli(*argv) in (0, 1), (argv[0], damaged)
