@@ -69,15 +69,6 @@ def _entry_locus_ids(locus_ids, n):
     return ids
 
 
-def _suggest(row, observed):
-    """Argmax symbol of one posterior triple; ties prefer the observed
-    symbol, then the smallest code."""
-    mx = row.max()
-    if observed is not None and 0 <= observed <= 2 and row[observed] == mx:
-        return int(observed)
-    return int(np.argmax(row))
-
-
 def detect_errors(model: FounderHMM, corpus, threshold: float = DEFAULT_RATIO_THRESHOLD,
                   *, locus_ids=None, block_size: int | None = None) -> ErrorReport:
     """Likelihood-ratio screen of every typed symbol.
@@ -94,10 +85,10 @@ def detect_errors(model: FounderHMM, corpus, threshold: float = DEFAULT_RATIO_TH
     batch = batched_posteriors(model, genos, block_size=block_size)
     ids = _entry_locus_ids(locus_ids, len(genos[0]))
     entries = []
-    for g in genos:
+    for g, r in zip(genos, batch.row_of.tolist()):
         typed = np.flatnonzero(g.symbols != MISSING)
         observed = g.symbols[typed].astype(np.intp)
-        rows = batch.scans[g.sample_id].triples[typed]
+        rows = batch.triples[r, typed]
         best = rows.max(axis=1)
         weight = rows[np.arange(typed.size), observed]
         # A zero-probability observed symbol gets an infinite ratio; when
@@ -170,26 +161,22 @@ def recover_missing(model: FounderHMM, corpus, *,
     fills = []
     failures = dict(batch.failures)
     out = []
-    for g in genos:
+    for g, r in zip(genos, batch.row_of.tolist()):
         missing = np.flatnonzero(g.missing_mask)
-        if missing.size == 0:
-            out.append(g)
-            continue
-        scan = batch.scans[g.sample_id]
-        symbols = np.array(g.symbols)
-        ok = True
-        for i in missing:
-            row = scan.triples[i]
-            total = float(row.sum())
-            if total <= 0.0:
-                ok = False
-                failures.setdefault(g.sample_id, int(i))
-                break
-            call = _suggest(row, None)
-            symbols[i] = call
-            fills.append(RecoveryFill(g.sample_id, int(i), call,
-                                      float(row[call] / total)))
-        out.append(MultilocusGenotype(g.sample_id, symbols) if ok else g)
+        rows = batch.triples[r, missing]
+        totals = rows.sum(axis=1)
+        dead = np.flatnonzero(totals <= 0.0)
+        if dead.size:
+            failures.setdefault(g.sample_id, int(missing[dead[0]]))
+        elif missing.size:
+            calls = rows.argmax(axis=1)
+            fills.extend(map(RecoveryFill, repeat(g.sample_id, missing.size),
+                             missing.tolist(), calls.tolist(),
+                             (rows[np.arange(missing.size), calls] / totals).tolist()))
+            symbols = np.array(g.symbols)
+            symbols[missing] = calls
+            g = MultilocusGenotype(g.sample_id, symbols)
+        out.append(g)
     return RecoveryResult(corpus=out, fills=tuple(fills), failures=failures,
                           stats=batch.stats)
 
@@ -309,12 +296,10 @@ def impute_untyped(reference, corpus, locus_map: LocusMap, config: TrainConfig,
         wmodel, wreport = train_founder_hmm(ref_window, wcfg)
         wcorpus = _window_corpus(genos, locus_map, lo, hi)
         batch = batched_posteriors(wmodel, wcorpus, block_size=block_size)
-        rows = {}
-        for g in genos:
-            scan = batch.scans[g.sample_id]
-            rows[g.sample_id] = [scan.triples[t - lo] for t in targets]
         return (lo, hi, targets, wreport.iterations_run,
-                wmodel if keep_models else None, rows, batch.stats)
+                wmodel if keep_models else None,
+                batch.triples[:, np.asarray(targets) - lo], batch.row_of,
+                batch.stats)
 
     if threads > 1 and len(groups) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -326,21 +311,23 @@ def impute_untyped(reference, corpus, locus_map: LocusMap, config: TrainConfig,
     windows = []
     failures = []
     fevals = bevals = 0
-    for lo, hi, targets, iters, wmodel, rows, stats in results:
+    for lo, hi, targets, iters, wmodel, triples, row_of, stats in results:
         windows.append(WindowReport(lo, hi, targets, iters, wmodel))
         fevals += stats.forward_locus_evals
         bevals += stats.backward_locus_evals
-        for g in genos:
-            for t, row in zip(targets, rows[g.sample_id]):
-                total = float(row.sum())
-                if total <= 0.0:
-                    failures.append((g.sample_id, int(t)))
+        totals = triples.sum(axis=2)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            probs = (triples / totals[:, :, None]).tolist()
+        calls = triples.argmax(axis=2).tolist()
+        dead = (totals <= 0.0).tolist()
+        for g, r in zip(genos, row_of.tolist()):
+            for t, p, call, d in zip(targets, probs[r], calls[r], dead[r]):
+                if d:
+                    failures.append((g.sample_id, t))
                     continue
-                probs = tuple(float(v / total) for v in row)
-                call = _suggest(row, None)
-                per_position[(g.sample_id, int(t))] = ImputationEntry(
-                    g.sample_id, int(t), locus_map.locus_ids[t], probs, call,
-                    probs[call])
+                per_position[(g.sample_id, t)] = ImputationEntry(
+                    g.sample_id, t, locus_map.locus_ids[t], tuple(p), call,
+                    p[call])
     order = {g.sample_id: i for i, g in enumerate(genos)}
     entries = sorted(per_position.values(),
                      key=lambda e: (order[e.sample_id], e.locus_index))

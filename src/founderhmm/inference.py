@@ -8,12 +8,11 @@ matrix is rescaled to unit mass and the normalizers are recorded, which
 keeps long genotypes out of the underflow range while allowing exact
 reconstruction of unscaled quantities and log-likelihoods.
 
-One kernel, :func:`_walk`, runs that recurrence for every engine: a single
-genotype is a walk over one row, and the batch engine walks prefix-sorted
-distinct rows, resuming each after the prefix it shares with the row
-before it. The backward direction is the same walk over reversed rows,
-since stepping through a transposed transition retreats where the
-original advances.
+One kernel, :func:`_step`, takes that step for a (B, K, K) stack of
+beliefs and serves every engine: a single genotype is a stack of one, and
+the batch engine, :func:`_scan_rows`, steps tiles of prefix-sorted
+distinct genotypes. The backward direction is the same step over reversed
+loci, since a transposed transition retreats where the original advances.
 """
 from __future__ import annotations
 
@@ -24,72 +23,57 @@ import numpy as np
 from .model import (MISSING, FounderHMM, InputError, MultilocusGenotype,
                     ZeroProbabilityError, emission_stack, symbol_plane)
 
-
-def _symbols_of(genotype) -> np.ndarray:
-    if isinstance(genotype, MultilocusGenotype):
-        return genotype.symbols
-    return MultilocusGenotype("anon", genotype).symbols
+# Distinct genotypes the batch engine steps together. A fixed count keeps
+# a tile's memory linear in loci and the engine's time linear in rows.
+_TILE_ROWS = 64
 
 
-def _check_length(model: FounderHMM, symbols: np.ndarray):
-    if symbols.shape[0] != model.loci:
-        raise InputError(
-            f"genotype has {symbols.shape[0]} loci but the model has {model.loci}")
-
-
-def _planes(symbols: np.ndarray) -> list:
-    """Emission-plane index of each symbol, as (nested) lists; MISSING reads
+def _planes(symbols: np.ndarray) -> np.ndarray:
+    """Emission-plane index of each symbol, one byte each; MISSING reads
     the all-ones plane 3."""
-    return np.where(symbols == MISSING, 3, symbols).tolist()
+    return np.where(symbols == MISSING, 3, symbols).astype(np.int8, copy=False)
 
 
-def _absorb(state: np.ndarray, emat: np.ndarray):
-    """Multiply in one locus' emission table and renormalize.
-
-    Returns (normalized matrix, mass). Zero mass yields an all-zero matrix
-    so degenerate genotypes propagate exact zeros instead of NaNs.
-    """
-    tmp = state * emat
-    mass = float(tmp.sum())
-    if mass > 0.0:
-        tmp /= mass
+def _step(states: np.ndarray, emats: np.ndarray, t):
+    """The inference kernel: multiply each belief of a (B, K, K) stack by
+    its emission table, rescale it to unit mass and, unless t is None,
+    step it to t.T @ belief @ t (two chained K-contractions, one per
+    founder chain). Returns the new stack and the masses; zero mass yields
+    an all-zero belief, so impossible genotypes propagate exact zeros."""
+    tmp = states * emats
+    mass = tmp.sum(axis=(1, 2))
+    live = mass > 0.0
+    if live.all():
+        tmp /= mass[:, None, None]
     else:
-        tmp[:] = 0.0
-        mass = 0.0
+        mass = np.where(live, mass, 0.0)
+        tmp[live] /= mass[live, None, None]
+        tmp[~live] = 0.0
+    if t is not None:
+        tmp = t.T @ (tmp @ t)
     return tmp, mass
 
 
-def _walk(rows, lcps, emit, trans, state, log):
-    """The inference kernel: absorb, renormalize and step along each row.
-
-    Depth d absorbs plane rows[r][d] of emit[d] and then, while
-    d < len(trans), steps the belief to trans[d].T @ belief @ trans[d]
-    (two chained K-contractions, one per founder chain). Row r resumes at
-    depth lcps[r], so its first lcps[r] planes must equal those of the row
-    before it; walking prefix-sorted rows thus evaluates each distinct
-    prefix once. After each row this yields (states, logs, masses):
-    states[d] is the unit-mass belief before depth d, logs[d] the log of
-    the normalizers before it (logs[0] = ``log``) and masses[d] the
-    normalizer of depth d. The next row overwrites these buffers.
-    """
-    depths, steps = len(emit), len(trans)
-    states = np.empty((steps + 1,) + state.shape, dtype=np.float64)
-    logs = np.empty(depths + 1, dtype=np.float64)
-    masses = np.empty(depths, dtype=np.float64)
-    states[0] = state
+def _walk(emit, trans, planes, state, log):
+    """Step a (B, K, K) stack through each depth d of ``emit``: absorb
+    emit[d][planes[d]], then step through trans[d] if there is one. Returns
+    the unit-mass beliefs and summed log normalizers (from ``log``) before
+    each depth, and the normalizers of each depth. The beliefs stay one
+    array per depth: a single tile-sized block, once freed, leads glibc to
+    serve later large allocations from its heap, which raised peak RSS."""
+    steps, depths = len(trans), len(emit)
+    states = [state]
+    logs = np.empty((depths + 1, state.shape[0]))
+    masses = np.empty((depths, state.shape[0]))
     logs[0] = log
-    for row, lcp in zip(rows, lcps):
-        log = logs[lcp]
-        with np.errstate(divide="ignore"):
-            for d in range(lcp, depths):
-                tmp, mass = _absorb(states[d], emit[d, row[d]])
-                masses[d] = mass
-                log = log + np.log(mass)
-                logs[d + 1] = log
-                if d < steps:
-                    t = trans[d]
-                    states[d + 1] = t.T @ (tmp @ t)
-        yield states, logs, masses
+    with np.errstate(divide="ignore"):
+        for d in range(depths):
+            new, masses[d] = _step(states[d], emit[d][planes[d]],
+                                   trans[d] if d < steps else None)
+            logs[d + 1] = logs[d] + np.log(masses[d])
+            if d < steps:
+                states.append(new)
+    return states, logs, masses
 
 
 def _prior(model: FounderHMM):
@@ -105,74 +89,81 @@ def _reversed(etab: np.ndarray, trans: np.ndarray):
     return etab[::-1], trans[::-1].transpose(0, 2, 1)
 
 
-def _forward_walk(model, etab, rows, lcps):
-    state, norm = _prior(model)
-    return _walk(rows, lcps, etab, model.transitions, state, np.log(norm))
+def _scan_rows(model, etab, planes, lcps, block_size=None):
+    """Posterior scans of prefix-sorted distinct genotypes, as arrays.
 
-
-def _backward_walk(model, etab, rows, lcps):
-    """Walk of reversed rows; it also absorbs locus 0, which no backward
-    state needs."""
-    k = model.founders
-    return _walk(rows, lcps, *_reversed(etab, model.transitions),
-                 np.ones((k, k), dtype=np.float64), 0.0)
-
-
-def _combine(fstates, bstates, etab) -> np.ndarray:
-    """Per-locus substitution weights, shape (n, 3)."""
-    prod = fstates * bstates
-    return np.einsum("ikl,ixkl->ix", prod, etab[:, :3])
-
-
-def _scan_rows(model, etab, rows, lcps, rrows, rlcps, back_of) -> list:
-    """PosteriorScan per forward row. A backward walk over the reversed
-    rows caches states and suffix logs per reversed row; the forward walk
-    then combines row r with cache entry back_of[r]."""
-    n = model.loci
-    cache = [(states[::-1].copy(), logs[:n][::-1].copy())
-             for states, logs, _ in _backward_walk(model, etab, rrows, rlcps)]
-    scans = []
-    for (states, logs, _), b in zip(_forward_walk(model, etab, rows, lcps), back_of):
-        bstates, blogs = cache[b]
-        scans.append(PosteriorScan(_combine(states, bstates, etab),
-                                   logs[:n].copy(), blogs, float(logs[n])))
-    return scans
-
-
-def _scan_rows_blocked(model, etab, rows, lcps, block_size) -> list:
-    """Memory-bounded :func:`_scan_rows` over one set of prefix-sorted rows.
-
-    The forward walk keeps only each row's states and logs at block starts.
-    Blocks are then processed right to left: each row re-walks the block
-    forward from its checkpoint, and backward from the state carried over
-    from the block to its right. Numbers match :func:`_scan_rows` exactly.
+    Row r of ``planes`` (rows, n) shares its first lcps[r] emission planes
+    with row r - 1. Returns triples (rows, n, 3), prefix and suffix logs
+    (rows, n) and log-likelihoods (rows,), as :class:`PosteriorScan`
+    defines them, and the counts of forward and backward locus
+    evaluations. In each tile of ``_TILE_ROWS`` rows, a right-to-left
+    walk keeps the last backward state of each block of ``block_size``
+    loci; left to right, each block re-walks its backward states from
+    there while the forward walk crosses it. At depth d that walk steps
+    only the rows with lcps <= d; the others take the state of the row
+    before them, carried over from the previous tile for a tile's first.
     """
-    n, k = model.loci, model.founders
-    checkpoints = [(states[::block_size].copy(), logs[:n:block_size].copy(),
-                    float(logs[n]))
-                   for states, logs, _ in _forward_walk(model, etab, rows, lcps)]
-    retab, rtrans = _reversed(etab, model.transitions)
-    triples = np.empty((len(rows), n, 3), dtype=np.float64)
-    flogs = np.empty((len(rows), n), dtype=np.float64)
-    blogs = np.empty((len(rows), n), dtype=np.float64)
-    carry = [(np.ones((k, k), dtype=np.float64), 0.0)] * len(rows)
-    for b, lo in reversed(list(enumerate(range(0, n, block_size)))):
-        hi = min(lo + block_size, n)
-        span = hi - lo
-        for r, row in enumerate(rows):
-            fstates, fl, _ = next(_walk(
-                [row[lo:hi]], [0], etab[lo:hi], model.transitions[lo:hi - 1],
-                checkpoints[r][0][b], checkpoints[r][1][b]))
-            bstates, bl, _ = next(_walk(
-                [row[lo:hi][::-1]], [0], retab[n - hi:n - lo],
-                rtrans[n - hi:n - lo], *carry[r]))
-            carry[r] = bstates[-1], bl[-1]
-            flogs[r, lo:hi] = fl[:span]
-            blogs[r, lo:hi] = bl[:span][::-1]
-            triples[r, lo:hi] = _combine(fstates, bstates[:span][::-1].copy(),
-                                         etab[lo:hi])
-    return [PosteriorScan(triples[r], flogs[r], blogs[r], checkpoints[r][2])
-            for r in range(len(rows))]
+    rows, n = planes.shape
+    k, trans = model.founders, model.transitions
+    retab, rtrans = _reversed(etab, trans)
+    b = n if block_size is None else block_size
+    blocks = [(lo, min(lo + b, n)) for lo in range(0, n, b)]
+    triples = np.empty((rows, n, 3))
+    flogs, blogs = np.empty((rows, n)), np.empty((rows, n))
+    loglik = np.empty(rows)
+    prior, norm = _prior(model)
+    carry_states = carry_logs = None
+    fevals = bevals = 0
+    for t0 in range(0, rows, _TILE_ROWS):
+        t1 = min(t0 + _TILE_ROWS, rows)
+        tplanes = np.ascontiguousarray(planes[t0:t1].T)
+        rplanes, tlcps = tplanes[::-1], lcps[t0:t1]
+        # free each walk's states before the next walk allocates its own
+        checkpoints = [(np.ones((t1 - t0, k, k)), np.zeros(t1 - t0))]
+        for lo, hi in blocks[:0:-1]:
+            states, logs, masses = _walk(retab[n - hi:n - lo], rtrans[n - hi:n - lo],
+                                         rplanes[n - hi:n - lo], *checkpoints[-1])
+            checkpoints.append((states[-1], logs[-1].copy()))
+            bevals += masses.size
+            del states, logs
+        state = np.repeat(prior[None], t1 - t0, axis=0)
+        log = np.full(t1 - t0, np.log(norm))
+        # the last row's states up to the prefix it shares with the next tile
+        shared = int(lcps[t1]) if t1 < rows else 0
+        next_states, next_logs = np.empty((shared, k, k)), np.empty(shared)
+        with np.errstate(divide="ignore"):
+            for (lo, hi), checkpoint in zip(blocks, checkpoints[::-1]):
+                bstates, bl, masses = _walk(retab[n - hi:n - lo - 1],
+                                            rtrans[n - hi:n - lo - 1],
+                                            rplanes[n - hi:n - lo - 1], *checkpoint)
+                blogs[t0:t1, lo:hi] = bl[::-1].T
+                bevals += masses.size
+                for d in range(lo, hi):
+                    triples[t0:t1, d] = np.einsum("bkl,xkl->bx",
+                                                  state * bstates[hi - 1 - d],
+                                                  etab[d, :3])
+                    flogs[t0:t1, d] = log
+                    t = trans[d] if d < n - 1 else None
+                    live = tlcps <= d
+                    if live.all():
+                        state, mass = _step(state, etab[d][tplanes[d]], t)
+                        log = log + np.log(mass)
+                    else:
+                        state, mass = _step(state[live], etab[d][tplanes[d][live]], t)
+                        log = log[live] + np.log(mass)
+                        src = np.cumsum(live) - 1
+                        if not live[0]:
+                            state = np.concatenate((carry_states[d:d + 1], state))
+                            log = np.concatenate((carry_logs[d:d + 1], log))
+                            src += 1
+                        state, log = state[src], log[src]
+                    fevals += mass.size
+                    if d < shared:
+                        next_states[d], next_logs[d] = state[-1], log[-1]
+                del bstates
+        loglik[t0:t1] = log
+        carry_states, carry_logs = next_states, next_logs
+    return (triples, flogs, blogs, loglik), (fevals, bevals)
 
 
 @dataclass(frozen=True)
@@ -266,30 +257,39 @@ class PosteriorTable:
 
 
 def _prepare(model: FounderHMM, genotype):
-    symbols = _symbols_of(genotype)
-    _check_length(model, symbols)
-    return _planes(symbols), emission_stack(model)
+    """Emission planes of a genotype (or symbol sequence) and the model's
+    emission stack."""
+    if not isinstance(genotype, MultilocusGenotype):
+        genotype = MultilocusGenotype("anon", genotype)
+    if len(genotype) != model.loci:
+        raise InputError(
+            f"genotype has {len(genotype)} loci but the model has {model.loci}")
+    return _planes(genotype.symbols), emission_stack(model)
 
 
 def _forward_row(model, etab, planes):
     """Forward walk of one genotype; raises at its first zero-mass locus."""
-    states, logs, masses = next(_forward_walk(model, etab, [planes], [0]))
+    state, norm = _prior(model)
+    states, logs, masses = _walk(etab, model.transitions, planes[:, None],
+                                 state[None], np.log(norm))
     dead = np.flatnonzero(masses == 0.0)
     if dead.size:
         raise ZeroProbabilityError(int(dead[0]))
-    return states, logs, masses
+    return np.stack(states)[:, 0], logs[:, 0], masses[:, 0]
 
 
 def _backward_row(model, etab, planes):
     """Backward states of one genotype in locus order and their normalizers
     (betas[i - 1] is that of locus i, betas[n - 1] = 1); raises at the
     first zero-mass locus from the right."""
-    states, _, masses = next(_backward_walk(model, etab, [planes[::-1]], [0]))
-    betas = np.append(masses[:-1][::-1], 1.0)
+    retab, rtrans = _reversed(etab, model.transitions)
+    states, _, masses = _walk(retab[:-1], rtrans, planes[::-1, None],
+                              np.ones((1,) + etab.shape[2:]), 0.0)
+    betas = np.append(masses[::-1, 0], 1.0)
     dead = np.flatnonzero(betas == 0.0)
     if dead.size:
         raise ZeroProbabilityError(int(dead[-1]) + 1)
-    return states[::-1].copy(), betas
+    return np.stack(states[::-1])[:, 0], betas
 
 
 def _forward_norms(model, masses) -> np.ndarray:
@@ -320,15 +320,19 @@ def forward_backward(model: FounderHMM, genotype) -> ForwardBackwardResult:
 def total_log_likelihood(model: FounderHMM, genotype) -> float:
     """log P(genotype); -inf when the model puts no mass on it."""
     planes, etab = _prepare(model, genotype)
-    _, logs, _ = next(_forward_walk(model, etab, [planes], [0]))
-    return float(logs[-1])
+    state, norm = _prior(model)
+    _, logs, _ = _walk(etab, model.transitions, planes[:, None], state[None],
+                       np.log(norm))
+    return float(logs[-1, 0])
 
 
 def posterior_scan(model: FounderHMM, genotype) -> PosteriorScan:
     """Tolerant two-sweep scan; zero-probability genotypes produce exact
     zero rows instead of raising."""
     planes, etab = _prepare(model, genotype)
-    return _scan_rows(model, etab, [planes], [0], [planes[::-1]], [0], [0])[0]
+    ((triples,), (flogs,), (blogs,), (loglik,)), _ = _scan_rows(
+        model, etab, planes[None], np.zeros(1, dtype=np.intp))
+    return PosteriorScan(triples, flogs, blogs, float(loglik))
 
 
 def table_from_scan(scan: PosteriorScan) -> PosteriorTable:
@@ -350,34 +354,26 @@ def genotype_posteriors(model: FounderHMM, genotype) -> PosteriorTable:
 def forward_naive(model: FounderHMM, genotype) -> ForwardPass:
     """Reference forward sweep using the unfactored O(K^4) pair-transition
     contraction. Same scaling conventions as :func:`forward`."""
-    symbols = _symbols_of(genotype)
-    _check_length(model, symbols)
-    etab = emission_stack(model)
+    planes, etab = _prepare(model, genotype)
     n = model.loci
     states = np.empty((n, model.founders, model.founders), dtype=np.float64)
     masses = np.empty(n, dtype=np.float64)
-    state = np.outer(model.initial, model.initial)
-    init_norm = float(state.sum())
-    state /= init_norm
+    state, _ = _prior(model)
     for i in range(n):
         states[i] = state
-        tmp, mass = _absorb(state, etab[i, symbol_plane(symbols[i])])
+        (tmp,), (mass,) = _step(state[None], etab[i, planes[i]][None], None)
         if mass == 0.0:
             raise ZeroProbabilityError(i)
         masses[i] = mass
         if i < n - 1:
             t = model.transitions[i]
             state = np.einsum("ab,ac,bd->cd", tmp, t, t)
-    factors = np.concatenate(([init_norm], masses[:-1])) if n > 1 \
-        else np.array([init_norm])
-    return ForwardPass(states, factors)
+    return ForwardPass(states, _forward_norms(model, masses))
 
 
 def backward_naive(model: FounderHMM, genotype) -> BackwardPass:
     """Reference backward sweep with the unfactored pair contraction."""
-    symbols = _symbols_of(genotype)
-    _check_length(model, symbols)
-    etab = emission_stack(model)
+    planes, etab = _prepare(model, genotype)
     n, k = model.loci, model.founders
     states = np.empty((n, k, k), dtype=np.float64)
     betas = np.empty(n, dtype=np.float64)
@@ -386,7 +382,7 @@ def backward_naive(model: FounderHMM, genotype) -> BackwardPass:
     for i in range(n - 1, -1, -1):
         states[i] = state
         if i > 0:
-            tmp, mass = _absorb(state, etab[i, symbol_plane(symbols[i])])
+            (tmp,), (mass,) = _step(state[None], etab[i, planes[i]][None], None)
             if mass == 0.0:
                 raise ZeroProbabilityError(i)
             betas[i - 1] = mass

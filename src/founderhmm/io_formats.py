@@ -365,6 +365,14 @@ def write_error_report(path, report: ErrorReport, *, config_line=None,
     atomic_write(path, "\n".join(lines) + "\n")
 
 
+def _json_flag(value) -> bool:
+    """A JSON report entry's ``flagged``, which only JSON true or false
+    may give: ``correct`` applies every flagged entry."""
+    if not isinstance(value, bool):
+        raise ValueError(f"flagged must be true or false, not {json.dumps(value)}")
+    return value
+
+
 def read_error_report(path) -> ErrorReport:
     with _text(path) as fh:
         text = fh.read()
@@ -375,7 +383,7 @@ def read_error_report(path) -> ErrorReport:
                                           "suggested": int(e["suggested"]),
                                           "locus_index": int(e["locus_index"]),
                                           "ratio": float(e["ratio"]),
-                                          "flagged": bool(e["flagged"])})
+                                          "flagged": _json_flag(e["flagged"])})
                             for e in payload["entries"])
             return ErrorReport(entries=entries,
                                threshold=float(payload["threshold"]),

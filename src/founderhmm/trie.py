@@ -4,24 +4,23 @@ Genotypes sharing a prefix share forward work. The corpus is reduced to
 its distinct rows in sorted order, where each row shares its longest
 common prefix (LCP) with the row before it: the prefix-sorting idea of
 PBWT (Durbin 2014). Those rows and LCPs are a prefix trie, one node per
-distinct (depth, prefix), and the inference kernel walks them so that
-each node costs one locus evaluation. Backward sweeps are shared the same
-way over the sorted reversed rows and cached per distinct genotype.
-MISSING branches like any other symbol. Scale histories are prefix-
-cumulative log sums kept per depth, so shared prefixes also share their
-scaling.
+distinct (depth, prefix). The engine steps the sorted rows 64 at a time
+as (rows, K, K) stacks: a backward walk along every row, then a forward
+walk that evaluates each trie node once and combines each forward state
+with its backward state on the spot. A tile's first row resumes from the
+previous tile's last row, the one row whose forward states are carried.
+MISSING branches like any other symbol.
 
-Memory: both modes return a scan per distinct genotype of 5 x 8 bytes
-per locus (substitution triples, prefix and suffix log sums). The default
-mode also caches the backward state of every distinct genotype, distinct
-genotypes x loci x K^2 x 8 bytes: 3.9 GB at 1000 distinct genotypes x
-10 000 loci x K = 7. The block-chunked mode (``block_size`` = b) replaces
-that cache with, per distinct genotype, forward checkpoints at block
-starts and one carried backward state, (ceil(loci / b) + 1) x K^2 x 8
-bytes, plus the states of one block at a time: 40 MB for the example
-above at b = 100. It re-derives each block's forward states from its
-checkpoint, trading repeated locus evaluations for memory while
-producing identical numbers.
+Memory: the result holds substitution weights, posteriors and prefix and
+suffix log sums, 9 x 8 bytes per distinct genotype and locus, and the
+sorted genotypes and their emission planes take 2 bytes more. While it
+runs, the default mode holds one tile's backward states, 64 x loci x K^2
+x 8 bytes: 125 MB at 5000 loci and K = 7, for any number of genotypes.
+The block-chunked mode (``block_size`` = b) keeps backward checkpoints at
+block starts and re-walks one block at a time, 64 x (ceil(loci / b) + b)
+x K^2 x 8 bytes: 3.8 MB in that example at b = 100, for about one more
+backward evaluation per locus. Both modes add the carried row's forward
+states, at most loci x K^2 x 8 bytes, and give identical numbers.
 """
 from __future__ import annotations
 
@@ -29,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .inference import _planes, _scan_rows, _scan_rows_blocked, table_from_scan
+from .inference import PosteriorScan, _planes, _scan_rows, table_from_scan
 from .model import (FounderHMM, InputError, MultilocusGenotype,
                     ZeroProbabilityError, emission_stack)
 
@@ -105,15 +104,21 @@ def reversed_trie(corpus) -> GenotypeTrie:
 @dataclass(frozen=True)
 class BatchStats:
     """Work accounting for one batched run. A locus evaluation is one
-    emission absorption plus its transition step."""
+    emission absorption plus its transition step.
+
+    The forward walk evaluates each prefix-trie node once, in both modes.
+    The backward walk is not shared over suffixes. With blocks of b loci
+    (b = loci by default), it walks loci - b loci of every distinct
+    genotype to find the blocks' checkpoints, then each block again from
+    its checkpoint, loci - ceil(loci / b) in all: loci - 1 per distinct
+    genotype by default.
+    """
 
     samples: int
     loci: int
     distinct_genotypes: int
     forward_locus_evals: int
     backward_locus_evals: int
-    prefix_nodes: int
-    suffix_nodes: int
     engine: str
 
     @property
@@ -127,13 +132,21 @@ class BatchStats:
 
 @dataclass(frozen=True)
 class BatchPosteriorResult:
-    """Per-sample posterior scans and tables plus shared-work statistics.
+    """Posteriors of every distinct genotype, and per-sample views of them.
 
-    Samples whose genotype has a zero marginal at some locus get no table;
-    ``failures`` maps them to the first such locus while ``scans`` still
-    carries their raw (partially zero) triples.
+    Row r of ``triples`` (distinct, loci, 3), ``prefix_logs``,
+    ``suffix_logs`` and ``log_likelihoods`` is that of distinct genotype r
+    (see :class:`PosteriorScan`); ``row_of[j]`` is the row of the j-th
+    corpus genotype. ``scans`` and ``tables`` map sample ids to one object
+    per row. A sample whose genotype has a zero marginal gets no table;
+    ``failures`` maps it to the first such locus.
     """
 
+    triples: np.ndarray
+    prefix_logs: np.ndarray
+    suffix_logs: np.ndarray
+    log_likelihoods: np.ndarray
+    row_of: np.ndarray
     tables: dict
     scans: dict
     failures: dict
@@ -157,40 +170,24 @@ def batched_posteriors(model: FounderHMM, corpus, *,
     if block_size is not None and block_size < 1:
         raise InputError("block_size must be >= 1")
 
-    etab = emission_stack(model)
-    prefix, suffix = build_trie(genos), reversed_trie(genos)
-    rows = _planes(prefix.rows)
-    if block_size is None:
-        back_of = np.empty(len(rows), dtype=np.intp)
-        back_of[prefix.row_of] = suffix.row_of
-        row_scans = _scan_rows(model, etab, rows, prefix.lcps,
-                               _planes(suffix.rows), suffix.lcps, back_of)
-        fevals, bevals, engine = prefix.node_count(), suffix.node_count(), "trie"
-    else:
-        row_scans = _scan_rows_blocked(model, etab, rows, prefix.lcps, block_size)
-        # the first walk visits each prefix node, then every block walks
-        # each distinct genotype once in each direction
-        fevals = prefix.node_count() + prefix.rows.size
-        bevals = prefix.rows.size
-        engine = "trie-chunked"
-
+    trie = build_trie(genos)
+    arrays, (fevals, bevals) = _scan_rows(model, emission_stack(model),
+                                          _planes(trie.rows), trie.lcps, block_size)
+    row_scans = [PosteriorScan(t, f, b, float(ll)) for t, f, b, ll in zip(*arrays)]
     row_tables, dead = {}, {}
     for r, scan in enumerate(row_scans):
         try:
             row_tables[r] = table_from_scan(scan)
         except ZeroProbabilityError as exc:
             dead[r] = exc.locus
-    pairs = list(zip(ids, prefix.row_of.tolist()))
-    scans = {sid: row_scans[r] for sid, r in pairs}
+    pairs = list(zip(ids, trie.row_of.tolist()))
     stats = BatchStats(samples=len(genos), loci=n,
                        distinct_genotypes=len(row_scans),
-                       forward_locus_evals=fevals,
-                       backward_locus_evals=bevals,
-                       prefix_nodes=prefix.node_count(),
-                       suffix_nodes=suffix.node_count(),
-                       engine=engine)
+                       forward_locus_evals=fevals, backward_locus_evals=bevals,
+                       engine="trie" if block_size is None else "trie-chunked")
     return BatchPosteriorResult(
+        *arrays, row_of=trie.row_of,
         tables={sid: row_tables[r] for sid, r in pairs if r in row_tables},
-        scans=scans,
+        scans={sid: row_scans[r] for sid, r in pairs},
         failures={sid: dead[r] for sid, r in pairs if r in dead},
         stats=stats)

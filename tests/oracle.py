@@ -7,10 +7,11 @@ rescaling, and no shared code with the package. Exponential in the locus
 count, usable only at toy sizes, and deliberately so. The rest are the
 plain loops that vectorised code must reproduce: ``e_step_per_row``, the
 per-haplotype Baum-Welch E-step behind the weighted distinct-row E-step of
-``founderhmm.training``; ``phase_decode_per_sample``, the per-genotype
-Viterbi loop behind ``phase_corpus``, bit for bit; and
-``detect_entries_per_symbol``, the per-symbol entry loop behind
-``detect_errors``, bit for bit.
+``founderhmm.training``; ``scan_per_locus``, the per-genotype two-sweep
+loop behind the tiled batch posterior engine, bit for bit;
+``phase_decode_per_sample``, the per-genotype Viterbi loop behind
+``phase_corpus``, bit for bit; and ``detect_entries_per_symbol``, the
+per-symbol entry loop behind ``detect_errors``, bit for bit.
 """
 import numpy as np
 
@@ -158,6 +159,55 @@ def e_step_per_row(haps, init, trans, emis):
             trans_counts[i - 1] = trans[i - 1] * (alphas[i - 1].T @ w)
             b = w @ trans[i - 1].T
     return loglik, (init_counts, trans_counts, emis_ones, emis_total)
+
+
+def scan_per_locus(model, symbols):
+    """Posterior scan of one genotype, one (K, K) locus step at a time.
+
+    The plain two-sweep loop that the batch engine of ``founderhmm``
+    runs over tiles of distinct genotypes: scaled forward and backward
+    sweeps that renormalize each belief to unit mass (a dead one to
+    zeros), then the per-locus substitution weights. Returns (triples,
+    prefix logs, suffix logs, log-likelihood) as ``PosteriorScan``
+    defines them.
+    """
+    n, k = model.loci, model.founders
+    trans = model.transitions
+    tables = np.array([[pair_emission(p[:, None], p[None, :], x)
+                        for x in (0, 1, 2, MISSING)] for p in model.emissions])
+    planes = [3 if s == MISSING else int(s) for s in symbols]
+
+    def absorb(state, table):
+        tmp = state * table
+        mass = float(tmp.sum())
+        if mass > 0.0:
+            return tmp / mass, mass
+        return np.zeros_like(tmp), 0.0
+
+    fstates = np.empty((n, k, k))
+    bstates = np.empty((n, k, k))
+    prefix = np.empty(n)
+    suffix = np.empty(n)
+    prior = np.outer(model.initial, model.initial)
+    norm = float(prior.sum())
+    state, log = prior / norm, np.log(norm)
+    with np.errstate(divide="ignore"):
+        for i in range(n):
+            fstates[i], prefix[i] = state, log
+            tmp, mass = absorb(state, tables[i, planes[i]])
+            log = log + np.log(mass)
+            if i < n - 1:
+                state = trans[i].T @ (tmp @ trans[i])
+        loglik = float(log)
+        state, log = np.ones((k, k)), 0.0
+        for i in range(n - 1, -1, -1):
+            bstates[i], suffix[i] = state, log
+            if i > 0:
+                tmp, mass = absorb(state, tables[i, planes[i]])
+                log = log + np.log(mass)
+                state = trans[i - 1] @ (tmp @ trans[i - 1].T)
+    triples = np.einsum("ikl,ixkl->ix", fstates * bstates, tables[:, :3])
+    return triples, prefix, suffix, loglik
 
 
 def phase_decode_per_sample(model, symbols):

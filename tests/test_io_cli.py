@@ -206,6 +206,24 @@ def test_error_report_round_trip(tmp_path, json_mode):
     assert back.failures == report.failures
 
 
+@pytest.mark.parametrize("flagged", ["false", "0", 0, 1, None, "true"])
+def test_json_error_report_flags_must_be_booleans(tmp_path, capsys, flagged):
+    path = tmp_path / "r.json"
+    write_error_report(path, sample_error_report(), json_mode=True)
+    payload = json.loads(path.read_text())
+    payload["entries"][2]["flagged"] = flagged
+    path.write_text(json.dumps(payload))
+    with pytest.raises(InputError, match="flagged must be true or false"):
+        read_error_report(path)
+    gen = tmp_path / "g.gen"
+    write_genotypes(gen, [MultilocusGenotype(sid, np.zeros(5, dtype=np.int8))
+                          for sid in ("S0", "S1", "S9")])
+    assert run_cli("correct", "--genotypes", str(gen), "--report", str(path),
+                   "--out", str(tmp_path / "o.gen")) == 1
+    assert f"{path}: malformed JSON error report" in capsys.readouterr().err
+    assert not (tmp_path / "o.gen").exists()
+
+
 def test_error_report_reader_wants_threshold_and_header(tmp_path):
     path = tmp_path / "r.tsv"
     path.write_text("sample_id\tlocus_id\tlocus_index\tobserved\tratio\tflagged\tsuggested\n")
@@ -782,15 +800,26 @@ MUTATION_BYTES = st.sampled_from(sorted(set(b"\t\n\r #?-+.eE0129 {}[]\":,x")
                                         | {0x00, 0x84, 0xc3, 0xff}))
 
 
+# Well-formed JSON values of the wrong type for a true/false field, such as
+# a report entry's "flagged".
+NOT_BOOLEANS = st.sampled_from((b'"false"', b'"true"', b'"0"', b"0", b"1",
+                                b"null"))
+
+
 @st.composite
 def mutated(draw, data):
-    """``data`` after one to four byte edits: replace, insert, delete or
-    truncate."""
+    """``data`` after one to four edits: replace, insert, delete or
+    truncate bytes, or retype a JSON true/false literal."""
     data = bytearray(data)
     for _ in range(draw(st.integers(1, 4))):
         at = draw(st.integers(0, len(data)))
-        edit = draw(st.sampled_from(("replace", "insert", "delete", "truncate")))
-        if edit == "replace" and at < len(data):
+        edit = draw(st.sampled_from(("replace", "insert", "delete", "truncate",
+                                     "retype")))
+        literals = [m.span() for m in re.finditer(rb"\b(true|false)\b", data)]
+        if edit == "retype" and literals:
+            lo, hi = draw(st.sampled_from(literals))
+            data[lo:hi] = draw(NOT_BOOLEANS)
+        elif edit == "replace" and at < len(data):
             data[at] = draw(MUTATION_BYTES)
         elif edit == "insert":
             data[at:at] = bytes(draw(st.lists(MUTATION_BYTES, min_size=1,

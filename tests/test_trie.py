@@ -3,10 +3,12 @@ exact work accounting."""
 import numpy as np
 import pytest
 
+import oracle
 from conftest import random_corpus, random_model
 from founderhmm import (FounderHMM, InputError, MultilocusGenotype,
-                        batched_posteriors, build_trie, genotype_posteriors,
-                        posterior_scan, reversed_trie)
+                        ZeroProbabilityError, batched_posteriors, build_trie,
+                        genotype_posteriors, inference, posterior_scan,
+                        reversed_trie, table_from_scan)
 
 # Ten five-locus genotypes with heavy prefix sharing: seven distinct rows
 # and 23 distinct non-empty prefixes, versus 10 x 5 = 50 row-by-row locus
@@ -34,6 +36,7 @@ def test_trie_counts_on_shared_prefix_corpus():
     assert trie.distinct_count() == 7
     assert trie.node_count() == 23
     assert trie.depth_counts() == (2, 3, 5, 6, 7)
+    assert reversed_trie(corpus).node_count() == 27
     # every sample lands on exactly one leaf
     assert sorted(sid for _, ids in trie.genotypes() for sid in ids) == \
         sorted(g.sample_id for g in corpus)
@@ -59,32 +62,76 @@ def test_batch_engine_counts_match_trie():
     assert batch.stats.forward_locus_evals == 23
     assert batch.stats.naive_locus_evals == 50
     assert batch.stats.locus_evals_avoided == 27
-    assert batch.stats.backward_locus_evals == reversed_trie(corpus).node_count()
+    # the backward walk is not shared: loci 4..1 of each distinct genotype
+    assert batch.stats.backward_locus_evals == 7 * 4
 
 
-def test_batch_matches_per_sample_bitwise():
+def _with_dead_locus(rng, model, corpus):
+    """``model`` with every emission 0 at one locus, and ``corpus`` plus a
+    copy of its first genotype per symbol there: a 0 is certain, a 1 or 2
+    impossible, so dead rows sort between live ones."""
+    locus = int(rng.integers(model.loci))
+    emissions = model.emissions.copy()
+    emissions[locus] = 0.0
+    extra = []
+    for x in (0, 1, 2):
+        symbols = corpus[0].symbols.copy()
+        symbols[locus] = x
+        extra.append(MultilocusGenotype(f"at{x}", symbols))
+    return (FounderHMM(initial=model.initial, transitions=model.transitions,
+                       emissions=emissions), corpus + extra)
+
+
+def test_batch_matches_per_sample_bitwise(monkeypatch):
     rng = np.random.default_rng(1)
-    for trial in range(10):
-        k = int(rng.integers(2, 5))
+    for trial in range(36):
+        # tiles of one row, of a few, and of the default 64
+        monkeypatch.setattr(inference, "_TILE_ROWS", (1, 7, 64)[trial % 3])
+        k = int(rng.integers(1, 10))
         n = int(rng.integers(2, 15))
         m = int(rng.integers(2, 25))
         model = random_model(rng, k, n)
         corpus = random_corpus(rng, m, n, missing_rate=0.15)
         # force duplicates so sharing is exercised
         corpus.append(MultilocusGenotype("dup0", corpus[0].symbols.copy()))
+        if trial % 4 == 0:
+            model, corpus = _with_dead_locus(rng, model, corpus)
         shuffled = [corpus[j] for j in
                     np.random.default_rng(trial).permutation(len(corpus))]
         engines = ({}, *({"block_size": b} for b in (1, 3, n, n + 5)))
+        wants, failures = {}, {}
+        for g in corpus:
+            want = wants[g.sample_id] = posterior_scan(model, g)
+            loop = oracle.scan_per_locus(model, g.symbols)
+            for field, value in zip(("triples", "prefix_logs", "suffix_logs",
+                                     "log_likelihood"), loop):
+                assert np.array_equal(getattr(want, field), value), field
+            try:
+                table_from_scan(want)
+            except ZeroProbabilityError as exc:
+                failures[g.sample_id] = exc.locus
+        if trial % 4 == 0:
+            assert failures and len(failures) < len(corpus)
         for rows in (corpus, shuffled, corpus[:1]):
+            nodes = build_trie(rows).node_count()
             for engine in engines:
                 batch = batched_posteriors(model, rows, **engine)
-                for g in rows:
-                    want = posterior_scan(model, g)
+                assert batch.stats.forward_locus_evals == nodes
+                assert batch.failures == {g.sample_id: failures[g.sample_id]
+                                          for g in rows if g.sample_id in failures}
+                for g, r in zip(rows, batch.row_of):
+                    want = wants[g.sample_id]
                     got = batch.scans[g.sample_id]
-                    for field in ("triples", "prefix_logs", "suffix_logs",
-                                  "log_likelihood"):
+                    for field, array in (("triples", batch.triples),
+                                         ("prefix_logs", batch.prefix_logs),
+                                         ("suffix_logs", batch.suffix_logs),
+                                         ("log_likelihood", batch.log_likelihoods)):
                         assert np.array_equal(getattr(got, field),
                                               getattr(want, field)), (engine, field)
+                        assert np.array_equal(array[r], getattr(want, field))
+                    if g.sample_id in failures:
+                        assert g.sample_id not in batch.tables
+                        continue
                     direct = genotype_posteriors(model, g)
                     table = batch.tables[g.sample_id]
                     assert np.array_equal(np.asarray(table.probs),
@@ -116,17 +163,18 @@ def test_chunked_mode_is_bitwise_identical(block_size):
                               np.asarray(chunked.scans[g.sample_id].triples))
 
 
-@pytest.mark.parametrize("block_size", [1, 2, 5])
+@pytest.mark.parametrize("block_size", [1, 2, 5, 9])
 def test_chunked_mode_counts(block_size):
     rng = np.random.default_rng(6)
     model = random_model(rng, 3, 5)
     stats = batched_posteriors(model, shared_prefix_corpus(),
                                block_size=block_size).stats
-    # one walk over the 23 prefix nodes, then every block walks each of the
-    # 7 distinct genotypes once in each direction
+    # the forward walk visits each of the 23 prefix nodes once; backward,
+    # each of the 7 distinct genotypes walks loci - b loci to find the
+    # block checkpoints, then loci - ceil(loci / b) from them
     assert stats.engine == "trie-chunked"
-    assert stats.forward_locus_evals == 23 + 7 * 5
-    assert stats.backward_locus_evals == 7 * 5
+    assert stats.forward_locus_evals == 23
+    assert stats.backward_locus_evals == 7 * {1: 4, 2: 5, 5: 4, 9: 4}[block_size]
 
 
 def test_impossible_sample_is_isolated_not_fatal():
