@@ -16,7 +16,6 @@ and founder paths add 4 x loci bytes per distinct genotype at K <= 256.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import repeat
 from typing import NamedTuple
@@ -70,7 +69,7 @@ def _entry_locus_ids(locus_ids, n):
 
 
 def detect_errors(model: FounderHMM, corpus, threshold: float = DEFAULT_RATIO_THRESHOLD,
-                  *, locus_ids=None, block_size: int | None = None) -> ErrorReport:
+                  *, locus_ids=None) -> ErrorReport:
     """Likelihood-ratio screen of every typed symbol.
 
     The ratio compares the best single-symbol substitution at a locus with
@@ -82,7 +81,7 @@ def detect_errors(model: FounderHMM, corpus, threshold: float = DEFAULT_RATIO_TH
     if not threshold > 0:
         raise InputError(f"threshold must be positive, got {threshold}")
     genos = list(corpus)
-    batch = batched_posteriors(model, genos, block_size=block_size)
+    batch = batched_posteriors(model, genos)
     ids = _entry_locus_ids(locus_ids, len(genos[0]))
     entries = []
     for g, r in zip(genos, batch.row_of.tolist()):
@@ -148,8 +147,7 @@ class RecoveryResult:
     stats: object
 
 
-def recover_missing(model: FounderHMM, corpus, *,
-                    block_size: int | None = None) -> RecoveryResult:
+def recover_missing(model: FounderHMM, corpus) -> RecoveryResult:
     """Replace every MISSING symbol with its posterior argmax.
 
     Completed genotypes pass through unchanged so the operation is a
@@ -157,7 +155,7 @@ def recover_missing(model: FounderHMM, corpus, *,
     left untouched and reported in ``failures``.
     """
     genos = list(corpus)
-    batch = batched_posteriors(model, genos, block_size=block_size)
+    batch = batched_posteriors(model, genos)
     fills = []
     failures = dict(batch.failures)
     out = []
@@ -209,7 +207,7 @@ class WindowReport:
     hi: int
     targets: tuple
     train_iterations: int
-    model: FounderHMM | None
+    model: FounderHMM
 
 
 @dataclass(frozen=True)
@@ -262,18 +260,14 @@ def _window_corpus(genos, locus_map, lo, hi):
 
 
 def impute_untyped(reference, corpus, locus_map: LocusMap, config: TrainConfig,
-                   *, window: WindowSpec = WindowSpec(),
-                   block_size: int | None = None, threads: int = 1,
-                   keep_models: bool = False) -> ImputationResult:
+                   *, window: WindowSpec = WindowSpec()) -> ImputationResult:
     """Posterior calls at every untyped locus.
 
     Each window model is trained on the reference haplotypes restricted to
     the window's loci (iteration cap of 50), then the corpus rows are
     scored in one batched pass per window with the target column MISSING.
-    Windows are independent, so they parallelize across ``threads``.
+    Every window's model is kept in its :class:`WindowReport`.
     """
-    if not threads >= 1:
-        raise InputError(f"threads must be >= 1, got {threads}")
     reference = list(reference)
     genos = list(corpus)
     if not reference:
@@ -287,40 +281,25 @@ def impute_untyped(reference, corpus, locus_map: LocusMap, config: TrainConfig,
         if len(g) != typed_idx.size:
             raise InputError(
                 f"genotype {g.sample_id!r} has {len(g)} loci, map has {typed_idx.size} typed")
-    groups = window_spans(locus_map, window)
     wcfg = window_config(config)
-
-    def run_group(item):
-        (lo, hi), targets = item
-        ref_window = [HaplotypeSequence(h.id, h.alleles[lo:hi + 1]) for h in reference]
-        wmodel, wreport = train_founder_hmm(ref_window, wcfg)
-        wcorpus = _window_corpus(genos, locus_map, lo, hi)
-        batch = batched_posteriors(wmodel, wcorpus, block_size=block_size)
-        return (lo, hi, targets, wreport.iterations_run,
-                wmodel if keep_models else None,
-                batch.triples[:, np.asarray(targets) - lo], batch.row_of,
-                batch.stats)
-
-    if threads > 1 and len(groups) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run_group, groups))
-    else:
-        results = [run_group(item) for item in groups]
-
     per_position = {}
     windows = []
     failures = []
     fevals = bevals = 0
-    for lo, hi, targets, iters, wmodel, triples, row_of, stats in results:
-        windows.append(WindowReport(lo, hi, targets, iters, wmodel))
-        fevals += stats.forward_locus_evals
-        bevals += stats.backward_locus_evals
+    for (lo, hi), targets in window_spans(locus_map, window):
+        ref_window = [HaplotypeSequence(h.id, h.alleles[lo:hi + 1]) for h in reference]
+        wmodel, wreport = train_founder_hmm(ref_window, wcfg)
+        batch = batched_posteriors(wmodel, _window_corpus(genos, locus_map, lo, hi))
+        windows.append(WindowReport(lo, hi, targets, wreport.iterations_run, wmodel))
+        fevals += batch.stats.forward_locus_evals
+        bevals += batch.stats.backward_locus_evals
+        triples = batch.triples[:, np.asarray(targets) - lo]
         totals = triples.sum(axis=2)
         with np.errstate(divide="ignore", invalid="ignore"):
             probs = (triples / totals[:, :, None]).tolist()
         calls = triples.argmax(axis=2).tolist()
         dead = (totals <= 0.0).tolist()
-        for g, r in zip(genos, row_of.tolist()):
+        for g, r in zip(genos, batch.row_of.tolist()):
             for t, p, call, d in zip(targets, probs[r], calls[r], dead[r]):
                 if d:
                     failures.append((g.sample_id, t))
@@ -524,8 +503,7 @@ class PipelineResult:
 
 def run_pipeline(mode: str, reference, corpus, locus_map: LocusMap,
                  config: TrainConfig, *, window: WindowSpec = WindowSpec(),
-                 threshold: float = DEFAULT_RATIO_THRESHOLD,
-                 block_size: int | None = None, threads: int = 1) -> PipelineResult:
+                 threshold: float = DEFAULT_RATIO_THRESHOLD) -> PipelineResult:
     """Run one of the two supported flows.
 
     "imp" imputes untyped loci directly. "edc-mdr-imp" first trains a
@@ -559,7 +537,7 @@ def run_pipeline(mode: str, reference, corpus, locus_map: LocusMap,
 
         t0 = time.perf_counter()
         error_report = detect_errors(model1, working, threshold,
-                                     locus_ids=typed_ids, block_size=block_size)
+                                     locus_ids=typed_ids)
         working, changes = correct_errors(working, error_report)
         stages.append(StageReport("detect-correct", time.perf_counter() - t0, {
             "flagged": len(error_report.flagged()),
@@ -569,7 +547,7 @@ def run_pipeline(mode: str, reference, corpus, locus_map: LocusMap,
         }))
 
         t0 = time.perf_counter()
-        recovery = recover_missing(model1, working, block_size=block_size)
+        recovery = recover_missing(model1, working)
         working = recovery.corpus
         stages.append(StageReport("recover-missing", time.perf_counter() - t0, {
             "filled": len(recovery.fills),
@@ -579,8 +557,7 @@ def run_pipeline(mode: str, reference, corpus, locus_map: LocusMap,
 
     t0 = time.perf_counter()
     imputation = impute_untyped(reference, working, locus_map, config,
-                                window=window, block_size=block_size,
-                                threads=threads)
+                                window=window)
     stages.append(StageReport("impute-untyped", time.perf_counter() - t0, {
         "windows": len(imputation.windows),
         "entries": len(imputation.entries),

@@ -9,12 +9,10 @@ flag would (on/off flags take JSON booleans) or the run exits 1; keys the
 subcommand lacks are ignored, and file paths are flag-only. So every
 option resolves as flags > config file > built-in default, and the
 effective settings are echoed as a ``#config:`` line into each output.
---block-size and --threads change how answers are computed, never what
-they are, so they stay out of the echo and outputs stay diffable across
-them. --threads defaults to 1: the window pool contends for the
-interpreter lock, so more threads slow imputation down. Timing goes to
-stderr or to explicitly requested log files, never into primary artifacts
-(bench excepted — its whole artifact is a timing table).
+The engine runs on one thread and bounds its own memory, so no option
+tunes how an answer is computed. Timing goes to stderr or to explicitly
+requested log files, never into primary artifacts (bench excepted — its
+whole artifact is a timing table).
 
 Exit status: 0 success, 1 bad input (message names file/line/field where
 known), 2 internal error.
@@ -108,19 +106,10 @@ def _build_parser():
     windowed.add_argument("--flank", type=int, default=10,
                           help="typed loci on each side of an imputation "
                                "window (default: %(default)s)")
-    threaded = _Parser(add_help=False)
-    threaded.add_argument("--threads", type=int, default=1,
-                          help="windows, or sweep cells, run in parallel "
-                               "(identical output; default: %(default)s)")
     screened = _Parser(add_help=False)
     screened.add_argument("--threshold", type=float,
                           default=DEFAULT_RATIO_THRESHOLD,
                           help="flagging likelihood ratio (default: %(default)s)")
-    engine = _Parser(add_help=False)
-    engine.add_argument("--block-size", type=int, default=None,
-                        help="bound backward-state memory by recomputing in "
-                             "blocks of this many loci (identical output; "
-                             "default: no blocks)")
     jsonf = _Parser(add_help=False)
     jsonf.add_argument("--json", action="store_true",
                        help="write the report as JSON instead of TSV")
@@ -155,7 +144,7 @@ def _build_parser():
                    help="write iteration trace and timing here (default: "
                         "summary on stderr)")
 
-    p = command("detect", _cmd_detect, [screened, engine, jsonf],
+    p = command("detect", _cmd_detect, [screened, jsonf],
                 help="screen typed symbols for likely errors",
                 description="Flag symbols whose best substitution beats the "
                             "observed symbol by more than the threshold "
@@ -176,7 +165,7 @@ def _build_parser():
                    help="detect output (TSV or JSON)")
     p.add_argument("--out", metavar=PATH, required=True, help="corrected genotype file")
 
-    p = command("recover", _cmd_recover, [engine, jsonf],
+    p = command("recover", _cmd_recover, [jsonf],
                 help="fill missing symbols by posterior argmax",
                 description="Replace every '?' with its most probable symbol "
                             "under the model.",
@@ -187,7 +176,7 @@ def _build_parser():
     p.add_argument("--fills", metavar=PATH, help="optional fill log")
 
     p = command("impute", _cmd_impute,
-                [fitted, windowed, seeded, threaded, engine, jsonf],
+                [fitted, windowed, seeded, jsonf],
                 help="call untyped loci from a reference panel",
                 description="Train a local window model around each untyped "
                             "locus on the reference panel and call the "
@@ -211,7 +200,7 @@ def _build_parser():
     p.add_argument("--out", metavar=PATH, required=True)
 
     p = command("pipeline", _cmd_pipeline,
-                [fitted, windowed, screened, seeded, threaded, engine, jsonf],
+                [fitted, windowed, screened, seeded, jsonf],
                 help="run a full flow over one dataset",
                 description="'imp' imputes directly; 'edc-mdr-imp' first "
                             "repairs the corpus (detect/correct errors, then "
@@ -257,7 +246,7 @@ def _build_parser():
                         "restricts scoring to untyped loci")
     p.add_argument("--out", metavar=PATH, help="optional report file")
 
-    p = command("sweep", _cmd_sweep, [simulated, seeded, threaded],
+    p = command("sweep", _cmd_sweep, [simulated, seeded],
                 help="grid of pipeline runs on one synthetic dataset",
                 description="Cross product over founder counts, nested panel "
                             "sizes, window flanks, and modes; one row per "
@@ -395,8 +384,7 @@ def _cmd_detect(args):
     if not corpus:
         raise InputError(f"{args.genotypes}: empty corpus")
     locus_ids = _map_typed_ids(args.map, len(corpus[0])) if args.map else None
-    report = detect_errors(model, corpus, args.threshold, locus_ids=locus_ids,
-                           block_size=args.block_size)
+    report = detect_errors(model, corpus, args.threshold, locus_ids=locus_ids)
     echo = _echo("detect", {"model": args.model, "genotypes": args.genotypes,
                             "threshold": args.threshold,
                             "map": args.map or "-"})
@@ -418,7 +406,7 @@ def _cmd_correct(args):
 
 def _cmd_recover(args):
     model, corpus = _model_and_corpus(args)
-    result = recover_missing(model, corpus, block_size=args.block_size)
+    result = recover_missing(model, corpus)
     echo = _echo("recover", {"model": args.model, "genotypes": args.genotypes})
     write_genotypes(args.out, result.corpus, config_line=echo)
     if args.fills:
@@ -433,8 +421,7 @@ def _cmd_impute(args):
     locus_map = read_locus_map(args.map)
     cfg = TrainConfig(founders=args.founders, seed=args.seed)
     result = impute_untyped(reference, corpus, locus_map, cfg,
-                            window=WindowSpec(flank=args.flank),
-                            block_size=args.block_size, threads=args.threads)
+                            window=WindowSpec(flank=args.flank))
     echo = _echo("impute", {"panel": args.panel, "genotypes": args.genotypes,
                             "map": args.map, "founders": args.founders,
                             "flank": args.flank, "seed": args.seed})
@@ -456,14 +443,15 @@ def _cmd_phase(args):
 
 
 def _cmd_pipeline(args):
+    if args.report_out and args.mode != PIPELINE_REPAIR_IMPUTE:
+        raise InputError("--report-out needs --mode edc-mdr-imp")
     reference = read_haplotypes(args.panel)
     corpus = read_genotypes(args.genotypes)
     locus_map = read_locus_map(args.map)
     cfg = TrainConfig(founders=args.founders, seed=args.seed)
     result = run_pipeline(args.mode, reference, corpus, locus_map, cfg,
                           window=WindowSpec(flank=args.flank),
-                          threshold=args.threshold,
-                          block_size=args.block_size, threads=args.threads)
+                          threshold=args.threshold)
     echo = _echo("pipeline", {"mode": args.mode, "panel": args.panel,
                               "genotypes": args.genotypes, "map": args.map,
                               "founders": args.founders, "flank": args.flank,
@@ -473,8 +461,6 @@ def _cmd_pipeline(args):
     if args.corpus_out:
         write_genotypes(args.corpus_out, result.corpus_out, config_line=echo)
     if args.report_out:
-        if result.error_report is None:
-            raise InputError("--report-out needs --mode edc-mdr-imp")
         write_error_report(args.report_out, result.error_report,
                            config_line=echo, json_mode=args.json)
     for stage in result.stages:
@@ -547,7 +533,7 @@ def _cmd_sweep(args):
     data = simulate(cfg)
     rows = sweep(data, founder_counts=args.founders_grid,
                  panel_sizes=args.panel_grid, flanks=args.flank_grid,
-                 modes=args.modes, threads=args.threads)
+                 modes=args.modes)
     echo = _echo("sweep", {**pairs, "founders_grid": _joined(args.founders_grid),
                            "panel_grid": _joined(args.panel_grid),
                            "flank_grid": _joined(args.flank_grid),

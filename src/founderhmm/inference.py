@@ -26,6 +26,9 @@ from .model import (MISSING, FounderHMM, InputError, MultilocusGenotype,
 # Distinct genotypes the batch engine steps together. A fixed count keeps
 # a tile's memory linear in loci and the engine's time linear in rows.
 _TILE_ROWS = 64
+# Byte cap on the backward states one tile holds; longer genotypes walk
+# in checkpointed blocks of loci, which changes the pace, never the answer.
+_TILE_BYTES = 64 << 20
 
 
 def _planes(symbols: np.ndarray) -> np.ndarray:
@@ -89,7 +92,14 @@ def _reversed(etab: np.ndarray, trans: np.ndarray):
     return etab[::-1], trans[::-1].transpose(0, 2, 1)
 
 
-def _scan_rows(model, etab, planes, lcps, block_size=None):
+def _block_loci(rows: int, loci: int, founders: int) -> int:
+    """Loci per checkpointed block: all of them when one tile's backward
+    states fit in ``_TILE_BYTES``, else as many as fit, at least one."""
+    per_locus = min(rows, _TILE_ROWS) * founders * founders * 8
+    return max(1, min(loci, _TILE_BYTES // per_locus))
+
+
+def _scan_rows(model, etab, planes, lcps):
     """Posterior scans of prefix-sorted distinct genotypes, as arrays.
 
     Row r of ``planes`` (rows, n) shares its first lcps[r] emission planes
@@ -97,16 +107,17 @@ def _scan_rows(model, etab, planes, lcps, block_size=None):
     (rows, n) and log-likelihoods (rows,), as :class:`PosteriorScan`
     defines them, and the counts of forward and backward locus
     evaluations. In each tile of ``_TILE_ROWS`` rows, a right-to-left
-    walk keeps the last backward state of each block of ``block_size``
-    loci; left to right, each block re-walks its backward states from
-    there while the forward walk crosses it. At depth d that walk steps
+    walk keeps the last backward state of each block of
+    :func:`_block_loci` loci; left to right, each block re-walks its
+    backward states from there while the forward walk crosses it (one
+    block of all loci skips the first walk). At depth d that walk steps
     only the rows with lcps <= d; the others take the state of the row
     before them, carried over from the previous tile for a tile's first.
     """
     rows, n = planes.shape
     k, trans = model.founders, model.transitions
     retab, rtrans = _reversed(etab, trans)
-    b = n if block_size is None else block_size
+    b = _block_loci(rows, n, k)
     blocks = [(lo, min(lo + b, n)) for lo in range(0, n, b)]
     triples = np.empty((rows, n, 3))
     flogs, blogs = np.empty((rows, n)), np.empty((rows, n))

@@ -45,12 +45,16 @@ def fmt(value) -> str:
 
 def atomic_write(path, text: str):
     """Write whole-file via a temp file and rename, so readers never see a
-    partial artifact."""
+    partial artifact. The file gets the mode open() would give it under
+    the current umask, not mkstemp's 0600."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+    umask = os.umask(0)
+    os.umask(umask)
     try:
         with os.fdopen(fd, "w", newline="\n") as fh:
             fh.write(text)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         try:

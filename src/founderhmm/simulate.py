@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
@@ -301,53 +300,39 @@ class SweepRow(NamedTuple):
 
 
 def sweep(data: SimData, *, founder_counts=(7,), panel_sizes=(100,),
-          flanks=(10,), modes=(PIPELINE_IMPUTE_ONLY,), train_seed=0,
-          threads: int = 1, cell_threads: int = 1):
+          flanks=(10,), modes=(PIPELINE_IMPUTE_ONLY,), train_seed=0):
     """One pipeline run per grid cell on a shared dataset.
 
     Panels are nested: a cell with panel size p uses the first p reference
     haplotypes, so growing the panel only adds information. Cell failures
     are captured in the row, never raised. Cell seeds derive from the
     dataset seed and the cell index, so results do not depend on execution
-    order or thread count.
+    order.
     """
-    if not min(threads, cell_threads) >= 1:
-        raise InputError("threads must be >= 1")
     cells = list(itertools.product(founder_counts, panel_sizes, flanks, modes))
-    if not cells:
-        return []
     for _, p, _, _ in cells:
         if p > len(data.reference):
             raise InputError(
                 f"panel size {p} exceeds the {len(data.reference)} reference haplotypes")
     seeds = np.random.SeedSequence(entropy=(data.config.seed, train_seed))
-    children = seeds.spawn(len(cells))
-
-    def run_cell(args):
-        (founders, panel, flank, mode), child = args
+    rows = []
+    for (founders, panel, flank, mode), child in zip(cells, seeds.spawn(len(cells))):
         cell_seed = int(child.generate_state(1)[0])
         start = time.perf_counter()
         try:
             cfg = TrainConfig(founders=founders, seed=cell_seed)
             result = run_pipeline(mode, data.reference[:panel], data.observed,
                                   data.locus_map, cfg,
-                                  window=WindowSpec(flank=flank),
-                                  threads=cell_threads)
+                                  window=WindowSpec(flank=flank))
             report = evaluate(result.imputation, data.truth_genotypes)
-            elapsed = time.perf_counter() - start
-            return SweepRow(founders, panel, flank, mode, report.total,
-                            report.discordant, report.discordance_rate,
-                            elapsed, False, "")
+            rows.append(SweepRow(founders, panel, flank, mode, report.total,
+                                 report.discordant, report.discordance_rate,
+                                 time.perf_counter() - start, False, ""))
         except Exception as exc:  # isolate the cell, keep the sweep alive
-            elapsed = time.perf_counter() - start
-            return SweepRow(founders, panel, flank, mode, 0, 0, float("nan"),
-                            elapsed, True, f"{type(exc).__name__}: {exc}")
-
-    jobs = list(zip(cells, children))
-    if threads > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(run_cell, jobs))
-    return [run_cell(j) for j in jobs]
+            rows.append(SweepRow(founders, panel, flank, mode, 0, 0, float("nan"),
+                                 time.perf_counter() - start, True,
+                                 f"{type(exc).__name__}: {exc}"))
+    return rows
 
 
 class BenchRow(NamedTuple):

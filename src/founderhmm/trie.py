@@ -14,13 +14,13 @@ MISSING branches like any other symbol.
 Memory: the result holds substitution weights, posteriors and prefix and
 suffix log sums, 9 x 8 bytes per distinct genotype and locus, and the
 sorted genotypes and their emission planes take 2 bytes more. While it
-runs, the default mode holds one tile's backward states, 64 x loci x K^2
-x 8 bytes: 125 MB at 5000 loci and K = 7, for any number of genotypes.
-The block-chunked mode (``block_size`` = b) keeps backward checkpoints at
-block starts and re-walks one block at a time, 64 x (ceil(loci / b) + b)
-x K^2 x 8 bytes: 3.8 MB in that example at b = 100, for about one more
-backward evaluation per locus. Both modes add the carried row's forward
-states, at most loci x K^2 x 8 bytes, and give identical numbers.
+runs, the engine holds one tile's backward states, 64 x loci x K^2 x 8
+bytes for any number of genotypes, capped at 64 MiB. Past the cap (above
+2674 loci at K = 7) it keeps backward checkpoints at the starts of blocks
+of b loci, b as many as fit, and re-walks one block at a time, for loci -
+b more backward evaluations per genotype: 46% more at 5000 loci and K = 7,
+where b = 2674. The checkpoints add 64 x K^2 x 8 bytes per block, and the
+carried row's forward states at most loci x K^2 x 8 bytes. Blocks change the pace, never the numbers.
 """
 from __future__ import annotations
 
@@ -106,12 +106,12 @@ class BatchStats:
     """Work accounting for one batched run. A locus evaluation is one
     emission absorption plus its transition step.
 
-    The forward walk evaluates each prefix-trie node once, in both modes.
-    The backward walk is not shared over suffixes. With blocks of b loci
-    (b = loci by default), it walks loci - b loci of every distinct
-    genotype to find the blocks' checkpoints, then each block again from
-    its checkpoint, loci - ceil(loci / b) in all: loci - 1 per distinct
-    genotype by default.
+    The forward walk evaluates each prefix-trie node once. The backward
+    walk is not shared over suffixes: loci - 1 evaluations per distinct
+    genotype. When the engine splits loci into blocks of b (see the module
+    docstring), it first walks loci - b loci of every distinct genotype to
+    find the blocks' checkpoints, then each block again from its
+    checkpoint, loci - ceil(loci / b) in all.
     """
 
     samples: int
@@ -119,7 +119,6 @@ class BatchStats:
     distinct_genotypes: int
     forward_locus_evals: int
     backward_locus_evals: int
-    engine: str
 
     @property
     def naive_locus_evals(self) -> int:
@@ -153,13 +152,11 @@ class BatchPosteriorResult:
     stats: BatchStats
 
 
-def batched_posteriors(model: FounderHMM, corpus, *,
-                       block_size: int | None = None) -> BatchPosteriorResult:
+def batched_posteriors(model: FounderHMM, corpus) -> BatchPosteriorResult:
     """Posterior scans for every corpus genotype.
 
-    ``block_size`` selects the memory-bounded chunked mode. Results are
-    identical in both modes, bitwise equal to per-sample
-    :func:`posterior_scan`, and independent of corpus order.
+    Results are bitwise equal to per-sample :func:`posterior_scan`, and
+    independent of corpus order and of the engine's block length.
     """
     genos, n = _corpus_symbols(corpus)
     if n != model.loci:
@@ -167,12 +164,10 @@ def batched_posteriors(model: FounderHMM, corpus, *,
     ids = [g.sample_id for g in genos]
     if len(set(ids)) != len(ids):
         raise InputError("corpus sample ids must be unique")
-    if block_size is not None and block_size < 1:
-        raise InputError("block_size must be >= 1")
 
     trie = build_trie(genos)
     arrays, (fevals, bevals) = _scan_rows(model, emission_stack(model),
-                                          _planes(trie.rows), trie.lcps, block_size)
+                                          _planes(trie.rows), trie.lcps)
     row_scans = [PosteriorScan(t, f, b, float(ll)) for t, f, b, ll in zip(*arrays)]
     row_tables, dead = {}, {}
     for r, scan in enumerate(row_scans):
@@ -183,8 +178,7 @@ def batched_posteriors(model: FounderHMM, corpus, *,
     pairs = list(zip(ids, trie.row_of.tolist()))
     stats = BatchStats(samples=len(genos), loci=n,
                        distinct_genotypes=len(row_scans),
-                       forward_locus_evals=fevals, backward_locus_evals=bevals,
-                       engine="trie" if block_size is None else "trie-chunked")
+                       forward_locus_evals=fevals, backward_locus_evals=bevals)
     return BatchPosteriorResult(
         *arrays, row_of=trie.row_of,
         tables={sid: row_tables[r] for sid, r in pairs if r in row_tables},

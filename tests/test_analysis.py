@@ -334,26 +334,13 @@ def test_impute_beats_chance_on_easy_instance():
     assert report.discordance_rate < 0.25
 
 
-def test_impute_threads_do_not_change_answers():
-    data = masked_instance(12)
-    cfg = TrainConfig(founders=3, seed=0)
-    serial = impute_untyped(data.reference, data.observed, data.locus_map,
-                            cfg, window=WindowSpec(flank=3), threads=1)
-    threaded = impute_untyped(data.reference, data.observed, data.locus_map,
-                              cfg, window=WindowSpec(flank=3), threads=4)
-    assert serial.entries == threaded.entries
-
-
-def test_impute_keep_models_exposes_window_models():
+def test_impute_reports_every_window_model():
     data = masked_instance(13, loci=30, mask_fraction=0.1)
     cfg = TrainConfig(founders=2, seed=0)
-    with_models = impute_untyped(data.reference, data.observed,
-                                 data.locus_map, cfg, keep_models=True)
-    without = impute_untyped(data.reference, data.observed, data.locus_map,
-                             cfg)
-    assert all(w.model is not None for w in with_models.windows)
-    assert all(w.model is None for w in without.windows)
-    for w in with_models.windows:
+    result = impute_untyped(data.reference, data.observed, data.locus_map, cfg)
+    assert result.windows
+    for w in result.windows:
+        assert isinstance(w.model, FounderHMM)
         assert w.model.loci == w.hi - w.lo + 1
 
 
@@ -366,9 +353,6 @@ def test_impute_validates_alignment():
     bad_corpus = [MultilocusGenotype("s", np.zeros(3, dtype=np.int8))]
     with pytest.raises(InputError):
         impute_untyped(data.reference, bad_corpus, data.locus_map, cfg)
-    with pytest.raises(InputError):
-        impute_untyped(data.reference, data.observed, data.locus_map, cfg,
-                       threads=0)
 
 
 # ----------------------------------------------------------------- phasing

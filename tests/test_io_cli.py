@@ -4,6 +4,7 @@ through main(argv)."""
 import json
 import os
 import re
+import stat
 
 import numpy as np
 import pytest
@@ -285,6 +286,18 @@ def test_atomic_write_leaves_no_droppings(tmp_path):
     assert os.listdir(tmp_path) == ["out.txt"]
 
 
+@pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600)])
+def test_written_files_take_their_mode_from_the_umask(tmp_path, umask, mode):
+    target = tmp_path / "g.gen"
+    previous = os.umask(umask)
+    try:
+        write_genotypes(target, [MultilocusGenotype(
+            "S0", np.array([0, 1, 2], dtype=np.int8))])
+    finally:
+        os.umask(previous)
+    assert stat.S_IMODE(os.stat(target).st_mode) == mode
+
+
 def test_config_file_loading(tmp_path):
     good = tmp_path / "c.json"
     good.write_text('{"founders": 3, "threshold": 50.0, "naive": true}')
@@ -369,11 +382,11 @@ def test_impute_and_pipeline_agree(ws):
     piped = str(root / "piped.imp.tsv")
     assert run_cli("impute", "--panel", ws["ref"], "--genotypes", ws["gen"],
                    "--map", ws["map"], "--founders", "3", "--flank", "4",
-                   "--seed", "0", "--threads", "1", "--out", direct) == 0
+                   "--seed", "0", "--out", direct) == 0
     assert run_cli("pipeline", "--mode", "imp", "--panel", ws["ref"],
                    "--genotypes", ws["gen"], "--map", ws["map"],
                    "--founders", "3", "--flank", "4", "--seed", "0",
-                   "--threads", "1", "--out", piped) == 0
+                   "--out", piped) == 0
     body = lambda p: [l for l in open(p) if not l.startswith("#config:")]
     assert body(direct) == body(piped)
 
@@ -383,9 +396,8 @@ def test_repeat_runs_are_byte_identical(ws):
     outs = [str(root / f"rerun{i}.imp.tsv") for i in range(3)]
     base = ["--panel", ws["ref"], "--genotypes", ws["gen"], "--map", ws["map"],
             "--founders", "3", "--flank", "4", "--seed", "0"]
-    assert run_cli("impute", *base, "--threads", "1", "--out", outs[0]) == 0
-    assert run_cli("impute", *base, "--threads", "1", "--out", outs[1]) == 0
-    assert run_cli("impute", *base, "--threads", "3", "--out", outs[2]) == 0
+    for out in outs:
+        assert run_cli("impute", *base, "--out", out) == 0
     reference_bytes = open(outs[0], "rb").read()
     for other in outs[1:]:
         assert open(other, "rb").read() == reference_bytes
@@ -393,24 +405,15 @@ def test_repeat_runs_are_byte_identical(ws):
 
 def test_detect_engine_toggles_match(ws):
     root = ws["root"]
-    outs = {}
-    cfg = root / "engine-block.json"
-    cfg.write_text('{"block_size": 5}')
-    text_cfg = root / "engine-text.json"  # "7" parses as --block-size 7 does,
-    text_cfg.write_text('{"block_size": "7", "naive": true}')  # naive: ignored
-    for name, extra in (("plain", []), ("blocked", ["--block-size", "7"]),
-                        ("configured", ["--config", str(cfg)]),
-                        ("text", ["--config", str(text_cfg)])):
+    cfg = root / "engine-retired.json"  # keys of removed options: ignored
+    cfg.write_text('{"block_size": 5, "threads": 3, "naive": true}')
+    outs = []
+    for name, extra in (("plain", []), ("configured", ["--config", str(cfg)])):
         path = str(root / f"engine-{name}.tsv")
         assert run_cli("detect", "--model", ws["model"],
                        "--genotypes", ws["gen"], "--out", path, *extra) == 0
-        outs[name] = open(path, "rb").read()
-    assert outs["plain"] == outs["blocked"] == outs["configured"] == outs["text"]
-    for bad in ('{"block_size": 0}', '{"block_size": "0"}'):  # read and checked
-        cfg.write_text(bad)
-        assert run_cli("detect", "--model", ws["model"], "--genotypes", ws["gen"],
-                       "--out", str(root / "engine-bad.tsv"),
-                       "--config", str(cfg)) == 1
+        outs.append(open(path, "rb").read())
+    assert outs[0] == outs[1]
 
 
 def test_phase_writes_two_rows_per_sample(ws):
@@ -470,7 +473,7 @@ def test_sweep_cli_segregates_timings(ws):
     args = ["sweep", "--out", table, "--timings", timings,
             "--founders-grid", "2,3", "--panel-grid", "20,30",
             "--flank-grid", "4", "--loci", "30", "--samples", "4",
-            "--mask-fraction", "0.1", "--seed", "5", "--threads", "2"]
+            "--mask-fraction", "0.1", "--seed", "5"]
     assert run_cli(*args) == 0
     head = open(table).readlines()
     assert head[0].startswith("#config: sweep ")
@@ -587,7 +590,7 @@ def test_config_does_not_carry_over_to_the_next_call(ws, tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("subcommand,field,value", [
     ("train", "founders", "x"), ("train", "founders", 3.9),
-    ("train", "founders", 3.0), ("detect", "block_size", "x"),
+    ("train", "founders", 3.0), ("detect", "threshold", "x"),
     ("detect", "json", "false"), ("pipeline", "mode", "x")])
 def test_bad_config_value_names_file_and_field(ws, tmp_path, monkeypatch,
                                                capsys, subcommand, field, value):
@@ -631,6 +634,34 @@ def test_usage_problems_exit_one(capsys):
     assert "error:" in err
 
 
+def test_removed_engine_options_exit_one(ws, tmp_path, capsys):
+    out = str(tmp_path / "o")
+    data = ["--genotypes", ws["gen"], "--out", out]
+    panel = ["--panel", ws["ref"], "--map", ws["map"], *data]
+    for argv in (["impute", *panel, "--threads", "2"],
+                 ["impute", *panel, "--block-size", "7"],
+                 ["pipeline", *panel, "--threads", "2"],
+                 ["pipeline", *panel, "--block-size", "7"],
+                 ["detect", "--model", ws["model"], *data, "--block-size", "7"],
+                 ["recover", "--model", ws["model"], *data, "--block-size", "7"],
+                 ["sweep", "--out", out, "--threads", "2"]):
+        assert run_cli(*argv) == 1, argv
+        assert "error: unrecognized arguments: --" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+def test_pipeline_report_out_needs_repair_mode_up_front(ws, tmp_path, capsys):
+    out, corpus_out = tmp_path / "imp.tsv", tmp_path / "repaired.gen"
+    assert run_cli("pipeline", "--mode", "imp", "--panel", ws["ref"],
+                   "--genotypes", ws["gen"], "--map", ws["map"],
+                   "--founders", "3", "--flank", "4", "--out", str(out),
+                   "--corpus-out", str(corpus_out),
+                   "--report-out", str(tmp_path / "report.tsv")) == 1
+    assert capsys.readouterr().err == (
+        "error: --report-out needs --mode edc-mdr-imp\n")
+    assert not out.exists() and not corpus_out.exists()
+
+
 def test_missing_and_malformed_inputs_exit_one(ws, tmp_path, capsys):
     assert run_cli("detect", "--model", str(tmp_path / "nope.model"),
                    "--genotypes", ws["gen"], "--out", str(tmp_path / "o")) == 1
@@ -645,8 +676,6 @@ def test_missing_and_malformed_inputs_exit_one(ws, tmp_path, capsys):
                    "--out", str(tmp_path / "m"), "--config", str(cfg)) == 1
     panel = f"{ws['prefix']}.ref.typed.hap"
     out = str(tmp_path / "o")
-    impute = ["impute", "--panel", ws["ref"], "--genotypes", ws["gen"],
-              "--map", ws["map"], "--out", out]
     for argv in (["train", "--panel", panel, "--out", out, "--seed", "-1"],
                  ["train", "--panel", panel, "--out", out, "--pseudocount", "nan"],
                  ["train", "--panel", panel, "--out", out, "--pseudocount", "inf"],
@@ -654,8 +683,7 @@ def test_missing_and_malformed_inputs_exit_one(ws, tmp_path, capsys):
                  ["bench", "--out", out, "--repeats", "0"],
                  ["bench", "--out", out, "--loci-grid", "4,4"],
                  ["detect", "--model", ws["model"], "--genotypes", ws["gen"],
-                  "--out", out, "--threshold", "nan"],
-                 [*impute, "--threads", "0"]):
+                  "--out", out, "--threshold", "nan"]):
         assert run_cli(*argv) == 1, argv
         assert "error:" in capsys.readouterr().err
     short = tmp_path / "short.gen"
@@ -682,11 +710,10 @@ def test_internal_faults_exit_two(ws, tmp_path, monkeypatch, capsys):
 # The options each subcommand takes from a config file: all but file paths.
 CONFIG_KEYS = {
     "train": ("founders", "seed", "max_iterations", "tolerance", "pseudocount"),
-    "detect": ("threshold", "block_size", "json"),
-    "recover": ("block_size", "json"),
-    "impute": ("founders", "flank", "threads", "seed", "block_size", "json"),
-    "pipeline": ("founders", "flank", "threshold", "seed", "threads",
-                 "block_size", "json", "mode"),
+    "detect": ("threshold", "json"),
+    "recover": ("json",),
+    "impute": ("founders", "flank", "seed", "json"),
+    "pipeline": ("founders", "flank", "threshold", "seed", "json", "mode"),
 }
 
 
@@ -717,7 +744,7 @@ def tiny(tmp_path_factory):
 
 
 # Integers stay small and text holds no digits, so no drawn value can ask
-# for a large model, many iterations or many threads.
+# for a large model or many iterations.
 CONFIG_VALUES = st.one_of(
     st.text(st.characters(blacklist_categories=("Nd", "Cs")), max_size=6),
     st.booleans(), st.floats(allow_nan=True, allow_infinity=True),
@@ -730,7 +757,9 @@ CONFIG_VALUES = st.one_of(
 @given(data=st.data())
 def test_any_config_exits_zero_or_one(tiny, subcommand, data):
     root, argv = tiny  # --config outranks the environment variable
-    keys = st.sampled_from(CONFIG_KEYS[subcommand] + ("naive",))
+    # keys of removed options are ignored
+    keys = st.sampled_from(CONFIG_KEYS[subcommand]
+                           + ("naive", "threads", "block_size"))
     config = data.draw(st.dictionaries(keys, CONFIG_VALUES), label="config")
     cfg = root / f"{subcommand}.json"
     cfg.write_text(json.dumps(config))

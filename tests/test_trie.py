@@ -24,6 +24,18 @@ SHARED_PREFIX_ROWS = [
 ]
 
 
+# The engine's own tile byte cap, before any test patches it.
+TILE_BYTES = inference._TILE_BYTES
+
+
+def pin_block_loci(monkeypatch, rows, k, b):
+    """Set the tile byte cap so that ``rows`` distinct genotypes of a
+    ``k``-founder model walk in blocks of ``b`` loci (one block when b is
+    at least the locus count)."""
+    per_locus = min(rows, inference._TILE_ROWS) * k * k * 8
+    monkeypatch.setattr(inference, "_TILE_BYTES", per_locus * b)
+
+
 def shared_prefix_corpus():
     return [MultilocusGenotype(f"s{j}", np.array([int(c) for c in row],
                                                  dtype=np.int8))
@@ -55,7 +67,6 @@ def test_batch_engine_counts_match_trie():
     model = random_model(rng, 3, 5)
     corpus = shared_prefix_corpus()
     batch = batched_posteriors(model, corpus)
-    assert batch.stats.engine == "trie"
     assert batch.stats.samples == 10
     assert batch.stats.loci == 5
     assert batch.stats.distinct_genotypes == 7
@@ -98,7 +109,6 @@ def test_batch_matches_per_sample_bitwise(monkeypatch):
             model, corpus = _with_dead_locus(rng, model, corpus)
         shuffled = [corpus[j] for j in
                     np.random.default_rng(trial).permutation(len(corpus))]
-        engines = ({}, *({"block_size": b} for b in (1, 3, n, n + 5)))
         wants, failures = {}, {}
         for g in corpus:
             want = wants[g.sample_id] = posterior_scan(model, g)
@@ -113,9 +123,16 @@ def test_batch_matches_per_sample_bitwise(monkeypatch):
         if trial % 4 == 0:
             assert failures and len(failures) < len(corpus)
         for rows in (corpus, shuffled, corpus[:1]):
-            nodes = build_trie(rows).node_count()
-            for engine in engines:
-                batch = batched_posteriors(model, rows, **engine)
+            trie = build_trie(rows)
+            nodes, distinct = trie.node_count(), trie.distinct_count()
+            # the default cap, then blocks of 1, 3, n and n + 5 loci
+            for block in (None, 1, 3, n, n + 5):
+                if block is None:
+                    monkeypatch.setattr(inference, "_TILE_BYTES", TILE_BYTES)
+                else:
+                    pin_block_loci(monkeypatch, distinct, k, block)
+                    assert inference._block_loci(distinct, n, k) == min(block, n)
+                batch = batched_posteriors(model, rows)
                 assert batch.stats.forward_locus_evals == nodes
                 assert batch.failures == {g.sample_id: failures[g.sample_id]
                                           for g in rows if g.sample_id in failures}
@@ -127,7 +144,7 @@ def test_batch_matches_per_sample_bitwise(monkeypatch):
                                          ("suffix_logs", batch.suffix_logs),
                                          ("log_likelihood", batch.log_likelihoods)):
                         assert np.array_equal(getattr(got, field),
-                                              getattr(want, field)), (engine, field)
+                                              getattr(want, field)), (block, field)
                         assert np.array_equal(array[r], getattr(want, field))
                     if g.sample_id in failures:
                         assert g.sample_id not in batch.tables
@@ -149,13 +166,14 @@ def test_duplicates_share_one_scan_object():
     assert batch.scans["s0"] is not batch.scans["s3"]
 
 
-@pytest.mark.parametrize("block_size", [1, 2, 3, 7, 64])
-def test_chunked_mode_is_bitwise_identical(block_size):
+@pytest.mark.parametrize("b", [1, 2, 3, 7, 64])
+def test_chunked_mode_is_bitwise_identical(monkeypatch, b):
     rng = np.random.default_rng(4)
     model = random_model(rng, 3, 11)
     corpus = random_corpus(rng, 12, 11, missing_rate=0.2)
     full = batched_posteriors(model, corpus)
-    chunked = batched_posteriors(model, corpus, block_size=block_size)
+    pin_block_loci(monkeypatch, build_trie(corpus).distinct_count(), 3, b)
+    chunked = batched_posteriors(model, corpus)
     for g in corpus:
         assert np.array_equal(np.asarray(full.tables[g.sample_id].probs),
                               np.asarray(chunked.tables[g.sample_id].probs))
@@ -163,18 +181,32 @@ def test_chunked_mode_is_bitwise_identical(block_size):
                               np.asarray(chunked.scans[g.sample_id].triples))
 
 
-@pytest.mark.parametrize("block_size", [1, 2, 5, 9])
-def test_chunked_mode_counts(block_size):
+@pytest.mark.parametrize("b", [1, 2, 5, 9])
+def test_chunked_mode_counts(monkeypatch, b):
     rng = np.random.default_rng(6)
     model = random_model(rng, 3, 5)
-    stats = batched_posteriors(model, shared_prefix_corpus(),
-                               block_size=block_size).stats
+    pin_block_loci(monkeypatch, 7, 3, b)
+    stats = batched_posteriors(model, shared_prefix_corpus()).stats
     # the forward walk visits each of the 23 prefix nodes once; backward,
     # each of the 7 distinct genotypes walks loci - b loci to find the
     # block checkpoints, then loci - ceil(loci / b) from them
-    assert stats.engine == "trie-chunked"
     assert stats.forward_locus_evals == 23
-    assert stats.backward_locus_evals == 7 * {1: 4, 2: 5, 5: 4, 9: 4}[block_size]
+    assert stats.backward_locus_evals == 7 * {1: 4, 2: 5, 5: 4, 9: 4}[b]
+
+
+def test_block_length_follows_the_tile_byte_cap(monkeypatch):
+    # by default a full tile at K = 7 keeps 2674 loci of backward states
+    assert inference._block_loci(64, 2674, 7) == 2674
+    assert inference._block_loci(64, 5000, 7) == 2674
+    assert inference._block_loci(1, 5000, 7) == 5000
+    # a cap that a full tile at K = 3 fills with 10 loci
+    monkeypatch.setattr(inference, "_TILE_BYTES", 64 * 3 * 3 * 8 * 10)
+    assert inference._block_loci(100, 10, 3) == 10   # the tile fits
+    assert inference._block_loci(100, 11, 3) == 10   # the most that fit
+    assert inference._block_loci(100, 500, 3) == 10
+    assert inference._block_loci(32, 25, 3) == 20    # half a tile
+    assert inference._block_loci(100, 10, 4) == 5
+    assert inference._block_loci(100, 10, 40) == 1   # never below one
 
 
 def test_impossible_sample_is_isolated_not_fatal():
@@ -202,8 +234,6 @@ def test_batch_input_validation():
         batched_posteriors(model, [a, MultilocusGenotype("x", a.symbols.copy())])
     with pytest.raises(InputError):
         batched_posteriors(model, [MultilocusGenotype("y", np.array([0, 1], dtype=np.int8))])
-    with pytest.raises(InputError):
-        batched_posteriors(model, [a], block_size=0)
 
 
 def test_missing_symbols_branch_as_ordinary_symbols():
