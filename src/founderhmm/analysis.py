@@ -25,7 +25,8 @@ import numpy as np
 from .model import (MISSING, FounderHMM, InputError, HaplotypeSequence,
                     LocusMap, MultilocusGenotype, ZeroProbabilityError,
                     pair_emission_planes)
-from .training import TrainConfig, train_founder_hmm, window_config
+from .training import (TrainConfig, train_founder_hmm, train_founder_hmms,
+                       window_config)
 from .trie import batched_posteriors
 
 PIPELINE_IMPUTE_ONLY = "imp"
@@ -207,6 +208,7 @@ class WindowReport:
     hi: int
     targets: tuple
     train_iterations: int
+    converged: bool
     model: FounderHMM
 
 
@@ -243,20 +245,14 @@ def window_spans(locus_map: LocusMap, spec: WindowSpec):
     return sorted((span, tuple(t)) for span, t in spans.items())
 
 
-def _window_corpus(genos, locus_map, lo, hi):
-    """Corpus rows restricted to one window; untyped columns are MISSING."""
-    typed_idx = locus_map.typed_indices()
-    col_of = {int(j): c for c, j in enumerate(typed_idx)}
-    width = hi - lo + 1
-    out = []
-    for g in genos:
-        symbols = np.full(width, MISSING, dtype=np.int8)
-        for j in range(lo, hi + 1):
-            c = col_of.get(j)
-            if c is not None:
-                symbols[j - lo] = g.symbols[c]
-        out.append(MultilocusGenotype(g.sample_id, symbols))
-    return out
+def _window_corpus(genos, symbols, typed_idx, lo, hi):
+    """Corpus rows restricted to one window; untyped columns are MISSING.
+
+    ``symbols`` is the (samples, typed loci) matrix of the corpus."""
+    first, stop = np.searchsorted(typed_idx, (lo, hi + 1))
+    block = np.full((len(genos), hi - lo + 1), MISSING, dtype=np.int8)
+    block[:, typed_idx[first:stop] - lo] = symbols[:, first:stop]
+    return [MultilocusGenotype(g.sample_id, row) for g, row in zip(genos, block)]
 
 
 def impute_untyped(reference, corpus, locus_map: LocusMap, config: TrainConfig,
@@ -264,9 +260,11 @@ def impute_untyped(reference, corpus, locus_map: LocusMap, config: TrainConfig,
     """Posterior calls at every untyped locus.
 
     Each window model is trained on the reference haplotypes restricted to
-    the window's loci (iteration cap of 50), then the corpus rows are
-    scored in one batched pass per window with the target column MISSING.
-    Every window's model is kept in its :class:`WindowReport`.
+    the window's loci (iteration cap of 50); all windows are fitted in one
+    lockstep EM, each exactly as if alone. The corpus rows are then scored
+    in one batched pass per window with the target column MISSING. Every
+    window's model, and whether its fit converged before the cap, is kept
+    in its :class:`WindowReport`.
     """
     reference = list(reference)
     genos = list(corpus)
@@ -281,16 +279,27 @@ def impute_untyped(reference, corpus, locus_map: LocusMap, config: TrainConfig,
         if len(g) != typed_idx.size:
             raise InputError(
                 f"genotype {g.sample_id!r} has {len(g)} loci, map has {typed_idx.size} typed")
-    wcfg = window_config(config)
+    # checked before any window is fitted, as the batch engine would only
+    # reject the corpus after every fit
+    if len({g.sample_id for g in genos}) != len(genos):
+        raise InputError("corpus sample ids must be unique")
+    spans = window_spans(locus_map, window)
+    if spans and not genos:
+        raise InputError("corpus must be non-empty")
+    panel = np.stack([h.alleles for h in reference])
+    fits = train_founder_hmms([panel[:, lo:hi + 1] for (lo, hi), _ in spans],
+                              window_config(config))
+    symbols = np.array([g.symbols for g in genos], dtype=np.int8).reshape(
+        len(genos), typed_idx.size)
     per_position = {}
     windows = []
     failures = []
     fevals = bevals = 0
-    for (lo, hi), targets in window_spans(locus_map, window):
-        ref_window = [HaplotypeSequence(h.id, h.alleles[lo:hi + 1]) for h in reference]
-        wmodel, wreport = train_founder_hmm(ref_window, wcfg)
-        batch = batched_posteriors(wmodel, _window_corpus(genos, locus_map, lo, hi))
-        windows.append(WindowReport(lo, hi, targets, wreport.iterations_run, wmodel))
+    for ((lo, hi), targets), (wmodel, wreport) in zip(spans, fits):
+        batch = batched_posteriors(
+            wmodel, _window_corpus(genos, symbols, typed_idx, lo, hi))
+        windows.append(WindowReport(lo, hi, targets, wreport.iterations_run,
+                                    wreport.converged, wmodel))
         fevals += batch.stats.forward_locus_evals
         bevals += batch.stats.backward_locus_evals
         triples = batch.triples[:, np.asarray(targets) - lo]
@@ -560,6 +569,7 @@ def run_pipeline(mode: str, reference, corpus, locus_map: LocusMap,
                                 window=window)
     stages.append(StageReport("impute-untyped", time.perf_counter() - t0, {
         "windows": len(imputation.windows),
+        "capped": sum(not w.converged for w in imputation.windows),
         "entries": len(imputation.entries),
         "locus_evals": imputation.forward_locus_evals
         + imputation.backward_locus_evals,

@@ -426,8 +426,9 @@ def _cmd_impute(args):
                             "map": args.map, "founders": args.founders,
                             "flank": args.flank, "seed": args.seed})
     write_imputation(args.out, result, config_line=echo, json_mode=args.json)
+    capped = sum(not w.converged for w in result.windows)
     _note(f"imputed {len(result.entries)} genotype calls across "
-          f"{len(result.windows)} windows")
+          f"{len(result.windows)} windows (capped={capped})")
 
 
 def _cmd_phase(args):

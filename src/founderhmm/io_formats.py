@@ -166,6 +166,11 @@ def _read_symbol_file(path, alphabet, what):
 
 def read_genotypes(path):
     rows = _read_symbol_file(path, _CHAR_TO_SYMBOL, "genotype")
+    seen = {}
+    for sid, _, line_no in rows:
+        first = seen.setdefault(sid, line_no)
+        if first != line_no:
+            _fail(path, line_no, f"duplicate sample id {sid!r} (first on line {first})")
     return [MultilocusGenotype(sid, syms) for sid, syms, _ in rows]
 
 

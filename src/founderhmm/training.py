@@ -5,19 +5,39 @@ copies of the fitted chain, so the trained parameters double as the
 founder-pair model. Expected counts are additive over haplotypes, so EM
 runs on the panel's distinct rows, each weighted by how often it occurs:
 the same estimator, with per-locus work proportional to distinct rows
-(fastPHASE fits its founder clusters the same way). The E-step is
-vectorized across those rows in a founder-major (loci, founders, rows)
-layout and holds two such float64 arrays, 2 x loci x K x distinct rows x 8
-bytes. np.unique sorts the rows, so the fit does not depend on the order
-of the panel.
+(fastPHASE fits its founder clusters the same way). np.unique sorts the
+rows, so the fit does not depend on the order of the panel.
+
+One E-step serves every fit. It runs on a stack of W panels, the windows
+of an imputation or a single panel (W = 1), laid out founder-major as
+(loci, W, K, rows) float64 arrays. A panel's rows past its own are copies
+of its first row at count 0, and its loci past its own width have
+emission 1, identity transitions and a scale of exactly 1, so padding
+changes no bit. The forward and backward sweeps run over the whole stack;
+every sum over rows (log-likelihood, transition and emission counts) runs
+per panel on its own rows, with the same NumPy calls as for that panel
+alone. A fit therefore gives the same bits whatever stack it is in
+(stacks hold at least two rows: a one-row stack would round differently).
+Each panel keeps its own start, trace, convergence test and cap. The
+E-step holds two such arrays, the scales and the betas of about
+sqrt(loci) loci at a time, about (2K + 1) x loci x W x rows x 8 bytes,
+allocated once per fit; panels are stacked, in order, as many as fit in
+``_EM_STACK_BYTES`` (16 MiB), and at least one.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
-from .model import FounderHMM, HaplotypeSequence, InputError, ZeroProbabilityError
+from .model import (ALLELE_SYMBOLS, FounderHMM, HaplotypeSequence, InputError,
+                    ZeroProbabilityError)
+
+# Byte cap on the E-step arrays of one stack of windows that EM fits in
+# lockstep; the grouping changes the pace, never the answer.
+_EM_STACK_BYTES = 16 << 20
 
 
 @dataclass(frozen=True)
@@ -93,84 +113,279 @@ def _emission_probs(emis_row, column):
     return np.where(column[:, None] == 1, emis_row[None, :], 1.0 - emis_row[None, :])
 
 
-def _e_step(rows, counts, first, init, trans, emis):
-    """One scaled forward-backward over the distinct panel rows.
+class _Stack(NamedTuple):
+    """The distinct panel rows of W windows, padded to one shape.
 
-    rows is the (distinct rows, loci) allele matrix, counts the multiplicity
-    of each row and first the lowest panel index holding it. Expected counts
-    are additive over haplotypes, so each row's statistics are weighted by
-    its count. Arrays are founder-major, (loci, K, rows), and two of them
-    are held: the emissions, divided by the scales and then multiplied by
-    beta during the backward sweep, and the weighted alphas, turned into
-    gammas in place.
-
-    Returns (total log-likelihood, expected-count statistics).
+    ``ones`` is the founder-major (loci, W, rows) mask of allele 1. Rows
+    past a window's own are copies of its first row, at weight 0, and loci
+    past its width are flagged in the (loci, W) ``padding``; ``windows``
+    keeps each window's (distinct rows, first panel index, count) triple.
     """
-    r, n = rows.shape
-    k = init.shape[0]
-    ones = rows.T == 1
-    eprobs = np.where(ones[:, None, :], emis[:, :, None], 1.0 - emis[:, :, None])
 
-    alphas = np.empty((n, k, r), dtype=np.float64)
-    scales = np.empty((n, r), dtype=np.float64)
+    ones: np.ndarray
+    weights: np.ndarray
+    padding: np.ndarray
+    windows: tuple
+
+
+def _stack(windows, rows=2) -> _Stack:
+    """Stack of ``windows``, padded to at least ``rows`` rows; a stack of
+    one row would take other code paths in NumPy and round differently."""
+    n = max(distinct.shape[1] for distinct, _, _ in windows)
+    r = max(rows, *(distinct.shape[0] for distinct, _, _ in windows))
+    ones = np.ones((n, len(windows), r), dtype=bool)
+    weights = np.zeros((len(windows), r))
+    padding = np.ones((n, len(windows)), dtype=bool)
+    for p, (distinct, _, counts) in enumerate(windows):
+        m, width = distinct.shape
+        ones[:width, p, :m] = distinct.T == 1
+        ones[:width, p, m:] = distinct[0, :, None] == 1
+        weights[p, :m] = counts
+        padding[:width, p] = False
+    return _Stack(ones, weights, padding, tuple(windows))
+
+
+def _buffer_shapes(loci, windows, k, rows):
+    """Shapes of the E-step arrays of a stack: the alphas, the emissions,
+    the betas of a chunk of about sqrt(loci) loci, and the scales."""
+    full = (loci, windows, k, rows)
+    return full, full, (math.isqrt(loci) + 1, windows, k, rows), (loci, windows, rows)
+
+
+def _stack_bytes(loci, windows, k, rows):
+    """Bytes of the E-step arrays of a stack and of its allele mask."""
+    rows = max(rows, 2)
+    return (8 * sum(math.prod(s) for s in _buffer_shapes(loci, windows, k, rows))
+            + windows * loci * rows)
+
+
+def _e_step(stack: _Stack, init, trans, emis, buffers):
+    """One scaled forward-backward over a stack of windows.
+
+    Parameters are stacked too: init (W, K), trans (loci - 1, W, K, K) and
+    emis (loci, W, K), with identity transitions and emission 1 at padded
+    loci, whose scale is set to exactly 1 so that they pass the sweeps
+    through unchanged. ``buffers`` are the arrays of :func:`_buffer_shapes`,
+    reused across E-steps. Expected counts are additive over haplotypes,
+    so each row's statistics are weighted by its count. The sweeps run over
+    the whole stack, locus by locus. Every sum over rows runs per window,
+    on its own rows, after the backward sweep, so a window's result does
+    not depend on the stack it is in; the betas that the gammas need are
+    then worked out again, a chunk of loci at a time, not kept for every
+    locus.
+
+    Returns the log-likelihood of each window and the stacked expected-count
+    statistics. A window whose row has zero likelihood raises
+    ZeroProbabilityError for the lowest such window, with ``window`` set to
+    its place in the stack.
+    """
+    n, w, r = stack.ones.shape
+    alphas, eprobs, betas, scales = (b[:n, :w] for b in buffers)
+    np.copyto(eprobs, (1.0 - emis)[..., None])
+    np.copyto(eprobs, emis[..., None], where=stack.ones[:, :, None, :])
+
+    short = min(rows.shape[1] for rows, _, _ in stack.windows)
+    trans_t = trans.transpose(0, 1, 3, 2)
+    divisors = scales[:, :, None, :]
     with np.errstate(divide="ignore", invalid="ignore"):
-        np.multiply(init[:, None], eprobs[0], out=alphas[0])
+        np.multiply(init[:, :, None], eprobs[0], out=alphas[0])
         for i in range(n):
             a = alphas[i]
             if i > 0:
-                np.matmul(trans[i - 1].T, alphas[i - 1], out=a)
+                np.matmul(trans_t[i - 1], alphas[i - 1], out=a)
                 np.multiply(a, eprobs[i], out=a)
-            np.sum(a, axis=0, out=scales[i])
-            np.divide(a, scales[i], out=a)
+            np.add.reduce(a, axis=1, out=scales[i])
+            if i >= short:
+                scales[i, stack.padding[i]] = 1.0
+            np.divide(a, divisors[i], out=a)
     # a row whose mass vanishes at locus i has scale 0 there and NaN after,
-    # so the first locus with a zero scale is where the first row failed
+    # so a window's first locus with a zero scale is where its first row
+    # failed; padded rows copy a real row and fail only with it
     failed = scales <= 0.0
-    if failed.any():
-        i = int(np.argmax(failed.any(axis=1)))
-        bad = int(first[failed[i]].min())
-        raise ZeroProbabilityError(
+    dead = failed.any(axis=2)
+    if dead.any():
+        p = int(np.argmax(dead.any(axis=0)))
+        i = int(np.argmax(dead[:, p]))
+        _, first, counts = stack.windows[p]
+        bad = int(first[failed[i, p, :counts.size]].min())
+        err = ZeroProbabilityError(
             i, f"panel haplotype {bad} has zero likelihood at locus {i}; "
                f"use a positive pseudocount")
+        err.window = p
+        raise err
 
-    loglik = float(np.log(scales).sum(axis=0) @ counts)
+    eprobs /= divisors
+    alphas *= stack.weights[:, None, :]
+    beta = betas[0]
+    beta[...] = 1.0
+    for i in range(n - 1, 0, -1):
+        b = np.multiply(eprobs[i], beta, out=eprobs[i])
+        np.matmul(trans[i - 1], b, out=beta)
 
-    eprobs /= scales[:, None, :]
-    alphas *= counts
-    beta = np.ones((k, r), dtype=np.float64)
-    trans_counts = np.empty((max(n - 1, 0), k, k), dtype=np.float64)
-    for i in range(n - 1, -1, -1):
-        np.multiply(alphas[i], beta, out=alphas[i])  # weighted gamma
-        if i > 0:
-            w = np.multiply(eprobs[i], beta, out=eprobs[i])
-            np.matmul(alphas[i - 1], w.T, out=trans_counts[i - 1])
-            np.matmul(trans[i - 1], w, out=beta)
+    k = init.shape[1]
+    logliks = []
+    # padded loci hold harmless counts; the caller resets their parameters
+    trans_counts = np.broadcast_to(np.eye(k), (max(n - 1, 0), w, k, k)).copy()
+    emis_ones = np.ones((n, w, k))
+    emis_total = np.ones((n, w, k))
+    for p, (rows, _, counts) in enumerate(stack.windows):
+        m, width = rows.shape
+        logliks.append(float(np.log(scales[:width, p, :m]).sum(axis=0) @ counts))
+        np.matmul(alphas[:width - 1, p, :, :m],
+                  eprobs[1:width, p, :, :m].transpose(0, 2, 1),
+                  out=trans_counts[:width - 1, p])
     trans_counts *= trans
-    emis_total = alphas.sum(axis=2)
-    emis_ones = np.einsum("ikr,ir->ik", alphas, ones)
-    return loglik, (emis_total[0], trans_counts, emis_ones, emis_total)
+    # weighted gammas: the betas again, from the same products as in the
+    # sweep, so the same bits (the last locus has beta 1)
+    step = betas.shape[0]
+    for lo in range(0, n - 1, step):
+        hi = min(lo + step, n - 1)
+        alphas[lo:hi] *= np.matmul(trans[lo:hi], eprobs[lo + 1:hi + 1],
+                                   out=betas[:hi - lo])
+    for p, (rows, _, _) in enumerate(stack.windows):
+        m, width = rows.shape
+        np.sum(alphas[:width, p, :, :m], axis=2, out=emis_total[:width, p])
+        np.einsum("ikr,ir->ik", alphas[:width, p, :, :m],
+                  stack.ones[:width, p, :m], out=emis_ones[:width, p])
+    return logliks, (emis_total[0], trans_counts, emis_ones, emis_total)
 
 
-def _m_step(stats, pseudocount, k):
+def _m_step(stats, pseudocount):
     init_counts, trans_counts, emis_ones, emis_total = stats
     init = init_counts + pseudocount
-    init /= init.sum()
+    init /= init.sum(axis=-1, keepdims=True)
     trans = trans_counts + pseudocount
-    trans /= trans.sum(axis=2, keepdims=True)
+    trans /= trans.sum(axis=-1, keepdims=True)
     emis = (emis_ones + pseudocount) / (emis_total + 2.0 * pseudocount)
     return init, trans, emis
 
 
 def _check_params(init, trans, emis):
-    """Guard every M-step. A failure here is a fault of the update, not of
-    the input, so it raises RuntimeError."""
+    """Guard every M-step of a stack of windows, shaped as in
+    :func:`_e_step`. A failure here is a fault of the update, not of the
+    input, so it raises RuntimeError, for the lowest invalid window, with
+    ``window`` set to its place in the stack."""
     atol = 1e-9
-    if not (np.all(init >= 0) and abs(init.sum() - 1.0) <= atol):
-        raise RuntimeError("M-step left an invalid initial distribution")
-    if trans.size and not (np.all(trans >= 0)
-                           and np.allclose(trans.sum(axis=2), 1.0, atol=atol)):
-        raise RuntimeError("M-step left non-stochastic transitions")
-    if not (np.all(emis >= 0.0) and np.all(emis <= 1.0)):
-        raise RuntimeError("M-step left emissions outside [0, 1]")
+    bad = np.stack([
+        ~(np.all(init >= 0, axis=1)
+          & (np.abs(init.sum(axis=1) - 1.0) <= atol)),
+        ~(np.all(trans >= 0, axis=(0, 2, 3))
+          & np.all(np.isclose(trans.sum(axis=3), 1.0, atol=atol), axis=(0, 2))),
+        ~np.all((emis >= 0.0) & (emis <= 1.0), axis=(0, 2)),
+    ])
+    if bad.any():
+        p = int(np.argmax(bad.any(axis=0)))
+        err = RuntimeError(("M-step left an invalid initial distribution",
+                            "M-step left non-stochastic transitions",
+                            "M-step left emissions outside [0, 1]",
+                            )[int(np.argmax(bad[:, p]))])
+        err.window = p
+        raise err
+
+
+def _stack_groups(windows, k):
+    """[start, stop) ranges of consecutive windows whose E-step arrays fit
+    in ``_EM_STACK_BYTES`` together; a window too large alone gets a stack
+    of its own."""
+    groups = []
+    start, loci, rows = 0, 0, 0
+    for j, (distinct, _, _) in enumerate(windows):
+        m, width = distinct.shape
+        if j > start and _stack_bytes(max(loci, width), j - start + 1, k,
+                                      max(rows, m)) > _EM_STACK_BYTES:
+            groups.append((start, j))
+            start, loci, rows = j, 0, 0
+        loci, rows = max(loci, width), max(rows, m)
+    return groups + [(start, len(windows))] if windows else []
+
+
+def _fit_stack(windows, config: TrainConfig):
+    """Lockstep EM over a stack of windows; see :func:`train_founder_hmms`."""
+    k = config.founders
+    stack = _stack(windows)
+    n, w, r = stack.ones.shape
+    buffers = tuple(np.empty(shape) for shape in _buffer_shapes(n, w, k, r))
+    init = np.empty((w, k))
+    trans = np.broadcast_to(np.eye(k), (max(n - 1, 0), w, k, k)).copy()
+    emis = np.ones((n, w, k))
+    for j, (rows, _, _) in enumerate(windows):
+        width = rows.shape[1]
+        init[j], trans[:width - 1, j], emis[:width, j] = _initial_params(
+            width, k, config.seed)
+    traces = [[] for _ in windows]
+    converged = [False] * w
+    active, live, fault = list(range(w)), np.arange(w), None
+    while active:
+        if len(live) != len(active):
+            live = np.array(active)
+            stack = _stack([windows[j] for j in active], r)
+        loci = stack.ones.shape[0]
+        try:
+            logliks, stats = _e_step(stack, init[live], trans[:loci - 1, live],
+                                     emis[:loci, live], buffers)
+        except ZeroProbabilityError as err:
+            fault, active = err, active[:err.window]
+            continue
+        update = []
+        for p, j in enumerate(active):
+            trace = traces[j]
+            trace.append(logliks[p])
+            if len(trace) > 1 and (trace[-1] - trace[-2] < config.tolerance
+                                   * max(1.0, abs(trace[-2]))):
+                converged[j] = True
+            else:
+                update.append(p)
+        if update:
+            init_c, trans_c, ones_c, total_c = stats
+            new_init, new_trans, new_emis = _m_step(
+                (init_c[update], trans_c[:, update], ones_c[:, update],
+                 total_c[:, update]), config.pseudocount)
+            new_trans[stack.padding[1:, update]] = np.eye(k)
+            new_emis[stack.padding[:, update]] = 1.0
+            try:
+                _check_params(new_init, new_trans, new_emis)
+            except RuntimeError as err:
+                fault, active = err, active[:update[err.window]]
+                update = update[:err.window]
+            u = len(update)
+            moved = live[update]
+            init[moved] = new_init[:u]
+            trans[:loci - 1, moved] = new_trans[:, :u]
+            emis[:loci, moved] = new_emis[:, :u]
+        active = [j for j in active if not converged[j]
+                  and len(traces[j]) < config.max_iterations]
+    if fault is not None:
+        raise fault
+    results = []
+    for j, (rows, _, _) in enumerate(windows):
+        width = rows.shape[1]
+        model = FounderHMM(initial=init[j], transitions=trans[:width - 1, j],
+                           emissions=emis[:width, j])
+        results.append((model, TrainReport(
+            iterations_run=len(traces[j]), loglik_trace=tuple(traces[j]),
+            converged=converged[j])))
+    return results
+
+
+def train_founder_hmms(panels, config: TrainConfig):
+    """Fit a founder chain to each of several panels, in lockstep.
+
+    ``panels`` are (haplotypes, loci) allele matrices, of any widths.
+    Returns one (FounderHMM, TrainReport) per panel, in order, each bitwise
+    the one :func:`train_founder_hmm` gives that panel alone. When panels
+    fail, the error is that of the lowest-indexed failing one.
+    """
+    panels = [np.asarray(p, dtype=np.int64) for p in panels]
+    for p in panels:
+        if p.ndim != 2 or p.size == 0 or not np.isin(p, ALLELE_SYMBOLS).all():
+            raise InputError("panels must be non-empty (haplotypes, loci) "
+                             "matrices of alleles 0 and 1")
+    windows = [np.unique(p, axis=0, return_index=True, return_counts=True)
+               for p in panels]
+    results = []
+    for lo, hi in _stack_groups(windows, config.founders):
+        results.extend(_fit_stack(windows[lo:hi], config))
+    return results
 
 
 def train_founder_hmm(panel, config: TrainConfig):
@@ -183,26 +398,7 @@ def train_founder_hmm(panel, config: TrainConfig):
     run returns parameters one (improving) update past the final entry.
     Initialization depends only on the seed.
     """
-    rows, first, counts = np.unique(_panel_matrix(panel), axis=0,
-                                    return_index=True, return_counts=True)
-    n = rows.shape[1]
-    k = config.founders
-    init, trans, emis = _initial_params(n, k, config.seed)
-    trace = []
-    converged = False
-    for _ in range(config.max_iterations):
-        loglik, stats = _e_step(rows, counts, first, init, trans, emis)
-        trace.append(loglik)
-        if len(trace) > 1:
-            gain = trace[-1] - trace[-2]
-            if gain < config.tolerance * max(1.0, abs(trace[-2])):
-                converged = True
-                break
-        init, trans, emis = _m_step(stats, config.pseudocount, k)
-        _check_params(init, trans, emis)
-    model = FounderHMM(initial=init, transitions=trans, emissions=emis)
-    return model, TrainReport(iterations_run=len(trace),
-                              loglik_trace=tuple(trace), converged=converged)
+    return train_founder_hmms([_panel_matrix(panel)], config)[0]
 
 
 def loglik_haplotype(model: FounderHMM, haplotype: HaplotypeSequence) -> float:
@@ -226,6 +422,5 @@ def loglik_haplotype(model: FounderHMM, haplotype: HaplotypeSequence) -> float:
 
 
 def window_config(config: TrainConfig) -> TrainConfig:
-    """Local-window variant of a training config (iteration cap of 50,
-    since per-window EM dominates imputation cost at scale)."""
+    """Local-window variant of a training config: an iteration cap of 50."""
     return replace(config, max_iterations=50)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import founderhmm.analysis as analysis
+import founderhmm.training as training
 import oracle
 from conftest import random_corpus, random_genotype, random_model
 from founderhmm import (MISSING, FounderHMM, HaplotypeSequence, InputError,
@@ -353,6 +354,56 @@ def test_impute_validates_alignment():
     bad_corpus = [MultilocusGenotype("s", np.zeros(3, dtype=np.int8))]
     with pytest.raises(InputError):
         impute_untyped(data.reference, bad_corpus, data.locus_map, cfg)
+
+
+def test_impute_checks_the_corpus_before_fitting(monkeypatch):
+    data = masked_instance(14)
+    twice = data.observed + [MultilocusGenotype(data.observed[0].sample_id,
+                                                data.observed[1].symbols)]
+
+    def no_fit(panels, config):
+        raise AssertionError("windows fitted before the corpus was checked")
+    monkeypatch.setattr(analysis, "train_founder_hmms", no_fit)
+    with pytest.raises(InputError, match="sample ids must be unique"):
+        impute_untyped(data.reference, twice, data.locus_map,
+                       TrainConfig(founders=2, seed=0))
+    with pytest.raises(InputError, match="corpus must be non-empty"):
+        impute_untyped(data.reference, [], data.locus_map,
+                       TrainConfig(founders=2, seed=0))
+
+
+def test_impute_does_not_depend_on_em_stacking(monkeypatch):
+    data = masked_instance(15, loci=60, mask_fraction=0.2)
+    cfg = TrainConfig(founders=3, seed=2)
+    runs = []
+    for cap in (0, 60_000, 1 << 40):  # one window, a few, all per stack
+        monkeypatch.setattr(training, "_EM_STACK_BYTES", cap)
+        runs.append(impute_untyped(data.reference, data.observed,
+                                   data.locus_map, cfg, window=WindowSpec(flank=3)))
+    first = runs[0]
+    assert len(first.windows) > 7
+    for other in runs[1:]:
+        assert other.entries == first.entries
+        assert other.failures == first.failures
+        for a, b in zip(first.windows, other.windows, strict=True):
+            assert ((a.lo, a.hi, a.targets, a.train_iterations, a.converged)
+                    == (b.lo, b.hi, b.targets, b.train_iterations, b.converged))
+            for name in ("initial", "transitions", "emissions"):
+                assert np.array_equal(getattr(a.model, name),
+                                      getattr(b.model, name))
+
+
+def test_capped_counter_counts_windows_that_did_not_converge():
+    data = masked_instance(16, loci=60, mask_fraction=0.2)
+    res = run_pipeline("imp", data.reference, data.observed, data.locus_map,
+                       TrainConfig(founders=3, seed=1, tolerance=1e-4),
+                       window=WindowSpec(flank=3))
+    windows = res.imputation.windows
+    capped = sum(not w.converged for w in windows)
+    assert 0 < capped < len(windows)
+    assert res.stages[-1].counters["capped"] == capped
+    for w in windows:
+        assert w.converged == (w.train_iterations < 50)
 
 
 # ----------------------------------------------------------------- phasing

@@ -376,19 +376,27 @@ def test_detect_correct_recover_flow(ws, capsys):
     assert re.match(r"total=\d+ discordant=\d+ discordance_rate=[\d.e-]+", out)
 
 
-def test_impute_and_pipeline_agree(ws):
+def test_impute_and_pipeline_agree(ws, capsys):
     root = ws["root"]
     direct = str(root / "direct.imp.tsv")
     piped = str(root / "piped.imp.tsv")
     assert run_cli("impute", "--panel", ws["ref"], "--genotypes", ws["gen"],
                    "--map", ws["map"], "--founders", "3", "--flank", "4",
                    "--seed", "0", "--out", direct) == 0
+    note = capsys.readouterr().err
     assert run_cli("pipeline", "--mode", "imp", "--panel", ws["ref"],
                    "--genotypes", ws["gen"], "--map", ws["map"],
                    "--founders", "3", "--flank", "4", "--seed", "0",
                    "--out", piped) == 0
     body = lambda p: [l for l in open(p) if not l.startswith("#config:")]
     assert body(direct) == body(piped)
+    # both report how many window fits stopped at the iteration cap
+    windows = [l for l in open(direct) if l.startswith("#window\t")]
+    capped = sum(int(l.split("\t")[4]) == 50 for l in windows)
+    entries = sum(not l.startswith("#") for l in open(direct)) - 1
+    assert note == (f"imputed {entries} genotype calls across "
+                    f"{len(windows)} windows (capped={capped})\n")
+    assert f" capped={capped} " in capsys.readouterr().err
 
 
 def test_repeat_runs_are_byte_identical(ws):
@@ -660,6 +668,27 @@ def test_pipeline_report_out_needs_repair_mode_up_front(ws, tmp_path, capsys):
     assert capsys.readouterr().err == (
         "error: --report-out needs --mode edc-mdr-imp\n")
     assert not out.exists() and not corpus_out.exists()
+
+
+def test_repeated_sample_id_names_file_and_line(ws, tmp_path, capsys):
+    lines = open(ws["gen"]).read().splitlines()
+    rows = [i for i, line in enumerate(lines) if not line.startswith("#")]
+    first, again = rows[0], rows[2]
+    sample = lines[first].split("\t")[0]
+    lines[again] = sample + "\t" + lines[again].split("\t")[1]
+    dup = tmp_path / "dup.gen"
+    dup.write_text("\n".join(lines) + "\n")
+    want = (f"error: {dup}:{again + 1}: duplicate sample id {sample!r} "
+            f"(first on line {first + 1})\n")
+    out = tmp_path / "out"
+    model = ["--model", ws["model"], "--genotypes", str(dup), "--out", str(out)]
+    panel = ["--panel", ws["ref"], "--genotypes", str(dup), "--map", ws["map"],
+             "--founders", "3", "--out", str(out)]
+    for argv in (["phase", *model], ["detect", *model],
+                 ["impute", *panel], ["pipeline", *panel]):
+        assert run_cli(*argv) == 1, argv
+        assert capsys.readouterr().err == want, argv
+        assert list(tmp_path.iterdir()) == [dup], argv
 
 
 def test_missing_and_malformed_inputs_exit_one(ws, tmp_path, capsys):

@@ -12,7 +12,10 @@ import founderhmm
 from founderhmm import (HaplotypeSequence, InputError, TrainConfig,
                         ZeroProbabilityError, loglik_haplotype,
                         train_founder_hmm, window_config)
-from founderhmm.training import _check_params, _e_step, _initial_params
+import founderhmm.training as training
+from founderhmm.training import (_buffer_shapes, _check_params, _e_step,
+                                 _initial_params, _stack, _stack_bytes,
+                                 _stack_groups, train_founder_hmms)
 
 
 def test_config_validation():
@@ -52,6 +55,9 @@ def test_panel_must_be_uniform_and_nonempty():
     panel.append(HaplotypeSequence("odd", rng.integers(0, 2, size=5).astype(np.int8)))
     with pytest.raises(InputError):
         train_founder_hmm(panel, TrainConfig(founders=2))
+    for bad in (np.zeros((0, 3)), np.zeros((3, 0)), np.zeros(3), np.full((2, 2), 2)):
+        with pytest.raises(InputError, match="matrices of alleles 0 and 1"):
+            train_founder_hmms([np.zeros((2, 2)), bad], TrainConfig(founders=2))
 
 
 def test_loglik_trace_non_decreasing():
@@ -155,14 +161,32 @@ def test_training_fits_a_two_founder_panel_tightly():
 
 
 def test_invalid_m_step_raises_runtime_error():
-    emis = np.full((2, 2), 0.5)
-    trans = np.full((1, 2, 2), 0.5)
+    # stacks of one window: init (1, K), trans (loci - 1, 1, K, K), emis
+    # (loci, 1, K)
+    emis = np.full((2, 1, 2), 0.5)
+    trans = np.full((1, 1, 2, 2), 0.5)
     with pytest.raises(RuntimeError, match="initial"):
-        _check_params(np.array([0.5, 0.6]), trans, emis)
+        _check_params(np.array([[0.5, 0.6]]), trans, emis)
     with pytest.raises(RuntimeError, match="transitions"):
-        _check_params(np.array([0.5, 0.5]), trans * 1.1, emis)
+        _check_params(np.array([[0.5, 0.5]]), trans * 1.1, emis)
     with pytest.raises(RuntimeError, match="emissions"):
-        _check_params(np.array([0.5, 0.5]), trans, emis + 0.6)
+        _check_params(np.array([[0.5, 0.5]]), trans, emis + 0.6)
+    _check_params(np.array([[0.5, 0.5]]), trans, emis)
+
+
+def test_invalid_m_step_names_the_lowest_invalid_window():
+    init = np.full((3, 2), 0.5)
+    trans = np.full((1, 3, 2, 2), 0.5)
+    emis = np.full((2, 3, 2), 0.5)
+    trans[0, 1] *= 1.1  # only the second window is invalid
+    with pytest.raises(RuntimeError, match="transitions") as err:
+        _check_params(init, trans, emis)
+    assert err.value.window == 1
+    emis[1, 2, 0] = 1.5  # a later invalid window does not change the answer
+    init[2] = [0.5, 0.6]
+    with pytest.raises(RuntimeError, match="transitions") as err:
+        _check_params(init, trans, emis)
+    assert err.value.window == 1
 
 
 def test_package_has_no_assert_statements():
@@ -175,10 +199,30 @@ def test_package_has_no_assert_statements():
     assert found == []
 
 
+def _stacked_e_step(windows, init, trans, emis):
+    """The E-step over a stack of (haplotypes, loci) windows with their own
+    (init, trans, emis), padded as the trainer pads them; returns each
+    window's log-likelihood and statistics, cut to its own shape."""
+    stack = _stack([np.unique(h, axis=0, return_index=True, return_counts=True)
+                    for h in windows])
+    n, w, r = stack.ones.shape
+    k = init[0].shape[0]
+    s_init = np.stack(init)
+    s_trans = np.broadcast_to(np.eye(k), (n - 1, w, k, k)).copy()
+    s_emis = np.ones((n, w, k))
+    for p, h in enumerate(windows):
+        s_trans[:h.shape[1] - 1, p] = trans[p]
+        s_emis[:h.shape[1], p] = emis[p]
+    buffers = [np.empty(shape) for shape in _buffer_shapes(n, w, k, r)]
+    logliks, stats = _e_step(stack, s_init, s_trans, s_emis, buffers)
+    init_c, trans_c, ones_c, total_c = stats
+    return [(ll, (init_c[p], trans_c[:h.shape[1] - 1, p],
+                  ones_c[:h.shape[1], p], total_c[:h.shape[1], p]))
+            for p, (ll, h) in enumerate(zip(logliks, windows))]
+
+
 def _weighted_e_step(haps, init, trans, emis):
-    rows, first, counts = np.unique(haps, axis=0, return_index=True,
-                                    return_counts=True)
-    return _e_step(rows, counts, first, init, trans, emis)
+    return _stacked_e_step([haps], [init], [trans], [emis])[0]
 
 
 def test_weighted_e_step_matches_per_row_reference():
@@ -218,6 +262,21 @@ def test_zero_likelihood_names_locus_and_lowest_haplotype():
                            match="panel haplotype 3 .* at locus 2;") as err:
             e_step(haps, init, trans, emis)
         assert err.value.locus == 2
+    # two windows that both fail: the lower one's error is raised, even
+    # though the upper one, four loci wide, fails at an earlier locus
+    upper = np.array([[0, 1, 0, 1]] * 3)
+    emis_upper = np.full((4, 3), 0.5)
+    emis_upper[1] = 0.0
+    with pytest.raises(ZeroProbabilityError,
+                       match="panel haplotype 3 .* at locus 2;") as err:
+        _stacked_e_step([haps, upper], [init, init], [trans, trans[:3]],
+                        [emis, emis_upper])
+    assert err.value.locus == 2 and err.value.window == 0
+    with pytest.raises(ZeroProbabilityError,
+                       match="panel haplotype 0 .* at locus 1;") as err:
+        _stacked_e_step([upper, haps], [init, init], [trans[:3], trans],
+                        [emis_upper, emis])
+    assert err.value.locus == 1 and err.value.window == 0
 
 
 def test_training_does_not_depend_on_panel_order():
@@ -232,3 +291,102 @@ def test_training_does_not_depend_on_panel_order():
     assert np.array_equal(m1.initial, m2.initial)
     assert np.array_equal(m1.transitions, m2.transitions)
     assert np.array_equal(m1.emissions, m2.emissions)
+
+
+def _window_sets(rng, count):
+    """Random sets of windows: each a (haplotypes, loci) panel, 1 to 30
+    loci wide (every fifth set starts with a width-1 window), with 1 to 40
+    distinct rows, plus a founder count and an iteration cap."""
+    for s in range(count):
+        panels = []
+        for j in range(int(rng.integers(3, 13))):
+            width = 1 if j == 0 and s % 5 == 0 else int(rng.integers(1, 31))
+            pool = rng.integers(0, 2, size=(int(rng.integers(1, 41)), width))
+            panels.append(pool[rng.integers(0, len(pool),
+                                            size=int(rng.integers(1, 60)))])
+        yield panels, TrainConfig(founders=int(rng.integers(1, 7)),
+                                  max_iterations=int(rng.integers(2, 30)),
+                                  tolerance=1e-4, seed=s)
+
+
+def test_stacked_fits_equal_fits_alone(monkeypatch):
+    rng = np.random.default_rng(11)
+    seen = set()
+    for panels, cfg in _window_sets(rng, 20):
+        alone = [train_founder_hmm([HaplotypeSequence(f"h{j}", row)
+                                    for j, row in enumerate(p)], cfg)
+                 for p in panels]
+        windows = [np.unique(p, axis=0, return_index=True, return_counts=True)
+                   for p in panels]
+        loci = max(p.shape[1] for p in panels)
+        rows = max(w[0].shape[0] for w in windows)
+        # stacks of one window each, of seven or more, and of all windows
+        for cap, fits in ((0, lambda sizes: set(sizes) == {1}),
+                          (_stack_bytes(loci, 7, cfg.founders, rows),
+                           lambda sizes: min(sizes[:-1], default=7) >= 7),
+                          (1 << 40, lambda sizes: sizes == [len(panels)])):
+            monkeypatch.setattr(training, "_EM_STACK_BYTES", cap)
+            sizes = [hi - lo for lo, hi in _stack_groups(windows, cfg.founders)]
+            assert fits(sizes)
+            if len(sizes) > 1 and sizes[0] > 1:
+                seen.add("several stacks of several windows")
+            for (m1, r1), (m2, r2) in zip(alone, train_founder_hmms(panels, cfg),
+                                          strict=True):
+                assert np.array_equal(m1.initial, m2.initial)
+                assert np.array_equal(m1.transitions, m2.transitions)
+                assert np.array_equal(m1.emissions, m2.emissions)
+                assert r1 == r2
+        seen.update("early" if r.converged else "capped" for _, r in alone
+                    if r.converged == (r.iterations_run < cfg.max_iterations))
+        seen.update("width 1" for p in panels if p.shape[1] == 1)
+        seen.update("one row" for w in windows if w[0].shape[0] == 1)
+    assert seen == {"early", "capped", "width 1", "one row",
+                    "several stacks of several windows"}
+
+
+def test_stacked_fit_raises_what_fitting_in_order_would(monkeypatch):
+    """A fault of one window stops only it and the windows above it: the
+    error raised is the lowest failing window's, as if each were fitted in
+    turn, however late in the lockstep it shows."""
+    rng = np.random.default_rng(12)
+    panels = [rng.integers(0, 2, size=(12, width)) for width in (3, 4, 5, 6)]
+    cfg = TrainConfig(founders=2, max_iterations=20, tolerance=0.0)
+    real_e_step, real_check = training._e_step, training._check_params
+    steps, fail_at = {}, {4: 9, 6: 2}
+
+    def e_step(stack, *args):
+        result = real_e_step(stack, *args)
+        for p, (rows, _, _) in enumerate(stack.windows):
+            width = rows.shape[1]
+            steps[width] = steps.get(width, 0) + 1
+            if steps[width] == fail_at.get(width):
+                err = ZeroProbabilityError(0, f"width {width} failed")
+                err.window = p
+                raise err
+        return result
+
+    monkeypatch.setattr(training, "_e_step", e_step)
+    with pytest.raises(ZeroProbabilityError, match="width 4 failed"):
+        train_founder_hmms(panels, cfg)
+    # E-steps each window took part in: an E-step that raises is run again
+    # for the windows below the fault, so width 3 takes part in 20 + 2
+    assert steps == {3: 22, 4: 9, 5: 8, 6: 2}
+
+    checks = []
+
+    def check(init, trans, emis):
+        checks.append(init.shape[0])
+        if len(checks) == 5:
+            err = RuntimeError("M-step fault")
+            err.window = 2
+            raise err
+        real_check(init, trans, emis)
+
+    steps.clear()
+    fail_at.clear()
+    monkeypatch.setattr(training, "_check_params", check)
+    with pytest.raises(RuntimeError, match="M-step fault"):
+        train_founder_hmms(panels, cfg)
+    # windows 2 and 3 stop at the fifth update; 0 and 1 run to the cap
+    assert checks == [4] * 5 + [2] * 15
+    assert steps == {3: 20, 4: 20, 5: 5, 6: 5}
