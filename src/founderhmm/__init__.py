@@ -24,9 +24,9 @@ from .inference import (BackwardPass, ForwardBackwardResult, ForwardPass,
                         table_from_scan, total_log_likelihood)
 from .model import (ALLELE_SYMBOLS, GENOTYPE_SYMBOLS, MISSING, FounderHMM,
                     HaplotypeSequence, InputError, LocusMap,
-                    MultilocusGenotype, ZeroProbabilityError, chain_marginals,
-                    emission_stack, emission_table, genotype_from_haplotypes,
-                    reverse_model, substitute, symbol_plane)
+                    MultilocusGenotype, ZeroProbabilityError, emission_stack,
+                    emission_table, genotype_from_haplotypes, substitute,
+                    symbol_plane)
 from .simulate import (BenchReport, BenchRow, ErrorRecord, EvalReport,
                        MissingRecord, SimConfig, SimData, SweepRow,
                        bench_scaling, evaluate, fit_exponent, simulate, sweep)

@@ -27,7 +27,7 @@ from .model import (MISSING, FounderHMM, InputError, HaplotypeSequence,
                     pair_emission_planes)
 from .training import (TrainConfig, train_founder_hmm, train_founder_hmms,
                        window_config)
-from .trie import batched_posteriors
+from .trie import _scan_symbols, batched_posteriors, build_trie
 
 PIPELINE_IMPUTE_ONLY = "imp"
 PIPELINE_REPAIR_IMPUTE = "edc-mdr-imp"
@@ -126,6 +126,9 @@ def correct_errors(corpus, report: ErrorReport):
         if int(symbols[e.locus_index]) != e.observed:
             raise InputError(
                 f"report does not match corpus at {e.sample_id!r} locus {e.locus_index}")
+        if e.suggested not in (0, 1, 2):
+            raise InputError(f"report suggests symbol {e.suggested!r} at "
+                             f"{e.sample_id!r} locus {e.locus_index}")
         if e.flagged and e.suggested != e.observed:
             symbols[e.locus_index] = e.suggested
             changes += 1
@@ -245,26 +248,17 @@ def window_spans(locus_map: LocusMap, spec: WindowSpec):
     return sorted((span, tuple(t)) for span, t in spans.items())
 
 
-def _window_corpus(genos, symbols, typed_idx, lo, hi):
-    """Corpus rows restricted to one window; untyped columns are MISSING.
-
-    ``symbols`` is the (samples, typed loci) matrix of the corpus."""
-    first, stop = np.searchsorted(typed_idx, (lo, hi + 1))
-    block = np.full((len(genos), hi - lo + 1), MISSING, dtype=np.int8)
-    block[:, typed_idx[first:stop] - lo] = symbols[:, first:stop]
-    return [MultilocusGenotype(g.sample_id, row) for g, row in zip(genos, block)]
-
-
 def impute_untyped(reference, corpus, locus_map: LocusMap, config: TrainConfig,
                    *, window: WindowSpec = WindowSpec()) -> ImputationResult:
     """Posterior calls at every untyped locus.
 
     Each window model is trained on the reference haplotypes restricted to
     the window's loci (iteration cap of 50); all windows are fitted in one
-    lockstep EM, each exactly as if alone. The corpus rows are then scored
-    in one batched pass per window with the target column MISSING. Every
-    window's model, and whether its fit converged before the cap, is kept
-    in its :class:`WindowReport`.
+    lockstep EM, each exactly as if alone. The corpus symbol matrix,
+    restricted to each window with the target columns MISSING, is then
+    scored in one pass of the batch engine per window. Every window's
+    model, and whether its fit converged before the cap, is kept in its
+    :class:`WindowReport`.
     """
     reference = list(reference)
     genos = list(corpus)
@@ -279,8 +273,6 @@ def impute_untyped(reference, corpus, locus_map: LocusMap, config: TrainConfig,
         if len(g) != typed_idx.size:
             raise InputError(
                 f"genotype {g.sample_id!r} has {len(g)} loci, map has {typed_idx.size} typed")
-    # checked before any window is fitted, as the batch engine would only
-    # reject the corpus after every fit
     if len({g.sample_id for g in genos}) != len(genos):
         raise InputError("corpus sample ids must be unique")
     spans = window_spans(locus_map, window)
@@ -296,19 +288,22 @@ def impute_untyped(reference, corpus, locus_map: LocusMap, config: TrainConfig,
     failures = []
     fevals = bevals = 0
     for ((lo, hi), targets), (wmodel, wreport) in zip(spans, fits):
-        batch = batched_posteriors(
-            wmodel, _window_corpus(genos, symbols, typed_idx, lo, hi))
+        # the corpus on the window's loci, MISSING at the untyped ones
+        first, stop = np.searchsorted(typed_idx, (lo, hi + 1))
+        block = np.full((len(genos), hi - lo + 1), MISSING, dtype=np.int8)
+        block[:, typed_idx[first:stop] - lo] = symbols[:, first:stop]
+        trie, (triples, *_), (wf, wb) = _scan_symbols(wmodel, block)
         windows.append(WindowReport(lo, hi, targets, wreport.iterations_run,
                                     wreport.converged, wmodel))
-        fevals += batch.stats.forward_locus_evals
-        bevals += batch.stats.backward_locus_evals
-        triples = batch.triples[:, np.asarray(targets) - lo]
+        fevals += wf
+        bevals += wb
+        triples = triples[:, np.asarray(targets) - lo]
         totals = triples.sum(axis=2)
         with np.errstate(divide="ignore", invalid="ignore"):
             probs = (triples / totals[:, :, None]).tolist()
         calls = triples.argmax(axis=2).tolist()
         dead = (totals <= 0.0).tolist()
-        for g, r in zip(genos, batch.row_of.tolist()):
+        for g, r in zip(genos, trie.row_of.tolist()):
             for t, p, call, d in zip(targets, probs[r], calls[r], dead[r]):
                 if d:
                     failures.append((g.sample_id, t))
@@ -470,9 +465,7 @@ def phase_corpus(model: FounderHMM, corpus) -> list:
                              f"the model has {model.loci}")
     if not genos:
         return []
-    rows, row_of = np.unique(np.stack([g.symbols for g in genos]), axis=0,
-                             return_inverse=True)
-    row_of = row_of.ravel()
+    rows, row_of, _ = build_trie(np.stack([g.symbols for g in genos]))
     first, second, paths, log_joint, dead = _decode_distinct(model, rows)
     failed = np.flatnonzero(dead[row_of] >= 0)
     if failed.size:

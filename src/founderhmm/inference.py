@@ -231,10 +231,6 @@ class PosteriorScan:
     suffix_logs: np.ndarray   # (n,)
     log_likelihood: float
 
-    @property
-    def loci(self) -> int:
-        return self.triples.shape[0]
-
     def substituted_probability(self, locus: int, symbol: int) -> float:
         """Unscaled probability of the genotype with one locus replaced
         (symbol MISSING gives the marginalized probability)."""
@@ -261,10 +257,6 @@ class PosteriorTable:
 
     probs: np.ndarray          # (n, 3)
     log_marginals: np.ndarray  # (n,)
-
-    @property
-    def loci(self) -> int:
-        return self.probs.shape[0]
 
 
 def _prepare(model: FounderHMM, genotype):

@@ -382,18 +382,43 @@ def _json_flag(value) -> bool:
     return value
 
 
+def _count(value, name, top=None):
+    """``value`` if it is an int (not a bool) from 0 to ``top``, or from 0
+    up when ``top`` is None; else ValueError naming the field."""
+    if type(value) is int and value >= 0 and (top is None or value <= top):
+        return value
+    bound = "an integer >= 0" if top is None else f"an integer from 0 to {top}"
+    raise ValueError(f"{name} must be {bound}, not {json.dumps(value)}")
+
+
+def _tsv_index(cell) -> int:
+    """A TSV report's locus index, which only ASCII digits may give."""
+    return _count(int(cell) if cell.isascii() and cell.isdigit() else cell,
+                  "locus_index")
+
+
+def _tsv_cell(cell, name, values):
+    """``values[cell]``; any other cell raises ValueError naming the field."""
+    try:
+        return values[cell]
+    except KeyError:
+        raise ValueError(f"{name} must be one of {', '.join(values)}, "
+                         f"not {json.dumps(cell)}") from None
+
+
 def read_error_report(path) -> ErrorReport:
     with _text(path) as fh:
         text = fh.read()
     if text.lstrip().startswith("{"):
         try:
             payload = json.loads(text)
-            entries = tuple(ErrorEntry(**{**e, "observed": int(e["observed"]),
-                                          "suggested": int(e["suggested"]),
-                                          "locus_index": int(e["locus_index"]),
-                                          "ratio": float(e["ratio"]),
-                                          "flagged": _json_flag(e["flagged"])})
-                            for e in payload["entries"])
+            entries = tuple(ErrorEntry(**{
+                **e, "observed": _count(e["observed"], "observed", 2),
+                "suggested": _count(e["suggested"], "suggested", 2),
+                "locus_index": _count(e["locus_index"], "locus_index"),
+                "ratio": float(e["ratio"]),
+                "flagged": _json_flag(e["flagged"])})
+                for e in payload["entries"])
             return ErrorReport(entries=entries,
                                threshold=float(payload["threshold"]),
                                failures={k: int(v) for k, v
@@ -405,7 +430,8 @@ def read_error_report(path) -> ErrorReport:
     failures = {}
     entries = []
     header_seen = False
-    for line_no, line in enumerate(text.splitlines(), start=1):
+    symbols, flags = {"0": 0, "1": 1, "2": 2}, {"0": False, "1": True}
+    for line_no, line in enumerate(text.split("\n"), start=1):
         if not line.strip():
             continue
         if line.startswith("#threshold="):
@@ -430,11 +456,13 @@ def read_error_report(path) -> ErrorReport:
         if len(parts) != len(ERROR_REPORT_COLUMNS):
             _fail(path, line_no, f"expected {len(ERROR_REPORT_COLUMNS)} fields")
         try:
-            entries.append(ErrorEntry(parts[0], int(parts[2]), parts[1],
-                                      int(parts[3]), float(parts[4]),
-                                      parts[5] == "1", int(parts[6])))
-        except ValueError:
-            _fail(path, line_no, "non-numeric field in error report row")
+            entries.append(ErrorEntry(
+                parts[0], _tsv_index(parts[2]), parts[1],
+                _tsv_cell(parts[3], "observed", symbols), float(parts[4]),
+                _tsv_cell(parts[5], "flagged", flags),
+                _tsv_cell(parts[6], "suggested", symbols)))
+        except ValueError as exc:
+            _fail(path, line_no, f"malformed error report row ({exc})")
     if threshold is None:
         _fail(path, 1, "missing '#threshold=' header")
     if not header_seen:
@@ -481,9 +509,10 @@ def read_imputation(path) -> ImputationResult:
         try:
             payload = json.loads(text)
             entries = tuple(ImputationEntry(
-                e["sample_id"], int(e["locus_index"]), e["locus_id"],
-                tuple(float(p) for p in e["probs"]), int(e["call"]),
-                float(e["confidence"])) for e in payload["entries"])
+                e["sample_id"], _count(e["locus_index"], "locus_index"),
+                e["locus_id"], tuple(float(p) for p in e["probs"]),
+                _count(e["call"], "call", 2), float(e["confidence"]))
+                for e in payload["entries"])
             failures = tuple((f[0], int(f[1]))
                              for f in payload.get("failures", []))
             return ImputationResult(entries=entries, windows=(),
@@ -495,7 +524,8 @@ def read_imputation(path) -> ImputationResult:
     entries = []
     failures = []
     header_seen = False
-    for line_no, line in enumerate(text.splitlines(), start=1):
+    calls = {"0": 0, "1": 1, "2": 2}
+    for line_no, line in enumerate(text.split("\n"), start=1):
         if not line.strip():
             continue
         if line.startswith("#zero-probability\t"):
@@ -513,10 +543,11 @@ def read_imputation(path) -> ImputationResult:
             _fail(path, line_no, f"expected {len(IMPUTATION_COLUMNS)} fields")
         try:
             probs = (float(parts[3]), float(parts[4]), float(parts[5]))
-            entries.append(ImputationEntry(parts[0], int(parts[2]), parts[1],
-                                           probs, int(parts[6]), float(parts[7])))
-        except ValueError:
-            _fail(path, line_no, "non-numeric field in imputation row")
+            entries.append(ImputationEntry(
+                parts[0], _tsv_index(parts[2]), parts[1], probs,
+                _tsv_cell(parts[6], "call", calls), float(parts[7])))
+        except ValueError as exc:
+            _fail(path, line_no, f"malformed imputation row ({exc})")
     if not header_seen:
         _fail(path, 1, "missing column header row")
     return ImputationResult(entries=tuple(entries), windows=(),

@@ -34,12 +34,6 @@ class ZeroProbabilityError(ArithmeticError):
         super().__init__(message or f"model assigns probability zero (locus {locus})")
 
 
-def _frozen_array(values, dtype):
-    arr = np.array(values, dtype=dtype)
-    arr.setflags(write=False)
-    return arr
-
-
 def _symbol_array(values, allowed, what):
     arr = np.asarray(values)
     if arr.ndim != 1:
@@ -75,10 +69,6 @@ class MultilocusGenotype:
     @property
     def missing_mask(self) -> np.ndarray:
         return self.symbols == MISSING
-
-    def key(self) -> tuple:
-        """Hashable symbol tuple (identifies duplicate genotypes)."""
-        return tuple(int(s) for s in self.symbols)
 
 
 @dataclass(frozen=True)
@@ -257,35 +247,3 @@ def genotype_from_haplotypes(sample_id: str, first: HaplotypeSequence,
     if len(first) != len(second):
         raise InputError("haplotype lengths differ")
     return MultilocusGenotype(sample_id, first.alleles + second.alleles)
-
-
-def chain_marginals(model: FounderHMM) -> np.ndarray:
-    """Per-locus founder-state marginals of the chain, shape (n, K)."""
-    out = np.empty((model.loci, model.founders), dtype=np.float64)
-    out[0] = model.initial
-    for i in range(model.loci - 1):
-        out[i + 1] = out[i] @ model.transitions[i]
-    return out
-
-
-def reverse_model(model: FounderHMM) -> FounderHMM:
-    """Model of the chain run right-to-left over reversed loci.
-
-    Transitions are transposed and reweighted by the per-locus state
-    marginals so the reversed model induces the same joint law on
-    reversed sequences. Rows for unreachable states fall back to uniform.
-    """
-    marg = chain_marginals(model)
-    n, k = model.loci, model.founders
-    rev_trans = np.empty((max(n - 1, 0), k, k), dtype=np.float64)
-    for j in range(n - 1):
-        i = n - 2 - j  # original interval i -> i+1 becomes reversed interval j -> j+1
-        num = marg[i][None, :] * model.transitions[i].T  # [a, b] = mu_i[b] T[b, a]
-        denom = marg[i + 1][:, None]
-        with np.errstate(invalid="ignore", divide="ignore"):
-            rows = num / denom
-        dead = denom[:, 0] <= 0.0
-        rows[dead] = 1.0 / k
-        rev_trans[j] = rows
-    return FounderHMM(initial=marg[n - 1], transitions=rev_trans,
-                      emissions=model.emissions[::-1].copy())

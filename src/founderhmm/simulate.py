@@ -258,6 +258,10 @@ def evaluate(calls, truth_genotypes, *, loci=None) -> EvalReport:
             if t == MISSING:
                 raise InputError(
                     f"truth is missing at {e.sample_id!r} locus {e.locus_index}")
+            if e.call not in (0, 1, 2):
+                raise InputError(
+                    f"call {e.call!r} at {e.sample_id!r} locus {e.locus_index} "
+                    "is not 0, 1 or 2")
             confusion[t, e.call] += 1
             total += 1
             discordant += int(e.call != t)

@@ -1,15 +1,16 @@
-"""Batched posterior inference over a genotype corpus.
+"""Batched posterior inference over a genotype corpus, as arrays.
 
 Genotypes sharing a prefix share forward work. The corpus is reduced to
 its distinct rows in sorted order, where each row shares its longest
-common prefix (LCP) with the row before it: the prefix-sorting idea of
-PBWT (Durbin 2014). Those rows and LCPs are a prefix trie, one node per
-distinct (depth, prefix). The engine steps the sorted rows 64 at a time
-as (rows, K, K) stacks: a backward walk along every row, then a forward
-walk that evaluates each trie node once and combines each forward state
-with its backward state on the spot. A tile's first row resumes from the
-previous tile's last row, the one row whose forward states are carried.
-MISSING branches like any other symbol.
+common prefix (LCP) with the row before it: the prefix arrays of PBWT
+(Durbin 2014). Those rows and LCPs stand for a prefix trie, one node per
+distinct (depth, prefix), without building it. The engine steps the
+sorted rows 64 at a time as (rows, K, K) stacks: a backward walk along
+every row, then a forward walk that evaluates each trie node once and
+combines each forward state with its backward state on the spot. A
+tile's first row resumes from the previous tile's last row, the one row
+whose forward states are carried. MISSING branches like any other symbol.
+Posterior tables and failures come from one pass over the result arrays.
 
 Memory: the result holds substitution weights, posteriors and prefix and
 suffix log sums, 9 x 8 bytes per distinct genotype and locus, and the
@@ -25,80 +26,50 @@ carried row's forward states at most loci x K^2 x 8 bytes. Blocks change the pac
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .inference import PosteriorScan, _planes, _scan_rows, table_from_scan
-from .model import (FounderHMM, InputError, MultilocusGenotype,
-                    ZeroProbabilityError, emission_stack)
+from .inference import PosteriorTable, _planes, _scan_rows
+from .model import FounderHMM, InputError, MultilocusGenotype, emission_stack
 
 
-class GenotypeTrie:
+class GenotypeTrie(NamedTuple):
     """Prefix trie over equal-length genotypes, held as sorted rows.
 
-    rows are the distinct genotypes in lexicographic order, lcps[r] is the
-    length of the prefix row r shares with row r - 1 (0 for the first), so
-    row r adds loci - lcps[r] trie nodes, and row_of[j] is the row of the
-    j-th genotype, whose id is sample_ids[j].
+    rows are the distinct genotypes in lexicographic order, row_of[j] is
+    the row of the j-th genotype, and lcps[r] is the length of the prefix
+    row r shares with row r - 1 (0 for the first), so row r adds loci -
+    lcps[r] trie nodes.
     """
 
-    def __init__(self, symbols: np.ndarray, sample_ids):
-        self.rows, row_of = np.unique(symbols, axis=0, return_inverse=True)
-        self.row_of = row_of.ravel()
-        differs = self.rows[1:] != self.rows[:-1]
-        self.lcps = np.concatenate(([0], differs.argmax(axis=1)))
-        self.sample_ids = list(sample_ids)
-
-    @property
-    def loci(self) -> int:
-        return self.rows.shape[1]
-
-    def node_count(self) -> int:
-        """Number of non-root nodes."""
-        return int(self.rows.size - self.lcps.sum())
-
-    def depth_counts(self) -> tuple:
-        """Distinct prefixes per depth 1..loci."""
-        counts = np.cumsum(np.bincount(self.lcps, minlength=self.loci))
-        return tuple(int(c) for c in counts)
-
-    def distinct_count(self) -> int:
-        return self.rows.shape[0]
-
-    def genotypes(self):
-        """(symbol tuple, sample ids) per distinct genotype."""
-        ids = [[] for _ in range(self.distinct_count())]
-        for sample_id, r in zip(self.sample_ids, self.row_of):
-            ids[r].append(sample_id)
-        return [(tuple(row), group) for row, group in zip(self.rows.tolist(), ids)]
+    rows: np.ndarray
+    row_of: np.ndarray
+    lcps: np.ndarray
 
 
-def _corpus_symbols(corpus):
-    genos = list(corpus)
-    if not genos:
-        raise InputError("corpus must be non-empty")
-    for g in genos:
-        if not isinstance(g, MultilocusGenotype):
-            raise InputError("corpus entries must be MultilocusGenotype values")
-    n = len(genos[0])
-    for g in genos:
-        if len(g) != n:
-            raise InputError(
-                f"genotype {g.sample_id!r} has {len(g)} loci, expected {n}")
-    return genos, n
+def build_trie(symbols: np.ndarray) -> GenotypeTrie:
+    """Sorted distinct rows of a (genotypes, loci) symbol matrix."""
+    rows, row_of = np.unique(symbols, axis=0, return_inverse=True)
+    differs = rows[1:] != rows[:-1]
+    return GenotypeTrie(rows, row_of.ravel(),
+                        np.concatenate(([0], differs.argmax(axis=1))))
 
 
-def build_trie(corpus) -> GenotypeTrie:
-    genos, _ = _corpus_symbols(corpus)
-    return GenotypeTrie(np.stack([g.symbols for g in genos]),
-                        [g.sample_id for g in genos])
-
-
-def reversed_trie(corpus) -> GenotypeTrie:
+def reversed_trie(symbols: np.ndarray) -> GenotypeTrie:
     """Trie over reversed genotypes, so shared suffixes share nodes."""
-    genos, _ = _corpus_symbols(corpus)
-    return GenotypeTrie(np.stack([g.symbols[::-1] for g in genos]),
-                        [g.sample_id for g in genos])
+    return build_trie(symbols[:, ::-1])
+
+
+def _scan_symbols(model: FounderHMM, symbols: np.ndarray):
+    """The engine: posterior arrays of the distinct rows of a (genotypes,
+    loci) symbol matrix. Returns their trie, the arrays of
+    :func:`~founderhmm.inference._scan_rows` over its rows, and the counts
+    of forward and backward locus evaluations."""
+    trie = build_trie(symbols)
+    arrays, evals = _scan_rows(model, emission_stack(model),
+                               _planes(trie.rows), trie.lcps)
+    return trie, arrays, evals
 
 
 @dataclass(frozen=True)
@@ -124,19 +95,16 @@ class BatchStats:
     def naive_locus_evals(self) -> int:
         return self.samples * self.loci
 
-    @property
-    def locus_evals_avoided(self) -> int:
-        return self.naive_locus_evals - self.forward_locus_evals
-
 
 @dataclass(frozen=True)
 class BatchPosteriorResult:
-    """Posteriors of every distinct genotype, and per-sample views of them.
+    """Posterior arrays of every distinct genotype of a corpus.
 
     Row r of ``triples`` (distinct, loci, 3), ``prefix_logs``,
     ``suffix_logs`` and ``log_likelihoods`` is that of distinct genotype r
-    (see :class:`PosteriorScan`); ``row_of[j]`` is the row of the j-th
-    corpus genotype. ``scans`` and ``tables`` map sample ids to one object
+    (see :class:`~founderhmm.inference.PosteriorScan`); ``row_of[j]`` is
+    the row of the j-th corpus genotype. ``tables`` maps each sample id to
+    its row's :class:`~founderhmm.inference.PosteriorTable`, one object
     per row. A sample whose genotype has a zero marginal gets no table;
     ``failures`` maps it to the first such locus.
     """
@@ -147,41 +115,50 @@ class BatchPosteriorResult:
     log_likelihoods: np.ndarray
     row_of: np.ndarray
     tables: dict
-    scans: dict
     failures: dict
     stats: BatchStats
 
 
 def batched_posteriors(model: FounderHMM, corpus) -> BatchPosteriorResult:
-    """Posterior scans for every corpus genotype.
+    """Posterior arrays and tables for every corpus genotype.
 
-    Results are bitwise equal to per-sample :func:`posterior_scan`, and
-    independent of corpus order and of the engine's block length.
+    Results are bitwise equal to per-sample :func:`posterior_scan` and
+    :func:`genotype_posteriors`, and independent of corpus order and of
+    the engine's block length.
     """
-    genos, n = _corpus_symbols(corpus)
+    genos = list(corpus)
+    if not genos:
+        raise InputError("corpus must be non-empty")
+    for g in genos:
+        if not isinstance(g, MultilocusGenotype):
+            raise InputError("corpus entries must be MultilocusGenotype values")
+        if len(g) != len(genos[0]):
+            raise InputError(f"genotype {g.sample_id!r} has {len(g)} loci, "
+                             f"expected {len(genos[0])}")
+    n = len(genos[0])
     if n != model.loci:
         raise InputError(f"corpus has {n} loci but the model has {model.loci}")
     ids = [g.sample_id for g in genos]
     if len(set(ids)) != len(ids):
         raise InputError("corpus sample ids must be unique")
 
-    trie = build_trie(genos)
-    arrays, (fevals, bevals) = _scan_rows(model, emission_stack(model),
-                                          _planes(trie.rows), trie.lcps)
-    row_scans = [PosteriorScan(t, f, b, float(ll)) for t, f, b, ll in zip(*arrays)]
-    row_tables, dead = {}, {}
-    for r, scan in enumerate(row_scans):
-        try:
-            row_tables[r] = table_from_scan(scan)
-        except ZeroProbabilityError as exc:
-            dead[r] = exc.locus
+    trie, arrays, (fevals, bevals) = _scan_symbols(
+        model, np.stack([g.symbols for g in genos]))
+    triples, prefix_logs, suffix_logs, _ = arrays
+    sums = triples.sum(axis=2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        probs = triples / sums[:, :, None]
+        log_marginals = np.log(sums) + prefix_logs + suffix_logs
+    dead = sums <= 0.0
+    # each row's first locus of zero marginal, -1 for a live row
+    first_dead = np.where(dead.any(axis=1), dead.argmax(axis=1), -1).tolist()
+    row_tables = list(map(PosteriorTable, probs, log_marginals))
     pairs = list(zip(ids, trie.row_of.tolist()))
     stats = BatchStats(samples=len(genos), loci=n,
-                       distinct_genotypes=len(row_scans),
+                       distinct_genotypes=len(trie.rows),
                        forward_locus_evals=fevals, backward_locus_evals=bevals)
     return BatchPosteriorResult(
         *arrays, row_of=trie.row_of,
-        tables={sid: row_tables[r] for sid, r in pairs if r in row_tables},
-        scans={sid: row_scans[r] for sid, r in pairs},
-        failures={sid: dead[r] for sid, r in pairs if r in dead},
+        tables={sid: row_tables[r] for sid, r in pairs if first_dead[r] < 0},
+        failures={sid: first_dead[r] for sid, r in pairs if first_dead[r] >= 0},
         stats=stats)

@@ -10,8 +10,10 @@ per-haplotype Baum-Welch E-step behind the weighted distinct-row E-step of
 ``founderhmm.training``; ``scan_per_locus``, the per-genotype two-sweep
 loop behind the tiled batch posterior engine, bit for bit;
 ``phase_decode_per_sample``, the per-genotype Viterbi loop behind
-``phase_corpus``, bit for bit; and ``detect_entries_per_symbol``, the
-per-symbol entry loop behind ``detect_errors``, bit for bit.
+``phase_corpus``, bit for bit; ``detect_entries_per_symbol``, the
+per-symbol entry loop behind ``detect_errors``, bit for bit; and
+``prefix_nodes``, the trie node count that the batch engine's forward
+walk must match.
 """
 import numpy as np
 
@@ -295,3 +297,9 @@ def detect_entries_per_symbol(scan, symbols, threshold):
         suggested = sym if row[sym] == row.max() else int(np.argmax(row))
         out.append((i, sym, ratio, ratio > threshold, suggested))
     return out
+
+
+def prefix_nodes(rows):
+    """Number of distinct non-empty prefixes of symbol rows: the nodes of
+    their prefix trie, less the root, counted as a set of tuples."""
+    return len({tuple(row[:d]) for row in rows for d in range(1, len(row) + 1)})

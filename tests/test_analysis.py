@@ -9,11 +9,11 @@ import oracle
 from conftest import random_corpus, random_genotype, random_model
 from founderhmm import (MISSING, FounderHMM, HaplotypeSequence, InputError,
                         LocusMap, MultilocusGenotype, SimConfig, TrainConfig,
-                        WindowSpec, ZeroProbabilityError,
-                        batched_posteriors, correct_errors, detect_errors,
-                        evaluate, genotype_from_haplotypes, impute_untyped,
-                        phase_corpus, phase_decode, recover_missing,
-                        run_pipeline, simulate, substitute, window_spans)
+                        WindowSpec, ZeroProbabilityError, correct_errors,
+                        detect_errors, evaluate, genotype_from_haplotypes,
+                        impute_untyped, phase_corpus, phase_decode,
+                        posterior_scan, recover_missing, run_pipeline,
+                        simulate, substitute, window_spans)
 
 
 def with_dead_loci(rng, model, count):
@@ -110,10 +110,9 @@ def test_detect_entries_match_the_per_symbol_loop():
                                missing_rate=0.2)
         threshold = float(rng.choice([1.5, 10.0, 1e3]))
         report = detect_errors(model, corpus, threshold)
-        scans = batched_posteriors(model, corpus).scans
         want = [(g.sample_id, *entry) for g in corpus
                 for entry in oracle.detect_entries_per_symbol(
-                    scans[g.sample_id], g.symbols, threshold)]
+                    posterior_scan(model, g), g.symbols, threshold)]
         got = [(e.sample_id, e.locus_index, e.observed, e.ratio, e.flagged,
                 e.suggested) for e in report.entries]
         assert got == want

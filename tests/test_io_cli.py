@@ -16,7 +16,7 @@ import founderhmm.cli as cli
 from founderhmm import (ErrorEntry, ErrorReport, FounderHMM,
                         HaplotypeSequence, ImputationEntry, ImputationResult,
                         InputError, LocusMap, MultilocusGenotype, TrainConfig,
-                        train_founder_hmm)
+                        correct_errors, evaluate, train_founder_hmm)
 from founderhmm.io_formats import (CONFIG_ENV, ERROR_REPORT_COLUMNS,
                                    IMPUTATION_COLUMNS, atomic_write, fmt,
                                    load_config_file, read_error_report,
@@ -271,6 +271,128 @@ def test_imputation_reader_locates_malformed_failure_lines(tmp_path):
             read_imputation(path)
 
 
+def damaged_report(tmp_path, json_mode, column, value):
+    """The sample error report with one cell of its flagged S1 entry (line
+    5 of the TSV file) set to ``value``, and a corpus the report matches."""
+    gen = tmp_path / "g.gen"
+    write_genotypes(gen, [MultilocusGenotype(sid, np.array(row, dtype=np.int8))
+                          for sid, row in (("S0", [0, 0, 0, 0, 2]),
+                                           ("S1", [1, 0, 0, 0, 0]),
+                                           ("S9", [0] * 5))])
+    path = tmp_path / ("r.json" if json_mode else "r.tsv")
+    write_error_report(path, sample_error_report(), json_mode=json_mode)
+    if value is None:
+        return gen, path
+    if json_mode:
+        payload = json.loads(path.read_text())
+        payload["entries"][1][column] = value
+        path.write_text(json.dumps(payload))
+    else:
+        lines = path.read_text().split("\n")
+        cells = lines[4].split("\t")
+        cells[ERROR_REPORT_COLUMNS.index(column)] = value
+        lines[4] = "\t".join(cells)
+        path.write_text("\n".join(lines))
+    return gen, path
+
+
+@pytest.mark.parametrize("json_mode,column,value", [
+    (False, "suggested", "300"), (False, "suggested", "-1"),
+    (False, "suggested", "5"), (False, "suggested", "2.5"),
+    (False, "observed", "3"), (False, "locus_index", "-1"),
+    (False, "flagged", "yes"), (False, "flagged", "true"),
+    (True, "suggested", 2.9), (True, "suggested", "2"),
+    (True, "suggested", 300), (True, "suggested", -1),
+    (True, "observed", True), (True, "locus_index", -1),
+    (True, "locus_index", 0.0)])
+def test_bad_error_report_cells_exit_one(tmp_path, capsys, json_mode, column,
+                                         value):
+    out = tmp_path / "o.gen"
+    argv = ["correct", "--out", str(out)]
+    gen, path = damaged_report(tmp_path, json_mode, column, None)
+    assert run_cli(*argv, "--genotypes", str(gen), "--report", str(path)) == 0
+    out.unlink()
+    gen, path = damaged_report(tmp_path, json_mode, column, value)
+    capsys.readouterr()
+    assert run_cli(*argv, "--genotypes", str(gen), "--report", str(path)) == 1
+    err = capsys.readouterr().err
+    assert column in err
+    if json_mode:
+        assert f"{path}: malformed JSON error report" in err
+    else:
+        assert f"{path}:5: malformed error report row" in err
+    assert not out.exists()
+
+
+def test_correct_errors_rejects_symbols_outside_0_to_2():
+    corpus = [MultilocusGenotype("S0", np.array([0, 0, 0, 0, 2], dtype=np.int8))]
+    for suggested in (-1, 3, 300):
+        entry = ErrorEntry("S0", 4, "L4", 2, float("inf"), True, suggested)
+        report = ErrorReport(entries=(entry,), threshold=10.0, failures={},
+                             stats=None)
+        with pytest.raises(InputError, match="suggests symbol"):
+            correct_errors(corpus, report)
+
+
+def damaged_imputation(tmp_path, json_mode, column, value):
+    """The sample imputation with one cell of its first entry (line 3 of
+    the TSV file) set to ``value``, and a truth corpus it can be scored
+    against."""
+    truth = tmp_path / "t.gen"
+    write_genotypes(truth, [MultilocusGenotype(sid, np.zeros(9, dtype=np.int8))
+                            for sid in ("S0", "S1", "S2")])
+    path = tmp_path / ("i.json" if json_mode else "i.tsv")
+    write_imputation(path, sample_imputation(), json_mode=json_mode)
+    if value is None:
+        return truth, path
+    if json_mode:
+        payload = json.loads(path.read_text())
+        payload["entries"][0][column] = value
+        path.write_text(json.dumps(payload))
+    else:
+        lines = path.read_text().split("\n")
+        cells = lines[2].split("\t")
+        cells[IMPUTATION_COLUMNS.index(column)] = value
+        lines[2] = "\t".join(cells)
+        path.write_text("\n".join(lines))
+    return truth, path
+
+
+@pytest.mark.parametrize("json_mode,column,value", [
+    (False, "call", "5"), (False, "call", "300"), (False, "call", "-1"),
+    (False, "call", "2.5"), (False, "locus_index", "-1"),
+    (True, "call", 5), (True, "call", 300), (True, "call", -1),
+    (True, "call", True), (True, "call", "1"), (True, "call", 2.0),
+    (True, "locus_index", -1)])
+def test_bad_imputation_cells_exit_one(tmp_path, capsys, json_mode, column,
+                                       value):
+    out = tmp_path / "e.tsv"
+    argv = ["evaluate", "--kind", "imputation", "--out", str(out)]
+    truth, path = damaged_imputation(tmp_path, json_mode, column, None)
+    assert run_cli(*argv, "--calls", str(path), "--truth", str(truth)) == 0
+    out.unlink()
+    truth, path = damaged_imputation(tmp_path, json_mode, column, value)
+    capsys.readouterr()
+    assert run_cli(*argv, "--calls", str(path), "--truth", str(truth)) == 1
+    err = capsys.readouterr().err
+    assert column in err
+    if json_mode:
+        assert f"{path}: malformed JSON imputation file" in err
+    else:
+        assert f"{path}:3: malformed imputation row" in err
+    assert not out.exists()
+
+
+def test_evaluate_rejects_calls_outside_0_to_2():
+    truth = [MultilocusGenotype("S0", np.zeros(9, dtype=np.int8))]
+    for call in (-1, 3, 300):
+        entry = ImputationEntry("S0", 7, "L7", (0.25, 0.5, 0.25), call, 0.5)
+        calls = ImputationResult(entries=(entry,), windows=(), failures=(),
+                                 forward_locus_evals=0, backward_locus_evals=0)
+        with pytest.raises(InputError, match="is not 0, 1 or 2"):
+            evaluate(calls, truth)
+
+
 def test_fmt_round_trips_doubles():
     rng = np.random.default_rng(1)
     for v in rng.uniform(-1e9, 1e9, size=50):
@@ -472,6 +594,32 @@ def test_evaluate_imputation_kind(ws, capsys):
     out = capsys.readouterr().out
     total = int(re.search(r"total=(\d+)", out).group(1))
     assert total == 6 * 4  # every sample scored at every masked locus
+
+
+def test_reports_round_trip_ids_with_line_breaking_characters(ws, tmp_path):
+    # str.splitlines() breaks lines at these; sample ids may hold them
+    odd = ("S\u2028{}", "S\x0c{}", "S\x1c{}", "S\x85{}")
+    paths = {}
+    for key in ("gen", "truth"):
+        corpus = [MultilocusGenotype(odd[j % len(odd)].format(j), g.symbols)
+                  for j, g in enumerate(read_genotypes(ws[key]))]
+        paths[key] = str(tmp_path / f"odd.{key}")
+        write_genotypes(paths[key], corpus)
+    report, imputed = str(tmp_path / "odd.rep.tsv"), str(tmp_path / "odd.imp.tsv")
+    assert run_cli("detect", "--model", ws["model"], "--genotypes",
+                   paths["gen"], "--out", report) == 0
+    assert len(read_error_report(report).entries) == sum(
+        int((g.symbols != -1).sum()) for g in read_genotypes(paths["gen"]))
+    assert run_cli("correct", "--genotypes", paths["gen"], "--report", report,
+                   "--out", str(tmp_path / "odd.cor.gen")) == 0
+    assert [g.sample_id for g in read_genotypes(tmp_path / "odd.cor.gen")] == \
+        [g.sample_id for g in read_genotypes(paths["gen"])]
+    assert run_cli("impute", "--panel", ws["ref"], "--genotypes", paths["gen"],
+                   "--map", ws["map"], "--founders", "3", "--flank", "4",
+                   "--out", imputed) == 0
+    assert len(read_imputation(imputed).entries) == 6 * 4
+    assert run_cli("evaluate", "--kind", "imputation", "--calls", imputed,
+                   "--truth", paths["truth"], "--map", ws["map"]) == 0
 
 
 def test_sweep_cli_segregates_timings(ws):
@@ -858,6 +1006,12 @@ MUTATION_BYTES = st.sampled_from(sorted(set(b"\t\n\r #?-+.eE0129 {}[]\":,x")
                                         | {0x00, 0x84, 0xc3, 0xff}))
 
 
+# Values of the wrong range or type for an integer or true/false cell, and
+# the empty cell.
+CELL_TOKENS = st.sampled_from((b"-1", b"3", b"9", b"128", b"300", b"2.5",
+                               b"yes", b"true", b"nan", b""))
+
+
 # Well-formed JSON values of the wrong type for a true/false field, such as
 # a report entry's "flagged".
 NOT_BOOLEANS = st.sampled_from((b'"false"', b'"true"', b'"0"', b"0", b"1",
@@ -867,16 +1021,21 @@ NOT_BOOLEANS = st.sampled_from((b'"false"', b'"true"', b'"0"', b"0", b"1",
 @st.composite
 def mutated(draw, data):
     """``data`` after one to four edits: replace, insert, delete or
-    truncate bytes, or retype a JSON true/false literal."""
+    truncate bytes, retype a JSON true/false literal, or replace one whole
+    tab- or JSON-delimited cell."""
     data = bytearray(data)
     for _ in range(draw(st.integers(1, 4))):
         at = draw(st.integers(0, len(data)))
         edit = draw(st.sampled_from(("replace", "insert", "delete", "truncate",
-                                     "retype")))
+                                     "retype", "cell")))
         literals = [m.span() for m in re.finditer(rb"\b(true|false)\b", data)]
+        cells = [m.span() for m in re.finditer(rb"[^\t\n\r ,:\[\]{}]+", data)]
         if edit == "retype" and literals:
             lo, hi = draw(st.sampled_from(literals))
             data[lo:hi] = draw(NOT_BOOLEANS)
+        elif edit == "cell" and cells:
+            lo, hi = draw(st.sampled_from(cells))
+            data[lo:hi] = draw(CELL_TOKENS)
         elif edit == "replace" and at < len(data):
             data[at] = draw(MUTATION_BYTES)
         elif edit == "insert":

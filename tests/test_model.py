@@ -4,12 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_model
 from founderhmm import (ALLELE_SYMBOLS, GENOTYPE_SYMBOLS, MISSING, FounderHMM,
                         HaplotypeSequence, InputError, LocusMap,
-                        MultilocusGenotype, chain_marginals, emission_stack,
-                        emission_table, genotype_from_haplotypes,
-                        reverse_model, substitute, symbol_plane)
+                        MultilocusGenotype, emission_stack, emission_table,
+                        genotype_from_haplotypes, substitute, symbol_plane)
 
 
 def tiny_model():
@@ -77,7 +75,7 @@ def test_single_locus_model_has_empty_transitions():
 def test_genotype_validation():
     g = MultilocusGenotype("s", np.array([0, 1, 2, -1], dtype=np.int8))
     assert len(g) == 4
-    assert g.key() == (0, 1, 2, -1)
+    assert g.symbols.tolist() == [0, 1, 2, -1]
     assert list(g.missing_mask) == [False, False, False, True]
     with pytest.raises(InputError):
         MultilocusGenotype("s", np.array([0, 3], dtype=np.int8))
@@ -114,8 +112,8 @@ def test_locus_map_validation():
 def test_substitute_replaces_one_symbol():
     g = MultilocusGenotype("s", np.array([0, 1, 2], dtype=np.int8))
     g2 = substitute(g, 1, MISSING)
-    assert g2.key() == (0, -1, 2)
-    assert g.key() == (0, 1, 2)  # original untouched
+    assert g2.symbols.tolist() == [0, -1, 2]
+    assert g.symbols.tolist() == [0, 1, 2]  # original untouched
     with pytest.raises(IndexError):
         substitute(g, 3, 0)
 
@@ -165,21 +163,3 @@ def test_genotype_is_haplotype_sum(seed, loci):
     g_swapped = genotype_from_haplotypes("s", b, a)
     assert np.array_equal(g.symbols, g_swapped.symbols)
 
-
-def test_chain_marginals_are_distributions():
-    rng = np.random.default_rng(7)
-    m = random_model(rng, 3, 8)
-    marg = chain_marginals(m)
-    assert marg.shape == (8, 3)
-    assert np.allclose(marg.sum(axis=1), 1.0)
-    assert np.allclose(marg[0], m.initial)
-
-
-def test_reverse_model_flips_marginals():
-    rng = np.random.default_rng(11)
-    m = random_model(rng, 3, 6)
-    r = reverse_model(m)
-    assert r.loci == m.loci and r.founders == m.founders
-    fwd = chain_marginals(m)
-    rev = chain_marginals(r)
-    assert np.allclose(rev, fwd[::-1], atol=1e-12)

@@ -10,6 +10,10 @@ from founderhmm import (FounderHMM, InputError, MultilocusGenotype,
                         genotype_posteriors, inference, posterior_scan,
                         reversed_trie, table_from_scan)
 
+
+def symbols_of(corpus):
+    return np.stack([g.symbols for g in corpus])
+
 # Ten five-locus genotypes with heavy prefix sharing: seven distinct rows
 # and 23 distinct non-empty prefixes, versus 10 x 5 = 50 row-by-row locus
 # evaluations. Counts chosen so the savings are exact and easy to audit.
@@ -43,23 +47,23 @@ def shared_prefix_corpus():
 
 
 def test_trie_counts_on_shared_prefix_corpus():
-    corpus = shared_prefix_corpus()
-    trie = build_trie(corpus)
-    assert trie.distinct_count() == 7
-    assert trie.node_count() == 23
-    assert trie.depth_counts() == (2, 3, 5, 6, 7)
-    assert reversed_trie(corpus).node_count() == 27
-    # every sample lands on exactly one leaf
-    assert sorted(sid for _, ids in trie.genotypes() for sid in ids) == \
-        sorted(g.sample_id for g in corpus)
+    symbols = symbols_of(shared_prefix_corpus())
+    trie = build_trie(symbols)
+    assert ["".join(map(str, row)) for row in trie.rows.tolist()] == \
+        sorted(set(SHARED_PREFIX_ROWS))
+    assert trie.lcps.tolist() == [0, 4, 2, 3, 1, 0, 2]
+    assert oracle.prefix_nodes(trie.rows.tolist()) == 23
+    flipped = reversed_trie(symbols)
+    assert np.array_equal(flipped.rows[flipped.row_of], symbols[:, ::-1])
+    assert oracle.prefix_nodes(flipped.rows.tolist()) == 27
 
 
 def test_trie_reconstructs_genotypes():
-    corpus = shared_prefix_corpus()
-    trie = build_trie(corpus)
-    seen = {syms: set(ids) for syms, ids in trie.genotypes()}
-    for g in corpus:
-        assert g.sample_id in seen[g.key()]
+    symbols = symbols_of(shared_prefix_corpus())
+    trie = build_trie(symbols)
+    # duplicates share a row, and every genotype is its row
+    assert trie.row_of.tolist() == [0, 0, 0, 1, 2, 2, 3, 4, 5, 6]
+    assert np.array_equal(trie.rows[trie.row_of], symbols)
 
 
 def test_batch_engine_counts_match_trie():
@@ -72,7 +76,8 @@ def test_batch_engine_counts_match_trie():
     assert batch.stats.distinct_genotypes == 7
     assert batch.stats.forward_locus_evals == 23
     assert batch.stats.naive_locus_evals == 50
-    assert batch.stats.locus_evals_avoided == 27
+    assert batch.stats.forward_locus_evals == oracle.prefix_nodes(
+        SHARED_PREFIX_ROWS)
     # the backward walk is not shared: loci 4..1 of each distinct genotype
     assert batch.stats.backward_locus_evals == 7 * 4
 
@@ -123,8 +128,9 @@ def test_batch_matches_per_sample_bitwise(monkeypatch):
         if trial % 4 == 0:
             assert failures and len(failures) < len(corpus)
         for rows in (corpus, shuffled, corpus[:1]):
-            trie = build_trie(rows)
-            nodes, distinct = trie.node_count(), trie.distinct_count()
+            symbols = symbols_of(rows)
+            nodes = oracle.prefix_nodes(symbols.tolist())
+            distinct = len(build_trie(symbols).rows)
             # the default cap, then blocks of 1, 3, n and n + 5 loci
             for block in (None, 1, 3, n, n + 5):
                 if block is None:
@@ -138,14 +144,12 @@ def test_batch_matches_per_sample_bitwise(monkeypatch):
                                           for g in rows if g.sample_id in failures}
                 for g, r in zip(rows, batch.row_of):
                     want = wants[g.sample_id]
-                    got = batch.scans[g.sample_id]
                     for field, array in (("triples", batch.triples),
                                          ("prefix_logs", batch.prefix_logs),
                                          ("suffix_logs", batch.suffix_logs),
                                          ("log_likelihood", batch.log_likelihoods)):
-                        assert np.array_equal(getattr(got, field),
-                                              getattr(want, field)), (block, field)
-                        assert np.array_equal(array[r], getattr(want, field))
+                        assert np.array_equal(array[r], getattr(want, field)), \
+                            (block, field)
                     if g.sample_id in failures:
                         assert g.sample_id not in batch.tables
                         continue
@@ -157,28 +161,18 @@ def test_batch_matches_per_sample_bitwise(monkeypatch):
                         direct.log_marginals, rel=1e-12)
 
 
-def test_duplicates_share_one_scan_object():
-    rng = np.random.default_rng(2)
-    model = random_model(rng, 2, 5)
-    corpus = shared_prefix_corpus()
-    batch = batched_posteriors(model, corpus)
-    assert batch.scans["s0"] is batch.scans["s1"] is batch.scans["s2"]
-    assert batch.scans["s0"] is not batch.scans["s3"]
-
-
 @pytest.mark.parametrize("b", [1, 2, 3, 7, 64])
 def test_chunked_mode_is_bitwise_identical(monkeypatch, b):
     rng = np.random.default_rng(4)
     model = random_model(rng, 3, 11)
     corpus = random_corpus(rng, 12, 11, missing_rate=0.2)
     full = batched_posteriors(model, corpus)
-    pin_block_loci(monkeypatch, build_trie(corpus).distinct_count(), 3, b)
+    pin_block_loci(monkeypatch, len(build_trie(symbols_of(corpus)).rows), 3, b)
     chunked = batched_posteriors(model, corpus)
+    assert np.array_equal(full.triples, chunked.triples)
     for g in corpus:
         assert np.array_equal(np.asarray(full.tables[g.sample_id].probs),
                               np.asarray(chunked.tables[g.sample_id].probs))
-        assert np.array_equal(np.asarray(full.scans[g.sample_id].triples),
-                              np.asarray(chunked.scans[g.sample_id].triples))
 
 
 @pytest.mark.parametrize("b", [1, 2, 5, 9])
@@ -220,8 +214,7 @@ def test_impossible_sample_is_isolated_not_fatal():
     assert "dead" not in batch.tables
     assert batch.failures == {"dead": 0}
     direct = posterior_scan(model, bad)
-    assert np.array_equal(np.asarray(batch.scans["dead"].triples),
-                          np.asarray(direct.triples))
+    assert np.array_equal(batch.triples[batch.row_of[1]], direct.triples)
 
 
 def test_batch_input_validation():
@@ -242,7 +235,10 @@ def test_missing_symbols_branch_as_ordinary_symbols():
                                  np.array([-1 if c == "?" else int(c) for c in row],
                                           dtype=np.int8))
               for j, row in enumerate(rows)]
-    trie = build_trie(corpus)
-    assert trie.distinct_count() == 2
+    trie = build_trie(symbols_of(corpus))
+    assert trie.rows.tolist() == [[0, 1, -1], [0, 1, 0]]
     # shared prefix "01" then a two-way branch
-    assert trie.depth_counts() == (1, 1, 2)
+    assert trie.lcps.tolist() == [0, 2]
+    stats = batched_posteriors(random_model(np.random.default_rng(3), 2, 3),
+                               corpus).stats
+    assert stats.forward_locus_evals == oracle.prefix_nodes(rows) == 4
