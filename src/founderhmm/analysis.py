@@ -47,17 +47,57 @@ class ErrorEntry(NamedTuple):
     suggested: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ErrorReport:
-    """One entry per non-missing symbol, in corpus order then locus order."""
+    """One entry per non-missing symbol, in corpus order then locus order,
+    held as columns: ``sample_id`` and ``locus_id`` are lists of strings,
+    ``locus_index``, ``observed`` and
+    ``suggested`` int64 arrays, ``ratio`` a float64 array and ``flags`` a
+    bool array. ``entries`` and ``flagged()`` build :class:`ErrorEntry`
+    tuples on demand; detection, correction and the report files never
+    do."""
 
-    entries: tuple
+    sample_id: list
+    locus_index: np.ndarray
+    locus_id: list
+    observed: np.ndarray
+    ratio: np.ndarray
+    flags: np.ndarray
+    suggested: np.ndarray
     threshold: float
     failures: dict
     stats: object
 
+    @classmethod
+    def from_entries(cls, entries, threshold, failures, stats=None):
+        """The report of a sequence of entries in ErrorEntry field order."""
+        cols = list(zip(*entries)) or [()] * 7  # one per ErrorEntry field
+        return cls(sample_id=list(cols[0]),
+                   locus_index=np.array(cols[1], dtype=np.int64),
+                   locus_id=list(cols[2]),
+                   observed=np.array(cols[3], dtype=np.int64),
+                   ratio=np.array(cols[4], dtype=np.float64),
+                   flags=np.array(cols[5], dtype=bool),
+                   suggested=np.array(cols[6], dtype=np.int64),
+                   threshold=threshold, failures=failures, stats=stats)
+
+    def __len__(self):
+        return len(self.ratio)
+
+    def _entries(self, at):
+        """ErrorEntry tuples of the entries at the indices ``at``."""
+        return map(ErrorEntry, [self.sample_id[i] for i in at.tolist()],
+                   self.locus_index[at].tolist(),
+                   [self.locus_id[i] for i in at.tolist()],
+                   self.observed[at].tolist(), self.ratio[at].tolist(),
+                   self.flags[at].tolist(), self.suggested[at].tolist())
+
+    @property
+    def entries(self):
+        return tuple(self._entries(np.arange(len(self))))
+
     def flagged(self):
-        return [e for e in self.entries if e.flagged]
+        return list(self._entries(np.flatnonzero(self.flags)))
 
 
 def _entry_locus_ids(locus_ids, n):
@@ -77,32 +117,34 @@ def detect_errors(model: FounderHMM, corpus, threshold: float = DEFAULT_RATIO_TH
     the observed symbol, max_x P(g with x at i) / P(g), computed from the
     unnormalized per-locus substitution weights so a zero-probability
     observed symbol yields an infinite ratio rather than an error. A symbol
-    is flagged when its ratio exceeds ``threshold``.
+    is flagged when its ratio exceeds ``threshold``. All typed symbols of
+    the corpus are screened in one pass over arrays.
     """
     if not threshold > 0:
         raise InputError(f"threshold must be positive, got {threshold}")
     genos = list(corpus)
     batch = batched_posteriors(model, genos)
     ids = _entry_locus_ids(locus_ids, len(genos[0]))
-    entries = []
-    for g, r in zip(genos, batch.row_of.tolist()):
-        typed = np.flatnonzero(g.symbols != MISSING)
-        observed = g.symbols[typed].astype(np.intp)
-        rows = batch.triples[r, typed]
-        best = rows.max(axis=1)
-        weight = rows[np.arange(typed.size), observed]
-        # A zero-probability observed symbol gets an infinite ratio; when
-        # nothing at the locus can rescue the genotype, it ties the (zero)
-        # maximum and the ratio is 1.
-        ratio = np.where(best > 0.0, np.inf, 1.0)
-        np.divide(best, weight, out=ratio, where=weight > 0.0)
-        suggested = np.where(weight == best, observed, rows.argmax(axis=1))
-        loci = typed.tolist()
-        entries.extend(map(ErrorEntry, repeat(g.sample_id, len(loci)), loci,
-                           [ids[i] for i in loci], observed.tolist(),
-                           ratio.tolist(), (ratio > threshold).tolist(),
-                           suggested.tolist()))
-    return ErrorReport(entries=tuple(entries), threshold=float(threshold),
+    symbols = np.stack([g.symbols for g in genos])
+    samples, loci = np.nonzero(symbols != MISSING)
+    observed = symbols[samples, loci].astype(np.int64)
+    rows = batch.triples[batch.row_of[samples], loci]
+    best = rows.max(axis=1)
+    weight = np.take_along_axis(rows, observed[:, None], axis=1)[:, 0]
+    # A zero-probability observed symbol gets an infinite ratio; when
+    # nothing at the locus can rescue the genotype, it ties the (zero)
+    # maximum and the ratio is 1.
+    ratio = np.where(best > 0.0, np.inf, 1.0)
+    np.divide(best, weight, out=ratio, where=weight > 0.0)
+    suggested = np.where(weight == best, observed, rows.argmax(axis=1))
+    sample_ids = [g.sample_id for g in genos]
+    return ErrorReport(sample_id=list(map(sample_ids.__getitem__,
+                                          samples.tolist())),
+                       locus_index=loci.astype(np.int64),
+                       locus_id=list(map(ids.__getitem__, loci.tolist())),
+                       observed=observed,
+                       ratio=ratio, flags=ratio > threshold,
+                       suggested=suggested, threshold=float(threshold),
                        failures=dict(batch.failures), stats=batch.stats)
 
 
@@ -110,30 +152,53 @@ def correct_errors(corpus, report: ErrorReport):
     """Apply the suggested symbol at every flagged entry.
 
     Returns (corrected corpus, change count). The report must have been
-    generated from this corpus; observed-symbol mismatches are rejected.
+    generated from this corpus: the first entry in report order that names
+    an unknown sample, a locus out of range, an observed symbol the corpus
+    does not hold (a cell that an earlier entry changed included) or a
+    suggestion outside 0-2 is rejected, and nothing changes.
     """
     genos = list(corpus)
-    by_id = {g.sample_id: np.array(g.symbols) for g in genos}
-    if len(by_id) != len(genos):
+    row_of = {g.sample_id: r for r, g in enumerate(genos)}
+    if len(row_of) != len(genos):
         raise InputError("corpus sample ids must be unique")
-    changes = 0
-    for e in report.entries:
-        symbols = by_id.get(e.sample_id)
-        if symbols is None:
-            raise InputError(f"report names unknown sample {e.sample_id!r}")
-        if not 0 <= e.locus_index < symbols.shape[0]:
-            raise InputError(f"report locus {e.locus_index} out of range")
-        if int(symbols[e.locus_index]) != e.observed:
+    lengths = np.array([len(g) for g in genos] + [0])
+    symbols = np.full((len(genos), lengths.max()), MISSING, dtype=np.int8)
+    for r, g in enumerate(genos):
+        symbols[r, :len(g)] = g.symbols
+    rows = np.fromiter(map(row_of.get, report.sample_id, repeat(-1)),
+                       dtype=np.intp, count=len(report))
+    loc, observed, suggested = (report.locus_index, report.observed,
+                                report.suggested)
+    known = rows >= 0
+    placed = known & (loc >= 0) & (loc < lengths[rows])  # lengths[-1] is 0
+    cell = np.where(placed, rows * symbols.shape[1] + loc, -1)
+    matches = placed.copy()
+    matches[placed] = symbols.ravel()[cell[placed]] == observed[placed]
+    change = report.flags & (suggested != observed)
+    # an entry after one that changed its cell no longer matches the corpus
+    stale = np.zeros(len(report), dtype=bool)
+    if change.any():
+        changed, first = np.unique(cell[change], return_index=True)
+        at = np.searchsorted(changed, cell).clip(max=changed.size - 1)
+        stale = (changed[at] == cell) & (
+            np.arange(len(report)) > np.flatnonzero(change)[first][at])
+    ok = matches & ~stale & (suggested >= 0) & (suggested <= 2)
+    if not ok.all():
+        j = int(np.argmin(ok))
+        sample, locus = report.sample_id[j], int(loc[j])
+        if not known[j]:
+            raise InputError(f"report names unknown sample {sample!r}")
+        if not placed[j]:
+            raise InputError(f"report locus {locus} out of range")
+        if not matches[j] or stale[j]:
             raise InputError(
-                f"report does not match corpus at {e.sample_id!r} locus {e.locus_index}")
-        if e.suggested not in (0, 1, 2):
-            raise InputError(f"report suggests symbol {e.suggested!r} at "
-                             f"{e.sample_id!r} locus {e.locus_index}")
-        if e.flagged and e.suggested != e.observed:
-            symbols[e.locus_index] = e.suggested
-            changes += 1
-    corrected = [MultilocusGenotype(g.sample_id, by_id[g.sample_id]) for g in genos]
-    return corrected, changes
+                f"report does not match corpus at {sample!r} locus {locus}")
+        raise InputError(f"report suggests symbol {int(suggested[j])!r} at "
+                         f"{sample!r} locus {locus}")
+    symbols.ravel()[cell[change]] = suggested[change]
+    corrected = [MultilocusGenotype(g.sample_id, symbols[r, :len(g)])
+                 for r, g in enumerate(genos)]
+    return corrected, int(change.sum())
 
 
 class RecoveryFill(NamedTuple):
@@ -542,7 +607,7 @@ def run_pipeline(mode: str, reference, corpus, locus_map: LocusMap,
                                      locus_ids=typed_ids)
         working, changes = correct_errors(working, error_report)
         stages.append(StageReport("detect-correct", time.perf_counter() - t0, {
-            "flagged": len(error_report.flagged()),
+            "flagged": int(error_report.flags.sum()),
             "changed": changes,
             "locus_evals": error_report.stats.forward_locus_evals
             + error_report.stats.backward_locus_evals,

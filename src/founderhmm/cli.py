@@ -389,7 +389,7 @@ def _cmd_detect(args):
                             "threshold": args.threshold,
                             "map": args.map or "-"})
     write_error_report(args.out, report, config_line=echo, json_mode=args.json)
-    _note(f"flagged {len(report.flagged())} of {len(report.entries)} symbols "
+    _note(f"flagged {int(report.flags.sum())} of {len(report)} symbols "
           f"at ratio > {args.threshold:g}")
 
 

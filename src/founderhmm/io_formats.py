@@ -10,7 +10,10 @@ Five formats, all diffable and exactly round-trippable:
   per-interval transition rows, and per-locus emission rows, every value
   printed with 17 significant digits (lossless for double precision)
 * reports           — tab-separated tables with a fixed, documented column
-  order; each has a JSON twin carrying the same records
+  order; each has a JSON twin carrying the same records. The error report
+  moves as columns: its writer formats blocks of rows with one row
+  template, and its reader splits the rows once and validates each
+  column whole, checking rows one by one only to name a bad one
 
 Writers are atomic (temp file in the target directory, then rename) and
 accept an optional ``#config:`` echo line. Readers skip unrecognized
@@ -23,11 +26,12 @@ import json
 import os
 import tempfile
 from contextlib import contextmanager
+from functools import partial
+from itertools import chain, compress, count, repeat
 
 import numpy as np
 
-from .analysis import (ErrorEntry, ErrorReport, ImputationEntry,
-                       ImputationResult)
+from .analysis import ErrorReport, ImputationEntry, ImputationResult
 from .model import (MISSING, FounderHMM, HaplotypeSequence, InputError,
                     LocusMap, MultilocusGenotype)
 
@@ -74,9 +78,9 @@ def _zero_probability(path, line_no, line):
     if len(parts) != 3:
         _fail(path, line_no, "expected #zero-probability<TAB>sample<TAB>locus")
     try:
-        return parts[1], int(parts[2])
+        return parts[1], _tsv_index(parts[2])
     except ValueError:
-        _fail(path, line_no, f"non-integer locus {parts[2]!r}")
+        _fail(path, line_no, f"locus must be an integer >= 0, not {parts[2]!r}")
 
 
 @contextmanager
@@ -350,12 +354,25 @@ IMPUTATION_COLUMNS = ("sample_id", "locus_id", "locus_index", "p0", "p1",
                       "p2", "call", "confidence")
 
 
+def _error_columns(report: ErrorReport, at=slice(None)) -> dict:
+    """Entries ``at`` of the report as lists of Python values, by column
+    name."""
+    return {"sample_id": report.sample_id[at], "locus_id": report.locus_id[at],
+            "locus_index": report.locus_index[at].tolist(),
+            "observed": report.observed[at].tolist(),
+            "ratio": report.ratio[at].tolist(),
+            "flagged": report.flags[at].tolist(),
+            "suggested": report.suggested[at].tolist()}
+
+
 def write_error_report(path, report: ErrorReport, *, config_line=None,
                        json_mode=False):
     if json_mode:
+        columns = _error_columns(report)
         payload = {
             "threshold": report.threshold,
-            "entries": [e._asdict() for e in report.entries],
+            "entries": [dict(zip(columns, row))
+                        for row in zip(*columns.values())],
             "failures": {k: int(v) for k, v in sorted(report.failures.items())},
         }
         if config_line:
@@ -366,12 +383,21 @@ def write_error_report(path, report: ErrorReport, *, config_line=None,
     lines.append(f"#threshold={fmt(report.threshold)}")
     for sample_id, locus in sorted(report.failures.items()):
         lines.append(f"#zero-probability\t{sample_id}\t{locus}")
-    lines.append("\t".join(ERROR_REPORT_COLUMNS))
-    for e in report.entries:
-        lines.append("\t".join((e.sample_id, e.locus_id, str(e.locus_index),
-                                str(e.observed), fmt(e.ratio),
-                                "1" if e.flagged else "0", str(e.suggested))))
-    atomic_write(path, "\n".join(lines) + "\n")
+    lines.append("\t".join(ERROR_REPORT_COLUMNS) + "\n")
+    # One %-format of a row template per block of entries, over the
+    # interleaved columns. Ids are arguments, so a % in them is printed as
+    # it is, and %.17g prints what fmt prints.
+    row = "%s\t%s\t%d\t%d\t%.17g\t%d\t%d\n"
+    width = len(ERROR_REPORT_COLUMNS)
+    blocks = ["\n".join(lines)]
+    for lo in range(0, len(report), 1 << 14):
+        columns = _error_columns(report, slice(lo, lo + (1 << 14)))
+        n = len(columns["ratio"])
+        cells = [None] * (width * n)
+        for j, name in enumerate(ERROR_REPORT_COLUMNS):
+            cells[j::width] = columns[name]
+        blocks.append((row * n) % tuple(cells))
+    atomic_write(path, "".join(blocks))
 
 
 def _json_flag(value) -> bool:
@@ -391,6 +417,26 @@ def _count(value, name, top=None):
     raise ValueError(f"{name} must be {bound}, not {json.dumps(value)}")
 
 
+def _json_text(value, name) -> str:
+    """``value`` if it is a JSON string; else ValueError naming the field."""
+    if isinstance(value, str):
+        return value
+    raise ValueError(f"{name} must be a string, not {json.dumps(value)}")
+
+
+def _json_number(value, name) -> float:
+    """``value`` as a float if it is a JSON number (not a bool or a
+    string) and not NaN; else ValueError naming the field."""
+    if type(value) in (int, float):
+        try:
+            number = float(value)
+        except OverflowError:
+            number = None
+        if number == number:
+            return number
+    raise ValueError(f"{name} must be a number, not {json.dumps(value)}")
+
+
 def _tsv_index(cell) -> int:
     """A TSV report's locus index, which only ASCII digits may give."""
     return _count(int(cell) if cell.isascii() and cell.isdigit() else cell,
@@ -406,69 +452,162 @@ def _tsv_cell(cell, name, values):
                          f"not {json.dumps(cell)}") from None
 
 
+def _check_error_row(path, line_no, line):
+    """Fail at the first bad field of one TSV report row, if it has one."""
+    parts = line.split("\t")
+    if len(parts) != len(ERROR_REPORT_COLUMNS):
+        _fail(path, line_no, f"expected {len(ERROR_REPORT_COLUMNS)} fields")
+    symbols = {"0": 0, "1": 1, "2": 2}
+    try:
+        _count(_tsv_index(parts[2]), "locus_index",
+               int(np.iinfo(np.int64).max))
+        _tsv_cell(parts[3], "observed", symbols)
+        float(parts[4])
+        _tsv_cell(parts[5], "flagged", {"0": False, "1": True})
+        _tsv_cell(parts[6], "suggested", symbols)
+    except ValueError as exc:
+        _fail(path, line_no, f"malformed error report row ({exc})")
+
+
+def _digit_column(cells, top):
+    """int64 array of single-digit ``cells`` from 0 to ``top``, or None."""
+    digits = "".join(cells)
+    # no empty cell and n characters in all: one character per cell
+    if len(digits) != len(cells) or "" in cells or not digits.isascii():
+        return None
+    values = np.frombuffer(digits.encode("ascii"), dtype=np.uint8) - 48
+    return values.astype(np.int64) if (values <= top).all() else None
+
+
+def _index_column(cells):
+    """int64 array of ASCII-digit ``cells`` that fit in it, or None."""
+    digits = "".join(cells)
+    if "" in cells or not (digits.isascii() and digits.isdigit()):
+        return None
+    try:
+        return np.array(cells, dtype=np.int64)
+    except OverflowError:
+        return None
+
+
+def _float_column(cells):
+    """float64 array of what float() reads in ``cells``, or None."""
+    try:
+        return np.fromiter(map(float, cells), dtype=np.float64,
+                           count=len(cells))
+    except ValueError:
+        return None
+
+
+def _error_report_columns(rows):
+    """ErrorReport columns of one or more TSV report rows, validated a
+    column at a time, or None if any row has a bad field count or cell.
+    Rows are split in blocks, so that only one block's cells are held as
+    separate strings at once."""
+    width = len(ERROR_REPORT_COLUMNS)
+    if set(map(str.count, rows, repeat("\t"))) != {width - 1}:
+        return None
+    parsers = (list, list, _index_column, partial(_digit_column, top=2),
+               _float_column, partial(_digit_column, top=1),
+               partial(_digit_column, top=2))
+    blocks = []
+    for lo in range(0, len(rows), 1 << 14):
+        cells = "\t".join(rows[lo:lo + (1 << 14)]).split("\t")
+        blocks.append([parse(cells[j::width])
+                       for j, parse in enumerate(parsers)])
+        if any(column is None for column in blocks[-1]):
+            return None
+    sample_id, locus_id, index, observed, ratio, flags, suggested = (
+        list(chain.from_iterable(b[j] for b in blocks)) if j < 2
+        else np.concatenate([b[j] for b in blocks]) for j in range(width))
+    return dict(sample_id=sample_id, locus_index=index, locus_id=locus_id,
+                observed=observed, ratio=ratio, flags=flags.astype(bool),
+                suggested=suggested)
+
+
+def _json_error_entry(e, top):
+    """The fields of one JSON report entry, in ErrorEntry order, checked."""
+    if not isinstance(e, dict) or e.keys() != set(ERROR_REPORT_COLUMNS):
+        raise ValueError("an entry must hold exactly "
+                         + ", ".join(ERROR_REPORT_COLUMNS))
+    return (_json_text(e["sample_id"], "sample_id"),
+            _count(e["locus_index"], "locus_index", top),
+            _json_text(e["locus_id"], "locus_id"),
+            _count(e["observed"], "observed", 2),
+            _json_number(e["ratio"], "ratio"), _json_flag(e["flagged"]),
+            _count(e["suggested"], "suggested", 2))
+
+
+def _read_error_report_json(path, text) -> ErrorReport:
+    top = int(np.iinfo(np.int64).max)
+    try:
+        payload = json.loads(text)
+        entries = [_json_error_entry(e, top) for e in payload["entries"]]
+        threshold = _json_number(payload["threshold"], "threshold")
+        if not threshold > 0:
+            raise ValueError(f"threshold must be positive, not {threshold}")
+        failures = {k: _count(v, "failures locus")
+                    for k, v in payload.get("failures", {}).items()}
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise InputError(f"{path}: malformed JSON error report ({exc})") from exc
+    return ErrorReport.from_entries(entries, threshold, failures)
+
+
+def _threshold(path, line_no, line) -> float:
+    """The positive ratio threshold of a ``#threshold=`` line."""
+    try:
+        threshold = float(line.split("=", 1)[1])
+    except ValueError:
+        _fail(path, line_no, "malformed threshold header")
+    if not threshold > 0:
+        _fail(path, line_no, f"threshold must be positive, got {threshold}")
+    return threshold
+
+
 def read_error_report(path) -> ErrorReport:
+    """A TSV or JSON error report, as columns. A TSV file is split once;
+    its rows are validated a column at a time, and when any cell is bad
+    the rows are checked one by one to name the first bad line and field."""
     with _text(path) as fh:
         text = fh.read()
     if text.lstrip().startswith("{"):
-        try:
-            payload = json.loads(text)
-            entries = tuple(ErrorEntry(**{
-                **e, "observed": _count(e["observed"], "observed", 2),
-                "suggested": _count(e["suggested"], "suggested", 2),
-                "locus_index": _count(e["locus_index"], "locus_index"),
-                "ratio": float(e["ratio"]),
-                "flagged": _json_flag(e["flagged"])})
-                for e in payload["entries"])
-            return ErrorReport(entries=entries,
-                               threshold=float(payload["threshold"]),
-                               failures={k: int(v) for k, v
-                                         in payload.get("failures", {}).items()},
-                               stats=None)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InputError(f"{path}: malformed JSON error report ({exc})") from exc
+        return _read_error_report_json(path, text)
+    lines = text.split("\n")
+    del text
+    comments = list(compress(count(), map(str.startswith, lines, repeat("#"))))
     threshold = None
     failures = {}
-    entries = []
-    header_seen = False
-    symbols, flags = {"0": 0, "1": 1, "2": 2}, {"0": False, "1": True}
-    for line_no, line in enumerate(text.split("\n"), start=1):
-        if not line.strip():
-            continue
-        if line.startswith("#threshold="):
-            try:
-                threshold = float(line.split("=", 1)[1])
-            except ValueError:
-                _fail(path, line_no, "malformed threshold header")
-            continue
-        if line.startswith("#zero-probability\t"):
-            sample_id, locus = _zero_probability(path, line_no, line)
-            failures[sample_id] = locus
-            continue
-        if line.startswith("#"):
-            continue
-        parts = line.split("\t")
-        if not header_seen:
-            if tuple(parts) != ERROR_REPORT_COLUMNS:
-                _fail(path, line_no,
-                      f"expected header {'/'.join(ERROR_REPORT_COLUMNS)}")
-            header_seen = True
-            continue
-        if len(parts) != len(ERROR_REPORT_COLUMNS):
-            _fail(path, line_no, f"expected {len(ERROR_REPORT_COLUMNS)} fields")
+    stop = None  # a header line that failed ends the lines that count
+    for i in comments:
         try:
-            entries.append(ErrorEntry(
-                parts[0], _tsv_index(parts[2]), parts[1],
-                _tsv_cell(parts[3], "observed", symbols), float(parts[4]),
-                _tsv_cell(parts[5], "flagged", flags),
-                _tsv_cell(parts[6], "suggested", symbols)))
-        except ValueError as exc:
-            _fail(path, line_no, f"malformed error report row ({exc})")
+            if lines[i].startswith("#threshold="):
+                threshold = _threshold(path, i + 1, lines[i])
+            elif lines[i].startswith("#zero-probability\t"):
+                sample_id, locus = _zero_probability(path, i + 1, lines[i])
+                failures[sample_id] = locus
+        except InputError as exc:
+            stop = (i, exc)
+            break
+    filled = np.fromiter(compress(range(stop[0] if stop else len(lines)),
+                                  map(str.strip, lines)), dtype=np.intp)
+    data = filled[~np.isin(filled, comments)].tolist()  # header, then rows
+    if data and tuple(lines[data[0]].split("\t")) != ERROR_REPORT_COLUMNS:
+        _fail(path, data[0] + 1, f"expected header {'/'.join(ERROR_REPORT_COLUMNS)}")
+    rows = [lines[i] for i in data[1:]]
+    columns = _error_report_columns(rows) if rows else None
+    if rows and columns is None:
+        for i, row in zip(data[1:], rows):
+            _check_error_row(path, i + 1, row)
+    if stop:
+        raise stop[1]
     if threshold is None:
         _fail(path, 1, "missing '#threshold=' header")
-    if not header_seen:
+    if not data:
         _fail(path, 1, "missing column header row")
-    return ErrorReport(entries=tuple(entries), threshold=threshold,
-                       failures=failures, stats=None)
+    if not rows:
+        return ErrorReport.from_entries((), threshold, failures)
+    return ErrorReport(**columns, threshold=threshold, failures=failures,
+                       stats=None)
 
 
 def write_imputation(path, result: ImputationResult, *, config_line=None,
@@ -509,11 +648,15 @@ def read_imputation(path) -> ImputationResult:
         try:
             payload = json.loads(text)
             entries = tuple(ImputationEntry(
-                e["sample_id"], _count(e["locus_index"], "locus_index"),
-                e["locus_id"], tuple(float(p) for p in e["probs"]),
-                _count(e["call"], "call", 2), float(e["confidence"]))
+                _json_text(e["sample_id"], "sample_id"),
+                _count(e["locus_index"], "locus_index"),
+                _json_text(e["locus_id"], "locus_id"),
+                tuple(_json_number(p, "probs") for p in e["probs"]),
+                _count(e["call"], "call", 2),
+                _json_number(e["confidence"], "confidence"))
                 for e in payload["entries"])
-            failures = tuple((f[0], int(f[1]))
+            failures = tuple((_json_text(f[0], "failures sample"),
+                              _count(f[1], "failures locus"))
                              for f in payload.get("failures", []))
             return ImputationResult(entries=entries, windows=(),
                                     failures=failures,

@@ -191,8 +191,8 @@ def sample_error_report():
     entries = (ErrorEntry("S0", 4, "L4", 2, float("inf"), True, 0),
                ErrorEntry("S1", 0, "L0", 1, 1234.0625, True, 2),
                ErrorEntry("S1", 2, "L2", 0, 1.0, False, 0))
-    return ErrorReport(entries=entries, threshold=1000.0,
-                       failures={"S9": 3}, stats=None)
+    return ErrorReport.from_entries(entries, threshold=1000.0,
+                                    failures={"S9": 3})
 
 
 @pytest.mark.parametrize("json_mode", [False, True])
@@ -233,7 +233,12 @@ def test_error_report_reader_wants_threshold_and_header(tmp_path):
     header = "\t".join(ERROR_REPORT_COLUMNS) + "\n"
     for text in ("#threshold=10\nwrong\theader\n",
                  "#threshold=10\n#zero-probability\tS0\n" + header,
-                 "#threshold=10\n#zero-probability\tS0\tx\n" + header):
+                 "#threshold=10\n#zero-probability\tS0\tx\n" + header,
+                 "#threshold=10\n#zero-probability\tS0\t-4\n" + header,
+                 "#threshold=10\n#zero-probability\tS0\t+3\n" + header,
+                 "#threshold=10\n#zero-probability\tS0\t 3\n" + header,
+                 "#threshold=nan\n" + header, "#threshold=0\n" + header,
+                 "#threshold=-1\n" + header):
         path.write_text(text)
         with pytest.raises(InputError, match=LOCATED):
             read_error_report(path)
@@ -265,7 +270,9 @@ def test_imputation_round_trip(tmp_path, json_mode):
 def test_imputation_reader_locates_malformed_failure_lines(tmp_path):
     path = tmp_path / "i.tsv"
     header = "\t".join(IMPUTATION_COLUMNS) + "\n"
-    for line in ("#zero-probability\tS0\n", "#zero-probability\tS0\tx\n"):
+    for line in ("#zero-probability\tS0\n", "#zero-probability\tS0\tx\n",
+                 "#zero-probability\tS0\t-4\n", "#zero-probability\tS0\t+3\n",
+                 "#zero-probability\tS0\t 3\n"):
         path.write_text(line + header)
         with pytest.raises(InputError, match=LOCATED):
             read_imputation(path)
@@ -285,7 +292,10 @@ def damaged_report(tmp_path, json_mode, column, value):
         return gen, path
     if json_mode:
         payload = json.loads(path.read_text())
-        payload["entries"][1][column] = value
+        if column in ("threshold", "failures"):
+            payload[column] = value
+        else:
+            payload["entries"][1][column] = value
         path.write_text(json.dumps(payload))
     else:
         lines = path.read_text().split("\n")
@@ -304,7 +314,13 @@ def damaged_report(tmp_path, json_mode, column, value):
     (True, "suggested", 2.9), (True, "suggested", "2"),
     (True, "suggested", 300), (True, "suggested", -1),
     (True, "observed", True), (True, "locus_index", -1),
-    (True, "locus_index", 0.0)])
+    (True, "locus_index", 0.0), (True, "ratio", "nan"),
+    (True, "ratio", float("nan")), (True, "ratio", True),
+    (True, "ratio", "1.5"), (True, "threshold", "1000"),
+    (True, "threshold", float("nan")), (True, "threshold", True),
+    (True, "threshold", 0), (True, "failures", {"S0": 2.9}),
+    (True, "failures", {"S1": True}), (True, "failures", {"S2": "-4"}),
+    (True, "sample_id", ["S1"]), (True, "locus_id", 0)])
 def test_bad_error_report_cells_exit_one(tmp_path, capsys, json_mode, column,
                                          value):
     out = tmp_path / "o.gen"
@@ -328,10 +344,162 @@ def test_correct_errors_rejects_symbols_outside_0_to_2():
     corpus = [MultilocusGenotype("S0", np.array([0, 0, 0, 0, 2], dtype=np.int8))]
     for suggested in (-1, 3, 300):
         entry = ErrorEntry("S0", 4, "L4", 2, float("inf"), True, suggested)
-        report = ErrorReport(entries=(entry,), threshold=10.0, failures={},
-                             stats=None)
+        report = ErrorReport.from_entries((entry,), threshold=10.0,
+                                          failures={})
         with pytest.raises(InputError, match="suggests symbol"):
             correct_errors(corpus, report)
+
+
+def sample_report_lines(tmp_path):
+    """The lines of the sample error report as TSV: the threshold on line
+    1, a failure on line 2, the header on line 3 and entries on 4-6."""
+    path = tmp_path / "r.tsv"
+    write_error_report(path, sample_error_report())
+    return path, path.read_text().split("\n")
+
+
+def with_cell(line, column, value):
+    cells = line.split("\t")
+    cells[ERROR_REPORT_COLUMNS.index(column)] = value
+    return "\t".join(cells)
+
+
+def cell(column, value):
+    return lambda line: with_cell(line, column, value)
+
+
+def drop_last(line):
+    return line.rsplit("\t", 1)[0]
+
+
+@pytest.mark.parametrize("damage,message", [
+    # two bad rows: the earlier one is named, with its first bad field
+    ({4: cell("flagged", "yes"), 5: cell("suggested", "5")},
+     ':5: malformed error report row (flagged must be one of 0, 1, not "yes")'),
+    ({4: cell("observed", "7"), 5: cell("flagged", "x")},
+     ':5: malformed error report row (observed must be one of 0, 1, 2, not "7")'),
+    ({4: cell("suggested", "9"), 5: cell("flagged", "x")},
+     ':5: malformed error report row (suggested must be one of 0, 1, 2, not "9")'),
+    ({4: cell("observed", ""), 5: cell("observed", "00")},
+     ':5: malformed error report row (observed must be one of 0, 1, 2, not "")'),
+    ({4: cell("ratio", "x"), 5: drop_last},
+     ':5: malformed error report row (could not convert string to float: \'x\')'),
+    ({4: drop_last, 5: cell("flagged", "x")}, ":5: expected 7 fields"),
+    ({4: cell("flagged", "x"), 5: drop_last},
+     ':5: malformed error report row (flagged must be one of 0, 1, not "x")'),
+    # a short row and a long one whose cells would line up as 7 columns
+    ({4: drop_last, 5: lambda line: "0\t" + line}, ":5: expected 7 fields"),
+    ({5: cell("locus_index", "99999999999999999999")},
+     ":6: malformed error report row (locus_index must be an integer from 0 "
+     "to 9223372036854775807, not 99999999999999999999)"),
+])
+def test_error_report_reader_names_the_earliest_bad_row(tmp_path, damage,
+                                                        message):
+    path, lines = sample_report_lines(tmp_path)
+    for i, edit in damage.items():
+        lines[i] = edit(lines[i])
+    path.write_text("\n".join(lines))
+    with pytest.raises(InputError) as info:
+        read_error_report(path)
+    assert str(info.value) == f"{path}{message}"
+
+
+def test_error_report_reader_counts_comment_lines(tmp_path):
+    path, lines = sample_report_lines(tmp_path)
+    lines[5] = with_cell(lines[5], "flagged", "2")
+    lines[4:4] = ["#a comment between rows", ""]
+    path.write_text("\n".join(lines))
+    with pytest.raises(InputError, match=re.escape(
+            f"{path}:8: malformed error report row (flagged")):
+        read_error_report(path)
+
+
+def test_error_report_reader_names_the_earlier_of_header_and_row(tmp_path):
+    path, lines = sample_report_lines(tmp_path)
+    lines[4] = with_cell(lines[4], "flagged", "2")
+    path.write_text("\n".join(lines + ["#threshold=x", ""]))
+    with pytest.raises(InputError, match=re.escape(f"{path}:5: malformed error")):
+        read_error_report(path)
+    path.write_text("\n".join(lines[:4] + ["#threshold=x"] + lines[4:]))
+    with pytest.raises(InputError, match=re.escape(
+            f"{path}:5: malformed threshold header")):
+        read_error_report(path)
+
+
+def test_correct_errors_names_the_first_bad_entry_and_changes_nothing():
+    corpus = [MultilocusGenotype("S0", np.array([0, 0, 0, 0, 2], dtype=np.int8)),
+              MultilocusGenotype("S1", np.array([1, 0, 0, 0, 0], dtype=np.int8))]
+    before = [g.symbols.copy() for g in corpus]
+    good = ErrorEntry("S0", 4, "L4", 2, float("inf"), True, 0)
+    cases = [
+        ((good, good._replace(locus_index=9), good._replace(sample_id="S7")),
+         "report locus 9 out of range"),
+        ((good, good._replace(sample_id="S7"), good._replace(locus_index=9)),
+         "report names unknown sample 'S7'"),
+        ((good, good._replace(flagged=False), good._replace(sample_id="S7")),
+         "report does not match corpus at 'S0' locus 4"),
+        ((good._replace(flagged=False), good._replace(observed=1, suggested=2),
+          good._replace(suggested=3)),
+         "report does not match corpus at 'S0' locus 4"),
+        ((good._replace(flagged=False), good._replace(suggested=3)),
+         "report suggests symbol 3 at 'S0' locus 4"),
+    ]
+    for entries, message in cases:
+        report = ErrorReport.from_entries(entries, threshold=10.0, failures={})
+        with pytest.raises(InputError, match=re.escape(message)):
+            correct_errors(corpus, report)
+        assert all(np.array_equal(g.symbols, b) for g, b in zip(corpus, before))
+    report = ErrorReport.from_entries((good, good._replace(sample_id="S1", locus_index=0, observed=1, suggested=2)),
+                                      threshold=10.0, failures={})
+    corrected, changes = correct_errors(corpus, report)
+    assert changes == 2
+    assert [g.symbols.tolist() for g in corrected] == [[0, 0, 0, 0, 0],
+                                                       [2, 0, 0, 0, 0]]
+
+
+def test_error_report_bytes_with_awkward_ids(tmp_path):
+    inf = float("inf")
+    report = ErrorReport.from_entries((
+        ErrorEntry("%", 0, "L%d", 0, inf, True, 1),
+        ErrorEntry("%s", 1, "%s", 1, 0.1 + 0.2, False, 1),
+        ErrorEntry("%%", 2, "{}", 2, 1.0, False, 2),
+        ErrorEntry("{}", 3, "%(x)s", 0, 1e300, True, 2),
+        ErrorEntry("S\u2028x", 4, "L\u2028", 1, 12.5, True, 0)),
+        threshold=10.0, failures={"%s": 3})
+    path = tmp_path / "r.tsv"
+    write_error_report(path, report, config_line="#config: detect %s {}")
+    assert path.read_bytes() == (
+        "#config: detect %s {}\n"
+        "#threshold=10\n"
+        "#zero-probability\t%s\t3\n"
+        "sample_id\tlocus_id\tlocus_index\tobserved\tratio\tflagged\tsuggested\n"
+        "%\tL%d\t0\t0\tinf\t1\t1\n"
+        "%s\t%s\t1\t1\t0.30000000000000004\t0\t1\n"
+        "%%\t{}\t2\t2\t1\t0\t2\n"
+        "{}\t%(x)s\t3\t0\t1.0000000000000001e+300\t1\t2\n"
+        "S\u2028x\tL\u2028\t4\t1\t12.5\t1\t0\n").encode()
+    for json_mode in (False, True):
+        write_error_report(path, report, json_mode=json_mode)
+        back = read_error_report(path)
+        assert back.entries == report.entries
+        assert (back.threshold, back.failures) == (10.0, {"%s": 3})
+
+
+def test_report_flows_build_no_entry_objects(ws, tmp_path, monkeypatch):
+    def refuse(*args):
+        raise RuntimeError("an ErrorEntry was built")
+    monkeypatch.setattr(founderhmm.analysis, "ErrorEntry", refuse)
+    for suffix, extra in ((".tsv", []), (".json", ["--json"])):
+        report = str(tmp_path / f"r{suffix}")
+        assert run_cli("detect", "--model", ws["model"], "--genotypes",
+                       ws["gen"], "--out", report, *extra) == 0
+        assert run_cli("correct", "--genotypes", ws["gen"], "--report", report,
+                       "--out", str(tmp_path / "c.gen")) == 0
+        assert run_cli("pipeline", "--mode", "edc-mdr-imp", "--panel", ws["ref"],
+                       "--genotypes", ws["gen"], "--map", ws["map"],
+                       "--founders", "3", "--flank", "4",
+                       "--out", str(tmp_path / f"i{suffix}"),
+                       "--report-out", report, *extra) == 0
 
 
 def damaged_imputation(tmp_path, json_mode, column, value):
@@ -347,7 +515,10 @@ def damaged_imputation(tmp_path, json_mode, column, value):
         return truth, path
     if json_mode:
         payload = json.loads(path.read_text())
-        payload["entries"][0][column] = value
+        if column == "failures":
+            payload[column] = value
+        else:
+            payload["entries"][0][column] = value
         path.write_text(json.dumps(payload))
     else:
         lines = path.read_text().split("\n")
@@ -363,7 +534,12 @@ def damaged_imputation(tmp_path, json_mode, column, value):
     (False, "call", "2.5"), (False, "locus_index", "-1"),
     (True, "call", 5), (True, "call", 300), (True, "call", -1),
     (True, "call", True), (True, "call", "1"), (True, "call", 2.0),
-    (True, "locus_index", -1)])
+    (True, "locus_index", -1), (True, "probs", ["0.25", 0.5, 0.25]),
+    (True, "probs", [float("nan"), 0.5, 0.25]), (True, "probs", [True, 0.5, 0.25]),
+    (True, "confidence", "0.5"), (True, "confidence", float("nan")),
+    (True, "failures", [["S2", 2.9]]), (True, "failures", [["S2", True]]),
+    (True, "failures", [["S2", "-4"]]), (True, "failures", [[["S2"], 7]]),
+    (True, "sample_id", ["S0"]), (True, "locus_id", 7)])
 def test_bad_imputation_cells_exit_one(tmp_path, capsys, json_mode, column,
                                        value):
     out = tmp_path / "e.tsv"
