@@ -6,12 +6,14 @@ imputation through locally trained window models. Phasing decodes each
 genotype into an ordered haplotype pair by max-product over founder pairs.
 ``run_pipeline`` strings them together in the two supported orders.
 
-Memory of phasing: duplicate genotypes are decoded once, and the distinct
-ones in chunks of rows. A chunk of B rows holds 2 x (loci - 1) x B x K^2
-back-pointers of the smallest unsigned dtype that holds K - 1 (one byte
-up to K = 256); B is as many rows as fit, with their work arrays, in
-``_PHASE_CHUNK_BYTES`` (384 KiB), and at least one. The decoded alleles
-and founder paths add 4 x loci bytes per distinct genotype at K <= 256.
+Memory of phasing: duplicate genotypes are decoded once, the distinct ones
+sorted, in chunks whose rows walk on from the prefix shared with the row
+before, but for a chunk's first row, which walks in full. A row holds 2 x
+(loci - 1) x K^2 back-pointers, one byte each up to K = 256; a chunk is as
+many rows as fit in ``inference._TILE_BYTES`` with 64 x K^2 bytes of one
+locus' work arrays and 64 x loci bytes of allele arrays each, and at least
+one: 1423 rows at 400 loci and K = 5. Decoded alleles and paths add 4 x
+loci bytes per distinct genotype. Chunks change the pace, never the answer.
 """
 from __future__ import annotations
 
@@ -22,9 +24,11 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import inference
+from .inference import _planes, _viterbi_rows
 from .model import (MISSING, FounderHMM, InputError, HaplotypeSequence,
                     LocusMap, MultilocusGenotype, ZeroProbabilityError,
-                    pair_emission_planes)
+                    emission_stack)
 from .training import (TrainConfig, train_founder_hmm, train_founder_hmms,
                        window_config)
 from .trie import _scan_symbols, batched_posteriors, build_trie
@@ -32,9 +36,6 @@ from .trie import _scan_symbols, batched_posteriors, build_trie
 PIPELINE_IMPUTE_ONLY = "imp"
 PIPELINE_REPAIR_IMPUTE = "edc-mdr-imp"
 DEFAULT_RATIO_THRESHOLD = 1000.0
-# Byte cap on the back-pointers and work arrays of one chunk of genotypes
-# that phasing decodes together; chunks change the pace, never the answer.
-_PHASE_CHUNK_BYTES = 3 << 17
 
 
 class ErrorEntry(NamedTuple):
@@ -400,70 +401,6 @@ class PhaseResult:
     log_joint: float
 
 
-def _pointer_dtype(founders: int):
-    """Smallest unsigned integer dtype that holds every founder index."""
-    return np.min_scalar_type(founders - 1)
-
-
-def _phase_row_bytes(loci: int, founders: int) -> int:
-    """Bytes one genotype row holds while it is decoded: back-pointers and
-    one locus' work arrays during the max-product pass, then float and
-    index arrays over all loci during allele assignment."""
-    k = founders
-    return max(2 * (loci - 1) * k * k * _pointer_dtype(k).itemsize
-               + 8 * (2 * k ** 3 + 6 * k * k), 64 * loci)
-
-
-def _viterbi_paths(model: FounderHMM, rows: np.ndarray):
-    """Max-product founder paths of a (B, n) stack of genotype symbol rows.
-
-    Returns the (B, 2, n) paths, the (B,) log joints, and per row the
-    first locus with zero probability (-1 when there is none). A row that
-    dies keeps an all-zero state, so the others decode on.
-    """
-    b, n = rows.shape
-    k = model.founders
-    trans = model.transitions
-    planes = np.where(rows == MISSING, 3, rows)
-    every = np.arange(b)
-    value = np.outer(model.initial, model.initial)[None]
-    logscale = np.zeros(b)
-    dead = np.full(b, -1)
-    back_first = np.empty((max(n - 1, 0), b, k, k), dtype=_pointer_dtype(k))
-    back_second = np.empty_like(back_first)
-    for i in range(n):
-        hit = value * pair_emission_planes(model.emissions[i])[planes[:, i]]
-        peak = hit.max(axis=(1, 2))
-        zero = peak <= 0.0
-        if zero.any():
-            dead[zero & (dead < 0)] = i
-            peak[zero] = 1.0
-        hit /= peak[:, None, None]
-        logscale += np.log(peak)
-        if i == n - 1:
-            value = hit
-            break
-        # collapse the second chain, then the first
-        half = hit[:, :, :, None] * trans[i]                # (B, f, f', b)
-        back_second[i] = half.argmax(axis=2)
-        collapsed = half.max(axis=2)                        # (B, f, b)
-        full = trans[i][:, :, None] * collapsed[:, :, None, :]  # (B, f, a, b)
-        back_first[i] = full.argmax(axis=1)
-        value = full.max(axis=1)
-
-    pair_a, pair_b = np.divmod(value.reshape(b, k * k).argmax(axis=1), k)
-    with np.errstate(divide="ignore"):  # dead rows end at zero
-        log_joint = logscale + np.log(value[every, pair_a, pair_b])
-    paths = np.empty((b, 2, n), dtype=back_first.dtype)
-    paths[:, 0, n - 1], paths[:, 1, n - 1] = pair_a, pair_b
-    for i in range(n - 2, -1, -1):
-        a, second = paths[:, 0, i + 1], paths[:, 1, i + 1]
-        f = back_first[i][every, a, second]
-        paths[:, 0, i] = f
-        paths[:, 1, i] = back_second[i][every, f, second]
-    return paths, log_joint, dead
-
-
 def _assign_alleles(model: FounderHMM, rows: np.ndarray, paths: np.ndarray):
     """The (B, n) allele rows of decoded founder paths, each pair ordered
     lexicographically; ``paths`` is reordered to match, in place."""
@@ -489,37 +426,44 @@ def _assign_alleles(model: FounderHMM, rows: np.ndarray, paths: np.ndarray):
     return first, second
 
 
-def _decode_distinct(model: FounderHMM, rows: np.ndarray):
-    """Alleles, paths, log joints and first dead loci of (D, n) distinct
-    rows, decoded in chunks whose back-pointers and work arrays stay
-    within ``_PHASE_CHUNK_BYTES``."""
-    d, n = rows.shape
-    k = model.founders
-    step = max(1, _PHASE_CHUNK_BYTES // _phase_row_bytes(n, k))
-    first = np.empty((d, n), dtype=np.int8)
-    second = np.empty_like(first)
-    paths = np.empty((d, 2, n), dtype=_pointer_dtype(k))
-    log_joint = np.empty(d)
-    dead = np.empty(d, dtype=np.int64)
-    for lo in range(0, d, step):
-        chunk = slice(lo, lo + step)
-        paths[chunk], log_joint[chunk], dead[chunk] = _viterbi_paths(
-            model, rows[chunk])
-        first[chunk], second[chunk] = _assign_alleles(model, rows[chunk],
-                                                      paths[chunk])
-    return first, second, paths, log_joint, dead
+def _decode_distinct(model: FounderHMM, rows: np.ndarray, lcps: np.ndarray):
+    """Alleles, founder paths, log joints, first dead loci (-1 for none)
+    and locus evaluations of (D, n) sorted distinct rows with their LCPs,
+    walked (:func:`~founderhmm.inference._viterbi_rows`) and traced back
+    in chunks that fit in ``inference._TILE_BYTES``."""
+    n, k = rows.shape[1], model.founders
+    # a row's back-pointers, one locus' work arrays and its allele arrays
+    row_bytes = (2 * (n - 1) * np.min_scalar_type(k - 1).itemsize + 64) * k * k + 64 * n
+    step = max(1, inference._TILE_BYTES // row_bytes)
+    etab, planes = emission_stack(model), _planes(rows)
+    chunks, evals = [], 0
+    for lo in range(0, len(rows), step):
+        value, logscale, dead, back, walked = _viterbi_rows(
+            model, etab, planes[lo:lo + step],
+            np.concatenate(([0], lcps[lo + 1:lo + step])))
+        evals += walked
+        every = np.arange(len(value))
+        pair_a, pair_b = np.divmod(value.reshape(-1, k * k).argmax(axis=1), k)
+        with np.errstate(divide="ignore"):  # dead rows end at zero
+            log_joint = logscale + np.log(value[every, pair_a, pair_b])
+        paths = np.empty((len(value), 2, n), dtype=back.dtype)
+        paths[:, 0, n - 1], paths[:, 1, n - 1] = pair_a, pair_b
+        for i in range(n - 2, -1, -1):
+            a, b = paths[:, 0, i + 1], paths[:, 1, i + 1]
+            paths[:, 0, i] = f = back[i, 0][every, a, b]
+            paths[:, 1, i] = back[i, 1][every, f, b]
+        alleles = _assign_alleles(model, rows[lo:lo + step], paths)
+        chunks.append((*alleles, paths, log_joint, dead))
+    return (*map(np.concatenate, zip(*chunks)), evals)
 
 
 def phase_corpus(model: FounderHMM, corpus) -> list:
     """Max-product phasing of every genotype of ``corpus``, in corpus order.
 
-    Identical genotypes are decoded once: the distinct symbol rows are
-    decoded together, a chunk of rows at a time, with (rows, K, K) states
-    per locus. Each locus collapses the founder pair in two K-sized
-    max-contractions (mirroring the sum-product factorization), with
-    per-row max rescaling against underflow; back-pointer traceback and
-    allele assignment work on whole arrays. Results are bitwise those of
-    decoding each genotype alone. A genotype the model cannot explain
+    Identical genotypes are decoded once, as sorted distinct rows that
+    share their prefixes (:func:`_decode_distinct`), with per-row max
+    rescaling against underflow. Results are bitwise those of decoding
+    each genotype alone. A genotype the model cannot explain
     raises ``ZeroProbabilityError`` for the first such sample in corpus
     order, at its first zero-probability locus.
     """
@@ -530,15 +474,12 @@ def phase_corpus(model: FounderHMM, corpus) -> list:
                              f"the model has {model.loci}")
     if not genos:
         return []
-    rows, row_of, _ = build_trie(np.stack([g.symbols for g in genos]))
-    first, second, paths, log_joint, dead = _decode_distinct(model, rows)
-    failed = np.flatnonzero(dead[row_of] >= 0)
-    if failed.size:
-        sample = genos[failed[0]]
-        locus = int(dead[row_of[failed[0]]])
-        raise ZeroProbabilityError(
-            locus, f"sample {sample.sample_id!r} has zero probability at "
-                   f"locus {locus}")
+    rows, row_of, lcps = build_trie(np.stack([g.symbols for g in genos]))
+    first, second, paths, log_joint, dead, _ = _decode_distinct(model, rows, lcps)
+    for g, locus in zip(genos, dead[row_of].tolist()):
+        if locus >= 0:
+            raise ZeroProbabilityError(locus, f"sample {g.sample_id!r} has "
+                                              f"zero probability at locus {locus}")
     paths.setflags(write=False)
     return [PhaseResult(first=HaplotypeSequence(f"{g.sample_id}.h1", first[r]),
                         second=HaplotypeSequence(f"{g.sample_id}.h2", second[r]),

@@ -8,10 +8,12 @@ matrix is rescaled to unit mass and the normalizers are recorded, which
 keeps long genotypes out of the underflow range while allowing exact
 reconstruction of unscaled quantities and log-likelihoods.
 
-One kernel, :func:`_step`, takes that step for a (B, K, K) stack of
-beliefs and serves every engine: a single genotype is a stack of one, and
-the batch engine, :func:`_scan_rows`, steps tiles of prefix-sorted
-distinct genotypes. The backward direction is the same step over reversed
+One kernel, :func:`_step`, takes that step for a (B, K, K) stack of beliefs
+and serves every engine: a single genotype is a stack of one, and the batch
+engine, :func:`_scan_rows`, steps tiles of prefix-sorted distinct
+genotypes; its forward walk and phasing's max-product walk,
+:func:`_viterbi_rows`, step rows past their shared prefix only, in
+:func:`_live_step`. The backward direction is the same step over reversed
 loci, since a transposed transition retreats where the original advances.
 """
 from __future__ import annotations
@@ -99,6 +101,23 @@ def _block_loci(rows: int, loci: int, founders: int) -> int:
     return max(1, min(loci, _TILE_BYTES // per_locus))
 
 
+def _live_step(lcps, d, step, carry=()):
+    """Depth d of a walk over prefix-sorted rows, row r sharing lcps[r]
+    depths with row r - 1: ``step(rows)`` returns arrays for the rows with
+    lcps <= d (a slice or a boolean mask); every other row copies the row
+    before it, the first row depth d of ``carry``, per-depth arrays of its
+    predecessor. Returns the arrays of all rows and the count stepped."""
+    live = lcps <= d
+    if live.all():
+        return step(slice(None)), live.size
+    out = step(live)
+    stepped, src = len(out[0]), np.cumsum(live) - 1
+    if not live[0]:
+        out = [np.concatenate((c[d:d + 1], o)) for c, o in zip(carry, out)]
+        src += 1
+    return tuple(o[src] for o in out), stepped
+
+
 def _scan_rows(model, etab, planes, lcps):
     """Posterior scans of prefix-sorted distinct genotypes, as arrays.
 
@@ -110,9 +129,8 @@ def _scan_rows(model, etab, planes, lcps):
     walk keeps the last backward state of each block of
     :func:`_block_loci` loci; left to right, each block re-walks its
     backward states from there while the forward walk crosses it (one
-    block of all loci skips the first walk). At depth d that walk steps
-    only the rows with lcps <= d; the others take the state of the row
-    before them, carried over from the previous tile for a tile's first.
+    block of all loci skips the first walk), by :func:`_live_step` with
+    the previous tile's last row as the carry.
     """
     rows, n = planes.shape
     k, trans = model.founders, model.transitions
@@ -123,7 +141,7 @@ def _scan_rows(model, etab, planes, lcps):
     flogs, blogs = np.empty((rows, n)), np.empty((rows, n))
     loglik = np.empty(rows)
     prior, norm = _prior(model)
-    carry_states = carry_logs = None
+    carry = ()
     fevals = bevals = 0
     for t0 in range(0, rows, _TILE_ROWS):
         t1 = min(t0 + _TILE_ROWS, rows)
@@ -155,26 +173,69 @@ def _scan_rows(model, etab, planes, lcps):
                                                   etab[d, :3])
                     flogs[t0:t1, d] = log
                     t = trans[d] if d < n - 1 else None
-                    live = tlcps <= d
-                    if live.all():
-                        state, mass = _step(state, etab[d][tplanes[d]], t)
-                        log = log + np.log(mass)
-                    else:
-                        state, mass = _step(state[live], etab[d][tplanes[d][live]], t)
-                        log = log[live] + np.log(mass)
-                        src = np.cumsum(live) - 1
-                        if not live[0]:
-                            state = np.concatenate((carry_states[d:d + 1], state))
-                            log = np.concatenate((carry_logs[d:d + 1], log))
-                            src += 1
-                        state, log = state[src], log[src]
-                    fevals += mass.size
+
+                    def advance(rows):
+                        new, mass = _step(state[rows], etab[d][tplanes[d][rows]], t)
+                        return new, log[rows] + np.log(mass)
+                    (state, log), stepped = _live_step(tlcps, d, advance, carry)
+                    fevals += stepped
                     if d < shared:
                         next_states[d], next_logs[d] = state[-1], log[-1]
                 del bstates
         loglik[t0:t1] = log
-        carry_states, carry_logs = next_states, next_logs
+        carry = (next_states, next_logs)
     return (triples, flogs, blogs, loglik), (fevals, bevals)
+
+
+def _max_dot(x, t):
+    """out[c, b, r] = max over j of t[j, c] * x[j, b, r] for a (K, B, R)
+    stack x and a (K, C) matrix t, and arg the first j attaining it (as
+    argmax), in passes over contiguous (B, R) blocks."""
+    x = np.ascontiguousarray(x)
+    out = t[0][:, None, None] * x[0]
+    arg = np.zeros(out.shape, dtype=np.min_scalar_type(len(t) - 1))
+    for j in range(1, len(t)):
+        cand = t[j][:, None, None] * x[j]
+        np.copyto(arg, j, where=cand > out)
+        np.maximum(out, cand, out=out)
+    return out, arg
+
+
+def _viterbi_rows(model, etab, planes, lcps):
+    """Max-product walk of rows as in :func:`_scan_rows`, lcps[0] = 0, by
+    :func:`_live_step`: pair values absorb each emission, rescale to unit
+    maximum (a row left with none keeps zeros and records the locus), and
+    collapse the second chain, then the first, by :func:`_max_dot`.
+    Returns the last (rows, K, K) values, summed log scales, first dead
+    loci (-1 for none), the (n - 1, 2, rows, K, K) back-pointers of the
+    first and second chain, and the locus evaluations."""
+    b, n = planes.shape
+    k, trans = model.founders, model.transitions
+    tplanes = np.ascontiguousarray(planes.T)
+    back = np.empty((max(n - 1, 0), 2, b, k, k), dtype=np.min_scalar_type(k - 1))
+    value = np.broadcast_to(np.outer(model.initial, model.initial), (b, k, k))
+    logscale, dead, evals = np.zeros(b), np.full(b, -1), 0
+    for i in range(n):
+
+        def advance(rows):
+            hit = value[rows] * etab[i][tplanes[i][rows]]
+            peak = hit.max(axis=(1, 2))
+            zero = peak <= 0.0
+            peak[zero] = 1.0
+            hit /= peak[:, None, None]
+            out = (logscale[rows] + np.log(peak),
+                   np.where(zero & (dead[rows] < 0), i, dead[rows]))
+            if i == n - 1:
+                return (hit, *out)
+            collapsed, second = _max_dot(hit.transpose(2, 0, 1), trans[i])
+            full, first = _max_dot(collapsed.transpose(2, 1, 0), trans[i])
+            return (full.transpose(1, 0, 2), *out, first.transpose(1, 0, 2),
+                    second.transpose(1, 2, 0))
+        (value, logscale, dead, *pointers), stepped = _live_step(lcps, i, advance)
+        if pointers:
+            back[i] = pointers
+        evals += stepped
+    return value, logscale, dead, back, evals
 
 
 @dataclass(frozen=True)

@@ -49,6 +49,16 @@ def _symbol_array(values, allowed, what):
     return arr
 
 
+def _check_id(value, what):
+    """Reject an id that no file format can hold: empty, led by '#' (a
+    comment line) or holding a tab or a line break."""
+    if not value:
+        raise InputError(f"{what} must be non-empty")
+    if str(value).startswith("#") or any(c in str(value) for c in "\t\n\r"):
+        raise InputError(f"{what} {value!r} must not start with '#' or hold a "
+                         "tab or line break")
+
+
 @dataclass(frozen=True)
 class MultilocusGenotype:
     """One sample's genotype symbols across all loci, in locus order."""
@@ -57,8 +67,7 @@ class MultilocusGenotype:
     symbols: np.ndarray
 
     def __post_init__(self):
-        if not self.sample_id:
-            raise InputError("sample_id must be non-empty")
+        _check_id(self.sample_id, "sample_id")
         arr = _symbol_array(self.symbols, np.array(GENOTYPE_SYMBOLS, dtype=np.int8),
                             f"genotype {self.sample_id!r}")
         object.__setattr__(self, "symbols", arr)
@@ -80,8 +89,7 @@ class HaplotypeSequence:
     alleles: np.ndarray
 
     def __post_init__(self):
-        if not self.id:
-            raise InputError("haplotype id must be non-empty")
+        _check_id(self.id, "haplotype id")
         arr = _symbol_array(self.alleles, np.array(ALLELE_SYMBOLS, dtype=np.int8),
                             f"haplotype {self.id!r}")
         object.__setattr__(self, "alleles", arr)
@@ -100,8 +108,8 @@ class LocusMap:
 
     def __post_init__(self):
         ids = tuple(str(i) for i in self.locus_ids)
-        if any(not i for i in ids):
-            raise InputError("locus ids must be non-empty")
+        for i in ids:
+            _check_id(i, "locus id")
         if len(set(ids)) != len(ids):
             raise InputError("locus ids must be unique")
         pos = np.asarray(self.positions)
@@ -207,20 +215,14 @@ def emission_stack(model: FounderHMM) -> np.ndarray:
     Plane x in {0,1,2} holds P(genotype = x | founder pair); plane 3 is all
     ones and serves MISSING symbols, which contribute a unit factor.
     """
-    return pair_emission_planes(model.emissions)
-
-
-def pair_emission_planes(emissions: np.ndarray) -> np.ndarray:
-    """The four pair-emission planes of :func:`emission_stack` for minor-
-    allele probabilities of shape (..., K): shape (..., 4, K, K)."""
-    p = emissions[..., :, None]
-    q = emissions[..., None, :]
-    k = emissions.shape[-1]
-    out = np.empty(emissions.shape[:-1] + (4, k, k), dtype=np.float64)
-    out[..., 0, :, :] = (1.0 - p) * (1.0 - q)
-    out[..., 1, :, :] = p * (1.0 - q) + (1.0 - p) * q
-    out[..., 2, :, :] = p * q
-    out[..., 3, :, :] = 1.0
+    p = model.emissions[:, :, None]
+    q = model.emissions[:, None, :]
+    n, k = model.emissions.shape
+    out = np.empty((n, 4, k, k), dtype=np.float64)
+    out[:, 0] = (1.0 - p) * (1.0 - q)
+    out[:, 1] = p * (1.0 - q) + (1.0 - p) * q
+    out[:, 2] = p * q
+    out[:, 3] = 1.0
     return out
 
 

@@ -6,10 +6,11 @@ common prefix (LCP) with the row before it: the prefix arrays of PBWT
 (Durbin 2014). Those rows and LCPs stand for a prefix trie, one node per
 distinct (depth, prefix), without building it. The engine steps the
 sorted rows 64 at a time as (rows, K, K) stacks: a backward walk along
-every row, then a forward walk that evaluates each trie node once and
+every row, then a forward walk that evaluates each trie node once, in
+``inference._live_step`` (phasing's max-product walk shares it), and
 combines each forward state with its backward state on the spot. A
-tile's first row resumes from the previous tile's last row, the one row
-whose forward states are carried. MISSING branches like any other symbol.
+tile's first row resumes from the previous tile's last row, whose
+forward states are carried. MISSING branches like any other symbol.
 Posterior tables and failures come from one pass over the result arrays.
 
 Memory: the result holds substitution weights, posteriors and prefix and

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import founderhmm.analysis as analysis
+import founderhmm.inference as inference
 import founderhmm.training as training
 import oracle
 from conftest import random_corpus, random_genotype, random_model
@@ -14,6 +15,7 @@ from founderhmm import (MISSING, FounderHMM, HaplotypeSequence, InputError,
                         impute_untyped, phase_corpus, phase_decode,
                         posterior_scan, recover_missing, run_pipeline,
                         simulate, substitute, window_spans)
+from founderhmm.trie import build_trie
 
 
 def with_dead_loci(rng, model, count):
@@ -22,6 +24,17 @@ def with_dead_loci(rng, model, count):
     emissions = model.emissions.copy()
     emissions[rng.integers(0, model.loci, size=count)] = 0.0
     return FounderHMM(initial=model.initial, transitions=model.transitions,
+                      emissions=emissions)
+
+
+def with_ties(model):
+    """``model`` with uniform start and transitions and founder 1 a copy of
+    founder 0, so that max-product steps meet exact ties."""
+    k = model.founders
+    emissions = model.emissions.copy()
+    emissions[:, 1:2] = emissions[:, :1]
+    return FounderHMM(initial=np.full(k, 1.0 / k),
+                      transitions=np.full(model.transitions.shape, 1.0 / k),
                       emissions=emissions)
 
 
@@ -442,45 +455,71 @@ def test_phase_zero_probability_raises():
 
 
 def expected_phasing(model, corpus):
-    """Per-sample oracle decodes of ``corpus``, or the (sample id, locus)
-    of its first sample in corpus order that has zero probability."""
-    out = []
+    """Per-sample oracle decodes of ``corpus`` by sample id; a sample with
+    zero probability maps to its ``ZeroProbabilityError``."""
+    out = {}
     for g in corpus:
         try:
-            out.append(oracle.phase_decode_per_sample(model, g.symbols))
+            out[g.sample_id] = oracle.phase_decode_per_sample(model, g.symbols)
         except ZeroProbabilityError as exc:
-            return g.sample_id, exc.locus
+            out[g.sample_id] = exc
     return out
 
 
-@pytest.mark.parametrize("chunk_rows", [None, 1, 7])
+def tail_mutated_corpus(rng, loci, samples):
+    """Copies of a few random base genotypes, each with a random tail
+    redrawn, so that sorted distinct rows share long prefixes."""
+    bases = random_corpus(rng, int(rng.integers(1, 4)), loci, missing_rate=0.2)
+    corpus = []
+    for j in range(samples):
+        symbols = bases[int(rng.integers(len(bases)))].symbols.copy()
+        start = int(rng.integers(0, loci))
+        symbols[start:] = rng.choice([0, 1, 2, MISSING], size=loci - start)
+        corpus.append(MultilocusGenotype(f"t{j}", symbols))
+    return corpus
+
+
+def pin_phase_chunk_rows(monkeypatch, rows, loci, k):
+    """Set the engine's byte cap so that phasing decodes ``rows`` distinct
+    genotypes per chunk: per row, the byte-sized back-pointers (K < 256),
+    one locus' work arrays and the allele arrays."""
+    row_bytes = (2 * (loci - 1) + 64) * k * k + 64 * loci
+    monkeypatch.setattr(inference, "_TILE_BYTES", rows * row_bytes)
+
+
+@pytest.mark.parametrize("chunk_rows", [None, 1, 7, 64])
 def test_phase_corpus_matches_per_sample_decode_bitwise(monkeypatch,
                                                         chunk_rows):
     rng = np.random.default_rng(22)
-    for trial in range(25):
+    for trial in range(40):
         k, n = int(rng.integers(1, 6)), int(rng.integers(1, 31))
         model = with_dead_loci(rng, random_model(rng, k, n),
                                int(trial % 6 == 5))
-        pool = random_corpus(rng, int(rng.integers(1, 6)), n,
-                             missing_rate=0.2)
-        corpus = [MultilocusGenotype(f"s{j}", pool[int(i)].symbols)
-                  for j, i in enumerate(rng.integers(0, len(pool), 12))]
+        if trial < 25:
+            pool = random_corpus(rng, int(rng.integers(1, 6)), n,
+                                 missing_rate=0.2)
+            corpus = [MultilocusGenotype(f"s{j}", pool[int(i)].symbols)
+                      for j, i in enumerate(rng.integers(0, len(pool), 12))]
+        else:  # shared prefixes within chunks and across their borders
+            corpus = tail_mutated_corpus(rng, n, 90)
+            model = with_ties(model) if trial % 2 else model
         shuffled = [corpus[int(j)] for j in rng.permutation(len(corpus))]
         if chunk_rows is not None:
-            monkeypatch.setattr(analysis, "_PHASE_CHUNK_BYTES",
-                                chunk_rows * analysis._phase_row_bytes(n, k))
+            pin_phase_chunk_rows(monkeypatch, chunk_rows, n, k)
+        want = expected_phasing(model, corpus)
         for order in (corpus, shuffled):
-            want = expected_phasing(model, order)
-            if isinstance(want, tuple):
+            failed = [g.sample_id for g in order
+                      if isinstance(want[g.sample_id], ZeroProbabilityError)]
+            if failed:
                 with pytest.raises(ZeroProbabilityError) as err:
                     phase_corpus(model, order)
-                assert err.value.locus == want[1]
-                assert f"sample {want[0]!r} " in str(err.value)
+                assert err.value.locus == want[failed[0]].locus
+                assert f"sample {failed[0]!r} " in str(err.value)
                 continue
             got = phase_corpus(model, order)
             assert len(got) == len(order)
-            for g, res, (first, second, paths, log_joint) in zip(order, got,
-                                                                 want):
+            for g, res in zip(order, got):
+                first, second, paths, log_joint = want[g.sample_id]
                 assert res.first.id == f"{g.sample_id}.h1"
                 assert np.array_equal(res.first.alleles, first)
                 assert np.array_equal(res.second.alleles, second)
@@ -488,8 +527,35 @@ def test_phase_corpus_matches_per_sample_decode_bitwise(monkeypatch,
                 assert res.log_joint == log_joint
                 assert not res.founder_paths.flags.writeable
             one = phase_decode(model, order[0])
-            assert np.array_equal(one.founder_paths, want[0][2])
-            assert one.log_joint == want[0][3]
+            assert np.array_equal(one.founder_paths, want[order[0].sample_id][2])
+            assert one.log_joint == want[order[0].sample_id][3]
+
+
+@pytest.mark.parametrize("chunk_rows", [None, 1, 7, 64])
+def test_phase_walk_steps_each_row_past_its_shared_prefix(monkeypatch,
+                                                          chunk_rows):
+    """A chunk's first row walks all loci and every other row only those
+    past its shared prefix; sharing changes no decoded number, dead rows
+    included."""
+    rng = np.random.default_rng(23)
+    saved = 0
+    for trial in range(12):
+        k, n = int(rng.integers(1, 6)), int(rng.integers(1, 31))
+        model = with_dead_loci(rng, random_model(rng, k, n), int(trial % 3 == 2))
+        rows, _, lcps = build_trie(np.stack(
+            [g.symbols for g in tail_mutated_corpus(rng, n, 90)]))
+        if chunk_rows is not None:
+            pin_phase_chunk_rows(monkeypatch, chunk_rows, n, k)
+        *got, evals = analysis._decode_distinct(model, rows, lcps)
+        firsts = np.arange(len(rows)) % (chunk_rows or len(rows)) == 0
+        assert evals == int((n - np.where(firsts, 0, lcps)).sum())
+        saved += n * len(rows) - evals
+        *alone, alone_evals = analysis._decode_distinct(model, rows,
+                                                        np.zeros_like(lcps))
+        assert alone_evals == n * len(rows)
+        for a, b in zip(got, alone):
+            assert np.array_equal(a, b)
+    assert (saved > 0) == (chunk_rows != 1)
 
 
 @pytest.mark.filterwarnings("error")  # dead rows decode on without NaNs

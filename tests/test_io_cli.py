@@ -485,6 +485,50 @@ def test_error_report_bytes_with_awkward_ids(tmp_path):
         assert (back.threshold, back.failures) == (10.0, {"%s": 3})
 
 
+AWKWARD_IDS = ("S\u2028x", "a b", " lead", "trail ", "%s", "50%", "a#b", " #x")
+
+
+def test_awkward_ids_round_trip_through_every_writer_and_reader(tmp_path):
+    ids, n = AWKWARD_IDS, len(AWKWARD_IDS)
+    symbols = (np.arange(n * 3).reshape(n, 3) % 4 - 1).astype(np.int8)
+    corpus = [MultilocusGenotype(sid, symbols[j]) for j, sid in enumerate(ids)]
+    write_genotypes(tmp_path / "c.gen", corpus)
+    back = read_genotypes(tmp_path / "c.gen")
+    assert [g.sample_id for g in back] == list(ids)
+    assert np.array_equal(np.stack([g.symbols for g in back]), symbols)
+    panel = [HaplotypeSequence(sid, symbols[j] % 2) for j, sid in enumerate(ids)]
+    write_haplotypes(tmp_path / "p.hap", panel)
+    assert [(h.id, h.alleles.tolist()) for h in read_haplotypes(tmp_path / "p.hap")] \
+        == [(h.id, h.alleles.tolist()) for h in panel]
+    write_locus_map(tmp_path / "m.map", LocusMap(ids, np.arange(1, n + 1),
+                                                 np.arange(n) % 2 == 0))
+    assert read_locus_map(tmp_path / "m.map").locus_ids == ids
+    imputed = ImputationResult(
+        entries=tuple(ImputationEntry(sid, j, ids[-1 - j], (0.25, 0.5, 0.25), 1, 0.5)
+                      for j, sid in enumerate(ids)),
+        windows=(), failures=((ids[0], 2),), forward_locus_evals=0,
+        backward_locus_evals=0)
+    report = ErrorReport.from_entries(
+        tuple(ErrorEntry(sid, j, ids[-1 - j], 1, 2.5, j % 2 == 0, 0)
+              for j, sid in enumerate(ids)), threshold=10.0, failures={ids[1]: 3})
+    for json_mode in (False, True):
+        write_imputation(tmp_path / "i", imputed, json_mode=json_mode)
+        again = read_imputation(tmp_path / "i")
+        assert (again.entries, again.failures) == (imputed.entries, imputed.failures)
+        write_error_report(tmp_path / "r", report, json_mode=json_mode)
+        again = read_error_report(tmp_path / "r")
+        assert (again.entries, again.failures) == (report.entries, report.failures)
+
+
+@pytest.mark.parametrize("bad", ["a\tb", "a\nb", "a\rb", "a\r\nb", "#x", "#"])
+def test_ids_no_file_can_hold_are_rejected_where_built(bad):
+    for build in (lambda: MultilocusGenotype(bad, [0, 1]),
+                  lambda: HaplotypeSequence(bad, [0, 1]),
+                  lambda: LocusMap(("a", bad), [1, 2], [True, True])):
+        with pytest.raises(InputError, match="must not start with '#' or hold a tab"):
+            build()
+
+
 def test_report_flows_build_no_entry_objects(ws, tmp_path, monkeypatch):
     def refuse(*args):
         raise RuntimeError("an ErrorEntry was built")
