@@ -15,18 +15,18 @@ from .analysis import (DEFAULT_RATIO_THRESHOLD, PIPELINE_IMPUTE_ONLY,
                        PipelineResult, RecoveryFill, RecoveryResult,
                        StageReport, WindowReport, WindowSpec, correct_errors,
                        detect_errors, impute_untyped, phase_corpus,
-                       phase_decode, recover_missing, run_pipeline,
-                       window_spans)
+                       phase_decode, phase_panel, recover_missing,
+                       run_pipeline, window_spans)
 from .inference import (BackwardPass, ForwardBackwardResult, ForwardPass,
                         PosteriorScan, PosteriorTable, backward,
                         backward_naive, forward, forward_backward,
                         forward_naive, genotype_posteriors, posterior_scan,
                         table_from_scan, total_log_likelihood)
 from .model import (ALLELE_SYMBOLS, GENOTYPE_SYMBOLS, MISSING, FounderHMM,
-                    HaplotypeSequence, InputError, LocusMap,
-                    MultilocusGenotype, ZeroProbabilityError, emission_stack,
-                    emission_table, genotype_from_haplotypes, substitute,
-                    symbol_plane)
+                    GenotypeCorpus, HaplotypePanel, HaplotypeSequence,
+                    InputError, LocusMap, MultilocusGenotype,
+                    ZeroProbabilityError, emission_stack, emission_table,
+                    genotype_from_haplotypes, substitute, symbol_plane)
 from .simulate import (BenchReport, BenchRow, ErrorRecord, EvalReport,
                        MissingRecord, SimConfig, SimData, SweepRow,
                        bench_scaling, evaluate, fit_exponent, simulate, sweep)

@@ -4,7 +4,9 @@ Three flows share the batched posterior engine: likelihood-ratio error
 detection (with correction), missing-symbol recovery, and untyped-locus
 imputation through locally trained window models. Phasing decodes each
 genotype into an ordered haplotype pair by max-product over founder pairs.
-``run_pipeline`` strings them together in the two supported orders.
+``run_pipeline`` strings them together in the two supported orders. Each
+flow takes a :class:`~founderhmm.model.GenotypeCorpus` or a list of
+genotypes, converted once at entry, and works on its symbol matrix.
 
 Memory of phasing: duplicate genotypes are decoded once, the distinct ones
 sorted, in chunks whose rows walk on from the prefix shared with the row
@@ -19,15 +21,16 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import count, repeat
 from typing import NamedTuple
 
 import numpy as np
 
 from . import inference
 from .inference import _planes, _viterbi_rows
-from .model import (MISSING, FounderHMM, InputError, HaplotypeSequence,
-                    LocusMap, MultilocusGenotype, ZeroProbabilityError,
+from .model import (MISSING, FounderHMM, GenotypeCorpus, HaplotypePanel,
+                    HaplotypeSequence, InputError, LocusMap,
+                    MultilocusGenotype, ZeroProbabilityError, _unchecked,
                     emission_stack)
 from .training import (TrainConfig, train_founder_hmm, train_founder_hmms,
                        window_config)
@@ -123,10 +126,10 @@ def detect_errors(model: FounderHMM, corpus, threshold: float = DEFAULT_RATIO_TH
     """
     if not threshold > 0:
         raise InputError(f"threshold must be positive, got {threshold}")
-    genos = list(corpus)
-    batch = batched_posteriors(model, genos)
-    ids = _entry_locus_ids(locus_ids, len(genos[0]))
-    symbols = np.stack([g.symbols for g in genos])
+    corpus = GenotypeCorpus.of(corpus)
+    batch = batched_posteriors(model, corpus)
+    ids = _entry_locus_ids(locus_ids, corpus.loci)
+    symbols = corpus.matrix
     samples, loci = np.nonzero(symbols != MISSING)
     observed = symbols[samples, loci].astype(np.int64)
     rows = batch.triples[batch.row_of[samples], loci]
@@ -138,8 +141,7 @@ def detect_errors(model: FounderHMM, corpus, threshold: float = DEFAULT_RATIO_TH
     ratio = np.where(best > 0.0, np.inf, 1.0)
     np.divide(best, weight, out=ratio, where=weight > 0.0)
     suggested = np.where(weight == best, observed, rows.argmax(axis=1))
-    sample_ids = [g.sample_id for g in genos]
-    return ErrorReport(sample_id=list(map(sample_ids.__getitem__,
+    return ErrorReport(sample_id=list(map(corpus.ids.__getitem__,
                                           samples.tolist())),
                        locus_index=loci.astype(np.int64),
                        locus_id=list(map(ids.__getitem__, loci.tolist())),
@@ -152,27 +154,22 @@ def detect_errors(model: FounderHMM, corpus, threshold: float = DEFAULT_RATIO_TH
 def correct_errors(corpus, report: ErrorReport):
     """Apply the suggested symbol at every flagged entry.
 
-    Returns (corrected corpus, change count). The report must have been
-    generated from this corpus: the first entry in report order that names
-    an unknown sample, a locus out of range, an observed symbol the corpus
-    does not hold (a cell that an earlier entry changed included) or a
-    suggestion outside 0-2 is rejected, and nothing changes.
+    Returns (corrected :class:`GenotypeCorpus`, change count). The report
+    must have been generated from this corpus: the first entry in report
+    order that names an unknown sample, a locus out of range, an observed
+    symbol the corpus does not hold (a cell that an earlier entry changed
+    included) or a suggestion outside 0-2 is rejected, and nothing changes.
     """
-    genos = list(corpus)
-    row_of = {g.sample_id: r for r, g in enumerate(genos)}
-    if len(row_of) != len(genos):
-        raise InputError("corpus sample ids must be unique")
-    lengths = np.array([len(g) for g in genos] + [0])
-    symbols = np.full((len(genos), lengths.max()), MISSING, dtype=np.int8)
-    for r, g in enumerate(genos):
-        symbols[r, :len(g)] = g.symbols
-    rows = np.fromiter(map(row_of.get, report.sample_id, repeat(-1)),
+    corpus = GenotypeCorpus.of(corpus)
+    symbols = corpus.matrix.copy()
+    rows = np.fromiter(map(dict(zip(corpus.ids, count())).get,
+                           report.sample_id, repeat(-1)),
                        dtype=np.intp, count=len(report))
     loc, observed, suggested = (report.locus_index, report.observed,
                                 report.suggested)
     known = rows >= 0
-    placed = known & (loc >= 0) & (loc < lengths[rows])  # lengths[-1] is 0
-    cell = np.where(placed, rows * symbols.shape[1] + loc, -1)
+    placed = known & (loc >= 0) & (loc < corpus.loci)
+    cell = np.where(placed, rows * corpus.loci + loc, -1)
     matches = placed.copy()
     matches[placed] = symbols.ravel()[cell[placed]] == observed[placed]
     change = report.flags & (suggested != observed)
@@ -197,9 +194,7 @@ def correct_errors(corpus, report: ErrorReport):
         raise InputError(f"report suggests symbol {int(suggested[j])!r} at "
                          f"{sample!r} locus {locus}")
     symbols.ravel()[cell[change]] = suggested[change]
-    corrected = [MultilocusGenotype(g.sample_id, symbols[r, :len(g)])
-                 for r, g in enumerate(genos)]
-    return corrected, int(change.sum())
+    return GenotypeCorpus._trusted(corpus.ids, symbols), int(change.sum())
 
 
 class RecoveryFill(NamedTuple):
@@ -211,7 +206,7 @@ class RecoveryFill(NamedTuple):
 
 @dataclass(frozen=True)
 class RecoveryResult:
-    corpus: list
+    corpus: GenotypeCorpus
     fills: tuple
     failures: dict
     stats: object
@@ -222,30 +217,26 @@ def recover_missing(model: FounderHMM, corpus) -> RecoveryResult:
 
     Completed genotypes pass through unchanged so the operation is a
     fixpoint. Samples whose posterior has no mass at a missing locus are
-    left untouched and reported in ``failures``.
+    left untouched; ``failures`` are those of ``batched_posteriors``, which
+    name every such sample. All missing symbols are filled in one pass.
     """
-    genos = list(corpus)
-    batch = batched_posteriors(model, genos)
-    fills = []
-    failures = dict(batch.failures)
-    out = []
-    for g, r in zip(genos, batch.row_of.tolist()):
-        missing = np.flatnonzero(g.missing_mask)
-        rows = batch.triples[r, missing]
-        totals = rows.sum(axis=1)
-        dead = np.flatnonzero(totals <= 0.0)
-        if dead.size:
-            failures.setdefault(g.sample_id, int(missing[dead[0]]))
-        elif missing.size:
-            calls = rows.argmax(axis=1)
-            fills.extend(map(RecoveryFill, repeat(g.sample_id, missing.size),
-                             missing.tolist(), calls.tolist(),
-                             (rows[np.arange(missing.size), calls] / totals).tolist()))
-            symbols = np.array(g.symbols)
-            symbols[missing] = calls
-            g = MultilocusGenotype(g.sample_id, symbols)
-        out.append(g)
-    return RecoveryResult(corpus=out, fills=tuple(fills), failures=failures,
+    corpus = GenotypeCorpus.of(corpus)
+    batch = batched_posteriors(model, corpus)
+    samples, loci = np.nonzero(corpus.matrix == MISSING)
+    rows = batch.triples[batch.row_of[samples], loci]
+    totals = rows.sum(axis=1)
+    dead = np.zeros(len(corpus), dtype=bool)
+    dead[samples[totals <= 0.0]] = True
+    live = ~dead[samples]
+    samples, loci, rows, totals = samples[live], loci[live], rows[live], totals[live]
+    calls = rows.argmax(axis=1)
+    symbols = corpus.matrix.copy()
+    symbols[samples, loci] = calls
+    fills = map(RecoveryFill, map(corpus.ids.__getitem__, samples.tolist()),
+                loci.tolist(), calls.tolist(),
+                (rows[np.arange(calls.size), calls] / totals).tolist())
+    return RecoveryResult(corpus=GenotypeCorpus._trusted(corpus.ids, symbols),
+                          fills=tuple(fills), failures=dict(batch.failures),
                           stats=batch.stats)
 
 
@@ -326,29 +317,24 @@ def impute_untyped(reference, corpus, locus_map: LocusMap, config: TrainConfig,
     model, and whether its fit converged before the cap, is kept in its
     :class:`WindowReport`.
     """
-    reference = list(reference)
-    genos = list(corpus)
+    reference = HaplotypePanel.of(reference)
+    genos = GenotypeCorpus.of(corpus)
     if not reference:
         raise InputError("reference panel must be non-empty")
-    for h in reference:
-        if len(h) != len(locus_map):
-            raise InputError(
-                f"reference haplotype {h.id!r} has {len(h)} loci, map has {len(locus_map)}")
+    if reference.loci != len(locus_map):
+        raise InputError(f"reference haplotype {reference.ids[0]!r} has "
+                         f"{reference.loci} loci, map has {len(locus_map)}")
     typed_idx = locus_map.typed_indices()
-    for g in genos:
-        if len(g) != typed_idx.size:
-            raise InputError(
-                f"genotype {g.sample_id!r} has {len(g)} loci, map has {typed_idx.size} typed")
-    if len({g.sample_id for g in genos}) != len(genos):
-        raise InputError("corpus sample ids must be unique")
+    if genos and genos.loci != typed_idx.size:
+        raise InputError(f"genotype {genos.ids[0]!r} has {genos.loci} loci, "
+                         f"map has {typed_idx.size} typed")
     spans = window_spans(locus_map, window)
     if spans and not genos:
         raise InputError("corpus must be non-empty")
-    panel = np.stack([h.alleles for h in reference])
-    fits = train_founder_hmms([panel[:, lo:hi + 1] for (lo, hi), _ in spans],
-                              window_config(config))
-    symbols = np.array([g.symbols for g in genos], dtype=np.int8).reshape(
-        len(genos), typed_idx.size)
+    fits = train_founder_hmms(
+        [reference.matrix[:, lo:hi + 1] for (lo, hi), _ in spans],
+        window_config(config))
+    symbols = genos.matrix
     per_position = {}
     windows = []
     failures = []
@@ -369,15 +355,14 @@ def impute_untyped(reference, corpus, locus_map: LocusMap, config: TrainConfig,
             probs = (triples / totals[:, :, None]).tolist()
         calls = triples.argmax(axis=2).tolist()
         dead = (totals <= 0.0).tolist()
-        for g, r in zip(genos, trie.row_of.tolist()):
+        for sid, r in zip(genos.ids, trie.row_of.tolist()):
             for t, p, call, d in zip(targets, probs[r], calls[r], dead[r]):
                 if d:
-                    failures.append((g.sample_id, t))
+                    failures.append((sid, t))
                     continue
-                per_position[(g.sample_id, t)] = ImputationEntry(
-                    g.sample_id, t, locus_map.locus_ids[t], tuple(p), call,
-                    p[call])
-    order = {g.sample_id: i for i, g in enumerate(genos)}
+                per_position[(sid, t)] = ImputationEntry(
+                    sid, t, locus_map.locus_ids[t], tuple(p), call, p[call])
+    order = dict(zip(genos.ids, count()))
     entries = sorted(per_position.values(),
                      key=lambda e: (order[e.sample_id], e.locus_index))
     return ImputationResult(entries=tuple(entries), windows=tuple(windows),
@@ -457,6 +442,29 @@ def _decode_distinct(model: FounderHMM, rows: np.ndarray, lcps: np.ndarray):
     return (*map(np.concatenate, zip(*chunks)), evals)
 
 
+def _phase(model: FounderHMM, corpus):
+    """The corpus as a matrix, each sample's distinct row, and the alleles
+    (``first`` and ``second``, read-only), founder paths and log joints of
+    the distinct rows; see :func:`phase_corpus`."""
+    corpus = GenotypeCorpus.of(corpus)
+    if corpus and corpus.loci != model.loci:
+        raise InputError(f"genotype {corpus.ids[0]!r} has {corpus.loci} loci "
+                         f"but the model has {model.loci}")
+    if not corpus:  # nothing to decode
+        none = np.zeros((0, model.loci), dtype=np.int8)
+        return corpus, np.zeros(0, dtype=np.intp), none, none, none, none
+    rows, row_of, lcps = build_trie(corpus.matrix)
+    first, second, paths, log_joint, dead, _ = _decode_distinct(model, rows, lcps)
+    failed = np.flatnonzero(dead[row_of] >= 0)
+    if failed.size:
+        sample, locus = corpus.ids[failed[0]], int(dead[row_of[failed[0]]])
+        raise ZeroProbabilityError(locus, f"sample {sample!r} has zero "
+                                          f"probability at locus {locus}")
+    for array in (first, second, paths):
+        array.setflags(write=False)
+    return corpus, row_of, first, second, paths, log_joint
+
+
 def phase_corpus(model: FounderHMM, corpus) -> list:
     """Max-product phasing of every genotype of ``corpus``, in corpus order.
 
@@ -467,24 +475,21 @@ def phase_corpus(model: FounderHMM, corpus) -> list:
     raises ``ZeroProbabilityError`` for the first such sample in corpus
     order, at its first zero-probability locus.
     """
-    genos = list(corpus)
-    for g in genos:
-        if len(g) != model.loci:
-            raise InputError(f"genotype {g.sample_id!r} has {len(g)} loci but "
-                             f"the model has {model.loci}")
-    if not genos:
-        return []
-    rows, row_of, lcps = build_trie(np.stack([g.symbols for g in genos]))
-    first, second, paths, log_joint, dead, _ = _decode_distinct(model, rows, lcps)
-    for g, locus in zip(genos, dead[row_of].tolist()):
-        if locus >= 0:
-            raise ZeroProbabilityError(locus, f"sample {g.sample_id!r} has "
-                                              f"zero probability at locus {locus}")
-    paths.setflags(write=False)
-    return [PhaseResult(first=HaplotypeSequence(f"{g.sample_id}.h1", first[r]),
-                        second=HaplotypeSequence(f"{g.sample_id}.h2", second[r]),
+    corpus, row_of, first, second, paths, log_joint = _phase(model, corpus)
+    return [PhaseResult(first=_unchecked(HaplotypeSequence, f"{sid}.h1", first[r]),
+                        second=_unchecked(HaplotypeSequence, f"{sid}.h2", second[r]),
                         founder_paths=paths[r], log_joint=float(log_joint[r]))
-            for g, r in zip(genos, row_of.tolist())]
+            for sid, r in zip(corpus.ids, row_of.tolist())]
+
+
+def phase_panel(model: FounderHMM, corpus) -> HaplotypePanel:
+    """The haplotypes of :func:`phase_corpus` as one panel: rows
+    ``<sample>.h1`` and ``<sample>.h2`` of each sample, in corpus order."""
+    corpus, row_of, first, second, *_ = _phase(model, corpus)
+    alleles = np.stack((first, second), axis=1)[row_of]
+    return HaplotypePanel._trusted(
+        [f"{sid}.h{copy}" for sid in corpus.ids for copy in (1, 2)],
+        alleles.reshape(2 * len(corpus), model.loci))
 
 
 def phase_decode(model: FounderHMM, genotype: MultilocusGenotype) -> PhaseResult:
@@ -504,7 +509,7 @@ class PipelineResult:
     mode: str
     imputation: ImputationResult
     stages: tuple
-    corpus_out: list
+    corpus_out: GenotypeCorpus
     error_report: ErrorReport | None
     recovery: RecoveryResult | None
 
@@ -525,17 +530,19 @@ def run_pipeline(mode: str, reference, corpus, locus_map: LocusMap,
     stages = []
     error_report = None
     recovery = None
-    working = list(corpus)
+    working = GenotypeCorpus.of(corpus)
     if mode == PIPELINE_REPAIR_IMPUTE:
         typed_idx = locus_map.typed_indices()
         typed_ids = [locus_map.locus_ids[int(j)] for j in typed_idx]
-        ref_typed = [HaplotypeSequence(h.id, h.alleles[typed_idx]) for h in reference]
+        reference = HaplotypePanel.of(reference)
+        ref_typed = HaplotypePanel(reference.ids, reference.matrix[:, typed_idx])
 
         t0 = time.perf_counter()
         model0, report0 = train_founder_hmm(ref_typed, config)
-        phased = [h for d in phase_corpus(model0, working)
-                  for h in (d.first, d.second)]
-        model1, report1 = train_founder_hmm(ref_typed + phased, config)
+        phased = phase_panel(model0, working)
+        model1, report1 = train_founder_hmm(HaplotypePanel(
+            ref_typed.ids + phased.ids,
+            np.concatenate((ref_typed.matrix, phased.matrix))), config)
         stages.append(StageReport("train-typed-model", time.perf_counter() - t0, {
             "reference_haplotypes": len(ref_typed),
             "decoded_haplotypes": len(phased),

@@ -26,7 +26,7 @@ import time
 
 from .analysis import (DEFAULT_RATIO_THRESHOLD, PIPELINE_IMPUTE_ONLY,
                        PIPELINE_REPAIR_IMPUTE, WindowSpec, correct_errors,
-                       detect_errors, impute_untyped, phase_corpus,
+                       detect_errors, impute_untyped, phase_panel,
                        recover_missing, run_pipeline)
 from .io_formats import (CONFIG_ENV, ERROR_REPORT_COLUMNS, IMPUTATION_COLUMNS,
                          RECOVERY_COLUMNS, atomic_write, fmt, load_config_file,
@@ -36,7 +36,7 @@ from .io_formats import (CONFIG_ENV, ERROR_REPORT_COLUMNS, IMPUTATION_COLUMNS,
                          write_eval_report, write_genotypes, write_haplotypes,
                          write_imputation, write_locus_map, write_model,
                          write_recovery, write_sweep_table)
-from .model import InputError, ZeroProbabilityError
+from .model import GenotypeCorpus, InputError, ZeroProbabilityError
 from .simulate import SimConfig, bench_scaling, evaluate, simulate, sweep
 from .training import TrainConfig, train_founder_hmm
 
@@ -373,8 +373,8 @@ def _model_and_corpus(args):
     """The --model and the --genotypes corpus, whose loci must match."""
     model = read_model(args.model)
     corpus = read_genotypes(args.genotypes)
-    if corpus and len(corpus[0]) != model.loci:
-        raise InputError(f"{args.genotypes}: genotypes have {len(corpus[0])} "
+    if corpus and corpus.loci != model.loci:
+        raise InputError(f"{args.genotypes}: genotypes have {corpus.loci} "
                          f"loci but the model has {model.loci}")
     return model, corpus
 
@@ -383,7 +383,7 @@ def _cmd_detect(args):
     model, corpus = _model_and_corpus(args)
     if not corpus:
         raise InputError(f"{args.genotypes}: empty corpus")
-    locus_ids = _map_typed_ids(args.map, len(corpus[0])) if args.map else None
+    locus_ids = _map_typed_ids(args.map, corpus.loci) if args.map else None
     report = detect_errors(model, corpus, args.threshold, locus_ids=locus_ids)
     echo = _echo("detect", {"model": args.model, "genotypes": args.genotypes,
                             "threshold": args.threshold,
@@ -434,8 +434,7 @@ def _cmd_impute(args):
 def _cmd_phase(args):
     model, corpus = _model_and_corpus(args)
     try:
-        haplotypes = [h for d in phase_corpus(model, corpus)
-                      for h in (d.first, d.second)]
+        haplotypes = phase_panel(model, corpus)
     except ZeroProbabilityError as exc:
         raise InputError(f"{args.genotypes}: {exc}") from exc
     echo = _echo("phase", {"model": args.model, "genotypes": args.genotypes})
@@ -512,13 +511,13 @@ def _cmd_evaluate(args):
     else:
         calls = read_genotypes(args.calls)
         if (locus_map is not None and calls
-                and truth and len(truth[0]) != len(calls[0])):
+                and truth and truth.loci != calls.loci):
             typed = locus_map.typed_indices()
-            if typed.size != len(calls[0]):
+            if typed.size != calls.loci:
                 raise InputError(
                     f"{args.map}: {typed.size} typed loci but calls have "
-                    f"{len(calls[0])}")
-            truth = [type(g)(g.sample_id, g.symbols[typed]) for g in truth]
+                    f"{calls.loci}")
+            truth = GenotypeCorpus(truth.ids, truth.matrix[:, typed])
     report = evaluate(calls, truth, loci=loci)
     echo = _echo("evaluate", {"calls": args.calls, "truth": args.truth,
                               "kind": args.kind, "map": args.map or "-"})

@@ -4,11 +4,16 @@ Five formats, all diffable and exactly round-trippable:
 
 * genotype corpus   — ``#samples=<m> loci=<n>`` header, then one row per
   sample: ``sample_id<TAB><symbols>`` with symbols in ``0 1 2 ?``
-* haplotype panel   — same shape, symbols in ``0 1``
+* haplotype panel   — same shape, symbols in ``0 1``. Both move as one
+  int8 (rows, loci) matrix with its ids (a ``GenotypeCorpus`` or a
+  ``HaplotypePanel``): the reader splits the rows once and maps all
+  symbols through a 256-entry byte table, the writer maps them back
+  through the inverse table, and neither builds an object per row
 * locus map         — one row per locus: ``locus_id<TAB>position<TAB>typed|untyped``
 * model             — versioned text header, then the initial vector,
   per-interval transition rows, and per-locus emission rows, every value
-  printed with 17 significant digits (lossless for double precision)
+  printed with 17 significant digits (lossless for double precision);
+  a file in the writer's layout is parsed a block of rows at a time
 * reports           — tab-separated tables with a fixed, documented column
   order; each has a JSON twin carrying the same records. The error report
   moves as columns: its writer formats blocks of rows with one row
@@ -16,30 +21,29 @@ Five formats, all diffable and exactly round-trippable:
   column whole, checking rows one by one only to name a bad one
 
 Writers are atomic (temp file in the target directory, then rename) and
-accept an optional ``#config:`` echo line. Readers skip unrecognized
-comment lines, so echoed headers never break round-trips. Parse failures
-raise InputError messages of the form ``path:line: problem``.
+accept an optional ``#config:`` echo line. Readers decode a file as UTF-8
+once, end lines at ``\\n``, ``\\r\\n`` or a lone ``\\r`` only, and skip
+unrecognized comment lines, so echoed headers never break round-trips.
+Parse failures raise InputError messages of the form ``path:line:
+problem``; where a whole file is checked at once, a file that fails is
+checked again line by line, only to name the first bad line.
 """
 from __future__ import annotations
 
 import json
 import os
+import re
 import tempfile
-from contextlib import contextmanager
 from functools import partial
 from itertools import chain, compress, count, repeat
 
 import numpy as np
 
 from .analysis import ErrorReport, ImputationEntry, ImputationResult
-from .model import (MISSING, FounderHMM, HaplotypeSequence, InputError,
-                    LocusMap, MultilocusGenotype)
+from .model import FounderHMM, GenotypeCorpus, HaplotypePanel, InputError, LocusMap
 
 CONFIG_ENV = "FOUNDERHMM_CONFIG"
 MODEL_MAGIC = "#founderhmm-model v1"
-
-_SYMBOL_TO_CHAR = {0: "0", 1: "1", 2: "2", MISSING: "?"}
-_CHAR_TO_SYMBOL = {"0": 0, "1": 1, "2": 2, "?": MISSING}
 
 
 def fmt(value) -> str:
@@ -83,114 +87,148 @@ def _zero_probability(path, line_no, line):
         _fail(path, line_no, f"locus must be an integer >= 0, not {parts[2]!r}")
 
 
-@contextmanager
-def _text(path):
-    """``path`` opened as UTF-8 text; bytes that are not UTF-8 fail with
+def _read_text(path) -> str:
+    """``path`` read as bytes and decoded as UTF-8 once, with each line end
+    (\\n, \\r\\n or a lone \\r) made \\n; bytes that are not UTF-8 fail with
     the line that holds them."""
+    with open(path, "rb") as fh:
+        data = fh.read()
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            yield fh
-    except UnicodeDecodeError:
-        with open(path, "rb") as fh:
-            data = fh.read()
-        try:
-            data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            before = data[:exc.start]  # lines end at \n, \r\n or a lone \r
-            line_no = (1 + before.count(b"\n") + before.count(b"\r")
-                       - before.count(b"\r\n"))
-            _fail(path, line_no,
-                  f"byte 0x{data[exc.start]:02x} is not UTF-8 text")
-        raise
+        return data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+    except UnicodeDecodeError as exc:
+        before = data[:exc.start]
+        line_no = (1 + before.count(b"\n") + before.count(b"\r")
+                   - before.count(b"\r\n"))
+        _fail(path, line_no, f"byte 0x{data[exc.start]:02x} is not UTF-8 text")
 
 
 def _config_lines(config_line):
     return [config_line] if config_line else []
 
 
+def _write_json(path, payload, config_line):
+    """``payload``, with the echo line as its "config" field, as JSON."""
+    if config_line:
+        payload["config"] = config_line
+    atomic_write(path, json.dumps(payload, sort_keys=True, indent=1) + "\n")
+
+
 # ---------------------------------------------------------------- corpora
 
-def _encode_symbol_row(sample_id, symbols, table, path_hint="row"):
-    try:
-        body = "".join(table[int(s)] for s in symbols)
-    except KeyError as exc:
-        raise InputError(f"{path_hint}: symbol {exc.args[0]} not writable")
-    return f"{sample_id}\t{body}"
+# Each symbol's character in genotype and haplotype files, in the order of
+# GENOTYPE_SYMBOLS and ALLELE_SYMBOLS.
+_CHARS = {GenotypeCorpus: "012?", HaplotypePanel: "01"}
+
+
+def _byte_tables(kind):
+    """The character byte of each symbol, at the symbol's uint8 view, and
+    the symbol of each byte (127 for none) in ``kind``'s files."""
+    chars, symbols = np.zeros(256, dtype=np.uint8), np.full(256, 127, dtype=np.int8)
+    for ch, symbol in zip(_CHARS[kind], kind._symbols):
+        chars[np.int8(symbol).view(np.uint8)], symbols[ord(ch)] = ord(ch), symbol
+    return chars, symbols
+
+
+def _write_symbol_file(path, rows, config_line):
+    """One line ``id<TAB>symbols`` per row, the symbols of all rows mapped
+    through the byte table at once."""
+    m, n = rows.matrix.shape
+    chars = _byte_tables(type(rows))[0][rows.matrix.view(np.uint8)]
+    body = chars.tobytes().decode("ascii")
+    lines = _config_lines(config_line) + [f"#samples={m} loci={n if m else 0}"]
+    lines += map("{}\t{}".format, rows.ids, (body[j:j + n] for j in range(0, m * n, n or 1)))
+    atomic_write(path, "\n".join(lines) + "\n")
 
 
 def write_genotypes(path, corpus, *, config_line=None):
-    corpus = list(corpus)
-    lines = _config_lines(config_line)
-    n = len(corpus[0]) if corpus else 0
-    lines.append(f"#samples={len(corpus)} loci={n}")
-    for g in corpus:
-        lines.append(_encode_symbol_row(g.sample_id, g.symbols, _SYMBOL_TO_CHAR))
-    atomic_write(path, "\n".join(lines) + "\n")
-
-
-def _read_symbol_file(path, alphabet, what):
-    declared = None
-    rows = []
-    with _text(path) as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip():
-                continue
-            if line.startswith("#"):
-                if line.startswith("#samples="):
-                    try:
-                        head, loci_part = line[1:].split()
-                        declared = (int(head.split("=")[1]),
-                                    int(loci_part.split("=")[1]))
-                    except (ValueError, IndexError):
-                        _fail(path, line_no, f"malformed header {line!r}")
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                _fail(path, line_no, f"expected sample_id<TAB>symbols, got {len(parts)} fields")
-            sample_id, body = parts
-            symbols = np.empty(len(body), dtype=np.int8)
-            for j, ch in enumerate(body):
-                sym = alphabet.get(ch)
-                if sym is None:
-                    _fail(path, line_no, f"symbol {ch!r} not valid in a {what} file")
-                symbols[j] = sym
-            rows.append((sample_id, symbols, line_no))
-    if declared is None:
-        _fail(path, 1, f"missing '#samples=<m> loci=<n>' header in {what} file")
-    m, n = declared
-    if len(rows) != m:
-        _fail(path, 1, f"header declares {m} samples but file has {len(rows)} rows")
-    for sample_id, symbols, line_no in rows:
-        if symbols.shape[0] != n:
-            _fail(path, line_no,
-                  f"sample {sample_id!r} has {symbols.shape[0]} loci, header says {n}")
-    return rows
-
-
-def read_genotypes(path):
-    rows = _read_symbol_file(path, _CHAR_TO_SYMBOL, "genotype")
-    seen = {}
-    for sid, _, line_no in rows:
-        first = seen.setdefault(sid, line_no)
-        if first != line_no:
-            _fail(path, line_no, f"duplicate sample id {sid!r} (first on line {first})")
-    return [MultilocusGenotype(sid, syms) for sid, syms, _ in rows]
+    _write_symbol_file(path, GenotypeCorpus.of(corpus), config_line)
 
 
 def write_haplotypes(path, panel, *, config_line=None):
-    panel = list(panel)
-    lines = _config_lines(config_line)
-    n = len(panel[0]) if panel else 0
-    lines.append(f"#samples={len(panel)} loci={n}")
-    for h in panel:
-        lines.append(_encode_symbol_row(h.id, h.alleles, {0: "0", 1: "1"}))
-    atomic_write(path, "\n".join(lines) + "\n")
+    _write_symbol_file(path, HaplotypePanel.of(panel), config_line)
 
 
-def read_haplotypes(path):
-    rows = _read_symbol_file(path, {"0": 0, "1": 1}, "haplotype")
-    return [HaplotypeSequence(sid, syms) for sid, syms, _ in rows]
+def _declared(line):
+    """The two counts of a ``#samples=<m> loci=<n>`` or ``#founders=<K>
+    loci=<n>`` header line."""
+    first, second = line[1:].split()
+    return int(first.split("=")[1]), int(second.split("=")[1])
+
+
+def _check_symbol_lines(path, lines, kind):
+    """Fail at the first problem of a symbol file, line by line."""
+    stray = re.compile(f"[^{re.escape(_CHARS[kind])}]")
+    declared, rows = None, []
+    for line_no, line in enumerate(lines, start=1):
+        if line.startswith("#samples="):
+            if declared:
+                _fail(path, line_no, f"repeated '#samples=' header (first on line {declared[2]})")
+            try:
+                declared = (*_declared(line), line_no)
+            except (ValueError, IndexError):
+                _fail(path, line_no, f"malformed header {line!r}")
+        if not line.strip() or line.startswith("#"):
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2:
+            _fail(path, line_no, f"expected sample_id<TAB>symbols, got {len(parts)} fields")
+        sample_id, body = parts
+        if not sample_id:
+            _fail(path, line_no, f"{kind._id_what} must be non-empty")
+        symbol = stray.search(body)
+        if symbol:
+            _fail(path, line_no, f"symbol {symbol.group()!r} not valid in a {kind._row_what} file")
+        rows.append((sample_id, len(body), line_no))
+    if declared is None:
+        _fail(path, 1, f"missing '#samples=<m> loci=<n>' header in {kind._row_what} file")
+    m, n, _ = declared
+    if len(rows) != m:
+        _fail(path, 1, f"header declares {m} samples but file has {len(rows)} rows")
+    for sample_id, length, line_no in rows:
+        if length != n:
+            _fail(path, line_no, f"sample {sample_id!r} has {length} loci, header says {n}")
+        if not n:
+            _fail(path, line_no, f"{kind._row_what} {sample_id!r} must cover at least one locus")
+
+
+def _read_symbol_file(path, kind):
+    """A genotype or haplotype file as one ``kind`` matrix. Its rows are
+    split once, their symbols mapped through the byte table at once and
+    checked whole with the header; a file that fails anywhere is checked
+    line by line to name the line."""
+    lines = _read_text(path).split("\n")
+    data = [i for i, line in enumerate(lines) if line.strip() and line[0] != "#"]
+    headers = [i for i, line in enumerate(lines) if line.startswith("#samples=")]
+    rows = [lines[i] for i in data]
+    cells = "\t".join(rows).split("\t") if rows else []
+    ids, bodies = cells[0::2], cells[1::2]
+    body = "".join(bodies)
+    try:
+        m, n = _declared(lines[headers[0]])
+    except (ValueError, IndexError):
+        m = n = None
+    matrix = None
+    if (len(headers) == 1 and len(rows) == m and "" not in ids
+            and not set(map(str.count, rows, repeat("\t"))) - {1}
+            and not set(map(len, bodies)) - {n} and (n or not m)
+            and body.isascii()):
+        matrix = _byte_tables(kind)[1][np.frombuffer(body.encode(), dtype=np.uint8)]
+    if matrix is None or (matrix == 127).any():
+        _check_symbol_lines(path, lines, kind)
+    if kind._unique and len(set(ids)) != len(ids):
+        first = {}
+        for sid, i in zip(ids, data):
+            if first.setdefault(sid, i) != i:
+                _fail(path, i + 1, f"duplicate sample id {sid!r} (first on line {first[sid] + 1})")
+    return kind(ids, matrix.reshape(m, max(n, 0)))  # no rows: any count of loci
+
+
+def read_genotypes(path) -> GenotypeCorpus:
+    return _read_symbol_file(path, GenotypeCorpus)
+
+
+def read_haplotypes(path) -> HaplotypePanel:
+    return _read_symbol_file(path, HaplotypePanel)
 
 
 # --------------------------------------------------------------- locus map
@@ -213,29 +251,27 @@ def write_locus_map(path, locus_map: LocusMap, *, config_line=None):
 def read_locus_map(path) -> LocusMap:
     ids, positions, typed = [], [], []
     is_float = False
-    with _text(path) as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip() or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                _fail(path, line_no,
-                      f"expected locus_id<TAB>position<TAB>typed|untyped, got {len(parts)} fields")
-            lid, pos_text, status = parts
-            try:
-                if "." in pos_text or "e" in pos_text or "E" in pos_text:
-                    pos = float(pos_text)
-                    is_float = True
-                else:
-                    pos = int(pos_text)
-            except ValueError:
-                _fail(path, line_no, f"position {pos_text!r} is not a number")
-            if status not in ("typed", "untyped"):
-                _fail(path, line_no, f"status must be 'typed' or 'untyped', got {status!r}")
-            ids.append(lid)
-            positions.append(pos)
-            typed.append(status == "typed")
+    for line_no, line in enumerate(_read_text(path).split("\n"), start=1):
+        if not line.strip() or line.startswith("#"):
+            continue
+        parts = line.split("\t")
+        if len(parts) != 3:
+            _fail(path, line_no,
+                  f"expected locus_id<TAB>position<TAB>typed|untyped, got {len(parts)} fields")
+        lid, pos_text, status = parts
+        try:
+            if "." in pos_text or "e" in pos_text or "E" in pos_text:
+                pos = float(pos_text)
+                is_float = True
+            else:
+                pos = int(pos_text)
+        except ValueError:
+            _fail(path, line_no, f"position {pos_text!r} is not a number")
+        if status not in ("typed", "untyped"):
+            _fail(path, line_no, f"status must be 'typed' or 'untyped', got {status!r}")
+        ids.append(lid)
+        positions.append(pos)
+        typed.append(status == "typed")
     if not ids:
         _fail(path, 1, "locus map file has no rows")
     dtype = np.float64 if is_float else np.int64
@@ -264,77 +300,117 @@ def write_model(path, model: FounderHMM, *, config_line=None):
     atomic_write(path, "\n".join(lines) + "\n")
 
 
-def read_model(path) -> FounderHMM:
+def _model_blocks(lines, size):
+    """The arrays of a model file laid out as write_model lays it out (the
+    magic line first, then one header, then every row in its place), with
+    each kind of row parsed as one block; None for any other file."""
+    filled = [line for line in lines if line.strip()]
+    head = [line for line in filled if line[0] == "#"]
+    headers = [line for line in head if line.startswith("#founders=")]
+    if (filled[:len(head)] != head or head[:1] != [MODEL_MAGIC] or len(headers) != 1
+            or any(line.startswith("#founderhmm-model") for line in head[1:])):
+        return None
+    try:
+        k, n = _declared(headers[0])
+    except (ValueError, IndexError):
+        return None
+    t, data = (n - 1) * k, filled[len(head):]
+    if k < 1 or n < 1 or 2 * k * (1 + t + n) > size or len(data) != 1 + t + n:
+        return None
+    starts = (["initial\t"] + [f"transition\t{i}\t{a}\t" for i in range(n - 1)
+                              for a in range(k)]
+              + [f"emission\t{i}\t" for i in range(n)])
+    values = [row[len(start):] for row, start in zip(data, starts)]
+    if (not all(map(str.startswith, data, starts))
+            or set(map(str.count, values, repeat("\t"))) != {k - 1}):
+        return None
+    try:
+        table = np.fromiter(map(float, "\t".join(values).split("\t")),
+                            dtype=np.float64, count=len(data) * k).reshape(-1, k)
+    except ValueError:
+        return None
+    return table[0], table[1:t + 1].reshape(n - 1, k, k), table[t + 1:]
+
+
+def _model_lines(path, lines, size):
+    """The arrays of any model file, read line by line; fails at the first
+    problem."""
     k = n = None
     initial = None
     transitions = None
     emissions = None
     saw_magic = False
-    with _text(path) as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip():
-                continue
-            if line.startswith("#"):
-                if line == MODEL_MAGIC:
-                    saw_magic = True
-                elif line.startswith("#founderhmm-model"):
-                    _fail(path, line_no, f"unsupported model format version {line!r}")
-                elif line.startswith("#founders="):
-                    try:
-                        k_part, n_part = line[1:].split()
-                        k = int(k_part.split("=")[1])
-                        n = int(n_part.split("=")[1])
-                    except (ValueError, IndexError):
-                        _fail(path, line_no, f"malformed dimension header {line!r}")
-                    if k < 1 or n < 1:
-                        _fail(path, line_no, "founders and loci must be >= 1")
-                    # each value takes at least two bytes, a digit and a
-                    # separator, so the file size bounds the arrays below
-                    if 2 * k * (1 + (n - 1) * k + n) > os.fstat(fh.fileno()).st_size:
-                        _fail(path, line_no, f"{k} founders and {n} loci need "
-                                             f"more values than the file holds")
-                    initial = None
-                    transitions = np.full((max(n - 1, 0), k, k), np.nan)
-                    emissions = np.full((n, k), np.nan)
-                continue
-            if not saw_magic:
-                _fail(path, line_no, f"not a model file (missing '{MODEL_MAGIC}' first)")
-            if k is None:
-                _fail(path, line_no, "model data before '#founders=<K> loci=<n>' header")
-            parts = line.split("\t")
-            kind = parts[0]
-            try:
-                if kind == "initial":
-                    if len(parts) != 1 + k:
-                        _fail(path, line_no, f"initial row needs {k} values")
-                    initial = np.array([float(v) for v in parts[1:]])
-                elif kind == "transition":
-                    if len(parts) != 3 + k:
-                        _fail(path, line_no, f"transition row needs interval, from-state, {k} values")
-                    i, a = int(parts[1]), int(parts[2])
-                    if not (0 <= i < n - 1 and 0 <= a < k):
-                        _fail(path, line_no, f"transition index ({i},{a}) out of range")
-                    transitions[i, a] = [float(v) for v in parts[3:]]
-                elif kind == "emission":
-                    if len(parts) != 2 + k:
-                        _fail(path, line_no, f"emission row needs locus and {k} values")
-                    i = int(parts[1])
-                    if not 0 <= i < n:
-                        _fail(path, line_no, f"emission locus {i} out of range")
-                    emissions[i] = [float(v) for v in parts[2:]]
-                else:
-                    _fail(path, line_no, f"unknown row kind {kind!r}")
-            except InputError:
-                raise
-            except ValueError:
-                _fail(path, line_no, "non-numeric value in model row")
+    for line_no, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        if line.startswith("#"):
+            if line == MODEL_MAGIC:
+                saw_magic = True
+            elif line.startswith("#founderhmm-model"):
+                _fail(path, line_no, f"unsupported model format version {line!r}")
+            elif line.startswith("#founders="):
+                try:
+                    k, n = _declared(line)
+                except (ValueError, IndexError):
+                    _fail(path, line_no, f"malformed dimension header {line!r}")
+                if k < 1 or n < 1:
+                    _fail(path, line_no, "founders and loci must be >= 1")
+                # each value takes at least two bytes, a digit and a
+                # separator, so the file size bounds the arrays below
+                if 2 * k * (1 + (n - 1) * k + n) > size:
+                    _fail(path, line_no, f"{k} founders and {n} loci need "
+                                         f"more values than the file holds")
+                initial = None
+                transitions = np.full((max(n - 1, 0), k, k), np.nan)
+                emissions = np.full((n, k), np.nan)
+            continue
+        if not saw_magic:
+            _fail(path, line_no, f"not a model file (missing '{MODEL_MAGIC}' first)")
+        if k is None:
+            _fail(path, line_no, "model data before '#founders=<K> loci=<n>' header")
+        parts = line.split("\t")
+        kind = parts[0]
+        try:
+            if kind == "initial":
+                if len(parts) != 1 + k:
+                    _fail(path, line_no, f"initial row needs {k} values")
+                initial = np.array([float(v) for v in parts[1:]])
+            elif kind == "transition":
+                if len(parts) != 3 + k:
+                    _fail(path, line_no, f"transition row needs interval, from-state, {k} values")
+                i, a = int(parts[1]), int(parts[2])
+                if not (0 <= i < n - 1 and 0 <= a < k):
+                    _fail(path, line_no, f"transition index ({i},{a}) out of range")
+                transitions[i, a] = [float(v) for v in parts[3:]]
+            elif kind == "emission":
+                if len(parts) != 2 + k:
+                    _fail(path, line_no, f"emission row needs locus and {k} values")
+                i = int(parts[1])
+                if not 0 <= i < n:
+                    _fail(path, line_no, f"emission locus {i} out of range")
+                emissions[i] = [float(v) for v in parts[2:]]
+            else:
+                _fail(path, line_no, f"unknown row kind {kind!r}")
+        except InputError:
+            raise
+        except ValueError:
+            _fail(path, line_no, "non-numeric value in model row")
     if not saw_magic:
         _fail(path, 1, f"not a model file (missing '{MODEL_MAGIC}')")
     if k is None:
         _fail(path, 1, "missing '#founders=<K> loci=<n>' header")
     if initial is None:
         _fail(path, 1, "missing initial row")
+    return initial, transitions, emissions
+
+
+def read_model(path) -> FounderHMM:
+    """A model file. One laid out as write_model lays it out is parsed a
+    block of rows at a time; any other is read line by line, which names
+    the line of a problem."""
+    lines, size = _read_text(path).split("\n"), os.path.getsize(path)
+    initial, transitions, emissions = (_model_blocks(lines, size)
+                                       or _model_lines(path, lines, size))
     if np.isnan(transitions).any():
         _fail(path, 1, "incomplete transition rows")
     if np.isnan(emissions).any():
@@ -369,16 +445,12 @@ def write_error_report(path, report: ErrorReport, *, config_line=None,
                        json_mode=False):
     if json_mode:
         columns = _error_columns(report)
-        payload = {
+        return _write_json(path, {
             "threshold": report.threshold,
             "entries": [dict(zip(columns, row))
                         for row in zip(*columns.values())],
             "failures": {k: int(v) for k, v in sorted(report.failures.items())},
-        }
-        if config_line:
-            payload["config"] = config_line
-        atomic_write(path, json.dumps(payload, sort_keys=True, indent=1) + "\n")
-        return
+        }, config_line)
     lines = _config_lines(config_line)
     lines.append(f"#threshold={fmt(report.threshold)}")
     for sample_id, locus in sorted(report.failures.items()):
@@ -568,8 +640,7 @@ def read_error_report(path) -> ErrorReport:
     """A TSV or JSON error report, as columns. A TSV file is split once;
     its rows are validated a column at a time, and when any cell is bad
     the rows are checked one by one to name the first bad line and field."""
-    with _text(path) as fh:
-        text = fh.read()
+    text = _read_text(path)
     if text.lstrip().startswith("{"):
         return _read_error_report_json(path, text)
     lines = text.split("\n")
@@ -613,18 +684,14 @@ def read_error_report(path) -> ErrorReport:
 def write_imputation(path, result: ImputationResult, *, config_line=None,
                      json_mode=False):
     if json_mode:
-        payload = {
+        return _write_json(path, {
             "entries": [{**e._asdict(), "probs": list(e.probs)}
                         for e in result.entries],
             "failures": [list(f) for f in result.failures],
             "windows": [{"lo": w.lo, "hi": w.hi, "targets": list(w.targets),
                          "train_iterations": w.train_iterations}
                         for w in result.windows],
-        }
-        if config_line:
-            payload["config"] = config_line
-        atomic_write(path, json.dumps(payload, sort_keys=True, indent=1) + "\n")
-        return
+        }, config_line)
     lines = _config_lines(config_line)
     for w in result.windows:
         targets = ",".join(str(t) for t in w.targets)
@@ -642,8 +709,7 @@ def write_imputation(path, result: ImputationResult, *, config_line=None,
 def read_imputation(path) -> ImputationResult:
     """Rebuild the callable entries of an imputation artifact (windows are
     summarized, models are never serialized)."""
-    with _text(path) as fh:
-        text = fh.read()
+    text = _read_text(path)
     if text.lstrip().startswith("{"):
         try:
             payload = json.loads(text)
@@ -705,14 +771,10 @@ def write_recovery(path, result, *, config_line=None, json_mode=False):
     """Fill log for missing-symbol recovery (the completed corpus itself is
     written as an ordinary genotype file)."""
     if json_mode:
-        payload = {
+        return _write_json(path, {
             "fills": [f._asdict() for f in result.fills],
             "failures": {k: int(v) for k, v in sorted(result.failures.items())},
-        }
-        if config_line:
-            payload["config"] = config_line
-        atomic_write(path, json.dumps(payload, sort_keys=True, indent=1) + "\n")
-        return
+        }, config_line)
     lines = _config_lines(config_line)
     for sample_id, locus in sorted(result.failures.items()):
         lines.append(f"#zero-probability\t{sample_id}\t{locus}")
@@ -725,17 +787,13 @@ def write_recovery(path, result, *, config_line=None, json_mode=False):
 
 def write_eval_report(path, report, *, config_line=None, json_mode=False):
     if json_mode:
-        payload = {
+        return _write_json(path, {
             "total": report.total,
             "discordant": report.discordant,
             "discordance_rate": report.discordance_rate,
             "confusion": report.confusion.tolist(),
             "details": {k: v for k, v in sorted(report.details.items())},
-        }
-        if config_line:
-            payload["config"] = config_line
-        atomic_write(path, json.dumps(payload, sort_keys=True, indent=1) + "\n")
-        return
+        }, config_line)
     lines = _config_lines(config_line)
     lines.append(f"total\t{report.total}")
     lines.append(f"discordant\t{report.discordant}")
@@ -781,14 +839,11 @@ def write_bench_table(path, report, *, config_line=None):
 def write_channels(path, data, *, config_line=None):
     """Simulation corruption bookkeeping (JSON): injected errors, blanked
     symbols, masked map columns — everything needed to score detection."""
-    payload = {
+    _write_json(path, {
         "error_records": [list(r) for r in data.error_records],
         "missing_records": [list(r) for r in data.missing_records],
         "masked_loci": list(data.masked_loci),
-    }
-    if config_line:
-        payload["config"] = config_line
-    atomic_write(path, json.dumps(payload, sort_keys=True, indent=1) + "\n")
+    }, config_line)
 
 
 # ------------------------------------------------------------ config files

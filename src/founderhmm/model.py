@@ -8,7 +8,8 @@ locus-specific transition and emission parameters.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from itertools import repeat
 
 import numpy as np
 
@@ -34,19 +35,13 @@ class ZeroProbabilityError(ArithmeticError):
         super().__init__(message or f"model assigns probability zero (locus {locus})")
 
 
-def _symbol_array(values, allowed, what):
-    arr = np.asarray(values)
-    if arr.ndim != 1:
-        raise InputError(f"{what} must be a one-dimensional sequence")
-    if arr.shape[0] == 0:
-        raise InputError(f"{what} must cover at least one locus")
-    arr = arr.astype(np.int8)
-    bad = ~np.isin(arr, allowed)
-    if bad.any():
-        pos = int(np.flatnonzero(bad)[0])
-        raise InputError(f"{what} holds invalid symbol {int(arr[pos])} at position {pos}")
-    arr.setflags(write=False)
-    return arr
+def _checked_row(kind, row_id, symbols):
+    """Read-only int8 ``symbols`` of one row object, checked as those of a
+    one-row ``kind`` matrix."""
+    symbols = np.asarray(symbols)
+    if symbols.ndim != 1:
+        raise InputError(f"{kind._row_what} {row_id!r} must be a one-dimensional sequence")
+    return kind((row_id,), symbols[None]).matrix[0]
 
 
 def _check_id(value, what):
@@ -67,10 +62,8 @@ class MultilocusGenotype:
     symbols: np.ndarray
 
     def __post_init__(self):
-        _check_id(self.sample_id, "sample_id")
-        arr = _symbol_array(self.symbols, np.array(GENOTYPE_SYMBOLS, dtype=np.int8),
-                            f"genotype {self.sample_id!r}")
-        object.__setattr__(self, "symbols", arr)
+        object.__setattr__(self, "symbols", _checked_row(
+            GenotypeCorpus, self.sample_id, self.symbols))
 
     def __len__(self) -> int:
         return self.symbols.shape[0]
@@ -89,13 +82,112 @@ class HaplotypeSequence:
     alleles: np.ndarray
 
     def __post_init__(self):
-        _check_id(self.id, "haplotype id")
-        arr = _symbol_array(self.alleles, np.array(ALLELE_SYMBOLS, dtype=np.int8),
-                            f"haplotype {self.id!r}")
-        object.__setattr__(self, "alleles", arr)
+        object.__setattr__(self, "alleles", _checked_row(
+            HaplotypePanel, self.id, self.alleles))
 
     def __len__(self) -> int:
         return self.alleles.shape[0]
+
+
+def _unchecked(cls, *values):
+    """A ``cls`` holding ``values`` as they are: for values checked where
+    they were built, such as the rows of a symbol matrix."""
+    item = object.__new__(cls)
+    for f, value in zip(fields(cls), values):
+        object.__setattr__(item, f.name, value)
+    return item
+
+
+@dataclass(frozen=True, eq=False)
+class _SymbolRows:
+    """Row ids and one read-only int8 (rows, loci) symbol matrix, checked
+    once, where built. Indexing and iterating build the row objects on
+    demand as unchecked views of the matrix; :meth:`of` converts a
+    sequence of row objects once. An empty matrix may have no loci."""
+
+    ids: tuple
+    matrix: np.ndarray
+
+    def __post_init__(self):
+        ids, matrix = tuple(self.ids), np.array(self.matrix)
+        for i in ids:
+            _check_id(i, self._id_what)
+        if self._unique and len(set(ids)) != len(ids):
+            raise InputError("corpus sample ids must be unique")
+        if matrix.ndim != 2 or matrix.shape[0] != len(ids):
+            raise InputError(f"a {self._what} needs one row of symbols per id")
+        matrix = matrix.astype(np.int8)
+        if ids and matrix.shape[1] == 0:
+            raise InputError(f"{self._row_what} {ids[0]!r} must cover at least one locus")
+        bad = np.flatnonzero((matrix < min(self._symbols)) | (matrix > max(self._symbols)))
+        if bad.size:
+            row, pos = divmod(int(bad[0]), matrix.shape[1])
+            raise InputError(f"{self._row_what} {ids[row]!r} holds invalid symbol "
+                             f"{int(matrix[row, pos])} at position {pos}")
+        matrix.setflags(write=False)
+        object.__setattr__(self, "ids", ids)
+        object.__setattr__(self, "matrix", matrix)
+
+    @classmethod
+    def _trusted(cls, ids, matrix):
+        """Rows of ids and an int8 matrix known to be good, unchecked."""
+        matrix.setflags(write=False)
+        return _unchecked(cls, tuple(ids), matrix)
+
+    @classmethod
+    def of(cls, rows):
+        """``rows`` if it is a matrix already, else its row objects, which
+        must have equal lengths, as one."""
+        if isinstance(rows, cls):
+            return rows
+        rows = list(rows)
+        id_field, symbols_field = (f.name for f in fields(cls._item))
+        for r in rows:
+            if not isinstance(r, cls._item):
+                raise InputError(f"{cls._what} entries must be {cls._item.__name__} values")
+            if len(r) != len(rows[0]):
+                raise InputError(f"{cls._row_what} {getattr(r, id_field)!r} has "
+                                 f"{len(r)} loci, expected {len(rows[0])}")
+        return cls([getattr(r, id_field) for r in rows],
+                   np.array([getattr(r, symbols_field) for r in rows], dtype=np.int8)
+                   if rows else np.zeros((0, 0), dtype=np.int8))
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, at):
+        return _unchecked(self._item, self.ids[at], self.matrix[at])
+
+    def __iter__(self):
+        return map(_unchecked, repeat(self._item), self.ids, self.matrix)
+
+    def __eq__(self, other):
+        """Equal to rows, or row objects, of the same ids and symbols."""
+        try:
+            other = self.of(other)
+        except (InputError, TypeError):
+            return NotImplemented
+        return self.ids == other.ids and self.matrix.tolist() == other.matrix.tolist()
+
+    __hash__ = None
+
+    @property
+    def loci(self) -> int:
+        return self.matrix.shape[1]
+
+
+class GenotypeCorpus(_SymbolRows):
+    """Sample ids, unique, and their genotypes as one symbol matrix."""
+
+    _item, _what, _id_what, _row_what = MultilocusGenotype, "corpus", "sample_id", "genotype"
+    _symbols, _unique = GENOTYPE_SYMBOLS, True
+
+
+class HaplotypePanel(_SymbolRows):
+    """Haplotype ids and their alleles as one symbol matrix."""
+
+    _item, _what, _id_what, _row_what = HaplotypeSequence, "panel", "haplotype id", "haplotype"
+    _symbols, _unique = ALLELE_SYMBOLS, False
 
 
 @dataclass(frozen=True)

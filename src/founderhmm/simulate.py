@@ -17,8 +17,8 @@ import numpy as np
 
 from .analysis import (PIPELINE_IMPUTE_ONLY, ImputationResult, WindowSpec,
                        run_pipeline)
-from .model import (MISSING, FounderHMM, HaplotypeSequence, InputError,
-                    LocusMap, MultilocusGenotype, genotype_from_haplotypes)
+from .model import (MISSING, FounderHMM, GenotypeCorpus, HaplotypePanel,
+                    InputError, LocusMap)
 from .training import TrainConfig
 from .trie import batched_posteriors
 
@@ -98,15 +98,13 @@ class SimData:
 
     def typed_truth(self):
         """Truth genotypes restricted to the typed columns of the map."""
-        typed = self.locus_map.typed_indices()
-        return [MultilocusGenotype(g.sample_id, g.symbols[typed])
-                for g in self.truth_genotypes]
+        truth = GenotypeCorpus.of(self.truth_genotypes)
+        return list(GenotypeCorpus(truth.ids, truth.matrix[:, self.locus_map.typed]))
 
     def typed_reference(self):
         """Reference panel restricted to the typed columns of the map."""
-        typed = self.locus_map.typed_indices()
-        return [HaplotypeSequence(h.id, h.alleles[typed])
-                for h in self.reference]
+        panel = HaplotypePanel.of(self.reference)
+        return list(HaplotypePanel(panel.ids, panel.matrix[:, self.locus_map.typed]))
 
     def observable_errors(self):
         """Injected errors still visible in the observed corpus: the locus
@@ -155,19 +153,15 @@ def simulate(config: SimConfig) -> SimData:
         founders = (rng.random(size=(k, n)) < maf).astype(np.int8)
 
     panel_alleles, _ = _mosaics(rng, founders, config.panel_size, config.switch_rate)
-    reference = [HaplotypeSequence(f"R{j}", panel_alleles[j])
-                 for j in range(config.panel_size)]
+    reference = list(HaplotypePanel([f"R{j}" for j in range(config.panel_size)],
+                                    panel_alleles))
 
     hap_alleles, _ = _mosaics(rng, founders, 2 * m, config.switch_rate)
-    truth_haplotypes = []
-    truth_genotypes = []
-    for j in range(m):
-        a = HaplotypeSequence(f"S{j}.a", hap_alleles[2 * j])
-        b = HaplotypeSequence(f"S{j}.b", hap_alleles[2 * j + 1])
-        truth_haplotypes.extend((a, b))
-        truth_genotypes.append(genotype_from_haplotypes(f"S{j}", a, b))
-
-    observed_matrix = np.stack([g.symbols for g in truth_genotypes]).astype(np.int8)
+    samples = [f"S{j}" for j in range(m)]
+    truth_haplotypes = list(HaplotypePanel(
+        [f"{s}.{copy}" for s in samples for copy in "ab"], hap_alleles))
+    observed_matrix = hap_alleles[0::2] + hap_alleles[1::2]
+    truth_genotypes = list(GenotypeCorpus(samples, observed_matrix))
 
     error_sites = rng.random(size=(m, n)) < config.error_rate
     shifts = rng.integers(1, 3, size=(m, n))
@@ -199,9 +193,7 @@ def simulate(config: SimConfig) -> SimData:
         positions=np.arange(1, n + 1, dtype=np.int64),
         typed=typed)
 
-    typed_cols = np.flatnonzero(typed)
-    observed = [MultilocusGenotype(f"S{j}", observed_matrix[j, typed_cols])
-                for j in range(m)]
+    observed = list(GenotypeCorpus(samples, observed_matrix[:, typed]))
 
     return SimData(config=config, founder_alleles=founders, locus_map=locus_map,
                    reference=reference, truth_haplotypes=truth_haplotypes,
@@ -376,7 +368,7 @@ def _random_model(rng, n, k):
 def _bench_cell(rng, n, k, m, repeats):
     model = _random_model(rng, n, k)
     symbols = rng.integers(0, 3, size=(m, n)).astype(np.int8)
-    corpus = [MultilocusGenotype(f"B{j}", symbols[j]) for j in range(m)]
+    corpus = GenotypeCorpus([f"B{j}" for j in range(m)], symbols)
     times = []
     for _ in range(repeats):
         start = time.perf_counter()

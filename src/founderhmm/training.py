@@ -32,8 +32,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import (ALLELE_SYMBOLS, FounderHMM, HaplotypeSequence, InputError,
-                    ZeroProbabilityError)
+from .model import (ALLELE_SYMBOLS, FounderHMM, HaplotypePanel,
+                    HaplotypeSequence, InputError, ZeroProbabilityError)
 
 # Byte cap on the E-step arrays of one stack of windows that EM fits in
 # lockstep; the grouping changes the pace, never the answer.
@@ -84,16 +84,10 @@ class TrainReport:
 
 
 def _panel_matrix(panel) -> np.ndarray:
-    seqs = list(panel)
-    if not seqs:
+    panel = HaplotypePanel.of(panel)
+    if not panel:
         raise InputError("training panel must be non-empty")
-    lengths = {len(h) for h in seqs}
-    if len(lengths) != 1:
-        raise InputError("panel haplotypes must all have the same length")
-    for h in seqs:
-        if not isinstance(h, HaplotypeSequence):
-            raise InputError("panel entries must be HaplotypeSequence values")
-    return np.stack([h.alleles for h in seqs]).astype(np.int64)
+    return panel.matrix.astype(np.int64)
 
 
 def _initial_params(n, k, seed):

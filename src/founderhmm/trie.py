@@ -32,7 +32,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .inference import PosteriorTable, _planes, _scan_rows
-from .model import FounderHMM, InputError, MultilocusGenotype, emission_stack
+from .model import FounderHMM, GenotypeCorpus, InputError, emission_stack
 
 
 class GenotypeTrie(NamedTuple):
@@ -127,24 +127,13 @@ def batched_posteriors(model: FounderHMM, corpus) -> BatchPosteriorResult:
     :func:`genotype_posteriors`, and independent of corpus order and of
     the engine's block length.
     """
-    genos = list(corpus)
-    if not genos:
+    corpus = GenotypeCorpus.of(corpus)
+    if not corpus:
         raise InputError("corpus must be non-empty")
-    for g in genos:
-        if not isinstance(g, MultilocusGenotype):
-            raise InputError("corpus entries must be MultilocusGenotype values")
-        if len(g) != len(genos[0]):
-            raise InputError(f"genotype {g.sample_id!r} has {len(g)} loci, "
-                             f"expected {len(genos[0])}")
-    n = len(genos[0])
+    n = corpus.loci
     if n != model.loci:
         raise InputError(f"corpus has {n} loci but the model has {model.loci}")
-    ids = [g.sample_id for g in genos]
-    if len(set(ids)) != len(ids):
-        raise InputError("corpus sample ids must be unique")
-
-    trie, arrays, (fevals, bevals) = _scan_symbols(
-        model, np.stack([g.symbols for g in genos]))
+    trie, arrays, (fevals, bevals) = _scan_symbols(model, corpus.matrix)
     triples, prefix_logs, suffix_logs, _ = arrays
     sums = triples.sum(axis=2)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -154,8 +143,8 @@ def batched_posteriors(model: FounderHMM, corpus) -> BatchPosteriorResult:
     # each row's first locus of zero marginal, -1 for a live row
     first_dead = np.where(dead.any(axis=1), dead.argmax(axis=1), -1).tolist()
     row_tables = list(map(PosteriorTable, probs, log_marginals))
-    pairs = list(zip(ids, trie.row_of.tolist()))
-    stats = BatchStats(samples=len(genos), loci=n,
+    pairs = list(zip(corpus.ids, trie.row_of.tolist()))
+    stats = BatchStats(samples=len(corpus), loci=n,
                        distinct_genotypes=len(trie.rows),
                        forward_locus_evals=fevals, backward_locus_evals=bevals)
     return BatchPosteriorResult(

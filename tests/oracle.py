@@ -11,13 +11,16 @@ per-haplotype Baum-Welch E-step behind the weighted distinct-row E-step of
 loop behind the tiled batch posterior engine, bit for bit;
 ``phase_decode_per_sample``, the per-genotype Viterbi loop behind
 ``phase_corpus``, bit for bit; ``detect_entries_per_symbol``, the
-per-symbol entry loop behind ``detect_errors``, bit for bit; and
+per-symbol entry loop behind ``detect_errors``, bit for bit;
 ``prefix_nodes``, the trie node count that the batch engine's forward
-walk must match.
+walk must match; and ``read_symbol_file_per_line``, the line-by-line,
+character-by-character reader of genotype and haplotype files behind the
+byte-table reader, message for message.
 """
 import numpy as np
 
-from founderhmm import ZeroProbabilityError
+from founderhmm import InputError, ZeroProbabilityError
+from founderhmm.io_formats import _read_text
 
 MISSING = -1
 
@@ -303,3 +306,62 @@ def prefix_nodes(rows):
     """Number of distinct non-empty prefixes of symbol rows: the nodes of
     their prefix trie, less the root, counted as a set of tuples."""
     return len({tuple(row[:d]) for row in rows for d in range(1, len(row) + 1)})
+
+
+def read_symbol_file_per_line(path, alphabet, what, id_what, unique):
+    """(ids, symbol rows as lists) of a genotype or haplotype file, read
+    one line and one character at a time; raises InputError with the
+    ``path:line: problem`` message of the first problem. ``alphabet`` maps
+    characters to symbols, ``id_what`` names a row's id in messages and
+    ``unique`` asks for distinct ids (genotype files)."""
+    def fail(line_no, message):
+        raise InputError(f"{path}:{line_no}: {message}")
+
+    declared = None
+    rows = []
+    _read_text(path)  # the file is decoded whole: bytes that are not UTF-8 fail first
+    with open(path, encoding="utf-8") as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            line = raw.rstrip("\n")
+            if not line.strip():
+                continue
+            if line.startswith("#"):
+                if line.startswith("#samples="):
+                    if declared is not None:
+                        fail(line_no, "repeated '#samples=' header (first on "
+                                      f"line {declared[2]})")
+                    try:
+                        head, loci_part = line[1:].split()
+                        declared = (int(head.split("=")[1]),
+                                    int(loci_part.split("=")[1]), line_no)
+                    except (ValueError, IndexError):
+                        fail(line_no, f"malformed header {line!r}")
+                continue
+            parts = line.split("\t")
+            if len(parts) != 2:
+                fail(line_no, f"expected sample_id<TAB>symbols, got {len(parts)} fields")
+            sample_id, body = parts
+            if sample_id == "":
+                fail(line_no, f"{id_what} must be non-empty")
+            symbols = []
+            for ch in body:
+                if ch not in alphabet:
+                    fail(line_no, f"symbol {ch!r} not valid in a {what} file")
+                symbols.append(alphabet[ch])
+            rows.append((sample_id, symbols, line_no))
+    if declared is None:
+        fail(1, f"missing '#samples=<m> loci=<n>' header in {what} file")
+    m, n, _ = declared
+    if len(rows) != m:
+        fail(1, f"header declares {m} samples but file has {len(rows)} rows")
+    for sample_id, symbols, line_no in rows:
+        if len(symbols) != n:
+            fail(line_no, f"sample {sample_id!r} has {len(symbols)} loci, header says {n}")
+        if n == 0:
+            fail(line_no, f"{what} {sample_id!r} must cover at least one locus")
+    seen = {}
+    for sample_id, _, line_no in rows if unique else ():
+        first = seen.setdefault(sample_id, line_no)
+        if first != line_no:
+            fail(line_no, f"duplicate sample id {sample_id!r} (first on line {first})")
+    return [r[0] for r in rows], [r[1] for r in rows]

@@ -13,7 +13,7 @@ from founderhmm import (MISSING, FounderHMM, HaplotypeSequence, InputError,
                         WindowSpec, ZeroProbabilityError, correct_errors,
                         detect_errors, evaluate, genotype_from_haplotypes,
                         impute_untyped, phase_corpus, phase_decode,
-                        posterior_scan, recover_missing, run_pipeline,
+                        phase_panel, posterior_scan, recover_missing, run_pipeline,
                         simulate, substitute, window_spans)
 from founderhmm.trie import build_trie
 
@@ -230,8 +230,7 @@ def test_recover_is_a_fixpoint_on_complete_corpora():
     corpus = random_corpus(rng, 5, 10)
     result = recover_missing(model, corpus)
     assert result.fills == ()
-    for before, after in zip(corpus, result.corpus):
-        assert before is after
+    assert result.corpus == corpus  # same ids and symbols
 
 
 def test_recover_matches_posterior_argmax():
@@ -266,7 +265,8 @@ def test_recover_skips_impossible_samples():
     ok = MultilocusGenotype("ok", np.array([MISSING, 0, 1], dtype=np.int8))
     result = recover_missing(model, [bad, ok])
     assert "dead" in result.failures
-    assert result.corpus[0] is bad  # untouched
+    assert result.corpus[0].sample_id == "dead"  # untouched
+    assert np.array_equal(result.corpus[0].symbols, bad.symbols)
     assert not result.corpus[1].missing_mask.any()
 
 
@@ -569,6 +569,7 @@ def test_phase_corpus_reports_the_first_failing_sample_in_corpus_order():
         phase_corpus(model, corpus)
     assert err.value.locus == 2 and "sample 'b' " in str(err.value)
     assert phase_corpus(model, []) == []
+    assert phase_panel(model, []).matrix.shape == (0, 3)
     with pytest.raises(InputError):
         phase_corpus(model, [MultilocusGenotype("d", np.zeros(2, np.int8))])
 
@@ -589,6 +590,9 @@ def test_pipeline_mode_validation():
     with pytest.raises(InputError):
         run_pipeline("edc", data.reference, data.observed, data.locus_map,
                      TrainConfig(founders=2, seed=0))
+    with pytest.raises(InputError, match="corpus must be non-empty"):
+        run_pipeline("edc-mdr-imp", data.reference, [], data.locus_map,
+                     TrainConfig(founders=2, seed=0, max_iterations=3))
 
 
 def test_impute_only_pipeline_equals_direct_imputation():

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import founderhmm
 import founderhmm.cli as cli
+import oracle
 from founderhmm import (ErrorEntry, ErrorReport, FounderHMM,
                         HaplotypeSequence, ImputationEntry, ImputationResult,
                         InputError, LocusMap, MultilocusGenotype, TrainConfig,
@@ -51,6 +52,14 @@ def test_empty_corpus_round_trips(tmp_path):
     assert read_genotypes(path) == []
 
 
+def test_empty_symbol_files_read_as_empty_matrices(tmp_path):
+    for loci in (0, 5, -2):
+        path = tmp_path / f"e{loci}.gen"
+        path.write_text(f"#samples=0 loci={loci}\n")
+        for read in (read_genotypes, read_haplotypes):
+            assert len(read(path)) == 0 and read(path).matrix.size == 0
+
+
 def test_haplotype_round_trip_and_symbol_guard(tmp_path):
     path = tmp_path / "p.hap"
     panel = [HaplotypeSequence("H0", np.array([0, 1, 1, 0], dtype=np.int8)),
@@ -77,6 +86,48 @@ def test_genotype_parse_failures_name_file_and_line(tmp_path):
         path.write_text(text)
         with pytest.raises(InputError, match=LOCATED):
             read_genotypes(path)
+
+
+@pytest.mark.parametrize("read, name, text, message", [
+    (read_genotypes, "e.gen", "#samples=1 loci=3\n\t012\n", ":2: sample_id must be non-empty"),
+    (read_haplotypes, "e.hap", "#samples=1 loci=3\n\t010\n",
+     ":2: haplotype id must be non-empty"),
+    (read_genotypes, "z.gen", "#samples=1 loci=0\nS1\t\n",
+     ":2: genotype 'S1' must cover at least one locus"),
+    (read_haplotypes, "z.hap", "#c\n#samples=1 loci=0\nH1\t\n",
+     ":3: haplotype 'H1' must cover at least one locus"),
+    (read_genotypes, "h3.gen", "#samples=2 loci=3\n#samples=2 loci=3\nS0\t012\nS1\t012\n",
+     ":2: repeated '#samples=' header (first on line 1)"),
+    (read_haplotypes, "h3.hap", "#samples=1 loci=2\nH0\t01\n#samples=1 loci=2\n",
+     ":3: repeated '#samples=' header (first on line 1)"),
+])
+def test_symbol_file_problems_name_their_line(tmp_path, capsys, read, name,
+                                              text, message):
+    path = tmp_path / name
+    path.write_text(text)
+    with pytest.raises(InputError) as err:
+        read(path)
+    assert str(err.value) == f"{path}{message}"
+    if read is read_genotypes:
+        assert run_cli("recover", "--model", trained_toy_model_file(tmp_path),
+                       "--genotypes", str(path), "--out", str(tmp_path / "o")) == 1
+        assert capsys.readouterr().err == f"error: {path}{message}\n"
+
+
+def trained_toy_model_file(tmp_path):
+    path = tmp_path / "toy.model"
+    write_model(path, trained_toy_model())
+    return str(path)
+
+
+def test_symbol_writers_reject_ragged_rows_before_writing(tmp_path):
+    corpus = [MultilocusGenotype("a", [0, 1, 2]), MultilocusGenotype("b", [0, 1])]
+    panel = [HaplotypeSequence("a", [0, 1, 1]), HaplotypeSequence("b", [0, 1])]
+    for write, rows, name in ((write_genotypes, corpus, "rag.gen"),
+                              (write_haplotypes, panel, "rag.hap")):
+        with pytest.raises(InputError, match="'b' has 2 loci, expected 3"):
+            write(tmp_path / name, rows)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_locus_map_round_trips_int_and_float_positions(tmp_path):
@@ -520,6 +571,51 @@ def test_awkward_ids_round_trip_through_every_writer_and_reader(tmp_path):
         assert (again.entries, again.failures) == (report.entries, report.failures)
 
 
+def test_ids_with_other_line_breaks_round_trip_through_symbol_files(tmp_path):
+    """Only \\n, \\r\\n and a lone \\r end a line of a symbol file; the other
+    characters that str.splitlines breaks at stay inside an id."""
+    ids = ("a\x0bb", "\x0c", "x\x1cy", "\x1d\x1e", "\x85z", "p\u2029q", "q\u2028")
+    symbols = (np.arange(len(ids) * 4).reshape(-1, 4) % 4 - 1).astype(np.int8)
+    write_genotypes(tmp_path / "c.gen", [MultilocusGenotype(i, row)
+                                         for i, row in zip(ids, symbols)])
+    back = read_genotypes(tmp_path / "c.gen")
+    assert back.ids == ids and np.array_equal(back.matrix, symbols)
+    write_haplotypes(tmp_path / "p.hap", [HaplotypeSequence(i, row % 2)
+                                          for i, row in zip(ids, symbols)])
+    back = read_haplotypes(tmp_path / "p.hap")
+    assert back.ids == ids and np.array_equal(back.matrix, symbols % 2)
+    path = tmp_path / "c.gen"
+    path.write_bytes(path.read_bytes().replace(b"#samples=7", b"#samples=8")
+                     + b"bad\t01x2\n")
+    with pytest.raises(InputError, match=re.escape(f"{path}:9: symbol 'x'")):
+        read_genotypes(path)
+
+
+def test_symbol_flows_build_and_check_no_row_objects(ws, tmp_path, monkeypatch):
+    """Readers, the four scan flows and the writers move whole matrices;
+    phasing builds its PhaseResult haplotypes without checking them."""
+    def refuse(*args):
+        raise RuntimeError("a row object was built and checked")
+    monkeypatch.setattr(founderhmm.model, "_checked_row", refuse)
+    out = {name: str(tmp_path / name) for name in ("r", "c", "v", "p")}
+    for argv in (["detect", "--model", ws["model"], "--genotypes", ws["gen"],
+                  "--out", out["r"]],
+                 ["correct", "--genotypes", ws["gen"], "--report", out["r"],
+                  "--out", out["c"]],
+                 ["recover", "--model", ws["model"], "--genotypes", out["c"],
+                  "--out", out["v"]],
+                 ["phase", "--model", ws["model"], "--genotypes", out["v"],
+                  "--out", out["p"]]):
+        assert run_cli(*argv) == 0, argv
+    corpus = read_genotypes(out["v"])
+    phased = founderhmm.phase_corpus(read_model(ws["model"]), corpus)
+    panel = read_haplotypes(out["p"])
+    assert [h.id for d in phased for h in (d.first, d.second)] == list(panel.ids)
+    assert np.array_equal(np.stack([h.alleles for d in phased
+                                    for h in (d.first, d.second)]), panel.matrix)
+    assert not phased[0].first.alleles.flags.writeable
+
+
 @pytest.mark.parametrize("bad", ["a\tb", "a\nb", "a\rb", "a\r\nb", "#x", "#"])
 def test_ids_no_file_can_hold_are_rejected_where_built(bad):
     for build in (lambda: MultilocusGenotype(bad, [0, 1]),
@@ -776,6 +872,11 @@ def test_phase_writes_two_rows_per_sample(ws):
                    "--out", phased) == 0
     ids = [h.id for h in read_haplotypes(phased)]
     assert ids == [f"S{j}.h{k}" for j in range(6) for k in (1, 2)]
+    empty = root / "ph.empty.gen"
+    write_genotypes(empty, [])
+    assert run_cli("phase", "--model", ws["model"], "--genotypes", str(empty),
+                   "--out", phased) == 0
+    assert open(phased).read().splitlines()[1:] == ["#samples=0 loci=0"]
 
 
 def test_phase_names_the_first_impossible_sample_in_corpus_order(tmp_path,
@@ -1285,3 +1386,70 @@ def test_any_damaged_artifact_exits_zero_or_one(artifacts, key, data):
     for reads, argv in reading_commands({**files, key: str(path)}, out):
         if key in reads:
             assert run_cli(*argv) in (0, 1), (argv[0], damaged)
+
+
+@pytest.fixture(scope="module")
+def symbol_files(tmp_path_factory):
+    """A small genotype file and haplotype file, awkward ids included."""
+    root = tmp_path_factory.mktemp("symbols")
+    ids = ("S0", "a b", "x\x0by", "S\u2028", "%s")
+    symbols = (np.arange(len(ids) * 6).reshape(-1, 6) * 7 % 4 - 1).astype(np.int8)
+    write_genotypes(root / "c.gen", [MultilocusGenotype(i, row)
+                                     for i, row in zip(ids, symbols)],
+                    config_line="#config: test")
+    write_haplotypes(root / "p.hap", [HaplotypeSequence(i, row % 2)
+                                      for i, row in zip(ids, symbols)])
+    return root
+
+
+@pytest.mark.parametrize("name", ["c.gen", "p.hap"])
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_symbol_readers_match_the_per_line_oracle(symbol_files, name, data):
+    genotypes = name.endswith(".gen")
+    damaged = data.draw(mutated((symbol_files / name).read_bytes()), label="file")
+    path = symbol_files / f"damaged.{name}"
+    path.write_bytes(damaged)
+    try:
+        want = oracle.read_symbol_file_per_line(
+            path, {"0": 0, "1": 1, "2": 2, "?": -1} if genotypes else {"0": 0, "1": 1},
+            "genotype" if genotypes else "haplotype",
+            "sample_id" if genotypes else "haplotype id", genotypes)
+    except InputError as exc:
+        want = str(exc)
+    try:
+        got = (read_genotypes if genotypes else read_haplotypes)(path)
+        got = (list(got.ids), got.matrix.tolist())
+    except InputError as exc:
+        got = str(exc)
+    assert got == want, damaged
+
+
+@pytest.fixture(scope="module")
+def model_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("model") / "m.model"
+    write_model(path, trained_toy_model(), config_line="#config: test")
+    return path
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_model_block_parse_matches_the_line_parse(model_file, data):
+    """Whenever the block parse takes a model file, the line-by-line parse
+    takes it too and reads the same arrays."""
+    from founderhmm.io_formats import _model_blocks, _model_lines, _read_text
+    damaged = data.draw(mutated(model_file.read_bytes()), label="file")
+    path = model_file.with_name("damaged.model")
+    path.write_bytes(damaged)
+    try:
+        lines = _read_text(path).split("\n")
+    except InputError:
+        return
+    blocks = _model_blocks(lines, len(damaged))
+    if blocks is not None:
+        for a, b in zip(blocks, _model_lines(path, lines, len(damaged))):
+            assert np.array_equal(a, b, equal_nan=True), damaged
