@@ -16,9 +16,10 @@ Five formats, all diffable and exactly round-trippable:
   a file in the writer's layout is parsed a block of rows at a time
 * reports           — tab-separated tables with a fixed, documented column
   order; each has a JSON twin carrying the same records. The error report
-  moves as columns: its writer formats blocks of rows with one row
-  template, and its reader splits the rows once and validates each
-  column whole, checking rows one by one only to name a bad one
+  and imputation writers format each distinct middle and tail of a row
+  once and join the rows in one string; the error report reader finds
+  lines and tabs in the file's bytes as arrays and parses each distinct
+  cell piece once, checking rows one by one only to name a bad one
 
 Writers are atomic (temp file in the target directory, then rename) and
 accept an optional ``#config:`` echo line. Readers decode a file as UTF-8
@@ -34,8 +35,7 @@ import json
 import os
 import re
 import tempfile
-from functools import partial
-from itertools import chain, compress, count, repeat
+from itertools import count, repeat
 
 import numpy as np
 
@@ -430,25 +430,60 @@ IMPUTATION_COLUMNS = ("sample_id", "locus_id", "locus_index", "p0", "p1",
                       "p2", "call", "confidence")
 
 
-def _error_columns(report: ErrorReport, at=slice(None)) -> dict:
-    """Entries ``at`` of the report as lists of Python values, by column
-    name."""
-    return {"sample_id": report.sample_id[at], "locus_id": report.locus_id[at],
-            "locus_index": report.locus_index[at].tolist(),
-            "observed": report.observed[at].tolist(),
-            "ratio": report.ratio[at].tolist(),
-            "flagged": report.flags[at].tolist(),
-            "suggested": report.suggested[at].tolist()}
+def _distinct(values):
+    """The sorted distinct values of an integer array (np.sort beats np.unique)."""
+    values = np.sort(values)
+    return np.concatenate((values[:1], values[1:][values[1:] != values[:-1]]))
+
+
+def _heads(key):
+    """For each row, a row of the same ``key``."""
+    group = np.searchsorted(_distinct(key), key)
+    first = np.empty(len(key), dtype=np.intp)
+    first[group] = np.arange(len(key))
+    return first[group]
+
+
+def _fill(template, *columns):
+    """``template % row`` for each row of ``columns`` (arrays; object ones
+    hold ids), formatted once per distinct row: floats by bit pattern, so
+    -0.0 is not 0.0, and a row whose id differs from its head's alone."""
+    key, bound = np.zeros(len(columns[0]), dtype=np.int64), 1
+    for c in (c for c in columns if c.dtype != object):
+        values = c.view(np.int64) if c.dtype == np.float64 else c.astype(np.int64)
+        distinct = _distinct(values)
+        key, bound = key * len(distinct) + np.searchsorted(distinct, values), bound * len(distinct)
+        if bound > len(key):  # keeps each product below the row count squared
+            key, bound = np.searchsorted(_distinct(key), key), len(key)
+    head = _heads(key)
+    for c in (c for c in columns if c.dtype == object):
+        odd = np.flatnonzero(c != c[head])
+        head[odd] = odd
+    alone = head == np.arange(len(head))
+    texts = np.array([template % row for row in zip(*(c[alone].tolist() for c in columns))],
+                     dtype=object)
+    return texts[(np.cumsum(alone) - 1)[head]].tolist()
+
+
+def _tsv_body(sample_ids, locus_ids, loci, template, *columns):
+    """Rows ``sample_id<TAB>locus_id<TAB>locus_index<TAB>`` then ``template``
+    over ``columns``, each distinct middle and tail formatted once."""
+    cells = [None] * (3 * len(sample_ids))
+    cells[0::3] = sample_ids
+    cells[1::3] = _fill("\t%s\t%d\t", np.array(locus_ids, dtype=object), loci)
+    cells[2::3] = _fill(template, *columns)
+    return "".join(cells)
 
 
 def write_error_report(path, report: ErrorReport, *, config_line=None,
                        json_mode=False):
+    columns = (report.observed, report.ratio, report.flags, report.suggested)
     if json_mode:
-        columns = _error_columns(report)
         return _write_json(path, {
             "threshold": report.threshold,
-            "entries": [dict(zip(columns, row))
-                        for row in zip(*columns.values())],
+            "entries": [dict(zip(ERROR_REPORT_COLUMNS, row)) for row in zip(
+                report.sample_id, report.locus_id, report.locus_index.tolist(),
+                *(c.tolist() for c in columns))],
             "failures": {k: int(v) for k, v in sorted(report.failures.items())},
         }, config_line)
     lines = _config_lines(config_line)
@@ -456,20 +491,9 @@ def write_error_report(path, report: ErrorReport, *, config_line=None,
     for sample_id, locus in sorted(report.failures.items()):
         lines.append(f"#zero-probability\t{sample_id}\t{locus}")
     lines.append("\t".join(ERROR_REPORT_COLUMNS) + "\n")
-    # One %-format of a row template per block of entries, over the
-    # interleaved columns. Ids are arguments, so a % in them is printed as
-    # it is, and %.17g prints what fmt prints.
-    row = "%s\t%s\t%d\t%d\t%.17g\t%d\t%d\n"
-    width = len(ERROR_REPORT_COLUMNS)
-    blocks = ["\n".join(lines)]
-    for lo in range(0, len(report), 1 << 14):
-        columns = _error_columns(report, slice(lo, lo + (1 << 14)))
-        n = len(columns["ratio"])
-        cells = [None] * (width * n)
-        for j, name in enumerate(ERROR_REPORT_COLUMNS):
-            cells[j::width] = columns[name]
-        blocks.append((row * n) % tuple(cells))
-    atomic_write(path, "".join(blocks))
+    atomic_write(path, "\n".join(lines) + _tsv_body(  # %.17g prints what fmt prints
+        report.sample_id, report.locus_id, report.locus_index,
+        "%d\t%.17g\t%d\t%d\n", *columns))
 
 
 def _json_flag(value) -> bool:
@@ -524,77 +548,65 @@ def _tsv_cell(cell, name, values):
                          f"not {json.dumps(cell)}") from None
 
 
+def _error_middle(locus_id, index):
+    """A TSV report row's locus id and index, which must fit an int64."""
+    return locus_id, _count(_tsv_index(index), "locus_index", (1 << 63) - 1)
+
+
+def _error_tail(observed, ratio, flagged, suggested):
+    """The values of the last four cells of a TSV report row; ValueError
+    names the first bad one."""
+    symbols = {"0": 0, "1": 1, "2": 2}
+    return (_tsv_cell(observed, "observed", symbols), float(ratio),
+            _tsv_cell(flagged, "flagged", {"0": False, "1": True}),
+            _tsv_cell(suggested, "suggested", symbols))
+
+
 def _check_error_row(path, line_no, line):
     """Fail at the first bad field of one TSV report row, if it has one."""
     parts = line.split("\t")
     if len(parts) != len(ERROR_REPORT_COLUMNS):
         _fail(path, line_no, f"expected {len(ERROR_REPORT_COLUMNS)} fields")
-    symbols = {"0": 0, "1": 1, "2": 2}
     try:
-        _count(_tsv_index(parts[2]), "locus_index",
-               int(np.iinfo(np.int64).max))
-        _tsv_cell(parts[3], "observed", symbols)
-        float(parts[4])
-        _tsv_cell(parts[5], "flagged", {"0": False, "1": True})
-        _tsv_cell(parts[6], "suggested", symbols)
+        _error_middle(*parts[1:3])
+        _error_tail(*parts[3:])
     except ValueError as exc:
         _fail(path, line_no, f"malformed error report row ({exc})")
 
 
-def _digit_column(cells, top):
-    """int64 array of single-digit ``cells`` from 0 to ``top``, or None."""
-    digits = "".join(cells)
-    # no empty cell and n characters in all: one character per cell
-    if len(digits) != len(cells) or "" in cells or not digits.isascii():
-        return None
-    values = np.frombuffer(digits.encode("ascii"), dtype=np.uint8) - 48
-    return values.astype(np.int64) if (values <= top).all() else None
-
-
-def _index_column(cells):
-    """int64 array of ASCII-digit ``cells`` that fit in it, or None."""
-    digits = "".join(cells)
-    if "" in cells or not (digits.isascii() and digits.isdigit()):
-        return None
-    try:
-        return np.array(cells, dtype=np.int64)
-    except OverflowError:
-        return None
-
-
-def _float_column(cells):
-    """float64 array of what float() reads in ``cells``, or None."""
-    try:
-        return np.fromiter(map(float, cells), dtype=np.float64,
-                           count=len(cells))
-    except ValueError:
-        return None
-
-
-def _error_report_columns(rows):
-    """ErrorReport columns of one or more TSV report rows, validated a
-    column at a time, or None if any row has a bad field count or cell.
-    Rows are split in blocks, so that only one block's cells are held as
-    separate strings at once."""
-    width = len(ERROR_REPORT_COLUMNS)
-    if set(map(str.count, rows, repeat("\t"))) != {width - 1}:
-        return None
-    parsers = (list, list, _index_column, partial(_digit_column, top=2),
-               _float_column, partial(_digit_column, top=1),
-               partial(_digit_column, top=2))
-    blocks = []
-    for lo in range(0, len(rows), 1 << 14):
-        cells = "\t".join(rows[lo:lo + (1 << 14)]).split("\t")
-        blocks.append([parse(cells[j::width])
-                       for j, parse in enumerate(parsers)])
-        if any(column is None for column in blocks[-1]):
-            return None
-    sample_id, locus_id, index, observed, ratio, flags, suggested = (
-        list(chain.from_iterable(b[j] for b in blocks)) if j < 2
-        else np.concatenate([b[j] for b in blocks]) for j in range(width))
-    return dict(sample_id=sample_id, locus_index=index, locus_id=locus_id,
-                observed=observed, ratio=ratio, flags=flags.astype(bool),
-                suggested=suggested)
+def _cells(buf, words, lo, hi, parse, blank):
+    """(``parse`` of each distinct cell ``lo:hi`` of ``buf``, ``blank``
+    where it raises ValueError; each cell's index into them; whether it
+    parsed). ``words[i]`` is the word of the 8 bytes of ``buf`` from ``i``
+    on. A cell is keyed by its width and bytes or, past 7 bytes, by a hash
+    of its first and last eight, and checked against its key's head."""
+    width = hi - lo
+    keep = np.uint64(2**64 - 1) >> np.arange(64, -1, -8, dtype=np.uint64)
+    key = words[lo] & keep[np.minimum(width, 8)] | width.astype(np.uint64) << np.uint64(56)
+    long = np.flatnonzero(width > 7)
+    mix = np.uint64(0x9E3779B97F4A7C15)
+    key[long] = (key[long] * mix ^ words[hi[long] - 8]) * mix | ~keep[7]
+    head = _heads(key)
+    rows = long[width[head[long]] != width[long]]
+    head[rows] = rows
+    rows = long[head[long] != long]
+    for off in count(0, 8):  # whole words, the last one ending with the cell
+        rows = rows[width[rows] > off]
+        if not rows.size:
+            break
+        at = np.minimum(off, width[rows] - 8)
+        odd = rows[words[lo[rows] + at] != words[lo[head[rows]] + at]]
+        head[odd] = odd
+    alone = head == np.arange(len(lo))
+    values, parsed = [], np.ones(alone.sum(), dtype=bool)
+    for j, (a, b) in enumerate(zip(lo[alone].tolist(), hi[alone].tolist())):
+        try:
+            values.append(parse(buf[a:b].decode()))
+        except ValueError:
+            values.append(blank)
+            parsed[j] = False
+    code = (np.cumsum(alone) - 1)[head]
+    return values, code, parsed[code]
 
 
 def _json_error_entry(e, top):
@@ -637,48 +649,66 @@ def _threshold(path, line_no, line) -> float:
 
 
 def read_error_report(path) -> ErrorReport:
-    """A TSV or JSON error report, as columns. A TSV file is split once;
-    its rows are validated a column at a time, and when any cell is bad
-    the rows are checked one by one to name the first bad line and field."""
+    """A TSV or JSON error report, as columns. A TSV file is read as bytes,
+    its lines and cells found from the offsets of line ends and tabs; when
+    any row is bad, bad rows are checked one by one to name the first."""
     text = _read_text(path)
     if text.lstrip().startswith("{"):
         return _read_error_report_json(path, text)
-    lines = text.split("\n")
+    buf = text.encode()
     del text
-    comments = list(compress(count(), map(str.startswith, lines, repeat("#"))))
-    threshold = None
-    failures = {}
-    stop = None  # a header line that failed ends the lines that count
-    for i in comments:
+    padded = buf + b"\n" + bytes(8)  # each line ends in a \n; room for the last words
+    arr = np.frombuffer(padded, dtype=np.uint8, count=len(buf) + 1)
+    words = np.ndarray((len(buf) + 1,), "<u8", buffer=padded, strides=(1,))
+    sep = np.flatnonzero((arr == 9) | (arr == 10))
+    eol = np.flatnonzero(arr[sep] == 10)  # in sep, of each line's end
+    ends = sep[eol]
+    starts = np.append(0, ends[:-1] + 1)
+    comment = arr[starts] == ord("#")
+    line = lambda i: buf[starts[i]:ends[i]].decode()
+    threshold, failures, stop = None, {}, None  # a header line that failed stops
+    for i in np.flatnonzero(comment).tolist():
         try:
-            if lines[i].startswith("#threshold="):
-                threshold = _threshold(path, i + 1, lines[i])
-            elif lines[i].startswith("#zero-probability\t"):
-                sample_id, locus = _zero_probability(path, i + 1, lines[i])
+            if line(i).startswith("#threshold="):
+                threshold = _threshold(path, i + 1, line(i))
+            elif line(i).startswith("#zero-probability\t"):
+                sample_id, locus = _zero_probability(path, i + 1, line(i))
                 failures[sample_id] = locus
         except InputError as exc:
             stop = (i, exc)
             break
-    filled = np.fromiter(compress(range(stop[0] if stop else len(lines)),
-                                  map(str.strip, lines)), dtype=np.intp)
-    data = filled[~np.isin(filled, comments)].tolist()  # header, then rows
-    if data and tuple(lines[data[0]].split("\t")) != ERROR_REPORT_COLUMNS:
+    lines = np.flatnonzero(((ends > starts) & ~comment)[:stop and stop[0]])
+    at = np.append(0, eol[:-1] + 1)[lines]  # in sep, of each line's first tab
+    six = np.flatnonzero(eol[lines] - at == 6)
+    # each distinct sample id, locus_id<TAB>locus_index and tail is parsed once
+    tab, third = sep[at[six]], sep[at[six] + 2]
+    samples, sample, _ = _cells(buf, words, starts[lines[six]], tab, str, "")
+    loci, locus, rows = _cells(buf, words, tab + 1, third,
+                               lambda t: _error_middle(*t.split("\t")), ("", 0))
+    tails, tail, parsed = _cells(buf, words, third + 1, ends[lines[six]],
+                                 lambda t: _error_tail(*t.split("\t")), (0, 0.0, False, 0))
+    rows &= parsed
+    ok = np.zeros(len(lines), dtype=bool)
+    ok[six[rows]] = True
+    filled = ok | np.isin(lines, [i for i in lines[~ok].tolist() if line(i).strip()])
+    data = lines[filled]  # header, then rows
+    if data.size and line(data[0]) != "\t".join(ERROR_REPORT_COLUMNS):
         _fail(path, data[0] + 1, f"expected header {'/'.join(ERROR_REPORT_COLUMNS)}")
-    rows = [lines[i] for i in data[1:]]
-    columns = _error_report_columns(rows) if rows else None
-    if rows and columns is None:
-        for i, row in zip(data[1:], rows):
-            _check_error_row(path, i + 1, row)
+    for i in data[1:][~ok[filled][1:]].tolist():
+        _check_error_row(path, i + 1, line(i))
     if stop:
         raise stop[1]
     if threshold is None:
         _fail(path, 1, "missing '#threshold=' header")
-    if not data:
+    if not data.size:
         _fail(path, 1, "missing column header row")
-    if not rows:
-        return ErrorReport.from_entries((), threshold, failures)
-    return ErrorReport(**columns, threshold=threshold, failures=failures,
-                       stats=None)
+    loci, tails = (np.array(v, dtype=object).reshape(-1, k) for v, k in ((loci, 2), (tails, 4)))
+    pick = lambda values, code, t=object: np.array(values, dtype=object).astype(t)[code[rows]]
+    return ErrorReport(pick(samples, sample).tolist(), pick(loci[:, 1], locus, np.int64),
+                       pick(loci[:, 0], locus).tolist(),
+                       *(pick(tails[:, j], tail, t) for j, t in enumerate(
+                           (np.int64, np.float64, bool, np.int64))),
+                       threshold=threshold, failures=failures, stats=None)
 
 
 def write_imputation(path, result: ImputationResult, *, config_line=None,
@@ -698,12 +728,14 @@ def write_imputation(path, result: ImputationResult, *, config_line=None,
         lines.append(f"#window\t{w.lo}\t{w.hi}\t{targets}\t{w.train_iterations}")
     for sample_id, locus in result.failures:
         lines.append(f"#zero-probability\t{sample_id}\t{locus}")
-    lines.append("\t".join(IMPUTATION_COLUMNS))
-    for e in result.entries:
-        lines.append("\t".join((e.sample_id, e.locus_id, str(e.locus_index),
-                                fmt(e.probs[0]), fmt(e.probs[1]), fmt(e.probs[2]),
-                                str(e.call), fmt(e.confidence))))
-    atomic_write(path, "\n".join(lines) + "\n")
+    lines.append("\t".join(IMPUTATION_COLUMNS) + "\n")
+    sample_ids, loci, locus_ids, probs, calls, confidence = (
+        zip(*result.entries) if result.entries else [()] * 6)
+    probs = np.array(probs, dtype=np.float64).reshape(-1, 3)
+    atomic_write(path, "\n".join(lines) + _tsv_body(
+        list(sample_ids), list(locus_ids), np.array(loci, dtype=np.int64),
+        "%.17g\t%.17g\t%.17g\t%d\t%.17g\n", *probs.T,
+        np.array(calls, dtype=np.int64), np.array(confidence, dtype=np.float64)))
 
 
 def read_imputation(path) -> ImputationResult:

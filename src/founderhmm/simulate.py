@@ -230,56 +230,56 @@ def evaluate(calls, truth_genotypes, *, loci=None) -> EvalReport:
     ``calls`` is either an ImputationResult (scored at its own locus
     indices, optionally restricted to ``loci``) or a corpus of genotypes
     aligned column-for-column with ``truth_genotypes`` (every non-missing
-    symbol is scored).
+    symbol is scored). The calls are checked and scored as arrays; a bad
+    one fails with the message of the first in call order.
     """
     truth = _truth_lookup(truth_genotypes)
-    confusion = np.zeros((3, 3), dtype=np.int64)
-    total = discordant = 0
+    names, of, problem = list(truth), dict(zip(truth, itertools.count())), None
+    lengths = np.array([len(v) for v in truth.values()] + [0])
+    symbols = np.concatenate([*truth.values(), [MISSING]]).astype(np.int8)
     if isinstance(calls, ImputationResult):
-        wanted = None if loci is None else set(int(i) for i in loci)
-        for e in calls.entries:
-            if wanted is not None and e.locus_index not in wanted:
-                continue
-            symbols = truth.get(e.sample_id)
-            if symbols is None:
-                raise InputError(f"call names unknown sample {e.sample_id!r}")
-            if not 0 <= e.locus_index < symbols.shape[0]:
-                raise InputError(
-                    f"call locus {e.locus_index} outside truth for {e.sample_id!r}")
-            t = int(symbols[e.locus_index])
-            if t == MISSING:
-                raise InputError(
-                    f"truth is missing at {e.sample_id!r} locus {e.locus_index}")
-            if e.call not in (0, 1, 2):
-                raise InputError(
-                    f"call {e.call!r} at {e.sample_id!r} locus {e.locus_index} "
-                    "is not 0, 1 or 2")
-            confusion[t, e.call] += 1
-            total += 1
-            discordant += int(e.call != t)
-        return EvalReport(total=total, discordant=discordant, confusion=confusion,
-                          details={"kind": "imputation"})
-    for g in calls:
-        symbols = truth.get(g.sample_id)
-        if symbols is None:
-            raise InputError(f"call names unknown sample {g.sample_id!r}")
-        if symbols.shape[0] != len(g):
-            raise InputError(
-                f"{g.sample_id!r}: {len(g)} call loci vs {symbols.shape[0]} truth loci")
-        called = g.symbols != MISSING
-        if loci is not None:
-            picked = np.zeros(len(g), dtype=bool)
-            picked[list(loci)] = True
-            called &= picked
-        for i in np.flatnonzero(called):
-            t, c = int(symbols[i]), int(g.symbols[i])
-            if t == MISSING:
-                raise InputError(f"truth is missing at {g.sample_id!r} locus {i}")
-            confusion[t, c] += 1
-            total += 1
-            discordant += int(c != t)
-    return EvalReport(total=total, discordant=discordant, confusion=confusion,
-                      details={"kind": "corpus"})
+        ids, index, _, _, call, _ = list(zip(*calls.entries)) or [()] * 6
+        scored = np.flatnonzero(np.isin(index, [int(i) for i in loci]) if loci is not None
+                                else np.ones(len(ids), dtype=bool))
+        row = np.fromiter(map(of.get, ids, itertools.repeat(-1)), dtype=np.intp,
+                          count=len(ids))[scored]
+        index = np.array(index, dtype=np.int64)[scored]
+        call = np.array(call, dtype=object)[scored]
+        name = lambda j: ids[scored[j]]
+    else:
+        rows = []
+        for g in calls:
+            k = of.get(g.sample_id)
+            if k is None or lengths[k] != len(g):
+                problem = (f"call names unknown sample {g.sample_id!r}" if k is None else
+                           f"{g.sample_id!r}: {len(g)} call loci vs {lengths[k]} truth loci")
+                break
+            picked = np.full(len(g), loci is None)
+            if loci is not None:
+                picked[list(loci)] = True
+            at = np.flatnonzero(picked & (g.symbols != MISSING))
+            rows.append((np.full(len(at), k), at, g.symbols[at]))
+        row, index, call = (np.concatenate(c).astype(np.intp) for c in zip(([], [], []), *rows))
+        name = lambda j: names[row[j]]
+    inside = (index >= 0) & (index < lengths[row])
+    true = symbols[np.where(inside, (np.cumsum(lengths) - lengths)[row] + index, -1)]
+    bad = np.flatnonzero(~(inside & (true != MISSING) & np.isin(call, (0, 1, 2))))
+    if bad.size:
+        j = bad[0]
+        if row[j] < 0:
+            raise InputError(f"call names unknown sample {name(j)!r}")
+        if not inside[j]:
+            raise InputError(f"call locus {index[j]} outside truth for {name(j)!r}")
+        if true[j] == MISSING:
+            raise InputError(f"truth is missing at {name(j)!r} locus {index[j]}")
+        raise InputError(f"call {call[j]!r} at {name(j)!r} locus {index[j]} is not 0, 1 or 2")
+    if problem:
+        raise InputError(problem)
+    true, call = true.astype(np.intp), call.astype(np.intp)
+    return EvalReport(total=len(true), discordant=int((true != call).sum()),
+                      confusion=np.bincount(3 * true + call, minlength=9).reshape(3, 3),
+                      details={"kind": "imputation" if isinstance(calls, ImputationResult)
+                               else "corpus"})
 
 
 class SweepRow(NamedTuple):

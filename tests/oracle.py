@@ -15,12 +15,26 @@ per-symbol entry loop behind ``detect_errors``, bit for bit;
 ``prefix_nodes``, the trie node count that the batch engine's forward
 walk must match; and ``read_symbol_file_per_line``, the line-by-line,
 character-by-character reader of genotype and haplotype files behind the
-byte-table reader, message for message.
+byte-table reader, message for message; ``error_report_text_per_row``
+and ``imputation_text_per_entry``, the row-template and per-entry report
+writers behind the distinct-value writers, byte for byte;
+``read_error_report_per_row``, the split-and-validate-by-column error
+report reader behind the byte-position reader, column for column and
+message for message; and ``evaluate_per_symbol``, the per-symbol scoring
+loop behind ``simulate.evaluate``.
 """
+from functools import partial
+from itertools import chain, compress, count, repeat
+
 import numpy as np
 
-from founderhmm import InputError, ZeroProbabilityError
-from founderhmm.io_formats import _read_text
+from founderhmm import (ErrorReport, EvalReport, ImputationResult, InputError,
+                        ZeroProbabilityError)
+from founderhmm.io_formats import (ERROR_REPORT_COLUMNS, IMPUTATION_COLUMNS,
+                                   _count, _fail, _read_error_report_json,
+                                   _read_text, _threshold,
+                                   _tsv_cell, _tsv_index, _zero_probability,
+                                   fmt)
 
 MISSING = -1
 
@@ -365,3 +379,209 @@ def read_symbol_file_per_line(path, alphabet, what, id_what, unique):
         if first != line_no:
             fail(line_no, f"duplicate sample id {sample_id!r} (first on line {first})")
     return [r[0] for r in rows], [r[1] for r in rows]
+
+
+def error_report_text_per_row(report, config_line=None):
+    """The TSV text of an error report, with one %-format of a row
+    template per block of entries over the interleaved columns."""
+    lines = [config_line] if config_line else []
+    lines.append(f"#threshold={fmt(report.threshold)}")
+    for sample_id, locus in sorted(report.failures.items()):
+        lines.append(f"#zero-probability\t{sample_id}\t{locus}")
+    lines.append("\t".join(ERROR_REPORT_COLUMNS) + "\n")
+    row = "%s\t%s\t%d\t%d\t%.17g\t%d\t%d\n"
+    width = len(ERROR_REPORT_COLUMNS)
+    blocks = ["\n".join(lines)]
+    for lo in range(0, len(report), 1 << 14):
+        at = slice(lo, lo + (1 << 14))
+        columns = (report.sample_id[at], report.locus_id[at],
+                   report.locus_index[at].tolist(), report.observed[at].tolist(),
+                   report.ratio[at].tolist(), report.flags[at].tolist(),
+                   report.suggested[at].tolist())
+        n = len(columns[4])
+        cells = [None] * (width * n)
+        for j, column in enumerate(columns):
+            cells[j::width] = column
+        blocks.append((row * n) % tuple(cells))
+    return "".join(blocks)
+
+
+def imputation_text_per_entry(result, config_line=None):
+    """The TSV text of an imputation result, one entry at a time."""
+    lines = [config_line] if config_line else []
+    for w in result.windows:
+        targets = ",".join(str(t) for t in w.targets)
+        lines.append(f"#window\t{w.lo}\t{w.hi}\t{targets}\t{w.train_iterations}")
+    for sample_id, locus in result.failures:
+        lines.append(f"#zero-probability\t{sample_id}\t{locus}")
+    lines.append("\t".join(IMPUTATION_COLUMNS))
+    for e in result.entries:
+        lines.append("\t".join((e.sample_id, e.locus_id, str(e.locus_index),
+                                fmt(e.probs[0]), fmt(e.probs[1]), fmt(e.probs[2]),
+                                str(e.call), fmt(e.confidence))))
+    return "\n".join(lines) + "\n"
+
+
+def _check_error_row(path, line_no, line):
+    parts = line.split("\t")
+    if len(parts) != len(ERROR_REPORT_COLUMNS):
+        _fail(path, line_no, f"expected {len(ERROR_REPORT_COLUMNS)} fields")
+    symbols = {"0": 0, "1": 1, "2": 2}
+    try:
+        _count(_tsv_index(parts[2]), "locus_index",
+               int(np.iinfo(np.int64).max))
+        _tsv_cell(parts[3], "observed", symbols)
+        float(parts[4])
+        _tsv_cell(parts[5], "flagged", {"0": False, "1": True})
+        _tsv_cell(parts[6], "suggested", symbols)
+    except ValueError as exc:
+        _fail(path, line_no, f"malformed error report row ({exc})")
+
+
+def _digit_column(cells, top):
+    digits = "".join(cells)
+    if len(digits) != len(cells) or "" in cells or not digits.isascii():
+        return None
+    values = np.frombuffer(digits.encode("ascii"), dtype=np.uint8) - 48
+    return values.astype(np.int64) if (values <= top).all() else None
+
+
+def _index_column(cells):
+    digits = "".join(cells)
+    if "" in cells or not (digits.isascii() and digits.isdigit()):
+        return None
+    try:
+        return np.array(cells, dtype=np.int64)
+    except OverflowError:
+        return None
+
+
+def _float_column(cells):
+    try:
+        return np.fromiter(map(float, cells), dtype=np.float64,
+                           count=len(cells))
+    except ValueError:
+        return None
+
+
+def _error_report_columns(rows):
+    width = len(ERROR_REPORT_COLUMNS)
+    if set(map(str.count, rows, repeat("\t"))) != {width - 1}:
+        return None
+    parsers = (list, list, _index_column, partial(_digit_column, top=2),
+               _float_column, partial(_digit_column, top=1),
+               partial(_digit_column, top=2))
+    blocks = []
+    for lo in range(0, len(rows), 1 << 14):
+        cells = "\t".join(rows[lo:lo + (1 << 14)]).split("\t")
+        blocks.append([parse(cells[j::width])
+                       for j, parse in enumerate(parsers)])
+        if any(column is None for column in blocks[-1]):
+            return None
+    sample_id, locus_id, index, observed, ratio, flags, suggested = (
+        list(chain.from_iterable(b[j] for b in blocks)) if j < 2
+        else np.concatenate([b[j] for b in blocks]) for j in range(width))
+    return dict(sample_id=sample_id, locus_index=index, locus_id=locus_id,
+                observed=observed, ratio=ratio, flags=flags.astype(bool),
+                suggested=suggested)
+
+
+def read_error_report_per_row(path):
+    """An error report. A JSON one goes to the JSON reader; a TSV one has
+    its lines split as strings, its rows split into cells in blocks and
+    validated a column at a time, and, when any cell is bad, its rows
+    checked one by one to name the first bad line."""
+    text = _read_text(path)
+    if text.lstrip().startswith("{"):
+        return _read_error_report_json(path, text)
+    lines = text.split("\n")
+    comments = list(compress(count(), map(str.startswith, lines, repeat("#"))))
+    threshold = None
+    failures = {}
+    stop = None
+    for i in comments:
+        try:
+            if lines[i].startswith("#threshold="):
+                threshold = _threshold(path, i + 1, lines[i])
+            elif lines[i].startswith("#zero-probability\t"):
+                sample_id, locus = _zero_probability(path, i + 1, lines[i])
+                failures[sample_id] = locus
+        except InputError as exc:
+            stop = (i, exc)
+            break
+    filled = np.fromiter(compress(range(stop[0] if stop else len(lines)),
+                                  map(str.strip, lines)), dtype=np.intp)
+    data = filled[~np.isin(filled, comments)].tolist()
+    if data and tuple(lines[data[0]].split("\t")) != ERROR_REPORT_COLUMNS:
+        _fail(path, data[0] + 1, f"expected header {'/'.join(ERROR_REPORT_COLUMNS)}")
+    rows = [lines[i] for i in data[1:]]
+    columns = _error_report_columns(rows) if rows else None
+    if rows and columns is None:
+        for i, row in zip(data[1:], rows):
+            _check_error_row(path, i + 1, row)
+    if stop:
+        raise stop[1]
+    if threshold is None:
+        _fail(path, 1, "missing '#threshold=' header")
+    if not data:
+        _fail(path, 1, "missing column header row")
+    if not rows:
+        return ErrorReport.from_entries((), threshold, failures)
+    return ErrorReport(**columns, threshold=threshold, failures=failures,
+                       stats=None)
+
+
+def evaluate_per_symbol(calls, truth_genotypes, *, loci=None):
+    """``simulate.evaluate``, scoring one call at a time."""
+    truth = {}
+    for g in truth_genotypes:
+        if g.sample_id in truth:
+            raise InputError(f"duplicate truth sample {g.sample_id!r}")
+        truth[g.sample_id] = g.symbols
+    confusion = np.zeros((3, 3), dtype=np.int64)
+    total = discordant = 0
+    if isinstance(calls, ImputationResult):
+        wanted = None if loci is None else set(int(i) for i in loci)
+        for e in calls.entries:
+            if wanted is not None and e.locus_index not in wanted:
+                continue
+            symbols = truth.get(e.sample_id)
+            if symbols is None:
+                raise InputError(f"call names unknown sample {e.sample_id!r}")
+            if not 0 <= e.locus_index < symbols.shape[0]:
+                raise InputError(
+                    f"call locus {e.locus_index} outside truth for {e.sample_id!r}")
+            t = int(symbols[e.locus_index])
+            if t == MISSING:
+                raise InputError(
+                    f"truth is missing at {e.sample_id!r} locus {e.locus_index}")
+            if e.call not in (0, 1, 2):
+                raise InputError(
+                    f"call {e.call!r} at {e.sample_id!r} locus {e.locus_index} "
+                    "is not 0, 1 or 2")
+            confusion[t, e.call] += 1
+            total += 1
+            discordant += int(e.call != t)
+        return EvalReport(total=total, discordant=discordant, confusion=confusion,
+                          details={"kind": "imputation"})
+    for g in calls:
+        symbols = truth.get(g.sample_id)
+        if symbols is None:
+            raise InputError(f"call names unknown sample {g.sample_id!r}")
+        if symbols.shape[0] != len(g):
+            raise InputError(
+                f"{g.sample_id!r}: {len(g)} call loci vs {symbols.shape[0]} truth loci")
+        called = g.symbols != MISSING
+        if loci is not None:
+            picked = np.zeros(len(g), dtype=bool)
+            picked[list(loci)] = True
+            called &= picked
+        for i in np.flatnonzero(called):
+            t, c = int(symbols[i]), int(g.symbols[i])
+            if t == MISSING:
+                raise InputError(f"truth is missing at {g.sample_id!r} locus {i}")
+            confusion[t, c] += 1
+            total += 1
+            discordant += int(c != t)
+    return EvalReport(total=total, discordant=discordant, confusion=confusion,
+                      details={"kind": "corpus"})

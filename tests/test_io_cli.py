@@ -17,7 +17,8 @@ import oracle
 from founderhmm import (ErrorEntry, ErrorReport, FounderHMM,
                         HaplotypeSequence, ImputationEntry, ImputationResult,
                         InputError, LocusMap, MultilocusGenotype, TrainConfig,
-                        correct_errors, evaluate, train_founder_hmm)
+                        WindowReport, correct_errors, evaluate,
+                        train_founder_hmm)
 from founderhmm.io_formats import (CONFIG_ENV, ERROR_REPORT_COLUMNS,
                                    IMPUTATION_COLUMNS, atomic_write, fmt,
                                    load_config_file, read_error_report,
@@ -534,6 +535,160 @@ def test_error_report_bytes_with_awkward_ids(tmp_path):
         back = read_error_report(path)
         assert back.entries == report.entries
         assert (back.threshold, back.failures) == (10.0, {"%s": 3})
+
+
+def test_report_writers_match_the_per_row_writers(tmp_path):
+    """Each distinct piece is formatted once; the bytes are those of one
+    row template per entry, for floats that differ only in sign or NaN
+    payload, ids a %-format or str.format would read, one locus index
+    under two locus ids, an empty report, many distinct values, and the
+    comment lines."""
+    nan, inf = float("nan"), float("inf")
+    ratios = [-0.0, 0.0, nan, float(np.copysign(nan, -1)), inf, -inf, 5e-324,
+              1e300, 1.0, 1.0, 0.1 + 0.2, 1234.0625, -0.0, 1.0]
+    samples = ["%", "{}", "S\u2028x", "%s%%", "abcdefgh1234ijklmnop\x00"]
+    loci = [("L%d", 0), ("{}", 1), ("L\u2028", 2), ("other", 1), ("L0", 0)]
+    entries = [ErrorEntry(samples[j % 5], loci[j % 5][1], loci[j % 5][0], j % 3,
+                          r, j % 2 == 0, (j + 1) % 3) for j, r in enumerate(ratios)]
+    rng = np.random.default_rng(8)
+    many = [ErrorEntry(f"S{j // 40}", j % 40, f"m{j % 40}", int(rng.integers(3)),
+                       float(rng.choice([1.0, rng.random() * 1e4])), bool(j % 3),
+                       int(rng.integers(3))) for j in range(3000)]
+    path = tmp_path / "r.tsv"
+    for report in (ErrorReport.from_entries(entries, 10.0, {"%s": 3, "b": 0}),
+                   ErrorReport.from_entries((), 0.5, {"S9": 7}),
+                   ErrorReport.from_entries(many, 1000.0, {})):
+        for config in (None, "#config: detect %s {}"):
+            write_error_report(path, report, config_line=config)
+            assert path.read_bytes() == oracle.error_report_text_per_row(
+                report, config).encode()
+    windows = (WindowReport(0, 4, (1, 2), 7, True, None),
+               WindowReport(3, 9, (5,), 50, False, None))
+    imputed = [ImputationEntry(samples[j % 5], loci[j % 5][1], loci[j % 5][0],
+                               (r, 1.0 / 3, -0.0), j % 3, r) for j, r in enumerate(ratios)]
+    imputed += [ImputationEntry(f"S{j % 7}", j % 11, f"u{j % 11}",
+                                tuple(rng.dirichlet(np.ones(3))), j % 3, rng.random())
+                for j in range(500)]
+    for rows in (imputed, []):
+        result = ImputationResult(entries=tuple(rows), windows=windows,
+                                  failures=(("S2", 7), ("%s", 0)),
+                                  forward_locus_evals=0, backward_locus_evals=0)
+        for config in (None, "#config: impute {}"):
+            write_imputation(path, result, config_line=config)
+            assert path.read_bytes() == oracle.imputation_text_per_entry(
+                result, config).encode()
+
+
+def read_outcome(read, path):
+    """The columns of a read report, as bytes, or the message of the
+    InputError raised."""
+    try:
+        r = read(path)
+    except InputError as exc:
+        return str(exc)
+    assert all(type(i) is str for i in r.sample_id + r.locus_id)
+    return (r.sample_id, r.locus_id, r.threshold, r.failures,
+            [(c.dtype.str, c.tobytes()) for c in (r.locus_index, r.observed,
+                                                  r.ratio, r.flags, r.suggested)])
+
+
+def assert_reads_as_oracle(path):
+    assert (read_outcome(read_error_report, path)
+            == read_outcome(oracle.read_error_report_per_row, path)), path.read_bytes()
+
+
+REPORT_ROWS = ["S0\tL4\t4\t2\tinf\t1\t0", "S1\tL0\t0\t1\t1234.0625\t1\t2",
+               "S1\tL2\t2\t0\t1\t0\t0", "\u00d1\t\u65e5\u672c\t5\t0\t-0\t0\t0",
+               "abcdefgh1234ijklmnop\tL3\t3\t1\t1.000000000000000001\t0\t1",
+               "abcdefgh5678ijklmnop\tL3\t3\t1\t1.000000999900000001\t0\t1",
+               "S\u2028x\tL4\t4\t1\t1.000000000000000001\t0\t1",
+               "S\x00\tL0\x00\t0\t0\t1\t0\t0"]
+
+
+def report_text(rows=REPORT_ROWS, head=("#threshold=1000", "#zero-probability\tS9\t3")):
+    return "\n".join([*head, "\t".join(ERROR_REPORT_COLUMNS), *rows]) + "\n"
+
+
+@pytest.mark.parametrize("ratio", ["1_0", " 1", "+1E3", "INF", "-0", "nan", "1e-400",
+                                   "0x1p3", "", "1\x00", "\u0661", "1 x"])
+def test_error_report_ratio_cells_read_as_the_oracle_reads_them(tmp_path, ratio):
+    path = tmp_path / "r.tsv"
+    for at in (0, 3, 6):
+        rows = list(REPORT_ROWS)
+        rows[at] = with_cell(rows[at], "ratio", ratio)
+        path.write_text(report_text(rows))
+        assert_reads_as_oracle(path)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda t: t.replace("\n", "\r\n"), lambda t: t.replace("\n", "\r"),
+    lambda t: t.replace("\n", "\r\n", 3).replace("\n", "\r"),
+    lambda t: t.replace("\nS1\t", "\n \n\t\t\t\t\t\t\n\u2028\n\x0c\x1c\nS1\t"),
+    lambda t: "\t\t\t\t\t\t\n  \n" + t,
+    lambda t: t.replace("\nS1\t", "\n#a comment\n\n#threshold=5\nS1\t"),
+    lambda t: t.replace("\nS1\t", "\n#zero-probability\tS8\t4\nS1\t"),
+    lambda t: t.replace("\nS1\t", "\n#threshold=x\nS1\t"),
+    lambda t: t.replace("\nS1\t", "\n#zero-probability\tS8\n\tS1\t"),
+    lambda t: t.rstrip("\n"), lambda t: t + "\n\n", lambda t: t + "\t",
+    lambda t: t.replace("\t1\t0\n", "\t1\t0\t\n", 1),
+    lambda t: t.replace("L0\t0", "L0\t00000000000000000000000000", 1),
+    lambda t: t.replace("L0\t0", "L0\t9223372036854775807", 1),
+    lambda t: t.replace("L0\t0", "L0\t9223372036854775808", 1),
+    lambda t: t.replace("L0\t0", "L0\t\u0660", 1),
+    lambda t: t.replace("\t0\t0\n", "\t0\t\u0660\n", 1),
+    lambda t: t.replace("L2\t2", "L4\t2", 1),  # index 2 under a second locus id
+    lambda t: t.replace("sample_id", "sample", 1),
+    lambda t: t.split("sample_id")[0], lambda t: t.replace("#threshold=1000\n", ""),
+    lambda t: "", lambda t: "\n \n",
+])
+def test_error_report_lines_read_as_the_oracle_reads_them(tmp_path, edit):
+    path = tmp_path / "r.tsv"
+    path.write_bytes(edit(report_text()).encode())
+    assert_reads_as_oracle(path)
+
+
+def test_error_report_index_too_long_for_int_is_named_not_a_crash(tmp_path):
+    """A locus index past int()'s digit limit is a bad cell named at its
+    line; the per-row oracle lets its ValueError escape (exit 2)."""
+    path = tmp_path / "r.tsv"
+    path.write_text(report_text().replace("L0\t0", "L0\t" + "0" * 5000, 1))
+    with pytest.raises(ValueError, match="Exceeds the limit"):
+        oracle.read_error_report_per_row(path)
+    with pytest.raises(InputError, match=re.escape(
+            f"{path}:5: malformed error report row (Exceeds the limit")):
+        read_error_report(path)
+
+
+def test_error_report_reader_parses_each_distinct_piece_once(tmp_path, monkeypatch):
+    """Pieces of every width, 8 to 23 bytes included, are grouped exactly:
+    the middle and tail parsers run once per distinct piece."""
+    io_formats = founderhmm.io_formats
+    calls = {"_error_middle": [], "_error_tail": []}
+    for name, log in calls.items():
+        monkeypatch.setattr(io_formats, name, lambda *cells, f=getattr(io_formats, name),
+                            log=log: log.append(cells) or f(*cells))
+    ratios = ("1", "1234.0625", "1.0000000000000001e+300", "0.30000000000000004")
+    rows = [f"S{j % 9}\tL{j % 300}\t{j % 300}\t{j % 3}\t{ratios[j % 4]}\t0\t{j % 3}"
+            for j in range(3000)]
+    path = tmp_path / "r.tsv"
+    path.write_text(report_text(rows))
+    assert len(read_error_report(path)) == 3000
+    # the column header has six tabs too, and is parsed as a row would be
+    assert len(calls["_error_middle"]) == len(set(calls["_error_middle"])) == 1 + 300
+    assert len(calls["_error_tail"]) == len(set(calls["_error_tail"])) == 1 + 12
+
+
+def test_error_report_reader_names_a_bad_row_after_many_good_ones(tmp_path):
+    rows = [f"S{j // 500}\tL{j % 500}\t{j % 500}\t{j % 3}\t{1 + j % 7}\t0\t{j % 3}"
+            for j in range(20_000)]
+    path = tmp_path / "r.tsv"
+    path.write_text(report_text(rows))
+    assert_reads_as_oracle(path)
+    path.write_text(report_text(rows + ["S9\tL1\t1\t0\t1\tx\t0"] + rows[:5]))
+    assert_reads_as_oracle(path)
+    with pytest.raises(InputError, match=re.escape(
+            f"{path}:20004: malformed error report row (flagged must be")):
+        read_error_report(path)
 
 
 AWKWARD_IDS = ("S\u2028x", "a b", " lead", "trail ", "%s", "50%", "a#b", " #x")
@@ -1453,3 +1608,21 @@ def test_model_block_parse_matches_the_line_parse(model_file, data):
     if blocks is not None:
         for a, b in zip(blocks, _model_lines(path, lines, len(damaged))):
             assert np.array_equal(a, b, equal_nan=True), damaged
+
+
+@pytest.fixture(scope="module")
+def report_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("report") / "r.tsv"
+    path.write_text(report_text())
+    return path
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_error_report_reader_matches_the_per_row_oracle(report_file, data):
+    damaged = data.draw(mutated(report_file.read_bytes()), label="file")
+    path = report_file.with_name("damaged.tsv")
+    path.write_bytes(damaged)
+    assert_reads_as_oracle(path)

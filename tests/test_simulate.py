@@ -3,9 +3,10 @@ import numpy as np
 import pytest
 
 import founderhmm
-from founderhmm import (MISSING, ImputationEntry, ImputationResult,
-                        InputError, MultilocusGenotype, SimConfig, evaluate,
-                        fit_exponent, simulate, sweep)
+import oracle
+from founderhmm import (MISSING, GenotypeCorpus, ImputationEntry,
+                        ImputationResult, InputError, MultilocusGenotype,
+                        SimConfig, evaluate, fit_exponent, simulate, sweep)
 
 
 # -------------------------------------------------------------- generator
@@ -223,6 +224,73 @@ def test_alignment_mismatches_are_rejected():
                            forward_locus_evals=0, backward_locus_evals=0)
     with pytest.raises(InputError):
         evaluate(bad, truth)
+
+
+def _scored(calls, truth, **kwargs):
+    """(evaluate's outcome, the per-symbol loop's outcome): the report's
+    fields, or the message of the InputError raised."""
+    outcomes = []
+    for score in (evaluate, oracle.evaluate_per_symbol):
+        try:
+            r = score(calls, truth, **kwargs)
+            outcomes.append((r.total, r.discordant, r.confusion.dtype,
+                             r.confusion.tolist(), r.details))
+        except InputError as exc:
+            outcomes.append(str(exc))
+    return outcomes
+
+
+def test_evaluate_matches_the_per_symbol_loop_on_corpora():
+    rng = np.random.default_rng(5)
+    truth = rng.integers(0, 3, size=(7, 12)).astype(np.int8)
+    calls = truth.copy()
+    calls[rng.random(calls.shape) < 0.3] = 1
+    calls[rng.random(calls.shape) < 0.2] = MISSING
+    holes = truth.copy()
+    holes[3, 5] = holes[5, 0] = MISSING
+    calls[3, 5] = calls[5, 0] = 2
+    cases = [(_corpus(calls), _corpus(truth), {}),
+             (GenotypeCorpus.of(_corpus(calls)), _corpus(truth), {}),
+             (_corpus(calls), GenotypeCorpus.of(_corpus(truth)), {"loci": [0, 3, 11]}),
+             (_corpus(calls), _corpus(truth), {"loci": []}),
+             (_corpus(calls[:0]), _corpus(truth), {}),
+             # truth missing at a called symbol, before and after other faults
+             (_corpus(calls), _corpus(holes), {}),
+             (_corpus(calls), _corpus(holes), {"loci": [1, 2, 6]}),
+             (_corpus(calls), _corpus(holes), {"loci": [0, 5]}),
+             (_corpus(calls) + _corpus(calls[:1], prefix="X"), _corpus(holes), {}),
+             (_corpus(calls[:3]) + _corpus(calls[:1], prefix="X"), _corpus(holes), {}),
+             (_corpus(calls[:4]) + [MultilocusGenotype("S4", calls[4, :9])],
+              _corpus(holes), {}),
+             (_corpus(calls), _corpus(truth) + _corpus(truth[:1]), {})]
+    for calls_, truth_, kwargs in cases:
+        new, old = _scored(calls_, truth_, **kwargs)
+        assert new == old, (kwargs, old)
+    assert isinstance(_scored(*cases[5][:2])[0], str)  # the error cases raise
+    assert _scored(*cases[8][:2])[0] == "truth is missing at 'S3' locus 5"
+
+
+def test_evaluate_matches_the_per_entry_loop_on_imputations():
+    truth = _corpus(np.array([[0, 1, 2, 1, 0], [2, 2, MISSING, 0, 1]]))
+
+    def result(*rows):
+        entries = tuple(ImputationEntry(sid, locus, f"L{locus}", (0.2, 0.3, 0.5),
+                                        call, 0.5) for sid, locus, call in rows)
+        return ImputationResult(entries=entries, windows=(), failures=(),
+                                forward_locus_evals=0, backward_locus_evals=0)
+
+    good = [("S0", j, (j * 2) % 3) for j in range(5)] + [("S1", 0, 2), ("S1", 4, 0)]
+    for rows, kwargs in ((good, {}), (good, {"loci": [0, 4]}), ((), {}),
+                         (good + [("S1", 2, 1)], {}),  # truth missing
+                         (good + [("S1", 2, 1)], {"loci": [0, 1]}),
+                         (good + [("S9", 1, 1), ("S0", 9, 1)], {}),
+                         (good + [("S0", 9, 1), ("S9", 1, 1)], {}),
+                         (good + [("S0", -1, 1)], {}),
+                         (good + [("S0", 3, 3), ("S1", 2, 1)], {}),
+                         (good + [("S0", 3, 2.5)], {}),
+                         (good + [("S0", 3, "1")], {"loci": [3]})):
+        new, old = _scored(result(*rows), truth, **kwargs)
+        assert new == old, (rows, kwargs, old)
 
 
 # ------------------------------------------------------------------ sweep
