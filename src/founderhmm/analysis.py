@@ -34,7 +34,7 @@ from .model import (MISSING, FounderHMM, GenotypeCorpus, HaplotypePanel,
                     emission_stack)
 from .training import (TrainConfig, train_founder_hmm, train_founder_hmms,
                        window_config)
-from .trie import _scan_symbols, batched_posteriors, build_trie
+from .trie import BatchStats, _checked_corpus, _scan_symbols, batched_posteriors, build_trie
 
 PIPELINE_IMPUTE_ONLY = "imp"
 PIPELINE_REPAIR_IMPUTE = "edc-mdr-imp"
@@ -215,24 +215,28 @@ class RecoveryResult:
 def recover_missing(model: FounderHMM, corpus) -> RecoveryResult:
     """Replace every MISSING symbol with its posterior argmax.
 
-    Completed genotypes pass through unchanged so the operation is a
-    fixpoint. Samples whose posterior has no mass at a missing locus are
-    left untouched; ``failures`` are those of ``batched_posteriors``, which
-    name every such sample. All missing symbols are filled in one pass.
+    Only samples with a MISSING symbol are scanned; complete genotypes pass
+    through, so the operation is a fixpoint. A sample with no posterior
+    mass at a missing locus is left untouched. ``failures`` and ``stats``
+    are those of ``batched_posteriors`` over the scanned samples (empty and
+    no work when nothing is missing). All gaps are filled in one pass.
     """
-    corpus = GenotypeCorpus.of(corpus)
-    batch = batched_posteriors(model, corpus)
-    samples, loci = np.nonzero(corpus.matrix == MISSING)
+    corpus = _checked_corpus(model, corpus)
+    gaps = corpus.matrix == MISSING
+    gapped = np.flatnonzero(gaps.any(axis=1))
+    if not gapped.size:
+        return RecoveryResult(corpus, (), {}, BatchStats(0, corpus.loci, 0, 0, 0))
+    part = GenotypeCorpus._trusted([corpus.ids[j] for j in gapped], corpus.matrix[gapped])
+    batch = batched_posteriors(model, part)
+    samples, loci = np.nonzero(gaps[gapped])
     rows = batch.triples[batch.row_of[samples], loci]
     totals = rows.sum(axis=1)
-    dead = np.zeros(len(corpus), dtype=bool)
-    dead[samples[totals <= 0.0]] = True
-    live = ~dead[samples]
+    live = ~np.isin(samples, samples[totals <= 0.0])
     samples, loci, rows, totals = samples[live], loci[live], rows[live], totals[live]
     calls = rows.argmax(axis=1)
     symbols = corpus.matrix.copy()
-    symbols[samples, loci] = calls
-    fills = map(RecoveryFill, map(corpus.ids.__getitem__, samples.tolist()),
+    symbols[gapped[samples], loci] = calls
+    fills = map(RecoveryFill, map(part.ids.__getitem__, samples.tolist()),
                 loci.tolist(), calls.tolist(),
                 (rows[np.arange(calls.size), calls] / totals).tolist())
     return RecoveryResult(corpus=GenotypeCorpus._trusted(corpus.ids, symbols),

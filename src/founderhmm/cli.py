@@ -369,10 +369,18 @@ def _map_typed_ids(path, corpus_loci):
     return [locus_map.locus_ids[int(j)] for j in typed]
 
 
-def _model_and_corpus(args):
+def _read_corpus(path, empty_ok=False):
+    """The genotypes at ``path``, at least one sample unless ``empty_ok``."""
+    corpus = read_genotypes(path)
+    if not (corpus or empty_ok):
+        raise InputError(f"{path}: empty corpus")
+    return corpus
+
+
+def _model_and_corpus(args, empty_ok=False):
     """The --model and the --genotypes corpus, whose loci must match."""
     model = read_model(args.model)
-    corpus = read_genotypes(args.genotypes)
+    corpus = _read_corpus(args.genotypes, empty_ok)
     if corpus and corpus.loci != model.loci:
         raise InputError(f"{args.genotypes}: genotypes have {corpus.loci} "
                          f"loci but the model has {model.loci}")
@@ -381,8 +389,6 @@ def _model_and_corpus(args):
 
 def _cmd_detect(args):
     model, corpus = _model_and_corpus(args)
-    if not corpus:
-        raise InputError(f"{args.genotypes}: empty corpus")
     locus_ids = _map_typed_ids(args.map, corpus.loci) if args.map else None
     report = detect_errors(model, corpus, args.threshold, locus_ids=locus_ids)
     echo = _echo("detect", {"model": args.model, "genotypes": args.genotypes,
@@ -417,7 +423,7 @@ def _cmd_recover(args):
 
 def _cmd_impute(args):
     reference = read_haplotypes(args.panel)
-    corpus = read_genotypes(args.genotypes)
+    corpus = _read_corpus(args.genotypes)
     locus_map = read_locus_map(args.map)
     cfg = TrainConfig(founders=args.founders, seed=args.seed)
     result = impute_untyped(reference, corpus, locus_map, cfg,
@@ -432,7 +438,7 @@ def _cmd_impute(args):
 
 
 def _cmd_phase(args):
-    model, corpus = _model_and_corpus(args)
+    model, corpus = _model_and_corpus(args, empty_ok=True)
     try:
         haplotypes = phase_panel(model, corpus)
     except ZeroProbabilityError as exc:
@@ -446,7 +452,7 @@ def _cmd_pipeline(args):
     if args.report_out and args.mode != PIPELINE_REPAIR_IMPUTE:
         raise InputError("--report-out needs --mode edc-mdr-imp")
     reference = read_haplotypes(args.panel)
-    corpus = read_genotypes(args.genotypes)
+    corpus = _read_corpus(args.genotypes)
     locus_map = read_locus_map(args.map)
     cfg = TrainConfig(founders=args.founders, seed=args.seed)
     result = run_pipeline(args.mode, reference, corpus, locus_map, cfg,

@@ -5,8 +5,8 @@ copies of the fitted chain, so the trained parameters double as the
 founder-pair model. Expected counts are additive over haplotypes, so EM
 runs on the panel's distinct rows, each weighted by how often it occurs:
 the same estimator, with per-locus work proportional to distinct rows
-(fastPHASE fits its founder clusters the same way). np.unique sorts the
-rows, so the fit does not depend on the order of the panel.
+(fastPHASE fits its founder clusters the same way). One byte sort finds
+the rows in lexicographic order, so the fit is independent of panel order.
 
 One E-step serves every fit. It runs on a stack of W panels, the windows
 of an imputation or a single panel (W = 1), laid out founder-major as
@@ -34,6 +34,7 @@ import numpy as np
 
 from .model import (ALLELE_SYMBOLS, FounderHMM, HaplotypePanel,
                     HaplotypeSequence, InputError, ZeroProbabilityError)
+from .trie import _distinct_rows
 
 # Byte cap on the E-step arrays of one stack of windows that EM fits in
 # lockstep; the grouping changes the pace, never the answer.
@@ -374,8 +375,7 @@ def train_founder_hmms(panels, config: TrainConfig):
         if p.ndim != 2 or p.size == 0 or not np.isin(p, ALLELE_SYMBOLS).all():
             raise InputError("panels must be non-empty (haplotypes, loci) "
                              "matrices of alleles 0 and 1")
-    windows = [np.unique(p, axis=0, return_index=True, return_counts=True)
-               for p in panels]
+    windows = [_distinct_rows(p)[:3] for p in panels]
     results = []
     for lo, hi in _stack_groups(windows, config.founders):
         results.extend(_fit_stack(windows[lo:hi], config))

@@ -1,10 +1,10 @@
 """Batched posterior inference over a genotype corpus, as arrays.
 
-Genotypes sharing a prefix share forward work. The corpus is reduced to
-its distinct rows in sorted order, where each row shares its longest
-common prefix (LCP) with the row before it: the prefix arrays of PBWT
-(Durbin 2014). Those rows and LCPs stand for a prefix trie, one node per
-distinct (depth, prefix), without building it. The engine steps the
+Genotypes sharing a prefix share forward work. One sort of the rows as
+byte strings reduces the corpus to its distinct rows in order, each
+sharing its longest common prefix (LCP) with the row before: PBWT's
+prefix arrays (Durbin 2014). Those rows and LCPs stand for a prefix trie,
+one node per distinct (depth, prefix), never built. The engine steps the
 sorted rows 64 at a time as (rows, K, K) stacks: a backward walk along
 every row, then a forward walk that evaluates each trie node once, in
 ``inference._live_step`` (phasing's max-product walk shares it), and
@@ -49,12 +49,21 @@ class GenotypeTrie(NamedTuple):
     lcps: np.ndarray
 
 
+def _distinct_rows(matrix: np.ndarray):
+    """Sorted distinct rows of a matrix of symbols -1 to 254, first indices,
+    counts and inverse, as ``np.unique(axis=0)`` gives them: shifted by one
+    to bytes, MISSING first, each row is one byte string for a 1-D sort."""
+    keys = np.ascontiguousarray(matrix + 1, dtype=np.uint8)
+    _, first, inverse, counts = np.unique(keys.view(f"V{keys.shape[1]}").ravel(),
+        return_index=True, return_inverse=True, return_counts=True)
+    return matrix[first], first, counts, inverse
+
+
 def build_trie(symbols: np.ndarray) -> GenotypeTrie:
     """Sorted distinct rows of a (genotypes, loci) symbol matrix."""
-    rows, row_of = np.unique(symbols, axis=0, return_inverse=True)
+    rows, _, _, row_of = _distinct_rows(symbols)
     differs = rows[1:] != rows[:-1]
-    return GenotypeTrie(rows, row_of.ravel(),
-                        np.concatenate(([0], differs.argmax(axis=1))))
+    return GenotypeTrie(rows, row_of, np.concatenate(([0], differs.argmax(axis=1))))
 
 
 def reversed_trie(symbols: np.ndarray) -> GenotypeTrie:
@@ -120,6 +129,16 @@ class BatchPosteriorResult:
     stats: BatchStats
 
 
+def _checked_corpus(model: FounderHMM, corpus) -> GenotypeCorpus:
+    """``corpus`` as a matrix, non-empty and on the model's loci."""
+    corpus = GenotypeCorpus.of(corpus)
+    if not corpus:
+        raise InputError("corpus must be non-empty")
+    if corpus.loci != model.loci:
+        raise InputError(f"corpus has {corpus.loci} loci but the model has {model.loci}")
+    return corpus
+
+
 def batched_posteriors(model: FounderHMM, corpus) -> BatchPosteriorResult:
     """Posterior arrays and tables for every corpus genotype.
 
@@ -127,12 +146,7 @@ def batched_posteriors(model: FounderHMM, corpus) -> BatchPosteriorResult:
     :func:`genotype_posteriors`, and independent of corpus order and of
     the engine's block length.
     """
-    corpus = GenotypeCorpus.of(corpus)
-    if not corpus:
-        raise InputError("corpus must be non-empty")
-    n = corpus.loci
-    if n != model.loci:
-        raise InputError(f"corpus has {n} loci but the model has {model.loci}")
+    corpus = _checked_corpus(model, corpus)
     trie, arrays, (fevals, bevals) = _scan_symbols(model, corpus.matrix)
     triples, prefix_logs, suffix_logs, _ = arrays
     sums = triples.sum(axis=2)
@@ -144,11 +158,8 @@ def batched_posteriors(model: FounderHMM, corpus) -> BatchPosteriorResult:
     first_dead = np.where(dead.any(axis=1), dead.argmax(axis=1), -1).tolist()
     row_tables = list(map(PosteriorTable, probs, log_marginals))
     pairs = list(zip(corpus.ids, trie.row_of.tolist()))
-    stats = BatchStats(samples=len(corpus), loci=n,
-                       distinct_genotypes=len(trie.rows),
-                       forward_locus_evals=fevals, backward_locus_evals=bevals)
     return BatchPosteriorResult(
         *arrays, row_of=trie.row_of,
         tables={sid: row_tables[r] for sid, r in pairs if first_dead[r] < 0},
         failures={sid: first_dead[r] for sid, r in pairs if first_dead[r] >= 0},
-        stats=stats)
+        stats=BatchStats(len(corpus), corpus.loci, len(trie.rows), fevals, bevals))

@@ -36,3 +36,15 @@ def random_panel(rng, size, loci, *, prefix="h"):
     return [HaplotypeSequence(f"{prefix}{j}",
                               rng.integers(0, 2, size=loci).astype(np.int8))
             for j in range(size)]
+
+
+def random_symbol_matrices(rng, low, high, count=40):
+    """Random int8 matrices of symbols ``low`` to ``high``, their rows drawn
+    from small pools so that duplicates are common, after three edge cases:
+    one row, one locus, and all rows equal."""
+    draw = lambda shape: rng.integers(low, high + 1, size=shape).astype(np.int8)
+    matrices = [draw((1, 9)), draw((12, 1)), np.repeat(draw((1, 7)), 5, axis=0)]
+    for _ in range(count):
+        pool = draw((rng.integers(1, 12), rng.integers(1, 30)))
+        matrices.append(pool[rng.integers(0, len(pool), size=rng.integers(1, 80))])
+    return matrices

@@ -20,16 +20,22 @@ and ``imputation_text_per_entry``, the row-template and per-entry report
 writers behind the distinct-value writers, byte for byte;
 ``read_error_report_per_row``, the split-and-validate-by-column error
 report reader behind the byte-position reader, column for column and
-message for message; and ``evaluate_per_symbol``, the per-symbol scoring
-loop behind ``simulate.evaluate``.
+message for message; ``evaluate_per_symbol``, the per-symbol scoring
+loop behind ``simulate.evaluate``; ``distinct_rows_axis0`` and
+``trie_axis0``, the field-by-field ``np.unique(axis=0)`` dedupe behind the
+byte-string sort of ``build_trie`` and ``train_founder_hmms``; and
+``recover_missing_full_scan``, the recovery that scans every sample,
+behind the one that scans only the samples with a gap.
 """
 from functools import partial
 from itertools import chain, compress, count, repeat
 
 import numpy as np
 
-from founderhmm import (ErrorReport, EvalReport, ImputationResult, InputError,
-                        ZeroProbabilityError)
+from founderhmm import (ErrorReport, EvalReport, GenotypeCorpus,
+                        ImputationResult, InputError, ZeroProbabilityError,
+                        batched_posteriors)
+from founderhmm.analysis import RecoveryFill, RecoveryResult
 from founderhmm.io_formats import (ERROR_REPORT_COLUMNS, IMPUTATION_COLUMNS,
                                    _count, _fail, _read_error_report_json,
                                    _read_text, _threshold,
@@ -585,3 +591,43 @@ def evaluate_per_symbol(calls, truth_genotypes, *, loci=None):
             discordant += int(c != t)
     return EvalReport(total=total, discordant=discordant, confusion=confusion,
                       details={"kind": "corpus"})
+
+
+def distinct_rows_axis0(matrix):
+    """Sorted distinct rows of a matrix, with the first index, inverse and
+    counts, by ``np.unique(axis=0)``, which compares rows field by field."""
+    rows, first, inverse, counts = np.unique(
+        matrix, axis=0, return_index=True, return_inverse=True,
+        return_counts=True)
+    return rows, first, inverse.ravel(), counts
+
+
+def trie_axis0(symbols):
+    """``build_trie``'s (rows, row_of, lcps) from the ``np.unique(axis=0)``
+    dedupe."""
+    rows, _, row_of, _ = distinct_rows_axis0(symbols)
+    differs = rows[1:] != rows[:-1]
+    return rows, row_of, np.concatenate(([0], differs.argmax(axis=1)))
+
+
+def recover_missing_full_scan(model, corpus):
+    """``recover_missing`` with the batch engine run over every sample,
+    complete ones included, so ``failures`` and ``stats`` cover them all."""
+    corpus = GenotypeCorpus.of(corpus)
+    batch = batched_posteriors(model, corpus)
+    samples, loci = np.nonzero(corpus.matrix == MISSING)
+    rows = batch.triples[batch.row_of[samples], loci]
+    totals = rows.sum(axis=1)
+    dead = np.zeros(len(corpus), dtype=bool)
+    dead[samples[totals <= 0.0]] = True
+    live = ~dead[samples]
+    samples, loci, rows, totals = samples[live], loci[live], rows[live], totals[live]
+    calls = rows.argmax(axis=1)
+    symbols = corpus.matrix.copy()
+    symbols[samples, loci] = calls
+    fills = map(RecoveryFill, map(corpus.ids.__getitem__, samples.tolist()),
+                loci.tolist(), calls.tolist(),
+                (rows[np.arange(calls.size), calls] / totals).tolist())
+    return RecoveryResult(corpus=GenotypeCorpus(corpus.ids, symbols),
+                          fills=tuple(fills), failures=dict(batch.failures),
+                          stats=batch.stats)

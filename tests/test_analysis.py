@@ -6,6 +6,7 @@ import pytest
 import founderhmm.analysis as analysis
 import founderhmm.inference as inference
 import founderhmm.training as training
+import founderhmm.trie as trie
 import oracle
 from conftest import random_corpus, random_genotype, random_model
 from founderhmm import (MISSING, FounderHMM, HaplotypeSequence, InputError,
@@ -15,7 +16,7 @@ from founderhmm import (MISSING, FounderHMM, HaplotypeSequence, InputError,
                         impute_untyped, phase_corpus, phase_decode,
                         phase_panel, posterior_scan, recover_missing, run_pipeline,
                         simulate, substitute, window_spans)
-from founderhmm.trie import build_trie
+from founderhmm.trie import BatchStats, build_trie
 
 
 def with_dead_loci(rng, model, count):
@@ -268,6 +269,81 @@ def test_recover_skips_impossible_samples():
     assert result.corpus[0].sample_id == "dead"  # untouched
     assert np.array_equal(result.corpus[0].symbols, bad.symbols)
     assert not result.corpus[1].missing_mask.any()
+
+
+def _gapped_and_complete(rng, samples, loci):
+    """A corpus of ``samples`` genotypes, about half with MISSING symbols,
+    the rest complete, with duplicates of both kinds."""
+    corpus = random_corpus(rng, samples, loci, missing_rate=0.3)
+    complete = rng.random(samples) < 0.5
+    symbols = np.array([g.symbols for g in corpus])
+    symbols[complete] = np.abs(symbols[complete])  # MISSING -> 1
+    symbols[rng.random(samples) < 0.2] = symbols[0]
+    return [MultilocusGenotype(g.sample_id, row) for g, row in zip(corpus, symbols)]
+
+
+def test_recover_matches_the_full_scan_oracle():
+    # complete and gapped samples, live and dead, with and without a gap
+    # at a dead locus
+    rng = np.random.default_rng(41)
+    for trial in range(12):
+        loci = int(rng.integers(1, 16))
+        model = random_model(rng, int(rng.integers(1, 4)), loci)
+        if trial % 2:
+            model = with_dead_loci(rng, model, int(rng.integers(1, 3)))
+        corpus = _gapped_and_complete(rng, int(rng.integers(1, 90)), loci)
+        result = recover_missing(model, corpus)
+        want = oracle.recover_missing_full_scan(model, corpus)
+        assert result.corpus == want.corpus
+        assert result.fills == want.fills
+        gapped = {g.sample_id for g in corpus if g.missing_mask.any()}
+        assert result.failures == {s: at for s, at in want.failures.items()
+                                   if s in gapped}
+        assert result.stats.samples == len(gapped)
+        assert set(result.failures) == gapped - {f.sample_id for f in result.fills}
+
+
+def test_recover_names_only_gapped_impossible_samples():
+    model = FounderHMM(initial=np.array([1.0]),
+                       transitions=np.ones((2, 1, 1)),
+                       emissions=np.array([[0.5], [0.0], [0.5]]))
+    corpus = [MultilocusGenotype("complete", np.array([0, 2, 0], dtype=np.int8)),
+              MultilocusGenotype("gapped", np.array([MISSING, 2, 0], dtype=np.int8)),
+              MultilocusGenotype("ok", np.array([MISSING, 0, 1], dtype=np.int8))]
+    result = recover_missing(model, corpus)
+    assert result.failures == {"gapped": 0}
+    assert set(oracle.recover_missing_full_scan(model, corpus).failures) == {
+        "complete", "gapped"}
+    assert [f.sample_id for f in result.fills] == ["ok"]
+    assert (result.stats.samples, result.stats.distinct_genotypes) == (2, 2)
+
+
+def test_recover_runs_no_engine_without_gaps(monkeypatch):
+    def no_scan(*args):
+        raise AssertionError("the engine ran on a corpus without gaps")
+    monkeypatch.setattr(analysis, "batched_posteriors", no_scan)
+    monkeypatch.setattr(trie, "_scan_symbols", no_scan)
+    rng = np.random.default_rng(42)
+    model = random_model(rng, 3, 10)
+    corpus = random_corpus(rng, 5, 10)
+    result = recover_missing(model, corpus)
+    assert result.corpus == corpus
+    assert (result.fills, result.failures) == ((), {})
+    assert result.stats == BatchStats(0, 10, 0, 0, 0)
+
+
+def test_recover_errors_do_not_depend_on_gaps():
+    rng = np.random.default_rng(43)
+    model = random_model(rng, 2, 4)
+    complete = random_corpus(rng, 3, 5)
+    gapped = random_corpus(rng, 3, 5, missing_rate=0.5)
+    for corpus in ([], complete, gapped):
+        with pytest.raises(InputError) as want:
+            oracle.recover_missing_full_scan(model, corpus)
+        with pytest.raises(InputError) as got:
+            recover_missing(model, corpus)
+        assert str(got.value) == str(want.value)
+    assert str(got.value) == "corpus has 5 loci but the model has 4"
 
 
 # ---------------------------------------------------------------- windows

@@ -1034,6 +1034,22 @@ def test_phase_writes_two_rows_per_sample(ws):
     assert open(phased).read().splitlines()[1:] == ["#samples=0 loci=0"]
 
 
+@pytest.mark.parametrize("command", ["detect", "recover", "impute", "pipeline"])
+def test_empty_corpus_is_named_by_its_file(ws, capsys, command):
+    empty = ws["root"] / f"{command}.empty.gen"
+    empty.write_text("#samples=0 loci=0\n")
+    inputs = {"detect": ["--model", ws["model"]],
+              "recover": ["--model", ws["model"]],
+              "impute": ["--panel", ws["ref"], "--map", ws["map"]],
+              "pipeline": ["--panel", ws["ref"], "--map", ws["map"]]}[command]
+    out = ws["root"] / f"{command}.empty.out"
+    capsys.readouterr()
+    assert run_cli(command, *inputs, "--genotypes", str(empty),
+                   "--out", str(out)) == 1
+    assert capsys.readouterr().err == f"error: {empty}: empty corpus\n"
+    assert not out.exists()
+
+
 def test_phase_names_the_first_impossible_sample_in_corpus_order(tmp_path,
                                                                  capsys):
     # No founder ever carries the minor allele, so a 1 or 2 is impossible.

@@ -7,7 +7,7 @@ import pytest
 from dataclasses import replace
 
 import oracle
-from conftest import random_panel
+from conftest import random_panel, random_symbol_matrices
 import founderhmm
 from founderhmm import (HaplotypeSequence, InputError, TrainConfig,
                         ZeroProbabilityError, loglik_haplotype,
@@ -291,6 +291,24 @@ def test_training_does_not_depend_on_panel_order():
     assert np.array_equal(m1.initial, m2.initial)
     assert np.array_equal(m1.transitions, m2.transitions)
     assert np.array_equal(m1.emissions, m2.emissions)
+
+
+def test_training_dedupe_matches_the_axis0_dedupe(monkeypatch):
+    # each panel's (distinct rows, first panel index, count) triple, as the
+    # lockstep fit receives it; duplicates, one row, one locus, all equal
+    rng = np.random.default_rng(32)
+    panels = random_symbol_matrices(rng, 0, 1)
+    seen = []
+    monkeypatch.setattr(training, "_stack_groups",
+                        lambda windows, founders: seen.extend(windows) or [])
+    training.train_founder_hmms(panels, TrainConfig(founders=2, seed=0))
+    assert len(seen) == len(panels)
+    for panel, (rows, first, counts) in zip(panels, seen):
+        want_rows, want_first, _, want_counts = oracle.distinct_rows_axis0(
+            panel.astype(np.int64))
+        assert rows.dtype == np.int64 and np.array_equal(rows, want_rows)
+        assert np.array_equal(first, want_first)
+        assert np.array_equal(counts, want_counts)
 
 
 def _window_sets(rng, count):

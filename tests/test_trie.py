@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import oracle
-from conftest import random_corpus, random_model
+from conftest import random_corpus, random_model, random_symbol_matrices
 from founderhmm import (FounderHMM, InputError, MultilocusGenotype,
                         ZeroProbabilityError, batched_posteriors, build_trie,
                         genotype_posteriors, inference, posterior_scan,
@@ -64,6 +64,21 @@ def test_trie_reconstructs_genotypes():
     # duplicates share a row, and every genotype is its row
     assert trie.row_of.tolist() == [0, 0, 0, 1, 2, 2, 3, 4, 5, 6]
     assert np.array_equal(trie.rows[trie.row_of], symbols)
+
+
+def test_build_trie_matches_the_axis0_dedupe():
+    # MISSING cells, duplicates, one row, one locus, all rows equal, and
+    # the reversed (negative-stride) view that reversed_trie sorts
+    rng = np.random.default_rng(31)
+    for symbols in random_symbol_matrices(rng, -1, 2):
+        for matrix in (symbols, symbols[:, ::-1]):
+            trie = build_trie(matrix)
+            rows, row_of, lcps = oracle.trie_axis0(matrix)
+            assert trie.rows.dtype == np.int8 and np.array_equal(trie.rows, rows)
+            assert np.array_equal(trie.row_of, row_of)
+            assert np.array_equal(trie.lcps, lcps)
+    missing_first = build_trie(np.array([[2], [-1], [0], [-1]], dtype=np.int8))
+    assert missing_first.rows.ravel().tolist() == [-1, 0, 2]
 
 
 def test_batch_engine_counts_match_trie():
