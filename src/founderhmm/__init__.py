@@ -31,7 +31,7 @@ from .simulate import (BenchReport, BenchRow, ErrorRecord, EvalReport,
                        MissingRecord, SimConfig, SimData, SweepRow,
                        bench_scaling, evaluate, fit_exponent, simulate, sweep)
 from .training import (TrainConfig, TrainReport, loglik_haplotype,
-                       train_founder_hmm, window_config)
+                       pooled_config, train_founder_hmm, window_config)
 from .trie import (BatchPosteriorResult, BatchStats, GenotypeTrie, build_trie,
                    batched_posteriors, reversed_trie)
 

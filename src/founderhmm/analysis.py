@@ -32,8 +32,8 @@ from .model import (MISSING, FounderHMM, GenotypeCorpus, HaplotypePanel,
                     HaplotypeSequence, InputError, LocusMap,
                     MultilocusGenotype, ZeroProbabilityError, _unchecked,
                     emission_stack)
-from .training import (TrainConfig, train_founder_hmm, train_founder_hmms,
-                       window_config)
+from .training import (TrainConfig, pooled_config, train_founder_hmm,
+                       train_founder_hmms, window_config)
 from .trie import BatchStats, _checked_corpus, _scan_symbols, batched_posteriors, build_trie
 
 PIPELINE_IMPUTE_ONLY = "imp"
@@ -525,9 +525,11 @@ def run_pipeline(mode: str, reference, corpus, locus_map: LocusMap,
 
     "imp" imputes untyped loci directly. "edc-mdr-imp" first trains a
     typed-locus model on the reference pooled with haplotypes decoded from
-    the test corpus itself (one decode + retrain round), repairs the corpus
-    (flag-and-correct at ``threshold``, then fill missing symbols), and
-    imputes from the repaired corpus.
+    the test corpus itself (one decode round, then a warm retrain: the
+    pooled fit starts from the reference-only model, under
+    :func:`pooled_config`), repairs the corpus (flag-and-correct at
+    ``threshold``, then fill missing symbols), and imputes from the
+    repaired corpus.
     """
     if mode not in (PIPELINE_IMPUTE_ONLY, PIPELINE_REPAIR_IMPUTE):
         raise InputError(f"unknown pipeline mode {mode!r}")
@@ -546,12 +548,14 @@ def run_pipeline(mode: str, reference, corpus, locus_map: LocusMap,
         phased = phase_panel(model0, working)
         model1, report1 = train_founder_hmm(HaplotypePanel(
             ref_typed.ids + phased.ids,
-            np.concatenate((ref_typed.matrix, phased.matrix))), config)
+            np.concatenate((ref_typed.matrix, phased.matrix))),
+            pooled_config(config), start=model0)
         stages.append(StageReport("train-typed-model", time.perf_counter() - t0, {
             "reference_haplotypes": len(ref_typed),
             "decoded_haplotypes": len(phased),
             "bootstrap_iterations": report0.iterations_run,
             "pooled_iterations": report1.iterations_run,
+            "capped": (not report0.converged) + (not report1.converged),
         }))
 
         t0 = time.perf_counter()

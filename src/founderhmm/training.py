@@ -265,7 +265,7 @@ def _check_params(init, trans, emis):
         ~(np.all(init >= 0, axis=1)
           & (np.abs(init.sum(axis=1) - 1.0) <= atol)),
         ~(np.all(trans >= 0, axis=(0, 2, 3))
-          & np.all(np.isclose(trans.sum(axis=3), 1.0, atol=atol), axis=(0, 2))),
+          & np.all(np.abs(trans.sum(axis=3) - 1.0) <= atol, axis=(0, 2))),
         ~np.all((emis >= 0.0) & (emis <= 1.0), axis=(0, 2)),
     ])
     if bad.any():
@@ -294,7 +294,7 @@ def _stack_groups(windows, k):
     return groups + [(start, len(windows))] if windows else []
 
 
-def _fit_stack(windows, config: TrainConfig):
+def _fit_stack(windows, config: TrainConfig, starts):
     """Lockstep EM over a stack of windows; see :func:`train_founder_hmms`."""
     k = config.founders
     stack = _stack(windows)
@@ -303,10 +303,11 @@ def _fit_stack(windows, config: TrainConfig):
     init = np.empty((w, k))
     trans = np.broadcast_to(np.eye(k), (max(n - 1, 0), w, k, k)).copy()
     emis = np.ones((n, w, k))
-    for j, (rows, _, _) in enumerate(windows):
+    for j, ((rows, _, _), start) in enumerate(zip(windows, starts)):
         width = rows.shape[1]
-        init[j], trans[:width - 1, j], emis[:width, j] = _initial_params(
-            width, k, config.seed)
+        init[j], trans[:width - 1, j], emis[:width, j] = (
+            _initial_params(width, k, config.seed) if start is None else
+            (start.initial, start.transitions, start.emissions))
     traces = [[] for _ in windows]
     converged = [False] * w
     active, live, fault = list(range(w)), np.arange(w), None
@@ -362,37 +363,52 @@ def _fit_stack(windows, config: TrainConfig):
     return results
 
 
-def train_founder_hmms(panels, config: TrainConfig):
+def train_founder_hmms(panels, config: TrainConfig, starts=None):
     """Fit a founder chain to each of several panels, in lockstep.
 
     ``panels`` are (haplotypes, loci) allele matrices, of any widths.
-    Returns one (FounderHMM, TrainReport) per panel, in order, each bitwise
-    the one :func:`train_founder_hmm` gives that panel alone. When panels
-    fail, the error is that of the lowest-indexed failing one.
+    ``starts`` holds one FounderHMM per panel to start its EM from, or None
+    for the seeded start; a start must have the config's founders and the
+    panel's loci. Returns one (FounderHMM, TrainReport) per panel, in
+    order, each bitwise the one :func:`train_founder_hmm` gives that panel
+    alone. When panels fail, the error is that of the lowest-indexed
+    failing one.
     """
     panels = [np.asarray(p, dtype=np.int64) for p in panels]
     for p in panels:
         if p.ndim != 2 or p.size == 0 or not np.isin(p, ALLELE_SYMBOLS).all():
             raise InputError("panels must be non-empty (haplotypes, loci) "
                              "matrices of alleles 0 and 1")
+    starts = [None] * len(panels) if starts is None else list(starts)
+    if len(starts) != len(panels):
+        raise InputError(f"{len(starts)} start models for {len(panels)} panels")
+    for p, start in zip(panels, starts):
+        if start is not None and (start.founders, start.loci) != (
+                config.founders, p.shape[1]):
+            raise InputError(
+                f"start model has {start.founders} founders x {start.loci} "
+                f"loci, but the fit has {config.founders} founders x "
+                f"{p.shape[1]} loci")
     windows = [_distinct_rows(p)[:3] for p in panels]
     results = []
     for lo, hi in _stack_groups(windows, config.founders):
-        results.extend(_fit_stack(windows[lo:hi], config))
+        results.extend(_fit_stack(windows[lo:hi], config, starts[lo:hi]))
     return results
 
 
-def train_founder_hmm(panel, config: TrainConfig):
+def train_founder_hmm(panel, config: TrainConfig, start=None):
     """Fit the founder chain to a haplotype panel.
 
-    Runs a single seeded restart. Returns (FounderHMM, TrainReport). Each
-    trace entry scores the parameters entering that iteration; on
+    Runs one EM from ``start``, a FounderHMM with the config's founders and
+    the panel's loci, or from the seeded start when it is None. Returns
+    (FounderHMM, TrainReport). Each trace entry scores the parameters
+    entering that iteration, so the first scores ``start`` itself; on
     convergence the loop stops before the next update, so the returned
     parameters are exactly the last-scored ones, while an iteration-capped
     run returns parameters one (improving) update past the final entry.
-    Initialization depends only on the seed.
+    Without a start, initialization depends only on the seed.
     """
-    return train_founder_hmms([_panel_matrix(panel)], config)[0]
+    return train_founder_hmms([_panel_matrix(panel)], config, [start])[0]
 
 
 def loglik_haplotype(model: FounderHMM, haplotype: HaplotypeSequence) -> float:
@@ -418,3 +434,21 @@ def loglik_haplotype(model: FounderHMM, haplotype: HaplotypeSequence) -> float:
 def window_config(config: TrainConfig) -> TrainConfig:
     """Local-window variant of a training config: an iteration cap of 50."""
     return replace(config, max_iterations=50)
+
+
+def pooled_config(config: TrainConfig) -> TrainConfig:
+    """Config of the repair flow's pooled typed fit, which starts from the
+    bootstrap model: an iteration cap of at most 30.
+
+    The cap was measured by ``tools/pooled_cap.py`` on the acceptance-6
+    configuration at the pipeline's defaults (5 founders, seed s). The EM
+    updates after which the warm pooled fit first reaches the final
+    log-likelihood of the cold fit (100 iterations from the seeded start):
+
+        seed     1  2  3   4   5   6   7  8   9  10  11  12
+        updates 39  1  1  47  18  23  12  1  34   1  21   1
+
+    The cap is the smallest of 10, 30 and 100 whose warm fit beats the
+    cold one on at least 8 of seeds 3-12: cap 10 does on 4, cap 30 on 8.
+    """
+    return replace(config, max_iterations=min(config.max_iterations, 30))

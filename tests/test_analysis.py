@@ -13,9 +13,10 @@ from founderhmm import (MISSING, FounderHMM, HaplotypeSequence, InputError,
                         LocusMap, MultilocusGenotype, SimConfig, TrainConfig,
                         WindowSpec, ZeroProbabilityError, correct_errors,
                         detect_errors, evaluate, genotype_from_haplotypes,
-                        impute_untyped, phase_corpus, phase_decode,
-                        phase_panel, posterior_scan, recover_missing, run_pipeline,
-                        simulate, substitute, window_spans)
+                        impute_untyped, loglik_haplotype, phase_corpus,
+                        phase_decode, phase_panel, posterior_scan,
+                        recover_missing, run_pipeline, simulate, substitute,
+                        window_spans)
 from founderhmm.trie import BatchStats, build_trie
 
 
@@ -713,6 +714,39 @@ def test_repair_pipeline_runs_all_stages_and_completes_corpus():
     for g in res.corpus_out:
         assert not g.missing_mask.any()
     assert all(s.seconds >= 0 for s in res.stages)
+
+
+def test_repair_pipeline_warm_starts_the_pooled_fit(monkeypatch):
+    data = masked_instance(20, loci=40, sample_count=8, panel_size=40,
+                           error_rate=0.02, missing_rate=0.02)
+    real, calls = analysis.train_founder_hmm, []
+
+    def spy(panel, config, start=None):
+        result = real(panel, config, start=start)
+        calls.append((panel, config, start, result))
+        return result
+
+    monkeypatch.setattr(analysis, "train_founder_hmm", spy)
+    # the bootstrap fit converges at 70 iterations and the pooled fit
+    # stops at its cap of 30; with a cap of 10 both stop at it
+    for cfg, capped in ((TrainConfig(founders=3, seed=0), 1),
+                        (TrainConfig(founders=3, seed=0, max_iterations=10), 2)):
+        calls.clear()
+        res = run_pipeline("edc-mdr-imp", data.reference, data.observed,
+                           data.locus_map, cfg, window=WindowSpec(flank=3),
+                           threshold=1e3)
+        (_, cfg0, start0, (model0, report0)), (pooled, cfg1, start1, fit1) = calls
+        assert cfg0 == cfg and start0 is None and start1 is model0
+        # the pooled fit's first trace entry scores the bootstrap model
+        want = sum(loglik_haplotype(model0, h) for h in pooled)
+        assert fit1[1].loglik_trace[0] == pytest.approx(want, rel=1e-9)
+        counters = res.stages[0].counters
+        assert counters["pooled_iterations"] == fit1[1].iterations_run
+        assert counters["pooled_iterations"] <= min(30, cfg.max_iterations)
+        assert counters["bootstrap_iterations"] == report0.iterations_run
+        assert counters["capped"] == capped == (
+            (not report0.converged) + (not fit1[1].converged))
+    assert counters["pooled_iterations"] == 10
 
 
 def _pipeline_accounting(mask_fraction):

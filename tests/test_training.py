@@ -7,10 +7,10 @@ import pytest
 from dataclasses import replace
 
 import oracle
-from conftest import random_panel, random_symbol_matrices
+from conftest import random_model, random_panel, random_symbol_matrices
 import founderhmm
-from founderhmm import (HaplotypeSequence, InputError, TrainConfig,
-                        ZeroProbabilityError, loglik_haplotype,
+from founderhmm import (FounderHMM, HaplotypeSequence, InputError, TrainConfig,
+                        ZeroProbabilityError, loglik_haplotype, pooled_config,
                         train_founder_hmm, window_config)
 import founderhmm.training as training
 from founderhmm.training import (_buffer_shapes, _check_params, _e_step,
@@ -45,6 +45,12 @@ def test_window_config_caps_iterations():
     wcfg = window_config(cfg)
     assert wcfg.max_iterations == 50
     assert wcfg.founders == 4 and wcfg.tolerance == 1e-7 and wcfg.seed == 9
+
+
+def test_pooled_config_caps_iterations_at_30():
+    cfg = TrainConfig(founders=4, max_iterations=200, tolerance=1e-7, seed=9)
+    assert pooled_config(cfg) == replace(cfg, max_iterations=30)
+    assert pooled_config(replace(cfg, max_iterations=10)).max_iterations == 10
 
 
 def test_panel_must_be_uniform_and_nonempty():
@@ -171,6 +177,12 @@ def test_invalid_m_step_raises_runtime_error():
         _check_params(np.array([[0.5, 0.5]]), trans * 1.1, emis)
     with pytest.raises(RuntimeError, match="emissions"):
         _check_params(np.array([[0.5, 0.5]]), trans, emis + 0.6)
+    # a row off by 1e-7 is out, as for the initial distribution: the test
+    # is absolute, with no relative slack
+    off = trans.copy()
+    off[0, 0, 1, 0] += 1e-7
+    with pytest.raises(RuntimeError, match="non-stochastic transitions"):
+        _check_params(np.array([[0.5, 0.5]]), off, emis)
     _check_params(np.array([[0.5, 0.5]]), trans, emis)
 
 
@@ -408,3 +420,72 @@ def test_stacked_fit_raises_what_fitting_in_order_would(monkeypatch):
     # windows 2 and 3 stop at the fifth update; 0 and 1 run to the cap
     assert checks == [4] * 5 + [2] * 15
     assert steps == {3: 20, 4: 20, 5: 5, 6: 5}
+
+
+def _same_fit(a, b):
+    (m1, r1), (m2, r2) = a, b
+    return (r1 == r2 and np.array_equal(m1.initial, m2.initial)
+            and np.array_equal(m1.transitions, m2.transitions)
+            and np.array_equal(m1.emissions, m2.emissions))
+
+
+def test_seeded_start_gives_the_cold_fit_bitwise():
+    rng = np.random.default_rng(13)
+    for width, k in ((1, 3), (9, 4), (17, 2)):
+        panel = random_panel(rng, 25, width)
+        cfg = TrainConfig(founders=k, max_iterations=15, seed=width)
+        start = FounderHMM(*_initial_params(width, k, cfg.seed))
+        assert _same_fit(train_founder_hmm(panel, cfg),
+                         train_founder_hmm(panel, cfg, start=start))
+
+
+def test_stacked_warm_fits_equal_warm_fits_alone(monkeypatch):
+    rng = np.random.default_rng(14)
+    seen = set()
+    for panels, cfg in _window_sets(rng, 10):
+        # every third panel takes the seeded start
+        starts = [None if j % 3 == 2 else
+                  random_model(rng, cfg.founders, p.shape[1])
+                  for j, p in enumerate(panels)]
+        alone = [train_founder_hmms([p], cfg, [start])[0]
+                 for p, start in zip(panels, starts)]
+        for cap in (0, 1 << 40):
+            monkeypatch.setattr(training, "_EM_STACK_BYTES", cap)
+            for a, b in zip(alone, train_founder_hmms(panels, cfg, starts),
+                            strict=True):
+                assert _same_fit(a, b)
+        seen.update("width 1" for p in panels if p.shape[1] == 1)
+        seen.update("one row" for p in panels if len(np.unique(p, axis=0)) == 1)
+    assert seen == {"width 1", "one row"}
+
+
+def test_start_must_match_the_fit():
+    rng = np.random.default_rng(15)
+    panel = rng.integers(0, 2, size=(6, 5))
+    cfg = TrainConfig(founders=3)
+    for start in (random_model(rng, 2, 5), random_model(rng, 3, 4)):
+        with pytest.raises(InputError, match=rf"start model has "
+                           rf"{start.founders} founders x {start.loci} loci, "
+                           rf"but the fit has 3 founders x 5 loci"):
+            train_founder_hmms([panel, panel], cfg, [None, start])
+    with pytest.raises(InputError, match="1 start models for 2 panels"):
+        train_founder_hmms([panel, panel], cfg, [None])
+
+
+def test_zero_likelihood_start_raises_for_the_lowest_window():
+    rng = np.random.default_rng(16)
+    panels = [rng.integers(0, 2, size=(8, 6)) for _ in range(3)]
+    starts = [random_model(rng, 2, 6) for _ in panels]
+    # under the starts of panels 1 and 2, rows 2 and 5 have no mass at loci
+    # 3 and 1: panel 1 is the lowest to fail, though at the later locus
+    for j, locus in ((1, 3), (2, 1)):
+        panels[j][:, locus] = 0
+        panels[j][[2, 5], locus] = 1
+        emis = starts[j].emissions.copy()
+        emis[locus] = 0.0
+        starts[j] = FounderHMM(starts[j].initial, starts[j].transitions, emis)
+    cfg = TrainConfig(founders=2, max_iterations=5)
+    with pytest.raises(ZeroProbabilityError,
+                       match="panel haplotype 2 .* at locus 3;") as err:
+        train_founder_hmms(panels, cfg, starts)
+    assert err.value.locus == 3
