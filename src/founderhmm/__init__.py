@@ -25,13 +25,13 @@ from .inference import (BackwardPass, ForwardBackwardResult, ForwardPass,
 from .model import (ALLELE_SYMBOLS, GENOTYPE_SYMBOLS, MISSING, FounderHMM,
                     GenotypeCorpus, HaplotypePanel, HaplotypeSequence,
                     InputError, LocusMap, MultilocusGenotype,
-                    ZeroProbabilityError, emission_stack, emission_table,
-                    genotype_from_haplotypes, substitute, symbol_plane)
+                    ZeroProbabilityError, emission_stack, substitute,
+                    symbol_plane)
 from .simulate import (BenchReport, BenchRow, ErrorRecord, EvalReport,
                        MissingRecord, SimConfig, SimData, SweepRow,
                        bench_scaling, evaluate, fit_exponent, simulate, sweep)
-from .training import (TrainConfig, TrainReport, loglik_haplotype,
-                       pooled_config, train_founder_hmm, window_config)
+from .training import (TrainConfig, TrainReport, pooled_config,
+                       train_founder_hmm, window_config)
 from .trie import (BatchPosteriorResult, BatchStats, GenotypeTrie, build_trie,
                    batched_posteriors, reversed_trie)
 

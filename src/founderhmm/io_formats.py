@@ -1,6 +1,7 @@
 """Plain-text file formats and atomic writing.
 
-Five formats, all diffable and exactly round-trippable:
+Five formats, all diffable and exactly round-trippable, each with one
+parser:
 
 * genotype corpus   — ``#samples=<m> loci=<n>`` header, then one row per
   sample: ``sample_id<TAB><symbols>`` with symbols in ``0 1 2 ?``
@@ -12,14 +13,15 @@ Five formats, all diffable and exactly round-trippable:
 * locus map         — one row per locus: ``locus_id<TAB>position<TAB>typed|untyped``
 * model             — versioned text header, then the initial vector,
   per-interval transition rows, and per-locus emission rows, every value
-  printed with 17 significant digits (lossless for double precision);
-  a file in the writer's layout is parsed a block of rows at a time
-* reports           — tab-separated tables with a fixed, documented column
-  order; each has a JSON twin carrying the same records. The error report
-  and imputation writers format each distinct middle and tail of a row
-  once and join the rows in one string; the error report reader finds
-  lines and tabs in the file's bytes as arrays and parses each distinct
-  cell piece once, checking rows one by one only to name a bad one
+  printed with 17 significant digits (lossless for double precision).
+  Writer and reader share the order of the rows; the reader takes no
+  other order and parses the rows as one block
+* reports           — tab-separated tables, each declared once as its
+  columns and the kind of each column's cells; each has a JSON twin
+  carrying the same records. The writers format each distinct middle and
+  tail of a row once and join the rows in one string; one reader serves
+  both tables, finding lines and tabs in the file's bytes as arrays and
+  parsing each distinct cell piece once
 
 Writers are atomic (temp file in the target directory, then rename) and
 accept an optional ``#config:`` echo line. Readers decode a file as UTF-8
@@ -32,14 +34,15 @@ checked again line by line, only to name the first bad line.
 from __future__ import annotations
 
 import json
+import math
 import os
 import re
 import tempfile
-from itertools import count, repeat
+from itertools import count, repeat, zip_longest
 
 import numpy as np
 
-from .analysis import ErrorReport, ImputationEntry, ImputationResult
+from .analysis import ErrorEntry, ErrorReport, ImputationEntry, ImputationResult
 from .model import FounderHMM, GenotypeCorpus, HaplotypePanel, InputError, LocusMap
 
 CONFIG_ENV = "FOUNDERHMM_CONFIG"
@@ -234,7 +237,9 @@ def read_haplotypes(path) -> HaplotypePanel:
 # --------------------------------------------------------------- locus map
 
 def _format_position(value):
-    if float(value).is_integer():
+    """A position as read_locus_map reads it back: as an integer when it is
+    one that fits an int64."""
+    if value.dtype.kind == "i" or value.is_integer() and -2.0**63 <= value < 2.0**63:
         return str(int(value))
     return repr(float(value))
 
@@ -250,7 +255,6 @@ def write_locus_map(path, locus_map: LocusMap, *, config_line=None):
 
 def read_locus_map(path) -> LocusMap:
     ids, positions, typed = [], [], []
-    is_float = False
     for line_no, line in enumerate(_read_text(path).split("\n"), start=1):
         if not line.strip() or line.startswith("#"):
             continue
@@ -259,14 +263,14 @@ def read_locus_map(path) -> LocusMap:
             _fail(path, line_no,
                   f"expected locus_id<TAB>position<TAB>typed|untyped, got {len(parts)} fields")
         lid, pos_text, status = parts
-        try:
-            if "." in pos_text or "e" in pos_text or "E" in pos_text:
-                pos = float(pos_text)
-                is_float = True
-            else:
-                pos = int(pos_text)
+        try:  # float()'s grammar in ASCII digits, without the "_", "+" or spaces it allows
+            if not re.fullmatch(r"-?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][-+]?[0-9]+)?", pos_text):
+                raise ValueError
+            pos = float(pos_text) if set(pos_text) & set(".eE") else int(pos_text)
         except ValueError:
             _fail(path, line_no, f"position {pos_text!r} is not a number")
+        if type(pos) is int and not -2**63 <= pos < 2**63:
+            _fail(path, line_no, f"position {pos_text} does not fit a 64-bit integer")
         if status not in ("typed", "untyped"):
             _fail(path, line_no, f"status must be 'typed' or 'untyped', got {status!r}")
         ids.append(lid)
@@ -274,10 +278,8 @@ def read_locus_map(path) -> LocusMap:
         typed.append(status == "typed")
     if not ids:
         _fail(path, 1, "locus map file has no rows")
-    dtype = np.float64 if is_float else np.int64
-    try:
-        return LocusMap(locus_ids=tuple(ids),
-                        positions=np.array(positions, dtype=dtype),
+    try:  # int64 positions unless one is a float
+        return LocusMap(locus_ids=tuple(ids), positions=np.array(positions),
                         typed=np.array(typed, dtype=bool))
     except InputError as exc:
         raise InputError(f"{path}: {exc}") from exc
@@ -285,43 +287,54 @@ def read_locus_map(path) -> LocusMap:
 
 # ------------------------------------------------------------------ model
 
+def _model_starts(k, n):
+    """The leading cells of each row of a model file, each ending in a tab,
+    in the order write_model writes the rows."""
+    return (["initial\t"] + [f"transition\t{i}\t{a}\t" for i in range(n - 1)
+                             for a in range(k)]
+            + [f"emission\t{i}\t" for i in range(n)])
+
+
 def write_model(path, model: FounderHMM, *, config_line=None):
-    lines = [MODEL_MAGIC]
-    lines.extend(_config_lines(config_line))
-    lines.append(f"#founders={model.founders} loci={model.loci}")
-    lines.append("initial\t" + "\t".join(fmt(v) for v in model.initial))
-    for i in range(model.loci - 1):
-        for a in range(model.founders):
-            lines.append(f"transition\t{i}\t{a}\t"
-                         + "\t".join(fmt(v) for v in model.transitions[i, a]))
-    for i in range(model.loci):
-        lines.append(f"emission\t{i}\t"
-                     + "\t".join(fmt(v) for v in model.emissions[i]))
+    k, n = model.founders, model.loci
+    lines = [MODEL_MAGIC, *_config_lines(config_line), f"#founders={k} loci={n}"]
+    rows = [model.initial, *model.transitions.reshape(-1, k), *model.emissions]
+    lines += [start + "\t".join(map(fmt, row)) for start, row in zip(_model_starts(k, n), rows)]
     atomic_write(path, "\n".join(lines) + "\n")
 
 
-def _model_blocks(lines, size):
-    """The arrays of a model file laid out as write_model lays it out (the
-    magic line first, then one header, then every row in its place), with
-    each kind of row parsed as one block; None for any other file."""
-    filled = [line for line in lines if line.strip()]
-    head = [line for line in filled if line[0] == "#"]
-    headers = [line for line in head if line.startswith("#founders=")]
-    if (filled[:len(head)] != head or head[:1] != [MODEL_MAGIC] or len(headers) != 1
-            or any(line.startswith("#founderhmm-model") for line in head[1:])):
-        return None
+def _model_header(path, lines, heads, size):
+    """K and n of a model file, whose first two lines that are neither blank
+    nor plain comments (their indices, ``heads``) must be the format line
+    and the ``#founders=<K> loci=<n>`` header."""
+    text, at = [lines[i] for i in heads] + ["", ""], [i + 1 for i in heads] + [1, 1]
+    if text[0] != MODEL_MAGIC:
+        if text[0].startswith("#founderhmm-model"):
+            _fail(path, at[0], f"unsupported model format version {text[0]!r}")
+        _fail(path, at[0], f"not a model file (missing '{MODEL_MAGIC}' first)")
+    if not text[1].startswith("#founders="):
+        _fail(path, at[1], ("expected the '#founders=<K> loci=<n>' header here" if text[1]
+                            else "missing '#founders=<K> loci=<n>' header"))
     try:
-        k, n = _declared(headers[0])
+        k, n = _declared(text[1])
     except (ValueError, IndexError):
-        return None
-    t, data = (n - 1) * k, filled[len(head):]
-    if k < 1 or n < 1 or 2 * k * (1 + t + n) > size or len(data) != 1 + t + n:
-        return None
-    starts = (["initial\t"] + [f"transition\t{i}\t{a}\t" for i in range(n - 1)
-                              for a in range(k)]
-              + [f"emission\t{i}\t" for i in range(n)])
+        _fail(path, at[1], f"malformed dimension header {text[1]!r}")
+    if k < 1 or n < 1:
+        _fail(path, at[1], "founders and loci must be >= 1")
+    # each value takes at least two bytes, a digit and a separator, so the
+    # file size bounds the arrays the header asks for
+    if 2 * k * (1 + (n - 1) * k + n) > size:
+        _fail(path, at[1], f"{k} founders and {n} loci need more values than the file holds")
+    return k, n
+
+
+def _model_table(lines, rows, starts, k):
+    """The (rows, K) values of the model rows ``rows`` of ``lines``, parsed
+    as one block, if they are the rows of ``starts`` in order, each with K
+    finite values; else None."""
+    data = [lines[i] for i in rows]
     values = [row[len(start):] for row, start in zip(data, starts)]
-    if (not all(map(str.startswith, data, starts))
+    if (len(data) != len(starts) or not all(map(str.startswith, data, starts))
             or set(map(str.count, values, repeat("\t"))) != {k - 1}):
         return None
     try:
@@ -329,105 +342,77 @@ def _model_blocks(lines, size):
                             dtype=np.float64, count=len(data) * k).reshape(-1, k)
     except ValueError:
         return None
-    return table[0], table[1:t + 1].reshape(n - 1, k, k), table[t + 1:]
+    return table if np.isfinite(table).all() else None
 
 
-def _model_lines(path, lines, size):
-    """The arrays of any model file, read line by line; fails at the first
-    problem."""
-    k = n = None
-    initial = None
-    transitions = None
-    emissions = None
-    saw_magic = False
-    for line_no, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        if line.startswith("#"):
-            if line == MODEL_MAGIC:
-                saw_magic = True
-            elif line.startswith("#founderhmm-model"):
-                _fail(path, line_no, f"unsupported model format version {line!r}")
-            elif line.startswith("#founders="):
-                try:
-                    k, n = _declared(line)
-                except (ValueError, IndexError):
-                    _fail(path, line_no, f"malformed dimension header {line!r}")
-                if k < 1 or n < 1:
-                    _fail(path, line_no, "founders and loci must be >= 1")
-                # each value takes at least two bytes, a digit and a
-                # separator, so the file size bounds the arrays below
-                if 2 * k * (1 + (n - 1) * k + n) > size:
-                    _fail(path, line_no, f"{k} founders and {n} loci need "
-                                         f"more values than the file holds")
-                initial = None
-                transitions = np.full((max(n - 1, 0), k, k), np.nan)
-                emissions = np.full((n, k), np.nan)
-            continue
-        if not saw_magic:
-            _fail(path, line_no, f"not a model file (missing '{MODEL_MAGIC}' first)")
-        if k is None:
-            _fail(path, line_no, "model data before '#founders=<K> loci=<n>' header")
-        parts = line.split("\t")
-        kind = parts[0]
-        try:
-            if kind == "initial":
-                if len(parts) != 1 + k:
-                    _fail(path, line_no, f"initial row needs {k} values")
-                initial = np.array([float(v) for v in parts[1:]])
-            elif kind == "transition":
-                if len(parts) != 3 + k:
-                    _fail(path, line_no, f"transition row needs interval, from-state, {k} values")
-                i, a = int(parts[1]), int(parts[2])
-                if not (0 <= i < n - 1 and 0 <= a < k):
-                    _fail(path, line_no, f"transition index ({i},{a}) out of range")
-                transitions[i, a] = [float(v) for v in parts[3:]]
-            elif kind == "emission":
-                if len(parts) != 2 + k:
-                    _fail(path, line_no, f"emission row needs locus and {k} values")
-                i = int(parts[1])
-                if not 0 <= i < n:
-                    _fail(path, line_no, f"emission locus {i} out of range")
-                emissions[i] = [float(v) for v in parts[2:]]
-            else:
-                _fail(path, line_no, f"unknown row kind {kind!r}")
-        except InputError:
-            raise
-        except ValueError:
-            _fail(path, line_no, "non-numeric value in model row")
-    if not saw_magic:
-        _fail(path, 1, f"not a model file (missing '{MODEL_MAGIC}')")
-    if k is None:
-        _fail(path, 1, "missing '#founders=<K> loci=<n>' header")
-    if initial is None:
-        _fail(path, 1, "missing initial row")
-    return initial, transitions, emissions
+def _check_model_rows(path, lines, rows, starts, k):
+    """Fail at the first model row that is out of place or does not hold K
+    finite values."""
+    for i, start in zip_longest(rows, starts):
+        if i is None:
+            _fail(path, 1, f"incomplete {start.split()[0]} rows")
+        row = lines[i] + "\t"  # a row that lacks only its values still has its place
+        kind = row.split("\t", 1)[0]
+        if kind.startswith("#"):
+            _fail(path, i + 1, f"{lines[i]!r} out of place (the format line and the "
+                               f"header come first, once)")
+        if kind not in ("initial", "transition", "emission"):
+            _fail(path, i + 1, f"unknown row kind {kind!r}")
+        if start is None:
+            _fail(path, i + 1, "more rows than the header declares")
+        label = " ".join(start.split())
+        if not row.startswith(start):
+            _fail(path, i + 1, f"expected row '{label}' here (model rows must be "
+                               f"in the order the writer writes them)")
+        values = row[len(start):-1].split("\t")
+        if len(values) != k:
+            _fail(path, i + 1, f"row '{label}' needs {k} values")
+        for value in values:
+            try:
+                finite = math.isfinite(float(value))
+            except ValueError:
+                finite = False
+            if not finite:
+                _fail(path, i + 1, f"value {value!r} is not a finite number")
 
 
 def read_model(path) -> FounderHMM:
-    """A model file. One laid out as write_model lays it out is parsed a
-    block of rows at a time; any other is read line by line, which names
-    the line of a problem."""
-    lines, size = _read_text(path).split("\n"), os.path.getsize(path)
-    initial, transitions, emissions = (_model_blocks(lines, size)
-                                       or _model_lines(path, lines, size))
-    if np.isnan(transitions).any():
-        _fail(path, 1, "incomplete transition rows")
-    if np.isnan(emissions).any():
-        _fail(path, 1, "incomplete emission rows")
+    """A model file in write_model's layout: the format line, the header,
+    then every row in its place with K finite values; other comment lines
+    may stand anywhere. The rows are parsed as one block; rows that do not
+    parse are checked one by one to name the first bad one."""
+    lines = _read_text(path).split("\n")
+    rows = [i for i, line in enumerate(lines) if line.strip()
+            and (line[0] != "#" or line.startswith(("#founderhmm-model", "#founders=")))]
+    k, n = _model_header(path, lines, rows[:2], os.path.getsize(path))
+    starts = _model_starts(k, n)
+    table = _model_table(lines, rows[2:], starts, k)
+    if table is None:
+        _check_model_rows(path, lines, rows[2:], starts, k)
+    t = (n - 1) * k
     try:
-        return FounderHMM(initial=initial, transitions=transitions,
-                          emissions=emissions)
+        return FounderHMM(table[0], table[1:t + 1].reshape(n - 1, k, k), table[t + 1:])
     except InputError as exc:
         raise InputError(f"{path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------- reports
 
-ERROR_REPORT_COLUMNS = ("sample_id", "locus_id", "locus_index", "observed",
-                        "ratio", "flagged", "suggested")
-IMPUTATION_COLUMNS = ("sample_id", "locus_id", "locus_index", "p0", "p1",
-                      "p2", "call", "confidence")
+# Each report table, declared once: its columns in file order, each with
+# the kind of its cells. Both start with sample_id, locus_id and
+# locus_index. The TSV writer's row template, the TSV reader, its per-row
+# check and the check of a JSON twin's entries all follow the declaration.
+ERROR_REPORT_TABLE = (("sample_id", "id"), ("locus_id", "id"), ("locus_index", "index"),
+                      ("observed", "digit"), ("ratio", "float"), ("flagged", "flag"),
+                      ("suggested", "digit"))
+IMPUTATION_TABLE = (("sample_id", "id"), ("locus_id", "id"), ("locus_index", "index"),
+                    ("p0", "float"), ("p1", "float"), ("p2", "float"),
+                    ("call", "digit"), ("confidence", "float"))
+ERROR_REPORT_COLUMNS, IMPUTATION_COLUMNS = (tuple(name for name, _ in table) for table
+                                            in (ERROR_REPORT_TABLE, IMPUTATION_TABLE))
+_INT64_MAX = (1 << 63) - 1
+_DTYPES = {"index": np.int64, "digit": np.int64, "flag": bool, "float": np.float64}
+_SYMBOLS = {"digit": {"0": 0, "1": 1, "2": 2}, "flag": {"0": False, "1": True}}
 
 
 def _distinct(values):
@@ -465,13 +450,15 @@ def _fill(template, *columns):
     return texts[(np.cumsum(alone) - 1)[head]].tolist()
 
 
-def _tsv_body(sample_ids, locus_ids, loci, template, *columns):
-    """Rows ``sample_id<TAB>locus_id<TAB>locus_index<TAB>`` then ``template``
-    over ``columns``, each distinct middle and tail formatted once."""
+def _tsv_body(table, sample_ids, locus_ids, loci, *columns):
+    """Rows ``sample_id<TAB>locus_id<TAB>locus_index<TAB>`` then the rest of
+    ``table``'s cells from ``columns``, each distinct middle and tail
+    formatted once; %.17g prints what fmt prints."""
+    tail = "\t".join("%.17g" if kind == "float" else "%d" for _, kind in table[3:])
     cells = [None] * (3 * len(sample_ids))
     cells[0::3] = sample_ids
     cells[1::3] = _fill("\t%s\t%d\t", np.array(locus_ids, dtype=object), loci)
-    cells[2::3] = _fill(template, *columns)
+    cells[2::3] = _fill(tail + "\n", *columns)
     return "".join(cells)
 
 
@@ -491,17 +478,9 @@ def write_error_report(path, report: ErrorReport, *, config_line=None,
     for sample_id, locus in sorted(report.failures.items()):
         lines.append(f"#zero-probability\t{sample_id}\t{locus}")
     lines.append("\t".join(ERROR_REPORT_COLUMNS) + "\n")
-    atomic_write(path, "\n".join(lines) + _tsv_body(  # %.17g prints what fmt prints
-        report.sample_id, report.locus_id, report.locus_index,
-        "%d\t%.17g\t%d\t%d\n", *columns))
-
-
-def _json_flag(value) -> bool:
-    """A JSON report entry's ``flagged``, which only JSON true or false
-    may give: ``correct`` applies every flagged entry."""
-    if not isinstance(value, bool):
-        raise ValueError(f"flagged must be true or false, not {json.dumps(value)}")
-    return value
+    atomic_write(path, "\n".join(lines) + _tsv_body(
+        ERROR_REPORT_TABLE, report.sample_id, report.locus_id, report.locus_index,
+        *columns))
 
 
 def _count(value, name, top=None):
@@ -511,13 +490,6 @@ def _count(value, name, top=None):
         return value
     bound = "an integer >= 0" if top is None else f"an integer from 0 to {top}"
     raise ValueError(f"{name} must be {bound}, not {json.dumps(value)}")
-
-
-def _json_text(value, name) -> str:
-    """``value`` if it is a JSON string; else ValueError naming the field."""
-    if isinstance(value, str):
-        return value
-    raise ValueError(f"{name} must be a string, not {json.dumps(value)}")
 
 
 def _json_number(value, name) -> float:
@@ -533,45 +505,79 @@ def _json_number(value, name) -> float:
     raise ValueError(f"{name} must be a number, not {json.dumps(value)}")
 
 
+def _json_value(value, name, kind):
+    """``value`` if it is a JSON value of a report cell's ``kind``; else
+    ValueError naming the field. Only true or false may give a flag:
+    ``correct`` applies every flagged entry."""
+    if kind == "float":
+        return _json_number(value, name)
+    if kind in ("index", "digit"):
+        return _count(value, name, 2 if kind == "digit" else _INT64_MAX)
+    if isinstance(value, str if kind == "id" else bool):
+        return value
+    raise ValueError(f"{name} must be {'a string' if kind == 'id' else 'true or false'}, "
+                     f"not {json.dumps(value)}")
+
+
+def _json_probs(value):
+    """An imputation entry's ``probs``: a list of three numbers, its p0, p1
+    and p2."""
+    if type(value) is list and len(value) == 3:
+        return tuple(_json_value(p, "probs", "float") for p in value)
+    raise ValueError(f"probs must be a list of 3 numbers, not {json.dumps(value)}")
+
+
+def _json_entry(e, table, fields):
+    """The values of one JSON report entry, in the order of ``fields``: a
+    dict of exactly those fields, each of its column's kind in ``table``,
+    or ``probs``."""
+    if not isinstance(e, dict) or e.keys() != set(fields):
+        raise ValueError("an entry must hold exactly " + ", ".join(fields))
+    kinds = dict(table)
+    return [_json_probs(e[name]) if name == "probs"
+            else _json_value(e[name], name, kinds[name]) for name in fields]
+
+
 def _tsv_index(cell) -> int:
     """A TSV report's locus index, which only ASCII digits may give."""
     return _count(int(cell) if cell.isascii() and cell.isdigit() else cell,
                   "locus_index")
 
 
-def _tsv_cell(cell, name, values):
-    """``values[cell]``; any other cell raises ValueError naming the field."""
-    try:
-        return values[cell]
-    except KeyError:
-        raise ValueError(f"{name} must be one of {', '.join(values)}, "
-                         f"not {json.dumps(cell)}") from None
+def _tsv_value(cell, name, kind):
+    """The value of one TSV report cell of ``kind`` (not an id); ValueError
+    names the field. A locus index must fit an int64."""
+    if kind == "float":
+        return float(cell)
+    if kind == "index":
+        return _count(_tsv_index(cell), name, _INT64_MAX)
+    if cell in _SYMBOLS[kind]:
+        return _SYMBOLS[kind][cell]
+    raise ValueError(f"{name} must be one of {', '.join(_SYMBOLS[kind])}, "
+                     f"not {json.dumps(cell)}")
 
 
-def _error_middle(locus_id, index):
-    """A TSV report row's locus id and index, which must fit an int64."""
-    return locus_id, _count(_tsv_index(index), "locus_index", (1 << 63) - 1)
+def _middle(locus_id, index):
+    """The locus id and index of a TSV report row, as every table has them."""
+    return locus_id, _tsv_value(index, "locus_index", "index")
 
 
-def _error_tail(observed, ratio, flagged, suggested):
-    """The values of the last four cells of a TSV report row; ValueError
-    names the first bad one."""
-    symbols = {"0": 0, "1": 1, "2": 2}
-    return (_tsv_cell(observed, "observed", symbols), float(ratio),
-            _tsv_cell(flagged, "flagged", {"0": False, "1": True}),
-            _tsv_cell(suggested, "suggested", symbols))
+def _tail(table, *cells):
+    """The values of the cells of a TSV report row past its locus index;
+    ValueError names the first bad one."""
+    return tuple([_tsv_value(cell, name, kind) for (name, kind), cell in zip(table[3:], cells)])
 
 
-def _check_error_row(path, line_no, line):
+def _check_row(path, line_no, line, table, what):
     """Fail at the first bad field of one TSV report row, if it has one."""
     parts = line.split("\t")
-    if len(parts) != len(ERROR_REPORT_COLUMNS):
-        _fail(path, line_no, f"expected {len(ERROR_REPORT_COLUMNS)} fields")
+    if len(parts) != len(table):
+        _fail(path, line_no, f"expected {len(table)} fields")
     try:
-        _error_middle(*parts[1:3])
-        _error_tail(*parts[3:])
+        _middle(*parts[1:3])
+        _tail(table, *parts[3:])
     except ValueError as exc:
-        _fail(path, line_no, f"malformed error report row ({exc})")
+        _fail(path, line_no, f"malformed {what} row ({exc})")
 
 
 def _cells(buf, words, lo, hi, parse, blank):
@@ -609,24 +615,11 @@ def _cells(buf, words, lo, hi, parse, blank):
     return values, code, parsed[code]
 
 
-def _json_error_entry(e, top):
-    """The fields of one JSON report entry, in ErrorEntry order, checked."""
-    if not isinstance(e, dict) or e.keys() != set(ERROR_REPORT_COLUMNS):
-        raise ValueError("an entry must hold exactly "
-                         + ", ".join(ERROR_REPORT_COLUMNS))
-    return (_json_text(e["sample_id"], "sample_id"),
-            _count(e["locus_index"], "locus_index", top),
-            _json_text(e["locus_id"], "locus_id"),
-            _count(e["observed"], "observed", 2),
-            _json_number(e["ratio"], "ratio"), _json_flag(e["flagged"]),
-            _count(e["suggested"], "suggested", 2))
-
-
 def _read_error_report_json(path, text) -> ErrorReport:
-    top = int(np.iinfo(np.int64).max)
     try:
         payload = json.loads(text)
-        entries = [_json_error_entry(e, top) for e in payload["entries"]]
+        entries = [_json_entry(e, ERROR_REPORT_TABLE, ErrorEntry._fields)
+                   for e in payload["entries"]]
         threshold = _json_number(payload["threshold"], "threshold")
         if not threshold > 0:
             raise ValueError(f"threshold must be positive, not {threshold}")
@@ -648,15 +641,15 @@ def _threshold(path, line_no, line) -> float:
     return threshold
 
 
-def read_error_report(path) -> ErrorReport:
-    """A TSV or JSON error report, as columns. A TSV file is read as bytes,
-    its lines and cells found from the offsets of line ends and tabs; when
-    any row is bad, bad rows are checked one by one to name the first."""
-    text = _read_text(path)
-    if text.lstrip().startswith("{"):
-        return _read_error_report_json(path, text)
-    buf = text.encode()
-    del text
+def _read_tsv(path, buf, table, what, heads, required=()):
+    """The comment values and the columns of the TSV report ``buf`` (its
+    UTF-8 bytes, lines ending in \\n) of ``table``: ids as lists of
+    strings, other columns as arrays. ``heads`` maps the prefix of each
+    comment line to read to its parser, whose values come in file order;
+    each prefix in ``required`` must have one. Lines and cells are found
+    from the offsets of line ends and tabs, and each distinct sample id,
+    ``locus_id<TAB>locus_index`` and tail of a row is parsed once; when any
+    row is bad, bad rows are checked one by one to name the first."""
     padded = buf + b"\n" + bytes(8)  # each line ends in a \n; room for the last words
     arr = np.frombuffer(padded, dtype=np.uint8, count=len(buf) + 1)
     words = np.ndarray((len(buf) + 1,), "<u8", buffer=padded, strides=(1,))
@@ -666,49 +659,61 @@ def read_error_report(path) -> ErrorReport:
     starts = np.append(0, ends[:-1] + 1)
     comment = arr[starts] == ord("#")
     line = lambda i: buf[starts[i]:ends[i]].decode()
-    threshold, failures, stop = None, {}, None  # a header line that failed stops
+    found, stop = {prefix: [] for prefix in heads}, None  # a comment that failed stops
     for i in np.flatnonzero(comment).tolist():
         try:
-            if line(i).startswith("#threshold="):
-                threshold = _threshold(path, i + 1, line(i))
-            elif line(i).startswith("#zero-probability\t"):
-                sample_id, locus = _zero_probability(path, i + 1, line(i))
-                failures[sample_id] = locus
+            for prefix in (p for p in heads if line(i).startswith(p)):
+                found[prefix].append(heads[prefix](path, i + 1, line(i)))
         except InputError as exc:
             stop = (i, exc)
             break
     lines = np.flatnonzero(((ends > starts) & ~comment)[:stop and stop[0]])
     at = np.append(0, eol[:-1] + 1)[lines]  # in sep, of each line's first tab
-    six = np.flatnonzero(eol[lines] - at == 6)
-    # each distinct sample id, locus_id<TAB>locus_index and tail is parsed once
-    tab, third = sep[at[six]], sep[at[six] + 2]
-    samples, sample, _ = _cells(buf, words, starts[lines[six]], tab, str, "")
+    full = np.flatnonzero(eol[lines] - at == len(table) - 1)
+    tab, third = sep[at[full]], sep[at[full] + 2]
+    samples, sample, _ = _cells(buf, words, starts[lines[full]], tab, str, "")
     loci, locus, rows = _cells(buf, words, tab + 1, third,
-                               lambda t: _error_middle(*t.split("\t")), ("", 0))
-    tails, tail, parsed = _cells(buf, words, third + 1, ends[lines[six]],
-                                 lambda t: _error_tail(*t.split("\t")), (0, 0.0, False, 0))
+                               lambda t: _middle(*t.split("\t")), ("", 0))
+    tails, tail, parsed = _cells(buf, words, third + 1, ends[lines[full]],
+                                 lambda t: _tail(table, *t.split("\t")), (0,) * (len(table) - 3))
     rows &= parsed
     ok = np.zeros(len(lines), dtype=bool)
-    ok[six[rows]] = True
+    ok[full[rows]] = True
     filled = ok | np.isin(lines, [i for i in lines[~ok].tolist() if line(i).strip()])
     data = lines[filled]  # header, then rows
-    if data.size and line(data[0]) != "\t".join(ERROR_REPORT_COLUMNS):
-        _fail(path, data[0] + 1, f"expected header {'/'.join(ERROR_REPORT_COLUMNS)}")
+    names = [name for name, _ in table]
+    if data.size and line(data[0]) != "\t".join(names):
+        _fail(path, data[0] + 1, f"expected header {'/'.join(names)}")
     for i in data[1:][~ok[filled][1:]].tolist():
-        _check_error_row(path, i + 1, line(i))
+        _check_row(path, i + 1, line(i), table, what)
     if stop:
         raise stop[1]
-    if threshold is None:
-        _fail(path, 1, "missing '#threshold=' header")
+    for prefix in required:
+        if not found[prefix]:
+            _fail(path, 1, f"missing '{prefix}' header")
     if not data.size:
         _fail(path, 1, "missing column header row")
-    loci, tails = (np.array(v, dtype=object).reshape(-1, k) for v, k in ((loci, 2), (tails, 4)))
-    pick = lambda values, code, t=object: np.array(values, dtype=object).astype(t)[code[rows]]
-    return ErrorReport(pick(samples, sample).tolist(), pick(loci[:, 1], locus, np.int64),
-                       pick(loci[:, 0], locus).tolist(),
-                       *(pick(tails[:, j], tail, t) for j, t in enumerate(
-                           (np.int64, np.float64, bool, np.int64))),
-                       threshold=threshold, failures=failures, stats=None)
+    codes = [sample] + [locus] * 2 + [tail] * (len(table) - 3)
+    values = [column for v, width in ((samples, 1), (loci, 2), (tails, len(table) - 3))
+              for column in np.array(v, dtype=object).reshape(-1, width).T]
+    return found, [v[code[rows]].tolist() if kind == "id" else v.astype(_DTYPES[kind])[code[rows]]
+                   for v, code, (_, kind) in zip(values, codes, table)]
+
+
+def read_error_report(path) -> ErrorReport:
+    """A TSV or JSON error report, as columns."""
+    text = _read_text(path)
+    if text.lstrip().startswith("{"):
+        return _read_error_report_json(path, text)
+    buf = text.encode()
+    del text  # the byte parse below allocates arrays of the file's size: free its text first
+    found, (sample_id, locus_id, *columns) = _read_tsv(
+        path, buf, ERROR_REPORT_TABLE, "error report",
+        {"#threshold=": _threshold, "#zero-probability\t": _zero_probability},
+        required=("#threshold=",))
+    return ErrorReport(sample_id, columns[0], locus_id, *columns[1:],
+                       threshold=found["#threshold="][-1],
+                       failures=dict(found["#zero-probability\t"]), stats=None)
 
 
 def write_imputation(path, result: ImputationResult, *, config_line=None,
@@ -733,67 +738,36 @@ def write_imputation(path, result: ImputationResult, *, config_line=None,
         zip(*result.entries) if result.entries else [()] * 6)
     probs = np.array(probs, dtype=np.float64).reshape(-1, 3)
     atomic_write(path, "\n".join(lines) + _tsv_body(
-        list(sample_ids), list(locus_ids), np.array(loci, dtype=np.int64),
-        "%.17g\t%.17g\t%.17g\t%d\t%.17g\n", *probs.T,
-        np.array(calls, dtype=np.int64), np.array(confidence, dtype=np.float64)))
+        IMPUTATION_TABLE, list(sample_ids), list(locus_ids), np.array(loci, dtype=np.int64),
+        *probs.T, np.array(calls, dtype=np.int64), np.array(confidence, dtype=np.float64)))
 
 
 def read_imputation(path) -> ImputationResult:
     """Rebuild the callable entries of an imputation artifact (windows are
-    summarized, models are never serialized)."""
+    summarized, models are never serialized), from TSV through the same
+    columnar reader as error reports, or from JSON."""
     text = _read_text(path)
     if text.lstrip().startswith("{"):
         try:
             payload = json.loads(text)
-            entries = tuple(ImputationEntry(
-                _json_text(e["sample_id"], "sample_id"),
-                _count(e["locus_index"], "locus_index"),
-                _json_text(e["locus_id"], "locus_id"),
-                tuple(_json_number(p, "probs") for p in e["probs"]),
-                _count(e["call"], "call", 2),
-                _json_number(e["confidence"], "confidence"))
-                for e in payload["entries"])
-            failures = tuple((_json_text(f[0], "failures sample"),
-                              _count(f[1], "failures locus"))
-                             for f in payload.get("failures", []))
-            return ImputationResult(entries=entries, windows=(),
-                                    failures=failures,
-                                    forward_locus_evals=0,
-                                    backward_locus_evals=0)
+            entries = tuple(ImputationEntry(*_json_entry(e, IMPUTATION_TABLE,
+                                                         ImputationEntry._fields))
+                            for e in payload["entries"])
+            failures = tuple((_json_value(sample, "failures sample", "id"),
+                              _count(locus, "failures locus"))
+                             for sample, locus in payload.get("failures", []))
         except (KeyError, TypeError, ValueError, IndexError) as exc:
             raise InputError(f"{path}: malformed JSON imputation file ({exc})") from exc
-    entries = []
-    failures = []
-    header_seen = False
-    calls = {"0": 0, "1": 1, "2": 2}
-    for line_no, line in enumerate(text.split("\n"), start=1):
-        if not line.strip():
-            continue
-        if line.startswith("#zero-probability\t"):
-            failures.append(_zero_probability(path, line_no, line))
-            continue
-        if line.startswith("#"):
-            continue
-        parts = line.split("\t")
-        if not header_seen:
-            if tuple(parts) != IMPUTATION_COLUMNS:
-                _fail(path, line_no, f"expected header {'/'.join(IMPUTATION_COLUMNS)}")
-            header_seen = True
-            continue
-        if len(parts) != len(IMPUTATION_COLUMNS):
-            _fail(path, line_no, f"expected {len(IMPUTATION_COLUMNS)} fields")
-        try:
-            probs = (float(parts[3]), float(parts[4]), float(parts[5]))
-            entries.append(ImputationEntry(
-                parts[0], _tsv_index(parts[2]), parts[1], probs,
-                _tsv_cell(parts[6], "call", calls), float(parts[7])))
-        except ValueError as exc:
-            _fail(path, line_no, f"malformed imputation row ({exc})")
-    if not header_seen:
-        _fail(path, 1, "missing column header row")
-    return ImputationResult(entries=tuple(entries), windows=(),
-                            failures=tuple(failures), forward_locus_evals=0,
-                            backward_locus_evals=0)
+    else:
+        found, (sample_id, locus_id, index, *probs, call, confidence) = _read_tsv(
+            path, text.encode(), IMPUTATION_TABLE, "imputation",
+            {"#zero-probability\t": _zero_probability})
+        entries = tuple(map(ImputationEntry, sample_id, index.tolist(), locus_id,
+                            zip(*(p.tolist() for p in probs)), call.tolist(),
+                            confidence.tolist()))
+        failures = tuple(found["#zero-probability\t"])
+    return ImputationResult(entries=entries, windows=(), failures=failures,
+                            forward_locus_evals=0, backward_locus_evals=0)
 
 
 RECOVERY_COLUMNS = ("sample_id", "locus_index", "symbol", "confidence")
@@ -883,10 +857,11 @@ def write_channels(path, data, *, config_line=None):
 def load_config_file(path) -> dict:
     """JSON object of default flag values, one level deep."""
     try:
-        with open(path, "r") as fh:
-            payload = json.load(fh)
+        text = _read_text(path)
     except OSError as exc:
         raise InputError(f"cannot read config file {path}: {exc}") from exc
+    try:
+        payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}:{exc.lineno}: invalid JSON ({exc.msg})") from exc
     except ValueError as exc:  # an integer too long to convert

@@ -288,19 +288,6 @@ class FounderHMM:
         return self.emissions.shape[0]
 
 
-def emission_table(model: FounderHMM, locus: int, founder: int, other_founder: int):
-    """Probability triple for genotype symbols (0, 1, 2) given the founder
-    pair at ``locus``. Indices are 0-based; out-of-range raises IndexError."""
-    n, k = model.loci, model.founders
-    if not 0 <= locus < n:
-        raise IndexError(f"locus {locus} out of range [0, {n})")
-    if not 0 <= founder < k or not 0 <= other_founder < k:
-        raise IndexError(f"founder index out of range [0, {k})")
-    p = model.emissions[locus, founder]
-    q = model.emissions[locus, other_founder]
-    return ((1.0 - p) * (1.0 - q), p * (1.0 - q) + (1.0 - p) * q, p * q)
-
-
 def emission_stack(model: FounderHMM) -> np.ndarray:
     """Per-locus pair-emission tables, shape (n, 4, K, K).
 
@@ -334,10 +321,3 @@ def substitute(genotype: MultilocusGenotype, locus: int, symbol: int) -> Multilo
     symbols[locus] = symbol
     return MultilocusGenotype(genotype.sample_id, symbols)
 
-
-def genotype_from_haplotypes(sample_id: str, first: HaplotypeSequence,
-                             second: HaplotypeSequence) -> MultilocusGenotype:
-    """Locus-wise minor-allele count of a haplotype pair."""
-    if len(first) != len(second):
-        raise InputError("haplotype lengths differ")
-    return MultilocusGenotype(sample_id, first.alleles + second.alleles)

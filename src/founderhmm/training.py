@@ -32,8 +32,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import (ALLELE_SYMBOLS, FounderHMM, HaplotypePanel,
-                    HaplotypeSequence, InputError, ZeroProbabilityError)
+from .model import (ALLELE_SYMBOLS, FounderHMM, HaplotypePanel, InputError,
+                    ZeroProbabilityError)
 from .trie import _distinct_rows
 
 # Byte cap on the E-step arrays of one stack of windows that EM fits in
@@ -101,11 +101,6 @@ def _initial_params(n, k, seed):
     trans = (1.0 + rng.uniform(-0.05, 0.05, size=(max(n - 1, 0), k, k))) / k
     trans /= trans.sum(axis=2, keepdims=True)
     return init, trans, emis
-
-
-def _emission_probs(emis_row, column):
-    # (panel, founders) likelihood of each haplotype's allele at one locus.
-    return np.where(column[:, None] == 1, emis_row[None, :], 1.0 - emis_row[None, :])
 
 
 class _Stack(NamedTuple):
@@ -409,26 +404,6 @@ def train_founder_hmm(panel, config: TrainConfig, start=None):
     Without a start, initialization depends only on the seed.
     """
     return train_founder_hmms([_panel_matrix(panel)], config, [start])[0]
-
-
-def loglik_haplotype(model: FounderHMM, haplotype: HaplotypeSequence) -> float:
-    """log probability of one haplotype under the single chain; -inf when
-    the model puts no mass on it."""
-    if len(haplotype) != model.loci:
-        raise InputError(
-            f"haplotype has {len(haplotype)} loci but the model has {model.loci}")
-    h = haplotype.alleles.astype(np.int64)[None, :]
-    a = model.initial[None, :] * _emission_probs(model.emissions[0], h[:, 0])
-    total = 0.0
-    for i in range(model.loci):
-        if i > 0:
-            a = (a @ model.transitions[i - 1]) * _emission_probs(model.emissions[i], h[:, i])
-        c = float(a.sum())
-        if c <= 0.0:
-            return float("-inf")
-        a = a / c
-        total += np.log(c)
-    return float(total)
 
 
 def window_config(config: TrainConfig) -> TrainConfig:

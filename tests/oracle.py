@@ -20,27 +20,37 @@ and ``imputation_text_per_entry``, the row-template and per-entry report
 writers behind the distinct-value writers, byte for byte;
 ``read_error_report_per_row``, the split-and-validate-by-column error
 report reader behind the byte-position reader, column for column and
-message for message; ``evaluate_per_symbol``, the per-symbol scoring
+message for message; ``read_imputation_per_row``, the line-by-line
+imputation reader behind the same byte-position reader, value for value
+and message for message (it checks a row's cells in column order, as the
+error report does, where the package's own row loop once checked the
+probabilities before the locus index); ``read_model_per_line``, the
+line-by-line model reader that took rows in any order, which the block
+parse of ``read_model`` must agree with wherever both read a file;
+``loglik_haplotype``, the single-chain forward recursion that scores a
+haplotype under a fitted model; ``evaluate_per_symbol``, the per-symbol scoring
 loop behind ``simulate.evaluate``; ``distinct_rows_axis0`` and
 ``trie_axis0``, the field-by-field ``np.unique(axis=0)`` dedupe behind the
 byte-string sort of ``build_trie`` and ``train_founder_hmms``; and
 ``recover_missing_full_scan``, the recovery that scans every sample,
 behind the one that scans only the samples with a gap.
 """
+import json
+import os
 from functools import partial
 from itertools import chain, compress, count, repeat
 
 import numpy as np
 
-from founderhmm import (ErrorReport, EvalReport, GenotypeCorpus,
-                        ImputationResult, InputError, ZeroProbabilityError,
-                        batched_posteriors)
+from founderhmm import (ErrorReport, EvalReport, FounderHMM, GenotypeCorpus,
+                        ImputationEntry, ImputationResult, InputError,
+                        ZeroProbabilityError, batched_posteriors)
 from founderhmm.analysis import RecoveryFill, RecoveryResult
 from founderhmm.io_formats import (ERROR_REPORT_COLUMNS, IMPUTATION_COLUMNS,
-                                   _count, _fail, _read_error_report_json,
-                                   _read_text, _threshold,
-                                   _tsv_cell, _tsv_index, _zero_probability,
-                                   fmt)
+                                   MODEL_MAGIC, _count, _declared, _fail,
+                                   _read_error_report_json, _read_text,
+                                   _threshold, _tsv_index, _zero_probability,
+                                   fmt, read_imputation)
 
 MISSING = -1
 
@@ -121,6 +131,24 @@ def haplotype_probability(model, alleles):
         p = model.emissions[i, paths[:, i]]
         w = w * (p if int(a) == 1 else (1.0 - p))
     return float(w.sum())
+
+
+def loglik_haplotype(model, haplotype):
+    """log probability of one haplotype under the single chain, by the
+    scaled forward recursion; -inf when the model puts no mass on it."""
+    assert len(haplotype) == model.loci
+    alleles = haplotype.alleles
+    total = 0.0
+    for i in range(model.loci):
+        p = model.emissions[i]
+        emit = p if alleles[i] == 1 else 1.0 - p
+        a = (model.initial if i == 0 else a @ model.transitions[i - 1]) * emit
+        c = float(a.sum())
+        if c <= 0.0:
+            return float("-inf")
+        a = a / c
+        total += np.log(c)
+    return float(total)
 
 
 def best_pair(model, symbols):
@@ -428,6 +456,14 @@ def imputation_text_per_entry(result, config_line=None):
     return "\n".join(lines) + "\n"
 
 
+def _tsv_cell(cell, name, values):
+    try:
+        return values[cell]
+    except KeyError:
+        raise ValueError(f"{name} must be one of {', '.join(values)}, "
+                         f"not {json.dumps(cell)}") from None
+
+
 def _check_error_row(path, line_no, line):
     parts = line.split("\t")
     if len(parts) != len(ERROR_REPORT_COLUMNS):
@@ -535,6 +571,127 @@ def read_error_report_per_row(path):
         return ErrorReport.from_entries((), threshold, failures)
     return ErrorReport(**columns, threshold=threshold, failures=failures,
                        stats=None)
+
+
+def read_imputation_per_row(path):
+    """An imputation file. A JSON one goes to the package reader; a TSV one
+    is read line by line, each row split and its cells parsed in column
+    order, failing at the first problem."""
+    text = _read_text(path)
+    if text.lstrip().startswith("{"):
+        return read_imputation(path)
+    entries = []
+    failures = []
+    header_seen = False
+    calls = {"0": 0, "1": 1, "2": 2}
+    for line_no, line in enumerate(text.split("\n"), start=1):
+        if not line.strip():
+            continue
+        if line.startswith("#zero-probability\t"):
+            failures.append(_zero_probability(path, line_no, line))
+            continue
+        if line.startswith("#"):
+            continue
+        parts = line.split("\t")
+        if not header_seen:
+            if tuple(parts) != IMPUTATION_COLUMNS:
+                _fail(path, line_no, f"expected header {'/'.join(IMPUTATION_COLUMNS)}")
+            header_seen = True
+            continue
+        if len(parts) != len(IMPUTATION_COLUMNS):
+            _fail(path, line_no, f"expected {len(IMPUTATION_COLUMNS)} fields")
+        try:
+            index = _tsv_index(parts[2])
+            probs = (float(parts[3]), float(parts[4]), float(parts[5]))
+            entries.append(ImputationEntry(
+                parts[0], index, parts[1], probs,
+                _tsv_cell(parts[6], "call", calls), float(parts[7])))
+        except ValueError as exc:
+            _fail(path, line_no, f"malformed imputation row ({exc})")
+    if not header_seen:
+        _fail(path, 1, "missing column header row")
+    return ImputationResult(entries=tuple(entries), windows=(),
+                            failures=tuple(failures), forward_locus_evals=0,
+                            backward_locus_evals=0)
+
+
+def read_model_per_line(path):
+    """A model file with its rows in any order, read line by line; fails at
+    the first problem."""
+    lines, size = _read_text(path).split("\n"), os.path.getsize(path)
+    k = n = None
+    initial = None
+    transitions = None
+    emissions = None
+    saw_magic = False
+    for line_no, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        if line.startswith("#"):
+            if line == MODEL_MAGIC:
+                saw_magic = True
+            elif line.startswith("#founderhmm-model"):
+                _fail(path, line_no, f"unsupported model format version {line!r}")
+            elif line.startswith("#founders="):
+                try:
+                    k, n = _declared(line)
+                except (ValueError, IndexError):
+                    _fail(path, line_no, f"malformed dimension header {line!r}")
+                if k < 1 or n < 1:
+                    _fail(path, line_no, "founders and loci must be >= 1")
+                if 2 * k * (1 + (n - 1) * k + n) > size:
+                    _fail(path, line_no, f"{k} founders and {n} loci need "
+                                         f"more values than the file holds")
+                initial = None
+                transitions = np.full((max(n - 1, 0), k, k), np.nan)
+                emissions = np.full((n, k), np.nan)
+            continue
+        if not saw_magic:
+            _fail(path, line_no, f"not a model file (missing '{MODEL_MAGIC}' first)")
+        if k is None:
+            _fail(path, line_no, "model data before '#founders=<K> loci=<n>' header")
+        parts = line.split("\t")
+        kind = parts[0]
+        try:
+            if kind == "initial":
+                if len(parts) != 1 + k:
+                    _fail(path, line_no, f"initial row needs {k} values")
+                initial = np.array([float(v) for v in parts[1:]])
+            elif kind == "transition":
+                if len(parts) != 3 + k:
+                    _fail(path, line_no, f"transition row needs interval, from-state, {k} values")
+                i, a = int(parts[1]), int(parts[2])
+                if not (0 <= i < n - 1 and 0 <= a < k):
+                    _fail(path, line_no, f"transition index ({i},{a}) out of range")
+                transitions[i, a] = [float(v) for v in parts[3:]]
+            elif kind == "emission":
+                if len(parts) != 2 + k:
+                    _fail(path, line_no, f"emission row needs locus and {k} values")
+                i = int(parts[1])
+                if not 0 <= i < n:
+                    _fail(path, line_no, f"emission locus {i} out of range")
+                emissions[i] = [float(v) for v in parts[2:]]
+            else:
+                _fail(path, line_no, f"unknown row kind {kind!r}")
+        except InputError:
+            raise
+        except ValueError:
+            _fail(path, line_no, "non-numeric value in model row")
+    if not saw_magic:
+        _fail(path, 1, f"not a model file (missing '{MODEL_MAGIC}')")
+    if k is None:
+        _fail(path, 1, "missing '#founders=<K> loci=<n>' header")
+    if initial is None:
+        _fail(path, 1, "missing initial row")
+    if np.isnan(transitions).any():
+        _fail(path, 1, "incomplete transition rows")
+    if np.isnan(emissions).any():
+        _fail(path, 1, "incomplete emission rows")
+    try:
+        return FounderHMM(initial=initial, transitions=transitions,
+                          emissions=emissions)
+    except InputError as exc:
+        raise InputError(f"{path}: {exc}") from exc
 
 
 def evaluate_per_symbol(calls, truth_genotypes, *, loci=None):

@@ -162,6 +162,37 @@ def test_locus_map_rejects_bad_rows(tmp_path):
         read_locus_map(empty)
 
 
+def test_locus_map_positions_are_written_as_they_read_back(tmp_path):
+    """An integer-valued float position past int64 is written as a float;
+    positions the writer never writes are named at their line."""
+    path = tmp_path / "m.map"
+    m = LocusMap(locus_ids=("a", "b", "c"), positions=np.array([1.0, 9.2e18, 1e19]),
+                 typed=np.array([True, False, True]))
+    write_locus_map(path, m)
+    assert path.read_text().split("\n")[1:3] == ["b\t9200000000000000000\tuntyped",
+                                                 "c\t1e+19\ttyped"]
+    assert np.array_equal(read_locus_map(path).positions, m.positions)
+    for text, problem in (("99999999999999999999", "does not fit a 64-bit integer"),
+                          ("-9223372036854775809", "does not fit a 64-bit integer"),
+                          ("1_000", "is not a number"), ("\u0663000", "is not a number"),
+                          ("+5", "is not a number"), (" 5", "is not a number"),
+                          ("1_0.5", "is not a number"), ("\u0663.5", "is not a number"),
+                          ("1" * 5000, "is not a number")):  # past int()'s digit limit
+        path.write_text(f"z\t-9223372036854775808\ttyped\na\t{text}\ttyped\n")
+        with pytest.raises(InputError, match=re.escape(f"{path}:2: position ")
+                           + f".*{problem}"):
+            read_locus_map(path)
+
+
+def test_locus_map_position_past_int64_exits_one(ws, tmp_path, capsys):
+    bad = tmp_path / "big.map"
+    bad.write_text("a\t99999999999999999999\ttyped\n")
+    assert run_cli("detect", "--model", ws["model"], "--genotypes", ws["gen"],
+                   "--map", str(bad), "--out", str(tmp_path / "o")) == 1
+    assert capsys.readouterr().err == (
+        f"error: {bad}:1: position 99999999999999999999 does not fit a 64-bit integer\n")
+
+
 def trained_toy_model():
     rng = np.random.default_rng(3)
     panel = [HaplotypeSequence(f"H{j}", rng.integers(0, 2, size=12).astype(np.int8))
@@ -213,6 +244,48 @@ def test_model_reader_rejects_damage(tmp_path):
         "#founders=3 loci=12", "#founders=3000 loci=1200000"))
     with pytest.raises(InputError, match=r"e\.model:2: .*more values"):
         read_model(oversized)
+
+
+@pytest.mark.parametrize("edit,line,problem,oracle_reads", [
+    (lambda ls: ls[:4] + [ls[5], ls[4]] + ls[6:], 5,
+     "expected row 'transition 0 0' here (model rows must be in the order "
+     "the writer writes them)", True),
+    (lambda ls: ls[:5] + [ls[4]] + ls[5:], 6, "expected row 'transition 0 1' here", True),
+    (lambda ls: ls + [ls[-1]], 50, "more rows than the header declares", True),
+    (lambda ls: ls[:4] + [ls[2]] + ls[4:], 5, "'#founders=3 loci=12' out of place "
+     "(the format line and the header come first, once)", False),
+    (lambda ls: ls[:4] + [ls[0]] + ls[4:], 5, "'#founderhmm-model v1' out of place", True),
+    (lambda ls: ls[:1] + ls[3:4] + ls[1:3] + ls[4:], 2,
+     "expected the '#founders=<K> loci=<n>' header here", False),
+    (lambda ls: ls[:3] + [ls[3].rsplit("\t", 1)[0] + "\tnan"] + ls[4:], 4,
+     "value 'nan' is not a finite number", False),
+    (lambda ls: ls[:3] + ["initial"] + ls[4:], 4, "row 'initial' needs 3 values", False),
+])
+def test_model_reader_names_the_line_that_breaks_the_writers_layout(
+        tmp_path, edit, line, problem, oracle_reads):
+    """Rows out of order, repeated rows, a second header or format line and
+    values that are not finite numbers are named at their line, some of
+    them files that the per-line oracle reads."""
+    path = tmp_path / "m.model"
+    write_model(path, trained_toy_model(), config_line="#config: train x=1")
+    path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+    with pytest.raises(InputError) as info:
+        read_model(path)
+    assert str(info.value).startswith(f"{path}:{line}: {problem}")
+    if oracle_reads:
+        oracle.read_model_per_line(path)
+
+
+def test_model_reader_skips_comment_lines_among_rows(tmp_path):
+    model = trained_toy_model()
+    path = tmp_path / "m.model"
+    write_model(path, model)
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(["#a note", ""] + lines[:5] + ["#a note", ""] + lines[5:]
+                              + ["#end"]) + "\n")
+    back = read_model(path)
+    assert np.array_equal(back.transitions, model.transitions)
+    assert np.array_equal(back.emissions, model.emissions)
 
 
 def test_readers_locate_bytes_that_are_not_utf8(tmp_path):
@@ -327,6 +400,44 @@ def test_imputation_reader_locates_malformed_failure_lines(tmp_path):
                  "#zero-probability\tS0\t 3\n"):
         path.write_text(line + header)
         with pytest.raises(InputError, match=LOCATED):
+            read_imputation(path)
+
+
+def test_imputation_reader_rejects_entries_its_writer_never_writes(tmp_path):
+    """A locus index past int64, a JSON entry with other fields, probs that
+    are not three numbers and a failure that is not a pair; a row with two
+    bad cells names the first in column order."""
+    path = tmp_path / "i.tsv"
+    write_imputation(path, sample_imputation())
+    lines = path.read_text().split("\n")  # failure, header, then entries on 3-4
+    for cells, problem in (
+            ({"locus_index": "9223372036854775808"}, "locus_index must be an integer "
+             "from 0 to 9223372036854775807, not 9223372036854775808"),
+            ({"locus_index": "x", "p0": "y"}, 'locus_index must be an integer >= 0, not "x"')):
+        row = lines[2].split("\t")
+        for column, value in cells.items():
+            row[IMPUTATION_COLUMNS.index(column)] = value
+        path.write_text("\n".join(lines[:2] + ["\t".join(row)] + lines[3:]))
+        with pytest.raises(InputError) as info:
+            read_imputation(path)
+        assert str(info.value) == f"{path}:3: malformed imputation row ({problem})"
+    path = tmp_path / "i.json"
+    for field, value, problem in (
+            ("locus_index", 1 << 63, "locus_index must be an integer from 0 to"),
+            ("extra", 1, "an entry must hold exactly sample_id, locus_index, locus_id, "
+                         "probs, call, confidence"),
+            ("probs", [0.5, 0.5], "probs must be a list of 3 numbers, not [0.5, 0.5]"),
+            ("probs", 0.5, "probs must be a list of 3 numbers, not 0.5"),
+            ("failures", [["S2", 7, "x"]], "too many values to unpack")):
+        write_imputation(path, sample_imputation(), json_mode=True)
+        payload = json.loads(path.read_text())
+        if field == "failures":
+            payload[field] = value
+        else:
+            payload["entries"][1][field] = value
+        path.write_text(json.dumps(payload))
+        with pytest.raises(InputError, match=re.escape(
+                f"{path}: malformed JSON imputation file ({problem}")):
             read_imputation(path)
 
 
@@ -661,9 +772,10 @@ def test_error_report_index_too_long_for_int_is_named_not_a_crash(tmp_path):
 
 def test_error_report_reader_parses_each_distinct_piece_once(tmp_path, monkeypatch):
     """Pieces of every width, 8 to 23 bytes included, are grouped exactly:
-    the middle and tail parsers run once per distinct piece."""
+    the middle and tail parsers run once per distinct piece, in the error
+    report and in the imputation table alike."""
     io_formats = founderhmm.io_formats
-    calls = {"_error_middle": [], "_error_tail": []}
+    calls = {"_middle": [], "_tail": []}
     for name, log in calls.items():
         monkeypatch.setattr(io_formats, name, lambda *cells, f=getattr(io_formats, name),
                             log=log: log.append(cells) or f(*cells))
@@ -674,8 +786,17 @@ def test_error_report_reader_parses_each_distinct_piece_once(tmp_path, monkeypat
     path.write_text(report_text(rows))
     assert len(read_error_report(path)) == 3000
     # the column header has six tabs too, and is parsed as a row would be
-    assert len(calls["_error_middle"]) == len(set(calls["_error_middle"])) == 1 + 300
-    assert len(calls["_error_tail"]) == len(set(calls["_error_tail"])) == 1 + 12
+    assert len(calls["_middle"]) == len(set(calls["_middle"])) == 1 + 300
+    assert len(calls["_tail"]) == len(set(calls["_tail"])) == 1 + 12
+    for log in calls.values():
+        log.clear()
+    rows = [f"S{j % 9}\tL{j % 300}\t{j % 300}\t{ratios[j % 4]}\t0.5\t{ratios[j % 4]}"
+            f"\t{j % 3}\t0.5" for j in range(3000)]
+    path.write_text("\n".join(["#window\t0\t4\t1,2\t7", "\t".join(IMPUTATION_COLUMNS),
+                               *rows]) + "\n")
+    assert len(read_imputation(path).entries) == 3000
+    assert len(calls["_middle"]) == len(set(calls["_middle"])) == 1 + 300
+    assert len(calls["_tail"]) == len(set(calls["_tail"])) == 1 + 12
 
 
 def test_error_report_reader_names_a_bad_row_after_many_good_ones(tmp_path):
@@ -904,6 +1025,13 @@ def test_config_file_loading(tmp_path):
             load_config_file(bad)
     with pytest.raises(InputError, match="cannot read"):
         load_config_file(tmp_path / "absent.json")
+
+
+def test_config_file_bytes_that_are_not_utf8_are_located(tmp_path):
+    config = tmp_path / "c.json"
+    config.write_bytes(b'{"founders": 3,\r\n "seed": "\x84"}')
+    with pytest.raises(InputError, match="c.json:2: byte 0x84 is not UTF-8 text"):
+        load_config_file(config)
 
 
 # -------------------------------------------------------------------- CLI
@@ -1605,25 +1733,34 @@ def model_file(tmp_path_factory):
     return path
 
 
+def model_outcome(read, path):
+    """The shape and bytes of each array of a read model, or the message
+    of the InputError raised."""
+    try:
+        m = read(path)
+    except InputError as exc:
+        return str(exc)
+    return [(a.shape, a.tobytes()) for a in (m.initial, m.transitions, m.emissions)]
+
+
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.too_slow,
                                  HealthCheck.function_scoped_fixture])
 @given(data=st.data())
-def test_model_block_parse_matches_the_line_parse(model_file, data):
-    """Whenever the block parse takes a model file, the line-by-line parse
-    takes it too and reads the same arrays."""
-    from founderhmm.io_formats import _model_blocks, _model_lines, _read_text
+def test_model_reader_matches_the_per_line_oracle(model_file, data):
+    """Whenever read_model takes a model file, the per-line oracle takes it
+    too and reads the same arrays. Whenever the oracle refuses one,
+    read_model refuses it too: at a line, or with the oracle's own message
+    when the arrays read but make no model."""
     damaged = data.draw(mutated(model_file.read_bytes()), label="file")
     path = model_file.with_name("damaged.model")
     path.write_bytes(damaged)
-    try:
-        lines = _read_text(path).split("\n")
-    except InputError:
-        return
-    blocks = _model_blocks(lines, len(damaged))
-    if blocks is not None:
-        for a, b in zip(blocks, _model_lines(path, lines, len(damaged))):
-            assert np.array_equal(a, b, equal_nan=True), damaged
+    got = model_outcome(read_model, path)
+    want = model_outcome(oracle.read_model_per_line, path)
+    if not isinstance(got, str):
+        assert got == want, damaged
+    elif isinstance(want, str):
+        assert got == want or LOCATED.match(got), (got, damaged)
 
 
 @pytest.fixture(scope="module")
@@ -1642,3 +1779,40 @@ def test_error_report_reader_matches_the_per_row_oracle(report_file, data):
     path = report_file.with_name("damaged.tsv")
     path.write_bytes(damaged)
     assert_reads_as_oracle(path)
+
+
+@pytest.fixture(scope="module")
+def imputation_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("imputation") / "i.tsv"
+    ids = ("S0", "S\u2028x", "%s", "abcdefgh1234ijklmnop")
+    entries = tuple(ImputationEntry(ids[j % 4], j % 3, f"L{j % 3}",
+                                    (p, 1.0 / 3, -0.0), j % 3, p)
+                    for j, p in enumerate((0.25, 1.0 / 3, 1e-300, 0.25, 1.0, 0.5)))
+    windows = (WindowReport(0, 4, (1, 2), 7, True, None),)
+    write_imputation(path, ImputationResult(
+        entries=entries, windows=windows, failures=(("S2", 7), ("%s", 0)),
+        forward_locus_evals=0, backward_locus_evals=0))
+    return path
+
+
+def imputation_outcome(read, path):
+    """The entries and failures of a read imputation file, exactly (repr
+    tells -0.0 from 0.0 and a NumPy integer from an int), or the message
+    of the InputError raised."""
+    try:
+        result = read(path)
+    except InputError as exc:
+        return str(exc)
+    return repr((result.entries, result.failures))
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_imputation_reader_matches_the_per_row_oracle(imputation_file, data):
+    damaged = data.draw(mutated(imputation_file.read_bytes()), label="file")
+    path = imputation_file.with_name("damaged.tsv")
+    path.write_bytes(damaged)
+    assert (imputation_outcome(read_imputation, path)
+            == imputation_outcome(oracle.read_imputation_per_row, path)), damaged

@@ -1,13 +1,12 @@
 """Domain types: construction, validation, and the emission sum rule."""
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
+import oracle
 from founderhmm import (ALLELE_SYMBOLS, GENOTYPE_SYMBOLS, MISSING, FounderHMM,
                         HaplotypeSequence, InputError, LocusMap,
-                        MultilocusGenotype, emission_stack, emission_table,
-                        genotype_from_haplotypes, substitute, symbol_plane)
+                        MultilocusGenotype, emission_stack, substitute,
+                        symbol_plane)
 
 
 def tiny_model():
@@ -118,24 +117,6 @@ def test_substitute_replaces_one_symbol():
         substitute(g, 3, 0)
 
 
-def test_emission_table_matches_sum_rule():
-    m = tiny_model()
-    p, q = 0.4, 0.9  # locus 1, founders 0 and 1
-    e0, e1, e2 = emission_table(m, 1, 0, 1)
-    assert e0 == pytest.approx((1 - p) * (1 - q))
-    assert e1 == pytest.approx(p * (1 - q) + (1 - p) * q)
-    assert e2 == pytest.approx(p * q)
-    assert e0 + e1 + e2 == pytest.approx(1.0)
-
-
-def test_emission_table_bounds_checked():
-    m = tiny_model()
-    with pytest.raises(IndexError):
-        emission_table(m, 3, 0, 0)
-    with pytest.raises(IndexError):
-        emission_table(m, 0, 2, 0)
-
-
 def test_emission_stack_layout():
     m = tiny_model()
     stack = emission_stack(m)
@@ -144,22 +125,15 @@ def test_emission_stack_layout():
     assert np.array_equal(stack[:, 3], np.ones((3, 2, 2)))
     # planes 0..2 sum to one over the symbol axis
     assert np.allclose(stack[:, :3].sum(axis=1), 1.0)
-    # spot value against the scalar helper
-    assert stack[1, 2, 0, 1] == pytest.approx(emission_table(m, 1, 0, 1)[2])
+    # every plane against the sum rule, founder pair by founder pair
+    p, q = m.emissions[:, :, None], m.emissions[:, None, :]
+    for symbol in (0, 1, 2, MISSING):
+        want = oracle.pair_emission(p, q, symbol)
+        assert np.array_equal(stack[:, symbol_plane(symbol)], want)
 
 
 def test_symbol_plane():
     assert [symbol_plane(s) for s in (0, 1, 2, MISSING)] == [0, 1, 2, 3]
 
 
-@given(st.integers(0, 2 ** 32 - 1), st.integers(2, 12))
-@settings(max_examples=40, deadline=None)
-def test_genotype_is_haplotype_sum(seed, loci):
-    rng = np.random.default_rng(seed)
-    a = HaplotypeSequence("a", rng.integers(0, 2, size=loci).astype(np.int8))
-    b = HaplotypeSequence("b", rng.integers(0, 2, size=loci).astype(np.int8))
-    g = genotype_from_haplotypes("s", a, b)
-    assert np.array_equal(g.symbols, a.alleles + b.alleles)
-    g_swapped = genotype_from_haplotypes("s", b, a)
-    assert np.array_equal(g.symbols, g_swapped.symbols)
 

