@@ -20,7 +20,7 @@ loci bytes per distinct genotype. Chunks change the pace, never the answer.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import count, repeat
 from typing import NamedTuple
 
@@ -51,15 +51,54 @@ class ErrorEntry(NamedTuple):
     suggested: int
 
 
+def _column(values, dtype):
+    """``values`` as a list of ids (``dtype`` None) or an array of ``dtype``
+    (a subarray dtype gives rows), kept as objects where an integer or bool
+    dtype would change one: a call of 2.5 stays 2.5, for evaluate to reject."""
+    if dtype is None:
+        return list(values)
+    given = np.array(values, dtype=object).reshape(len(values), *np.dtype(dtype).shape)
+    cast = given.astype(np.dtype(dtype).base)
+    return cast if cast.dtype.kind == "f" or (cast == given).all() else given
+
+
+class _EntryColumns:
+    """A report held as columns, its first dataclass fields (``columns()``):
+    one per field of its ``_entry`` tuples, in their order, of the
+    ``_dtypes`` that :func:`_column` takes. ``entries`` builds the tuples."""
+
+    @classmethod
+    def from_entries(cls, entries, *args, **kwargs):
+        """The report of entries in ``_entry`` field order, then its other fields."""
+        values = list(zip(*entries)) or [()] * len(cls._dtypes)
+        return cls(*map(_column, values, cls._dtypes), *args, **kwargs)
+
+    def columns(self):
+        return [getattr(self, f.name) for f in fields(self)[:len(self._dtypes)]]
+
+    def __len__(self):
+        return len(self.sample_id)
+
+    def _entries(self, at):
+        """``_entry`` tuples of the entries at the indices ``at``."""
+        return map(self._entry, *(
+            [c[i] for i in at.tolist()] if isinstance(c, list)
+            else map(tuple, c[at].tolist()) if c.ndim > 1 else c[at].tolist()
+            for c in self.columns()))
+
+    @property
+    def entries(self):
+        return tuple(self._entries(np.arange(len(self))))
+
+
 @dataclass(frozen=True, eq=False)
-class ErrorReport:
+class ErrorReport(_EntryColumns):
     """One entry per non-missing symbol, in corpus order then locus order,
     held as columns: ``sample_id`` and ``locus_id`` are lists of strings,
-    ``locus_index``, ``observed`` and
-    ``suggested`` int64 arrays, ``ratio`` a float64 array and ``flags`` a
-    bool array. ``entries`` and ``flagged()`` build :class:`ErrorEntry`
-    tuples on demand; detection, correction and the report files never
-    do."""
+    ``locus_index``, ``observed`` and ``suggested`` int64 arrays, ``ratio``
+    a float64 array and ``flags`` a bool array. ``entries`` and
+    ``flagged()`` build :class:`ErrorEntry` tuples on demand; detection,
+    correction and the report files never do."""
 
     sample_id: list
     locus_index: np.ndarray
@@ -70,35 +109,8 @@ class ErrorReport:
     suggested: np.ndarray
     threshold: float
     failures: dict
-    stats: object
-
-    @classmethod
-    def from_entries(cls, entries, threshold, failures, stats=None):
-        """The report of a sequence of entries in ErrorEntry field order."""
-        cols = list(zip(*entries)) or [()] * 7  # one per ErrorEntry field
-        return cls(sample_id=list(cols[0]),
-                   locus_index=np.array(cols[1], dtype=np.int64),
-                   locus_id=list(cols[2]),
-                   observed=np.array(cols[3], dtype=np.int64),
-                   ratio=np.array(cols[4], dtype=np.float64),
-                   flags=np.array(cols[5], dtype=bool),
-                   suggested=np.array(cols[6], dtype=np.int64),
-                   threshold=threshold, failures=failures, stats=stats)
-
-    def __len__(self):
-        return len(self.ratio)
-
-    def _entries(self, at):
-        """ErrorEntry tuples of the entries at the indices ``at``."""
-        return map(ErrorEntry, [self.sample_id[i] for i in at.tolist()],
-                   self.locus_index[at].tolist(),
-                   [self.locus_id[i] for i in at.tolist()],
-                   self.observed[at].tolist(), self.ratio[at].tolist(),
-                   self.flags[at].tolist(), self.suggested[at].tolist())
-
-    @property
-    def entries(self):
-        return tuple(self._entries(np.arange(len(self))))
+    stats: object = None
+    _entry, _dtypes = ErrorEntry, (None, np.int64, None, np.int64, float, bool, np.int64)
 
     def flagged(self):
         return list(self._entries(np.flatnonzero(self.flags)))
@@ -276,13 +288,24 @@ class WindowReport:
     model: FounderHMM
 
 
-@dataclass(frozen=True)
-class ImputationResult:
-    entries: tuple
+@dataclass(frozen=True, eq=False)
+class ImputationResult(_EntryColumns):
+    """One call per untyped locus of each sample its window model explains,
+    in corpus order then locus order, held as columns like those of
+    :class:`ErrorReport`, ``probs`` a (calls, 3) float64 array. ``failures``
+    holds the other (sample id, locus) pairs, in the same order."""
+
+    sample_id: list
+    locus_index: np.ndarray
+    locus_id: list
+    probs: np.ndarray
+    call: np.ndarray
+    confidence: np.ndarray
     windows: tuple
     failures: tuple
     forward_locus_evals: int
     backward_locus_evals: int
+    _entry, _dtypes = ImputationEntry, (None, np.int64, None, (float, 3), np.int64, float)
 
 
 def window_spans(locus_map: LocusMap, spec: WindowSpec):
@@ -319,7 +342,8 @@ def impute_untyped(reference, corpus, locus_map: LocusMap, config: TrainConfig,
     restricted to each window with the target columns MISSING, is then
     scored in one pass of the batch engine per window. Every window's
     model, and whether its fit converged before the cap, is kept in its
-    :class:`WindowReport`.
+    :class:`WindowReport`. The calls are columns of every sample's target
+    triples: the argmax, and the triples over their sum.
     """
     reference = HaplotypePanel.of(reference)
     genos = GenotypeCorpus.of(corpus)
@@ -339,39 +363,30 @@ def impute_untyped(reference, corpus, locus_map: LocusMap, config: TrainConfig,
         [reference.matrix[:, lo:hi + 1] for (lo, hi), _ in spans],
         window_config(config))
     symbols = genos.matrix
-    per_position = {}
-    windows = []
-    failures = []
-    fevals = bevals = 0
+    picked, loci, windows, evals = [np.zeros((len(genos), 0, 3))], [], [], [(0, 0)]
     for ((lo, hi), targets), (wmodel, wreport) in zip(spans, fits):
         # the corpus on the window's loci, MISSING at the untyped ones
         first, stop = np.searchsorted(typed_idx, (lo, hi + 1))
         block = np.full((len(genos), hi - lo + 1), MISSING, dtype=np.int8)
         block[:, typed_idx[first:stop] - lo] = symbols[:, first:stop]
-        trie, (triples, *_), (wf, wb) = _scan_symbols(wmodel, block)
+        trie, (triples, *_), scan_evals = _scan_symbols(wmodel, block)
         windows.append(WindowReport(lo, hi, targets, wreport.iterations_run,
                                     wreport.converged, wmodel))
-        fevals += wf
-        bevals += wb
-        triples = triples[:, np.asarray(targets) - lo]
-        totals = triples.sum(axis=2)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            probs = (triples / totals[:, :, None]).tolist()
-        calls = triples.argmax(axis=2).tolist()
-        dead = (totals <= 0.0).tolist()
-        for sid, r in zip(genos.ids, trie.row_of.tolist()):
-            for t, p, call, d in zip(targets, probs[r], calls[r], dead[r]):
-                if d:
-                    failures.append((sid, t))
-                    continue
-                per_position[(sid, t)] = ImputationEntry(
-                    sid, t, locus_map.locus_ids[t], tuple(p), call, p[call])
-    order = dict(zip(genos.ids, count()))
-    entries = sorted(per_position.values(),
-                     key=lambda e: (order[e.sample_id], e.locus_index))
-    return ImputationResult(entries=tuple(entries), windows=tuple(windows),
-                            failures=tuple(sorted(failures, key=lambda f: (order[f[0]], f[1]))),
-                            forward_locus_evals=fevals, backward_locus_evals=bevals)
+        evals.append(scan_evals)
+        picked.append(triples[:, np.asarray(targets) - lo][trie.row_of])
+        loci += targets
+    # window_spans holds each untyped locus once, in locus order
+    triples, loci = np.concatenate(picked, axis=1), np.array(loci, dtype=np.int64)
+    totals = triples.sum(axis=2)
+    (samples, at), failed = np.nonzero(~(totals <= 0.0)), np.nonzero(totals <= 0.0)
+    probs = triples[samples, at] / totals[samples, at, None]
+    calls = triples[samples, at].argmax(axis=1)  # dividing the triples can tie two
+    return ImputationResult(
+        list(map(genos.ids.__getitem__, samples.tolist())), loci[at],
+        list(map(locus_map.locus_ids.__getitem__, loci[at].tolist())), probs, calls,
+        probs[np.arange(len(calls)), calls], tuple(windows),
+        tuple(zip(map(genos.ids.__getitem__, failed[0].tolist()), loci[failed[1]].tolist())),
+        *map(sum, zip(*evals)))
 
 
 @dataclass(frozen=True)
@@ -584,7 +599,7 @@ def run_pipeline(mode: str, reference, corpus, locus_map: LocusMap,
     stages.append(StageReport("impute-untyped", time.perf_counter() - t0, {
         "windows": len(imputation.windows),
         "capped": sum(not w.converged for w in imputation.windows),
-        "entries": len(imputation.entries),
+        "entries": len(imputation),
         "locus_evals": imputation.forward_locus_evals
         + imputation.backward_locus_evals,
     }))

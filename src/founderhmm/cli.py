@@ -433,7 +433,7 @@ def _cmd_impute(args):
                             "flank": args.flank, "seed": args.seed})
     write_imputation(args.out, result, config_line=echo, json_mode=args.json)
     capped = sum(not w.converged for w in result.windows)
-    _note(f"imputed {len(result.entries)} genotype calls across "
+    _note(f"imputed {len(result)} genotype calls across "
           f"{len(result.windows)} windows (capped={capped})")
 
 

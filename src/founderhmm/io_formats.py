@@ -10,18 +10,20 @@ parser:
   ``HaplotypePanel``): the reader splits the rows once and maps all
   symbols through a 256-entry byte table, the writer maps them back
   through the inverse table, and neither builds an object per row
-* locus map         — one row per locus: ``locus_id<TAB>position<TAB>typed|untyped``
+* locus map         — one row per locus: ``locus_id<TAB>position<TAB>typed|untyped``,
+  positions finite and increasing
 * model             — versioned text header, then the initial vector,
   per-interval transition rows, and per-locus emission rows, every value
   printed with 17 significant digits (lossless for double precision).
   Writer and reader share the order of the rows; the reader takes no
-  other order and parses the rows as one block
+  other order, parses the rows as one block, and names the row of values
+  that make no model
 * reports           — tab-separated tables, each declared once as its
-  columns and the kind of each column's cells; each has a JSON twin
-  carrying the same records. The writers format each distinct middle and
-  tail of a row once and join the rows in one string; one reader serves
-  both tables, finding lines and tabs in the file's bytes as arrays and
-  parsing each distinct cell piece once
+  columns and the kind of each column's cells, moved as the columns of an
+  ``ErrorReport`` or ``ImputationResult``; each has a JSON twin. The
+  writers format each distinct middle and tail of a row once and join
+  the rows in one string; one reader serves both tables, finding lines
+  and tabs in the file's bytes as arrays and parsing each distinct piece once
 
 Writers are atomic (temp file in the target directory, then rename) and
 accept an optional ``#config:`` echo line. Readers decode a file as UTF-8
@@ -43,7 +45,7 @@ from itertools import count, repeat, zip_longest
 import numpy as np
 
 from .analysis import ErrorEntry, ErrorReport, ImputationEntry, ImputationResult
-from .model import FounderHMM, GenotypeCorpus, HaplotypePanel, InputError, LocusMap
+from .model import STOCHASTIC_ATOL, FounderHMM, GenotypeCorpus, HaplotypePanel, InputError, LocusMap
 
 CONFIG_ENV = "FOUNDERHMM_CONFIG"
 MODEL_MAGIC = "#founderhmm-model v1"
@@ -271,6 +273,10 @@ def read_locus_map(path) -> LocusMap:
             _fail(path, line_no, f"position {pos_text!r} is not a number")
         if type(pos) is int and not -2**63 <= pos < 2**63:
             _fail(path, line_no, f"position {pos_text} does not fit a 64-bit integer")
+        if not math.isfinite(pos):
+            _fail(path, line_no, f"position {pos_text} is not finite")
+        if positions and not pos > positions[-1]:
+            _fail(path, line_no, "positions must be strictly increasing")
         if status not in ("typed", "untyped"):
             _fail(path, line_no, f"status must be 'typed' or 'untyped', got {status!r}")
         ids.append(lid)
@@ -346,8 +352,10 @@ def _model_table(lines, rows, starts, k):
 
 
 def _check_model_rows(path, lines, rows, starts, k):
-    """Fail at the first model row that is out of place or does not hold K
-    finite values."""
+    """Fail at the first model row that is out of place, does not hold K
+    finite values, or holds values that make no model: a negative value or
+    a sum off 1 in the initial or a transition row, or an emission outside
+    [0, 1]."""
     for i, start in zip_longest(rows, starts):
         if i is None:
             _fail(path, 1, f"incomplete {start.split()[0]} rows")
@@ -374,13 +382,20 @@ def _check_model_rows(path, lines, rows, starts, k):
                 finite = False
             if not finite:
                 _fail(path, i + 1, f"value {value!r} is not a finite number")
+        p = np.array(values, dtype=np.float64)
+        if kind == "emission" and not ((p >= 0) & (p <= 1)).all():
+            _fail(path, i + 1, f"row '{label}' must lie in [0, 1]")
+        if kind != "emission" and ((p < 0).any() or abs(p.sum() - 1.0) > STOCHASTIC_ATOL):
+            _fail(path, i + 1, f"row '{label}' must be non-negative and sum to 1 "
+                               f"within {STOCHASTIC_ATOL}")
 
 
 def read_model(path) -> FounderHMM:
     """A model file in write_model's layout: the format line, the header,
     then every row in its place with K finite values; other comment lines
     may stand anywhere. The rows are parsed as one block; rows that do not
-    parse are checked one by one to name the first bad one."""
+    parse, or whose values make no model, are checked one by one to name
+    the first bad one."""
     lines = _read_text(path).split("\n")
     rows = [i for i, line in enumerate(lines) if line.strip()
             and (line[0] != "#" or line.startswith(("#founderhmm-model", "#founders=")))]
@@ -393,6 +408,7 @@ def read_model(path) -> FounderHMM:
     try:
         return FounderHMM(table[0], table[1:t + 1].reshape(n - 1, k, k), table[t + 1:])
     except InputError as exc:
+        _check_model_rows(path, lines, rows[2:], starts, k)
         raise InputError(f"{path}: {exc}") from exc
 
 
@@ -450,7 +466,7 @@ def _fill(template, *columns):
     return texts[(np.cumsum(alone) - 1)[head]].tolist()
 
 
-def _tsv_body(table, sample_ids, locus_ids, loci, *columns):
+def _tsv_body(table, sample_ids, loci, locus_ids, *columns):
     """Rows ``sample_id<TAB>locus_id<TAB>locus_index<TAB>`` then the rest of
     ``table``'s cells from ``columns``, each distinct middle and tail
     formatted once; %.17g prints what fmt prints."""
@@ -462,15 +478,18 @@ def _tsv_body(table, sample_ids, locus_ids, loci, *columns):
     return "".join(cells)
 
 
+def _json_entries(report):
+    """A report's entries as its JSON twin's dicts, built from its columns."""
+    columns = [c if isinstance(c, list) else c.tolist() for c in report.columns()]
+    return [dict(zip(report._entry._fields, row)) for row in zip(*columns)]
+
+
 def write_error_report(path, report: ErrorReport, *, config_line=None,
                        json_mode=False):
-    columns = (report.observed, report.ratio, report.flags, report.suggested)
     if json_mode:
         return _write_json(path, {
             "threshold": report.threshold,
-            "entries": [dict(zip(ERROR_REPORT_COLUMNS, row)) for row in zip(
-                report.sample_id, report.locus_id, report.locus_index.tolist(),
-                *(c.tolist() for c in columns))],
+            "entries": _json_entries(report),
             "failures": {k: int(v) for k, v in sorted(report.failures.items())},
         }, config_line)
     lines = _config_lines(config_line)
@@ -478,9 +497,7 @@ def write_error_report(path, report: ErrorReport, *, config_line=None,
     for sample_id, locus in sorted(report.failures.items()):
         lines.append(f"#zero-probability\t{sample_id}\t{locus}")
     lines.append("\t".join(ERROR_REPORT_COLUMNS) + "\n")
-    atomic_write(path, "\n".join(lines) + _tsv_body(
-        ERROR_REPORT_TABLE, report.sample_id, report.locus_id, report.locus_index,
-        *columns))
+    atomic_write(path, "\n".join(lines) + _tsv_body(ERROR_REPORT_TABLE, *report.columns()))
 
 
 def _count(value, name, top=None):
@@ -720,8 +737,7 @@ def write_imputation(path, result: ImputationResult, *, config_line=None,
                      json_mode=False):
     if json_mode:
         return _write_json(path, {
-            "entries": [{**e._asdict(), "probs": list(e.probs)}
-                        for e in result.entries],
+            "entries": _json_entries(result),
             "failures": [list(f) for f in result.failures],
             "windows": [{"lo": w.lo, "hi": w.hi, "targets": list(w.targets),
                          "train_iterations": w.train_iterations}
@@ -734,40 +750,32 @@ def write_imputation(path, result: ImputationResult, *, config_line=None,
     for sample_id, locus in result.failures:
         lines.append(f"#zero-probability\t{sample_id}\t{locus}")
     lines.append("\t".join(IMPUTATION_COLUMNS) + "\n")
-    sample_ids, loci, locus_ids, probs, calls, confidence = (
-        zip(*result.entries) if result.entries else [()] * 6)
-    probs = np.array(probs, dtype=np.float64).reshape(-1, 3)
     atomic_write(path, "\n".join(lines) + _tsv_body(
-        IMPUTATION_TABLE, list(sample_ids), list(locus_ids), np.array(loci, dtype=np.int64),
-        *probs.T, np.array(calls, dtype=np.int64), np.array(confidence, dtype=np.float64)))
+        IMPUTATION_TABLE, result.sample_id, result.locus_index, result.locus_id,
+        *result.probs.T, result.call, result.confidence))
 
 
 def read_imputation(path) -> ImputationResult:
-    """Rebuild the callable entries of an imputation artifact (windows are
+    """The calls of an imputation artifact, as columns (windows are
     summarized, models are never serialized), from TSV through the same
     columnar reader as error reports, or from JSON."""
     text = _read_text(path)
     if text.lstrip().startswith("{"):
         try:
             payload = json.loads(text)
-            entries = tuple(ImputationEntry(*_json_entry(e, IMPUTATION_TABLE,
-                                                         ImputationEntry._fields))
-                            for e in payload["entries"])
+            entries = [_json_entry(e, IMPUTATION_TABLE, ImputationEntry._fields)
+                       for e in payload["entries"]]
             failures = tuple((_json_value(sample, "failures sample", "id"),
                               _count(locus, "failures locus"))
                              for sample, locus in payload.get("failures", []))
         except (KeyError, TypeError, ValueError, IndexError) as exc:
             raise InputError(f"{path}: malformed JSON imputation file ({exc})") from exc
-    else:
-        found, (sample_id, locus_id, index, *probs, call, confidence) = _read_tsv(
-            path, text.encode(), IMPUTATION_TABLE, "imputation",
-            {"#zero-probability\t": _zero_probability})
-        entries = tuple(map(ImputationEntry, sample_id, index.tolist(), locus_id,
-                            zip(*(p.tolist() for p in probs)), call.tolist(),
-                            confidence.tolist()))
-        failures = tuple(found["#zero-probability\t"])
-    return ImputationResult(entries=entries, windows=(), failures=failures,
-                            forward_locus_evals=0, backward_locus_evals=0)
+        return ImputationResult.from_entries(entries, (), failures, 0, 0)
+    found, (sample_id, locus_id, index, *probs, call, confidence) = _read_tsv(
+        path, text.encode(), IMPUTATION_TABLE, "imputation",
+        {"#zero-probability\t": _zero_probability})
+    return ImputationResult(sample_id, index, locus_id, np.stack(probs, axis=1), call,
+                            confidence, (), tuple(found["#zero-probability\t"]), 0, 0)
 
 
 RECOVERY_COLUMNS = ("sample_id", "locus_index", "symbol", "confidence")

@@ -238,13 +238,12 @@ def evaluate(calls, truth_genotypes, *, loci=None) -> EvalReport:
     lengths = np.array([len(v) for v in truth.values()] + [0])
     symbols = np.concatenate([*truth.values(), [MISSING]]).astype(np.int8)
     if isinstance(calls, ImputationResult):
-        ids, index, _, _, call, _ = list(zip(*calls.entries)) or [()] * 6
-        scored = np.flatnonzero(np.isin(index, [int(i) for i in loci]) if loci is not None
-                                else np.ones(len(ids), dtype=bool))
+        ids = calls.sample_id
+        scored = np.flatnonzero(np.isin(calls.locus_index, [int(i) for i in loci])
+                                if loci is not None else np.ones(len(ids), dtype=bool))
         row = np.fromiter(map(of.get, ids, itertools.repeat(-1)), dtype=np.intp,
                           count=len(ids))[scored]
-        index = np.array(index, dtype=np.int64)[scored]
-        call = np.array(call, dtype=object)[scored]
+        index, call = calls.locus_index[scored], calls.call[scored]
         name = lambda j: ids[scored[j]]
     else:
         rows = []
@@ -272,7 +271,8 @@ def evaluate(calls, truth_genotypes, *, loci=None) -> EvalReport:
             raise InputError(f"call locus {index[j]} outside truth for {name(j)!r}")
         if true[j] == MISSING:
             raise InputError(f"truth is missing at {name(j)!r} locus {index[j]}")
-        raise InputError(f"call {call[j]!r} at {name(j)!r} locus {index[j]} is not 0, 1 or 2")
+        raise InputError(f"call {call.tolist()[j]!r} at {name(j)!r} locus {index[j]} "
+                         "is not 0, 1 or 2")
     if problem:
         raise InputError(problem)
     true, call = true.astype(np.intp), call.astype(np.intp)

@@ -33,7 +33,9 @@ loop behind ``simulate.evaluate``; ``distinct_rows_axis0`` and
 ``trie_axis0``, the field-by-field ``np.unique(axis=0)`` dedupe behind the
 byte-string sort of ``build_trie`` and ``train_founder_hmms``; and
 ``recover_missing_full_scan``, the recovery that scans every sample,
-behind the one that scans only the samples with a gap.
+behind the one that scans only the samples with a gap; and
+``impute_untyped_per_entry``, the per-sample, per-locus entry loop behind
+the columns of ``impute_untyped``, bit for bit.
 """
 import json
 import os
@@ -43,14 +45,17 @@ from itertools import chain, compress, count, repeat
 import numpy as np
 
 from founderhmm import (ErrorReport, EvalReport, FounderHMM, GenotypeCorpus,
-                        ImputationEntry, ImputationResult, InputError,
+                        HaplotypePanel, ImputationEntry, ImputationResult, InputError,
                         ZeroProbabilityError, batched_posteriors)
-from founderhmm.analysis import RecoveryFill, RecoveryResult
+from founderhmm.analysis import (RecoveryFill, RecoveryResult, WindowReport,
+                                 window_spans)
 from founderhmm.io_formats import (ERROR_REPORT_COLUMNS, IMPUTATION_COLUMNS,
                                    MODEL_MAGIC, _count, _declared, _fail,
                                    _read_error_report_json, _read_text,
                                    _threshold, _tsv_index, _zero_probability,
                                    fmt, read_imputation)
+from founderhmm.training import train_founder_hmms, window_config
+from founderhmm.trie import _scan_symbols
 
 MISSING = -1
 
@@ -610,9 +615,9 @@ def read_imputation_per_row(path):
             _fail(path, line_no, f"malformed imputation row ({exc})")
     if not header_seen:
         _fail(path, 1, "missing column header row")
-    return ImputationResult(entries=tuple(entries), windows=(),
-                            failures=tuple(failures), forward_locus_evals=0,
-                            backward_locus_evals=0)
+    return ImputationResult.from_entries(entries=tuple(entries), windows=(),
+                                         failures=tuple(failures), forward_locus_evals=0,
+                                         backward_locus_evals=0)
 
 
 def read_model_per_line(path):
@@ -788,3 +793,49 @@ def recover_missing_full_scan(model, corpus):
     return RecoveryResult(corpus=GenotypeCorpus(corpus.ids, symbols),
                           fills=tuple(fills), failures=dict(batch.failures),
                           stats=batch.stats)
+
+
+def impute_untyped_per_entry(reference, corpus, locus_map, config, *, window):
+    """``impute_untyped`` on valid inputs, building one entry per sample and
+    untyped locus in a loop, keyed by (sample, locus), then sorting the
+    entries and the failures by corpus order and locus."""
+    reference, genos = HaplotypePanel.of(reference), GenotypeCorpus.of(corpus)
+    typed_idx = locus_map.typed_indices()
+    spans = window_spans(locus_map, window)
+    fits = train_founder_hmms(
+        [reference.matrix[:, lo:hi + 1] for (lo, hi), _ in spans],
+        window_config(config))
+    symbols = genos.matrix
+    per_position = {}
+    windows = []
+    failures = []
+    fevals = bevals = 0
+    for ((lo, hi), targets), (wmodel, wreport) in zip(spans, fits):
+        first, stop = np.searchsorted(typed_idx, (lo, hi + 1))
+        block = np.full((len(genos), hi - lo + 1), MISSING, dtype=np.int8)
+        block[:, typed_idx[first:stop] - lo] = symbols[:, first:stop]
+        trie, (triples, *_), (wf, wb) = _scan_symbols(wmodel, block)
+        windows.append(WindowReport(lo, hi, targets, wreport.iterations_run,
+                                    wreport.converged, wmodel))
+        fevals += wf
+        bevals += wb
+        triples = triples[:, np.asarray(targets) - lo]
+        totals = triples.sum(axis=2)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            probs = (triples / totals[:, :, None]).tolist()
+        calls = triples.argmax(axis=2).tolist()
+        dead = (totals <= 0.0).tolist()
+        for sid, r in zip(genos.ids, trie.row_of.tolist()):
+            for t, p, call, d in zip(targets, probs[r], calls[r], dead[r]):
+                if d:
+                    failures.append((sid, t))
+                    continue
+                per_position[(sid, t)] = ImputationEntry(
+                    sid, t, locus_map.locus_ids[t], tuple(p), call, p[call])
+    order = dict(zip(genos.ids, count()))
+    entries = sorted(per_position.values(),
+                     key=lambda e: (order[e.sample_id], e.locus_index))
+    return ImputationResult.from_entries(
+        entries, windows=tuple(windows),
+        failures=tuple(sorted(failures, key=lambda f: (order[f[0]], f[1]))),
+        forward_locus_evals=fevals, backward_locus_evals=bevals)

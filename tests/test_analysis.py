@@ -1,5 +1,7 @@
 """Analysis flows: error screening, correction, recovery, imputation
 windows, phasing, and the end-to-end pipeline."""
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,8 @@ import founderhmm.training as training
 import founderhmm.trie as trie
 import oracle
 from conftest import random_corpus, random_genotype, random_model
-from founderhmm import (MISSING, FounderHMM, HaplotypeSequence, InputError,
+from founderhmm import (MISSING, FounderHMM, GenotypeCorpus, HaplotypePanel,
+                        HaplotypeSequence, ImputationResult, InputError,
                         LocusMap, MultilocusGenotype, SimConfig, TrainConfig,
                         WindowSpec, ZeroProbabilityError, correct_errors,
                         detect_errors, evaluate, impute_untyped, phase_corpus,
@@ -479,6 +482,54 @@ def test_impute_does_not_depend_on_em_stacking(monkeypatch):
             for name in ("initial", "transitions", "emissions"):
                 assert np.array_equal(getattr(a.model, name),
                                       getattr(b.model, name))
+
+
+def test_impute_columns_match_the_per_entry_loop():
+    """impute_untyped's columns give the entries, failures and windows of
+    the per-entry loop, on seeded cases with duplicate genotypes and a
+    sample that the windows over one locus cannot explain; from_entries of
+    its entries gives its columns back bit for bit, -0.0 and 1e-300
+    included."""
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        n = 16
+        typed = rng.random(n) < 0.6
+        typed[:3], typed[-1] = (True, True, False), False  # locus 2's window holds 1
+        reference = rng.integers(0, 2, size=(24, n)).astype(np.int8)
+        reference[:, 1] = 0  # with no pseudocount, a minor allele there is impossible
+        symbols = rng.integers(0, 3, size=(6, typed.sum())).astype(np.int8)
+        symbols[rng.random(symbols.shape) < 0.1] = MISSING
+        symbols = np.concatenate((symbols, symbols[:3]))  # duplicate genotypes
+        symbols[:, 1] = 0
+        symbols[2, 1] = 2
+        panel = HaplotypePanel([f"H{j}" for j in range(len(reference))], reference)
+        corpus = GenotypeCorpus([f"S{j}" for j in range(len(symbols))], symbols)
+        locus_map = LocusMap(tuple(f"L{i}" for i in range(n)), np.arange(n) * 10, typed)
+        cfg = TrainConfig(founders=2, seed=seed, pseudocount=0.0)
+        args = (panel, corpus, locus_map, cfg)
+        got = impute_untyped(*args, window=WindowSpec(flank=2))
+        want = oracle.impute_untyped_per_entry(*args, window=WindowSpec(flank=2))
+        assert repr(got.entries) == repr(want.entries)  # repr tells -0.0 from 0.0
+        assert got.failures == want.failures
+        assert {sample for sample, _ in got.failures} == {"S2"}
+        assert len(got) == len(got.entries) == len(corpus) * (n - typed.sum()) - len(got.failures)
+        assert ((got.forward_locus_evals, got.backward_locus_evals)
+                == (want.forward_locus_evals, want.backward_locus_evals))
+        for a, b in zip(got.windows, want.windows, strict=True):
+            assert ((a.lo, a.hi, a.targets, a.train_iterations, a.converged)
+                    == (b.lo, b.hi, b.targets, b.train_iterations, b.converged))
+            for name in ("initial", "transitions", "emissions"):
+                assert np.array_equal(getattr(a.model, name), getattr(b.model, name))
+        probs = got.probs.copy()
+        probs[0] = (-0.0, 1e-300, 1.0)
+        edited = dataclasses.replace(got, probs=probs)
+        again = ImputationResult.from_entries(edited.entries, edited.windows,
+                                              edited.failures, 0, 0)
+        for a, b in zip(edited.columns(), again.columns(), strict=True):
+            if isinstance(a, list):
+                assert type(b) is list and a == b
+            else:
+                assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
 
 
 def test_capped_counter_counts_windows_that_did_not_converge():

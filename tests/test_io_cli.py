@@ -177,11 +177,20 @@ def test_locus_map_positions_are_written_as_they_read_back(tmp_path):
                           ("1_000", "is not a number"), ("\u0663000", "is not a number"),
                           ("+5", "is not a number"), (" 5", "is not a number"),
                           ("1_0.5", "is not a number"), ("\u0663.5", "is not a number"),
+                          ("1e999", "is not finite"),
                           ("1" * 5000, "is not a number")):  # past int()'s digit limit
         path.write_text(f"z\t-9223372036854775808\ttyped\na\t{text}\ttyped\n")
         with pytest.raises(InputError, match=re.escape(f"{path}:2: position ")
                            + f".*{problem}"):
             read_locus_map(path)
+
+
+def test_locus_map_names_the_line_of_a_position_out_of_order(tmp_path):
+    path = tmp_path / "m.map"
+    path.write_text("# note\n\na\t10\ttyped\nb\t20\ttyped\nc\t15\tuntyped\n")
+    with pytest.raises(InputError) as info:
+        read_locus_map(path)
+    assert str(info.value) == f"{path}:5: positions must be strictly increasing"
 
 
 def test_locus_map_position_past_int64_exits_one(ws, tmp_path, capsys):
@@ -260,6 +269,13 @@ def test_model_reader_rejects_damage(tmp_path):
     (lambda ls: ls[:3] + [ls[3].rsplit("\t", 1)[0] + "\tnan"] + ls[4:], 4,
      "value 'nan' is not a finite number", False),
     (lambda ls: ls[:3] + ["initial"] + ls[4:], 4, "row 'initial' needs 3 values", False),
+    # rows that parse but make no model
+    (lambda ls: ls[:3] + ["initial\t-0.5\t1\t0.5"] + ls[4:], 4,
+     "row 'initial' must be non-negative and sum to 1 within 1e-09", False),
+    (lambda ls: ls[:7] + ["transition\t1\t0\t0.5\t0.9\t0.1"] + ls[8:], 8,
+     "row 'transition 1 0' must be non-negative and sum to 1 within 1e-09", False),
+    (lambda ls: ls[:-1] + ["emission\t11\t0.5\t1.5\t0.5"], 49,
+     "row 'emission 11' must lie in [0, 1]", False),
 ])
 def test_model_reader_names_the_line_that_breaks_the_writers_layout(
         tmp_path, edit, line, problem, oracle_reads):
@@ -372,9 +388,9 @@ def test_error_report_reader_wants_threshold_and_header(tmp_path):
 def sample_imputation():
     entries = (ImputationEntry("S0", 7, "L7", (0.25, 0.5, 0.25), 1, 0.5),
                ImputationEntry("S1", 7, "L7", (1.0 / 3, 1.0 / 3, 1.0 / 3), 0, 1.0 / 3))
-    return ImputationResult(entries=entries, windows=(),
-                            failures=(("S2", 7),), forward_locus_evals=0,
-                            backward_locus_evals=0)
+    return ImputationResult.from_entries(entries=entries, windows=(),
+                                         failures=(("S2", 7),), forward_locus_evals=0,
+                                         backward_locus_evals=0)
 
 
 @pytest.mark.parametrize("json_mode", [False, True])
@@ -681,9 +697,9 @@ def test_report_writers_match_the_per_row_writers(tmp_path):
                                 tuple(rng.dirichlet(np.ones(3))), j % 3, rng.random())
                 for j in range(500)]
     for rows in (imputed, []):
-        result = ImputationResult(entries=tuple(rows), windows=windows,
-                                  failures=(("S2", 7), ("%s", 0)),
-                                  forward_locus_evals=0, backward_locus_evals=0)
+        result = ImputationResult.from_entries(entries=tuple(rows), windows=windows,
+                                               failures=(("S2", 7), ("%s", 0)),
+                                               forward_locus_evals=0, backward_locus_evals=0)
         for config in (None, "#config: impute {}"):
             write_imputation(path, result, config_line=config)
             assert path.read_bytes() == oracle.imputation_text_per_entry(
@@ -830,7 +846,7 @@ def test_awkward_ids_round_trip_through_every_writer_and_reader(tmp_path):
     write_locus_map(tmp_path / "m.map", LocusMap(ids, np.arange(1, n + 1),
                                                  np.arange(n) % 2 == 0))
     assert read_locus_map(tmp_path / "m.map").locus_ids == ids
-    imputed = ImputationResult(
+    imputed = ImputationResult.from_entries(
         entries=tuple(ImputationEntry(sid, j, ids[-1 - j], (0.25, 0.5, 0.25), 1, 0.5)
                       for j, sid in enumerate(ids)),
         windows=(), failures=((ids[0], 2),), forward_locus_evals=0,
@@ -979,8 +995,8 @@ def test_evaluate_rejects_calls_outside_0_to_2():
     truth = [MultilocusGenotype("S0", np.zeros(9, dtype=np.int8))]
     for call in (-1, 3, 300):
         entry = ImputationEntry("S0", 7, "L7", (0.25, 0.5, 0.25), call, 0.5)
-        calls = ImputationResult(entries=(entry,), windows=(), failures=(),
-                                 forward_locus_evals=0, backward_locus_evals=0)
+        calls = ImputationResult.from_entries(entries=(entry,), windows=(), failures=(),
+                                              forward_locus_evals=0, backward_locus_evals=0)
         with pytest.raises(InputError, match="is not 0, 1 or 2"):
             evaluate(calls, truth)
 
@@ -1789,7 +1805,7 @@ def imputation_file(tmp_path_factory):
                                     (p, 1.0 / 3, -0.0), j % 3, p)
                     for j, p in enumerate((0.25, 1.0 / 3, 1e-300, 0.25, 1.0, 0.5)))
     windows = (WindowReport(0, 4, (1, 2), 7, True, None),)
-    write_imputation(path, ImputationResult(
+    write_imputation(path, ImputationResult.from_entries(
         entries=entries, windows=windows, failures=(("S2", 7), ("%s", 0)),
         forward_locus_evals=0, backward_locus_evals=0))
     return path

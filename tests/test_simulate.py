@@ -203,8 +203,8 @@ def test_imputation_entries_score_at_their_own_loci():
         ImputationEntry("S0", 1, "L1", np.array([0.1, 0.8, 0.1]), 1, 0.8),
         ImputationEntry("S0", 2, "L2", np.array([0.5, 0.3, 0.2]), 0, 0.5),
     )
-    result = ImputationResult(entries=entries, windows=(), failures={},
-                              forward_locus_evals=0, backward_locus_evals=0)
+    result = ImputationResult.from_entries(entries=entries, windows=(), failures={},
+                                           forward_locus_evals=0, backward_locus_evals=0)
     report = evaluate(result, truth)
     assert report.total == 2 and report.discordant == 1
     assert evaluate(result, truth, loci=[1]).discordant == 0
@@ -220,8 +220,8 @@ def test_alignment_mismatches_are_rejected():
     with pytest.raises(InputError):
         evaluate(truth, truth + truth)  # duplicated truth ids
     entry = ImputationEntry("S0", 99, "L99", np.array([1.0, 0, 0]), 0, 1.0)
-    bad = ImputationResult(entries=(entry,), windows=(), failures={},
-                           forward_locus_evals=0, backward_locus_evals=0)
+    bad = ImputationResult.from_entries(entries=(entry,), windows=(), failures={},
+                                        forward_locus_evals=0, backward_locus_evals=0)
     with pytest.raises(InputError):
         evaluate(bad, truth)
 
@@ -276,8 +276,8 @@ def test_evaluate_matches_the_per_entry_loop_on_imputations():
     def result(*rows):
         entries = tuple(ImputationEntry(sid, locus, f"L{locus}", (0.2, 0.3, 0.5),
                                         call, 0.5) for sid, locus, call in rows)
-        return ImputationResult(entries=entries, windows=(), failures=(),
-                                forward_locus_evals=0, backward_locus_evals=0)
+        return ImputationResult.from_entries(entries=entries, windows=(), failures=(),
+                                             forward_locus_evals=0, backward_locus_evals=0)
 
     good = [("S0", j, (j * 2) % 3) for j in range(5)] + [("S1", 0, 2), ("S1", 4, 0)]
     for rows, kwargs in ((good, {}), (good, {"loci": [0, 4]}), ((), {}),
