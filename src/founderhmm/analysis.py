@@ -436,8 +436,10 @@ def _decode_distinct(model: FounderHMM, rows: np.ndarray, lcps: np.ndarray):
     walked (:func:`~founderhmm.inference._viterbi_rows`) and traced back
     in chunks that fit in ``inference._TILE_BYTES``."""
     n, k = rows.shape[1], model.founders
-    # a row's back-pointers, one locus' work arrays and its allele arrays
-    row_bytes = (2 * (n - 1) * np.min_scalar_type(k - 1).itemsize + 64) * k * k + 64 * n
+    # a row's back-pointers, one locus' work arrays, its K candidate
+    # products of the max-product step, its peaks and its allele arrays
+    row_bytes = ((2 * (n - 1) * np.min_scalar_type(k - 1).itemsize + 64) * k * k
+                 + 8 * k ** 3 + 72 * n)
     step = max(1, inference._TILE_BYTES // row_bytes)
     etab, planes = emission_stack(model), _planes(rows)
     chunks, evals = [], 0
@@ -454,8 +456,8 @@ def _decode_distinct(model: FounderHMM, rows: np.ndarray, lcps: np.ndarray):
         paths[:, 0, n - 1], paths[:, 1, n - 1] = pair_a, pair_b
         for i in range(n - 2, -1, -1):
             a, b = paths[:, 0, i + 1], paths[:, 1, i + 1]
-            paths[:, 0, i] = f = back[i, 0][every, a, b]
-            paths[:, 1, i] = back[i, 1][every, f, b]
+            paths[:, 0, i] = f = back[i, 0][a, every, b]
+            paths[:, 1, i] = back[i, 1][b, every, f]
         alleles = _assign_alleles(model, rows[lo:lo + step], paths)
         chunks.append((*alleles, paths, log_joint, dead))
     return (*map(np.concatenate, zip(*chunks)), evals)

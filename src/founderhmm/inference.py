@@ -15,6 +15,8 @@ genotypes; its forward walk and phasing's max-product walk,
 :func:`_viterbi_rows`, step rows past their shared prefix only, in
 :func:`_live_step`. The backward direction is the same step over reversed
 loci, since a transposed transition retreats where the original advances.
+A dead (zero-mass) belief is divided by the least double, which keeps it
+zero; the max-product step makes the same NumPy calls per depth for any K.
 """
 from __future__ import annotations
 
@@ -31,6 +33,7 @@ _TILE_ROWS = 64
 # Byte cap on the backward states one tile holds; longer genotypes walk
 # in checkpointed blocks of loci, which changes the pace, never the answer.
 _TILE_BYTES = 64 << 20
+_LEAST = np.nextafter(0.0, 1.0)  # below every live mass; see the module docstring
 
 
 def _planes(symbols: np.ndarray) -> np.ndarray:
@@ -47,13 +50,7 @@ def _step(states: np.ndarray, emats: np.ndarray, t):
     an all-zero belief, so impossible genotypes propagate exact zeros."""
     tmp = states * emats
     mass = tmp.sum(axis=(1, 2))
-    live = mass > 0.0
-    if live.all():
-        tmp /= mass[:, None, None]
-    else:
-        mass = np.where(live, mass, 0.0)
-        tmp[live] /= mass[live, None, None]
-        tmp[~live] = 0.0
+    tmp /= np.maximum(mass, _LEAST)[:, None, None]
     if t is not None:
         tmp = t.T @ (tmp @ t)
     return tmp, mass
@@ -68,17 +65,23 @@ def _walk(emit, trans, planes, state, log):
     serve later large allocations from its heap, which raised peak RSS."""
     steps, depths = len(trans), len(emit)
     states = [state]
-    logs = np.empty((depths + 1, state.shape[0]))
     masses = np.empty((depths, state.shape[0]))
+    for d in range(depths):
+        new, masses[d] = _step(states[d], emit[d][planes[d]],
+                               trans[d] if d < steps else None)
+        if d < steps:
+            states.append(new)
+    return states, _log_sums(log, masses), masses
+
+
+def _log_sums(log, masses):
+    """Row d: ``log`` plus the logs of the (depths, B) masses before depth d,
+    by cumsum, which adds in depth order (a sum would add a row pairwise)."""
+    logs = np.empty((len(masses) + 1, masses.shape[1]))
     logs[0] = log
     with np.errstate(divide="ignore"):
-        for d in range(depths):
-            new, masses[d] = _step(states[d], emit[d][planes[d]],
-                                   trans[d] if d < steps else None)
-            logs[d + 1] = logs[d] + np.log(masses[d])
-            if d < steps:
-                states.append(new)
-    return states, logs, masses
+        np.log(masses, out=logs[1:])
+    return np.cumsum(logs, axis=0, out=logs)
 
 
 def _prior(model: FounderHMM):
@@ -155,86 +158,85 @@ def _scan_rows(model, etab, planes, lcps):
             checkpoints.append((states[-1], logs[-1].copy()))
             bevals += masses.size
             del states, logs
-        state = np.repeat(prior[None], t1 - t0, axis=0)
-        log = np.full(t1 - t0, np.log(norm))
+        state, fmasses = np.repeat(prior[None], t1 - t0, axis=0), np.empty((n, t1 - t0))
         # the last row's states up to the prefix it shares with the next tile
         shared = int(lcps[t1]) if t1 < rows else 0
-        next_states, next_logs = np.empty((shared, k, k)), np.empty(shared)
-        with np.errstate(divide="ignore"):
-            for (lo, hi), checkpoint in zip(blocks, checkpoints[::-1]):
-                bstates, bl, masses = _walk(retab[n - hi:n - lo - 1],
-                                            rtrans[n - hi:n - lo - 1],
-                                            rplanes[n - hi:n - lo - 1], *checkpoint)
-                blogs[t0:t1, lo:hi] = bl[::-1].T
-                bevals += masses.size
-                for d in range(lo, hi):
-                    triples[t0:t1, d] = np.einsum("bkl,xkl->bx",
-                                                  state * bstates[hi - 1 - d],
-                                                  etab[d, :3])
-                    flogs[t0:t1, d] = log
-                    t = trans[d] if d < n - 1 else None
+        next_states, next_masses = np.empty((shared, k, k)), np.empty(shared)
+        for (lo, hi), checkpoint in zip(blocks, checkpoints[::-1]):
+            bstates, bl, masses = _walk(retab[n - hi:n - lo - 1],
+                                        rtrans[n - hi:n - lo - 1],
+                                        rplanes[n - hi:n - lo - 1], *checkpoint)
+            blogs[t0:t1, lo:hi] = bl[::-1].T
+            bevals += masses.size
+            for d in range(lo, hi):
+                triples[t0:t1, d] = np.einsum("bkl,xkl->bx",
+                                              state * bstates[hi - 1 - d],
+                                              etab[d, :3])
+                t = trans[d] if d < n - 1 else None
 
-                    def advance(rows):
-                        new, mass = _step(state[rows], etab[d][tplanes[d][rows]], t)
-                        return new, log[rows] + np.log(mass)
-                    (state, log), stepped = _live_step(tlcps, d, advance, carry)
-                    fevals += stepped
-                    if d < shared:
-                        next_states[d], next_logs[d] = state[-1], log[-1]
-                del bstates
-        loglik[t0:t1] = log
-        carry = (next_states, next_logs)
+                def advance(rows):
+                    return _step(state[rows], etab[d][tplanes[d][rows]], t)
+                (state, fmasses[d]), stepped = _live_step(tlcps, d, advance, carry)
+                fevals += stepped
+                if d < shared:
+                    next_states[d], next_masses[d] = state[-1], fmasses[d, -1]
+            del bstates
+        logs = _log_sums(np.log(norm), fmasses)
+        flogs[t0:t1], loglik[t0:t1] = logs[:-1].T, logs[-1]
+        carry = (next_states, next_masses)
     return (triples, flogs, blogs, loglik), (fevals, bevals)
 
 
 def _max_dot(x, t):
     """out[c, b, r] = max over j of t[j, c] * x[j, b, r] for a (K, B, R)
     stack x and a (K, C) matrix t, and arg the first j attaining it (as
-    argmax), in passes over contiguous (B, R) blocks."""
-    x = np.ascontiguousarray(x)
-    out = t[0][:, None, None] * x[0]
-    arg = np.zeros(out.shape, dtype=np.min_scalar_type(len(t) - 1))
-    for j in range(1, len(t)):
-        cand = t[j][:, None, None] * x[j]
-        np.copyto(arg, j, where=cand > out)
-        np.maximum(out, cand, out=out)
-    return out, arg
+    argmax), from all K candidate products at once: the first j is read
+    off the equality mask weighted by K - 1 - j, so the call count does
+    not grow with K."""
+    k, shape = len(t), (t.shape[1],) + x.shape[1:]
+    cand = t[:, :, None] * x.reshape(k, 1, -1)
+    out = cand.max(axis=0)
+    rank = np.arange(k - 1, -1, -1, dtype=np.min_scalar_type(k - 1))[:, None, None]
+    arg = k - 1 - ((cand == out) * rank).max(axis=0)
+    return out.reshape(shape), arg.reshape(shape)
 
 
 def _viterbi_rows(model, etab, planes, lcps):
     """Max-product walk of rows as in :func:`_scan_rows`, lcps[0] = 0, by
     :func:`_live_step`: pair values absorb each emission, rescale to unit
-    maximum (a row left with none keeps zeros and records the locus), and
-    collapse the second chain, then the first, by :func:`_max_dot`.
-    Returns the last (rows, K, K) values, summed log scales, first dead
-    loci (-1 for none), the (n - 1, 2, rows, K, K) back-pointers of the
-    first and second chain, and the locus evaluations."""
+    maximum (a row left with none keeps zeros), and collapse the second
+    chain, then the first, by :func:`_max_dot`; the row peaks of each depth
+    give the log scales and first dead loci after the walk. Returns the last
+    (rows, K, K) values, summed log scales, first dead loci (-1 for none),
+    back-pointers in :func:`_max_dot`'s layout (row r's best pair (a, b) at
+    locus i + 1 comes from (f, back[i, 1, b, r, f]), f = back[i, 0, a, r, b])
+    and the locus evaluations."""
     b, n = planes.shape
     k, trans = model.founders, model.transitions
     tplanes = np.ascontiguousarray(planes.T)
-    back = np.empty((max(n - 1, 0), 2, b, k, k), dtype=np.min_scalar_type(k - 1))
+    back = np.empty((max(n - 1, 0), 2, k, b, k), dtype=np.min_scalar_type(k - 1))
     value = np.broadcast_to(np.outer(model.initial, model.initial), (b, k, k))
-    logscale, dead, evals = np.zeros(b), np.full(b, -1), 0
+    peaks, evals = np.empty((n, b)), 0
     for i in range(n):
 
         def advance(rows):
             hit = value[rows] * etab[i][tplanes[i][rows]]
             peak = hit.max(axis=(1, 2))
-            zero = peak <= 0.0
-            peak[zero] = 1.0
-            hit /= peak[:, None, None]
-            out = (logscale[rows] + np.log(peak),
-                   np.where(zero & (dead[rows] < 0), i, dead[rows]))
+            hit /= np.maximum(peak, _LEAST)[:, None, None]
             if i == n - 1:
-                return (hit, *out)
+                return hit, peak
             collapsed, second = _max_dot(hit.transpose(2, 0, 1), trans[i])
             full, first = _max_dot(collapsed.transpose(2, 1, 0), trans[i])
-            return (full.transpose(1, 0, 2), *out, first.transpose(1, 0, 2),
+            return (full.transpose(1, 0, 2), peak, first.transpose(1, 0, 2),
                     second.transpose(1, 2, 0))
-        (value, logscale, dead, *pointers), stepped = _live_step(lcps, i, advance)
-        if pointers:
-            back[i] = pointers
+        (value, peaks[i], *pointers), stepped = _live_step(lcps, i, advance)
+        if pointers:  # a contiguous copy, unless _live_step gathered them
+            back[i] = pointers[0].transpose(1, 0, 2), pointers[1].transpose(2, 0, 1)
         evals += stepped
+    zero = peaks <= 0.0
+    dead = np.where(zero.any(axis=0), zero.argmax(axis=0), -1)
+    peaks[zero] = 1.0  # their log sums in place, by cumsum as in _log_sums
+    logscale = np.cumsum(np.log(peaks, out=peaks), axis=0, out=peaks)[-1]
     return value, logscale, dead, back, evals
 
 

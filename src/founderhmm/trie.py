@@ -21,8 +21,10 @@ bytes for any number of genotypes, capped at 64 MiB. Past the cap (above
 2674 loci at K = 7) it keeps backward checkpoints at the starts of blocks
 of b loci, b as many as fit, and re-walks one block at a time, for loci -
 b more backward evaluations per genotype: 46% more at 5000 loci and K = 7,
-where b = 2674. The checkpoints add 64 x K^2 x 8 bytes per block, and the
-carried row's forward states at most loci x K^2 x 8 bytes. Blocks change the pace, never the numbers.
+where b = 2674. The checkpoints add 64 x K^2 x 8 bytes per block, the
+carried row's forward states at most loci x K^2 x 8 bytes, and the tile's
+forward masses and their log sums 2 x 64 x loci x 8 bytes. Blocks change
+the pace, never the numbers.
 """
 from __future__ import annotations
 

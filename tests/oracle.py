@@ -10,7 +10,8 @@ per-haplotype Baum-Welch E-step behind the weighted distinct-row E-step of
 ``founderhmm.training``; ``scan_per_locus``, the per-genotype two-sweep
 loop behind the tiled batch posterior engine, bit for bit;
 ``phase_decode_per_sample``, the per-genotype Viterbi loop behind
-``phase_corpus``, bit for bit; ``detect_entries_per_symbol``, the
+``phase_corpus``, bit for bit; ``max_dot_per_founder``, the loop over
+founders behind the engine's one-product max-dot, bit for bit; ``detect_entries_per_symbol``, the
 per-symbol entry loop behind ``detect_errors``, bit for bit;
 ``prefix_nodes``, the trie node count that the batch engine's forward
 walk must match; and ``read_symbol_file_per_line``, the line-by-line,
@@ -331,6 +332,21 @@ def phase_decode_per_sample(model, symbols):
         first, second = second, first
         paths = paths[::-1].copy()
     return first, second, paths, float(log_joint)
+
+
+def max_dot_per_founder(x, t):
+    """out[c, b, r] = max over j of t[j, c] * x[j, b, r] for a (K, B, R)
+    stack x and a (K, C) matrix t, and arg the first j attaining it, one
+    founder j at a time: the loop that ``founderhmm.inference._max_dot``
+    replaces with one product of all K candidates."""
+    x = np.ascontiguousarray(x)
+    out = t[0][:, None, None] * x[0]
+    arg = np.zeros(out.shape, dtype=np.min_scalar_type(len(t) - 1))
+    for j in range(1, len(t)):
+        cand = t[j][:, None, None] * x[j]
+        np.copyto(arg, j, where=cand > out)
+        np.maximum(out, cand, out=out)
+    return out, arg
 
 
 def detect_entries_per_symbol(scan, symbols, threshold):

@@ -7,8 +7,9 @@ from conftest import random_genotype, random_model
 from founderhmm import (MISSING, FounderHMM, MultilocusGenotype,
                         ZeroProbabilityError, backward, backward_naive,
                         forward, forward_backward, forward_naive,
-                        genotype_posteriors, posterior_scan, substitute,
-                        table_from_scan, total_log_likelihood)
+                        genotype_posteriors, inference, posterior_scan,
+                        substitute, table_from_scan, total_log_likelihood)
+from founderhmm.model import emission_stack
 
 
 def test_single_locus_forward_scale_factor_is_one():
@@ -191,3 +192,71 @@ def test_corpus_loci_must_match_model():
     from founderhmm import InputError
     with pytest.raises(InputError):
         forward(m, g)
+
+
+def test_max_dot_matches_the_per_founder_loop_bitwise():
+    rng = np.random.default_rng(31)
+    for trial in range(400):
+        k, rows = int(rng.integers(1, 13)), int(rng.integers(1, 131))
+        hit, t = rng.random((rows, k, k)), rng.random((k, k))
+        if trial % 3 == 0:  # ties within a candidate set
+            hit, t = np.round(hit, 1), np.round(t, 1)
+        if trial % 4 == 0:
+            hit[rng.integers(rows, size=rows // 3 + 1)] = 0.0  # all-zero rows
+        for x in (hit.transpose(2, 0, 1), hit.transpose(1, 0, 2).copy()):
+            want, want_arg = oracle.max_dot_per_founder(x, t)
+            got, got_arg = inference._max_dot(x, t)
+            assert got.dtype == want.dtype and got_arg.dtype == want_arg.dtype
+            assert got.tobytes() == want.tobytes()
+            assert np.array_equal(got_arg, want_arg)
+
+
+def _row_planes(rng, model, rows, dead):
+    """(rows, n) emission planes of random genotypes; with ``dead``, the
+    model gives no mass to row 0 from its third locus on."""
+    symbols = rng.choice([0, 1, 2, MISSING], size=(rows, model.loci))
+    if dead:
+        symbols[0, 2] = 2
+        model = FounderHMM(model.initial, model.transitions,
+                           np.where(np.arange(model.loci)[:, None] == 2, 0.0,
+                                    model.emissions))
+    return model, inference._planes(symbols)
+
+
+@pytest.mark.parametrize("rows", [1, 64])
+def test_walk_logs_and_viterbi_scales_are_running_sums(monkeypatch, rows):
+    """Both walks sum their logs after the walk; the sums must be those of
+    a running total in depth order, not a pairwise sum, for one row as for
+    many."""
+    rng = np.random.default_rng(32)
+    for dead in (False, True):
+        model, planes = _row_planes(rng, random_model(rng, 4, 400), rows, dead)
+        etab = emission_stack(model)
+        prior = np.outer(model.initial, model.initial)
+        _, logs, masses = inference._walk(etab, model.transitions, planes.T,
+                                          np.repeat(prior[None], rows, axis=0), 0.5)
+        running = np.full(rows, 0.5)
+        with np.errstate(divide="ignore"):
+            for d in range(model.loci):
+                assert logs[d].tobytes() == running.tobytes()
+                running = running + np.log(masses[d])
+        assert logs[-1].tobytes() == running.tobytes()
+        assert np.isneginf(logs[-1, 0]) == dead
+
+        peaks, live_step = [], inference._live_step
+
+        def spy(lcps, d, step, carry=()):
+            out, stepped = live_step(lcps, d, step, carry)
+            peaks.append(out[1].copy())
+            return out, stepped
+        monkeypatch.setattr(inference, "_live_step", spy)
+        _, logscale, first_dead, _, _ = inference._viterbi_rows(
+            model, etab, planes, np.zeros(rows, dtype=np.intp))
+        monkeypatch.setattr(inference, "_live_step", live_step)
+        running, want_dead = np.zeros(rows), np.full(rows, -1)
+        for d, peak in enumerate(peaks):
+            running = running + np.log(np.where(peak > 0.0, peak, 1.0))
+            want_dead[(peak <= 0.0) & (want_dead < 0)] = d
+        assert logscale.tobytes() == running.tobytes()
+        assert np.array_equal(first_dead, want_dead)
+        assert (first_dead[0] == 2) == dead

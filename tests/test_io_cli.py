@@ -193,6 +193,27 @@ def test_locus_map_names_the_line_of_a_position_out_of_order(tmp_path):
     assert str(info.value) == f"{path}:5: positions must be strictly increasing"
 
 
+@pytest.mark.parametrize("rows, problem", [
+    ("a\t1\ttyped\nb\t2\ttyped\n# note\na\t3\ttyped\n",
+     "4: duplicate locus id 'a' (first on line 1)"),
+    ("a\t1\ttyped\n\t2\ttyped\n", "2: locus id must be non-empty"),
+    # positions compare as float64 once one is a float, where 2**53 + 1
+    # rounds to 2**53: at the float's own line and at a float after them
+    ("a\t9007199254740992.0\ttyped\nb\t9007199254740993\ttyped\n",
+     "2: positions must be strictly increasing"),
+    ("a\t9007199254740992\ttyped\nb\t9007199254740993\ttyped\nc\t1e16\ttyped\n",
+     "2: positions must be strictly increasing"),
+], ids=["repeated id", "empty id", "float first", "float later"])
+def test_locus_map_names_the_line_of_a_bad_id_or_a_float64_tie(tmp_path, rows, problem):
+    path = tmp_path / "m.map"
+    path.write_text(rows)
+    with pytest.raises(InputError) as info:
+        read_locus_map(path)
+    assert str(info.value) == f"{path}:{problem}"
+    path.write_text("a\t9007199254740992\ttyped\nb\t9007199254740993\ttyped\n")
+    assert read_locus_map(path).positions.tolist() == [2**53, 2**53 + 1]  # exact as int64
+
+
 def test_locus_map_position_past_int64_exits_one(ws, tmp_path, capsys):
     bad = tmp_path / "big.map"
     bad.write_text("a\t99999999999999999999\ttyped\n")
