@@ -436,10 +436,11 @@ def _decode_distinct(model: FounderHMM, rows: np.ndarray, lcps: np.ndarray):
     walked (:func:`~founderhmm.inference._viterbi_rows`) and traced back
     in chunks that fit in ``inference._TILE_BYTES``."""
     n, k = rows.shape[1], model.founders
-    # a row's back-pointers, one locus' work arrays, its K candidate
-    # products of the max-product step, its peaks and its allele arrays
-    row_bytes = ((2 * (n - 1) * np.min_scalar_type(k - 1).itemsize + 64) * k * k
-                 + 8 * k ** 3 + 72 * n)
+    # a row's back-pointers, one locus' work arrays, the max-product step's
+    # K candidate products with their byte mask and masked ranks, its peaks
+    # and its allele arrays
+    ptr = np.min_scalar_type(k - 1).itemsize
+    row_bytes = (2 * (n - 1) * ptr + 64) * k * k + (9 + ptr) * k ** 3 + 72 * n
     step = max(1, inference._TILE_BYTES // row_bytes)
     etab, planes = emission_stack(model), _planes(rows)
     chunks, evals = [], 0

@@ -256,7 +256,7 @@ def write_locus_map(path, locus_map: LocusMap, *, config_line=None):
 
 
 def read_locus_map(path) -> LocusMap:
-    first, positions, typed = {}, [], []  # first: line of each locus id
+    ids, positions, typed, lines = [], [], [], []  # lines: the line of each row
     for line_no, line in enumerate(_read_text(path).split("\n"), start=1):
         if not line.strip() or line.startswith("#"):
             continue
@@ -265,10 +265,6 @@ def read_locus_map(path) -> LocusMap:
             _fail(path, line_no,
                   f"expected locus_id<TAB>position<TAB>typed|untyped, got {len(parts)} fields")
         lid, pos_text, status = parts
-        if not lid:
-            _fail(path, line_no, "locus id must be non-empty")
-        if lid in first:
-            _fail(path, line_no, f"duplicate locus id {lid!r} (first on line {first[lid]})")
         try:  # float()'s grammar in ASCII digits, without the "_", "+" or spaces it allows
             if not re.fullmatch(r"-?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][-+]?[0-9]+)?", pos_text):
                 raise ValueError
@@ -281,22 +277,20 @@ def read_locus_map(path) -> LocusMap:
             _fail(path, line_no, f"position {pos_text} is not finite")
         if status not in ("typed", "untyped"):
             _fail(path, line_no, f"status must be 'typed' or 'untyped', got {status!r}")
-        first[lid] = line_no
+        ids.append(lid)
         positions.append(pos)
         typed.append(status == "typed")
-    if not first:
+        lines.append(line_no)
+    if not ids:
         _fail(path, 1, "locus map file has no rows")
-    # int64 positions unless one is a float: then all compare as float64,
-    # where integers past 2**53 that were in order may round to a tie
-    positions = np.array(positions)
-    after = np.flatnonzero(positions[1:] <= positions[:-1])
-    if after.size:
-        _fail(path, list(first.values())[after[0] + 1], "positions must be strictly increasing")
-    try:
-        return LocusMap(locus_ids=tuple(first), positions=positions,
+    try:  # int64 positions unless one is a float: then all compare as float64
+        return LocusMap(locus_ids=tuple(ids), positions=np.array(positions),
                         typed=np.array(typed, dtype=bool))
     except InputError as exc:
-        raise InputError(f"{path}: {exc}") from exc
+        if not exc.rows:
+            raise InputError(f"{path}: {exc}") from exc
+        row, *first = exc.rows
+        _fail(path, lines[row], str(exc) + "".join(f" (first on line {lines[f]})" for f in first))
 
 
 # ------------------------------------------------------------------ model

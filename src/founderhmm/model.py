@@ -23,7 +23,13 @@ STOCHASTIC_ATOL = 1e-9
 
 
 class InputError(ValueError):
-    """Malformed or mutually inconsistent user input."""
+    """Malformed or mutually inconsistent user input. ``rows`` are the
+    0-based table rows it names, the one at fault first, so that a file
+    reader can name their lines."""
+
+    def __init__(self, message, rows=()):
+        super().__init__(message)
+        self.rows = rows
 
 
 class ZeroProbabilityError(ArithmeticError):
@@ -44,14 +50,14 @@ def _checked_row(kind, row_id, symbols):
     return kind((row_id,), symbols[None]).matrix[0]
 
 
-def _check_id(value, what):
+def _check_id(value, what, rows=()):
     """Reject an id that no file format can hold: empty, led by '#' (a
     comment line) or holding a tab or a line break."""
     if not value:
-        raise InputError(f"{what} must be non-empty")
+        raise InputError(f"{what} must be non-empty", rows)
     if str(value).startswith("#") or any(c in str(value) for c in "\t\n\r"):
         raise InputError(f"{what} {value!r} must not start with '#' or hold a "
-                         "tab or line break")
+                         "tab or line break", rows)
 
 
 @dataclass(frozen=True)
@@ -199,11 +205,12 @@ class LocusMap:
     typed: np.ndarray
 
     def __post_init__(self):
-        ids = tuple(str(i) for i in self.locus_ids)
-        for i in ids:
-            _check_id(i, "locus id")
-        if len(set(ids)) != len(ids):
-            raise InputError("locus ids must be unique")
+        ids, first = tuple(str(i) for i in self.locus_ids), {}
+        for row, i in enumerate(ids):
+            _check_id(i, "locus id", (row,))
+            if i in first:
+                raise InputError(f"duplicate locus id {i!r}", (row, first[i]))
+            first[i] = row
         pos = np.asarray(self.positions)
         # integer positions stay integer; genetic-map style floats stay float
         pos = pos.astype(np.float64 if pos.dtype.kind == "f" else np.int64)
@@ -216,7 +223,7 @@ class LocusMap:
             raise InputError("locus map must be non-empty")
         if np.any(np.diff(pos) <= 0):
             at = int(np.flatnonzero(np.diff(pos) <= 0)[0]) + 1
-            raise InputError(f"positions must be strictly increasing (violated at row {at})")
+            raise InputError("positions must be strictly increasing", (at,))
         pos.setflags(write=False)
         typed.setflags(write=False)
         object.__setattr__(self, "locus_ids", ids)

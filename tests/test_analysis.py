@@ -609,9 +609,9 @@ def tail_mutated_corpus(rng, loci, samples):
 def pin_phase_chunk_rows(monkeypatch, rows, loci, k):
     """Set the engine's byte cap so that phasing decodes ``rows`` distinct
     genotypes per chunk: per row, the byte-sized back-pointers (K < 256),
-    one locus' work arrays, the K candidate products, the peaks and the
-    allele arrays."""
-    row_bytes = (2 * (loci - 1) + 64) * k * k + 8 * k ** 3 + 72 * loci
+    one locus' work arrays, the K candidate products with their byte mask
+    and ranks, the peaks and the allele arrays."""
+    row_bytes = (2 * (loci - 1) + 64) * k * k + 10 * k ** 3 + 72 * loci
     monkeypatch.setattr(inference, "_TILE_BYTES", rows * row_bytes)
 
 

@@ -100,12 +100,14 @@ def test_locus_map_validation():
     assert list(lm.typed_indices()) == [0, 2]
     assert list(lm.untyped_indices()) == [1]
     assert len(lm) == 3
-    with pytest.raises(InputError):
+    with pytest.raises(InputError) as info:
         LocusMap(locus_ids=("a", "b"), positions=np.array([10, 10]),
                  typed=np.array([True, True]))
-    with pytest.raises(InputError):
-        LocusMap(locus_ids=("a", "a"), positions=np.array([10, 20]),
-                 typed=np.array([True, True]))
+    assert info.value.rows == (1,)
+    with pytest.raises(InputError) as info:  # the repeat, then the first
+        LocusMap(locus_ids=("a", "b", "a"), positions=np.array([10, 20, 30]),
+                 typed=np.array([True, True, True]))
+    assert info.value.rows == (2, 0)
 
 
 def test_substitute_replaces_one_symbol():

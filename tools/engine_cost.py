@@ -1,13 +1,17 @@
-"""Time the inference engine's kernels per depth on the scan workloads' inputs.
+"""Time the inference engine's kernels per depth against another tree's.
 
-    PYTHONPATH=src python tools/engine_cost.py [--seed 1] [--repeats 15]
+    python tools/engine_cost.py BASE_TREE [--seed 1]
 
-For each of the benchmark's two scan settings (restated here, not imported
-from perfbench) it simulates the inputs from the seed, fits the model the
-benchmark's set-up fits (``train --founders K --max-iterations 30`` on the
-typed reference panel), and sorts the observed genotypes into distinct rows
-with their shared prefixes. It then prints the median over ``--repeats``
-calls of:
+BASE_TREE is another checkout of this repository, say the parent commit
+unpacked with ``git archive``. The script loads founderhmm from this
+checkout and from BASE_TREE into one process. For each scan workload of
+``perfbench/workloads.py`` it simulates the inputs from the seed, fits the
+model the benchmark's set-up fits (``train --founders K --max-iterations
+30`` on the typed reference panel) and sorts the observed genotypes into
+distinct rows with their shared prefixes. It then calls each kernel of the
+two trees on the same inputs, ROUNDS times each, alternating the trees
+call by call and switching which goes first every round, so that the
+host's speed swings fall on both alike. The kernels:
 
 - ``walk``: one forward ``_walk`` of the first 64 distinct rows (one tile)
   through every locus, in µs per depth;
@@ -15,76 +19,101 @@ calls of:
   one tile (its time over tiles x loci);
 - ``viterbi_rows``: ``_viterbi_rows`` over all distinct rows (phasing's
   walk, one chunk), in µs per depth;
-- ``max_dot``: one ``_max_dot`` call on a (K, rows, K) stack of all
-  distinct rows, in µs.
+- ``max_dot``: ``_max_dot`` on a (K, rows, K) stack of all distinct rows,
+  in µs per call.
 
-The numbers are wall times of one process; compare two trees by running
-the script on each, alternately, on the same host.
+Each line gives the median time of the base tree and of this one, the
+median over rounds of their ratio (this / base) and the rounds in which
+this tree was faster. The base tree's kernels must take the same
+arguments as this checkout's.
 """
 import argparse
+import importlib
+import os
 import statistics
+import sys
 import time
 
 import numpy as np
 
-from founderhmm import (GenotypeCorpus, SimConfig, TrainConfig, simulate,
-                        train_founder_hmm)
-from founderhmm.inference import (_TILE_ROWS, _max_dot, _planes, _prior,
-                                  _scan_rows, _viterbi_rows, _walk)
-from founderhmm.model import emission_stack
-from founderhmm.trie import build_trie
-
-SETTINGS = {
-    "scan-distinct": dict(founder_count=5, loci=400, sample_count=120, panel_size=200,
-                          switch_rate=0.02, error_rate=0.005, missing_rate=0.01),
-    "scan-shared": dict(founder_count=4, loci=500, sample_count=200, panel_size=200,
-                        switch_rate=0.0005, error_rate=0.0005, missing_rate=0.0005),
-}
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+ROUNDS = 20
+MAX_DOT_CALLS = 20  # per timed round: one call takes tens of µs
 
 
-def median_us(repeats, call):
-    times = []
-    for _ in range(repeats):
-        start = time.perf_counter()
-        call()
-        times.append(time.perf_counter() - start)
-    return statistics.median(times) * 1e6
+def load(src):
+    """The founderhmm package under ``src``, imported afresh."""
+    for name in [m for m in sys.modules if m.split(".")[0] == "founderhmm"]:
+        del sys.modules[name]
+    sys.path.insert(0, src)
+    try:
+        return importlib.import_module("founderhmm")
+    finally:
+        sys.path.remove(src)
 
 
-def measure(sim, seed, repeats):
-    data = simulate(SimConfig(**sim, seed=seed))
+def alternate(this, base, call):
+    """Median seconds of ``call(this)`` and ``call(base)``, median ratio
+    and the rounds in which ``this`` was faster."""
+    times = {this: [], base: []}
+    for r in range(ROUNDS):
+        for tree in (this, base) if r % 2 else (base, this):
+            start = time.perf_counter()
+            call(tree)
+            times[tree].append(time.perf_counter() - start)
+    ratios = [t / b for t, b in zip(times[this], times[base])]
+    return (statistics.median(times[base]), statistics.median(times[this]),
+            statistics.median(ratios), sum(r < 1 for r in ratios))
+
+
+def kernels(fh, sim, seed):
+    """(name, depths or calls per timing, call of a tree's inference
+    module) of each kernel on one workload's inputs."""
+    this = fh.inference
+    data = fh.simulate(fh.SimConfig(**sim, seed=seed))
     k = sim["founder_count"]
-    model, _ = train_founder_hmm(data.typed_reference(),
-                                 TrainConfig(founders=k, max_iterations=30))
-    trie = build_trie(GenotypeCorpus.of(data.observed).matrix)
+    model, _ = fh.train_founder_hmm(data.typed_reference(),
+                                    fh.TrainConfig(founders=k, max_iterations=30))
+    trie = fh.trie.build_trie(fh.GenotypeCorpus.of(data.observed).matrix)
     rows, n = trie.rows.shape
-    etab, planes = emission_stack(model), _planes(trie.rows)
-    prior, norm = _prior(model)
-    tile = min(rows, _TILE_ROWS)
+    etab, planes = fh.model.emission_stack(model), this._planes(trie.rows)
+    prior, norm = this._prior(model)
+    tile = min(rows, this._TILE_ROWS)
     tplanes = np.ascontiguousarray(planes[:tile].T)
     state = np.repeat(prior[None], tile, axis=0)
-    hit = np.random.default_rng(seed).random((rows, k, k))
-    tiles = -(-rows // _TILE_ROWS)
+    hit = np.random.default_rng(seed).random((rows, k, k)).transpose(2, 0, 1)
+    tiles = -(-rows // this._TILE_ROWS)
     viterbi_lcps = np.concatenate(([0], trie.lcps[1:]))
-    return rows, n, k, (
-        median_us(repeats, lambda: _walk(etab, model.transitions, tplanes, state,
-                                         np.log(norm))) / n,
-        median_us(repeats, lambda: _scan_rows(model, etab, planes, trie.lcps)) / (tiles * n),
-        median_us(repeats, lambda: _viterbi_rows(model, etab, planes, viterbi_lcps)) / n,
-        median_us(repeats * 20, lambda: _max_dot(hit.transpose(2, 0, 1), model.transitions[0])))
+
+    def max_dots(m):
+        for _ in range(MAX_DOT_CALLS):
+            m._max_dot(hit, model.transitions[0])
+
+    return [
+        ("walk", n, lambda m: m._walk(etab, model.transitions, tplanes, state, np.log(norm))),
+        ("scan_rows", tiles * n, lambda m: m._scan_rows(model, etab, planes, trie.lcps)),
+        ("viterbi_rows", n, lambda m: m._viterbi_rows(model, etab, planes, viterbi_lcps)),
+        ("max_dot", MAX_DOT_CALLS, max_dots),
+    ]
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("base", help="root of the checkout to compare against")
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--repeats", type=int, default=15)
     args = parser.parse_args()
-    print("workload\tdistinct_rows\tloci\tK\twalk_us_per_depth\t"
-          "scan_rows_us_per_depth\tviterbi_rows_us_per_depth\tmax_dot_us_per_call")
-    for name, sim in SETTINGS.items():
-        rows, n, k, costs = measure(sim, args.seed, args.repeats)
-        print(f"{name}\t{rows}\t{n}\t{k}\t" + "\t".join(f"{c:.1f}" for c in costs),
-              flush=True)
+    base = load(os.path.join(os.path.abspath(args.base), "src")).inference
+    fh = load(os.path.join(ROOT, "src"))
+    sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+    from workloads import WORKLOADS
+    print("workload\tkernel\tbase_us\tthis_us\tratio\tfaster")
+    for w in WORKLOADS.values():
+        if w.pipeline:
+            continue
+        for kernel, per, call in kernels(fh, w.sim, args.seed):
+            b, t, ratio, wins = alternate(fh.inference, base, call)
+            print(f"{w.name}\t{kernel}\t{b / per * 1e6:.1f}\t{t / per * 1e6:.1f}\t"
+                  f"{ratio:.3f}\t{wins}/{ROUNDS}", flush=True)
 
 
 if __name__ == "__main__":
