@@ -8,15 +8,18 @@ matrix is rescaled to unit mass and the normalizers are recorded, which
 keeps long genotypes out of the underflow range while allowing exact
 reconstruction of unscaled quantities and log-likelihoods.
 
-One kernel, :func:`_step`, takes that step for a (B, K, K) stack of beliefs
-and serves every engine: a single genotype is a stack of one, and the batch
+One kernel, :func:`_step`, takes that step for a stack of beliefs and
+serves every engine: a single genotype is a (1, K, K) stack, and the batch
 engine, :func:`_scan_rows`, steps tiles of prefix-sorted distinct
-genotypes; its forward walk and phasing's max-product walk,
-:func:`_viterbi_rows`, step rows past their shared prefix only, in
-:func:`_live_step`. The backward direction is the same step over reversed
-loci, since a transposed transition retreats where the original advances.
-A dead (zero-mass) belief is divided by the least double, which keeps it
-zero; the max-product step makes the same NumPy calls per depth for any K.
+genotypes, their forward and backward walks as one (2, B, K, K) stack. The
+backward direction is the same step over reversed loci, since a transposed
+transition retreats where the original advances. The forward walk and
+phasing's max-product walk, :func:`_viterbi_rows`, keep one lane per row
+(:func:`_lanes`): a lane holds zeros until its row's shared prefix ends,
+then a copy of the state it shares, so each distinct prefix is stepped
+once; a zero lane costs arithmetic but counts as no evaluation. A dead
+(zero-mass) belief is divided by the least double, which keeps it zero;
+the max-product step makes the same NumPy calls per depth for any K.
 """
 from __future__ import annotations
 
@@ -43,16 +46,18 @@ def _planes(symbols: np.ndarray) -> np.ndarray:
 
 
 def _step(states: np.ndarray, emats: np.ndarray, t):
-    """The inference kernel: multiply each belief of a (B, K, K) stack by
-    its emission table, rescale it to unit mass and, unless t is None,
-    step it to t.T @ belief @ t (two chained K-contractions, one per
-    founder chain). Returns the new stack and the masses; zero mass yields
+    """The inference kernel: multiply each belief of a stack of K x K
+    beliefs by its emission table, rescale it to unit mass and, unless t is
+    None, step it to t.T @ belief @ t (two chained K-contractions, one per
+    founder chain). Reductions and transposes run over the trailing two
+    axes, so a (2, B, K, K) stack steps two walks at once through (2, 1,
+    K, K) factors. Returns the new stack and the masses; zero mass yields
     an all-zero belief, so impossible genotypes propagate exact zeros."""
     tmp = states * emats
-    mass = tmp.sum(axis=(1, 2))
-    tmp /= np.maximum(mass, _LEAST)[:, None, None]
+    mass = tmp.sum(axis=(-2, -1))
+    tmp /= np.maximum(mass, _LEAST)[..., None, None]
     if t is not None:
-        tmp = t.T @ (tmp @ t)
+        tmp = t.mT @ (tmp @ t)
     return tmp, mass
 
 
@@ -104,21 +109,23 @@ def _block_loci(rows: int, loci: int, founders: int) -> int:
     return max(1, min(loci, _TILE_BYTES // per_locus))
 
 
-def _live_step(lcps, d, step, carry=()):
-    """Depth d of a walk over prefix-sorted rows, row r sharing lcps[r]
-    depths with row r - 1: ``step(rows)`` returns arrays for the rows with
-    lcps <= d (a slice or a boolean mask); every other row copies the row
-    before it, the first row depth d of ``carry``, per-depth arrays of its
-    predecessor. Returns the arrays of all rows and the count stepped."""
-    live = lcps <= d
-    if live.all():
-        return step(slice(None)), live.size
-    out = step(live)
-    stepped, src = len(out[0]), np.cumsum(live) - 1
-    if not live[0]:
-        out = [np.concatenate((c[d:d + 1], o)) for c, o in zip(carry, out)]
-        src += 1
-    return tuple(o[src] for o in out), stepped
+def _lanes(lcps, n):
+    """Lanes of prefix-sorted rows, row r sharing lcps[r] depths with row
+    r - 1. A walk keeps one lane per row, in row order; a row's lane holds
+    zeros until depth lcps[r], where it takes a copy of the state it
+    shares, so each distinct prefix is stepped once. Returns the lane map
+    ``rep`` (n, rows): rep[d, r] is the nearest row s <= r with lcps[s] <=
+    d, whose lane holds row r's state at depth d (-1: the row before the
+    first), and {depth: (rows, lanes they copy)} of the rows that join
+    after depth 0."""
+    rep = np.where(lcps <= np.arange(n)[:, None], np.arange(len(lcps)), -1)
+    np.maximum.accumulate(rep, axis=1, out=rep)
+    late = np.flatnonzero(lcps)
+    depths = lcps[late]
+    sources = np.where(late > 0, rep[depths - 1, late - 1], -1)
+    order = np.argsort(depths, kind="stable")
+    groups = np.split(order, np.flatnonzero(np.diff(depths[order])) + 1)
+    return rep, {int(depths[g[0]]): (late[g], sources[g]) for g in groups if g.size}
 
 
 def _scan_rows(model, etab, planes, lcps):
@@ -128,62 +135,96 @@ def _scan_rows(model, etab, planes, lcps):
     with row r - 1. Returns triples (rows, n, 3), prefix and suffix logs
     (rows, n) and log-likelihoods (rows,), as :class:`PosteriorScan`
     defines them, and the counts of forward and backward locus
-    evaluations. In each tile of ``_TILE_ROWS`` rows, a right-to-left
-    walk keeps the last backward state of each block of
-    :func:`_block_loci` loci; left to right, each block re-walks its
-    backward states from there while the forward walk crosses it (one
-    block of all loci skips the first walk), by :func:`_live_step` with
-    the previous tile's last row as the carry.
+    evaluations. Each tile of ``_TILE_ROWS`` rows crosses the blocks of
+    :func:`_block_loci` loci left to right; a right-to-left walk first
+    keeps the last backward state of each block (one block of all loci
+    skips it). In a block, the forward walk from the block's first locus
+    and the backward walk from its checkpoint step as one (2, rows, K, K)
+    stack, and each locus combines its two states, in the second half of
+    the block's walk, as soon as both exist. The forward walk keeps the
+    lanes of :func:`_lanes`; the previous tile's last row is carried as
+    its states and masses up to the prefix it shares with the tile.
     """
     rows, n = planes.shape
     k, trans = model.founders, model.transitions
     retab, rtrans = _reversed(etab, trans)
     b = _block_loci(rows, n, k)
     blocks = [(lo, min(lo + b, n)) for lo in range(0, n, b)]
+    # step j of a block: forward through trans[lo + j], backward through
+    # trans[hi - 2 - j].T
+    factors = [np.stack((trans[lo:hi - 1], trans[lo:hi - 1][::-1].mT), axis=1)[:, :, None]
+               for lo, hi in blocks]
+    flat = etab.reshape(-1, k, k)  # plane p of locus i is table 4 i + p
     triples = np.empty((rows, n, 3))
     flogs, blogs = np.empty((rows, n)), np.empty((rows, n))
     loglik = np.empty(rows)
     prior, norm = _prior(model)
-    carry = ()
+    carry = carry_masses = None
     fevals = bevals = 0
     for t0 in range(0, rows, _TILE_ROWS):
         t1 = min(t0 + _TILE_ROWS, rows)
+        width, tlcps = t1 - t0, lcps[t0:t1]
         tplanes = np.ascontiguousarray(planes[t0:t1].T)
-        rplanes, tlcps = tplanes[::-1], lcps[t0:t1]
+        rplanes, index = tplanes[::-1], 4 * np.arange(n)[:, None] + tplanes
         # free each walk's states before the next walk allocates its own
-        checkpoints = [(np.ones((t1 - t0, k, k)), np.zeros(t1 - t0))]
+        checkpoints = [(np.ones((width, k, k)), np.zeros(width))]
         for lo, hi in blocks[:0:-1]:
-            states, logs, masses = _walk(retab[n - hi:n - lo], rtrans[n - hi:n - lo],
-                                         rplanes[n - hi:n - lo], *checkpoints[-1])
+            states, logs, _ = _walk(retab[n - hi:n - lo], rtrans[n - hi:n - lo],
+                                    rplanes[n - hi:n - lo], *checkpoints[-1])
             checkpoints.append((states[-1], logs[-1].copy()))
-            bevals += masses.size
             del states, logs
-        state, fmasses = np.repeat(prior[None], t1 - t0, axis=0), np.empty((n, t1 - t0))
+        rep, joins = _lanes(tlcps, n)
+        lead, top = int(tlcps[0]), int(tlcps.max())
         # the last row's states up to the prefix it shares with the next tile
-        shared = int(lcps[t1]) if t1 < rows else 0
-        next_states, next_masses = np.empty((shared, k, k)), np.empty(shared)
-        for (lo, hi), checkpoint in zip(blocks, checkpoints[::-1]):
-            bstates, bl, masses = _walk(retab[n - hi:n - lo - 1],
-                                        rtrans[n - hi:n - lo - 1],
-                                        rplanes[n - hi:n - lo - 1], *checkpoint)
-            blogs[t0:t1, lo:hi] = bl[::-1].T
-            bevals += masses.size
-            for d in range(lo, hi):
-                triples[t0:t1, d] = np.einsum("bkl,xkl->bx",
-                                              state * bstates[hi - 1 - d],
-                                              etab[d, :3])
-                t = trans[d] if d < n - 1 else None
+        shared = int(lcps[t1]) if t1 < rows else -1
+        last, next_states = rep[:shared + 1, -1].tolist(), np.empty((shared + 1, k, k))
 
-                def advance(rows):
-                    return _step(state[rows], etab[d][tplanes[d][rows]], t)
-                (state, fmasses[d]), stepped = _live_step(tlcps, d, advance, carry)
-                fevals += stepped
-                if d < shared:
-                    next_states[d], next_masses[d] = state[-1], fmasses[d, -1]
-            del bstates
+        def reads(lanes, d):
+            """The lanes that rows read at depth d; lane -1 is the carried row."""
+            return np.concatenate((lanes, carry[d][None])) if lead and d <= lead else lanes
+
+        def combine(d, lanes, bwd):
+            fwd = lanes if d >= top else reads(lanes, d)[rep[d]]
+            triples[t0:t1, d] = np.einsum("bkl,xkl->bx", fwd * bwd, etab[d, :3])
+        fwd = np.where((tlcps == 0)[:, None, None], prior, 0.0)
+        # row d: step d of the forward walk and of its block's backward walk
+        masses = np.empty((2, n, width))
+        for (lo, hi), (bstate, blog), factor in zip(blocks, checkpoints[::-1], factors):
+            m = hi - lo
+            pidx = np.stack((index[lo:hi - 1], index[lo + 1:hi][::-1]), axis=1)
+            stack, held = np.stack((fwd, bstate)), []
+            for j in range(m):
+                d, mirror = lo + j, m - 1 - j
+                lanes = stack[0]
+                if d in joins:
+                    joining, sources = joins[d]
+                    lanes[joining] = reads(lanes, d)[sources]
+                if d <= shared:
+                    next_states[d] = lanes[last[d]] if last[d] >= 0 else carry[d]
+                if j < mirror:
+                    held.append(stack)
+                elif j == mirror:
+                    combine(d, lanes, stack[1])
+                else:  # the pair of loci whose states now both exist
+                    combine(d, lanes, held[mirror][1])
+                    combine(lo + mirror, held[mirror][0], stack[1])
+                    held[mirror] = None
+                if j < m - 1:
+                    stack, masses[:, d] = _step(stack, flat[pidx[j]], factor[j])
+                else:
+                    fwd, masses[0, d] = _step(lanes, flat[index[d]],
+                                              trans[d] if d < n - 1 else None)
+            blogs[t0:t1, lo:hi] = _log_sums(blog, masses[1, lo:hi - 1])[::-1].T
+        fmasses = masses[0]
+        if top:  # rows not yet joined read their representative's masses
+            if lead:
+                fmasses = np.concatenate((fmasses, carry_masses[:, None]), axis=1)
+            fmasses = np.take_along_axis(fmasses, rep, axis=1)
         logs = _log_sums(np.log(norm), fmasses)
         flogs[t0:t1], loglik[t0:t1] = logs[:-1].T, logs[-1]
-        carry = (next_states, next_masses)
+        carry, carry_masses = next_states, fmasses[:, -1].copy()
+        fevals += int((n - tlcps).sum())
+        bevals += width * (2 * n - blocks[0][1] - len(blocks))
     return (triples, flogs, blogs, loglik), (fevals, bevals)
 
 
@@ -202,42 +243,43 @@ def _max_dot(x, t):
 
 
 def _viterbi_rows(model, etab, planes, lcps):
-    """Max-product walk of rows as in :func:`_scan_rows`, lcps[0] = 0, by
-    :func:`_live_step`: pair values absorb each emission, rescale to unit
-    maximum (a row left with none keeps zeros), and collapse the second
-    chain, then the first, by :func:`_max_dot`; the row peaks of each depth
-    give the log scales and first dead loci after the walk. Returns the last
-    (rows, K, K) values, summed log scales, first dead loci (-1 for none),
-    back-pointers in :func:`_max_dot`'s layout (row r's best pair (a, b) at
-    locus i + 1 comes from (f, back[i, 1, b, r, f]), f = back[i, 0, a, r, b])
-    and the locus evaluations."""
+    """Max-product walk of rows as in :func:`_scan_rows`, lcps[0] = 0, in
+    the lanes of :func:`_lanes`: pair values absorb each emission, rescale
+    to unit maximum (a row left with none keeps zeros), and collapse the
+    second chain, then the first, by :func:`_max_dot`; the row peaks of
+    each depth, read through the lane map, give the log scales and first
+    dead loci after the walk. Returns the last (rows, K, K) values, summed
+    log scales, first dead loci (-1 for none), each lane's back-pointers in
+    :func:`_max_dot`'s layout (the best pair (a, b) of lane r at locus i +
+    1 comes from (f, back[i, 1, b, r, f]), f = back[i, 0, a, r, b]), the
+    lane map (row r reads lane rep[i, r] at locus i) and the locus
+    evaluations."""
     b, n = planes.shape
     k, trans = model.founders, model.transitions
     tplanes = np.ascontiguousarray(planes.T)
     back = np.empty((max(n - 1, 0), 2, k, b, k), dtype=np.min_scalar_type(k - 1))
-    value = np.broadcast_to(np.outer(model.initial, model.initial), (b, k, k))
-    peaks, evals = np.empty((n, b)), 0
+    rep, joins = _lanes(lcps, n)
+    value = np.where((lcps == 0)[:, None, None], np.outer(model.initial, model.initial), 0.0)
+    peaks = np.empty((n, b))
     for i in range(n):
-
-        def advance(rows):
-            hit = value[rows] * etab[i][tplanes[i][rows]]
-            peak = hit.max(axis=(1, 2))
-            hit /= np.maximum(peak, _LEAST)[:, None, None]
-            if i == n - 1:
-                return hit, peak
-            collapsed, second = _max_dot(hit.transpose(2, 0, 1), trans[i])
-            full, first = _max_dot(collapsed.transpose(2, 1, 0), trans[i])
-            return (full.transpose(1, 0, 2), peak, first.transpose(1, 0, 2),
-                    second.transpose(1, 2, 0))
-        (value, peaks[i], *pointers), stepped = _live_step(lcps, i, advance)
-        if pointers:  # a contiguous copy, unless _live_step gathered them
-            back[i] = pointers[0].transpose(1, 0, 2), pointers[1].transpose(2, 0, 1)
-        evals += stepped
+        if i in joins:
+            joining, sources = joins[i]
+            value[joining] = value[sources]
+        hit = value * etab[i][tplanes[i]]
+        peaks[i] = peak = hit.max(axis=(1, 2))
+        hit /= np.maximum(peak, _LEAST)[:, None, None]
+        if i == n - 1:
+            value = hit
+            break
+        collapsed, back[i, 1] = _max_dot(hit.transpose(2, 0, 1), trans[i])
+        full, back[i, 0] = _max_dot(collapsed.transpose(2, 1, 0), trans[i])
+        value = full.transpose(1, 0, 2)
+    peaks = np.take_along_axis(peaks, rep, axis=1)
     zero = peaks <= 0.0
     dead = np.where(zero.any(axis=0), zero.argmax(axis=0), -1)
     peaks[zero] = 1.0  # their log sums in place, by cumsum as in _log_sums
     logscale = np.cumsum(np.log(peaks, out=peaks), axis=0, out=peaks)[-1]
-    return value, logscale, dead, back, evals
+    return value, logscale, dead, back, rep, int((n - lcps).sum())
 
 
 @dataclass(frozen=True)

@@ -57,24 +57,30 @@ def fmt(value) -> str:
 
 
 def atomic_write(path, text: str):
-    """Write whole-file via a temp file and rename, so readers never see a
-    partial artifact. The file gets the mode open() would give it under
-    the current umask, not mkstemp's 0600."""
+    """Write whole-file UTF-8 text, as every reader decodes it, via a temp
+    file and rename, so readers never see a partial artifact. The file
+    gets the mode open() would give it under the current umask, not
+    mkstemp's 0600. An OSError names ``path``, not the temp file."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     umask = os.umask(0)
     os.umask(umask)
     try:
-        with os.fdopen(fd, "w", newline="\n") as fh:
-            fh.write(text)
-        os.chmod(tmp, 0o666 & ~umask)
-        os.replace(tmp, path)
-    except BaseException:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
         try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+            with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+            os.chmod(tmp, 0o666 & ~umask)
+            os.replace(tmp, path)
+        except BaseException:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
+            raise
+    except OSError as exc:
+        if exc.errno is None:
+            raise
+        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from exc
 
 
 def _fail(path, line_no, message):

@@ -5,26 +5,30 @@ byte strings reduces the corpus to its distinct rows in order, each
 sharing its longest common prefix (LCP) with the row before: PBWT's
 prefix arrays (Durbin 2014). Those rows and LCPs stand for a prefix trie,
 one node per distinct (depth, prefix), never built. The engine steps the
-sorted rows 64 at a time as (rows, K, K) stacks: a backward walk along
-every row, then a forward walk that evaluates each trie node once, in
-``inference._live_step`` (phasing's max-product walk shares it), and
-combines each forward state with its backward state on the spot. A
-tile's first row resumes from the previous tile's last row, whose
+sorted rows 64 at a time: a forward walk and a backward walk along every
+row step together as one (2, rows, K, K) stack per depth, and each locus
+combines its forward and backward states as soon as both exist. The
+forward walk keeps one lane per row (``inference._lanes``; phasing's
+max-product walk shares them): a lane holds zeros until the depth of its
+row's LCP, then takes a copy of the state its row shares, so each trie
+node is evaluated once, and rows not yet joined are read through a lane
+map. A tile's first rows join from the previous tile's last row, whose
 forward states are carried. MISSING branches like any other symbol.
 Posterior tables and failures come from one pass over the result arrays.
 
 Memory: the result holds substitution weights, posteriors and prefix and
 suffix log sums, 9 x 8 bytes per distinct genotype and locus, and the
 sorted genotypes and their emission planes take 2 bytes more. While it
-runs, the engine holds one tile's backward states, 64 x loci x K^2 x 8
-bytes for any number of genotypes, capped at 64 MiB. Past the cap (above
-2674 loci at K = 7) it keeps backward checkpoints at the starts of blocks
-of b loci, b as many as fit, and re-walks one block at a time, for loci -
-b more backward evaluations per genotype: 46% more at 5000 loci and K = 7,
-where b = 2674. The checkpoints add 64 x K^2 x 8 bytes per block, the
-carried row's forward states at most loci x K^2 x 8 bytes, and the tile's
-forward masses and their log sums 2 x 64 x loci x 8 bytes. Blocks change
-the pace, never the numbers.
+runs, the engine holds one tile's states of both walks for the first
+half of the loci, 64 x loci x K^2 x 8 bytes for any number of genotypes,
+capped at 64 MiB. Past the cap (above 2674 loci at K = 7) it keeps
+backward checkpoints at the starts of blocks of b loci, b as many as fit,
+and runs the fused walk one block at a time from its checkpoint, for
+loci - b more backward evaluations per genotype: 46% more at 5000 loci
+and K = 7, where b = 2674. The checkpoints add 64 x K^2 x 8 bytes per
+block, the carried row's forward states at most loci x K^2 x 8 bytes, and
+the tile's masses, emission indices, lane map and log sums at most 9 x 64
+x loci x 8 bytes. Blocks change the pace, never the numbers.
 """
 from __future__ import annotations
 
@@ -89,9 +93,11 @@ class BatchStats:
     """Work accounting for one batched run. A locus evaluation is one
     emission absorption plus its transition step.
 
-    The forward walk evaluates each prefix-trie node once. The backward
-    walk is not shared over suffixes: loci - 1 evaluations per distinct
-    genotype. When the engine splits loci into blocks of b (see the module
+    The forward walk evaluates each prefix-trie node once: a row's lane
+    holds zeros until its shared prefix ends, and a zero lane, stepped
+    with the others, counts as no evaluation, like the padded panels of
+    the training stack. The backward walk is not shared over suffixes:
+    loci - 1 evaluations per distinct genotype. When the engine splits loci into blocks of b (see the module
     docstring), it first walks loci - b loci of every distinct genotype to
     find the blocks' checkpoints, then each block again from its
     checkpoint, loci - ceil(loci / b) in all.

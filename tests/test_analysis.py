@@ -611,7 +611,7 @@ def pin_phase_chunk_rows(monkeypatch, rows, loci, k):
     genotypes per chunk: per row, the byte-sized back-pointers (K < 256),
     one locus' work arrays, the K candidate products with their byte mask
     and ranks, the peaks and the allele arrays."""
-    row_bytes = (2 * (loci - 1) + 64) * k * k + 10 * k ** 3 + 72 * loci
+    row_bytes = (2 * (loci - 1) + 64) * k * k + 10 * k ** 3 + 88 * loci
     monkeypatch.setattr(inference, "_TILE_BYTES", rows * row_bytes)
 
 

@@ -224,7 +224,7 @@ def _row_planes(rng, model, rows, dead):
 
 
 @pytest.mark.parametrize("rows", [1, 64])
-def test_walk_logs_and_viterbi_scales_are_running_sums(monkeypatch, rows):
+def test_walk_logs_and_viterbi_scales_are_running_sums(rows):
     """Both walks sum their logs after the walk; the sums must be those of
     a running total in depth order, not a pairwise sum, for one row as for
     many."""
@@ -243,20 +243,44 @@ def test_walk_logs_and_viterbi_scales_are_running_sums(monkeypatch, rows):
         assert logs[-1].tobytes() == running.tobytes()
         assert np.isneginf(logs[-1, 0]) == dead
 
-        peaks, live_step = [], inference._live_step
-
-        def spy(lcps, d, step, carry=()):
-            out, stepped = live_step(lcps, d, step, carry)
-            peaks.append(out[1].copy())
-            return out, stepped
-        monkeypatch.setattr(inference, "_live_step", spy)
-        _, logscale, first_dead, _, _ = inference._viterbi_rows(
-            model, etab, planes, np.zeros(rows, dtype=np.intp))
-        monkeypatch.setattr(inference, "_live_step", live_step)
+        # phasing's walk one depth at a time, with the per-founder max-dot
+        value = np.repeat(prior[None], rows, axis=0)
         running, want_dead = np.zeros(rows), np.full(rows, -1)
-        for d, peak in enumerate(peaks):
+        for d, t in enumerate([*model.transitions, None]):
+            hit = value * etab[d][planes[:, d]]
+            peak = hit.max(axis=(1, 2))
+            hit /= np.maximum(peak, inference._LEAST)[:, None, None]
             running = running + np.log(np.where(peak > 0.0, peak, 1.0))
             want_dead[(peak <= 0.0) & (want_dead < 0)] = d
+            if t is not None:
+                half, _ = oracle.max_dot_per_founder(hit.transpose(2, 0, 1), t)
+                full, _ = oracle.max_dot_per_founder(half.transpose(2, 1, 0), t)
+                value = full.transpose(1, 0, 2)
+        _, logscale, first_dead, *_ = inference._viterbi_rows(
+            model, etab, planes, np.zeros(rows, dtype=np.intp))
         assert logscale.tobytes() == running.tobytes()
         assert np.array_equal(first_dead, want_dead)
         assert (first_dead[0] == 2) == dead
+
+
+def test_fused_step_matches_two_stacked_steps_bitwise():
+    """One (2, B, K, K) step through (2, 1, K, K) factors is two (B, K, K)
+    steps, whether a step's factor is a transposed view or contiguous, and
+    with dead beliefs."""
+    rng = np.random.default_rng(33)
+    for trial in range(400):
+        k, rows = int(rng.integers(1, 13)), int(rng.integers(1, 131))
+        states, emats = rng.random((2, 2, rows, k, k))
+        if trial % 4 == 0:
+            states[:, rng.integers(rows, size=rows // 3 + 1)] = 0.0
+        forward, backward = rng.dirichlet(np.ones(k), size=(2, k))
+        factors = np.stack((forward, backward.T))[:, None]
+        for t in (factors, None):
+            fused, masses = inference._step(states, emats, t)
+            for half in (0, 1):
+                # the half's factor as stacked, and the same values in the other layout
+                alone = [None] if t is None else [t[half, 0], t[half, 0].T.copy().T]
+                for factor in alone:
+                    want, want_masses = inference._step(states[half], emats[half], factor)
+                    assert want.tobytes() == fused[half].tobytes()
+                    assert want_masses.tobytes() == masses[half].tobytes()

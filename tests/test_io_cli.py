@@ -1,10 +1,13 @@
 """File formats: exact round-trips and hostile inputs. CLI: exit codes,
 byte-stable artifacts, and option precedence. All CLI runs are in-process
-through main(argv)."""
+through main(argv), but for one that needs a locale of its own."""
+import errno
 import json
 import os
 import re
 import stat
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -1035,6 +1038,43 @@ def test_atomic_write_leaves_no_droppings(tmp_path):
     atomic_write(target, "two\n")  # overwrite in place
     assert target.read_text() == "two\n"
     assert os.listdir(tmp_path) == ["out.txt"]
+
+
+def _correct_inputs(tmp_path, sample_id="S0"):
+    """A one-genotype file and an error report with no entries."""
+    gen, report = tmp_path / "g.gen", tmp_path / "r.tsv"
+    write_genotypes(gen, [MultilocusGenotype(sample_id,
+                                             np.array([0, 1, 2, 0], dtype=np.int8))])
+    report.write_text("#threshold=1000\n" + "\t".join(ERROR_REPORT_COLUMNS) + "\n")
+    return ["correct", "--genotypes", str(gen), "--report", str(report)]
+
+
+def test_writers_encode_utf8_whatever_the_locale(tmp_path):
+    # every reader decodes UTF-8; run under the C locale, the writer must not
+    # fall back to the locale's ASCII
+    argv = _correct_inputs(tmp_path, "S\u00e9") + ["--out", str(tmp_path / "o.gen")]
+    package = os.path.dirname(os.path.dirname(founderhmm.__file__))
+    env = dict(os.environ, PYTHONCOERCECLOCALE="0", PYTHONUTF8="0", LC_ALL="C",
+               PYTHONPATH=package)
+    done = subprocess.run([sys.executable, "-m", "founderhmm.cli", *argv],
+                          env=env, capture_output=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert read_genotypes(tmp_path / "o.gen").ids == ("S\u00e9",)
+
+
+@pytest.mark.parametrize("into_directory", [False, True])
+def test_write_errors_name_the_path_given(tmp_path, capsys, into_directory):
+    argv = _correct_inputs(tmp_path)
+    if into_directory:
+        out, code = tmp_path / "probe", errno.EISDIR
+        out.mkdir()
+    else:
+        out, code = tmp_path / "absent" / "o.gen", errno.ENOENT
+    assert run_cli(*argv, "--out", str(out)) == 1
+    assert capsys.readouterr().err == \
+        f"error: [Errno {code}] {os.strerror(code)}: '{out}'\n"
+    # and the temp file is gone
+    assert sorted(os.listdir(tmp_path)) == ["g.gen"] + ["probe"] * into_directory + ["r.tsv"]
 
 
 @pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600)])

@@ -5,7 +5,7 @@ import pytest
 
 import oracle
 from conftest import random_corpus, random_model, random_symbol_matrices
-from founderhmm import (FounderHMM, InputError, MultilocusGenotype,
+from founderhmm import (MISSING, FounderHMM, InputError, MultilocusGenotype,
                         ZeroProbabilityError, batched_posteriors, build_trie,
                         genotype_posteriors, inference, posterior_scan,
                         reversed_trie, table_from_scan)
@@ -257,3 +257,37 @@ def test_missing_symbols_branch_as_ordinary_symbols():
     stats = batched_posteriors(random_model(np.random.default_rng(3), 2, 3),
                                corpus).stats
     assert stats.forward_locus_evals == oracle.prefix_nodes(rows) == 4
+
+
+@pytest.mark.parametrize("block", [1, 3])
+@pytest.mark.parametrize("tile", [1, 7, 64])
+def test_lanes_join_late_and_across_tile_boundaries(monkeypatch, tile, block):
+    """Distinct rows that share all but their last locus, four at a time:
+    most lanes join at the last depth, from a row of their own tile or
+    from the carried last row of the tile before; dead rows included."""
+    rng = np.random.default_rng(35 + tile + block)
+    monkeypatch.setattr(inference, "_TILE_ROWS", tile)
+    for trial in range(8):
+        k, n = int(rng.integers(1, 6)), int(rng.integers(1, 13))
+        model = random_model(rng, k, n)
+        if trial % 2:  # a 1 or 2 at this locus has probability zero
+            emissions = model.emissions.copy()
+            emissions[rng.integers(n)] = 0.0
+            model = FounderHMM(model.initial, model.transitions, emissions)
+        pool = rng.choice([0, 1, 2, MISSING], size=(int(rng.integers(1, 4)), n - 1))
+        heads = pool[rng.integers(len(pool), size=20)]
+        for head, start in zip(heads, rng.integers(0, n, size=20)):
+            head[start:] = rng.choice([0, 1, 2, MISSING], size=n - 1 - start)
+        symbols = np.concatenate([np.column_stack((heads, np.full(20, x)))
+                                  for x in (0, 1, 2, MISSING)]).astype(np.int8)
+        corpus = [MultilocusGenotype(f"r{j}", row) for j, row in enumerate(symbols)]
+        pin_block_loci(monkeypatch, len(build_trie(symbols).rows), k, block)
+        batch = batched_posteriors(model, corpus)
+        assert batch.stats.forward_locus_evals == oracle.prefix_nodes(symbols.tolist())
+        for g, r in zip(corpus, batch.row_of):
+            want = posterior_scan(model, g)
+            for field, array in (("triples", batch.triples),
+                                 ("prefix_logs", batch.prefix_logs),
+                                 ("suffix_logs", batch.suffix_logs),
+                                 ("log_likelihood", batch.log_likelihoods)):
+                assert np.array_equal(array[r], getattr(want, field)), field

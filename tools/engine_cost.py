@@ -14,13 +14,18 @@ call by call and switching which goes first every round, so that the
 host's speed swings fall on both alike. The kernels:
 
 - ``walk``: one forward ``_walk`` of the first 64 distinct rows (one tile)
-  through every locus, in µs per depth;
+  through every locus, in µs per depth: the (rows, K, K) step that
+  single genotypes and the block checkpoints use;
 - ``scan_rows``: ``_scan_rows`` over all distinct rows, in µs per depth of
-  one tile (its time over tiles x loci);
+  one tile (its time over tiles x loci): both walks of a tile, the lanes
+  of rows that share a prefix and the posterior combine;
+- ``scan_blocks``: the same call with the tile byte cap set so that the
+  loci walk in blocks of BLOCK_LOCI, each from its backward checkpoint;
 - ``viterbi_rows``: ``_viterbi_rows`` over all distinct rows (phasing's
-  walk, one chunk), in µs per depth;
+  walk in the same lanes, one chunk), in µs per depth;
 - ``max_dot``: ``_max_dot`` on a (K, rows, K) stack of all distinct rows,
-  in µs per call.
+  in µs per call: the max-product step that phasing's walk makes twice
+  per depth.
 
 Each line gives the median time of the base tree and of this one, the
 median over rounds of their ratio (this / base) and the rounds in which
@@ -39,6 +44,7 @@ import numpy as np
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 ROUNDS = 20
 MAX_DOT_CALLS = 20  # per timed round: one call takes tens of µs
+BLOCK_LOCI = 50
 
 
 def load(src):
@@ -89,9 +95,17 @@ def kernels(fh, sim, seed):
         for _ in range(MAX_DOT_CALLS):
             m._max_dot(hit, model.transitions[0])
 
+    def scan_blocks(m):
+        cap, m._TILE_BYTES = m._TILE_BYTES, tile * k * k * 8 * BLOCK_LOCI
+        try:
+            m._scan_rows(model, etab, planes, trie.lcps)
+        finally:
+            m._TILE_BYTES = cap
+
     return [
         ("walk", n, lambda m: m._walk(etab, model.transitions, tplanes, state, np.log(norm))),
         ("scan_rows", tiles * n, lambda m: m._scan_rows(model, etab, planes, trie.lcps)),
+        ("scan_blocks", tiles * n, scan_blocks),
         ("viterbi_rows", n, lambda m: m._viterbi_rows(model, etab, planes, viterbi_lcps)),
         ("max_dot", MAX_DOT_CALLS, max_dots),
     ]
