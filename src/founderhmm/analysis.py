@@ -9,13 +9,13 @@ flow takes a :class:`~founderhmm.model.GenotypeCorpus` or a list of
 genotypes, converted once at entry, and works on its symbol matrix.
 
 Memory of phasing: duplicate genotypes are decoded once, the distinct ones
-sorted, in chunks whose rows walk on from the prefix shared with the row
-before, but for a chunk's first row, which walks in full. A row holds 2 x
+sorted, in chunks, every row walked through every locus. A row holds 2 x
 (loci - 1) x K^2 back-pointers, one byte each up to K = 256; a chunk is as
 many rows as fit in ``inference._TILE_BYTES`` with 64 x K^2 bytes of one
-locus' work arrays and 64 x loci bytes of allele arrays each, and at least
-one: 1423 rows at 400 loci and K = 5. Decoded alleles and paths add 4 x
-loci bytes per distinct genotype. Chunks change the pace, never the answer.
+locus' work arrays, 10 x K^3 bytes of the max-product step and 72 x loci
+bytes of peaks and allele arrays each, and at least one: 1300 rows at 400
+loci and K = 5. Decoded alleles and paths add 4 x loci bytes per distinct
+genotype. Chunks change the pace, never the answer.
 """
 from __future__ import annotations
 
@@ -437,15 +437,15 @@ def _decode_distinct(model: FounderHMM, rows: np.ndarray, lcps: np.ndarray):
     in chunks that fit in ``inference._TILE_BYTES``."""
     n, k = rows.shape[1], model.founders
     # a row's back-pointers, one locus' work arrays, the max-product step's
-    # K candidate products with their byte mask and masked ranks, its peaks,
-    # lane map and allele arrays
+    # K candidate products with their byte mask and masked ranks, its peaks
+    # and allele arrays
     ptr = np.min_scalar_type(k - 1).itemsize
-    row_bytes = (2 * (n - 1) * ptr + 64) * k * k + (9 + ptr) * k ** 3 + 88 * n
+    row_bytes = (2 * (n - 1) * ptr + 64) * k * k + (9 + ptr) * k ** 3 + 72 * n
     step = max(1, inference._TILE_BYTES // row_bytes)
     etab, planes = emission_stack(model), _planes(rows)
     chunks, evals = [], 0
     for lo in range(0, len(rows), step):
-        value, logscale, dead, back, rep, walked = _viterbi_rows(
+        value, logscale, dead, back, walked = _viterbi_rows(
             model, etab, planes[lo:lo + step],
             np.concatenate(([0], lcps[lo + 1:lo + step])))
         evals += walked
@@ -457,8 +457,8 @@ def _decode_distinct(model: FounderHMM, rows: np.ndarray, lcps: np.ndarray):
         paths[:, 0, n - 1], paths[:, 1, n - 1] = pair_a, pair_b
         for i in range(n - 2, -1, -1):
             a, b = paths[:, 0, i + 1], paths[:, 1, i + 1]
-            paths[:, 0, i] = f = back[i, 0][a, rep[i], b]
-            paths[:, 1, i] = back[i, 1][b, rep[i], f]
+            paths[:, 0, i] = f = back[i, 0][a, every, b]
+            paths[:, 1, i] = back[i, 1][b, every, f]
         alleles = _assign_alleles(model, rows[lo:lo + step], paths)
         chunks.append((*alleles, paths, log_joint, dead))
     return (*map(np.concatenate, zip(*chunks)), evals)

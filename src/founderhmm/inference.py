@@ -13,11 +13,11 @@ serves every engine: a single genotype is a (1, K, K) stack, and the batch
 engine, :func:`_scan_rows`, steps tiles of prefix-sorted distinct
 genotypes, their forward and backward walks as one (2, B, K, K) stack. The
 backward direction is the same step over reversed loci, since a transposed
-transition retreats where the original advances. The forward walk and
-phasing's max-product walk, :func:`_viterbi_rows`, keep one lane per row
-(:func:`_lanes`): a lane holds zeros until its row's shared prefix ends,
-then a copy of the state it shares, so each distinct prefix is stepped
-once; a zero lane costs arithmetic but counts as no evaluation. A dead
+transition retreats where the original advances. The batch engine and
+phasing's max-product walk, :func:`_viterbi_rows`, step every row of a
+tile from the prior through every locus: a row that shares a prefix with
+the row before repeats that prefix's arithmetic bit for bit, so the rows
+share nothing but their count, which is that of prefix-trie nodes. A dead
 (zero-mass) belief is divided by the least double, which keeps it zero;
 the max-product step makes the same NumPy calls per depth for any K.
 """
@@ -109,25 +109,6 @@ def _block_loci(rows: int, loci: int, founders: int) -> int:
     return max(1, min(loci, _TILE_BYTES // per_locus))
 
 
-def _lanes(lcps, n):
-    """Lanes of prefix-sorted rows, row r sharing lcps[r] depths with row
-    r - 1. A walk keeps one lane per row, in row order; a row's lane holds
-    zeros until depth lcps[r], where it takes a copy of the state it
-    shares, so each distinct prefix is stepped once. Returns the lane map
-    ``rep`` (n, rows): rep[d, r] is the nearest row s <= r with lcps[s] <=
-    d, whose lane holds row r's state at depth d (-1: the row before the
-    first), and {depth: (rows, lanes they copy)} of the rows that join
-    after depth 0."""
-    rep = np.where(lcps <= np.arange(n)[:, None], np.arange(len(lcps)), -1)
-    np.maximum.accumulate(rep, axis=1, out=rep)
-    late = np.flatnonzero(lcps)
-    depths = lcps[late]
-    sources = np.where(late > 0, rep[depths - 1, late - 1], -1)
-    order = np.argsort(depths, kind="stable")
-    groups = np.split(order, np.flatnonzero(np.diff(depths[order])) + 1)
-    return rep, {int(depths[g[0]]): (late[g], sources[g]) for g in groups if g.size}
-
-
 def _scan_rows(model, etab, planes, lcps):
     """Posterior scans of prefix-sorted distinct genotypes, as arrays.
 
@@ -141,9 +122,9 @@ def _scan_rows(model, etab, planes, lcps):
     skips it). In a block, the forward walk from the block's first locus
     and the backward walk from its checkpoint step as one (2, rows, K, K)
     stack, and each locus combines its two states, in the second half of
-    the block's walk, as soon as both exist. The forward walk keeps the
-    lanes of :func:`_lanes`; the previous tile's last row is carried as
-    its states and masses up to the prefix it shares with the tile.
+    the block's walk, as soon as both exist. Every row of a tile is
+    stepped at every depth, from the prior; the forward count is that of
+    prefix-trie nodes, sum(n - lcps), whatever the tiling.
     """
     rows, n = planes.shape
     k, trans = model.founders, model.transitions
@@ -159,11 +140,10 @@ def _scan_rows(model, etab, planes, lcps):
     flogs, blogs = np.empty((rows, n)), np.empty((rows, n))
     loglik = np.empty(rows)
     prior, norm = _prior(model)
-    carry = carry_masses = None
-    fevals = bevals = 0
+    bevals = 0
     for t0 in range(0, rows, _TILE_ROWS):
         t1 = min(t0 + _TILE_ROWS, rows)
-        width, tlcps = t1 - t0, lcps[t0:t1]
+        width = t1 - t0
         tplanes = np.ascontiguousarray(planes[t0:t1].T)
         rplanes, index = tplanes[::-1], 4 * np.arange(n)[:, None] + tplanes
         # free each walk's states before the next walk allocates its own
@@ -173,20 +153,10 @@ def _scan_rows(model, etab, planes, lcps):
                                     rplanes[n - hi:n - lo], *checkpoints[-1])
             checkpoints.append((states[-1], logs[-1].copy()))
             del states, logs
-        rep, joins = _lanes(tlcps, n)
-        lead, top = int(tlcps[0]), int(tlcps.max())
-        # the last row's states up to the prefix it shares with the next tile
-        shared = int(lcps[t1]) if t1 < rows else -1
-        last, next_states = rep[:shared + 1, -1].tolist(), np.empty((shared + 1, k, k))
 
-        def reads(lanes, d):
-            """The lanes that rows read at depth d; lane -1 is the carried row."""
-            return np.concatenate((lanes, carry[d][None])) if lead and d <= lead else lanes
-
-        def combine(d, lanes, bwd):
-            fwd = lanes if d >= top else reads(lanes, d)[rep[d]]
+        def combine(d, fwd, bwd):
             triples[t0:t1, d] = np.einsum("bkl,xkl->bx", fwd * bwd, etab[d, :3])
-        fwd = np.where((tlcps == 0)[:, None, None], prior, 0.0)
+        fwd = np.broadcast_to(prior, (width, k, k))
         # row d: step d of the forward walk and of its block's backward walk
         masses = np.empty((2, n, width))
         for (lo, hi), (bstate, blog), factor in zip(blocks, checkpoints[::-1], factors):
@@ -195,37 +165,24 @@ def _scan_rows(model, etab, planes, lcps):
             stack, held = np.stack((fwd, bstate)), []
             for j in range(m):
                 d, mirror = lo + j, m - 1 - j
-                lanes = stack[0]
-                if d in joins:
-                    joining, sources = joins[d]
-                    lanes[joining] = reads(lanes, d)[sources]
-                if d <= shared:
-                    next_states[d] = lanes[last[d]] if last[d] >= 0 else carry[d]
                 if j < mirror:
                     held.append(stack)
                 elif j == mirror:
-                    combine(d, lanes, stack[1])
+                    combine(d, *stack)
                 else:  # the pair of loci whose states now both exist
-                    combine(d, lanes, held[mirror][1])
+                    combine(d, stack[0], held[mirror][1])
                     combine(lo + mirror, held[mirror][0], stack[1])
                     held[mirror] = None
                 if j < m - 1:
                     stack, masses[:, d] = _step(stack, flat[pidx[j]], factor[j])
                 else:
-                    fwd, masses[0, d] = _step(lanes, flat[index[d]],
+                    fwd, masses[0, d] = _step(stack[0], flat[index[d]],
                                               trans[d] if d < n - 1 else None)
             blogs[t0:t1, lo:hi] = _log_sums(blog, masses[1, lo:hi - 1])[::-1].T
-        fmasses = masses[0]
-        if top:  # rows not yet joined read their representative's masses
-            if lead:
-                fmasses = np.concatenate((fmasses, carry_masses[:, None]), axis=1)
-            fmasses = np.take_along_axis(fmasses, rep, axis=1)
-        logs = _log_sums(np.log(norm), fmasses)
+        logs = _log_sums(np.log(norm), masses[0])
         flogs[t0:t1], loglik[t0:t1] = logs[:-1].T, logs[-1]
-        carry, carry_masses = next_states, fmasses[:, -1].copy()
-        fevals += int((n - tlcps).sum())
         bevals += width * (2 * n - blocks[0][1] - len(blocks))
-    return (triples, flogs, blogs, loglik), (fevals, bevals)
+    return (triples, flogs, blogs, loglik), (int((n - lcps).sum()), bevals)
 
 
 def _max_dot(x, t):
@@ -243,28 +200,22 @@ def _max_dot(x, t):
 
 
 def _viterbi_rows(model, etab, planes, lcps):
-    """Max-product walk of rows as in :func:`_scan_rows`, lcps[0] = 0, in
-    the lanes of :func:`_lanes`: pair values absorb each emission, rescale
-    to unit maximum (a row left with none keeps zeros), and collapse the
-    second chain, then the first, by :func:`_max_dot`; the row peaks of
-    each depth, read through the lane map, give the log scales and first
-    dead loci after the walk. Returns the last (rows, K, K) values, summed
-    log scales, first dead loci (-1 for none), each lane's back-pointers in
-    :func:`_max_dot`'s layout (the best pair (a, b) of lane r at locus i +
-    1 comes from (f, back[i, 1, b, r, f]), f = back[i, 0, a, r, b]), the
-    lane map (row r reads lane rep[i, r] at locus i) and the locus
-    evaluations."""
+    """Max-product walk of every row as in :func:`_scan_rows`, lcps[0] = 0:
+    pair values absorb each emission, rescale to unit maximum (a row left
+    with none keeps zeros), and collapse the second chain, then the first,
+    by :func:`_max_dot`; each depth's row peaks give the log scales and
+    first dead loci after the walk. Returns the last (rows, K, K) values,
+    summed log scales, first dead loci (-1 for none), back-pointers in
+    :func:`_max_dot`'s layout (the best pair (a, b) of row r at locus i + 1
+    comes from (f, back[i, 1, b, r, f]), f = back[i, 0, a, r, b]) and the
+    locus evaluations, counted as prefix-trie nodes."""
     b, n = planes.shape
     k, trans = model.founders, model.transitions
     tplanes = np.ascontiguousarray(planes.T)
     back = np.empty((max(n - 1, 0), 2, k, b, k), dtype=np.min_scalar_type(k - 1))
-    rep, joins = _lanes(lcps, n)
-    value = np.where((lcps == 0)[:, None, None], np.outer(model.initial, model.initial), 0.0)
+    value = np.broadcast_to(np.outer(model.initial, model.initial), (b, k, k))
     peaks = np.empty((n, b))
     for i in range(n):
-        if i in joins:
-            joining, sources = joins[i]
-            value[joining] = value[sources]
         hit = value * etab[i][tplanes[i]]
         peaks[i] = peak = hit.max(axis=(1, 2))
         hit /= np.maximum(peak, _LEAST)[:, None, None]
@@ -274,12 +225,11 @@ def _viterbi_rows(model, etab, planes, lcps):
         collapsed, back[i, 1] = _max_dot(hit.transpose(2, 0, 1), trans[i])
         full, back[i, 0] = _max_dot(collapsed.transpose(2, 1, 0), trans[i])
         value = full.transpose(1, 0, 2)
-    peaks = np.take_along_axis(peaks, rep, axis=1)
     zero = peaks <= 0.0
     dead = np.where(zero.any(axis=0), zero.argmax(axis=0), -1)
     peaks[zero] = 1.0  # their log sums in place, by cumsum as in _log_sums
     logscale = np.cumsum(np.log(peaks, out=peaks), axis=0, out=peaks)[-1]
-    return value, logscale, dead, back, rep, int((n - lcps).sum())
+    return value, logscale, dead, back, int((n - lcps).sum())
 
 
 @dataclass(frozen=True)

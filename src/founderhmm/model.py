@@ -162,6 +162,10 @@ class _SymbolRows:
         return len(self.ids)
 
     def __getitem__(self, at):
+        """Row ``at`` as a row object, or a slice of rows as a matrix of
+        the same kind."""
+        if isinstance(at, slice):
+            return self._trusted(self.ids[at], self.matrix[at])
         return _unchecked(self._item, self.ids[at], self.matrix[at])
 
     def __iter__(self):

@@ -247,6 +247,9 @@ def _m_step(stats, pseudocount):
     trans = trans_counts + pseudocount
     trans /= trans.sum(axis=-1, keepdims=True)
     emis = (emis_ones + pseudocount) / (emis_total + 2.0 * pseudocount)
+    # the E-step sums the two counts in different orders, so where every
+    # haplotype carries allele 1 the ratio may round a hair above one
+    np.minimum(emis, 1.0, out=emis)
     return init, trans, emis
 
 

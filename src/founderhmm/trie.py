@@ -1,20 +1,15 @@
 """Batched posterior inference over a genotype corpus, as arrays.
 
-Genotypes sharing a prefix share forward work. One sort of the rows as
-byte strings reduces the corpus to its distinct rows in order, each
-sharing its longest common prefix (LCP) with the row before: PBWT's
-prefix arrays (Durbin 2014). Those rows and LCPs stand for a prefix trie,
-one node per distinct (depth, prefix), never built. The engine steps the
-sorted rows 64 at a time: a forward walk and a backward walk along every
-row step together as one (2, rows, K, K) stack per depth, and each locus
-combines its forward and backward states as soon as both exist. The
-forward walk keeps one lane per row (``inference._lanes``; phasing's
-max-product walk shares them): a lane holds zeros until the depth of its
-row's LCP, then takes a copy of the state its row shares, so each trie
-node is evaluated once, and rows not yet joined are read through a lane
-map. A tile's first rows join from the previous tile's last row, whose
-forward states are carried. MISSING branches like any other symbol.
-Posterior tables and failures come from one pass over the result arrays.
+One sort of the rows as byte strings reduces the corpus to its distinct
+rows in order, each sharing its longest common prefix (LCP) with the row
+before: PBWT's prefix arrays (Durbin 2014). Those rows and LCPs stand for
+a prefix trie, one node per distinct (depth, prefix), never built. The
+engine steps the sorted rows 64 at a time, every row from the prior
+through every locus: a forward walk and a backward walk along every row
+step together as one (2, rows, K, K) stack per depth, and each locus
+combines its forward and backward states as soon as both exist. MISSING
+branches like any other symbol. Posterior tables and failures come from
+one pass over the result arrays.
 
 Memory: the result holds substitution weights, posteriors and prefix and
 suffix log sums, 9 x 8 bytes per distinct genotype and locus, and the
@@ -26,9 +21,9 @@ backward checkpoints at the starts of blocks of b loci, b as many as fit,
 and runs the fused walk one block at a time from its checkpoint, for
 loci - b more backward evaluations per genotype: 46% more at 5000 loci
 and K = 7, where b = 2674. The checkpoints add 64 x K^2 x 8 bytes per
-block, the carried row's forward states at most loci x K^2 x 8 bytes, and
-the tile's masses, emission indices, lane map and log sums at most 9 x 64
-x loci x 8 bytes. Blocks change the pace, never the numbers.
+block, and the tile's masses of both walks (two arrays), emission indices
+(three: one per locus and two per block step) and log sums (one) at most
+6 x 64 x loci x 8 bytes. Blocks change the pace, never the numbers.
 """
 from __future__ import annotations
 
@@ -93,14 +88,14 @@ class BatchStats:
     """Work accounting for one batched run. A locus evaluation is one
     emission absorption plus its transition step.
 
-    The forward walk evaluates each prefix-trie node once: a row's lane
-    holds zeros until its shared prefix ends, and a zero lane, stepped
-    with the others, counts as no evaluation, like the padded panels of
-    the training stack. The backward walk is not shared over suffixes:
-    loci - 1 evaluations per distinct genotype. When the engine splits loci into blocks of b (see the module
-    docstring), it first walks loci - b loci of every distinct genotype to
-    find the blocks' checkpoints, then each block again from its
-    checkpoint, loci - ceil(loci / b) in all.
+    The forward count is that of prefix-trie nodes, loci - lcp per
+    distinct genotype: a tile steps every row at every depth, and a row
+    repeats, bit for bit, the shared prefix that the trie counts once. The
+    backward walk is not shared over suffixes: loci - 1 evaluations per
+    distinct genotype. When the engine splits loci into blocks of b (see
+    the module docstring), it first walks loci - b loci of every distinct
+    genotype to find the blocks' checkpoints, then each block again from
+    its checkpoint, loci - ceil(loci / b) in all.
     """
 
     samples: int

@@ -611,7 +611,7 @@ def pin_phase_chunk_rows(monkeypatch, rows, loci, k):
     genotypes per chunk: per row, the byte-sized back-pointers (K < 256),
     one locus' work arrays, the K candidate products with their byte mask
     and ranks, the peaks and the allele arrays."""
-    row_bytes = (2 * (loci - 1) + 64) * k * k + 10 * k ** 3 + 88 * loci
+    row_bytes = (2 * (loci - 1) + 64) * k * k + 10 * k ** 3 + 72 * loci
     monkeypatch.setattr(inference, "_TILE_BYTES", rows * row_bytes)
 
 
@@ -662,9 +662,9 @@ def test_phase_corpus_matches_per_sample_decode_bitwise(monkeypatch,
 @pytest.mark.parametrize("chunk_rows", [None, 1, 7, 64])
 def test_phase_walk_steps_each_row_past_its_shared_prefix(monkeypatch,
                                                           chunk_rows):
-    """A chunk's first row walks all loci and every other row only those
-    past its shared prefix; sharing changes no decoded number, dead rows
-    included."""
+    """Evaluations count a chunk's first row at all loci and every other
+    row only past its shared prefix, as trie nodes; every row walks in
+    full, so sharing changes no decoded number, dead rows included."""
     rng = np.random.default_rng(23)
     saved = 0
     for trial in range(12):

@@ -1,12 +1,14 @@
 """Domain types: construction, validation, and the emission sum rule."""
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 import oracle
 from founderhmm import (ALLELE_SYMBOLS, GENOTYPE_SYMBOLS, MISSING, FounderHMM,
-                        HaplotypeSequence, InputError, LocusMap,
-                        MultilocusGenotype, emission_stack, substitute,
-                        symbol_plane)
+                        GenotypeCorpus, HaplotypePanel, HaplotypeSequence,
+                        InputError, LocusMap, MultilocusGenotype,
+                        emission_stack, substitute, symbol_plane)
 
 
 def tiny_model():
@@ -91,6 +93,24 @@ def test_haplotype_rejects_non_alleles():
         HaplotypeSequence("h", np.array([0, 2], dtype=np.int8))
     with pytest.raises(InputError):
         HaplotypeSequence("h", np.array([0, MISSING], dtype=np.int8))
+
+
+@pytest.mark.parametrize("kind, symbols", [(GenotypeCorpus, [0, 1, 2, MISSING]),
+                                           (HaplotypePanel, [0, 1])])
+def test_slices_of_rows_are_matrices_of_the_same_kind(kind, symbols):
+    """A slice keeps the kind and the loci, as a list slice would; an
+    integer still picks one row object."""
+    ids = ["a", "b", "c", "d", "e"]
+    matrix = np.random.default_rng(4).choice(symbols, size=(5, 3)).astype(np.int8)
+    rows = kind(ids, matrix)
+    for at in (slice(0, 2), slice(1, None, 2), slice(None, None, -1), slice(3, 1)):
+        part = rows[at]
+        assert type(part) is kind and len(part) == len(ids[at])
+        assert part == kind(ids[at], matrix[at])
+        assert part.loci == 3 and not part.matrix.flags.writeable
+    last_id, last_symbols = (getattr(rows[-1], f.name) for f in fields(kind._item))
+    assert type(rows[-1]) is kind._item and last_id == "e"
+    assert last_symbols.tolist() == matrix[-1].tolist()
 
 
 def test_locus_map_validation():

@@ -99,6 +99,18 @@ def test_converged_flag_and_early_stop():
     assert report2.iterations_run == 3
 
 
+def test_zero_pseudocount_keeps_emissions_at_most_one():
+    """The E-step sums a locus' allele-1 counts and its total counts in
+    different orders; where every haplotype carries allele 1, the M-step
+    still gives an emission of exactly one, never a hair above."""
+    panel = founderhmm.simulate(founderhmm.SimConfig(seed=1)).typed_reference()
+    assert (np.stack([h.alleles for h in panel]) == 1).all(axis=0).any()
+    model, report = train_founder_hmm(panel, TrainConfig(founders=5, pseudocount=0.0,
+                                                         max_iterations=5))
+    assert report.iterations_run == 5
+    assert model.emissions.max() == 1.0 and model.emissions.min() >= 0.0
+
+
 def test_single_founder_closed_form():
     """With one founder the chain is deterministic and EM reduces to
     per-locus allele frequencies (pseudocount-smoothed)."""

@@ -262,9 +262,11 @@ def test_missing_symbols_branch_as_ordinary_symbols():
 @pytest.mark.parametrize("block", [1, 3])
 @pytest.mark.parametrize("tile", [1, 7, 64])
 def test_lanes_join_late_and_across_tile_boundaries(monkeypatch, tile, block):
-    """Distinct rows that share all but their last locus, four at a time:
-    most lanes join at the last depth, from a row of their own tile or
-    from the carried last row of the tile before; dead rows included."""
+    """Distinct rows that share all but their last locus, four at a time,
+    so that most rows share a prefix with a row of their own tile or of
+    the tile before: every row, walked in full, matches its genotype's own
+    scan bitwise, and forward evaluations count trie nodes; dead rows
+    included."""
     rng = np.random.default_rng(35 + tile + block)
     monkeypatch.setattr(inference, "_TILE_ROWS", tile)
     for trial in range(8):

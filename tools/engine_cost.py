@@ -17,12 +17,13 @@ host's speed swings fall on both alike. The kernels:
   through every locus, in µs per depth: the (rows, K, K) step that
   single genotypes and the block checkpoints use;
 - ``scan_rows``: ``_scan_rows`` over all distinct rows, in µs per depth of
-  one tile (its time over tiles x loci): both walks of a tile, the lanes
-  of rows that share a prefix and the posterior combine;
+  one tile (its time over tiles x loci): both walks of every row of a
+  tile, each from the prior through every locus, and the posterior
+  combine;
 - ``scan_blocks``: the same call with the tile byte cap set so that the
   loci walk in blocks of BLOCK_LOCI, each from its backward checkpoint;
 - ``viterbi_rows``: ``_viterbi_rows`` over all distinct rows (phasing's
-  walk in the same lanes, one chunk), in µs per depth;
+  walk, every row through every locus, one chunk), in µs per depth;
 - ``max_dot``: ``_max_dot`` on a (K, rows, K) stack of all distinct rows,
   in µs per call: the max-product step that phasing's walk makes twice
   per depth.
