@@ -16,13 +16,34 @@ emission 1, identity transitions and a scale of exactly 1, so padding
 changes no bit. The forward and backward sweeps run over the whole stack;
 every sum over rows (log-likelihood, transition and emission counts) runs
 per panel on its own rows, with the same NumPy calls as for that panel
-alone. A fit therefore gives the same bits whatever stack it is in
-(stacks hold at least two rows: a one-row stack would round differently).
-Each panel keeps its own start, trace, convergence test and cap. The
-E-step holds two such arrays, the scales and the betas of about
-sqrt(loci) loci at a time, about (2K + 1) x loci x W x rows x 8 bytes,
-allocated once per fit; panels are stacked, in order, as many as fit in
-``_EM_STACK_BYTES`` (16 MiB), and at least one.
+alone. The forward sweep rescales a panel only every ``_RESCALE_EVERY``
+(16) loci and at its own last locus. Where one panel of the stack rescales
+and another does not, the other's scale is set to exactly 1 before the
+divide, as at padded loci. A fit therefore gives the same bits whatever
+stack it is in (stacks hold at least two rows: a one-row stack would round
+differently). Between two rescales a row's mass can only shrink, at each
+locus by a factor no smaller than its least emission probability; a panel
+whose mass falls under ``_SCALE_FLOOR`` (2**-900) at a rescale locus,
+which at the default pseudocount only an odd start can cause, runs its
+sweep again rescaled at every locus, while the rest of its stack keeps its
+rescale loci and bits. Each panel keeps its own start, trace, convergence
+test and cap.
+
+Memory. A panel is trained on its int8 alleles, one byte per allele, with
+no wider copy; finding its distinct rows takes about four more bytes per
+allele for a moment (the byte keys and the sorted copies of np.unique),
+and the distinct rows are int8 too. The E-step of a stack of W panels of
+at most L loci and R distinct rows holds, as float64:
+
+- the alphas and the emission probabilities, L x W x K x R each;
+- the betas of about sqrt(L) loci at a time, (isqrt(L) + 1) x W x K x R;
+- the scales, L x W x R;
+
+and one byte each of the allele mask, L x W x R, and of the rescale mask,
+L x W: about (2K + 1) x L x W x R x 8 bytes, allocated once per fit. The
+expected counts of each E-step add L x W x K x (K + 2) x 8 bytes. Panels
+are stacked, in order, as many as fit in ``_EM_STACK_BYTES`` (16 MiB), and
+at least one.
 """
 from __future__ import annotations
 
@@ -39,6 +60,11 @@ from .trie import _distinct_rows
 # Byte cap on the E-step arrays of one stack of windows that EM fits in
 # lockstep; the grouping changes the pace, never the answer.
 _EM_STACK_BYTES = 16 << 20
+# The E-step's forward sweep rescales a window at loci i = 0 (mod
+# _RESCALE_EVERY) and at its last locus; a window with a scale under
+# _SCALE_FLOOR at one of those loci rescales at every locus instead.
+_RESCALE_EVERY = 16
+_SCALE_FLOOR = 2.0 ** -900
 
 
 @dataclass(frozen=True)
@@ -88,7 +114,7 @@ def _panel_matrix(panel) -> np.ndarray:
     panel = HaplotypePanel.of(panel)
     if not panel:
         raise InputError("training panel must be non-empty")
-    return panel.matrix.astype(np.int64)
+    return panel.matrix
 
 
 def _initial_params(n, k, seed):
@@ -149,13 +175,36 @@ def _stack_bytes(loci, windows, k, rows):
             + windows * loci * rows)
 
 
+def _forward(alphas, eprobs, init, trans_t, scales, rescale):
+    """Forward sweep over a stack that divides a panel's alphas by their
+    sums, its scales, at the loci that the (loci, W) mask ``rescale``
+    marks for it; every other scale is exactly 1."""
+    at = rescale.any(axis=1)
+    scales[~at] = 1.0
+    divisors = scales[:, :, None, :]
+    mixed = (at & ~rescale.all(axis=1)).tolist()
+    at = at.tolist()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.multiply(init[:, :, None], eprobs[0], out=alphas[0])
+        for i in range(len(at)):
+            a = alphas[i]
+            if i > 0:
+                np.matmul(trans_t[i - 1], alphas[i - 1], out=a)
+                np.multiply(a, eprobs[i], out=a)
+            if at[i]:
+                np.add.reduce(a, axis=1, out=scales[i])
+                if mixed[i]:
+                    scales[i, ~rescale[i]] = 1.0
+                np.divide(a, divisors[i], out=a)
+
+
 def _e_step(stack: _Stack, init, trans, emis, buffers):
     """One scaled forward-backward over a stack of windows.
 
     Parameters are stacked too: init (W, K), trans (loci - 1, W, K, K) and
     emis (loci, W, K), with identity transitions and emission 1 at padded
-    loci, whose scale is set to exactly 1 so that they pass the sweeps
-    through unchanged. ``buffers`` are the arrays of :func:`_buffer_shapes`,
+    loci, whose scale is exactly 1 so that they pass the sweeps through
+    unchanged. ``buffers`` are the arrays of :func:`_buffer_shapes`,
     reused across E-steps. Expected counts are additive over haplotypes,
     so each row's statistics are weighted by its count. The sweeps run over
     the whole stack, locus by locus. Every sum over rows runs per window,
@@ -164,47 +213,66 @@ def _e_step(stack: _Stack, init, trans, emis, buffers):
     then worked out again, a chunk of loci at a time, not kept for every
     locus.
 
+    The forward sweep rescales a window only at loci i = 0 (mod
+    ``_RESCALE_EVERY``) and at its own last locus; elsewhere its scale is
+    exactly 1, and a locus costs a matmul and a multiply. Where one window
+    rescales and another does not, the other's scale is set to 1 before
+    the divide, as at padded loci: dividing by 1 is exact, so a window's
+    bits still do not depend on its stack. Any positive scales give the
+    same estimator, as long as the last locus is rescaled (Rabiner 1989,
+    section V-A): the log-likelihood is the sum of the logs of the scales,
+    and the backward sweep and the counts divide by the same scales.
+    Between two rescales a row's mass cannot grow, up to rounding
+    (transition rows sum to 1, emissions are at most 1), so a block's
+    least mass is its scale at the block's end; with every emission at
+    least e, that is at least e**16. The M-step keeps emissions at least
+    pseudocount / (haplotypes + 2 pseudocount) away from 0 and 1, so at
+    the default pseudocount, on any panel of fewer than 10**10 haplotypes,
+    the block's mass stays above ``_SCALE_FLOOR`` (2**-900, a normal
+    double), and only an odd start or a zero pseudocount can bring it
+    lower. A window with a scale below the floor, or 0 or NaN, at one of
+    its rescale loci then falls back to rescaling at every locus, and the
+    sweep runs again; the other windows keep their rescale loci and their
+    bits.
+
     Returns the log-likelihood of each window and the stacked expected-count
-    statistics. A window whose row has zero likelihood raises
-    ZeroProbabilityError for the lowest such window, with ``window`` set to
-    its place in the stack.
+    statistics. A window whose row has zero likelihood (a zero scale in the
+    sweep that rescales at every locus) raises ZeroProbabilityError for the
+    lowest such window, with ``window`` set to its place in the stack.
     """
     n, w, r = stack.ones.shape
     alphas, eprobs, betas, scales = (b[:n, :w] for b in buffers)
     np.copyto(eprobs, (1.0 - emis)[..., None])
     np.copyto(eprobs, emis[..., None], where=stack.ones[:, :, None, :])
 
-    short = min(rows.shape[1] for rows, _, _ in stack.windows)
+    locus = np.arange(n)[:, None]
+    widths = np.array([rows.shape[1] for rows, _, _ in stack.windows])
+    rescale = (((locus % _RESCALE_EVERY == 0) & ~stack.padding)
+               | (locus == widths - 1))
     trans_t = trans.transpose(0, 1, 3, 2)
-    divisors = scales[:, :, None, :]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        np.multiply(init[:, :, None], eprobs[0], out=alphas[0])
-        for i in range(n):
-            a = alphas[i]
-            if i > 0:
-                np.matmul(trans_t[i - 1], alphas[i - 1], out=a)
-                np.multiply(a, eprobs[i], out=a)
-            np.add.reduce(a, axis=1, out=scales[i])
-            if i >= short:
-                scales[i, stack.padding[i]] = 1.0
-            np.divide(a, divisors[i], out=a)
-    # a row whose mass vanishes at locus i has scale 0 there and NaN after,
-    # so a window's first locus with a zero scale is where its first row
-    # failed; padded rows copy a real row and fail only with it
-    failed = scales <= 0.0
-    dead = failed.any(axis=2)
-    if dead.any():
-        p = int(np.argmax(dead.any(axis=0)))
-        i = int(np.argmax(dead[:, p]))
-        _, first, counts = stack.windows[p]
-        bad = int(first[failed[i, p, :counts.size]].min())
-        err = ZeroProbabilityError(
-            i, f"panel haplotype {bad} has zero likelihood at locus {i}; "
-               f"use a positive pseudocount")
-        err.window = p
-        raise err
+    _forward(alphas, eprobs, init, trans_t, scales, rescale)
+    # every scale off a window's rescale loci is 1; NaN fails the test too
+    fall = ~(scales.min(axis=(0, 2)) >= _SCALE_FLOOR)
+    if fall.any():
+        rescale[:, fall] = ~stack.padding[:, fall]
+        _forward(alphas, eprobs, init, trans_t, scales, rescale)
+        # a row whose mass vanishes at locus i has scale 0 there and NaN
+        # after, so a window's first locus with a zero scale is where its
+        # first row failed; padded rows copy a real row and fail only with it
+        failed = scales <= 0.0
+        dead = failed.any(axis=2)
+        if dead.any():
+            p = int(np.argmax(dead.any(axis=0)))
+            i = int(np.argmax(dead[:, p]))
+            _, first, counts = stack.windows[p]
+            bad = int(first[failed[i, p, :counts.size]].min())
+            err = ZeroProbabilityError(
+                i, f"panel haplotype {bad} has zero likelihood at locus {i}; "
+                   f"use a positive pseudocount")
+            err.window = p
+            raise err
 
-    eprobs /= divisors
+    eprobs /= scales[:, :, None, :]
     alphas *= stack.weights[:, None, :]
     beta = betas[0]
     beta[...] = 1.0
@@ -372,11 +440,13 @@ def train_founder_hmms(panels, config: TrainConfig, starts=None):
     alone. When panels fail, the error is that of the lowest-indexed
     failing one.
     """
-    panels = [np.asarray(p, dtype=np.int64) for p in panels]
+    panels = [np.asarray(p) for p in panels]
     for p in panels:
         if p.ndim != 2 or p.size == 0 or not np.isin(p, ALLELE_SYMBOLS).all():
             raise InputError("panels must be non-empty (haplotypes, loci) "
                              "matrices of alleles 0 and 1")
+    # checked first, so that no value wraps into an allele in one byte
+    panels = [p.astype(np.int8, copy=False) for p in panels]
     starts = [None] * len(panels) if starts is None else list(starts)
     if len(starts) != len(panels):
         raise InputError(f"{len(starts)} start models for {len(panels)} panels")

@@ -272,6 +272,108 @@ def test_weighted_e_step_matches_per_row_reference():
             np.testing.assert_allclose(h, w, rtol=1e-12, atol=0.0)
 
 
+def test_e_step_over_rescale_blocks_matches_per_row_reference():
+    # panels of 40 to 150 loci span three to ten rescale blocks; the
+    # widths of a stack differ, and most end off a multiple of 16, so one
+    # panel rescales at its last locus where the others do not
+    rng = np.random.default_rng(33)
+    seen = set()
+    for trial in range(12):
+        k = int(rng.integers(1, 9))
+        widths = [int(n) for n in rng.integers(40, 151, size=int(rng.integers(1, 4)))]
+        if trial % 3 == 0:
+            widths.append(16 * int(rng.integers(3, 10)) + 1)
+        windows, params = [], []
+        for n in widths:
+            pool = rng.integers(0, 2, size=(int(rng.integers(1, 8)), n))
+            windows.append(pool[rng.integers(0, len(pool), size=int(rng.integers(2, 30)))])
+            init, trans, _ = _initial_params(n, k, trial)
+            params.append((init, trans, rng.uniform(0.02, 0.98, size=(n, k))))
+        stacked = _stacked_e_step(windows, *zip(*params))
+        for haps, (init, trans, emis), (have_ll, have) in zip(windows, params, stacked):
+            want_ll, want = oracle.e_step_per_row(haps, init, trans, emis)
+            assert have_ll == pytest.approx(want_ll, rel=1e-12, abs=0.0)
+            for h, w in zip(have, want):
+                np.testing.assert_allclose(h, w, rtol=1e-12, atol=0.0)
+            alone_ll, alone = _weighted_e_step(haps, init, trans, emis)
+            assert alone_ll == have_ll
+            assert all(np.array_equal(a, h) for a, h in zip(alone, have))
+            seen.add("last locus on the grid" if (haps.shape[1] - 1) % 16 == 0
+                     else "last locus off the grid")
+        seen.update("widths differ" for _ in [0] if len(set(widths)) > 1)
+    assert seen == {"last locus on the grid", "last locus off the grid",
+                    "widths differ"}
+
+
+def _underflow_panel(rng):
+    """A panel of 20 haplotypes x 64 loci, all allele 1 but at every eighth
+    locus, and a start under which allele 1 there has emission about
+    1e-30: 16 loci without a rescale take a row's mass below the least
+    normal double."""
+    n, k = 64, 3
+    haps = np.ones((20, n), dtype=np.int8)
+    haps[:, ::8] = rng.integers(0, 2, size=(20, n // 8))
+    init, trans, emis = _initial_params(n, k, 0)
+    tiny = np.ones(n, dtype=bool)
+    tiny[::8] = False
+    emis[tiny] = rng.uniform(0.5, 2.0, size=(tiny.sum(), k)) * 1e-30
+    return haps, (init, trans, emis)
+
+
+def test_underflowing_panel_falls_back_to_rescaling_every_locus(monkeypatch):
+    rng = np.random.default_rng(34)
+    haps, (init, trans, emis) = _underflow_panel(rng)
+    want_ll, want = oracle.e_step_per_row(haps, init, trans, emis)
+    have_ll, have = _weighted_e_step(haps, init, trans, emis)
+    assert have_ll == pytest.approx(want_ll, rel=1e-12, abs=0.0)
+    for h, w in zip(have, want):
+        np.testing.assert_allclose(h, w, rtol=1e-12, atol=0.0)
+
+    # stacked with a healthy panel, only the underflowing one falls back,
+    # and each keeps its bits alone
+    healthy = rng.integers(0, 2, size=(15, 50))
+    h_init, h_trans, h_emis = _initial_params(50, 3, 1)
+    masks, forward = [], training._forward
+    monkeypatch.setattr(training, "_forward",
+                        lambda *args: masks.append(args[-1].copy()) or forward(*args))
+    stacked = _stacked_e_step([haps, healthy], [init, h_init], [trans, h_trans],
+                              [emis, h_emis])
+    first, again = masks
+    assert not first[:, 0].all() and again[:, 0].all()
+    assert np.array_equal(first[:, 1], again[:, 1])
+    assert not again[:, 1].all()
+    for (ll, stats), (ll_alone, alone) in zip(
+            stacked, (_weighted_e_step(haps, init, trans, emis),
+                      _weighted_e_step(healthy, h_init, h_trans, h_emis))):
+        assert ll == ll_alone
+        assert all(np.array_equal(a, b) for a, b in zip(stats, alone))
+
+    # the fits from that start: no ZeroProbabilityError, and the same
+    # bits stacked as alone
+    monkeypatch.setattr(training, "_forward", forward)
+    cfg = TrainConfig(founders=3, max_iterations=8)
+    starts = [FounderHMM(init, trans, emis), None]
+    fits = train_founder_hmms([haps, healthy], cfg, starts)
+    assert fits[0][1].loglik_trace[0] == pytest.approx(want_ll, rel=1e-12, abs=0.0)
+    for fit, panel, start in zip(fits, [haps, healthy], starts):
+        assert _same_fit(fit, train_founder_hmms([panel], cfg, [start])[0])
+
+
+def test_int8_and_int64_panels_give_the_same_fits():
+    rng = np.random.default_rng(35)
+    panels = random_symbol_matrices(rng, 0, 1, count=8)
+    cfg = TrainConfig(founders=3, max_iterations=10)
+    wide = train_founder_hmms([p.astype(np.int64) for p in panels], cfg)
+    for a, b in zip(train_founder_hmms(panels, cfg), wide, strict=True):
+        assert _same_fit(a, b)
+    # checked before the panel is narrowed to one byte per allele
+    for value in (2, 256, 257, -255):
+        bad = np.zeros((3, 4), dtype=np.int64)
+        bad[1, 2] = value
+        with pytest.raises(InputError, match="matrices of alleles 0 and 1"):
+            train_founder_hmms([bad], cfg)
+
+
 def test_zero_likelihood_names_locus_and_lowest_haplotype():
     rng = np.random.default_rng(9)
     haps = np.zeros((10, 6), dtype=np.int64)
@@ -332,7 +434,7 @@ def test_training_dedupe_matches_the_axis0_dedupe(monkeypatch):
     for panel, (rows, first, counts) in zip(panels, seen):
         want_rows, want_first, _, want_counts = oracle.distinct_rows_axis0(
             panel.astype(np.int64))
-        assert rows.dtype == np.int64 and np.array_equal(rows, want_rows)
+        assert rows.dtype == np.int8 and np.array_equal(rows, want_rows)
         assert np.array_equal(first, want_first)
         assert np.array_equal(counts, want_counts)
 

@@ -1,17 +1,26 @@
-"""Time the inference engine's kernels per depth against another tree's.
+"""Time the inference engine's and EM's kernels against another tree's.
 
     python tools/engine_cost.py BASE_TREE [--seed 1]
 
 BASE_TREE is another checkout of this repository, say the parent commit
 unpacked with ``git archive``. The script loads founderhmm from this
-checkout and from BASE_TREE into one process. For each scan workload of
-``perfbench/workloads.py`` it simulates the inputs from the seed, fits the
-model the benchmark's set-up fits (``train --founders K --max-iterations
-30`` on the typed reference panel) and sorts the observed genotypes into
-distinct rows with their shared prefixes. It then calls each kernel of the
-two trees on the same inputs, ROUNDS times each, alternating the trees
-call by call and switching which goes first every round, so that the
-host's speed swings fall on both alike. The kernels:
+checkout and from BASE_TREE into one process. For each workload of
+``perfbench/workloads.py`` it simulates the inputs from the seed. It then
+calls each kernel of the two trees on the same inputs, ROUNDS times each,
+alternating the trees call by call and switching which goes first every
+round, so that the host's speed swings fall on both alike.
+
+On the pipeline workload (``repair-impute``) the kernel is EM's:
+
+- ``e_step``: one ``training._e_step`` over the distinct rows of the
+  typed reference panel, at the workload's founder count, from the seeded
+  start (``_initial_params`` at the seed), in µs per call: the E-step of
+  the repair flow's bootstrap fit, which is most of that flow's time.
+
+On each scan workload it first fits the model the benchmark's set-up fits
+(``train --founders K --max-iterations 30`` on the typed reference panel)
+and sorts the observed genotypes into distinct rows with their shared
+prefixes. The kernels:
 
 - ``walk``: one forward ``_walk`` of the first 64 distinct rows (one tile)
   through every locus, in µs per depth: the (rows, K, K) step that
@@ -30,8 +39,9 @@ host's speed swings fall on both alike. The kernels:
 
 Each line gives the median time of the base tree and of this one, the
 median over rounds of their ratio (this / base) and the rounds in which
-this tree was faster. The base tree's kernels must take the same
-arguments as this checkout's.
+this tree was faster. The base tree's kernels, and its ``_stack``,
+``_buffer_shapes`` and ``_initial_params``, must take the same arguments
+as this checkout's.
 """
 import argparse
 import importlib
@@ -45,6 +55,7 @@ import numpy as np
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 ROUNDS = 20
 MAX_DOT_CALLS = 20  # per timed round: one call takes tens of µs
+E_STEP_CALLS = 10  # per timed round: one call takes milliseconds
 BLOCK_LOCI = 50
 
 
@@ -73,9 +84,32 @@ def alternate(this, base, call):
             statistics.median(ratios), sum(r < 1 for r in ratios))
 
 
-def kernels(fh, sim, seed):
-    """(name, depths or calls per timing, call of a tree's inference
-    module) of each kernel on one workload's inputs."""
+def training_kernels(fh, sim, seed):
+    """(name, calls per timing, call of a tree's package) of EM's kernel
+    on one pipeline workload's inputs."""
+    data = fh.simulate(fh.SimConfig(**sim, seed=seed))
+    k = sim["founder_count"]
+    matrix = fh.HaplotypePanel.of(data.typed_reference()).matrix
+    windows = [fh.trie._distinct_rows(matrix)[:3]]
+    inputs = {}
+
+    def e_steps(pkg):
+        if pkg not in inputs:  # each tree stacks and allocates its own
+            m = pkg.training
+            stack = m._stack(windows)
+            n, w, r = stack.ones.shape
+            init, trans, emis = m._initial_params(n, k, seed)
+            inputs[pkg] = (stack, init[None], trans[:, None], emis[:, None],
+                           [np.empty(s) for s in m._buffer_shapes(n, w, k, r)])
+        for _ in range(E_STEP_CALLS):
+            pkg.training._e_step(*inputs[pkg])
+
+    return [("e_step", E_STEP_CALLS, e_steps)]
+
+
+def engine_kernels(fh, sim, seed):
+    """(name, depths or calls per timing, call of a tree's package) of
+    each inference kernel on one scan workload's inputs."""
     this = fh.inference
     data = fh.simulate(fh.SimConfig(**sim, seed=seed))
     k = sim["founder_count"]
@@ -92,11 +126,12 @@ def kernels(fh, sim, seed):
     tiles = -(-rows // this._TILE_ROWS)
     viterbi_lcps = np.concatenate(([0], trie.lcps[1:]))
 
-    def max_dots(m):
+    def max_dots(pkg):
         for _ in range(MAX_DOT_CALLS):
-            m._max_dot(hit, model.transitions[0])
+            pkg.inference._max_dot(hit, model.transitions[0])
 
-    def scan_blocks(m):
+    def scan_blocks(pkg):
+        m = pkg.inference
         cap, m._TILE_BYTES = m._TILE_BYTES, tile * k * k * 8 * BLOCK_LOCI
         try:
             m._scan_rows(model, etab, planes, trie.lcps)
@@ -104,10 +139,13 @@ def kernels(fh, sim, seed):
             m._TILE_BYTES = cap
 
     return [
-        ("walk", n, lambda m: m._walk(etab, model.transitions, tplanes, state, np.log(norm))),
-        ("scan_rows", tiles * n, lambda m: m._scan_rows(model, etab, planes, trie.lcps)),
+        ("walk", n, lambda pkg: pkg.inference._walk(
+            etab, model.transitions, tplanes, state, np.log(norm))),
+        ("scan_rows", tiles * n, lambda pkg: pkg.inference._scan_rows(
+            model, etab, planes, trie.lcps)),
         ("scan_blocks", tiles * n, scan_blocks),
-        ("viterbi_rows", n, lambda m: m._viterbi_rows(model, etab, planes, viterbi_lcps)),
+        ("viterbi_rows", n, lambda pkg: pkg.inference._viterbi_rows(
+            model, etab, planes, viterbi_lcps)),
         ("max_dot", MAX_DOT_CALLS, max_dots),
     ]
 
@@ -117,16 +155,15 @@ def main():
     parser.add_argument("base", help="root of the checkout to compare against")
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args()
-    base = load(os.path.join(os.path.abspath(args.base), "src")).inference
+    base = load(os.path.join(os.path.abspath(args.base), "src"))
     fh = load(os.path.join(ROOT, "src"))
     sys.path.insert(0, os.path.join(ROOT, "perfbench"))
     from workloads import WORKLOADS
     print("workload\tkernel\tbase_us\tthis_us\tratio\tfaster")
     for w in WORKLOADS.values():
-        if w.pipeline:
-            continue
+        kernels = training_kernels if w.pipeline else engine_kernels
         for kernel, per, call in kernels(fh, w.sim, args.seed):
-            b, t, ratio, wins = alternate(fh.inference, base, call)
+            b, t, ratio, wins = alternate(fh, base, call)
             print(f"{w.name}\t{kernel}\t{b / per * 1e6:.1f}\t{t / per * 1e6:.1f}\t"
                   f"{ratio:.3f}\t{wins}/{ROUNDS}", flush=True)
 
