@@ -216,12 +216,21 @@ class RecoveryFill(NamedTuple):
     confidence: float
 
 
-@dataclass(frozen=True)
-class RecoveryResult:
+@dataclass(frozen=True, eq=False)
+class RecoveryResult(_EntryColumns):
+    """The filled ``corpus`` and one fill per filled symbol, in corpus order
+    then locus order, as columns like those of :class:`ErrorReport`; ``fills``
+    builds the :class:`RecoveryFill` tuples on demand, recovery never does."""
+
+    sample_id: list
+    locus_index: np.ndarray
+    symbol: np.ndarray
+    confidence: np.ndarray
     corpus: GenotypeCorpus
-    fills: tuple
     failures: dict
     stats: object
+    _entry, _dtypes = RecoveryFill, (None, np.int64, np.int64, float)
+    fills = _EntryColumns.entries
 
 
 def recover_missing(model: FounderHMM, corpus) -> RecoveryResult:
@@ -231,13 +240,13 @@ def recover_missing(model: FounderHMM, corpus) -> RecoveryResult:
     through, so the operation is a fixpoint. A sample with no posterior
     mass at a missing locus is left untouched. ``failures`` and ``stats``
     are those of ``batched_posteriors`` over the scanned samples (empty and
-    no work when nothing is missing). All gaps are filled in one pass.
+    no work when nothing is missing). Gaps are filled in one pass, as columns.
     """
     corpus = _checked_corpus(model, corpus)
     gaps = corpus.matrix == MISSING
     gapped = np.flatnonzero(gaps.any(axis=1))
     if not gapped.size:
-        return RecoveryResult(corpus, (), {}, BatchStats(0, corpus.loci, 0, 0, 0))
+        return RecoveryResult.from_entries((), corpus, {}, BatchStats(0, corpus.loci, 0, 0, 0))
     part = GenotypeCorpus._trusted([corpus.ids[j] for j in gapped], corpus.matrix[gapped])
     batch = batched_posteriors(model, part)
     samples, loci = np.nonzero(gaps[gapped])
@@ -248,12 +257,10 @@ def recover_missing(model: FounderHMM, corpus) -> RecoveryResult:
     calls = rows.argmax(axis=1)
     symbols = corpus.matrix.copy()
     symbols[gapped[samples], loci] = calls
-    fills = map(RecoveryFill, map(part.ids.__getitem__, samples.tolist()),
-                loci.tolist(), calls.tolist(),
-                (rows[np.arange(calls.size), calls] / totals).tolist())
-    return RecoveryResult(corpus=GenotypeCorpus._trusted(corpus.ids, symbols),
-                          fills=tuple(fills), failures=dict(batch.failures),
-                          stats=batch.stats)
+    return RecoveryResult(list(map(part.ids.__getitem__, samples.tolist())), loci, calls,
+                          rows[np.arange(calls.size), calls] / totals,
+                          GenotypeCorpus._trusted(corpus.ids, symbols), dict(batch.failures),
+                          batch.stats)
 
 
 @dataclass(frozen=True)
@@ -591,7 +598,7 @@ def run_pipeline(mode: str, reference, corpus, locus_map: LocusMap,
         recovery = recover_missing(model1, working)
         working = recovery.corpus
         stages.append(StageReport("recover-missing", time.perf_counter() - t0, {
-            "filled": len(recovery.fills),
+            "filled": len(recovery),
             "locus_evals": recovery.stats.forward_locus_evals
             + recovery.stats.backward_locus_evals,
         }))

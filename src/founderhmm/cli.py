@@ -418,7 +418,7 @@ def _cmd_recover(args):
     if args.fills:
         write_recovery(args.fills, result, config_line=echo, json_mode=args.json)
     skipped = f", {len(result.failures)} samples skipped" if result.failures else ""
-    _note(f"filled {len(result.fills)} missing symbols{skipped}")
+    _note(f"filled {len(result)} missing symbols{skipped}")
 
 
 def _cmd_impute(args):

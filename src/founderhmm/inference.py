@@ -145,7 +145,7 @@ def _scan_rows(model, etab, planes, lcps):
         t1 = min(t0 + _TILE_ROWS, rows)
         width = t1 - t0
         tplanes = np.ascontiguousarray(planes[t0:t1].T)
-        rplanes, index = tplanes[::-1], 4 * np.arange(n)[:, None] + tplanes
+        rplanes = tplanes[::-1]
         # free each walk's states before the next walk allocates its own
         checkpoints = [(np.ones((width, k, k)), np.zeros(width))]
         for lo, hi in blocks[:0:-1]:
@@ -161,7 +161,8 @@ def _scan_rows(model, etab, planes, lcps):
         masses = np.empty((2, n, width))
         for (lo, hi), (bstate, blog), factor in zip(blocks, checkpoints[::-1], factors):
             m = hi - lo
-            pidx = np.stack((index[lo:hi - 1], index[lo + 1:hi][::-1]), axis=1)
+            pidx = 4 * np.arange(lo, hi)[:, None] + tplanes[lo:hi]  # each row's table in flat
+            pidx = np.stack((pidx[:-1], pidx[:0:-1]), axis=1)
             stack, held = np.stack((fwd, bstate)), []
             for j in range(m):
                 d, mirror = lo + j, m - 1 - j
@@ -176,7 +177,7 @@ def _scan_rows(model, etab, planes, lcps):
                 if j < m - 1:
                     stack, masses[:, d] = _step(stack, flat[pidx[j]], factor[j])
                 else:
-                    fwd, masses[0, d] = _step(stack[0], flat[index[d]],
+                    fwd, masses[0, d] = _step(stack[0], etab[d][tplanes[d]],
                                               trans[d] if d < n - 1 else None)
             blogs[t0:t1, lo:hi] = _log_sums(blog, masses[1, lo:hi - 1])[::-1].T
         logs = _log_sums(np.log(norm), masses[0])

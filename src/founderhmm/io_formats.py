@@ -18,12 +18,12 @@ parser:
   Writer and reader share the order of the rows; the reader takes no
   other order, parses the rows as one block, and names the row of values
   that make no model
-* reports           — tab-separated tables, each declared once as its
-  columns and the kind of each column's cells, moved as the columns of an
-  ``ErrorReport`` or ``ImputationResult``; each has a JSON twin. The
-  writers format each distinct middle and tail of a row once and join
-  the rows in one string; one reader serves both tables, finding lines
-  and tabs in the file's bytes as arrays and parsing each distinct piece once
+* reports           — five tab-separated tables, each declared once as its
+  columns and the kind of each column's cells, all written by one writer
+  that formats each distinct piece of a row once. Error reports, imputation
+  results and recovery fill logs move as columns and have a JSON twin; one
+  reader serves the first two, finding lines and tabs in the file's bytes
+  as arrays and parsing each distinct piece once
 
 Writers are atomic (temp file in the target directory, then rename) and
 accept an optional ``#config:`` echo line. Readers decode a file as UTF-8
@@ -422,18 +422,26 @@ def read_model(path) -> FounderHMM:
 
 # ---------------------------------------------------------------- reports
 
-# Each report table, declared once: its columns in file order, each with
-# the kind of its cells. Both start with sample_id, locus_id and
-# locus_index. The TSV writer's row template, the TSV reader, its per-row
-# check and the check of a JSON twin's entries all follow the declaration.
+# Each table, declared once: its columns in file order, each with the kind
+# of its cells (an id is any string). Every writer's header and row
+# template follow the declaration; the two report tables, which start with
+# sample_id, locus_id and locus_index, are also read back by the TSV
+# reader, its per-row check and the check of a JSON twin's entries.
 ERROR_REPORT_TABLE = (("sample_id", "id"), ("locus_id", "id"), ("locus_index", "index"),
                       ("observed", "digit"), ("ratio", "float"), ("flagged", "flag"),
                       ("suggested", "digit"))
 IMPUTATION_TABLE = (("sample_id", "id"), ("locus_id", "id"), ("locus_index", "index"),
                     ("p0", "float"), ("p1", "float"), ("p2", "float"),
                     ("call", "digit"), ("confidence", "float"))
-ERROR_REPORT_COLUMNS, IMPUTATION_COLUMNS = (tuple(name for name, _ in table) for table
-                                            in (ERROR_REPORT_TABLE, IMPUTATION_TABLE))
+RECOVERY_TABLE = (("sample_id", "id"), ("locus_index", "index"), ("symbol", "digit"),
+                  ("confidence", "float"))
+SWEEP_TABLE = (("founders", "index"), ("panel_size", "index"), ("flank", "index"), ("mode", "id"),
+               ("total", "index"), ("discordant", "index"), ("error_rate", "float"),
+               ("seconds", "float"), ("failed", "flag"), ("message", "id"))
+BENCH_TABLE = (("axis", "id"), ("value", "index"), ("locus_evals", "index"),
+               ("seconds", "float"))
+ERROR_REPORT_COLUMNS, IMPUTATION_COLUMNS, RECOVERY_COLUMNS = (
+    tuple(name for name, _ in t) for t in (ERROR_REPORT_TABLE, IMPUTATION_TABLE, RECOVERY_TABLE))
 _INT64_MAX = (1 << 63) - 1
 _DTYPES = {"index": np.int64, "digit": np.int64, "flag": bool, "float": np.float64}
 _SYMBOLS = {"digit": {"0": 0, "1": 1, "2": 2}, "flag": {"0": False, "1": True}}
@@ -474,16 +482,27 @@ def _fill(template, *columns):
     return texts[(np.cumsum(alone) - 1)[head]].tolist()
 
 
-def _tsv_body(table, sample_ids, loci, locus_ids, *columns):
-    """Rows ``sample_id<TAB>locus_id<TAB>locus_index<TAB>`` then the rest of
-    ``table``'s cells from ``columns``, each distinct middle and tail
-    formatted once; %.17g prints what fmt prints."""
-    tail = "\t".join("%.17g" if kind == "float" else "%d" for _, kind in table[3:])
-    cells = [None] * (3 * len(sample_ids))
-    cells[0::3] = sample_ids
-    cells[1::3] = _fill("\t%s\t%d\t", np.array(locus_ids, dtype=object), loci)
-    cells[2::3] = _fill(tail + "\n", *columns)
-    return "".join(cells)
+def _zero_lines(failures):
+    """The ``#zero-probability`` line of each (sample id, locus) pair."""
+    return [f"#zero-probability\t{sample_id}\t{locus}" for sample_id, locus in failures]
+
+
+def _write_table(path, table, columns, config_line, heads=(), tails=()):
+    """The TSV file of ``table``: the echo line, comment lines ``heads``,
+    the header, a row of ``columns`` (file order) per entry, comment lines
+    ``tails``. A row is three pieces, its first cell (an id as it is),
+    cells 1-2 and the rest, each distinct piece formatted once (%.17g is fmt)."""
+    kinds = [kind for _, kind in table]
+    cells = ["%.17g" if kind == "float" else "%s" if kind == "id" else "%d" for kind in kinds]
+    # a piece's arrays (ids as object arrays) live only through its _fill
+    array = lambda c, kind: (np.array(c, dtype=object) if kind == "id"
+                             else np.asarray(c, dtype=_DTYPES[kind]))
+    pieces = [None] * (3 * len(columns[0]))
+    pieces[0::3] = columns[0] if kinds[0] == "id" else _fill(cells[0], array(columns[0], kinds[0]))
+    pieces[1::3] = _fill("\t%s\t%s\t" % tuple(cells[1:3]), *map(array, columns[1:3], kinds[1:3]))
+    pieces[2::3] = _fill("\t".join(cells[3:]) + "\n", *map(array, columns[3:], kinds[3:]))
+    lines = [*_config_lines(config_line), *heads, "\t".join(name for name, _ in table) + "\n"]
+    atomic_write(path, "\n".join(lines) + "".join(pieces) + "".join(t + "\n" for t in tails))
 
 
 def _json_entries(report):
@@ -500,12 +519,10 @@ def write_error_report(path, report: ErrorReport, *, config_line=None,
             "entries": _json_entries(report),
             "failures": {k: int(v) for k, v in sorted(report.failures.items())},
         }, config_line)
-    lines = _config_lines(config_line)
-    lines.append(f"#threshold={fmt(report.threshold)}")
-    for sample_id, locus in sorted(report.failures.items()):
-        lines.append(f"#zero-probability\t{sample_id}\t{locus}")
-    lines.append("\t".join(ERROR_REPORT_COLUMNS) + "\n")
-    atomic_write(path, "\n".join(lines) + _tsv_body(ERROR_REPORT_TABLE, *report.columns()))
+    sample_id, locus_index, locus_id, *rest = report.columns()
+    _write_table(path, ERROR_REPORT_TABLE, [sample_id, locus_id, locus_index, *rest],
+                 config_line, [f"#threshold={fmt(report.threshold)}",
+                               *_zero_lines(sorted(report.failures.items()))])
 
 
 def _count(value, name, top=None):
@@ -751,16 +768,12 @@ def write_imputation(path, result: ImputationResult, *, config_line=None,
                          "train_iterations": w.train_iterations}
                         for w in result.windows],
         }, config_line)
-    lines = _config_lines(config_line)
-    for w in result.windows:
-        targets = ",".join(str(t) for t in w.targets)
-        lines.append(f"#window\t{w.lo}\t{w.hi}\t{targets}\t{w.train_iterations}")
-    for sample_id, locus in result.failures:
-        lines.append(f"#zero-probability\t{sample_id}\t{locus}")
-    lines.append("\t".join(IMPUTATION_COLUMNS) + "\n")
-    atomic_write(path, "\n".join(lines) + _tsv_body(
-        IMPUTATION_TABLE, result.sample_id, result.locus_index, result.locus_id,
-        *result.probs.T, result.call, result.confidence))
+    windows = [f"#window\t{w.lo}\t{w.hi}\t{','.join(map(str, w.targets))}\t"
+               f"{w.train_iterations}" for w in result.windows]
+    _write_table(path, IMPUTATION_TABLE,
+                 [result.sample_id, result.locus_id, result.locus_index, *result.probs.T,
+                  result.call, result.confidence],
+                 config_line, windows + _zero_lines(result.failures))
 
 
 def read_imputation(path) -> ImputationResult:
@@ -786,25 +799,16 @@ def read_imputation(path) -> ImputationResult:
                             confidence, (), tuple(found["#zero-probability\t"]), 0, 0)
 
 
-RECOVERY_COLUMNS = ("sample_id", "locus_index", "symbol", "confidence")
-
-
 def write_recovery(path, result, *, config_line=None, json_mode=False):
     """Fill log for missing-symbol recovery (the completed corpus itself is
     written as an ordinary genotype file)."""
+    failures = sorted(result.failures.items())
     if json_mode:
         return _write_json(path, {
-            "fills": [f._asdict() for f in result.fills],
-            "failures": {k: int(v) for k, v in sorted(result.failures.items())},
+            "fills": _json_entries(result),
+            "failures": {k: int(v) for k, v in failures},
         }, config_line)
-    lines = _config_lines(config_line)
-    for sample_id, locus in sorted(result.failures.items()):
-        lines.append(f"#zero-probability\t{sample_id}\t{locus}")
-    lines.append("\t".join(RECOVERY_COLUMNS))
-    for f in result.fills:
-        lines.append("\t".join((f.sample_id, str(f.locus_index), str(f.symbol),
-                                fmt(f.confidence))))
-    atomic_write(path, "\n".join(lines) + "\n")
+    _write_table(path, RECOVERY_TABLE, result.columns(), config_line, _zero_lines(failures))
 
 
 def write_eval_report(path, report, *, config_line=None, json_mode=False):
@@ -829,33 +833,16 @@ def write_eval_report(path, report, *, config_line=None, json_mode=False):
 def write_sweep_table(path, rows, *, config_line=None, with_seconds=False):
     """Grid results; timings stay out unless explicitly asked for, so the
     primary artifact is byte-stable across reruns."""
-    lines = _config_lines(config_line)
-    cols = ["founders", "panel_size", "flank", "mode", "total", "discordant",
-            "error_rate", "failed", "message"]
-    if with_seconds:
-        cols.insert(7, "seconds")
-    lines.append("\t".join(cols))
-    for r in rows:
-        fields = [str(r.founders), str(r.panel_size), str(r.flank), r.mode,
-                  str(r.total), str(r.discordant), fmt(r.error_rate),
-                  "1" if r.failed else "0", r.message]
-        if with_seconds:
-            fields.insert(7, fmt(r.seconds))
-        lines.append("\t".join(fields))
-    atomic_write(path, "\n".join(lines) + "\n")
+    table = [(name, kind) for name, kind in SWEEP_TABLE if with_seconds or name != "seconds"]
+    _write_table(path, table, [[getattr(r, name) for r in rows] for name, _ in table], config_line)
 
 
 def write_bench_table(path, report, *, config_line=None):
     """Bench output is a timing artifact by nature; seconds and fitted
     exponents live here and nowhere else."""
-    lines = _config_lines(config_line)
-    lines.append("\t".join(("axis", "value", "locus_evals", "seconds")))
-    for r in report.rows:
-        lines.append("\t".join((r.axis, str(r.value), str(r.locus_evals),
-                                fmt(r.seconds))))
-    for axis in sorted(report.exponents):
-        lines.append(f"#exponent\t{axis}\t{fmt(report.exponents[axis])}")
-    atomic_write(path, "\n".join(lines) + "\n")
+    columns = [[getattr(r, name) for r in report.rows] for name, _ in BENCH_TABLE]
+    _write_table(path, BENCH_TABLE, columns, config_line, tails=[
+        f"#exponent\t{axis}\t{fmt(value)}" for axis, value in sorted(report.exponents.items())])
 
 
 def write_channels(path, data, *, config_line=None):

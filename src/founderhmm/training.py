@@ -41,9 +41,11 @@ at most L loci and R distinct rows holds, as float64:
 
 and one byte each of the allele mask, L x W x R, and of the rescale mask,
 L x W: about (2K + 1) x L x W x R x 8 bytes, allocated once per fit. The
-expected counts of each E-step add L x W x K x (K + 2) x 8 bytes. Panels
-are stacked, in order, as many as fit in ``_EM_STACK_BYTES`` (16 MiB), and
-at least one.
+expected counts of each E-step add L x W x K x (K + 2) x 8 bytes, and its
+log-likelihood two copies of a panel's scales at its rescale loci, L / 16 x
+R x 8 bytes each (all L loci after a fallback or for one distinct row).
+Panels are stacked, in order, as many as fit in ``_EM_STACK_BYTES`` (16
+MiB), and at least one.
 """
 from __future__ import annotations
 
@@ -288,7 +290,10 @@ def _e_step(stack: _Stack, init, trans, emis, buffers):
     emis_total = np.ones((n, w, k))
     for p, (rows, _, counts) in enumerate(stack.windows):
         m, width = rows.shape
-        logliks.append(float(np.log(scales[:width, p, :m]).sum(axis=0) @ counts))
+        # the other scales are exactly 1: their logs, added in locus order,
+        # change no bit. A one-row sum runs pairwise, so it takes them all
+        at = rescale[:, p] if m > 1 else slice(width)
+        logliks.append(float(np.log(scales[at, p, :m]).sum(axis=0) @ counts))
         np.matmul(alphas[:width - 1, p, :, :m],
                   eprobs[1:width, p, :, :m].transpose(0, 2, 1),
                   out=trans_counts[:width - 1, p])

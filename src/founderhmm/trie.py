@@ -22,8 +22,8 @@ and runs the fused walk one block at a time from its checkpoint, for
 loci - b more backward evaluations per genotype: 46% more at 5000 loci
 and K = 7, where b = 2674. The checkpoints add 64 x K^2 x 8 bytes per
 block, and the tile's masses of both walks (two arrays), emission indices
-(three: one per locus and two per block step) and log sums (one) at most
-6 x 64 x loci x 8 bytes. Blocks change the pace, never the numbers.
+(two, one per walk, built a block at a time) and log sums (one) at most
+5 x 64 x loci x 8 bytes. Blocks change the pace, never the numbers.
 """
 from __future__ import annotations
 

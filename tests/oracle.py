@@ -18,7 +18,10 @@ walk must match; and ``read_symbol_file_per_line``, the line-by-line,
 character-by-character reader of genotype and haplotype files behind the
 byte-table reader, message for message; ``error_report_text_per_row``
 and ``imputation_text_per_entry``, the row-template and per-entry report
-writers behind the distinct-value writers, byte for byte;
+writers behind the distinct-value writers, byte for byte, with
+``recovery_text_per_fill``, ``sweep_text_per_row``, ``bench_text_per_row``
+and ``eval_text``, the line-by-line writers of the fill log, sweep, bench
+and evaluation files;
 ``read_error_report_per_row``, the split-and-validate-by-column error
 report reader behind the byte-position reader, column for column and
 message for message; ``read_imputation_per_row``, the line-by-line
@@ -477,6 +480,72 @@ def imputation_text_per_entry(result, config_line=None):
     return "\n".join(lines) + "\n"
 
 
+def _json_text(payload, config_line):
+    if config_line:
+        payload["config"] = config_line
+    return json.dumps(payload, sort_keys=True, indent=1) + "\n"
+
+
+def recovery_text_per_fill(result, config_line=None, json_mode=False):
+    """The TSV or JSON text of a recovery fill log, one fill at a time."""
+    failures = sorted(result.failures.items())
+    if json_mode:
+        return _json_text({"fills": [f._asdict() for f in result.fills],
+                           "failures": {k: int(v) for k, v in failures}}, config_line)
+    lines = [config_line] if config_line else []
+    lines += [f"#zero-probability\t{sample_id}\t{locus}" for sample_id, locus in failures]
+    lines.append("sample_id\tlocus_index\tsymbol\tconfidence")
+    for f in result.fills:
+        lines.append("\t".join((f.sample_id, str(f.locus_index), str(f.symbol),
+                                fmt(f.confidence))))
+    return "\n".join(lines) + "\n"
+
+
+def sweep_text_per_row(rows, config_line=None, with_seconds=False):
+    """The TSV text of a sweep table, one row at a time."""
+    lines = [config_line] if config_line else []
+    cols = ["founders", "panel_size", "flank", "mode", "total", "discordant",
+            "error_rate", "failed", "message"]
+    if with_seconds:
+        cols.insert(7, "seconds")
+    lines.append("\t".join(cols))
+    for r in rows:
+        fields = [str(r.founders), str(r.panel_size), str(r.flank), r.mode,
+                  str(r.total), str(r.discordant), fmt(r.error_rate),
+                  "1" if r.failed else "0", r.message]
+        if with_seconds:
+            fields.insert(7, fmt(r.seconds))
+        lines.append("\t".join(fields))
+    return "\n".join(lines) + "\n"
+
+
+def bench_text_per_row(report, config_line=None):
+    """The TSV text of a bench table, one row at a time, then its exponents."""
+    lines = [config_line] if config_line else []
+    lines.append("axis\tvalue\tlocus_evals\tseconds")
+    for r in report.rows:
+        lines.append("\t".join((r.axis, str(r.value), str(r.locus_evals), fmt(r.seconds))))
+    for axis in sorted(report.exponents):
+        lines.append(f"#exponent\t{axis}\t{fmt(report.exponents[axis])}")
+    return "\n".join(lines) + "\n"
+
+
+def eval_text(report, config_line=None, json_mode=False):
+    """The TSV or JSON text of an evaluation report, line by line."""
+    if json_mode:
+        return _json_text({"total": report.total, "discordant": report.discordant,
+                           "discordance_rate": report.discordance_rate,
+                           "confusion": report.confusion.tolist(),
+                           "details": dict(sorted(report.details.items()))}, config_line)
+    lines = [config_line] if config_line else []
+    lines += [f"total\t{report.total}", f"discordant\t{report.discordant}",
+              f"discordance_rate\t{fmt(report.discordance_rate)}"]
+    for t in range(3):
+        lines.append("\t".join(["confusion", str(t)]
+                               + [str(int(v)) for v in report.confusion[t]]))
+    return "\n".join(lines) + "\n"
+
+
 def _tsv_cell(cell, name, values):
     try:
         return values[cell]
@@ -806,9 +875,8 @@ def recover_missing_full_scan(model, corpus):
     fills = map(RecoveryFill, map(corpus.ids.__getitem__, samples.tolist()),
                 loci.tolist(), calls.tolist(),
                 (rows[np.arange(calls.size), calls] / totals).tolist())
-    return RecoveryResult(corpus=GenotypeCorpus(corpus.ids, symbols),
-                          fills=tuple(fills), failures=dict(batch.failures),
-                          stats=batch.stats)
+    return RecoveryResult.from_entries(fills, GenotypeCorpus(corpus.ids, symbols),
+                                       dict(batch.failures), batch.stats)
 
 
 def impute_untyped_per_entry(reference, corpus, locus_map, config, *, window):

@@ -17,20 +17,24 @@ from hypothesis import strategies as st
 import founderhmm
 import founderhmm.cli as cli
 import oracle
-from founderhmm import (ErrorEntry, ErrorReport, FounderHMM,
-                        HaplotypeSequence, ImputationEntry, ImputationResult,
-                        InputError, LocusMap, MultilocusGenotype, TrainConfig,
-                        WindowReport, correct_errors, evaluate,
-                        train_founder_hmm)
+from founderhmm import (ErrorEntry, ErrorReport, EvalReport, FounderHMM,
+                        GenotypeCorpus, HaplotypeSequence, ImputationEntry,
+                        ImputationResult, InputError, LocusMap,
+                        MultilocusGenotype, TrainConfig, WindowReport,
+                        correct_errors, evaluate, train_founder_hmm)
+from founderhmm.analysis import RecoveryFill, RecoveryResult
 from founderhmm.io_formats import (CONFIG_ENV, ERROR_REPORT_COLUMNS,
                                    IMPUTATION_COLUMNS, atomic_write, fmt,
                                    load_config_file, read_error_report,
                                    read_genotypes, read_haplotypes,
                                    read_imputation, read_locus_map,
-                                   read_model, write_error_report,
+                                   read_model, write_bench_table,
+                                   write_error_report, write_eval_report,
                                    write_genotypes, write_haplotypes,
                                    write_imputation, write_locus_map,
-                                   write_model)
+                                   write_model, write_recovery,
+                                   write_sweep_table)
+from founderhmm.simulate import BenchReport, BenchRow, SweepRow
 
 LOCATED = re.compile(r".+:\d+: ")  # parse errors carry path:line:
 
@@ -728,6 +732,75 @@ def test_report_writers_match_the_per_row_writers(tmp_path):
             write_imputation(path, result, config_line=config)
             assert path.read_bytes() == oracle.imputation_text_per_entry(
                 result, config).encode()
+
+
+ODD_FLOATS = [-0.0, 0.0, 1e-300, 5e-324, 1.0, 0.1 + 0.2, 1234.0625, 1e300,
+              float("inf"), float("nan"), float(np.copysign(float("nan"), -1)), -0.0]
+ODD_IDS = ["%", "{}", "S\u2028x", "%s%%", "abcdefgh1234ijklmnop\x00"]
+
+
+def test_recovery_writer_matches_the_per_fill_writer(tmp_path):
+    """The fill log, TSV and JSON, with and without failures and fills."""
+    rng = np.random.default_rng(4)
+    odd = [RecoveryFill(ODD_IDS[j % 5], j % 4, j % 3, c) for j, c in enumerate(ODD_FLOATS[:9])]
+    many = [RecoveryFill(f"S{j // 30}", j % 30, int(rng.integers(3)),
+                         float(rng.choice([1.0, rng.random()]))) for j in range(2000)]
+    corpus = GenotypeCorpus(["a"], np.zeros((1, 3), dtype=np.int8))
+    path = tmp_path / "fills"
+    for fills in (odd, many, []):
+        for failures in ({}, {"%s": 3, "b": 0}):
+            result = RecoveryResult.from_entries(fills, corpus, failures, None)
+            for config in (None, "#config: recover %s {}"):
+                for json_mode in (False, True):
+                    write_recovery(path, result, config_line=config, json_mode=json_mode)
+                    assert path.read_bytes() == oracle.recovery_text_per_fill(
+                        result, config, json_mode).encode()
+
+
+def test_sweep_writer_matches_the_per_row_writer(tmp_path):
+    """Sweep tables with and without seconds: failed cells (NaN error rate
+    and a message), -0.0, 1e-300, repeated cells and no rows."""
+    rows = [SweepRow(5, 100, 10, "imp", 40, 3, 0.075, 1.25, False, ""),
+            SweepRow(5, 100, 10, "edc-mdr-imp", 0, 0, float("nan"), 0.5, True,
+                     "InputError: 100% {} bad cell"),
+            SweepRow(7, 200, 3, "imp", 40, 0, -0.0, -0.0, False, ""),
+            SweepRow(7, 200, 3, "imp", 40, 0, 1e-300, 1e-300, False, ""),
+            SweepRow(5, 100, 10, "imp", 40, 3, 0.075, 1.25, False, "")]
+    rows += [SweepRow(3, 50, 1, "imp", 40, 0, 0.0, 5e-324, False, ""),
+             SweepRow(3, 50, 1, "imp", 40, 0, 0.0, ODD_FLOATS[10], True, "%s")]
+    path = tmp_path / "sweep.tsv"
+    for table in (rows, rows[:1], []):
+        for config in (None, "#config: sweep %s"):
+            for with_seconds in (False, True):
+                write_sweep_table(path, table, config_line=config, with_seconds=with_seconds)
+                assert path.read_bytes() == oracle.sweep_text_per_row(
+                    table, config, with_seconds).encode()
+
+
+def test_bench_writer_matches_the_per_row_writer(tmp_path):
+    """Bench tables with their exponent lines, and with no rows."""
+    rows = tuple(BenchRow(axis, v, s, 7 * v) for axis, v, s in (
+        ("loci", 250, 0.012), ("loci", 500, 0.0245), ("samples", 60, 1e-300),
+        ("samples", 120, -0.0), ("founders", 3, 5e-324), ("founders", 5, 0.012)))
+    exponents = {"loci": 1.0294, "samples": -0.0, "founders": float("nan")}
+    path = tmp_path / "bench.tsv"
+    for report in (BenchReport(rows, exponents), BenchReport((), {}),
+                   BenchReport((), {"loci": 1e-300})):
+        for config in (None, "#config: bench %s"):
+            write_bench_table(path, report, config_line=config)
+            assert path.read_bytes() == oracle.bench_text_per_row(report, config).encode()
+
+
+def test_eval_writer_matches_the_line_writer(tmp_path):
+    """Evaluation reports, TSV and JSON, with no calls and with some."""
+    path = tmp_path / "eval"
+    for report in (EvalReport(0, 0, np.zeros((3, 3), dtype=np.int64), {"kind": "corpus"}),
+                   EvalReport(30, 7, np.arange(9).reshape(3, 3), {"kind": "imputation"})):
+        for config in (None, "#config: evaluate %s"):
+            for json_mode in (False, True):
+                write_eval_report(path, report, config_line=config, json_mode=json_mode)
+                assert path.read_bytes() == oracle.eval_text(
+                    report, config, json_mode).encode()
 
 
 def read_outcome(read, path):

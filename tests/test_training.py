@@ -359,6 +359,32 @@ def test_underflowing_panel_falls_back_to_rescaling_every_locus(monkeypatch):
         assert _same_fit(fit, train_founder_hmms([panel], cfg, [start])[0])
 
 
+def test_e_step_log_likelihood_adds_every_scale_bit_for_bit(monkeypatch):
+    """The log-likelihood takes the logs of a window's scales at its
+    rescale loci only, where the other scales are exactly 1: it is the sum
+    over every locus bit for bit, for one-row windows too (whose sum NumPy
+    runs pairwise) and for a window that falls back."""
+    seen, forward = [], training._forward
+    monkeypatch.setattr(training, "_forward",
+                        lambda *args: seen.append(args[4]) or forward(*args))
+    rng = np.random.default_rng(35)
+    cases = [_underflow_panel(rng)]
+    for trial in range(60):
+        n, k = int(rng.integers(1, 150)), int(rng.integers(1, 6))
+        pool = rng.integers(0, 2, size=(1 if trial % 3 == 0 else int(rng.integers(2, 6)), n))
+        init, trans, _ = _initial_params(n, k, trial)
+        cases.append((pool[rng.integers(0, len(pool), size=int(rng.integers(2, 20)))],
+                      (init, trans, rng.uniform(0.02, 0.98, size=(n, k)))))
+    rows = set()
+    for haps, params in cases:
+        loglik, _ = _weighted_e_step(haps, *params)
+        distinct, counts = np.unique(haps, axis=0, return_counts=True)
+        scales = seen[-1][:haps.shape[1], 0, :len(distinct)]
+        assert loglik == float(np.log(scales).sum(axis=0) @ counts)
+        rows.add(min(len(distinct), 2))
+    assert rows == {1, 2}
+
+
 def test_int8_and_int64_panels_give_the_same_fits():
     rng = np.random.default_rng(35)
     panels = random_symbol_matrices(rng, 0, 1, count=8)
