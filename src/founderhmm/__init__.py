@@ -30,8 +30,8 @@ from .model import (ALLELE_SYMBOLS, GENOTYPE_SYMBOLS, MISSING, FounderHMM,
 from .simulate import (BenchReport, BenchRow, ErrorRecord, EvalReport,
                        MissingRecord, SimConfig, SimData, SweepRow,
                        bench_scaling, evaluate, fit_exponent, simulate, sweep)
-from .training import (TrainConfig, TrainReport, pooled_config,
-                       train_founder_hmm, window_config)
+from .training import (TrainConfig, TrainReport, bootstrap_config,
+                       pooled_config, train_founder_hmm, window_config)
 from .trie import (BatchPosteriorResult, BatchStats, GenotypeTrie, build_trie,
                    batched_posteriors, reversed_trie)
 

@@ -32,8 +32,8 @@ from .model import (MISSING, FounderHMM, GenotypeCorpus, HaplotypePanel,
                     HaplotypeSequence, InputError, LocusMap,
                     MultilocusGenotype, ZeroProbabilityError, _unchecked,
                     emission_stack)
-from .training import (TrainConfig, pooled_config, train_founder_hmm,
-                       train_founder_hmms, window_config)
+from .training import (TrainConfig, bootstrap_config, pooled_config,
+                       train_founder_hmm, train_founder_hmms, window_config)
 from .trie import BatchStats, _checked_corpus, _scan_symbols, batched_posteriors, build_trie
 
 PIPELINE_IMPUTE_ONLY = "imp"
@@ -550,11 +550,12 @@ def run_pipeline(mode: str, reference, corpus, locus_map: LocusMap,
 
     "imp" imputes untyped loci directly. "edc-mdr-imp" first trains a
     typed-locus model on the reference pooled with haplotypes decoded from
-    the test corpus itself (one decode round, then a warm retrain: the
-    pooled fit starts from the reference-only model, under
-    :func:`pooled_config`), repairs the corpus (flag-and-correct at
-    ``threshold``, then fill missing symbols), and imputes from the
-    repaired corpus.
+    the test corpus itself (one decode round with the reference-only model,
+    fitted under :func:`bootstrap_config`, then a warm retrain: the pooled
+    fit starts from that model, under :func:`pooled_config`; both fits are
+    accelerated, and their stage counters count E-steps), repairs the
+    corpus (flag-and-correct at ``threshold``, then fill missing symbols),
+    and imputes from the repaired corpus.
     """
     if mode not in (PIPELINE_IMPUTE_ONLY, PIPELINE_REPAIR_IMPUTE):
         raise InputError(f"unknown pipeline mode {mode!r}")
@@ -569,7 +570,7 @@ def run_pipeline(mode: str, reference, corpus, locus_map: LocusMap,
         ref_typed = HaplotypePanel(reference.ids, reference.matrix[:, typed_idx])
 
         t0 = time.perf_counter()
-        model0, report0 = train_founder_hmm(ref_typed, config)
+        model0, report0 = train_founder_hmm(ref_typed, bootstrap_config(config))
         phased = phase_panel(model0, working)
         model1, report1 = train_founder_hmm(HaplotypePanel(
             ref_typed.ids + phased.ids,

@@ -335,15 +335,16 @@ def _note(message):
 # ------------------------------------------------------------- subcommands
 
 def _cmd_train(args):
-    cfg = TrainConfig(founders=args.founders,
-                      max_iterations=args.max_iterations,
-                      tolerance=args.tolerance, seed=args.seed,
-                      pseudocount=args.pseudocount)
+    # train runs plain EM; the echo names the options, not every config field
+    options = dict(founders=args.founders, max_iterations=args.max_iterations,
+                   tolerance=args.tolerance, seed=args.seed,
+                   pseudocount=args.pseudocount)
+    cfg = TrainConfig(**options)
     panel = read_haplotypes(args.panel)
     start = time.perf_counter()
     model, report = train_founder_hmm(panel, cfg)
     seconds = time.perf_counter() - start
-    echo = _echo("train", {"panel": args.panel, **vars(cfg)})
+    echo = _echo("train", {"panel": args.panel, **options})
     write_model(args.out, model, config_line=echo)
     trace_lines = [echo,
                    f"iterations\t{report.iterations_run}",

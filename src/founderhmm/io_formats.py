@@ -502,7 +502,12 @@ def _write_table(path, table, columns, config_line, heads=(), tails=()):
     pieces[1::3] = _fill("\t%s\t%s\t" % tuple(cells[1:3]), *map(array, columns[1:3], kinds[1:3]))
     pieces[2::3] = _fill("\t".join(cells[3:]) + "\n", *map(array, columns[3:], kinds[3:]))
     lines = [*_config_lines(config_line), *heads, "\t".join(name for name, _ in table) + "\n"]
-    atomic_write(path, "\n".join(lines) + "".join(pieces) + "".join(t + "\n" for t in tails))
+    pieces[:0] = ["\n".join(lines)]
+    pieces += [t + "\n" for t in tails]
+    # the text alone, not its 3 x entries pieces, lives through the write
+    text = "".join(pieces)
+    del pieces
+    atomic_write(path, text)
 
 
 def _json_entries(report):

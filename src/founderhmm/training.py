@@ -29,6 +29,27 @@ sweep again rescaled at every locus, while the rest of its stack keeps its
 rescale loci and bits. Each panel keeps its own start, trace, convergence
 test and cap.
 
+Acceleration. A config with ``accelerate`` set runs the SqS3 cycle of
+SQUAREM (Varadhan & Roland 2008, Scand. J. Stat. 35:335) in the same loop:
+two EM steps, theta0 -> theta1 -> theta2; the point theta' = theta0 -
+2 alpha r + alpha**2 v, with r = theta1 - theta0, v = theta2 - 2 theta1 +
+theta0 and alpha = -|r| / |v| capped at -1, clipped back into the
+parameter space; then one EM step from theta'. When theta' scores below
+theta1, the cycle falls back to theta2. Plain EM is the same loop with the
+extrapolation skipped. Each panel's alpha comes from its own slices, so
+an accelerated fit, too, is bitwise the same in any stack. ``max_iterations``
+and ``TrainReport.iterations_run`` count E-steps, and the trace holds only
+accepted iterates: it has one entry fewer than E-steps per rejected point.
+Only the repair flow's bootstrap and pooled typed fits accelerate
+(:func:`bootstrap_config`, :func:`pooled_config`). ``train`` stays plain
+EM, bit for bit: accelerated at ``--max-iterations 30`` (in E-steps), its
+models lowered the recovered corpus' concordance of the ``scan-distinct``
+benchmark workload on 8 of 8 seeds (seed 1: 0.99256 to 0.99102), and its
+flag precision (0.370 to 0.309). The imputation windows stay plain too
+(:func:`window_config`): accelerated, or plain to 100 iterations, they fit
+closer than at today's cap and break acceptance criterion 7, bigger panels
+doing worse (discordance 0.0463 at a panel of 120, 0.0537 at 240).
+
 Memory. A panel is trained on its int8 alleles, one byte per allele, with
 no wider copy; finding its distinct rows takes about four more bytes per
 allele for a moment (the byte keys and the sorted copies of np.unique),
@@ -44,6 +65,8 @@ L x W: about (2K + 1) x L x W x R x 8 bytes, allocated once per fit. The
 expected counts of each E-step add L x W x K x (K + 2) x 8 bytes, and its
 log-likelihood two copies of a panel's scales at its rescale loci, L / 16 x
 R x 8 bytes each (all L loci after a fallback or for one distinct row).
+The parameters of a stack, and the two copies of them that a cycle keeps
+(theta0 and theta2), take about (K + 1) x L x W x K x 8 bytes each.
 Panels are stacked, in order, as many as fit in ``_EM_STACK_BYTES`` (16
 MiB), and at least one.
 """
@@ -67,6 +90,8 @@ _EM_STACK_BYTES = 16 << 20
 # _SCALE_FLOOR at one of those loci rescales at every locus instead.
 _RESCALE_EVERY = 16
 _SCALE_FLOOR = 2.0 ** -900
+# Least probability of an extrapolated point of an accelerated fit.
+_FLOOR = 1e-10
 
 
 @dataclass(frozen=True)
@@ -76,7 +101,9 @@ class TrainConfig:
     tolerance is a relative log-likelihood improvement threshold (with an
     absolute floor of 1 so near-zero log-likelihoods behave); pseudocount is
     smoothing mass added to every expected-count cell, keeping parameters
-    off the hard 0/1 boundary whenever it is positive.
+    off the hard 0/1 boundary whenever it is positive. accelerate runs EM
+    in SqS3 cycles (see the module docstring); max_iterations counts
+    E-steps either way.
     """
 
     founders: int
@@ -84,6 +111,7 @@ class TrainConfig:
     tolerance: float = 1e-5
     seed: int = 0
     pseudocount: float = 1e-6
+    accelerate: bool = False
 
     def __post_init__(self):
         if self.founders < 1:
@@ -365,21 +393,88 @@ def _stack_groups(windows, k):
     return groups + [(start, len(windows))] if windows else []
 
 
+def _take(params, at, loci):
+    """The (init, trans, emis) of the windows ``at`` of stacked parameters,
+    on a stack's first ``loci`` loci."""
+    init, trans, emis = params
+    return init[at], trans[:loci - 1, at], emis[:loci, at]
+
+
+def _put(params, at, loci, values):
+    """Set the windows ``at`` of stacked parameters, as :func:`_take`."""
+    init, trans, emis = params
+    init[at], trans[:loci - 1, at], emis[:loci, at] = values
+
+
+def _square_norms(params):
+    """Squared norm of each window's stacked (init, trans, emis), whose
+    padded entries are all 0. The squares are added in sequence, so the 0
+    entries, wherever the stack puts them, change no bit."""
+    init, trans, emis = params
+    flat = np.concatenate([init, *(np.moveaxis(x, 1, 0).reshape(len(init), -1)
+                                   for x in (trans, emis))], axis=1)
+    return np.cumsum(flat * flat, axis=1)[:, -1]
+
+
+def _extrapolate(theta0, theta1, theta2, padding):
+    """The SqS3 point (Varadhan & Roland 2008) of each of a stack's windows,
+    from its iterates theta0, theta1 = EM(theta0) and theta2 = EM(theta1),
+    each an (init, trans, emis) triple shaped as in :func:`_e_step`.
+
+    With r = theta1 - theta0 and v = theta2 - 2 theta1 + theta0, the point
+    is theta0 - 2 alpha r + alpha**2 v, where alpha = -|r| / |v|, capped at
+    -1 (alpha = -1 gives theta2). The iterates agree at padded loci, so r
+    and v are 0 there, and each window's alpha is that of its own slices.
+    The point's probabilities are clipped to at least 1e-10 and
+    renormalised, its emissions kept in [1e-10, 1 - 1e-10], and its padded
+    loci reset to identity transitions and emission 1, which clipping
+    would break.
+    """
+    r = [b - a for a, b in zip(theta0, theta1)]
+    v = [c - 2.0 * b + a for a, b, c in zip(theta0, theta1, theta2)]
+    r2, v2 = _square_norms(r), _square_norms(v)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        alpha = np.where(v2 > 0.0, np.minimum(-np.sqrt(r2) / np.sqrt(v2), -1.0),
+                         -1.0)
+    init, trans, emis = (a - 2.0 * s * b + s * s * c for a, b, c, s in zip(
+        theta0, r, v, (alpha[:, None], alpha[:, None, None], alpha[:, None])))
+    init, trans = (np.maximum(x, _FLOOR) for x in (init, trans))
+    init /= init.sum(axis=-1, keepdims=True)
+    trans /= trans.sum(axis=-1, keepdims=True)
+    np.clip(emis, _FLOOR, 1.0 - _FLOOR, out=emis)
+    trans[padding[1:]] = np.eye(init.shape[1])
+    emis[padding] = 1.0
+    return init, trans, emis
+
+
 def _fit_stack(windows, config: TrainConfig, starts):
-    """Lockstep EM over a stack of windows; see :func:`train_founder_hmms`."""
+    """Lockstep EM over a stack of windows; see :func:`train_founder_hmms`.
+
+    Each window runs in cycles: E-steps at theta0 and at theta1 = EM(theta0),
+    then, under ``config.accelerate`` and with an E-step left under its cap,
+    one at the point :func:`_extrapolate` makes of theta0, theta1 and theta2
+    = EM(theta1), whose update starts the next cycle. A point that scores
+    below theta1 is left out of the trace, and the next cycle starts from
+    theta2 instead, as it always does in plain EM.
+    """
     k = config.founders
     stack = _stack(windows)
     n, w, r = stack.ones.shape
     buffers = tuple(np.empty(shape) for shape in _buffer_shapes(n, w, k, r))
-    init = np.empty((w, k))
-    trans = np.broadcast_to(np.eye(k), (max(n - 1, 0), w, k, k)).copy()
-    emis = np.ones((n, w, k))
-    for j, ((rows, _, _), start) in enumerate(zip(windows, starts)):
-        width = rows.shape[1]
-        init[j], trans[:width - 1, j], emis[:width, j] = (
-            _initial_params(width, k, config.seed) if start is None else
-            (start.initial, start.transitions, start.emissions))
+    params = (np.empty((w, k)),
+              np.broadcast_to(np.eye(k), (max(n - 1, 0), w, k, k)).copy(),
+              np.ones((n, w, k)))
+    widths = [rows.shape[1] for rows, _, _ in windows]
+    for j, (width, start) in enumerate(zip(widths, starts)):
+        _put(params, j, width, _initial_params(width, k, config.seed)
+             if start is None else
+             (start.initial, start.transitions, start.emissions))
+    # each window's theta0 and theta2, and its place in the cycle: at
+    # theta0 (0), at theta1 (1) or at the extrapolated point (2)
+    theta0, theta2 = (tuple(x.copy() for x in params) for _ in range(2))
+    stage = np.zeros(w, dtype=int)
     traces = [[] for _ in windows]
+    steps = np.zeros(w, dtype=int)
     converged = [False] * w
     active, live, fault = list(range(w)), np.arange(w), None
     while active:
@@ -388,20 +483,26 @@ def _fit_stack(windows, config: TrainConfig, starts):
             stack = _stack([windows[j] for j in active], r)
         loci = stack.ones.shape[0]
         try:
-            logliks, stats = _e_step(stack, init[live], trans[:loci - 1, live],
-                                     emis[:loci, live], buffers)
+            logliks, stats = _e_step(stack, *_take(params, live, loci), buffers)
         except ZeroProbabilityError as err:
             fault, active = err, active[:err.window]
             continue
-        update = []
+        steps[live] += 1
+        update, back = [], []
         for p, j in enumerate(active):
             trace = traces[j]
+            if stage[j] == 2 and not logliks[p] >= trace[-1]:
+                back.append(j)
+                continue
             trace.append(logliks[p])
             if len(trace) > 1 and (trace[-1] - trace[-2] < config.tolerance
                                    * max(1.0, abs(trace[-2]))):
                 converged[j] = True
             else:
                 update.append(p)
+        if back:
+            _put(params, back, loci, _take(theta2, back, loci))
+            stage[back] = 0
         if update:
             init_c, trans_c, ones_c, total_c = stats
             new_init, new_trans, new_emis = _m_step(
@@ -416,21 +517,32 @@ def _fit_stack(windows, config: TrainConfig, starts):
                 update = update[:err.window]
             u = len(update)
             moved = live[update]
-            init[moved] = new_init[:u]
-            trans[:loci - 1, moved] = new_trans[:, :u]
-            emis[:loci, moved] = new_emis[:, :u]
+            new = (new_init[:u], new_trans[:, :u], new_emis[:, :u])
+            if config.accelerate:
+                at = stage[moved]
+                first = moved[at == 0]
+                if first.size:
+                    _put(theta0, first, loci, _take(params, first, loci))
+                leap = (at == 1) & (steps[moved] < config.max_iterations)
+                if leap.any():
+                    g = moved[leap]
+                    _put(theta2, g, loci, _take(new, leap, loci))
+                    _put(new, leap, loci, _extrapolate(
+                        _take(theta0, g, loci), _take(params, g, loci),
+                        _take(new, leap, loci), stack.padding[:, update][:, leap]))
+                stage[moved] = np.where(leap, 2, np.where(at == 0, 1, 0))
+            _put(params, moved, loci, new)
         active = [j for j in active if not converged[j]
-                  and len(traces[j]) < config.max_iterations]
+                  and steps[j] < config.max_iterations]
     if fault is not None:
         raise fault
     results = []
-    for j, (rows, _, _) in enumerate(windows):
-        width = rows.shape[1]
-        model = FounderHMM(initial=init[j], transitions=trans[:width - 1, j],
-                           emissions=emis[:width, j])
-        results.append((model, TrainReport(
-            iterations_run=len(traces[j]), loglik_trace=tuple(traces[j]),
-            converged=converged[j])))
+    for j, width in enumerate(widths):
+        init, trans, emis = _take(params, j, width)
+        results.append((FounderHMM(initial=init, transitions=trans, emissions=emis),
+                        TrainReport(iterations_run=int(steps[j]),
+                                    loglik_trace=tuple(traces[j]),
+                                    converged=converged[j])))
     return results
 
 
@@ -474,12 +586,13 @@ def train_founder_hmm(panel, config: TrainConfig, start=None):
 
     Runs one EM from ``start``, a FounderHMM with the config's founders and
     the panel's loci, or from the seeded start when it is None. Returns
-    (FounderHMM, TrainReport). Each trace entry scores the parameters
-    entering that iteration, so the first scores ``start`` itself; on
+    (FounderHMM, TrainReport). Each trace entry scores the parameters that
+    an E-step started from, so the first scores ``start`` itself; an
+    accelerated fit leaves out the extrapolated points it rejects. On
     convergence the loop stops before the next update, so the returned
-    parameters are exactly the last-scored ones, while an iteration-capped
-    run returns parameters one (improving) update past the final entry.
-    Without a start, initialization depends only on the seed.
+    parameters are exactly the last-scored ones, while a capped run returns
+    parameters one (improving) update past the final entry. Without a
+    start, initialization depends only on the seed.
     """
     return train_founder_hmms([_panel_matrix(panel)], config, [start])[0]
 
@@ -489,19 +602,41 @@ def window_config(config: TrainConfig) -> TrainConfig:
     return replace(config, max_iterations=50)
 
 
-def pooled_config(config: TrainConfig) -> TrainConfig:
-    """Config of the repair flow's pooled typed fit, which starts from the
-    bootstrap model: an iteration cap of at most 30.
+def bootstrap_config(config: TrainConfig) -> TrainConfig:
+    """Config of the repair flow's bootstrap typed fit: accelerated, with a
+    cap of at most 60 E-steps.
 
     The cap was measured by ``tools/pooled_cap.py`` on the acceptance-6
-    configuration at the pipeline's defaults (5 founders, seed s). The EM
-    updates after which the warm pooled fit first reaches the final
-    log-likelihood of the cold fit (100 iterations from the seeded start):
+    configuration at the pipeline's defaults (5 founders, seed s). The
+    E-steps after which the accelerated fit first reaches the final
+    log-likelihood of the plain fit of 100 iterations:
 
-        seed     1  2  3   4   5   6   7  8   9  10  11  12
-        updates 39  1  1  47  18  23  12  1  34   1  21   1
+        seed     3   4   5   6   7   8   9  10  11  12
+        E-steps 54  53  49  51  51  53  49  51  48  54
 
-    The cap is the smallest of 10, 30 and 100 whose warm fit beats the
-    cold one on at least 8 of seeds 3-12: cap 10 does on 4, cap 30 on 8.
+    The cap is the smallest multiple of 10 that reaches on at least 9 of
+    these seeds: cap 50 does on 3, cap 60 on 10.
     """
-    return replace(config, max_iterations=min(config.max_iterations, 30))
+    return replace(config, max_iterations=min(config.max_iterations, 60),
+                   accelerate=True)
+
+
+def pooled_config(config: TrainConfig) -> TrainConfig:
+    """Config of the repair flow's pooled typed fit, which starts from the
+    bootstrap model: accelerated, with a cap of at most 10 E-steps.
+
+    The cap was measured by ``tools/pooled_cap.py`` as for
+    :func:`bootstrap_config`, on the reference pooled with the corpus
+    decoded by the bootstrap model of that config. The E-steps after which
+    the warm accelerated fit first reaches the final log-likelihood of the
+    plain cold fit (100 iterations from the seeded start):
+
+        seed     3   4  5  6   7  8  9  10  11  12
+        E-steps  2  16  2  2  12  2  2   2   3   2
+
+    The cap is the smallest of 10, 20 and 30 that reaches on at least 8 of
+    these seeds: cap 10 does on 8. The repair flow's discordance at caps
+    10, 20 and 30 differs by at most 0.0009 on each seed.
+    """
+    return replace(config, max_iterations=min(config.max_iterations, 10),
+                   accelerate=True)

@@ -14,11 +14,11 @@ from conftest import random_corpus, random_genotype, random_model
 from founderhmm import (MISSING, FounderHMM, GenotypeCorpus, HaplotypePanel,
                         HaplotypeSequence, ImputationResult, InputError,
                         LocusMap, MultilocusGenotype, SimConfig, TrainConfig,
-                        WindowSpec, ZeroProbabilityError, correct_errors,
-                        detect_errors, evaluate, impute_untyped, phase_corpus,
-                        phase_decode, phase_panel, posterior_scan,
-                        recover_missing, run_pipeline, simulate, substitute,
-                        window_spans)
+                        WindowSpec, ZeroProbabilityError, bootstrap_config,
+                        correct_errors, detect_errors, evaluate,
+                        impute_untyped, phase_corpus, phase_decode,
+                        phase_panel, posterior_scan, recover_missing,
+                        run_pipeline, simulate, substitute, window_spans)
 from founderhmm.trie import BatchStats, build_trie
 
 
@@ -778,8 +778,9 @@ def test_repair_pipeline_warm_starts_the_pooled_fit(monkeypatch):
         return result
 
     monkeypatch.setattr(analysis, "train_founder_hmm", spy)
-    # the bootstrap fit converges at 70 iterations and the pooled fit
-    # stops at its cap of 30; with a cap of 10 both stop at it
+    # both fits are accelerated and count E-steps: the bootstrap fit
+    # converges after 44 of its 60 and the pooled fit stops at its cap of
+    # 10; with a cap of 10 both stop at it
     for cfg, capped in ((TrainConfig(founders=3, seed=0), 1),
                         (TrainConfig(founders=3, seed=0, max_iterations=10), 2)):
         calls.clear()
@@ -787,13 +788,13 @@ def test_repair_pipeline_warm_starts_the_pooled_fit(monkeypatch):
                            data.locus_map, cfg, window=WindowSpec(flank=3),
                            threshold=1e3)
         (_, cfg0, start0, (model0, report0)), (pooled, cfg1, start1, fit1) = calls
-        assert cfg0 == cfg and start0 is None and start1 is model0
+        assert cfg0 == bootstrap_config(cfg) and start0 is None and start1 is model0
         # the pooled fit's first trace entry scores the bootstrap model
         want = sum(oracle.loglik_haplotype(model0, h) for h in pooled)
         assert fit1[1].loglik_trace[0] == pytest.approx(want, rel=1e-9)
         counters = res.stages[0].counters
         assert counters["pooled_iterations"] == fit1[1].iterations_run
-        assert counters["pooled_iterations"] <= min(30, cfg.max_iterations)
+        assert counters["pooled_iterations"] <= min(10, cfg.max_iterations)
         assert counters["bootstrap_iterations"] == report0.iterations_run
         assert counters["capped"] == capped == (
             (not report0.converged) + (not fit1[1].converged))

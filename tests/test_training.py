@@ -10,8 +10,8 @@ import oracle
 from conftest import random_model, random_panel, random_symbol_matrices
 import founderhmm
 from founderhmm import (FounderHMM, HaplotypeSequence, InputError, TrainConfig,
-                        ZeroProbabilityError, pooled_config, train_founder_hmm,
-                        window_config)
+                        ZeroProbabilityError, bootstrap_config, pooled_config,
+                        train_founder_hmm, window_config)
 import founderhmm.training as training
 from founderhmm.training import (_buffer_shapes, _check_params, _e_step,
                                  _initial_params, _stack, _stack_bytes,
@@ -47,10 +47,17 @@ def test_window_config_caps_iterations():
     assert wcfg.founders == 4 and wcfg.tolerance == 1e-7 and wcfg.seed == 9
 
 
-def test_pooled_config_caps_iterations_at_30():
+def test_pooled_config_caps_iterations_at_10():
     cfg = TrainConfig(founders=4, max_iterations=200, tolerance=1e-7, seed=9)
-    assert pooled_config(cfg) == replace(cfg, max_iterations=30)
-    assert pooled_config(replace(cfg, max_iterations=10)).max_iterations == 10
+    assert pooled_config(cfg) == replace(cfg, max_iterations=10, accelerate=True)
+    assert pooled_config(replace(cfg, max_iterations=5)).max_iterations == 5
+
+
+def test_only_the_typed_fit_configs_accelerate():
+    cfg = TrainConfig(founders=4, max_iterations=200, tolerance=1e-7, seed=9)
+    assert not cfg.accelerate and not window_config(cfg).accelerate
+    assert bootstrap_config(cfg) == replace(cfg, max_iterations=60, accelerate=True)
+    assert bootstrap_config(replace(cfg, max_iterations=10)).max_iterations == 10
 
 
 def test_panel_must_be_uniform_and_nonempty():
@@ -84,6 +91,55 @@ def test_loglik_trace_non_decreasing():
         assert have >= trace[-1] - 1e-8
         if report.converged:
             assert have == pytest.approx(trace[-1], rel=1e-9)
+
+
+def _row_stochastic(model):
+    return (np.all(model.initial >= 0)
+            and abs(model.initial.sum() - 1.0) < 1e-9
+            and np.all(model.transitions >= 0)
+            and np.allclose(model.transitions.sum(axis=2), 1.0, atol=1e-9)
+            and np.all((model.emissions >= 0) & (model.emissions <= 1)))
+
+
+def test_accelerated_fits_keep_criterion_4_properties():
+    """The 100 panels of acceptance criterion 4, fitted accelerated at caps
+    1, 2 and the drawn cap (5-12 E-steps): every trace is non-decreasing,
+    every fit row-stochastic, and no fit has more trace entries than
+    E-steps (it has fewer when it rejected an extrapolated point)."""
+    rng = np.random.default_rng(4)
+    seen = set()
+    for run in range(100):
+        k = int(rng.integers(2, 6))
+        n = int(rng.integers(4, 31))
+        m = int(rng.integers(6, 41))
+        panel = random_panel(rng, m, n)
+        iters = int(rng.integers(5, 13))
+        for cap in (1, 2, iters):
+            model, report = train_founder_hmm(panel, TrainConfig(
+                founders=k, max_iterations=cap, seed=run, accelerate=True))
+            trace = np.asarray(report.loglik_trace)
+            assert np.all(np.diff(trace) >= -1e-8), trace
+            assert _row_stochastic(model)
+            assert report.iterations_run >= len(trace)
+        seen.add(iters)
+        seen.update("rejected" for _ in [0] if report.iterations_run > len(trace))
+    assert seen == set(range(5, 13)) | {"rejected"}
+
+
+def test_accelerated_fit_ends_at_or_above_its_trace():
+    """As in plain EM, the returned parameters score at least the last
+    trace entry, and exactly it when the fit converged."""
+    rng = np.random.default_rng(1)
+    for trial in range(8):
+        panel = random_panel(rng, int(rng.integers(5, 25)),
+                             int(rng.integers(4, 20)))
+        cfg = TrainConfig(founders=int(rng.integers(2, 5)), max_iterations=25,
+                          seed=trial, accelerate=True)
+        model, report = train_founder_hmm(panel, cfg)
+        have = sum(oracle.loglik_haplotype(model, h) for h in panel)
+        assert have >= report.loglik_trace[-1] - 1e-8
+        if report.converged:
+            assert have == pytest.approx(report.loglik_trace[-1], rel=1e-9)
 
 
 def test_converged_flag_and_early_stop():
@@ -482,38 +538,47 @@ def _window_sets(rng, count):
 
 
 def test_stacked_fits_equal_fits_alone(monkeypatch):
+    """Plain and accelerated; an accelerated fit with fewer trace entries
+    than E-steps rejected an extrapolated point."""
     rng = np.random.default_rng(11)
     seen = set()
-    for panels, cfg in _window_sets(rng, 20):
-        alone = [train_founder_hmm([HaplotypeSequence(f"h{j}", row)
-                                    for j, row in enumerate(p)], cfg)
-                 for p in panels]
-        windows = [np.unique(p, axis=0, return_index=True, return_counts=True)
-                   for p in panels]
-        loci = max(p.shape[1] for p in panels)
-        rows = max(w[0].shape[0] for w in windows)
-        # stacks of one window each, of seven or more, and of all windows
-        for cap, fits in ((0, lambda sizes: set(sizes) == {1}),
-                          (_stack_bytes(loci, 7, cfg.founders, rows),
-                           lambda sizes: min(sizes[:-1], default=7) >= 7),
-                          (1 << 40, lambda sizes: sizes == [len(panels)])):
-            monkeypatch.setattr(training, "_EM_STACK_BYTES", cap)
-            sizes = [hi - lo for lo, hi in _stack_groups(windows, cfg.founders)]
-            assert fits(sizes)
-            if len(sizes) > 1 and sizes[0] > 1:
-                seen.add("several stacks of several windows")
-            for (m1, r1), (m2, r2) in zip(alone, train_founder_hmms(panels, cfg),
-                                          strict=True):
-                assert np.array_equal(m1.initial, m2.initial)
-                assert np.array_equal(m1.transitions, m2.transitions)
-                assert np.array_equal(m1.emissions, m2.emissions)
-                assert r1 == r2
-        seen.update("early" if r.converged else "capped" for _, r in alone
-                    if r.converged == (r.iterations_run < cfg.max_iterations))
-        seen.update("width 1" for p in panels if p.shape[1] == 1)
-        seen.update("one row" for w in windows if w[0].shape[0] == 1)
+    for panels, plain in _window_sets(rng, 20):
+        for cfg in (plain, replace(plain, accelerate=True)):
+            mode = "accelerated " if cfg.accelerate else ""
+            alone = [train_founder_hmm([HaplotypeSequence(f"h{j}", row)
+                                        for j, row in enumerate(p)], cfg)
+                     for p in panels]
+            windows = [np.unique(p, axis=0, return_index=True, return_counts=True)
+                       for p in panels]
+            loci = max(p.shape[1] for p in panels)
+            rows = max(w[0].shape[0] for w in windows)
+            # stacks of one window each, of seven or more, and of all windows
+            for cap, fits in ((0, lambda sizes: set(sizes) == {1}),
+                              (_stack_bytes(loci, 7, cfg.founders, rows),
+                               lambda sizes: min(sizes[:-1], default=7) >= 7),
+                              (1 << 40, lambda sizes: sizes == [len(panels)])):
+                monkeypatch.setattr(training, "_EM_STACK_BYTES", cap)
+                sizes = [hi - lo for lo, hi in _stack_groups(windows, cfg.founders)]
+                assert fits(sizes)
+                if len(sizes) > 1 and sizes[0] > 1:
+                    seen.add("several stacks of several windows")
+                for (m1, r1), (m2, r2) in zip(alone, train_founder_hmms(panels, cfg),
+                                              strict=True):
+                    assert np.array_equal(m1.initial, m2.initial)
+                    assert np.array_equal(m1.transitions, m2.transitions)
+                    assert np.array_equal(m1.emissions, m2.emissions)
+                    assert r1 == r2
+            seen.update(mode + ("early" if r.converged else "capped")
+                        for _, r in alone
+                        if r.converged == (r.iterations_run < cfg.max_iterations))
+            seen.update(mode + "rejected" for _, r in alone
+                        if r.iterations_run > len(r.loglik_trace))
+            seen.update(mode + "width 1" for p in panels if p.shape[1] == 1)
+            seen.update(mode + "one row" for w in windows if w[0].shape[0] == 1)
     assert seen == {"early", "capped", "width 1", "one row",
-                    "several stacks of several windows"}
+                    "several stacks of several windows", "accelerated early",
+                    "accelerated capped", "accelerated rejected",
+                    "accelerated width 1", "accelerated one row"}
 
 
 def test_stacked_fit_raises_what_fitting_in_order_would(monkeypatch):
@@ -589,13 +654,14 @@ def test_stacked_warm_fits_equal_warm_fits_alone(monkeypatch):
         starts = [None if j % 3 == 2 else
                   random_model(rng, cfg.founders, p.shape[1])
                   for j, p in enumerate(panels)]
-        alone = [train_founder_hmms([p], cfg, [start])[0]
-                 for p, start in zip(panels, starts)]
-        for cap in (0, 1 << 40):
-            monkeypatch.setattr(training, "_EM_STACK_BYTES", cap)
-            for a, b in zip(alone, train_founder_hmms(panels, cfg, starts),
-                            strict=True):
-                assert _same_fit(a, b)
+        for config in (cfg, replace(cfg, accelerate=True)):
+            alone = [train_founder_hmms([p], config, [start])[0]
+                     for p, start in zip(panels, starts)]
+            for cap in (0, 1 << 40):
+                monkeypatch.setattr(training, "_EM_STACK_BYTES", cap)
+                for a, b in zip(alone, train_founder_hmms(panels, config, starts),
+                                strict=True):
+                    assert _same_fit(a, b)
         seen.update("width 1" for p in panels if p.shape[1] == 1)
         seen.update("one row" for p in panels if len(np.unique(p, axis=0)) == 1)
     assert seen == {"width 1", "one row"}
