@@ -312,8 +312,11 @@ def _model_starts(k, n):
 def write_model(path, model: FounderHMM, *, config_line=None):
     k, n = model.founders, model.loci
     lines = [MODEL_MAGIC, *_config_lines(config_line), f"#founders={k} loci={n}"]
-    rows = [model.initial, *model.transitions.reshape(-1, k), *model.emissions]
-    lines += [start + "\t".join(map(fmt, row)) for start, row in zip(_model_starts(k, n), rows)]
+    rows = np.concatenate((model.initial[None], model.transitions.reshape(-1, k),
+                           model.emissions)).tolist()
+    # one format per row: "%.17g" writes each value as fmt does
+    row = "\t".join(["%.17g"] * k)
+    lines += [start + row % tuple(values) for start, values in zip(_model_starts(k, n), rows)]
     atomic_write(path, "\n".join(lines) + "\n")
 
 

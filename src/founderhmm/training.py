@@ -21,13 +21,20 @@ alone. The forward sweep rescales a panel only every ``_RESCALE_EVERY``
 and another does not, the other's scale is set to exactly 1 before the
 divide, as at padded loci. A fit therefore gives the same bits whatever
 stack it is in (stacks hold at least two rows: a one-row stack would round
-differently). Between two rescales a row's mass can only shrink, at each
-locus by a factor no smaller than its least emission probability; a panel
-whose mass falls under ``_SCALE_FLOOR`` (2**-900) at a rescale locus,
-which at the default pseudocount only an odd start can cause, runs its
-sweep again rescaled at every locus, while the rest of its stack keeps its
-rescale loci and bits. Each panel keeps its own start, trace, convergence
-test and cap.
+differently). The emissions, too, are divided by the scales only at loci
+where some panel of the stack rescales: every other scale is exactly 1,
+and x / 1 is x. The sweeps step lists of per-locus views, made once per
+E-step, through NumPy calls with positional outputs; a stack of one panel
+steps 2-D views, whose products ``np.dot`` takes by the same BLAS call as
+``np.matmul``, with less overhead per call. Between two rescales a row's
+mass can only shrink, at each locus by a factor no smaller than its least
+emission probability; a panel whose mass falls under ``_SCALE_FLOOR``
+(2**-900) at a rescale locus, which at the default pseudocount only an
+odd start can cause, runs its sweep again rescaled at every locus, while
+the rest of its stack keeps its rescale loci and bits. Each panel keeps
+its own start, trace, convergence test and cap. When every panel of a
+stack is still running, the fit loop indexes the stacked parameters and
+counts with slices, so that it views them instead of gathering copies.
 
 Acceleration. A config with ``accelerate`` set runs the SqS3 cycle of
 SQUAREM (Varadhan & Roland 2008, Scand. J. Stat. 35:335) in the same loop:
@@ -59,12 +66,16 @@ at most L loci and R distinct rows holds, as float64:
 - the alphas and the emission probabilities, L x W x K x R each;
 - the betas of about sqrt(L) loci at a time, (isqrt(L) + 1) x W x K x R;
 - the scales, L x W x R;
+- the allele mask, for the emission counts, L x W x R;
 
 and one byte each of the allele mask, L x W x R, and of the rescale mask,
-L x W: about (2K + 1) x L x W x R x 8 bytes, allocated once per fit. The
-expected counts of each E-step add L x W x K x (K + 2) x 8 bytes, and its
-log-likelihood two copies of a panel's scales at its rescale loci, L / 16 x
-R x 8 bytes each (all L loci after a fallback or for one distinct row).
+L x W: about (2K + 2) x L x W x R x 8 bytes. The buffers are allocated
+once per fit, and the masks with the stack, again each time it sheds the
+panels that have stopped. The expected counts of each E-step add L x W x
+K x (K + 2) x 8 bytes, its view lists four Python objects per locus, and
+its log-likelihood two copies of a panel's scales at its rescale loci, L
+/ 16 x R x 8 bytes each (all L loci after a fallback or for one distinct
+row).
 The parameters of a stack, and the two copies of them that a cycle keeps
 (theta0 and theta2), take about (K + 1) x L x W x K x 8 bytes each.
 Panels are stacked, in order, as many as fit in ``_EM_STACK_BYTES`` (16
@@ -162,15 +173,20 @@ def _initial_params(n, k, seed):
 class _Stack(NamedTuple):
     """The distinct panel rows of W windows, padded to one shape.
 
-    ``ones`` is the founder-major (loci, W, rows) mask of allele 1. Rows
-    past a window's own are copies of its first row, at weight 0, and loci
-    past its width are flagged in the (loci, W) ``padding``; ``windows``
-    keeps each window's (distinct rows, first panel index, count) triple.
+    ``ones`` is the founder-major (loci, W, rows) mask of allele 1, and
+    ``ones_f`` the same mask as float64, for the emission counts. Rows past
+    a window's own are copies of its first row, at weight 0, and loci past
+    its width are flagged in the (loci, W) ``padding``; ``rescale`` marks
+    each window's rescale loci (i = 0 mod ``_RESCALE_EVERY`` and its last
+    locus), and ``windows`` keeps each window's (distinct rows, first panel
+    index, count) triple.
     """
 
     ones: np.ndarray
+    ones_f: np.ndarray
     weights: np.ndarray
     padding: np.ndarray
+    rescale: np.ndarray
     windows: tuple
 
 
@@ -188,7 +204,11 @@ def _stack(windows, rows=2) -> _Stack:
         ones[:width, p, m:] = distinct[0, :, None] == 1
         weights[p, :m] = counts
         padding[:width, p] = False
-    return _Stack(ones, weights, padding, tuple(windows))
+    locus = np.arange(n)[:, None]
+    widths = np.array([distinct.shape[1] for distinct, _, _ in windows])
+    rescale = ((locus % _RESCALE_EVERY == 0) & ~padding) | (locus == widths - 1)
+    return _Stack(ones, ones.astype(float), weights, padding, rescale,
+                  tuple(windows))
 
 
 def _buffer_shapes(loci, windows, k, rows):
@@ -199,33 +219,50 @@ def _buffer_shapes(loci, windows, k, rows):
 
 
 def _stack_bytes(loci, windows, k, rows):
-    """Bytes of the E-step arrays of a stack and of its allele mask."""
+    """Bytes of the E-step arrays of a stack and of its allele masks."""
     rows = max(rows, 2)
     return (8 * sum(math.prod(s) for s in _buffer_shapes(loci, windows, k, rows))
-            + windows * loci * rows)
+            + 9 * windows * loci * rows)
+
+
+def _locus_ops(scales, flat):
+    """The product and the per-locus scale divisors of sweeps over 3-D
+    per-locus views, or over the 2-D ones of a stack of one window, whose
+    products ``np.dot`` takes by the same BLAS call as ``np.matmul``, with
+    less overhead per call."""
+    return (np.dot, scales) if flat else (np.matmul, scales[:, :, None, :])
 
 
 def _forward(alphas, eprobs, init, trans_t, scales, rescale):
     """Forward sweep over a stack that divides a panel's alphas by their
     sums, its scales, at the loci that the (loci, W) mask ``rescale``
-    marks for it; every other scale is exactly 1."""
+    marks for it; every other scale is exactly 1. ``alphas``, ``eprobs``
+    and ``trans_t`` are lists of per-locus views, of shapes (W, K, rows)
+    and (W, K, K), or (K, rows) and (K, K) for a stack of one window;
+    ``scales`` is the (loci, W, rows) array. Returns, for each locus,
+    whether some window rescales there."""
     at = rescale.any(axis=1)
     scales[~at] = 1.0
-    divisors = scales[:, :, None, :]
+    flat = alphas[0].ndim == 2
+    product, divisors = _locus_ops(scales, flat)
     mixed = (at & ~rescale.all(axis=1)).tolist()
     at = at.tolist()
+
+    def rescaled(i, a):
+        np.add.reduce(a, axis=-2, out=divisors[i], keepdims=True)
+        if mixed[i]:
+            scales[i, ~rescale[i]] = 1.0
+        np.divide(a, divisors[i], a)
+
     with np.errstate(divide="ignore", invalid="ignore"):
-        np.multiply(init[:, :, None], eprobs[0], out=alphas[0])
-        for i in range(len(at)):
-            a = alphas[i]
-            if i > 0:
-                np.matmul(trans_t[i - 1], alphas[i - 1], out=a)
-                np.multiply(a, eprobs[i], out=a)
+        a = np.multiply(init.T if flat else init[:, :, None], eprobs[0], alphas[0])
+        if at[0]:
+            rescaled(0, a)
+        for i, t, e, nxt in zip(range(1, len(at)), trans_t, eprobs[1:], alphas[1:]):
+            a = np.multiply(product(t, a, nxt), e, nxt)
             if at[i]:
-                np.add.reduce(a, axis=1, out=scales[i])
-                if mixed[i]:
-                    scales[i, ~rescale[i]] = 1.0
-                np.divide(a, divisors[i], out=a)
+                rescaled(i, a)
+    return at
 
 
 def _e_step(stack: _Stack, init, trans, emis, buffers):
@@ -237,7 +274,11 @@ def _e_step(stack: _Stack, init, trans, emis, buffers):
     unchanged. ``buffers`` are the arrays of :func:`_buffer_shapes`,
     reused across E-steps. Expected counts are additive over haplotypes,
     so each row's statistics are weighted by its count. The sweeps run over
-    the whole stack, locus by locus. Every sum over rows runs per window,
+    the whole stack, locus by locus, on lists of per-locus views made once
+    per call (2-D views, multiplied by ``np.dot``, for a stack of one
+    window); the stack brings its rescale loci and a float64 copy of its
+    allele mask, which the emission counts take at less cost than the bool
+    mask, to the same bits. Every sum over rows runs per window,
     on its own rows, after the backward sweep, so a window's result does
     not depend on the stack it is in; the betas that the gammas need are
     then worked out again, a chunk of loci at a time, not kept for every
@@ -248,7 +289,10 @@ def _e_step(stack: _Stack, init, trans, emis, buffers):
     exactly 1, and a locus costs a matmul and a multiply. Where one window
     rescales and another does not, the other's scale is set to 1 before
     the divide, as at padded loci: dividing by 1 is exact, so a window's
-    bits still do not depend on its stack. Any positive scales give the
+    bits still do not depend on its stack. For the same reason the
+    backward sweep divides a locus's emissions by its scales only where
+    some window rescales, a divide per rescale locus rather than one over
+    the whole array. Any positive scales give the
     same estimator, as long as the last locus is rescaled (Rabiner 1989,
     section V-A): the log-likelihood is the sum of the logs of the scales,
     and the backward sweep and the counts divide by the same scales.
@@ -275,17 +319,19 @@ def _e_step(stack: _Stack, init, trans, emis, buffers):
     np.copyto(eprobs, (1.0 - emis)[..., None])
     np.copyto(eprobs, emis[..., None], where=stack.ones[:, :, None, :])
 
-    locus = np.arange(n)[:, None]
-    widths = np.array([rows.shape[1] for rows, _, _ in stack.windows])
-    rescale = (((locus % _RESCALE_EVERY == 0) & ~stack.padding)
-               | (locus == widths - 1))
-    trans_t = trans.transpose(0, 1, 3, 2)
-    _forward(alphas, eprobs, init, trans_t, scales, rescale)
+    rescale = stack.rescale
+    # the sweeps step per-locus views, made once per E-step, 2-D for a
+    # stack of one window (see _locus_ops)
+    views = (lambda x: list(x[:, 0])) if w == 1 else list
+    alpha_at, eprob_at, trans_at, trans_t = map(views, (
+        alphas, eprobs, trans, trans.transpose(0, 1, 3, 2)))
+    divide_at = _forward(alpha_at, eprob_at, init, trans_t, scales, rescale)
     # every scale off a window's rescale loci is 1; NaN fails the test too
-    fall = ~(scales.min(axis=(0, 2)) >= _SCALE_FLOOR)
-    if fall.any():
+    if not scales.min() >= _SCALE_FLOOR:
+        fall = ~(scales.min(axis=(0, 2)) >= _SCALE_FLOOR)
+        rescale = rescale.copy()
         rescale[:, fall] = ~stack.padding[:, fall]
-        _forward(alphas, eprobs, init, trans_t, scales, rescale)
+        divide_at = _forward(alpha_at, eprob_at, init, trans_t, scales, rescale)
         # a row whose mass vanishes at locus i has scale 0 there and NaN
         # after, so a window's first locus with a zero scale is where its
         # first row failed; padded rows copy a real row and fail only with it
@@ -302,13 +348,16 @@ def _e_step(stack: _Stack, init, trans, emis, buffers):
             err.window = p
             raise err
 
-    eprobs /= scales[:, :, None, :]
+    # the emissions are divided by the scales where some window rescales;
+    # every other scale is 1, and x / 1 is x. Locus 0's are not used again
+    product, divisors = _locus_ops(scales, w == 1)
     alphas *= stack.weights[:, None, :]
-    beta = betas[0]
+    beta = views(betas)[0]
     beta[...] = 1.0
-    for i in range(n - 1, 0, -1):
-        b = np.multiply(eprobs[i], beta, out=eprobs[i])
-        np.matmul(trans[i - 1], b, out=beta)
+    for i, e, t in zip(range(n - 1, 0, -1), eprob_at[:0:-1], trans_at[::-1]):
+        if divide_at[i]:
+            np.divide(e, divisors[i], e)
+        product(t, np.multiply(e, beta, e), beta)
 
     k = init.shape[1]
     logliks = []
@@ -335,9 +384,9 @@ def _e_step(stack: _Stack, init, trans, emis, buffers):
                                    out=betas[:hi - lo])
     for p, (rows, _, _) in enumerate(stack.windows):
         m, width = rows.shape
-        np.sum(alphas[:width, p, :, :m], axis=2, out=emis_total[:width, p])
+        np.add.reduce(alphas[:width, p, :, :m], axis=2, out=emis_total[:width, p])
         np.einsum("ikr,ir->ik", alphas[:width, p, :, :m],
-                  stack.ones[:width, p, :m], out=emis_ones[:width, p])
+                  stack.ones_f[:width, p, :m], out=emis_ones[:width, p])
     return logliks, (emis_total[0], trans_counts, emis_ones, emis_total)
 
 
@@ -360,21 +409,27 @@ def _check_params(init, trans, emis):
     input, so it raises RuntimeError, for the lowest invalid window, with
     ``window`` set to its place in the stack."""
     atol = 1e-9
+    # row sums added a column at a time: a sum over a short last axis
+    # costs a loop per row
+    init_dev, trans_dev = (np.abs(sum(np.moveaxis(x, -1, 0)) - 1.0)
+                           for x in (init, trans))
+    # whole-array tests first, which a NaN fails too
+    if (init.min() >= 0.0 and trans.min(initial=0.0) >= 0.0
+            and emis.min() >= 0.0 and emis.max() <= 1.0
+            and init_dev.max() <= atol and trans_dev.max(initial=0.0) <= atol):
+        return
     bad = np.stack([
-        ~(np.all(init >= 0, axis=1)
-          & (np.abs(init.sum(axis=1) - 1.0) <= atol)),
-        ~(np.all(trans >= 0, axis=(0, 2, 3))
-          & np.all(np.abs(trans.sum(axis=3) - 1.0) <= atol, axis=(0, 2))),
+        ~(np.all(init >= 0, axis=1) & (init_dev <= atol)),
+        ~(np.all(trans >= 0, axis=(0, 2, 3)) & np.all(trans_dev <= atol, axis=(0, 2))),
         ~np.all((emis >= 0.0) & (emis <= 1.0), axis=(0, 2)),
     ])
-    if bad.any():
-        p = int(np.argmax(bad.any(axis=0)))
-        err = RuntimeError(("M-step left an invalid initial distribution",
-                            "M-step left non-stochastic transitions",
-                            "M-step left emissions outside [0, 1]",
-                            )[int(np.argmax(bad[:, p]))])
-        err.window = p
-        raise err
+    p = int(np.argmax(bad.any(axis=0)))
+    err = RuntimeError(("M-step left an invalid initial distribution",
+                        "M-step left non-stochastic transitions",
+                        "M-step left emissions outside [0, 1]",
+                        )[int(np.argmax(bad[:, p]))])
+    err.window = p
+    raise err
 
 
 def _stack_groups(windows, k):
@@ -393,16 +448,27 @@ def _stack_groups(windows, k):
     return groups + [(start, len(windows))] if windows else []
 
 
+def _places(at, size):
+    """Index of the windows ``at`` of a stack of ``size``, given as sorted
+    places or as a bool mask: a slice when that is every window, so that
+    indexing views rather than copies."""
+    index = np.asarray(at)
+    every = index.all() if index.dtype == bool else index.size == size
+    return slice(None) if index.ndim == 1 and every else at
+
+
 def _take(params, at, loci):
     """The (init, trans, emis) of the windows ``at`` of stacked parameters,
     on a stack's first ``loci`` loci."""
     init, trans, emis = params
+    at = _places(at, len(init))
     return init[at], trans[:loci - 1, at], emis[:loci, at]
 
 
 def _put(params, at, loci, values):
     """Set the windows ``at`` of stacked parameters, as :func:`_take`."""
     init, trans, emis = params
+    at = _places(at, len(init))
     init[at], trans[:loci - 1, at], emis[:loci, at] = values
 
 
@@ -505,16 +571,17 @@ def _fit_stack(windows, config: TrainConfig, starts):
             stage[back] = 0
         if update:
             init_c, trans_c, ones_c, total_c = stats
+            upd = _places(update, len(active))
             new_init, new_trans, new_emis = _m_step(
-                (init_c[update], trans_c[:, update], ones_c[:, update],
-                 total_c[:, update]), config.pseudocount)
-            new_trans[stack.padding[1:, update]] = np.eye(k)
-            new_emis[stack.padding[:, update]] = 1.0
+                (init_c[upd], trans_c[:, upd], ones_c[:, upd], total_c[:, upd]),
+                config.pseudocount)
+            new_trans[stack.padding[1:, upd]] = np.eye(k)
+            new_emis[stack.padding[:, upd]] = 1.0
             try:
                 _check_params(new_init, new_trans, new_emis)
             except RuntimeError as err:
                 fault, active = err, active[:update[err.window]]
-                update = update[:err.window]
+                update = upd = update[:err.window]
             u = len(update)
             moved = live[update]
             new = (new_init[:u], new_trans[:, :u], new_emis[:, :u])
@@ -529,7 +596,7 @@ def _fit_stack(windows, config: TrainConfig, starts):
                     _put(theta2, g, loci, _take(new, leap, loci))
                     _put(new, leap, loci, _extrapolate(
                         _take(theta0, g, loci), _take(params, g, loci),
-                        _take(new, leap, loci), stack.padding[:, update][:, leap]))
+                        _take(new, leap, loci), stack.padding[:, upd][:, leap]))
                 stage[moved] = np.where(leap, 2, np.where(at == 0, 1, 0))
             _put(params, moved, loci, new)
         active = [j for j in active if not converged[j]

@@ -7,8 +7,10 @@ rescaling, and no shared code with the package. Exponential in the locus
 count, usable only at toy sizes, and deliberately so. The rest are the
 plain loops that vectorised code must reproduce: ``e_step_per_row``, the
 per-haplotype Baum-Welch E-step behind the weighted distinct-row E-step of
-``founderhmm.training``; ``scan_per_locus``, the per-genotype two-sweep
-loop behind the tiled batch posterior engine, bit for bit;
+``founderhmm.training``; ``e_step_dividing_every_locus``, that E-step as
+it indexed its sweeps locus by locus and divided every locus's emissions
+by its scales, bit for bit; ``scan_per_locus``, the per-genotype
+two-sweep loop behind the tiled batch posterior engine, bit for bit;
 ``phase_decode_per_sample``, the per-genotype Viterbi loop behind
 ``phase_corpus``, bit for bit; ``max_dot_per_founder``, the loop over
 founders behind the engine's one-product max-dot, bit for bit; ``detect_entries_per_symbol``, the
@@ -21,7 +23,8 @@ and ``imputation_text_per_entry``, the row-template and per-entry report
 writers behind the distinct-value writers, byte for byte, with
 ``recovery_text_per_fill``, ``sweep_text_per_row``, ``bench_text_per_row``
 and ``eval_text``, the line-by-line writers of the fill log, sweep, bench
-and evaluation files;
+and evaluation files, and ``model_text_per_value``, the model writer that
+formats one value at a time;
 ``read_error_report_per_row``, the split-and-validate-by-column error
 report reader behind the byte-position reader, column for column and
 message for message; ``read_imputation_per_row``, the line-by-line
@@ -58,7 +61,8 @@ from founderhmm.io_formats import (ERROR_REPORT_COLUMNS, IMPUTATION_COLUMNS,
                                    _read_error_report_json, _read_text,
                                    _threshold, _tsv_index, _zero_probability,
                                    fmt, read_imputation)
-from founderhmm.training import train_founder_hmms, window_config
+from founderhmm.training import (_RESCALE_EVERY, _SCALE_FLOOR, train_founder_hmms,
+                                 window_config)
 from founderhmm.trie import _scan_symbols
 
 MISSING = -1
@@ -221,6 +225,106 @@ def e_step_per_row(haps, init, trans, emis):
             trans_counts[i - 1] = trans[i - 1] * (alphas[i - 1].T @ w)
             b = w @ trans[i - 1].T
     return loglik, (init_counts, trans_counts, emis_ones, emis_total)
+
+
+def _forward_indexed(alphas, eprobs, init, trans_t, scales, rescale):
+    """Forward sweep over a stack that divides a panel's alphas by their
+    sums, its scales, at the loci that the (loci, W) mask ``rescale``
+    marks for it; every other scale is exactly 1."""
+    at = rescale.any(axis=1)
+    scales[~at] = 1.0
+    divisors = scales[:, :, None, :]
+    mixed = (at & ~rescale.all(axis=1)).tolist()
+    at = at.tolist()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.multiply(init[:, :, None], eprobs[0], out=alphas[0])
+        for i in range(len(at)):
+            a = alphas[i]
+            if i > 0:
+                np.matmul(trans_t[i - 1], alphas[i - 1], out=a)
+                np.multiply(a, eprobs[i], out=a)
+            if at[i]:
+                np.add.reduce(a, axis=1, out=scales[i])
+                if mixed[i]:
+                    scales[i, ~rescale[i]] = 1.0
+                np.divide(a, divisors[i], out=a)
+
+
+def e_step_dividing_every_locus(stack, init, trans, emis, buffers):
+    """``training._e_step`` as it was before its sweeps ran on per-locus
+    views: it indexes the stacked arrays locus by locus in both sweeps,
+    divides the whole emission array by the scales, builds the rescale
+    mask every call and counts emissions against the bool allele mask.
+    Same arguments and results, bit for bit."""
+    n, w, r = stack.ones.shape
+    alphas, eprobs, betas, scales = (b[:n, :w] for b in buffers)
+    np.copyto(eprobs, (1.0 - emis)[..., None])
+    np.copyto(eprobs, emis[..., None], where=stack.ones[:, :, None, :])
+
+    locus = np.arange(n)[:, None]
+    widths = np.array([rows.shape[1] for rows, _, _ in stack.windows])
+    rescale = (((locus % _RESCALE_EVERY == 0) & ~stack.padding)
+               | (locus == widths - 1))
+    trans_t = trans.transpose(0, 1, 3, 2)
+    _forward_indexed(alphas, eprobs, init, trans_t, scales, rescale)
+    # every scale off a window's rescale loci is 1; NaN fails the test too
+    fall = ~(scales.min(axis=(0, 2)) >= _SCALE_FLOOR)
+    if fall.any():
+        rescale[:, fall] = ~stack.padding[:, fall]
+        _forward_indexed(alphas, eprobs, init, trans_t, scales, rescale)
+        # a row whose mass vanishes at locus i has scale 0 there and NaN
+        # after, so a window's first locus with a zero scale is where its
+        # first row failed; padded rows copy a real row and fail only with it
+        failed = scales <= 0.0
+        dead = failed.any(axis=2)
+        if dead.any():
+            p = int(np.argmax(dead.any(axis=0)))
+            i = int(np.argmax(dead[:, p]))
+            _, first, counts = stack.windows[p]
+            bad = int(first[failed[i, p, :counts.size]].min())
+            err = ZeroProbabilityError(
+                i, f"panel haplotype {bad} has zero likelihood at locus {i}; "
+                   f"use a positive pseudocount")
+            err.window = p
+            raise err
+
+    eprobs /= scales[:, :, None, :]
+    alphas *= stack.weights[:, None, :]
+    beta = betas[0]
+    beta[...] = 1.0
+    for i in range(n - 1, 0, -1):
+        b = np.multiply(eprobs[i], beta, out=eprobs[i])
+        np.matmul(trans[i - 1], b, out=beta)
+
+    k = init.shape[1]
+    logliks = []
+    # padded loci hold harmless counts; the caller resets their parameters
+    trans_counts = np.broadcast_to(np.eye(k), (max(n - 1, 0), w, k, k)).copy()
+    emis_ones = np.ones((n, w, k))
+    emis_total = np.ones((n, w, k))
+    for p, (rows, _, counts) in enumerate(stack.windows):
+        m, width = rows.shape
+        # the other scales are exactly 1: their logs, added in locus order,
+        # change no bit. A one-row sum runs pairwise, so it takes them all
+        at = rescale[:, p] if m > 1 else slice(width)
+        logliks.append(float(np.log(scales[at, p, :m]).sum(axis=0) @ counts))
+        np.matmul(alphas[:width - 1, p, :, :m],
+                  eprobs[1:width, p, :, :m].transpose(0, 2, 1),
+                  out=trans_counts[:width - 1, p])
+    trans_counts *= trans
+    # weighted gammas: the betas again, from the same products as in the
+    # sweep, so the same bits (the last locus has beta 1)
+    step = betas.shape[0]
+    for lo in range(0, n - 1, step):
+        hi = min(lo + step, n - 1)
+        alphas[lo:hi] *= np.matmul(trans[lo:hi], eprobs[lo + 1:hi + 1],
+                                   out=betas[:hi - lo])
+    for p, (rows, _, _) in enumerate(stack.windows):
+        m, width = rows.shape
+        np.sum(alphas[:width, p, :, :m], axis=2, out=emis_total[:width, p])
+        np.einsum("ikr,ir->ik", alphas[:width, p, :, :m],
+                  stack.ones[:width, p, :m], out=emis_ones[:width, p])
+    return logliks, (emis_total[0], trans_counts, emis_ones, emis_total)
 
 
 def scan_per_locus(model, symbols):
@@ -543,6 +647,22 @@ def eval_text(report, config_line=None, json_mode=False):
     for t in range(3):
         lines.append("\t".join(["confusion", str(t)]
                                + [str(int(v)) for v in report.confusion[t]]))
+    return "\n".join(lines) + "\n"
+
+
+def model_text_per_value(model, config_line=None):
+    """The text of a model file, one row per line, each value formatted on
+    its own by ``fmt``."""
+    k, n = model.founders, model.loci
+    lines = [MODEL_MAGIC] + ([config_line] if config_line else [])
+    lines.append(f"#founders={k} loci={n}")
+    lines.append("\t".join(["initial", *map(fmt, model.initial)]))
+    for i in range(n - 1):
+        for a in range(k):
+            lines.append("\t".join(["transition", str(i), str(a),
+                                    *map(fmt, model.transitions[i, a])]))
+    for i in range(n):
+        lines.append("\t".join(["emission", str(i), *map(fmt, model.emissions[i])]))
     return "\n".join(lines) + "\n"
 
 

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 import founderhmm
 import founderhmm.cli as cli
 import oracle
+from conftest import random_model
 from founderhmm import (ErrorEntry, ErrorReport, EvalReport, FounderHMM,
                         GenotypeCorpus, HaplotypeSequence, ImputationEntry,
                         ImputationResult, InputError, LocusMap,
@@ -755,6 +756,30 @@ def test_recovery_writer_matches_the_per_fill_writer(tmp_path):
                     write_recovery(path, result, config_line=config, json_mode=json_mode)
                     assert path.read_bytes() == oracle.recovery_text_per_fill(
                         result, config, json_mode).encode()
+
+
+def test_model_writer_matches_the_per_value_writer(tmp_path):
+    """Random models of 1-6 founders and 1-12 loci whose values include
+    -0.0, 5e-324, 1e-300, 1 - 2**-53 and 0.1 + 0.2 - 0.2, with and without a
+    config line."""
+    rng = np.random.default_rng(5)
+    odd = np.array([-0.0, 0.0, 5e-324, 1e-300, 1.0 - 2.0 ** -53, 0.1 + 0.2 - 0.2, 1.0])
+    path = tmp_path / "m.model"
+    for trial in range(40):
+        k, n = int(rng.integers(1, 7)), int(rng.integers(1, 13))
+        model = random_model(rng, k, n)
+        trans = model.transitions.copy()
+        if n > 1 and k > 1:
+            i, a = rng.integers(n - 1), rng.integers(k)
+            trans[i, a, rng.integers(k)] = rng.choice(odd[:4])
+            trans[i, a] /= trans[i, a].sum()
+        emis = model.emissions.copy()
+        picked = rng.random(emis.shape) < 0.3
+        emis[picked] = rng.choice(odd, size=picked.sum())
+        model = FounderHMM(model.initial, trans, emis)
+        for config in (None, "#config: train %s"):
+            write_model(path, model, config_line=config)
+            assert path.read_bytes() == oracle.model_text_per_value(model, config).encode()
 
 
 def test_sweep_writer_matches_the_per_row_writer(tmp_path):

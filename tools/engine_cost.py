@@ -10,18 +10,24 @@ calls each kernel of the two trees on the same inputs, ROUNDS times each,
 alternating the trees call by call and switching which goes first every
 round, so that the host's speed swings fall on both alike.
 
-On the pipeline workload (``repair-impute``) the kernel is EM's:
+On the pipeline workload (``repair-impute``) the kernels are EM's:
 
 - ``e_step``: one ``training._e_step`` over the distinct rows of the
   typed reference panel, at the workload's founder count, from the seeded
   start (``_initial_params`` at the seed), in µs per call: the E-step of
-  the repair flow's bootstrap fit, which is most of that flow's time.
+  the repair flow's bootstrap fit, which is most of that flow's time;
+- ``window_fits``: ``train_founder_hmms`` on the reference panel cut to
+  the imputation windows (``window_spans`` at the default flank), under
+  ``window_config`` at the seed;
+- ``typed_fit``: ``train_founder_hmms`` on the typed reference panel
+  under ``bootstrap_config`` at the seed: the bootstrap fit itself.
 
 On each scan workload it first fits the model the benchmark's set-up fits
 (``train --founders K --max-iterations 30`` on the typed reference panel)
 and sorts the observed genotypes into distinct rows with their shared
 prefixes. The kernels:
 
+- ``train_fit``: that fit itself, plain EM for 30 iterations;
 - ``walk``: one forward ``_walk`` of the first 64 distinct rows (one tile)
   through every locus, in µs per depth: the (rows, K, K) step that
   single genotypes and the block checkpoints use;
@@ -37,8 +43,11 @@ prefixes. The kernels:
   in µs per call: the max-product step that phasing's walk makes twice
   per depth.
 
-Each line gives the median time of the base tree and of this one, the
-median over rounds of their ratio (this / base) and the rounds in which
+The three fit kernels are given in µs per E-step: a fit's time over its
+calls of ``training._e_step`` (one call steps a whole stack of windows),
+counted in one untimed run of this tree. Each line gives the median time
+of the base tree and of this one, the median over rounds of their ratio
+(this / base) with its lower and upper quartiles, and the rounds in which
 this tree was faster. The base tree's kernels, and its ``_stack``,
 ``_buffer_shapes`` and ``_initial_params``, must take the same arguments
 as this checkout's.
@@ -81,15 +90,36 @@ def alternate(this, base, call):
             times[tree].append(time.perf_counter() - start)
     ratios = [t / b for t, b in zip(times[this], times[base])]
     return (statistics.median(times[base]), statistics.median(times[this]),
-            statistics.median(ratios), sum(r < 1 for r in ratios))
+            statistics.quantiles(ratios, n=4), sum(r < 1 for r in ratios))
+
+
+def e_step_calls(pkg, fit):
+    """Calls of ``training._e_step`` in one run of ``fit(pkg)``."""
+    m = pkg.training
+    real, calls = m._e_step, []
+    m._e_step = lambda *args: calls.append(None) or real(*args)
+    try:
+        fit(pkg)
+    finally:
+        m._e_step = real
+    return len(calls)
+
+
+def fit_kernel(fh, name, panels, config):
+    """(name, E-steps, call of a tree's package) of one EM fit."""
+    fit = lambda pkg: pkg.training.train_founder_hmms(panels, config)
+    return name, e_step_calls(fh, fit), fit
 
 
 def training_kernels(fh, sim, seed):
-    """(name, calls per timing, call of a tree's package) of EM's kernel
+    """(name, calls per timing, call of a tree's package) of EM's kernels
     on one pipeline workload's inputs."""
     data = fh.simulate(fh.SimConfig(**sim, seed=seed))
     k = sim["founder_count"]
     matrix = fh.HaplotypePanel.of(data.typed_reference()).matrix
+    reference = fh.HaplotypePanel.of(data.reference).matrix
+    spans = fh.analysis.window_spans(data.locus_map, fh.analysis.WindowSpec())
+    config = fh.TrainConfig(founders=k, seed=seed)
     windows = [fh.trie._distinct_rows(matrix)[:3]]
     inputs = {}
 
@@ -104,7 +134,11 @@ def training_kernels(fh, sim, seed):
         for _ in range(E_STEP_CALLS):
             pkg.training._e_step(*inputs[pkg])
 
-    return [("e_step", E_STEP_CALLS, e_steps)]
+    return [("e_step", E_STEP_CALLS, e_steps),
+            fit_kernel(fh, "window_fits",
+                       [reference[:, lo:hi + 1] for (lo, hi), _ in spans],
+                       fh.window_config(config)),
+            fit_kernel(fh, "typed_fit", [matrix], fh.bootstrap_config(config))]
 
 
 def engine_kernels(fh, sim, seed):
@@ -113,8 +147,9 @@ def engine_kernels(fh, sim, seed):
     this = fh.inference
     data = fh.simulate(fh.SimConfig(**sim, seed=seed))
     k = sim["founder_count"]
-    model, _ = fh.train_founder_hmm(data.typed_reference(),
-                                    fh.TrainConfig(founders=k, max_iterations=30))
+    typed = fh.HaplotypePanel.of(data.typed_reference()).matrix
+    config = fh.TrainConfig(founders=k, max_iterations=30)
+    (model, _), = fh.training.train_founder_hmms([typed], config)
     trie = fh.trie.build_trie(fh.GenotypeCorpus.of(data.observed).matrix)
     rows, n = trie.rows.shape
     etab, planes = fh.model.emission_stack(model), this._planes(trie.rows)
@@ -139,6 +174,7 @@ def engine_kernels(fh, sim, seed):
             m._TILE_BYTES = cap
 
     return [
+        fit_kernel(fh, "train_fit", [typed], config),
         ("walk", n, lambda pkg: pkg.inference._walk(
             etab, model.transitions, tplanes, state, np.log(norm))),
         ("scan_rows", tiles * n, lambda pkg: pkg.inference._scan_rows(
@@ -159,13 +195,13 @@ def main():
     fh = load(os.path.join(ROOT, "src"))
     sys.path.insert(0, os.path.join(ROOT, "perfbench"))
     from workloads import WORKLOADS
-    print("workload\tkernel\tbase_us\tthis_us\tratio\tfaster")
+    print("workload\tkernel\tbase_us\tthis_us\tratio\tratio_q1\tratio_q3\tfaster")
     for w in WORKLOADS.values():
         kernels = training_kernels if w.pipeline else engine_kernels
         for kernel, per, call in kernels(fh, w.sim, args.seed):
-            b, t, ratio, wins = alternate(fh, base, call)
+            b, t, (q1, ratio, q3), wins = alternate(fh, base, call)
             print(f"{w.name}\t{kernel}\t{b / per * 1e6:.1f}\t{t / per * 1e6:.1f}\t"
-                  f"{ratio:.3f}\t{wins}/{ROUNDS}", flush=True)
+                  f"{ratio:.3f}\t{q1:.3f}\t{q3:.3f}\t{wins}/{ROUNDS}", flush=True)
 
 
 if __name__ == "__main__":
