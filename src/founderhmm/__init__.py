@@ -11,7 +11,7 @@ and benchmarking.
 """
 from .analysis import (DEFAULT_RATIO_THRESHOLD, PIPELINE_IMPUTE_ONLY,
                        PIPELINE_REPAIR_IMPUTE, ErrorEntry, ErrorReport,
-                       ImputationEntry, ImputationResult, PhaseResult,
+                       IdColumn, ImputationEntry, ImputationResult, PhaseResult,
                        PipelineResult, RecoveryFill, RecoveryResult,
                        StageReport, WindowReport, WindowSpec, correct_errors,
                        detect_errors, impute_untyped, phase_corpus,

@@ -51,12 +51,74 @@ class ErrorEntry(NamedTuple):
     suggested: int
 
 
+class IdColumn:
+    """A report's column of ids held as codes into names: ``codes``, a
+    read-only intp array of one code per entry, and ``names``, a tuple of
+    strings, which may repeat a name or hold one that no entry uses. It
+    reads as the list of its entries' names: ``len``, ``[i]`` (a str; a
+    slice or an index array gives a column of the same names), iteration,
+    ``tolist()``, and equality with such a list or another column."""
+
+    __slots__ = ("codes", "names")
+    ndim = 1
+
+    def __init__(self, codes, names):
+        codes, names = np.asarray(codes, dtype=np.intp).view(), tuple(names)
+        if codes.ndim != 1 or codes.size and not 0 <= codes.min() <= codes.max() < len(names):
+            raise ValueError(f"id codes must index {len(names)} names")
+        codes.setflags(write=False)
+        object.__setattr__(self, "codes", codes)
+        object.__setattr__(self, "names", names)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"an IdColumn is immutable, cannot set {name!r}")
+
+    @classmethod
+    def of(cls, values):
+        """``values`` if it is a column, else the column of a sequence of
+        ids, each distinct one named once, in order of first use."""
+        if isinstance(values, cls):
+            return values
+        values = list(values)
+        index = dict(zip(dict.fromkeys(values), count()))
+        return cls(np.fromiter(map(index.__getitem__, values), dtype=np.intp,
+                               count=len(values)), index)
+
+    def __len__(self):
+        return len(self.codes)
+
+    def __getitem__(self, at):
+        if isinstance(at, (int, np.integer)):
+            return self.names[self.codes[at]]
+        return IdColumn(self.codes[at], self.names)
+
+    def __iter__(self):
+        return map(self.names.__getitem__, self.codes.tolist())
+
+    def tolist(self):
+        names = np.fromiter(self.names, dtype=object, count=len(self.names))
+        return names[self.codes].tolist()
+
+    def __eq__(self, other):
+        if isinstance(other, IdColumn):
+            if self.names == other.names:
+                return np.array_equal(self.codes, other.codes)
+            other = other.tolist()
+        return self.tolist() == other if isinstance(other, list) else NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self):
+        return f"IdColumn(codes={self.codes!r}, names={self.names!r})"
+
+
 def _column(values, dtype):
-    """``values`` as a list of ids (``dtype`` None) or an array of ``dtype``
-    (a subarray dtype gives rows), kept as objects where an integer or bool
-    dtype would change one: a call of 2.5 stays 2.5, for evaluate to reject."""
+    """``values`` as an :class:`IdColumn` (``dtype`` None) or an array of
+    ``dtype`` (a subarray dtype gives rows), kept as objects where an
+    integer or bool dtype would change one: a call of 2.5 stays 2.5, for
+    evaluate to reject."""
     if dtype is None:
-        return list(values)
+        return IdColumn.of(values)
     given = np.array(values, dtype=object).reshape(len(values), *np.dtype(dtype).shape)
     cast = given.astype(np.dtype(dtype).base)
     return cast if cast.dtype.kind == "f" or (cast == given).all() else given
@@ -65,7 +127,13 @@ def _column(values, dtype):
 class _EntryColumns:
     """A report held as columns, its first dataclass fields (``columns()``):
     one per field of its ``_entry`` tuples, in their order, of the
-    ``_dtypes`` that :func:`_column` takes. ``entries`` builds the tuples."""
+    ``_dtypes`` that :func:`_column` takes; an id column given as a plain
+    sequence becomes an :class:`IdColumn`. ``entries`` builds the tuples."""
+
+    def __post_init__(self):
+        for f, dtype in zip(fields(self), self._dtypes):
+            if dtype is None and not isinstance(getattr(self, f.name), IdColumn):
+                object.__setattr__(self, f.name, IdColumn.of(getattr(self, f.name)))
 
     @classmethod
     def from_entries(cls, entries, *args, **kwargs):
@@ -81,10 +149,8 @@ class _EntryColumns:
 
     def _entries(self, at):
         """``_entry`` tuples of the entries at the indices ``at``."""
-        return map(self._entry, *(
-            [c[i] for i in at.tolist()] if isinstance(c, list)
-            else map(tuple, c[at].tolist()) if c.ndim > 1 else c[at].tolist()
-            for c in self.columns()))
+        return map(self._entry, *(map(tuple, c[at].tolist()) if c.ndim > 1 else c[at].tolist()
+                                  for c in self.columns()))
 
     @property
     def entries(self):
@@ -94,15 +160,17 @@ class _EntryColumns:
 @dataclass(frozen=True, eq=False)
 class ErrorReport(_EntryColumns):
     """One entry per non-missing symbol, in corpus order then locus order,
-    held as columns: ``sample_id`` and ``locus_id`` are lists of strings,
-    ``locus_index``, ``observed`` and ``suggested`` int64 arrays, ``ratio``
-    a float64 array and ``flags`` a bool array. ``entries`` and
-    ``flagged()`` build :class:`ErrorEntry` tuples on demand; detection,
-    correction and the report files never do."""
+    held as columns: ``sample_id`` and ``locus_id`` are :class:`IdColumn`
+    codes into names (detection's are the corpus rows into the corpus ids
+    and the locus indices into the locus ids), ``locus_index``,
+    ``observed`` and ``suggested`` int64 arrays, ``ratio`` a float64 array
+    and ``flags`` a bool array. ``entries`` and ``flagged()`` build
+    :class:`ErrorEntry` tuples on demand; detection, correction and the
+    report files never do."""
 
-    sample_id: list
+    sample_id: IdColumn
     locus_index: np.ndarray
-    locus_id: list
+    locus_id: IdColumn
     observed: np.ndarray
     ratio: np.ndarray
     flags: np.ndarray
@@ -153,14 +221,21 @@ def detect_errors(model: FounderHMM, corpus, threshold: float = DEFAULT_RATIO_TH
     ratio = np.where(best > 0.0, np.inf, 1.0)
     np.divide(best, weight, out=ratio, where=weight > 0.0)
     suggested = np.where(weight == best, observed, rows.argmax(axis=1))
-    return ErrorReport(sample_id=list(map(corpus.ids.__getitem__,
-                                          samples.tolist())),
-                       locus_index=loci.astype(np.int64),
-                       locus_id=list(map(ids.__getitem__, loci.tolist())),
+    return ErrorReport(sample_id=IdColumn(samples, corpus.ids),
+                       locus_index=loci.astype(np.int64), locus_id=IdColumn(loci, ids),
                        observed=observed,
                        ratio=ratio, flags=ratio > threshold,
                        suggested=suggested, threshold=float(threshold),
                        failures=dict(batch.failures), stats=batch.stats)
+
+
+def _rows_of(ids: IdColumn, table) -> np.ndarray:
+    """The row of each entry's id in the sequence ``table``, -1 where it is
+    not there: each name is looked up once, then gathered by code."""
+    names = ids.names
+    at = np.fromiter(map(dict(zip(table, count())).get, names, repeat(-1)),
+                     dtype=np.intp, count=len(names))
+    return at[ids.codes]
 
 
 def correct_errors(corpus, report: ErrorReport):
@@ -174,9 +249,7 @@ def correct_errors(corpus, report: ErrorReport):
     """
     corpus = GenotypeCorpus.of(corpus)
     symbols = corpus.matrix.copy()
-    rows = np.fromiter(map(dict(zip(corpus.ids, count())).get,
-                           report.sample_id, repeat(-1)),
-                       dtype=np.intp, count=len(report))
+    rows = _rows_of(report.sample_id, corpus.ids)
     loc, observed, suggested = (report.locus_index, report.observed,
                                 report.suggested)
     known = rows >= 0
@@ -219,10 +292,11 @@ class RecoveryFill(NamedTuple):
 @dataclass(frozen=True, eq=False)
 class RecoveryResult(_EntryColumns):
     """The filled ``corpus`` and one fill per filled symbol, in corpus order
-    then locus order, as columns like those of :class:`ErrorReport`; ``fills``
+    then locus order, as columns like those of :class:`ErrorReport` (recovery's
+    ``sample_id`` codes are corpus rows into the corpus ids); ``fills``
     builds the :class:`RecoveryFill` tuples on demand, recovery never does."""
 
-    sample_id: list
+    sample_id: IdColumn
     locus_index: np.ndarray
     symbol: np.ndarray
     confidence: np.ndarray
@@ -257,7 +331,7 @@ def recover_missing(model: FounderHMM, corpus) -> RecoveryResult:
     calls = rows.argmax(axis=1)
     symbols = corpus.matrix.copy()
     symbols[gapped[samples], loci] = calls
-    return RecoveryResult(list(map(part.ids.__getitem__, samples.tolist())), loci, calls,
+    return RecoveryResult(IdColumn(gapped[samples], corpus.ids), loci, calls,
                           rows[np.arange(calls.size), calls] / totals,
                           GenotypeCorpus._trusted(corpus.ids, symbols), dict(batch.failures),
                           batch.stats)
@@ -299,12 +373,14 @@ class WindowReport:
 class ImputationResult(_EntryColumns):
     """One call per untyped locus of each sample its window model explains,
     in corpus order then locus order, held as columns like those of
-    :class:`ErrorReport`, ``probs`` a (calls, 3) float64 array. ``failures``
-    holds the other (sample id, locus) pairs, in the same order."""
+    :class:`ErrorReport` (imputation's id codes are corpus rows into the
+    corpus ids and locus indices into the map's locus ids), ``probs`` a
+    (calls, 3) float64 array. ``failures`` holds the other (sample id,
+    locus) pairs, in the same order."""
 
-    sample_id: list
+    sample_id: IdColumn
     locus_index: np.ndarray
-    locus_id: list
+    locus_id: IdColumn
     probs: np.ndarray
     call: np.ndarray
     confidence: np.ndarray
@@ -389,8 +465,8 @@ def impute_untyped(reference, corpus, locus_map: LocusMap, config: TrainConfig,
     probs = triples[samples, at] / totals[samples, at, None]
     calls = triples[samples, at].argmax(axis=1)  # dividing the triples can tie two
     return ImputationResult(
-        list(map(genos.ids.__getitem__, samples.tolist())), loci[at],
-        list(map(locus_map.locus_ids.__getitem__, loci[at].tolist())), probs, calls,
+        IdColumn(samples, genos.ids), loci[at], IdColumn(loci[at], locus_map.locus_ids),
+        probs, calls,
         probs[np.arange(len(calls)), calls], tuple(windows),
         tuple(zip(map(genos.ids.__getitem__, failed[0].tolist()), loci[failed[1]].tolist())),
         *map(sum, zip(*evals)))

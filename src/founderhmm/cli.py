@@ -1,18 +1,21 @@
 """Command-line surface.
 
-Eleven subcommands tie the library into runnable pipelines: train, detect,
-correct, recover, impute, phase, pipeline, simulate, evaluate, sweep,
-bench. Each option is declared once, in ``_build_parser``, with its type
-and default. A config file (JSON, via --config or the FOUNDERHMM_CONFIG
-environment variable) replaces defaults: each value must parse as its
-flag would (on/off flags take JSON booleans) or the run exits 1; keys the
-subcommand lacks are ignored, and file paths are flag-only. So every
-option resolves as flags > config file > built-in default, and the
-effective settings are echoed as a ``#config:`` line into each output.
-The engine runs on one thread and bounds its own memory, so no option
-tunes how an answer is computed. Timing goes to stderr or to explicitly
-requested log files, never into primary artifacts (bench excepted — its
-whole artifact is a timing table).
+Eleven subcommands tie the library into runnable pipelines: train,
+detect, correct, recover, impute, phase, pipeline, simulate, evaluate,
+sweep, bench. Each option is declared once, in an option group of
+``_SUBCOMMANDS``, with its type and default; ``main`` builds the parser
+of the one subcommand its first argument names, and every parser for
+help, usage problems and unknown names. A config file (JSON, via
+--config or the FOUNDERHMM_CONFIG environment variable) replaces
+defaults: each value must parse as its flag would (on/off flags take
+JSON booleans) or the run exits 1; keys the subcommand lacks are
+ignored, and file paths are flag-only. So every option resolves as
+flags > config file > built-in default, and the effective settings are
+echoed as a ``#config:`` line into each output. The engine runs on one
+thread and bounds its own memory, so no option tunes how an answer is
+computed. Timing goes to stderr or to explicitly requested log files,
+never into primary artifacts (bench excepted — its whole artifact is a
+timing table).
 
 Exit status: 0 success, 1 bad input (message names file/line/field where
 known), 2 internal error.
@@ -83,55 +86,50 @@ def _mode_list(text):
     return modes
 
 
-def _build_parser():
-    """The parser and its subcommand parsers by name."""
-    parser = _Parser(prog="founderhmm",
-                     description="Founder-pair HMM toolkit for multilocus "
-                                 "SNP genotypes: training, error screening, "
-                                 "missing-data recovery, imputation, phasing, "
-                                 "and synthetic benchmarking.")
-    sub = parser.add_subparsers(dest="subcommand", metavar="SUBCOMMAND")
-    sub.required = True
+# Option groups: each adds its options to a subcommand's parser, in order.
 
-    common = _Parser(add_help=False)
-    common.add_argument("--config", metavar=PATH,
-                        help=f"JSON config file of option defaults (also via "
-                             f"${CONFIG_ENV})")
-    seeded = _Parser(add_help=False)
-    seeded.add_argument("--seed", type=int, default=0, help=DEFAULT)
-    fitted = _Parser(add_help=False)
-    fitted.add_argument("--founders", type=int, default=7,
-                        help="founder states of the model (default: %(default)s)")
-    windowed = _Parser(add_help=False)
-    windowed.add_argument("--flank", type=int, default=10,
-                          help="typed loci on each side of an imputation "
-                               "window (default: %(default)s)")
-    screened = _Parser(add_help=False)
-    screened.add_argument("--threshold", type=float,
-                          default=DEFAULT_RATIO_THRESHOLD,
-                          help="flagging likelihood ratio (default: %(default)s)")
-    jsonf = _Parser(add_help=False)
-    jsonf.add_argument("--json", action="store_true",
-                       help="write the report as JSON instead of TSV")
-    simulated = _Parser(add_help=False)
-    simulated.add_argument("--founders", type=int, default=5,
-                           help="simulated founder count (default: %(default)s)")
-    simulated.add_argument("--loci", type=int, default=200, help=DEFAULT)
-    simulated.add_argument("--samples", type=int, default=50, help=DEFAULT)
-    simulated.add_argument("--switch-rate", type=float, default=0.02, help=DEFAULT)
-    simulated.add_argument("--error-rate", type=float, default=0.0, help=DEFAULT)
-    simulated.add_argument("--missing-rate", type=float, default=0.0, help=DEFAULT)
+def _common(p):
+    p.add_argument("--config", metavar=PATH,
+                   help=f"JSON config file of option defaults (also via "
+                        f"${CONFIG_ENV})")
 
-    def command(name, handler, parents, **kwargs):
-        p = sub.add_parser(name, parents=[common, *parents], **kwargs)
-        p.set_defaults(handler=handler)
-        return p
 
-    p = command("train", _cmd_train, [fitted, seeded],
-                help="fit model parameters to a haplotype panel",
-                description="Fit founder-HMM parameters to a haplotype panel "
-                            "by expectation-maximization and write a model "
-                            "file.")
+def _seeded(p):
+    p.add_argument("--seed", type=int, default=0, help=DEFAULT)
+
+
+def _fitted(p):
+    p.add_argument("--founders", type=int, default=7,
+                   help="founder states of the model (default: %(default)s)")
+
+
+def _windowed(p):
+    p.add_argument("--flank", type=int, default=10,
+                   help="typed loci on each side of an imputation "
+                        "window (default: %(default)s)")
+
+
+def _screened(p):
+    p.add_argument("--threshold", type=float, default=DEFAULT_RATIO_THRESHOLD,
+                   help="flagging likelihood ratio (default: %(default)s)")
+
+
+def _jsonf(p):
+    p.add_argument("--json", action="store_true",
+                   help="write the report as JSON instead of TSV")
+
+
+def _simulated(p):
+    p.add_argument("--founders", type=int, default=5,
+                   help="simulated founder count (default: %(default)s)")
+    p.add_argument("--loci", type=int, default=200, help=DEFAULT)
+    p.add_argument("--samples", type=int, default=50, help=DEFAULT)
+    p.add_argument("--switch-rate", type=float, default=0.02, help=DEFAULT)
+    p.add_argument("--error-rate", type=float, default=0.0, help=DEFAULT)
+    p.add_argument("--missing-rate", type=float, default=0.0, help=DEFAULT)
+
+
+def _train_options(p):
     p.add_argument("--panel", metavar=PATH, required=True, help="haplotype panel file")
     p.add_argument("--out", metavar=PATH, required=True, help="model file to write")
     p.add_argument("--max-iterations", type=int, default=100, help=DEFAULT)
@@ -144,44 +142,30 @@ def _build_parser():
                    help="write iteration trace and timing here (default: "
                         "summary on stderr)")
 
-    p = command("detect", _cmd_detect, [screened, jsonf],
-                help="screen typed symbols for likely errors",
-                description="Flag symbols whose best substitution beats the "
-                            "observed symbol by more than the threshold "
-                            "likelihood ratio.",
-                epilog="TSV columns: " + " ".join(ERROR_REPORT_COLUMNS))
+
+def _detect_options(p):
     p.add_argument("--model", metavar=PATH, required=True)
     p.add_argument("--genotypes", metavar=PATH, required=True)
     p.add_argument("--out", metavar=PATH, required=True)
     p.add_argument("--map", metavar=PATH,
                    help="locus map; typed locus ids label the report rows")
 
-    p = command("correct", _cmd_correct, [],
-                help="apply suggested symbols at flagged entries",
-                description="Rewrite a genotype corpus using the flagged "
-                            "suggestions of a detect report.")
+
+def _correct_options(p):
     p.add_argument("--genotypes", metavar=PATH, required=True)
     p.add_argument("--report", metavar=PATH, required=True,
                    help="detect output (TSV or JSON)")
     p.add_argument("--out", metavar=PATH, required=True, help="corrected genotype file")
 
-    p = command("recover", _cmd_recover, [jsonf],
-                help="fill missing symbols by posterior argmax",
-                description="Replace every '?' with its most probable symbol "
-                            "under the model.",
-                epilog="fills TSV columns: " + " ".join(RECOVERY_COLUMNS))
+
+def _recover_options(p):
     p.add_argument("--model", metavar=PATH, required=True)
     p.add_argument("--genotypes", metavar=PATH, required=True)
     p.add_argument("--out", metavar=PATH, required=True, help="completed genotype file")
     p.add_argument("--fills", metavar=PATH, help="optional fill log")
 
-    p = command("impute", _cmd_impute,
-                [fitted, windowed, seeded, jsonf],
-                help="call untyped loci from a reference panel",
-                description="Train a local window model around each untyped "
-                            "locus on the reference panel and call the "
-                            "posterior-argmax genotype per sample.",
-                epilog="TSV columns: " + " ".join(IMPUTATION_COLUMNS))
+
+def _impute_options(p):
     p.add_argument("--panel", metavar=PATH, required=True,
                    help="reference haplotypes (full map)")
     p.add_argument("--genotypes", metavar=PATH, required=True, help="typed-locus corpus")
@@ -189,24 +173,14 @@ def _build_parser():
                    help="locus map with typed/untyped labels")
     p.add_argument("--out", metavar=PATH, required=True)
 
-    p = command("phase", _cmd_phase, [],
-                help="decode each genotype into a haplotype pair",
-                description="Max-product decoding of the most probable "
-                            "ordered haplotype pair per sample; writes a "
-                            "haplotype file with rows <sample>.h1 and "
-                            "<sample>.h2.")
+
+def _phase_options(p):
     p.add_argument("--model", metavar=PATH, required=True)
     p.add_argument("--genotypes", metavar=PATH, required=True)
     p.add_argument("--out", metavar=PATH, required=True)
 
-    p = command("pipeline", _cmd_pipeline,
-                [fitted, windowed, screened, seeded, jsonf],
-                help="run a full flow over one dataset",
-                description="'imp' imputes directly; 'edc-mdr-imp' first "
-                            "repairs the corpus (detect/correct errors, then "
-                            "fill missing symbols) using a typed-locus model "
-                            "trained on the reference pooled with haplotypes "
-                            "decoded from the corpus itself.")
+
+def _pipeline_options(p):
     p.add_argument("--mode", choices=MODES, default=PIPELINE_IMPUTE_ONLY,
                    help=DEFAULT)
     p.add_argument("--panel", metavar=PATH, required=True)
@@ -218,23 +192,15 @@ def _build_parser():
     p.add_argument("--report-out", metavar=PATH,
                    help="write the error-detection report here")
 
-    p = command("simulate", _cmd_simulate, [simulated, seeded],
-                help="generate a seeded synthetic dataset",
-                description="Founder-mosaic haplotypes and genotypes pushed "
-                            "through error, missingness, and masking "
-                            "channels (in that order). Writes <prefix>.gen, "
-                            ".map, .ref.hap, .ref.typed.hap, .truth.gen, "
-                            ".truth.hap, and .channels.json.")
+
+def _simulate_options(p):
     p.add_argument("--out-prefix", metavar=PATH, required=True)
     p.add_argument("--panel-size", type=int, default=100, help=DEFAULT)
     p.add_argument("--mask-fraction", type=float, default=0.0,
                    help="share of loci masked as untyped (default: %(default)s)")
 
-    p = command("evaluate", _cmd_evaluate, [jsonf],
-                help="score calls against ground truth",
-                description="Discordance accounting of an imputation report "
-                            "or a completed genotype corpus against truth "
-                            "genotypes; prints a one-line summary on stdout.")
+
+def _evaluate_options(p):
     p.add_argument("--calls", metavar=PATH, required=True,
                    help="imputation report or genotype file")
     p.add_argument("--truth", metavar=PATH, required=True, help="truth genotype file")
@@ -246,12 +212,8 @@ def _build_parser():
                         "restricts scoring to untyped loci")
     p.add_argument("--out", metavar=PATH, help="optional report file")
 
-    p = command("sweep", _cmd_sweep, [simulated, seeded],
-                help="grid of pipeline runs on one synthetic dataset",
-                description="Cross product over founder counts, nested panel "
-                            "sizes, window flanks, and modes; one row per "
-                            "cell. Wall times go to --timings, keeping the "
-                            "main table byte-stable.")
+
+def _sweep_options(p):
     p.add_argument("--out", metavar=PATH, required=True, help="result table (no timings)")
     p.add_argument("--timings", metavar=PATH, help="timing table")
     p.add_argument("--founders-grid", type=_int_list, default="7",
@@ -265,12 +227,8 @@ def _build_parser():
     p.add_argument("--mask-fraction", type=float, default=0.09,
                    help="share of loci masked as untyped (default: %(default)s)")
 
-    p = command("bench", _cmd_bench, [seeded],
-                help="time the batch engine along three axes",
-                description="Median wall times for growing locus count, "
-                            "sample count, and founder count, with fitted "
-                            "log-log growth exponents. The output is a timing "
-                            "artifact.")
+
+def _bench_options(p):
     p.add_argument("--out", metavar=PATH, required=True)
     p.add_argument("--repeats", type=int, default=3, help=DEFAULT)
     p.add_argument("--loci-grid", type=_int_list,
@@ -280,6 +238,23 @@ def _build_parser():
     p.add_argument("--founder-grid", type=_int_list,
                    default="3,5,7,9,11,13,15", help=DEFAULT)
 
+
+def _build_parser(only=None):
+    """The parser and its subcommand parsers by name: all of them, or only
+    the subcommand ``only``, which parses its arguments alike."""
+    parser = _Parser(prog="founderhmm",
+                     description="Founder-pair HMM toolkit for multilocus "
+                                 "SNP genotypes: training, error screening, "
+                                 "missing-data recovery, imputation, phasing, "
+                                 "and synthetic benchmarking.")
+    sub = parser.add_subparsers(dest="subcommand", metavar="SUBCOMMAND")
+    sub.required = True
+    for name, (handler, groups, kwargs) in _SUBCOMMANDS.items():
+        if only in (None, name):
+            p = sub.add_parser(name, **kwargs)
+            for group in (_common, *groups):
+                group(p)
+            p.set_defaults(handler=handler)
     return parser, sub.choices
 
 
@@ -568,8 +543,76 @@ def _cmd_bench(args):
     _note(f"fitted exponents: {exps}")
 
 
+# Each subcommand: its handler, its option groups in order (after
+# --config) and its help texts.
+_SUBCOMMANDS = {
+    "train": (_cmd_train, (_fitted, _seeded, _train_options), dict(
+        help="fit model parameters to a haplotype panel",
+        description="Fit founder-HMM parameters to a haplotype panel by "
+                    "expectation-maximization and write a model file.")),
+    "detect": (_cmd_detect, (_screened, _jsonf, _detect_options), dict(
+        help="screen typed symbols for likely errors",
+        description="Flag symbols whose best substitution beats the observed "
+                    "symbol by more than the threshold likelihood ratio.",
+        epilog="TSV columns: " + " ".join(ERROR_REPORT_COLUMNS))),
+    "correct": (_cmd_correct, (_correct_options,), dict(
+        help="apply suggested symbols at flagged entries",
+        description="Rewrite a genotype corpus using the flagged suggestions "
+                    "of a detect report.")),
+    "recover": (_cmd_recover, (_jsonf, _recover_options), dict(
+        help="fill missing symbols by posterior argmax",
+        description="Replace every '?' with its most probable symbol under "
+                    "the model.",
+        epilog="fills TSV columns: " + " ".join(RECOVERY_COLUMNS))),
+    "impute": (_cmd_impute, (_fitted, _windowed, _seeded, _jsonf, _impute_options), dict(
+        help="call untyped loci from a reference panel",
+        description="Train a local window model around each untyped locus on "
+                    "the reference panel and call the posterior-argmax "
+                    "genotype per sample.",
+        epilog="TSV columns: " + " ".join(IMPUTATION_COLUMNS))),
+    "phase": (_cmd_phase, (_phase_options,), dict(
+        help="decode each genotype into a haplotype pair",
+        description="Max-product decoding of the most probable ordered "
+                    "haplotype pair per sample; writes a haplotype file with "
+                    "rows <sample>.h1 and <sample>.h2.")),
+    "pipeline": (_cmd_pipeline,
+                 (_fitted, _windowed, _screened, _seeded, _jsonf, _pipeline_options), dict(
+        help="run a full flow over one dataset",
+        description="'imp' imputes directly; 'edc-mdr-imp' first repairs the "
+                    "corpus (detect/correct errors, then fill missing "
+                    "symbols) using a typed-locus model trained on the "
+                    "reference pooled with haplotypes decoded from the corpus "
+                    "itself.")),
+    "simulate": (_cmd_simulate, (_simulated, _seeded, _simulate_options), dict(
+        help="generate a seeded synthetic dataset",
+        description="Founder-mosaic haplotypes and genotypes pushed through "
+                    "error, missingness, and masking channels (in that "
+                    "order). Writes <prefix>.gen, .map, .ref.hap, "
+                    ".ref.typed.hap, .truth.gen, .truth.hap, and "
+                    ".channels.json.")),
+    "evaluate": (_cmd_evaluate, (_jsonf, _evaluate_options), dict(
+        help="score calls against ground truth",
+        description="Discordance accounting of an imputation report or a "
+                    "completed genotype corpus against truth genotypes; "
+                    "prints a one-line summary on stdout.")),
+    "sweep": (_cmd_sweep, (_simulated, _seeded, _sweep_options), dict(
+        help="grid of pipeline runs on one synthetic dataset",
+        description="Cross product over founder counts, nested panel sizes, "
+                    "window flanks, and modes; one row per cell. Wall times "
+                    "go to --timings, keeping the main table byte-stable.")),
+    "bench": (_cmd_bench, (_seeded, _bench_options), dict(
+        help="time the batch engine along three axes",
+        description="Median wall times for growing locus count, sample "
+                    "count, and founder count, with fitted log-log growth "
+                    "exponents. The output is a timing artifact.")),
+}
+
+
 def main(argv=None) -> int:
-    parser, commands = _build_parser()
+    # a named subcommand needs only its own parser; usage, help and an
+    # unknown name need all of them
+    argv = sys.argv[1:] if argv is None else argv
+    parser, commands = _build_parser(argv[0] if argv and argv[0] in _SUBCOMMANDS else None)
     try:
         args = parser.parse_args(argv)
         path = args.config or os.environ.get(CONFIG_ENV)

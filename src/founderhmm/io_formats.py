@@ -28,7 +28,8 @@ parser:
 Writers are atomic (temp file in the target directory, then rename) and
 accept an optional ``#config:`` echo line. Readers decode a file as UTF-8
 once, end lines at ``\\n``, ``\\r\\n`` or a lone ``\\r`` only, and skip
-unrecognized comment lines, so echoed headers never break round-trips.
+unrecognized comment lines, so echoed headers never break round-trips;
+the TSV report reader parses a file with no ``\\r`` as its own bytes.
 Parse failures raise InputError messages of the form ``path:line:
 problem``; where a whole file is checked at once, a file that fails is
 checked again line by line, only to name the first bad line.
@@ -40,11 +41,11 @@ import math
 import os
 import re
 import tempfile
-from itertools import count, repeat, zip_longest
+from itertools import chain, count, islice, repeat, zip_longest
 
 import numpy as np
 
-from .analysis import ErrorEntry, ErrorReport, ImputationEntry, ImputationResult
+from .analysis import ErrorEntry, ErrorReport, IdColumn, ImputationEntry, ImputationResult
 from .model import STOCHASTIC_ATOL, FounderHMM, GenotypeCorpus, HaplotypePanel, InputError, LocusMap
 
 CONFIG_ENV = "FOUNDERHMM_CONFIG"
@@ -98,19 +99,38 @@ def _zero_probability(path, line_no, line):
         _fail(path, line_no, f"locus must be an integer >= 0, not {parts[2]!r}")
 
 
-def _read_text(path) -> str:
-    """``path`` read as bytes and decoded as UTF-8 once, with each line end
-    (\\n, \\r\\n or a lone \\r) made \\n; bytes that are not UTF-8 fail with
-    the line that holds them."""
-    with open(path, "rb") as fh:
-        data = fh.read()
+def _read_text(path, data=None) -> str:
+    """``path`` read as bytes (or its bytes ``data``) and decoded as UTF-8
+    once, with each line end (\\n, \\r\\n or a lone \\r) made \\n; bytes that
+    are not UTF-8 fail with the line that holds them."""
+    if data is None:
+        with open(path, "rb") as fh:
+            data = fh.read()
     try:
-        return data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         before = data[:exc.start]
         line_no = (1 + before.count(b"\n") + before.count(b"\r")
                    - before.count(b"\r\n"))
         _fail(path, line_no, f"byte 0x{data[exc.start]:02x} is not UTF-8 text")
+    return text.replace("\r\n", "\n").replace("\r", "\n") if b"\r" in data else text
+
+
+def _read_report(path):
+    """A report file: its JSON text, which starts with "{" after white
+    space, or the UTF-8 bytes of its TSV text as :func:`_read_text` gives
+    it. A file with no \\r is its own bytes, read once: one that is not
+    ASCII is decoded only to check it, and an ASCII one not at all, unless
+    it is JSON."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if b"\r" in data or not data.isascii():
+        text = _read_text(path, data)
+        if text.lstrip().startswith("{"):
+            return text
+        return text.encode() if b"\r" in data else data
+    # str.lstrip()'s white space in ASCII, but \r
+    return data.decode() if re.match(rb"[\t-\x0c\x1c-\x1f ]*\{", data) else data
 
 
 def _config_lines(config_line):
@@ -345,21 +365,34 @@ def _model_header(path, lines, heads, size):
     return k, n
 
 
-def _model_table(lines, rows, starts, k):
-    """The (rows, K) values of the model rows ``rows`` of ``lines``, parsed
-    as one block, if they are the rows of ``starts`` in order, each with K
-    finite values; else None."""
-    data = [lines[i] for i in rows]
-    values = [row[len(start):] for row, start in zip(data, starts)]
-    if (len(data) != len(starts) or not all(map(str.startswith, data, starts))
-            or set(map(str.count, values, repeat("\t"))) != {k - 1}):
+def _model_table(data, k, n):
+    """The (rows, K) values of the model rows ``data`` (strings), checked
+    and parsed as one block, if they are the rows write_model writes, in
+    order, each with K finite values; else None. The rows' tab counts fix
+    where each cell is, so each column of labels is checked at once and
+    the values are parsed in one pass."""
+    t = (n - 1) * k
+    if list(map(str.count, data, repeat("\t"))) != [k] + [k + 2] * t + [k + 1] * n:
         return None
+    cells = "\t".join(data).split("\t")
+    e = k + 1 + t * (k + 3)  # the first emission row's first cell
+    ids = list(map(str, range(max(n, k))))
+    if (cells[0] != "initial" or cells[k + 1:e:k + 3] != ["transition"] * t
+            or cells[e::k + 2] != ["emission"] * n
+            # each locus' id k times, then the founder ids once per locus
+            or cells[k + 2:e:k + 3] != list(chain.from_iterable(zip(*[ids[:n - 1]] * k)))
+            or cells[k + 3:e:k + 3] != ids[:k] * (n - 1) or cells[e + 1::k + 2] != ids[:n]):
+        return None
+    values = [None] * ((1 + t + n) * k)
+    values[:k] = cells[1:k + 1]
+    for c in range(k):
+        values[k + c:k + t * k:k] = cells[k + 4 + c:e:k + 3]
+        values[k + t * k + c::k] = cells[e + 2 + c::k + 2]
     try:
-        table = np.fromiter(map(float, "\t".join(values).split("\t")),
-                            dtype=np.float64, count=len(data) * k).reshape(-1, k)
+        table = np.fromiter(map(float, values), dtype=np.float64, count=len(values))
     except ValueError:
         return None
-    return table if np.isfinite(table).all() else None
+    return table.reshape(-1, k) if np.isfinite(table).all() else None
 
 
 def _check_model_rows(path, lines, rows, starts, k):
@@ -401,25 +434,34 @@ def _check_model_rows(path, lines, rows, starts, k):
                                f"within {STOCHASTIC_ATOL}")
 
 
+def _model_rows(lines):
+    """The indices of the lines of a model file that are neither blank nor
+    plain comments: the format line, the header and the model rows."""
+    return (i for i, line in enumerate(lines) if line.strip()
+            and (line[0] != "#" or line.startswith(("#founderhmm-model", "#founders="))))
+
+
 def read_model(path) -> FounderHMM:
     """A model file in write_model's layout: the format line, the header,
     then every row in its place with K finite values; other comment lines
-    may stand anywhere. The rows are parsed as one block; rows that do not
-    parse, or whose values make no model, are checked one by one to name
-    the first bad one."""
+    may stand anywhere. The rows are checked and parsed as one block, all
+    lines after the header first; rows that do not parse, or whose values
+    make no model, are checked one by one to name the first bad one."""
     lines = _read_text(path).split("\n")
-    rows = [i for i, line in enumerate(lines) if line.strip()
-            and (line[0] != "#" or line.startswith(("#founderhmm-model", "#founders=")))]
-    k, n = _model_header(path, lines, rows[:2], os.path.getsize(path))
-    starts = _model_starts(k, n)
-    table = _model_table(lines, rows[2:], starts, k)
+    heads = list(islice(_model_rows(lines), 2))
+    k, n = _model_header(path, lines, heads, os.path.getsize(path))
+    rows = range(heads[1] + 1, len(lines) - (lines[-1] == ""))  # write_model's rows
+    table = _model_table(lines[rows.start:rows.stop], k, n)
     if table is None:
-        _check_model_rows(path, lines, rows[2:], starts, k)
+        rows = list(_model_rows(lines))[2:]
+        table = _model_table([lines[i] for i in rows], k, n)
+        if table is None:
+            _check_model_rows(path, lines, rows, _model_starts(k, n), k)
     t = (n - 1) * k
     try:
         return FounderHMM(table[0], table[1:t + 1].reshape(n - 1, k, k), table[t + 1:])
     except InputError as exc:
-        _check_model_rows(path, lines, rows[2:], starts, k)
+        _check_model_rows(path, lines, rows, _model_starts(k, n), k)
         raise InputError(f"{path}: {exc}") from exc
 
 
@@ -456,6 +498,14 @@ def _distinct(values):
     return np.concatenate((values[:1], values[1:][values[1:] != values[:-1]]))
 
 
+def _ranks(at, size):
+    """A ``size`` array holding at each of the distinct indices ``at`` its
+    place in ``at`` (a cumsum of a bool mask is several times slower)."""
+    ranks = np.empty(size, dtype=np.intp)
+    ranks[at] = np.arange(len(at))
+    return ranks
+
+
 def _heads(key):
     """For each row, a row of the same ``key``."""
     group = np.searchsorted(_distinct(key), key)
@@ -464,25 +514,39 @@ def _heads(key):
     return first[group]
 
 
+def _coded(column, rows):
+    """Each row's code in [0, bound) of ``column`` and the bound: an id
+    column's codes, an integer or bool column's values when they lie in
+    [0, rows), else the rank among the distinct values (floats by bit
+    pattern, so -0.0 is not 0.0)."""
+    if isinstance(column, IdColumn):
+        return column.codes, len(column.names)
+    if column.dtype != np.float64 and rows and 0 <= column.min() and column.max() < rows:
+        return column.astype(np.intp), int(column.max()) + 1
+    values = column.view(np.int64) if column.dtype == np.float64 else column.astype(np.int64)
+    distinct = _distinct(values)
+    return np.searchsorted(distinct, values), len(distinct)
+
+
 def _fill(template, *columns):
-    """``template % row`` for each row of ``columns`` (arrays; object ones
-    hold ids), formatted once per distinct row: floats by bit pattern, so
-    -0.0 is not 0.0, and a row whose id differs from its head's alone."""
-    key, bound = np.zeros(len(columns[0]), dtype=np.int64), 1
-    for c in (c for c in columns if c.dtype != object):
-        values = c.view(np.int64) if c.dtype == np.float64 else c.astype(np.int64)
-        distinct = _distinct(values)
-        key, bound = key * len(distinct) + np.searchsorted(distinct, values), bound * len(distinct)
-        if bound > len(key):  # keeps each product below the row count squared
-            key, bound = np.searchsorted(_distinct(key), key), len(key)
-    head = _heads(key)
-    for c in (c for c in columns if c.dtype == object):
-        odd = np.flatnonzero(c != c[head])
-        head[odd] = odd
-    alone = head == np.arange(len(head))
-    texts = np.array([template % row for row in zip(*(c[alone].tolist() for c in columns))],
+    """``template % row`` for each row of ``columns`` (arrays and id
+    columns), formatted once per distinct row: the columns' codes make one
+    key below the row count, and the first row of each key, which
+    ``np.minimum.at`` finds in a documented order, is formatted."""
+    rows = len(columns[0])
+    key, bound = np.zeros(rows, dtype=np.intp), 1
+    for c in columns:
+        codes, size = _coded(c, rows)
+        key, bound = key * size + codes, bound * size
+        if bound > rows:  # keeps the next product below rows x its column's bound
+            distinct = _distinct(key)
+            key, bound = np.searchsorted(distinct, key), len(distinct)
+    first = np.full(bound, rows, dtype=np.intp)
+    np.minimum.at(first, key, np.arange(rows))
+    used = np.flatnonzero(first < rows)
+    texts = np.array([template % row for row in zip(*(c[first[used]].tolist() for c in columns))],
                      dtype=object)
-    return texts[(np.cumsum(alone) - 1)[head]].tolist()
+    return texts[_ranks(used, bound)[key]].tolist()
 
 
 def _zero_lines(failures):
@@ -494,14 +558,15 @@ def _write_table(path, table, columns, config_line, heads=(), tails=()):
     """The TSV file of ``table``: the echo line, comment lines ``heads``,
     the header, a row of ``columns`` (file order) per entry, comment lines
     ``tails``. A row is three pieces, its first cell (an id as it is),
-    cells 1-2 and the rest, each distinct piece formatted once (%.17g is fmt)."""
+    cells 1-2 and the rest, each distinct piece formatted once (%.17g is fmt).
+    Ids are :class:`IdColumn` codes, each name formatted once."""
     kinds = [kind for _, kind in table]
     cells = ["%.17g" if kind == "float" else "%s" if kind == "id" else "%d" for kind in kinds]
-    # a piece's arrays (ids as object arrays) live only through its _fill
-    array = lambda c, kind: (np.array(c, dtype=object) if kind == "id"
-                             else np.asarray(c, dtype=_DTYPES[kind]))
+    # a piece's arrays live only through its _fill
+    array = lambda c, kind: IdColumn.of(c) if kind == "id" else np.asarray(c, dtype=_DTYPES[kind])
     pieces = [None] * (3 * len(columns[0]))
-    pieces[0::3] = columns[0] if kinds[0] == "id" else _fill(cells[0], array(columns[0], kinds[0]))
+    pieces[0::3] = (IdColumn.of(columns[0]).tolist() if kinds[0] == "id"
+                    else _fill(cells[0], array(columns[0], kinds[0])))
     pieces[1::3] = _fill("\t%s\t%s\t" % tuple(cells[1:3]), *map(array, columns[1:3], kinds[1:3]))
     pieces[2::3] = _fill("\t".join(cells[3:]) + "\n", *map(array, columns[3:], kinds[3:]))
     lines = [*_config_lines(config_line), *heads, "\t".join(name for name, _ in table) + "\n"]
@@ -515,7 +580,7 @@ def _write_table(path, table, columns, config_line, heads=(), tails=()):
 
 def _json_entries(report):
     """A report's entries as its JSON twin's dicts, built from its columns."""
-    columns = [c if isinstance(c, list) else c.tolist() for c in report.columns()]
+    columns = [c.tolist() for c in report.columns()]
     return [dict(zip(report._entry._fields, row)) for row in zip(*columns)]
 
 
@@ -653,15 +718,15 @@ def _cells(buf, words, lo, hi, parse, blank):
         at = np.minimum(off, width[rows] - 8)
         odd = rows[words[lo[rows] + at] != words[lo[head[rows]] + at]]
         head[odd] = odd
-    alone = head == np.arange(len(lo))
-    values, parsed = [], np.ones(alone.sum(), dtype=bool)
+    alone = np.flatnonzero(head == np.arange(len(lo)))
+    values, parsed = [], np.ones(len(alone), dtype=bool)
     for j, (a, b) in enumerate(zip(lo[alone].tolist(), hi[alone].tolist())):
         try:
             values.append(parse(buf[a:b].decode()))
         except ValueError:
             values.append(blank)
             parsed[j] = False
-    code = (np.cumsum(alone) - 1)[head]
+    code = _ranks(alone, len(lo))[head]
     return values, code, parsed[code]
 
 
@@ -693,13 +758,14 @@ def _threshold(path, line_no, line) -> float:
 
 def _read_tsv(path, buf, table, what, heads, required=()):
     """The comment values and the columns of the TSV report ``buf`` (its
-    UTF-8 bytes, lines ending in \\n) of ``table``: ids as lists of
-    strings, other columns as arrays. ``heads`` maps the prefix of each
-    comment line to read to its parser, whose values come in file order;
-    each prefix in ``required`` must have one. Lines and cells are found
-    from the offsets of line ends and tabs, and each distinct sample id,
-    ``locus_id<TAB>locus_index`` and tail of a row is parsed once; when any
-    row is bad, bad rows are checked one by one to name the first."""
+    UTF-8 bytes, lines ending in \\n) of ``table``: ids as :class:`IdColumn`
+    codes into the distinct cells, other columns as arrays. ``heads`` maps
+    the prefix of each comment line to read to its parser, whose values
+    come in file order; each prefix in ``required`` must have one. Lines
+    and cells are found from the offsets of line ends and tabs, and each
+    distinct sample id, ``locus_id<TAB>locus_index`` and tail of a row is
+    parsed once; when any row is bad, bad rows are checked one by one to
+    name the first."""
     padded = buf + b"\n" + bytes(8)  # each line ends in a \n; room for the last words
     arr = np.frombuffer(padded, dtype=np.uint8, count=len(buf) + 1)
     words = np.ndarray((len(buf) + 1,), "<u8", buffer=padded, strides=(1,))
@@ -746,17 +812,15 @@ def _read_tsv(path, buf, table, what, heads, required=()):
     codes = [sample] + [locus] * 2 + [tail] * (len(table) - 3)
     values = [column for v, width in ((samples, 1), (loci, 2), (tails, len(table) - 3))
               for column in np.array(v, dtype=object).reshape(-1, width).T]
-    return found, [v[code[rows]].tolist() if kind == "id" else v.astype(_DTYPES[kind])[code[rows]]
+    return found, [IdColumn(code[rows], v) if kind == "id" else v.astype(_DTYPES[kind])[code[rows]]
                    for v, code, (_, kind) in zip(values, codes, table)]
 
 
 def read_error_report(path) -> ErrorReport:
     """A TSV or JSON error report, as columns."""
-    text = _read_text(path)
-    if text.lstrip().startswith("{"):
-        return _read_error_report_json(path, text)
-    buf = text.encode()
-    del text  # the byte parse below allocates arrays of the file's size: free its text first
+    buf = _read_report(path)
+    if isinstance(buf, str):
+        return _read_error_report_json(path, buf)
     found, (sample_id, locus_id, *columns) = _read_tsv(
         path, buf, ERROR_REPORT_TABLE, "error report",
         {"#threshold=": _threshold, "#zero-probability\t": _zero_probability},
@@ -788,8 +852,8 @@ def read_imputation(path) -> ImputationResult:
     """The calls of an imputation artifact, as columns (windows are
     summarized, models are never serialized), from TSV through the same
     columnar reader as error reports, or from JSON."""
-    text = _read_text(path)
-    if text.lstrip().startswith("{"):
+    text = _read_report(path)
+    if isinstance(text, str):
         try:
             payload = json.loads(text)
             entries = [_json_entry(e, IMPUTATION_TABLE, ImputationEntry._fields)
@@ -801,7 +865,7 @@ def read_imputation(path) -> ImputationResult:
             raise InputError(f"{path}: malformed JSON imputation file ({exc})") from exc
         return ImputationResult.from_entries(entries, (), failures, 0, 0)
     found, (sample_id, locus_id, index, *probs, call, confidence) = _read_tsv(
-        path, text.encode(), IMPUTATION_TABLE, "imputation",
+        path, text, IMPUTATION_TABLE, "imputation",
         {"#zero-probability\t": _zero_probability})
     return ImputationResult(sample_id, index, locus_id, np.stack(probs, axis=1), call,
                             confidence, (), tuple(found["#zero-probability\t"]), 0, 0)

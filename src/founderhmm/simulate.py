@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .analysis import (PIPELINE_IMPUTE_ONLY, ImputationResult, WindowSpec,
+from .analysis import (PIPELINE_IMPUTE_ONLY, ImputationResult, WindowSpec, _rows_of,
                        run_pipeline)
 from .model import (MISSING, FounderHMM, GenotypeCorpus, HaplotypePanel,
                     InputError, LocusMap)
@@ -241,8 +241,7 @@ def evaluate(calls, truth_genotypes, *, loci=None) -> EvalReport:
         ids = calls.sample_id
         scored = np.flatnonzero(np.isin(calls.locus_index, [int(i) for i in loci])
                                 if loci is not None else np.ones(len(ids), dtype=bool))
-        row = np.fromiter(map(of.get, ids, itertools.repeat(-1)), dtype=np.intp,
-                          count=len(ids))[scored]
+        row = _rows_of(ids, names)[scored]
         index, call = calls.locus_index[scored], calls.call[scored]
         name = lambda j: ids[scored[j]]
     else:

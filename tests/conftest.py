@@ -5,7 +5,7 @@ builder takes an explicit generator so each test pins its own seeds.
 """
 import numpy as np
 
-from founderhmm import MISSING, FounderHMM, HaplotypeSequence, MultilocusGenotype
+from founderhmm import MISSING, FounderHMM, HaplotypeSequence, IdColumn, MultilocusGenotype
 
 
 def random_model(rng, founders, loci, *, spread=5.0,
@@ -48,3 +48,12 @@ def random_symbol_matrices(rng, low, high, count=40):
         pool = draw((rng.integers(1, 12), rng.integers(1, 30)))
         matrices.append(pool[rng.integers(0, len(pool), size=rng.integers(1, 80))])
     return matrices
+
+
+def recoded(column):
+    """An :class:`IdColumn` equal to ``column`` whose names are out of
+    first-use order, each held twice (entries alternate between the two
+    copies), after a non-ASCII name that no entry uses."""
+    m = len(column.names)
+    codes = 1 + (m - 1 - column.codes) + m * (np.arange(len(column)) % 2)
+    return IdColumn(codes, ("unused \u00e9",) + column.names[::-1] * 2)

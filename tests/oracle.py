@@ -35,8 +35,11 @@ probabilities before the locus index); ``read_model_per_line``, the
 line-by-line model reader that took rows in any order, which the block
 parse of ``read_model`` must agree with wherever both read a file;
 ``loglik_haplotype``, the single-chain forward recursion that scores a
-haplotype under a fitted model; ``evaluate_per_symbol``, the per-symbol scoring
-loop behind ``simulate.evaluate``; ``distinct_rows_axis0`` and
+haplotype under a fitted model; ``correct_errors_per_entry``, the
+per-entry loop, a sample looked up by name at each, behind the report's
+id codes in ``correct_errors``, message for message;
+``evaluate_per_symbol``, the per-symbol scoring loop behind
+``simulate.evaluate``; ``distinct_rows_axis0`` and
 ``trie_axis0``, the field-by-field ``np.unique(axis=0)`` dedupe behind the
 byte-string sort of ``build_trie`` and ``train_founder_hmms``; and
 ``recover_missing_full_scan``, the recovery that scans every sample,
@@ -543,9 +546,15 @@ def read_symbol_file_per_line(path, alphabet, what, id_what, unique):
     return [r[0] for r in rows], [r[1] for r in rows]
 
 
-def error_report_text_per_row(report, config_line=None):
+def error_report_text_per_row(report, config_line=None, json_mode=False):
     """The TSV text of an error report, with one %-format of a row
-    template per block of entries over the interleaved columns."""
+    template per block of entries over the interleaved columns, or its
+    JSON text, one entry at a time."""
+    if json_mode:
+        return _json_text({"threshold": report.threshold,
+                           "entries": [e._asdict() for e in report.entries],
+                           "failures": {k: int(v) for k, v in sorted(report.failures.items())}},
+                          config_line)
     lines = [config_line] if config_line else []
     lines.append(f"#threshold={fmt(report.threshold)}")
     for sample_id, locus in sorted(report.failures.items()):
@@ -568,8 +577,14 @@ def error_report_text_per_row(report, config_line=None):
     return "".join(blocks)
 
 
-def imputation_text_per_entry(result, config_line=None):
-    """The TSV text of an imputation result, one entry at a time."""
+def imputation_text_per_entry(result, config_line=None, json_mode=False):
+    """The TSV or JSON text of an imputation result, one entry at a time."""
+    if json_mode:
+        return _json_text({"entries": [e._asdict() for e in result.entries],
+                           "failures": [list(f) for f in result.failures],
+                           "windows": [{"lo": w.lo, "hi": w.hi, "targets": list(w.targets),
+                                        "train_iterations": w.train_iterations}
+                                       for w in result.windows]}, config_line)
     lines = [config_line] if config_line else []
     for w in result.windows:
         targets = ",".join(str(t) for t in w.targets)
@@ -902,6 +917,32 @@ def read_model_per_line(path):
                           emissions=emissions)
     except InputError as exc:
         raise InputError(f"{path}: {exc}") from exc
+
+
+def correct_errors_per_entry(corpus, report):
+    """``analysis.correct_errors``, one entry at a time in report order,
+    each entry's sample looked up by its name, failing at the first bad
+    entry before anything changes."""
+    corpus = GenotypeCorpus.of(corpus)
+    rows = {sid: j for j, sid in enumerate(corpus.ids)}
+    symbols = corpus.matrix.copy()
+    changed = set()
+    for e in report.entries:
+        j, at = rows.get(e.sample_id), (e.sample_id, e.locus_index)
+        if j is None:
+            raise InputError(f"report names unknown sample {e.sample_id!r}")
+        if not 0 <= e.locus_index < corpus.loci:
+            raise InputError(f"report locus {e.locus_index} out of range")
+        if at in changed or symbols[j, e.locus_index] != e.observed:
+            raise InputError(f"report does not match corpus at {e.sample_id!r} "
+                             f"locus {e.locus_index}")
+        if e.suggested not in (0, 1, 2):
+            raise InputError(f"report suggests symbol {e.suggested!r} at "
+                             f"{e.sample_id!r} locus {e.locus_index}")
+        if e.flagged and e.suggested != e.observed:
+            symbols[j, e.locus_index] = e.suggested
+            changed.add(at)
+    return GenotypeCorpus(corpus.ids, symbols), len(changed)
 
 
 def evaluate_per_symbol(calls, truth_genotypes, *, loci=None):

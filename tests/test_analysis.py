@@ -10,9 +10,9 @@ import founderhmm.inference as inference
 import founderhmm.training as training
 import founderhmm.trie as trie
 import oracle
-from conftest import random_corpus, random_genotype, random_model
+from conftest import random_corpus, random_genotype, random_model, recoded
 from founderhmm import (MISSING, FounderHMM, GenotypeCorpus, HaplotypePanel,
-                        HaplotypeSequence, ImputationResult, InputError,
+                        HaplotypeSequence, IdColumn, ImputationResult, InputError,
                         LocusMap, MultilocusGenotype, SimConfig, TrainConfig,
                         WindowSpec, ZeroProbabilityError, bootstrap_config,
                         correct_errors, detect_errors, evaluate,
@@ -61,6 +61,40 @@ def test_ratios_are_at_least_one():
         assert e.ratio >= 1.0
         assert e.flagged == (e.ratio > 2.0)
         assert 0 <= e.suggested <= 2
+
+
+def test_id_column_reads_as_the_list_of_its_names():
+    """An id column is its codes into its names, and reads as the list of
+    its entries' names does, empty or not, whatever the order, repeats
+    and unused entries of its names."""
+    ids = ["b", "a", "\u00d1", "b", "b", "a"]
+    column = IdColumn.of(ids)
+    assert column.names == ("b", "a", "\u00d1") and column.codes.tolist() == [0, 1, 2, 0, 0, 1]
+    for col in (column, recoded(column), recoded(recoded(column))):
+        assert col == ids and ids == col and col == column and not col != ids
+        assert col != ids[:-1] and col != ids[::-1] and col != tuple(ids)
+        assert len(col) == 6 and list(col) == col.tolist() == ids
+        assert all(type(name) is str for name in col.tolist())
+        assert [col[i] for i in range(-6, 6)] == ids + ids
+        assert col[1:4] == ids[1:4] and col[::-2] == ids[::-2]
+        assert col[np.array([5, 0])] == ["a", "b"] and isinstance(col[1:4], IdColumn)
+        with pytest.raises(IndexError):
+            col[6]
+        with pytest.raises(ValueError):  # read-only codes
+            col.codes[0] = 1
+        with pytest.raises(AttributeError):
+            col.names = ()
+        with pytest.raises(TypeError):
+            hash(col)
+        assert repr(col) == repr(IdColumn(col.codes.copy(), col.names))
+    empty = IdColumn.of([])
+    assert empty == [] and empty.tolist() == [] and list(empty) == [] and not empty
+    assert len(empty) == 0 and empty[0:] == [] and IdColumn((), ("x",)) == []
+    assert empty != ["x"] and empty.codes.dtype == np.intp
+    assert IdColumn([0, 1], "ab") == IdColumn([1, 0], "ba") != IdColumn([0, 1], "ac")
+    for codes, names in (([0, 2], ("a", "b")), ([-1], ("a",)), ([0], ()), ([[0]], ("a",))):
+        with pytest.raises(ValueError):
+            IdColumn(codes, names)
 
 
 def test_entries_cover_exactly_the_typed_symbols():
@@ -178,6 +212,10 @@ def test_correct_applies_flagged_suggestions_only():
     for e in report.entries:
         have = int(by_id[e.sample_id].symbols[e.locus_index])
         assert have == (e.suggested if e.flagged else e.observed)
+    for given in (report, dataclasses.replace(report, sample_id=recoded(report.sample_id))):
+        again, count = correct_errors(corpus, given)
+        assert (again, count) == oracle.correct_errors_per_entry(corpus, given)
+        assert again == corrected and count == changes
 
 
 def test_correct_rejects_mismatched_report():
@@ -526,8 +564,8 @@ def test_impute_columns_match_the_per_entry_loop():
         again = ImputationResult.from_entries(edited.entries, edited.windows,
                                               edited.failures, 0, 0)
         for a, b in zip(edited.columns(), again.columns(), strict=True):
-            if isinstance(a, list):
-                assert type(b) is list and a == b
+            if isinstance(a, IdColumn):
+                assert type(b) is IdColumn and a == b
             else:
                 assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
 

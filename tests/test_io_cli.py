@@ -1,6 +1,7 @@
 """File formats: exact round-trips and hostile inputs. CLI: exit codes,
 byte-stable artifacts, and option precedence. All CLI runs are in-process
 through main(argv), but for one that needs a locale of its own."""
+import dataclasses
 import errno
 import json
 import os
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 import founderhmm
 import founderhmm.cli as cli
 import oracle
-from conftest import random_model
+from conftest import random_model, recoded
 from founderhmm import (ErrorEntry, ErrorReport, EvalReport, FounderHMM,
                         GenotypeCorpus, HaplotypeSequence, ImputationEntry,
                         ImputationResult, InputError, LocusMap,
@@ -289,6 +290,13 @@ def test_model_reader_rejects_damage(tmp_path):
      "expected row 'transition 0 0' here (model rows must be in the order "
      "the writer writes them)", True),
     (lambda ls: ls[:5] + [ls[4]] + ls[5:], 6, "expected row 'transition 0 1' here", True),
+    (lambda ls: ls[:4] + [ls[7]] + ls[5:7] + [ls[4]] + ls[8:], 5,
+     "expected row 'transition 0 0' here", True),
+    (lambda ls: ls[:-2] + [ls[-1], ls[-2]], 48, "expected row 'emission 10' here", True),
+    # a row's last cell moved to the start of the next: the same cells in
+    # the same order, but not the same rows
+    (lambda ls: ls[:4] + [ls[4] + "\ttransition", ls[5].split("\t", 1)[1]] + ls[6:], 5,
+     "row 'transition 0 0' needs 3 values", False),
     (lambda ls: ls + [ls[-1]], 50, "more rows than the header declares", True),
     (lambda ls: ls[:4] + [ls[2]] + ls[4:], 5, "'#founders=3 loci=12' out of place "
      "(the format line and the header come first, once)", False),
@@ -352,9 +360,32 @@ def test_readers_locate_bytes_that_are_not_utf8(tmp_path):
         write(path, value)
         lines = path.read_bytes().split(b"\n")
         lines[2] = lines[2][:1] + b"\x84" + lines[2][1:]
-        path.write_bytes(b"\r\n".join(lines))
-        with pytest.raises(InputError, match=f"{name}:3: byte 0x84 is not UTF-8"):
-            read(path)
+        for end in (b"\r\n", b"\n", b"\r"):
+            path.write_bytes(end.join(lines))
+            with pytest.raises(InputError, match=f"{name}:3: byte 0x84 is not UTF-8"):
+                read(path)
+
+
+@pytest.mark.parametrize("lead", ["", " \t\n", "\x1c\x1f\x0b\x0c\n", "\r\n\r",
+                                  "\u2028\u00a0", "\u3000\r", "\u00d1\n"])
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+def test_report_readers_read_text_and_json_after_any_white_space(tmp_path, lead, end):
+    """A report whose bytes are its text (no \\r, UTF-8) and one whose line
+    ends or leading white space need the decoded text read alike: JSON
+    after any white space str.lstrip() strips, TSV as the oracles read it."""
+    path = tmp_path / "r"
+    for write, read, value, oracle_read, outcome in (
+            (write_error_report, read_error_report, sample_error_report(),
+             oracle.read_error_report_per_row, read_outcome),
+            (write_imputation, read_imputation, sample_imputation(),
+             oracle.read_imputation_per_row, imputation_outcome)):
+        for json_mode in (True, False):
+            write(path, value, json_mode=json_mode)
+            text = path.read_text(encoding="utf-8")
+            path.write_bytes((lead + text.replace("\n", end)).encode())
+            assert outcome(read, path) == outcome(oracle_read, path)
+            if not lead.strip(" \t\r\n"):  # JSON's own white space, or none
+                assert read(path).entries == value.entries
 
 
 def sample_error_report():
@@ -634,12 +665,31 @@ def test_error_report_reader_names_the_earlier_of_header_and_row(tmp_path):
         read_error_report(path)
 
 
+def correct_outcome(correct, corpus, report):
+    """The corrected corpus and change count, or the message raised."""
+    try:
+        corrected, changes = correct(corpus, report)
+    except InputError as exc:
+        return str(exc)
+    return corrected.ids, corrected.matrix.tolist(), changes
+
+
 def test_correct_errors_names_the_first_bad_entry_and_changes_nothing():
+    """The report's sample codes give the per-entry loop's corpus, or its
+    message for the first bad entry: an unknown sample, a locus out of
+    range, a stale cell (one an earlier entry changed), a symbol the
+    corpus does not hold, a suggestion outside 0-2; with the report's
+    sample names as they come and recoded."""
     corpus = [MultilocusGenotype("S0", np.array([0, 0, 0, 0, 2], dtype=np.int8)),
               MultilocusGenotype("S1", np.array([1, 0, 0, 0, 0], dtype=np.int8))]
     before = [g.symbols.copy() for g in corpus]
     good = ErrorEntry("S0", 4, "L4", 2, float("inf"), True, 0)
     cases = [
+        ((good, good._replace(flagged=False)), "report does not match corpus at 'S0' locus 4"),
+        ((good._replace(sample_id="S1", locus_index=0, observed=1), good,
+          good._replace(observed=0, flagged=False)),
+         "report does not match corpus at 'S0' locus 4"),
+        ((good, good._replace(sample_id="S\u00d1")), "report names unknown sample 'S\u00d1'"),
         ((good, good._replace(locus_index=9), good._replace(sample_id="S7")),
          "report locus 9 out of range"),
         ((good, good._replace(sample_id="S7"), good._replace(locus_index=9)),
@@ -653,16 +703,21 @@ def test_correct_errors_names_the_first_bad_entry_and_changes_nothing():
          "report suggests symbol 3 at 'S0' locus 4"),
     ]
     for entries, message in cases:
-        report = ErrorReport.from_entries(entries, threshold=10.0, failures={})
-        with pytest.raises(InputError, match=re.escape(message)):
-            correct_errors(corpus, report)
-        assert all(np.array_equal(g.symbols, b) for g, b in zip(corpus, before))
+        for report in with_recoded_ids(ErrorReport.from_entries(entries, threshold=10.0,
+                                                                failures={})):
+            with pytest.raises(InputError, match=re.escape(message)):
+                correct_errors(corpus, report)
+            assert correct_outcome(oracle.correct_errors_per_entry, corpus, report) == message
+            assert all(np.array_equal(g.symbols, b) for g, b in zip(corpus, before))
     report = ErrorReport.from_entries((good, good._replace(sample_id="S1", locus_index=0, observed=1, suggested=2)),
                                       threshold=10.0, failures={})
-    corrected, changes = correct_errors(corpus, report)
-    assert changes == 2
-    assert [g.symbols.tolist() for g in corrected] == [[0, 0, 0, 0, 0],
-                                                       [2, 0, 0, 0, 0]]
+    for report in with_recoded_ids(report):
+        corrected, changes = correct_errors(corpus, report)
+        assert changes == 2
+        assert [g.symbols.tolist() for g in corrected] == [[0, 0, 0, 0, 0],
+                                                           [2, 0, 0, 0, 0]]
+        assert correct_outcome(oracle.correct_errors_per_entry, corpus, report) == (
+            ("S0", "S1"), [[0, 0, 0, 0, 0], [2, 0, 0, 0, 0]], 2)
 
 
 def test_error_report_bytes_with_awkward_ids(tmp_path):
@@ -693,12 +748,22 @@ def test_error_report_bytes_with_awkward_ids(tmp_path):
         assert (back.threshold, back.failures) == (10.0, {"%s": 3})
 
 
+def with_recoded_ids(report):
+    """``report``, then the same report with each id column recoded: its
+    names out of first-use order, repeated, and one unused."""
+    names = [f.name for f in dataclasses.fields(report)[:len(report._dtypes)]
+             if isinstance(getattr(report, f.name), founderhmm.IdColumn)]
+    return report, dataclasses.replace(report, **{
+        name: recoded(getattr(report, name)) for name in names})
+
+
 def test_report_writers_match_the_per_row_writers(tmp_path):
-    """Each distinct piece is formatted once; the bytes are those of one
-    row template per entry, for floats that differ only in sign or NaN
-    payload, ids a %-format or str.format would read, one locus index
-    under two locus ids, an empty report, many distinct values, and the
-    comment lines."""
+    """Each distinct piece is formatted once; the bytes, TSV and JSON, are
+    those of one row template per entry, for floats that differ only in
+    sign or NaN payload, ids a %-format or str.format would read, one
+    locus index under two locus ids, an empty report, many distinct
+    values, the comment lines, and id columns whose names repeat, come
+    out of first-use order or go unused."""
     nan, inf = float("nan"), float("inf")
     ratios = [-0.0, 0.0, nan, float(np.copysign(nan, -1)), inf, -inf, 5e-324,
               1e300, 1.0, 1.0, 0.1 + 0.2, 1234.0625, -0.0, 1.0]
@@ -711,13 +776,15 @@ def test_report_writers_match_the_per_row_writers(tmp_path):
                        float(rng.choice([1.0, rng.random() * 1e4])), bool(j % 3),
                        int(rng.integers(3))) for j in range(3000)]
     path = tmp_path / "r.tsv"
-    for report in (ErrorReport.from_entries(entries, 10.0, {"%s": 3, "b": 0}),
-                   ErrorReport.from_entries((), 0.5, {"S9": 7}),
-                   ErrorReport.from_entries(many, 1000.0, {})):
-        for config in (None, "#config: detect %s {}"):
-            write_error_report(path, report, config_line=config)
-            assert path.read_bytes() == oracle.error_report_text_per_row(
-                report, config).encode()
+    for given in (ErrorReport.from_entries(entries, 10.0, {"%s": 3, "b": 0}),
+                  ErrorReport.from_entries((), 0.5, {"S9": 7}),
+                  ErrorReport.from_entries(many, 1000.0, {})):
+        for report in with_recoded_ids(given):
+            for config in (None, "#config: detect %s {}"):
+                for json_mode in (False, True):
+                    write_error_report(path, report, config_line=config, json_mode=json_mode)
+                    assert path.read_bytes() == oracle.error_report_text_per_row(
+                        report, config, json_mode).encode()
     windows = (WindowReport(0, 4, (1, 2), 7, True, None),
                WindowReport(3, 9, (5,), 50, False, None))
     imputed = [ImputationEntry(samples[j % 5], loci[j % 5][1], loci[j % 5][0],
@@ -726,13 +793,15 @@ def test_report_writers_match_the_per_row_writers(tmp_path):
                                 tuple(rng.dirichlet(np.ones(3))), j % 3, rng.random())
                 for j in range(500)]
     for rows in (imputed, []):
-        result = ImputationResult.from_entries(entries=tuple(rows), windows=windows,
-                                               failures=(("S2", 7), ("%s", 0)),
-                                               forward_locus_evals=0, backward_locus_evals=0)
-        for config in (None, "#config: impute {}"):
-            write_imputation(path, result, config_line=config)
-            assert path.read_bytes() == oracle.imputation_text_per_entry(
-                result, config).encode()
+        given = ImputationResult.from_entries(entries=tuple(rows), windows=windows,
+                                              failures=(("S2", 7), ("%s", 0)),
+                                              forward_locus_evals=0, backward_locus_evals=0)
+        for result in with_recoded_ids(given):
+            for config in (None, "#config: impute {}"):
+                for json_mode in (False, True):
+                    write_imputation(path, result, config_line=config, json_mode=json_mode)
+                    assert path.read_bytes() == oracle.imputation_text_per_entry(
+                        result, config, json_mode).encode()
 
 
 ODD_FLOATS = [-0.0, 0.0, 1e-300, 5e-324, 1.0, 0.1 + 0.2, 1234.0625, 1e300,
@@ -741,7 +810,8 @@ ODD_IDS = ["%", "{}", "S\u2028x", "%s%%", "abcdefgh1234ijklmnop\x00"]
 
 
 def test_recovery_writer_matches_the_per_fill_writer(tmp_path):
-    """The fill log, TSV and JSON, with and without failures and fills."""
+    """The fill log, TSV and JSON, with and without failures and fills,
+    its sample ids as they come and recoded."""
     rng = np.random.default_rng(4)
     odd = [RecoveryFill(ODD_IDS[j % 5], j % 4, j % 3, c) for j, c in enumerate(ODD_FLOATS[:9])]
     many = [RecoveryFill(f"S{j // 30}", j % 30, int(rng.integers(3)),
@@ -750,12 +820,13 @@ def test_recovery_writer_matches_the_per_fill_writer(tmp_path):
     path = tmp_path / "fills"
     for fills in (odd, many, []):
         for failures in ({}, {"%s": 3, "b": 0}):
-            result = RecoveryResult.from_entries(fills, corpus, failures, None)
-            for config in (None, "#config: recover %s {}"):
-                for json_mode in (False, True):
-                    write_recovery(path, result, config_line=config, json_mode=json_mode)
-                    assert path.read_bytes() == oracle.recovery_text_per_fill(
-                        result, config, json_mode).encode()
+            for result in with_recoded_ids(
+                    RecoveryResult.from_entries(fills, corpus, failures, None)):
+                for config in (None, "#config: recover %s {}"):
+                    for json_mode in (False, True):
+                        write_recovery(path, result, config_line=config, json_mode=json_mode)
+                        assert path.read_bytes() == oracle.recovery_text_per_fill(
+                            result, config, json_mode).encode()
 
 
 def test_model_writer_matches_the_per_value_writer(tmp_path):
@@ -835,7 +906,7 @@ def read_outcome(read, path):
         r = read(path)
     except InputError as exc:
         return str(exc)
-    assert all(type(i) is str for i in r.sample_id + r.locus_id)
+    assert all(type(i) is str for i in r.sample_id.tolist() + r.locus_id.tolist())
     return (r.sample_id, r.locus_id, r.threshold, r.failures,
             [(c.dtype.str, c.tobytes()) for c in (r.locus_index, r.observed,
                                                   r.ratio, r.flags, r.suggested)])
@@ -1573,6 +1644,89 @@ def test_every_subcommand_help_exits_zero(capsys):
     for name in commands:
         assert run_cli(name, "--help") == 0
         assert f"usage: founderhmm {name}" in capsys.readouterr().out
+
+
+def config_value(action):
+    """A value for ``action`` in a config file, other than its default."""
+    if action.nargs == 0:
+        return True
+    if action.choices is not None:
+        return list(action.choices)[-1]
+    return {int: 3, float: 0.25, cli._int_list: "2,3",
+            cli._mode_list: "edc-mdr-imp,imp"}[action.type]
+
+
+def test_one_subcommand_parser_parses_as_the_full_parser(tmp_path, monkeypatch):
+    """main builds only the subcommand its first argument names, whose
+    parser gives the namespace of the full parser for every subcommand,
+    with and without a config file that sets each option it may set."""
+    monkeypatch.delenv(CONFIG_ENV, raising=False)
+    _, commands = cli._build_parser()
+    assert list(commands) == list(cli._SUBCOMMANDS)
+    for name, command in commands.items():
+        argv = [name]
+        for action in command._actions:
+            if action.required:
+                argv += [action.option_strings[0], str(tmp_path / "x")]
+        config = tmp_path / f"{name}.json"
+        values = {dest: config_value(a) for dest, a in cli._settable(command).items()}
+        config.write_text(json.dumps(values))
+        for args in (argv, [*argv, "--config", str(config)]):
+            parsed = []
+            for parser, subcommands in (cli._build_parser(), cli._build_parser(name)):
+                namespace = parser.parse_args(args)
+                if namespace.config:
+                    cli._apply_config(subcommands[name], namespace.config)
+                    namespace = parser.parse_args(args)
+                parsed.append(namespace)
+            assert parsed[0] == parsed[1], (name, args)
+        assert len(cli._build_parser(name)[1]) == 1
+        assert parsed[0] != cli._build_parser()[0].parse_args(argv) or not values
+    built = []
+    monkeypatch.setattr(cli, "_build_parser", lambda only=None, real=cli._build_parser:
+                        built.append(only) or real(only))
+    for argv in (["phase", "--help"], ["detect"], ["--help"], ["detekt"], [], ["-h", "phase"]):
+        cli.main(argv)
+    assert built == ["phase", "detect", None, None, None, None]
+
+
+FULL_HELP = """usage: founderhmm [-h] SUBCOMMAND ...
+
+Founder-pair HMM toolkit for multilocus SNP genotypes: training, error
+screening, missing-data recovery, imputation, phasing, and synthetic
+benchmarking.
+
+positional arguments:
+  SUBCOMMAND
+    train     fit model parameters to a haplotype panel
+    detect    screen typed symbols for likely errors
+    correct   apply suggested symbols at flagged entries
+    recover   fill missing symbols by posterior argmax
+    impute    call untyped loci from a reference panel
+    phase     decode each genotype into a haplotype pair
+    pipeline  run a full flow over one dataset
+    simulate  generate a seeded synthetic dataset
+    evaluate  score calls against ground truth
+    sweep     grid of pipeline runs on one synthetic dataset
+    bench     time the batch engine along three axes
+
+options:
+  -h, --help  show this help message and exit
+"""
+
+
+def test_usage_help_and_unknown_names_print_the_full_parser_text(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run_cli() == 1
+    assert capsys.readouterr() == ("", "error: the following arguments are required: "
+                                       "SUBCOMMAND\n")
+    assert run_cli("--help") == 0
+    assert capsys.readouterr() == (FULL_HELP, "")
+    assert run_cli("detekt") == 1
+    assert capsys.readouterr() == ("", (
+        "error: argument SUBCOMMAND: invalid choice: 'detekt' (choose from 'train', "
+        "'detect', 'correct', 'recover', 'impute', 'phase', 'pipeline', 'simulate', "
+        "'evaluate', 'sweep', 'bench')\n"))
 
 
 # -------------------------------------------------------------- exit codes

@@ -1,9 +1,12 @@
 """Generator, scorer, sweep, and benchmark behaviour on synthetic data."""
+import dataclasses
+
 import numpy as np
 import pytest
 
 import founderhmm
 import oracle
+from conftest import recoded
 from founderhmm import (MISSING, GenotypeCorpus, ImputationEntry,
                         ImputationResult, InputError, MultilocusGenotype,
                         SimConfig, evaluate, fit_exponent, simulate, sweep)
@@ -288,9 +291,13 @@ def test_evaluate_matches_the_per_entry_loop_on_imputations():
                          (good + [("S0", -1, 1)], {}),
                          (good + [("S0", 3, 3), ("S1", 2, 1)], {}),
                          (good + [("S0", 3, 2.5)], {}),
-                         (good + [("S0", 3, "1")], {"loci": [3]})):
-        new, old = _scored(result(*rows), truth, **kwargs)
-        assert new == old, (rows, kwargs, old)
+                         (good + [("S0", 3, "1")], {"loci": [3]}),
+                         (good + [("S\u00d1", 1, 1)], {})):
+        calls = result(*rows)
+        # the sample codes as from_entries gives them, then recoded
+        for calls in (calls, dataclasses.replace(calls, sample_id=recoded(calls.sample_id))):
+            new, old = _scored(calls, truth, **kwargs)
+            assert new == old, (rows, kwargs, old)
 
 
 # ------------------------------------------------------------------ sweep

@@ -43,20 +43,42 @@ prefixes. The kernels:
   in µs per call: the max-product step that phasing's walk makes twice
   per depth.
 
+On each scan workload it also times the report path of the scan chain,
+each tree on its own objects, read from the same files (the workload's
+observed and truth genotypes and that model, written by this tree), in µs
+per call:
+
+- ``detect``: ``detect_errors`` of the observed genotypes;
+- ``report_write``: ``write_error_report`` of that report, as TSV;
+- ``report_read``: ``read_error_report`` of that file;
+- ``correct``: ``correct_errors`` of the observed genotypes by the report
+  read back, as the ``correct`` command does;
+- ``evaluate``: ``evaluate`` of the report's entries as imputation calls
+  (each observed symbol called, with the report's id columns) against the
+  truth genotypes;
+- ``model_read``: ``read_model`` of the model file;
+- ``cli_parse``: ``cli.main`` on each of the chain's four argument lists,
+  with a ``--config`` path that does not exist, so that each call builds
+  its parser, parses and stops with status 1 before the command runs.
+
 The three fit kernels are given in µs per E-step: a fit's time over its
 calls of ``training._e_step`` (one call steps a whole stack of windows),
-counted in one untimed run of this tree. Each line gives the median time
-of the base tree and of this one, the median over rounds of their ratio
-(this / base) with its lower and upper quartiles, and the rounds in which
-this tree was faster. The base tree's kernels, and its ``_stack``,
+counted in one untimed run of this tree. Each kernel runs once on each
+tree untimed before its rounds. Each line gives the median time of the
+base tree and of this one, the median over rounds of their ratio (this /
+base) with its lower and upper quartiles, and the rounds in which this
+tree was faster. The base tree's kernels, and its ``_stack``,
 ``_buffer_shapes`` and ``_initial_params``, must take the same arguments
 as this checkout's.
 """
 import argparse
+import contextlib
 import importlib
+import io
 import os
 import statistics
 import sys
+import tempfile
 import time
 
 import numpy as np
@@ -69,11 +91,13 @@ BLOCK_LOCI = 50
 
 
 def load(src):
-    """The founderhmm package under ``src``, imported afresh."""
+    """The founderhmm package under ``src``, imported afresh with its
+    command line and file formats."""
     for name in [m for m in sys.modules if m.split(".")[0] == "founderhmm"]:
         del sys.modules[name]
     sys.path.insert(0, src)
     try:
+        importlib.import_module("founderhmm.cli")
         return importlib.import_module("founderhmm")
     finally:
         sys.path.remove(src)
@@ -81,8 +105,11 @@ def load(src):
 
 def alternate(this, base, call):
     """Median seconds of ``call(this)`` and ``call(base)``, median ratio
-    and the rounds in which ``this`` was faster."""
+    and the rounds in which ``this`` was faster, after one untimed call
+    of each."""
     times = {this: [], base: []}
+    call(base)
+    call(this)
     for r in range(ROUNDS):
         for tree in (this, base) if r % 2 else (base, this):
             start = time.perf_counter()
@@ -141,15 +168,22 @@ def training_kernels(fh, sim, seed):
             fit_kernel(fh, "typed_fit", [matrix], fh.bootstrap_config(config))]
 
 
+def scan_setup(fh, sim, seed):
+    """A scan workload's simulated data, typed reference panel, and the
+    set-up's fit configuration and model."""
+    data = fh.simulate(fh.SimConfig(**sim, seed=seed))
+    typed = fh.HaplotypePanel.of(data.typed_reference()).matrix
+    config = fh.TrainConfig(founders=sim["founder_count"], max_iterations=30)
+    (model, _), = fh.training.train_founder_hmms([typed], config)
+    return data, typed, config, model
+
+
 def engine_kernels(fh, sim, seed):
     """(name, depths or calls per timing, call of a tree's package) of
     each inference kernel on one scan workload's inputs."""
     this = fh.inference
-    data = fh.simulate(fh.SimConfig(**sim, seed=seed))
+    data, typed, config, model = scan_setup(fh, sim, seed)
     k = sim["founder_count"]
-    typed = fh.HaplotypePanel.of(data.typed_reference()).matrix
-    config = fh.TrainConfig(founders=k, max_iterations=30)
-    (model, _), = fh.training.train_founder_hmms([typed], config)
     trie = fh.trie.build_trie(fh.GenotypeCorpus.of(data.observed).matrix)
     rows, n = trie.rows.shape
     etab, planes = fh.model.emission_stack(model), this._planes(trie.rows)
@@ -186,6 +220,63 @@ def engine_kernels(fh, sim, seed):
     ]
 
 
+def report_kernels(fh, sim, seed, workdir):
+    """(name, calls per timing, call of a tree's package) of the scan
+    chain's report path on one scan workload's inputs, written under
+    ``workdir``."""
+    data, _, _, model = scan_setup(fh, sim, seed)
+    join = lambda name: os.path.join(workdir, name)
+    fh.io_formats.write_model(join("model.txt"), model)
+    fh.io_formats.write_genotypes(join("data.gen"), data.observed)
+    fh.io_formats.write_genotypes(join("truth.gen"), data.truth_genotypes)
+    chain = [["detect", "--model", join("model.txt"), "--genotypes", join("data.gen"),
+              "--out", join("report.tsv")],
+             ["correct", "--genotypes", join("data.gen"), "--report", join("report.tsv"),
+              "--out", join("corrected.gen")],
+             ["recover", "--model", join("model.txt"), "--genotypes", join("data.gen"),
+              "--out", join("recovered.gen")],
+             ["phase", "--model", join("model.txt"), "--genotypes", join("data.gen"),
+              "--out", join("phased.hap")]]
+    missing = ["--config", join("no-such-config.json")]
+    inputs = {}
+
+    def of(pkg):
+        """Each tree's own model, genotypes, report, report file and calls."""
+        if pkg not in inputs:
+            m, an = pkg.io_formats, pkg.analysis
+            tree = {"model": m.read_model(join("model.txt")),
+                    "corpus": m.read_genotypes(join("data.gen")),
+                    "truth": m.read_genotypes(join("truth.gen")),
+                    "path": join(f"report-{len(inputs)}.tsv")}
+            report = tree["report"] = an.detect_errors(tree["model"], tree["corpus"])
+            m.write_error_report(tree["path"], report)
+            tree["read"] = m.read_error_report(tree["path"])
+            tree["calls"] = an.ImputationResult(
+                report.sample_id, report.locus_index, report.locus_id,
+                np.eye(3)[report.observed], report.observed,
+                np.ones(len(report.observed)), (), (), 0, 0)
+            inputs[pkg] = tree
+        return inputs[pkg]
+
+    def parses(pkg):
+        with contextlib.redirect_stderr(io.StringIO()):
+            for argv in chain:
+                pkg.cli.main(argv + missing)
+
+    return [
+        ("detect", 1, lambda pkg: pkg.analysis.detect_errors(of(pkg)["model"],
+                                                             of(pkg)["corpus"])),
+        ("report_write", 1, lambda pkg: pkg.io_formats.write_error_report(
+            of(pkg)["path"], of(pkg)["report"])),
+        ("report_read", 1, lambda pkg: pkg.io_formats.read_error_report(of(pkg)["path"])),
+        ("correct", 1, lambda pkg: pkg.analysis.correct_errors(of(pkg)["corpus"],
+                                                               of(pkg)["read"])),
+        ("evaluate", 1, lambda pkg: pkg.evaluate(of(pkg)["calls"], of(pkg)["truth"])),
+        ("model_read", 1, lambda pkg: pkg.io_formats.read_model(join("model.txt"))),
+        ("cli_parse", len(chain), parses),
+    ]
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("base", help="root of the checkout to compare against")
@@ -196,12 +287,15 @@ def main():
     sys.path.insert(0, os.path.join(ROOT, "perfbench"))
     from workloads import WORKLOADS
     print("workload\tkernel\tbase_us\tthis_us\tratio\tratio_q1\tratio_q3\tfaster")
-    for w in WORKLOADS.values():
-        kernels = training_kernels if w.pipeline else engine_kernels
-        for kernel, per, call in kernels(fh, w.sim, args.seed):
-            b, t, (q1, ratio, q3), wins = alternate(fh, base, call)
-            print(f"{w.name}\t{kernel}\t{b / per * 1e6:.1f}\t{t / per * 1e6:.1f}\t"
-                  f"{ratio:.3f}\t{q1:.3f}\t{q3:.3f}\t{wins}/{ROUNDS}", flush=True)
+    with tempfile.TemporaryDirectory() as workdir:
+        for w in WORKLOADS.values():
+            kernels = (training_kernels(fh, w.sim, args.seed) if w.pipeline else
+                       engine_kernels(fh, w.sim, args.seed)
+                       + report_kernels(fh, w.sim, args.seed, workdir))
+            for kernel, per, call in kernels:
+                b, t, (q1, ratio, q3), wins = alternate(fh, base, call)
+                print(f"{w.name}\t{kernel}\t{b / per * 1e6:.1f}\t{t / per * 1e6:.1f}\t"
+                      f"{ratio:.3f}\t{q1:.3f}\t{q3:.3f}\t{wins}/{ROUNDS}", flush=True)
 
 
 if __name__ == "__main__":
