@@ -9,13 +9,14 @@ flow takes a :class:`~founderhmm.model.GenotypeCorpus` or a list of
 genotypes, converted once at entry, and works on its symbol matrix.
 
 Memory of phasing: duplicate genotypes are decoded once, the distinct ones
-sorted, in chunks, every row walked through every locus. A row holds 2 x
-(loci - 1) x K^2 back-pointers, one byte each up to K = 256; a chunk is as
-many rows as fit in ``inference._TILE_BYTES`` with 64 x K^2 bytes of one
-locus' work arrays, 10 x K^3 bytes of the max-product step and 72 x loci
-bytes of peaks and allele arrays each, and at least one: 1300 rows at 400
-loci and K = 5. Decoded alleles and paths add 4 x loci bytes per distinct
-genotype. Chunks change the pace, never the answer.
+sorted, in chunks, every row walked through every locus on (K, K, rows)
+arrays, the rows last. A row holds 2 x (loci - 1) x K^2 back-pointers, one
+byte each up to K = 256, as two (K, K, rows) planes per locus; a chunk is
+as many rows as fit in ``inference._TILE_BYTES`` with 40 x K^2 bytes of
+one locus' work arrays, 10 x K^3 bytes of the max-product step and 72 x
+loci bytes of peaks and allele arrays each, and at least one: 1300 rows at
+400 loci and K = 5. Decoded alleles and paths add 4 x loci bytes per
+distinct genotype. Chunks change the pace, never the answer.
 """
 from __future__ import annotations
 
@@ -193,6 +194,24 @@ def _entry_locus_ids(locus_ids, n):
     return ids
 
 
+def _weights(batch, samples, loci):
+    """The substitution weights of each (sample, locus) entry as three
+    columns, one per symbol, gathered from the batch's triples."""
+    at = (batch.row_of[samples] * batch.triples.shape[1] + loci) * 3
+    flat = batch.triples.reshape(-1)
+    return [flat.take(at + x) for x in range(3)]
+
+
+def _peak(weights):
+    """Each entry's largest weight, as ``max`` over its triple."""
+    return np.maximum(np.maximum(weights[0], weights[1]), weights[2])
+
+
+def _first_peak(weights, peak):
+    """Each entry's first symbol of weight ``peak``, as ``argmax``."""
+    return np.where(weights[0] == peak, 0, np.where(weights[1] == peak, 1, 2))
+
+
 def detect_errors(model: FounderHMM, corpus, threshold: float = DEFAULT_RATIO_THRESHOLD,
                   *, locus_ids=None) -> ErrorReport:
     """Likelihood-ratio screen of every typed symbol.
@@ -212,15 +231,15 @@ def detect_errors(model: FounderHMM, corpus, threshold: float = DEFAULT_RATIO_TH
     symbols = corpus.matrix
     samples, loci = np.nonzero(symbols != MISSING)
     observed = symbols[samples, loci].astype(np.int64)
-    rows = batch.triples[batch.row_of[samples], loci]
-    best = rows.max(axis=1)
-    weight = np.take_along_axis(rows, observed[:, None], axis=1)[:, 0]
+    weights = _weights(batch, samples, loci)
+    best = _peak(weights)
+    weight = np.choose(observed, weights)
     # A zero-probability observed symbol gets an infinite ratio; when
     # nothing at the locus can rescue the genotype, it ties the (zero)
     # maximum and the ratio is 1.
     ratio = np.where(best > 0.0, np.inf, 1.0)
     np.divide(best, weight, out=ratio, where=weight > 0.0)
-    suggested = np.where(weight == best, observed, rows.argmax(axis=1))
+    suggested = np.where(weight == best, observed, _first_peak(weights, best))
     return ErrorReport(sample_id=IdColumn(samples, corpus.ids),
                        locus_index=loci.astype(np.int64), locus_id=IdColumn(loci, ids),
                        observed=observed,
@@ -324,15 +343,16 @@ def recover_missing(model: FounderHMM, corpus) -> RecoveryResult:
     part = GenotypeCorpus._trusted([corpus.ids[j] for j in gapped], corpus.matrix[gapped])
     batch = batched_posteriors(model, part)
     samples, loci = np.nonzero(gaps[gapped])
-    rows = batch.triples[batch.row_of[samples], loci]
-    totals = rows.sum(axis=1)
+    weights = _weights(batch, samples, loci)
+    totals = weights[0] + weights[1] + weights[2]  # np.sum's order over a triple
     live = ~np.isin(samples, samples[totals <= 0.0])
-    samples, loci, rows, totals = samples[live], loci[live], rows[live], totals[live]
-    calls = rows.argmax(axis=1)
+    samples, loci, totals = samples[live], loci[live], totals[live]
+    weights = [w[live] for w in weights]
+    calls = _first_peak(weights, _peak(weights))
     symbols = corpus.matrix.copy()
     symbols[gapped[samples], loci] = calls
     return RecoveryResult(IdColumn(gapped[samples], corpus.ids), loci, calls,
-                          rows[np.arange(calls.size), calls] / totals,
+                          np.choose(calls, weights) / totals,
                           GenotypeCorpus._trusted(corpus.ids, symbols), dict(batch.failures),
                           batch.stats)
 
@@ -519,11 +539,12 @@ def _decode_distinct(model: FounderHMM, rows: np.ndarray, lcps: np.ndarray):
     walked (:func:`~founderhmm.inference._viterbi_rows`) and traced back
     in chunks that fit in ``inference._TILE_BYTES``."""
     n, k = rows.shape[1], model.founders
-    # a row's back-pointers, one locus' work arrays, the max-product step's
-    # K candidate products with their byte mask and masked ranks, its peaks
-    # and allele arrays
+    # a row's back-pointers, one locus' values, hits, collapsed values,
+    # emission gather and peak, the max-product step's K candidate
+    # products with their byte mask and masked ranks, its peaks and allele
+    # arrays
     ptr = np.min_scalar_type(k - 1).itemsize
-    row_bytes = (2 * (n - 1) * ptr + 64) * k * k + (9 + ptr) * k ** 3 + 72 * n
+    row_bytes = (2 * (n - 1) * ptr + 40) * k * k + (9 + ptr) * k ** 3 + 72 * n
     step = max(1, inference._TILE_BYTES // row_bytes)
     etab, planes = emission_stack(model), _planes(rows)
     chunks, evals = [], 0
@@ -532,16 +553,16 @@ def _decode_distinct(model: FounderHMM, rows: np.ndarray, lcps: np.ndarray):
             model, etab, planes[lo:lo + step],
             np.concatenate(([0], lcps[lo + 1:lo + step])))
         evals += walked
-        every = np.arange(len(value))
-        pair_a, pair_b = np.divmod(value.reshape(-1, k * k).argmax(axis=1), k)
+        every = np.arange(value.shape[2])
+        pair_a, pair_b = np.divmod(value.reshape(k * k, -1).argmax(axis=0), k)
         with np.errstate(divide="ignore"):  # dead rows end at zero
-            log_joint = logscale + np.log(value[every, pair_a, pair_b])
-        paths = np.empty((len(value), 2, n), dtype=back.dtype)
+            log_joint = logscale + np.log(value[pair_a, pair_b, every])
+        paths = np.empty((len(every), 2, n), dtype=back.dtype)
         paths[:, 0, n - 1], paths[:, 1, n - 1] = pair_a, pair_b
         for i in range(n - 2, -1, -1):
             a, b = paths[:, 0, i + 1], paths[:, 1, i + 1]
-            paths[:, 0, i] = f = back[i, 0][a, every, b]
-            paths[:, 1, i] = back[i, 1][b, every, f]
+            paths[:, 0, i] = f = back[i, 0][a, b, every]
+            paths[:, 1, i] = back[i, 1][b, f, every]
         alleles = _assign_alleles(model, rows[lo:lo + step], paths)
         chunks.append((*alleles, paths, log_joint, dead))
     return (*map(np.concatenate, zip(*chunks)), evals)

@@ -17,9 +17,12 @@ transition retreats where the original advances. The batch engine and
 phasing's max-product walk, :func:`_viterbi_rows`, step every row of a
 tile from the prior through every locus: a row that shares a prefix with
 the row before repeats that prefix's arithmetic bit for bit, so the rows
-share nothing but their count, which is that of prefix-trie nodes. A dead
-(zero-mass) belief is divided by the least double, which keeps it zero;
-the max-product step makes the same NumPy calls per depth for any K.
+share nothing but their count, which is that of prefix-trie nodes. The
+max-product walk holds its values as (K, K, rows) arrays, the rows last,
+so that each depth's peaks reduce over the leading axes and each step
+reads transposed views in place. A dead (zero-mass) belief is divided by
+the least double, which keeps it zero; the max-product step makes the
+same NumPy calls per depth for any K.
 """
 from __future__ import annotations
 
@@ -189,43 +192,44 @@ def _scan_rows(model, etab, planes, lcps):
 def _max_dot(x, t):
     """out[c, b, r] = max over j of t[j, c] * x[j, b, r] for a (K, B, R)
     stack x and a (K, C) matrix t, and arg the first j attaining it (as
-    argmax), from all K candidate products at once: the first j is read
-    off the equality mask weighted by K - 1 - j, so the call count does
-    not grow with K."""
-    k, shape = len(t), (t.shape[1],) + x.shape[1:]
-    cand = t[:, :, None] * x.reshape(k, 1, -1)
+    argmax), from all K candidate products at once: x broadcasts as it
+    lies, a transposed view included, and the first j is read off the
+    equality mask weighted by K - 1 - j, so the call count does not grow
+    with K."""
+    k = len(t)
+    cand = t[:, :, None, None] * x[:, None]
     out = cand.max(axis=0)
-    rank = np.arange(k - 1, -1, -1, dtype=np.min_scalar_type(k - 1))[:, None, None]
-    arg = k - 1 - ((cand == out) * rank).max(axis=0)
-    return out.reshape(shape), arg.reshape(shape)
+    rank = np.arange(k - 1, -1, -1, dtype=np.min_scalar_type(k - 1))[:, None, None, None]
+    return out, k - 1 - ((cand == out) * rank).max(axis=0)
 
 
 def _viterbi_rows(model, etab, planes, lcps):
-    """Max-product walk of every row as in :func:`_scan_rows`, lcps[0] = 0:
-    pair values absorb each emission, rescale to unit maximum (a row left
-    with none keeps zeros), and collapse the second chain, then the first,
-    by :func:`_max_dot`; each depth's row peaks give the log scales and
-    first dead loci after the walk. Returns the last (rows, K, K) values,
-    summed log scales, first dead loci (-1 for none), back-pointers in
-    :func:`_max_dot`'s layout (the best pair (a, b) of row r at locus i + 1
-    comes from (f, back[i, 1, b, r, f]), f = back[i, 0, a, r, b]) and the
-    locus evaluations, counted as prefix-trie nodes."""
+    """Max-product walk of every row as in :func:`_scan_rows`, lcps[0] = 0,
+    on (K, K, rows) values, the rows last: pair values absorb each
+    emission, rescale to unit maximum (a row left with none keeps zeros),
+    and collapse the second chain, then the first, by :func:`_max_dot`;
+    each depth's row peaks, a reduction over the leading axes, give the
+    log scales and first dead loci after the walk. Returns the last (K, K,
+    rows) values, summed log scales, first dead loci (-1 for none),
+    back-pointers as (K, K, rows) planes (the best pair (a, b) of row r at
+    locus i + 1 comes from (f, back[i, 1, b, f, r]), f = back[i, 0, a, b,
+    r]) and the locus evaluations, counted as prefix-trie nodes."""
     b, n = planes.shape
     k, trans = model.founders, model.transitions
     tplanes = np.ascontiguousarray(planes.T)
-    back = np.empty((max(n - 1, 0), 2, k, b, k), dtype=np.min_scalar_type(k - 1))
-    value = np.broadcast_to(np.outer(model.initial, model.initial), (b, k, k))
+    emit = etab.transpose(0, 2, 3, 1)  # np.take on its last axis gathers (K, K, rows)
+    back = np.empty((max(n - 1, 0), 2, k, k, b), dtype=np.min_scalar_type(k - 1))
+    value = np.broadcast_to(np.outer(model.initial, model.initial)[:, :, None], (k, k, b))
     peaks = np.empty((n, b))
     for i in range(n):
-        hit = value * etab[i][tplanes[i]]
-        peaks[i] = peak = hit.max(axis=(1, 2))
-        hit /= np.maximum(peak, _LEAST)[:, None, None]
+        hit = value * np.take(emit[i], tplanes[i], axis=2)
+        peaks[i] = peak = hit.max(axis=(0, 1))
+        hit /= np.maximum(peak, _LEAST)
         if i == n - 1:
             value = hit
             break
-        collapsed, back[i, 1] = _max_dot(hit.transpose(2, 0, 1), trans[i])
-        full, back[i, 0] = _max_dot(collapsed.transpose(2, 1, 0), trans[i])
-        value = full.transpose(1, 0, 2)
+        collapsed, back[i, 1] = _max_dot(hit.transpose(1, 0, 2), trans[i])
+        value, back[i, 0] = _max_dot(collapsed.transpose(1, 0, 2), trans[i])
     zero = peaks <= 0.0
     dead = np.where(zero.any(axis=0), zero.argmax(axis=0), -1)
     peaks[zero] = 1.0  # their log sums in place, by cumsum as in _log_sums

@@ -507,11 +507,18 @@ def _ranks(at, size):
 
 
 def _heads(key):
-    """For each row, a row of the same ``key``."""
-    group = np.searchsorted(_distinct(key), key)
-    first = np.empty(len(key), dtype=np.intp)
-    first[group] = np.arange(len(key))
-    return first[group]
+    """For each row, a row of the same ``key``: the last one. Runs of
+    equal keys are collapsed before the sort, so a column of few long runs
+    sorts only their keys."""
+    change = np.ones(len(key), dtype=bool)
+    change[1:] = key[1:] != key[:-1]
+    starts = np.flatnonzero(change)
+    runs = key[starts]
+    group = np.searchsorted(_distinct(runs), runs)
+    ends = np.append(starts[1:], len(key))
+    last = np.empty(len(runs), dtype=np.intp)
+    last[group] = ends - 1
+    return np.repeat(last[group], ends - starts)
 
 
 def _coded(column, rows):
@@ -677,12 +684,6 @@ def _middle(locus_id, index):
     return locus_id, _tsv_value(index, "locus_index", "index")
 
 
-def _tail(table, *cells):
-    """The values of the cells of a TSV report row past its locus index;
-    ValueError names the first bad one."""
-    return tuple([_tsv_value(cell, name, kind) for (name, kind), cell in zip(table[3:], cells)])
-
-
 def _check_row(path, line_no, line, table, what):
     """Fail at the first bad field of one TSV report row, if it has one."""
     parts = line.split("\t")
@@ -690,17 +691,21 @@ def _check_row(path, line_no, line, table, what):
         _fail(path, line_no, f"expected {len(table)} fields")
     try:
         _middle(*parts[1:3])
-        _tail(table, *parts[3:])
+        for (name, kind), cell in zip(table[3:], parts[3:]):
+            _tsv_value(cell, name, kind)
     except ValueError as exc:
         _fail(path, line_no, f"malformed {what} row ({exc})")
 
 
-def _cells(buf, words, lo, hi, parse, blank):
-    """(``parse`` of each distinct cell ``lo:hi`` of ``buf``, ``blank``
-    where it raises ValueError; each cell's index into them; whether it
-    parsed). ``words[i]`` is the word of the 8 bytes of ``buf`` from ``i``
-    on. A cell is keyed by its width and bytes or, past 7 bytes, by a hash
-    of its first and last eight, and checked against its key's head."""
+def _cells(arr, words, lo, hi, parse, blank):
+    """(``parse`` of each distinct cell ``lo:hi`` of the bytes ``arr``,
+    ``blank`` where it raises ValueError; each cell's index into them;
+    whether it parsed). ``words[i]`` is the word of the 8 bytes of ``arr``
+    from ``i`` on, and each cell is followed by a byte. A cell is keyed by
+    its width and bytes or, past 7 bytes, by a hash of its first and last
+    eight, and checked against its key's head. The distinct cells are
+    gathered into one text, each ended by a \n, decoded once and parsed by
+    one ``map``, which resumes past each cell that raises."""
     width = hi - lo
     keep = np.uint64(2**64 - 1) >> np.arange(64, -1, -8, dtype=np.uint64)
     key = words[lo] & keep[np.minimum(width, 8)] | width.astype(np.uint64) << np.uint64(56)
@@ -719,13 +724,19 @@ def _cells(buf, words, lo, hi, parse, blank):
         odd = rows[words[lo[rows] + at] != words[lo[head[rows]] + at]]
         head[odd] = odd
     alone = np.flatnonzero(head == np.arange(len(lo)))
+    size = width[alone] + 1
+    ends = np.cumsum(size)
+    text = arr[np.arange(ends[-1] if ends.size else 0) + np.repeat(lo[alone] + size - ends, size)]
+    text[ends - 1] = ord("\n")
+    cells = iter(text.tobytes().decode().split("\n")[:-1])
     values, parsed = [], np.ones(len(alone), dtype=bool)
-    for j, (a, b) in enumerate(zip(lo[alone].tolist(), hi[alone].tolist())):
+    while True:
         try:
-            values.append(parse(buf[a:b].decode()))
+            values.extend(map(parse, cells))
+            break
         except ValueError:
+            parsed[len(values)] = False
             values.append(blank)
-            parsed[j] = False
     code = _ranks(alone, len(lo))[head]
     return values, code, parsed[code]
 
@@ -762,10 +773,11 @@ def _read_tsv(path, buf, table, what, heads, required=()):
     codes into the distinct cells, other columns as arrays. ``heads`` maps
     the prefix of each comment line to read to its parser, whose values
     come in file order; each prefix in ``required`` must have one. Lines
-    and cells are found from the offsets of line ends and tabs, and each
-    distinct sample id, ``locus_id<TAB>locus_index`` and tail of a row is
-    parsed once; when any row is bad, bad rows are checked one by one to
-    name the first."""
+    and cells are found from the offsets of line ends and tabs. Each
+    distinct sample id and ``locus_id<TAB>locus_index`` is parsed once; the
+    cells past them are read a column at a time, a symbol cell as one byte
+    and a float column's distinct cells parsed once each. When any row is
+    bad, bad rows are checked one by one to name the first."""
     padded = buf + b"\n" + bytes(8)  # each line ends in a \n; room for the last words
     arr = np.frombuffer(padded, dtype=np.uint8, count=len(buf) + 1)
     words = np.ndarray((len(buf) + 1,), "<u8", buffer=padded, strides=(1,))
@@ -786,13 +798,26 @@ def _read_tsv(path, buf, table, what, heads, required=()):
     lines = np.flatnonzero(((ends > starts) & ~comment)[:stop and stop[0]])
     at = np.append(0, eol[:-1] + 1)[lines]  # in sep, of each line's first tab
     full = np.flatnonzero(eol[lines] - at == len(table) - 1)
-    tab, third = sep[at[full]], sep[at[full] + 2]
-    samples, sample, _ = _cells(buf, words, starts[lines[full]], tab, str, "")
-    loci, locus, rows = _cells(buf, words, tab + 1, third,
+    first = at[full]
+    if first.size and first[-1] - first[0] == len(table) * (first.size - 1):
+        # where each cell ends: the rows' tabs and ends lie back to back
+        cut = sep[first[0]:first[-1] + len(table)].reshape(-1, len(table))
+    else:
+        cut = sep[first[:, None] + np.arange(len(table))]
+    samples, sample, _ = _cells(arr, words, starts[lines[full]], cut[:, 0], str, "")
+    loci, locus, rows = _cells(arr, words, cut[:, 0] + 1, cut[:, 2],
                                lambda t: _middle(*t.split("\t")), ("", 0))
-    tails, tail, parsed = _cells(buf, words, third + 1, ends[lines[full]],
-                                 lambda t: _tail(table, *t.split("\t")), (0,) * (len(table) - 3))
-    rows &= parsed
+    tails = []  # a symbol cell is one byte, a float cell parsed once per distinct cell
+    for j, (_, kind) in enumerate(table[3:], 3):
+        lo, hi = cut[:, j - 1] + 1, cut[:, j]
+        if kind == "float":
+            values, code, parsed = _cells(arr, words, lo, hi, float, 0.0)
+            tails.append(np.array(values, dtype=np.float64)[code])
+        else:
+            symbol = arr[lo] - ord("0")
+            parsed = (hi - lo == 1) & (symbol < len(_SYMBOLS[kind]))
+            tails.append(symbol.astype(_DTYPES[kind]))
+        rows &= parsed
     ok = np.zeros(len(lines), dtype=bool)
     ok[full[rows]] = True
     filled = ok | np.isin(lines, [i for i in lines[~ok].tolist() if line(i).strip()])
@@ -809,11 +834,13 @@ def _read_tsv(path, buf, table, what, heads, required=()):
             _fail(path, 1, f"missing '{prefix}' header")
     if not data.size:
         _fail(path, 1, "missing column header row")
-    codes = [sample] + [locus] * 2 + [tail] * (len(table) - 3)
-    values = [column for v, width in ((samples, 1), (loci, 2), (tails, len(table) - 3))
+    values = [column for v, width in ((samples, 1), (loci, 2))
               for column in np.array(v, dtype=object).reshape(-1, width).T]
-    return found, [IdColumn(code[rows], v) if kind == "id" else v.astype(_DTYPES[kind])[code[rows]]
-                   for v, code, (_, kind) in zip(values, codes, table)]
+    rows = np.flatnonzero(rows)
+    sample, locus = sample[rows], locus[rows]
+    ids = [IdColumn(code, v) if kind == "id" else v.astype(_DTYPES[kind])[code]
+           for v, code, (_, kind) in zip(values, (sample, locus, locus), table)]
+    return found, ids + [column[rows] for column in tails]
 
 
 def read_error_report(path) -> ErrorReport:

@@ -390,12 +390,26 @@ def _e_step(stack: _Stack, init, trans, emis, buffers):
     return logliks, (emis_total[0], trans_counts, emis_ones, emis_total)
 
 
+def _row_sums(x):
+    """``x.sum(axis=-1, keepdims=True)``, bit for bit. Below 8 terms NumPy
+    adds a last axis in index order, one loop per row; column adds in that
+    order give the same bits in a few whole-array calls. From 8 terms on
+    NumPy adds pairwise, and its own sum is kept."""
+    if x.shape[-1] >= 8:
+        return x.sum(axis=-1, keepdims=True)
+    columns = np.moveaxis(x, -1, 0)
+    total = columns[0].copy()
+    for column in columns[1:]:
+        total += column
+    return total[..., None]
+
+
 def _m_step(stats, pseudocount):
     init_counts, trans_counts, emis_ones, emis_total = stats
     init = init_counts + pseudocount
-    init /= init.sum(axis=-1, keepdims=True)
+    init /= _row_sums(init)
     trans = trans_counts + pseudocount
-    trans /= trans.sum(axis=-1, keepdims=True)
+    trans /= _row_sums(trans)
     emis = (emis_ones + pseudocount) / (emis_total + 2.0 * pseudocount)
     # the E-step sums the two counts in different orders, so where every
     # haplotype carries allele 1 the ratio may round a hair above one

@@ -19,7 +19,7 @@ from founderhmm import (MISSING, FounderHMM, GenotypeCorpus, HaplotypePanel,
                         impute_untyped, phase_corpus, phase_decode,
                         phase_panel, posterior_scan, recover_missing,
                         run_pipeline, simulate, substitute, window_spans)
-from founderhmm.trie import BatchStats, build_trie
+from founderhmm.trie import BatchStats, batched_posteriors, build_trie
 
 
 def with_dead_loci(rng, model, count):
@@ -40,6 +40,15 @@ def with_ties(model):
     return FounderHMM(initial=np.full(k, 1.0 / k),
                       transitions=np.full(model.transitions.shape, 1.0 / k),
                       emissions=emissions)
+
+
+def in_tenths(rng, founders, loci):
+    """A model whose parameters are all whole tenths, so that products of
+    candidates meet exact ties: start and transition rows split ten tenths
+    among the founders, emissions are 0.1 to 0.9."""
+    tenths = lambda size: rng.multinomial(10, np.full(founders, 1.0 / founders), size=size) / 10
+    return FounderHMM(initial=tenths(None), transitions=tenths((max(loci - 1, 0), founders)),
+                      emissions=rng.integers(1, 10, size=(loci, founders)) / 10)
 
 
 def trained_sim(seed=0, **overrides):
@@ -174,6 +183,54 @@ def test_detect_entries_match_the_per_symbol_loop():
                        for v in (e.locus_index, e.observed, e.suggested))
         ratios.update(e.ratio for e in report.entries)
     assert np.inf in ratios  # some observed symbols are impossible
+
+
+TIED = np.array([[1, 1, 0], [0, 1, 1], [1, 0, 1], [2, 1, 2], [1, 2, 2], [2, 2, 1],
+                 [0, 0, 1], [1, 1, 1], [0, 2, 1]]) / 4
+
+
+def tied_triples(real):
+    """``batched_posteriors`` with every triple replaced by one of ``TIED``,
+    fixed by the genotype and the locus: most hold a tie, and a quarter of
+    the genotypes hold only zeros."""
+    def batch(model, corpus):
+        result = real(model, corpus)
+        rows = np.zeros(result.triples.shape[:2], dtype=np.int64)
+        rows[result.row_of] = GenotypeCorpus.of(corpus).matrix
+        loci = np.arange(rows.shape[1])
+        key = (rows * (loci % 5 + 1)).sum(axis=1) % 4
+        tied = TIED[(key[:, None] * (loci + 1) + 2 * loci) % len(TIED)]
+        return dataclasses.replace(result, triples=np.where(key[:, None, None] > 0, tied, 0.0))
+    return batch
+
+
+def test_detect_and_recover_match_the_oracles_on_tied_and_zero_triples(monkeypatch):
+    """Substitution weights are read as three columns: maxima, first
+    maxima and sums must be those of the per-symbol loop and of the full
+    scan where symbols tie and where all three weights are zero, from the
+    engine (a dead genotype) and from triples set to whole quarters."""
+    rng = np.random.default_rng(24)
+    for tied in (False, True):
+        if tied:
+            fake = tied_triples(batched_posteriors)
+            monkeypatch.setattr(analysis, "batched_posteriors", fake)
+            monkeypatch.setattr(oracle, "batched_posteriors", fake)
+        for trial in range(10):
+            k, n = int(rng.integers(1, 5)), int(rng.integers(1, 16))
+            model = with_dead_loci(rng, random_model(rng, k, n), trial % 2)
+            corpus = random_corpus(rng, int(rng.integers(1, 12)), n, missing_rate=0.3)
+            batch = analysis.batched_posteriors(model, corpus)
+            report = detect_errors(model, corpus, 1.5)
+            want = [(g.sample_id, *entry) for g, row in zip(corpus, batch.row_of)
+                    for entry in oracle.detect_entries_per_symbol(
+                        dataclasses.replace(posterior_scan(model, g), triples=batch.triples[row]),
+                        g.symbols, 1.5)]
+            assert [(e.sample_id, e.locus_index, e.observed, e.ratio, e.flagged,
+                     e.suggested) for e in report.entries] == want
+            result = recover_missing(model, corpus)
+            full = oracle.recover_missing_full_scan(model, corpus)
+            assert result.corpus == full.corpus
+            assert result.fills == full.fills
 
 
 def test_threshold_must_be_positive():
@@ -649,7 +706,7 @@ def pin_phase_chunk_rows(monkeypatch, rows, loci, k):
     genotypes per chunk: per row, the byte-sized back-pointers (K < 256),
     one locus' work arrays, the K candidate products with their byte mask
     and ranks, the peaks and the allele arrays."""
-    row_bytes = (2 * (loci - 1) + 64) * k * k + 10 * k ** 3 + 72 * loci
+    row_bytes = (2 * (loci - 1) + 40) * k * k + 10 * k ** 3 + 72 * loci
     monkeypatch.setattr(inference, "_TILE_BYTES", rows * row_bytes)
 
 
@@ -695,6 +752,35 @@ def test_phase_corpus_matches_per_sample_decode_bitwise(monkeypatch,
             one = phase_decode(model, order[0])
             assert np.array_equal(one.founder_paths, want[order[0].sample_id][2])
             assert one.log_joint == want[order[0].sample_id][3]
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_phase_corpus_matches_per_sample_decode_bitwise_to_eight_founders(monkeypatch, k):
+    """The (K, K, rows) walk and its traceback at every K to 8: parameters
+    in whole tenths give tied candidates, dead loci give dead rows, and
+    every other corpus is decoded in chunks of one row."""
+    rng = np.random.default_rng(40 + k)
+    for trial in range(6):
+        n = int(rng.integers(1, 25))
+        model = in_tenths(rng, k, n) if trial % 2 else random_model(rng, k, n)
+        model = with_dead_loci(rng, model, int(trial % 3 == 2))
+        corpus = tail_mutated_corpus(rng, n, 24)
+        if trial >= 3:  # the later trials, in chunks of one row
+            pin_phase_chunk_rows(monkeypatch, 1, n, k)
+        want = expected_phasing(model, corpus)
+        failed = [g.sample_id for g in corpus
+                  if isinstance(want[g.sample_id], ZeroProbabilityError)]
+        if failed:
+            with pytest.raises(ZeroProbabilityError) as err:
+                phase_corpus(model, corpus)
+            assert err.value.locus == want[failed[0]].locus
+            continue
+        for g, res in zip(corpus, phase_corpus(model, corpus)):
+            first, second, paths, log_joint = want[g.sample_id]
+            assert np.array_equal(res.first.alleles, first)
+            assert np.array_equal(res.second.alleles, second)
+            assert np.array_equal(res.founder_paths, paths)
+            assert res.log_joint == log_joint
 
 
 @pytest.mark.parametrize("chunk_rows", [None, 1, 7, 64])

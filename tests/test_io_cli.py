@@ -981,31 +981,82 @@ def test_error_report_index_too_long_for_int_is_named_not_a_crash(tmp_path):
 
 def test_error_report_reader_parses_each_distinct_piece_once(tmp_path, monkeypatch):
     """Pieces of every width, 8 to 23 bytes included, are grouped exactly:
-    the middle and tail parsers run once per distinct piece, in the error
-    report and in the imputation table alike."""
+    the sample id, middle and each float column's parsers run once per
+    distinct piece, in the error report and in the imputation table alike;
+    symbol cells are read as bytes, never parsed."""
     io_formats = founderhmm.io_formats
-    calls = {"_middle": [], "_tail": []}
-    for name, log in calls.items():
-        monkeypatch.setattr(io_formats, name, lambda *cells, f=getattr(io_formats, name),
-                            log=log: log.append(cells) or f(*cells))
+    calls = []
+
+    def cells(arr, words, lo, hi, parse, blank, f=io_formats._cells):
+        log = []
+        calls.append(log)
+        return f(arr, words, lo, hi, lambda cell: log.append(cell) or parse(cell), blank)
+
+    monkeypatch.setattr(io_formats, "_cells", cells)
     ratios = ("1", "1234.0625", "1.0000000000000001e+300", "0.30000000000000004")
     rows = [f"S{j % 9}\tL{j % 300}\t{j % 300}\t{j % 3}\t{ratios[j % 4]}\t0\t{j % 3}"
             for j in range(3000)]
     path = tmp_path / "r.tsv"
     path.write_text(report_text(rows))
     assert len(read_error_report(path)) == 3000
-    # the column header has six tabs too, and is parsed as a row would be
-    assert len(calls["_middle"]) == len(set(calls["_middle"])) == 1 + 300
-    assert len(calls["_tail"]) == len(set(calls["_tail"])) == 1 + 12
-    for log in calls.values():
-        log.clear()
+    # the column header has six tabs too, and is parsed as a row would be:
+    # sample ids, middles, ratios
+    assert [len(log) for log in calls] == [len(set(log)) for log in calls] == [1 + 9, 1 + 300, 1 + 4]
+    calls.clear()
     rows = [f"S{j % 9}\tL{j % 300}\t{j % 300}\t{ratios[j % 4]}\t0.5\t{ratios[j % 4]}"
             f"\t{j % 3}\t0.5" for j in range(3000)]
     path.write_text("\n".join(["#window\t0\t4\t1,2\t7", "\t".join(IMPUTATION_COLUMNS),
                                *rows]) + "\n")
     assert len(read_imputation(path).entries) == 3000
-    assert len(calls["_middle"]) == len(set(calls["_middle"])) == 1 + 300
-    assert len(calls["_tail"]) == len(set(calls["_tail"])) == 1 + 12
+    # sample ids, middles, p0, p1, p2, confidence
+    assert ([len(log) for log in calls] == [len(set(log)) for log in calls]
+            == [1 + 9, 1 + 300, 1 + 4, 1 + 1, 1 + 4, 1 + 1])
+
+
+@pytest.mark.parametrize("column,value,problem", [
+    ("observed", "3", 'observed must be one of 0, 1, 2, not "3"'),
+    ("observed", "01", 'observed must be one of 0, 1, 2, not "01"'),
+    ("ratio", "x", "could not convert string to float: 'x'"),
+    ("flagged", "2", 'flagged must be one of 0, 1, not "2"'),
+    ("suggested", " 1", 'suggested must be one of 0, 1, 2, not " 1"'),
+    ("suggested", "", 'suggested must be one of 0, 1, 2, not ""')])
+def test_bad_tail_cell_of_a_later_row_exits_one_naming_it(tmp_path, capsys, column, value,
+                                                          problem):
+    """Cells past the locus index are checked a column at a time; a bad
+    one far down the file exits 1 with its line and first bad field, as
+    the per-row check names them."""
+    rows = [f"S{j // 500}\tL{j % 500}\t{j % 500}\t{j % 3}\t{1 + j % 7}\t0\t{j % 3}"
+            for j in range(5000)]
+    rows[4321] = with_cell(rows[4321], column, value)
+    path = tmp_path / "r.tsv"
+    path.write_text(report_text(rows))
+    message = f"{path}:4325: malformed error report row ({problem})"
+    with pytest.raises(InputError) as want:
+        oracle.read_error_report_per_row(path)
+    assert str(want.value) == message
+    gen = tmp_path / "g.gen"
+    write_genotypes(gen, [MultilocusGenotype(f"S{j}", np.zeros(500, dtype=np.int8))
+                          for j in range(10)])
+    capsys.readouterr()
+    assert run_cli("correct", "--genotypes", str(gen), "--report", str(path),
+                   "--out", str(tmp_path / "o.gen")) == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "o.gen").exists()
+
+
+def test_float_grammar_ratio_cells_read_as_the_oracle_reads_them(tmp_path):
+    """Ratio cells that ``float()`` reads in its own grammar, among plain
+    ones, each distinct cell parsed once; sample ids in runs, one id in
+    several runs."""
+    ratios = (" 1", "1_0", "inf", "-0", "1", "2.5", "1e3", "-0.0", "1 ", "0_1.5")
+    rows = [f"S{(j // 7) % 5}\tL{j % 50}\t{j % 50}\t{j % 3}\t{ratios[j * 7 % 10]}\t{j % 2}"
+            f"\t{j % 3}" for j in range(2000)]
+    path = tmp_path / "r.tsv"
+    path.write_text(report_text(rows))
+    assert_reads_as_oracle(path)
+    ratio = read_error_report(path).ratio
+    assert [float(ratios[j * 7 % 10].replace("_", "")) for j in range(2000)] == ratio.tolist()
+    assert np.signbit(ratio[[j for j in range(2000) if ratios[j * 7 % 10].startswith("-")]]).all()
 
 
 def test_error_report_reader_names_a_bad_row_after_many_good_ones(tmp_path):

@@ -39,9 +39,10 @@ prefixes. The kernels:
   loci walk in blocks of BLOCK_LOCI, each from its backward checkpoint;
 - ``viterbi_rows``: ``_viterbi_rows`` over all distinct rows (phasing's
   walk, every row through every locus, one chunk), in µs per depth;
-- ``max_dot``: ``_max_dot`` on a (K, rows, K) stack of all distinct rows,
-  in µs per call: the max-product step that phasing's walk makes twice
-  per depth.
+- ``max_dot``: ``_max_dot`` on the (K, K, rows) values of all distinct
+  rows, its first two axes swapped as a view, in µs per call: the
+  max-product step that phasing's walk makes twice per depth, called as
+  it calls it.
 
 On each scan workload it also times the report path of the scan chain,
 each tree on its own objects, read from the same files (the workload's
@@ -53,6 +54,10 @@ per call:
 - ``report_read``: ``read_error_report`` of that file;
 - ``correct``: ``correct_errors`` of the observed genotypes by the report
   read back, as the ``correct`` command does;
+- ``recover``: ``recover_missing`` of the observed genotypes;
+- ``phase``: ``phase_panel`` of the observed genotypes with their gaps
+  filled by ``recover_missing``, as the chain's ``phase`` decodes a
+  recovered corpus;
 - ``evaluate``: ``evaluate`` of the report's entries as imputation calls
   (each observed symbol called, with the report's id columns) against the
   truth genotypes;
@@ -191,7 +196,7 @@ def engine_kernels(fh, sim, seed):
     tile = min(rows, this._TILE_ROWS)
     tplanes = np.ascontiguousarray(planes[:tile].T)
     state = np.repeat(prior[None], tile, axis=0)
-    hit = np.random.default_rng(seed).random((rows, k, k)).transpose(2, 0, 1)
+    hit = np.random.default_rng(seed).random((k, k, rows)).transpose(1, 0, 2)
     tiles = -(-rows // this._TILE_ROWS)
     viterbi_lcps = np.concatenate(([0], trie.lcps[1:]))
 
@@ -251,6 +256,7 @@ def report_kernels(fh, sim, seed, workdir):
             report = tree["report"] = an.detect_errors(tree["model"], tree["corpus"])
             m.write_error_report(tree["path"], report)
             tree["read"] = m.read_error_report(tree["path"])
+            tree["recovered"] = an.recover_missing(tree["model"], tree["corpus"]).corpus
             tree["calls"] = an.ImputationResult(
                 report.sample_id, report.locus_index, report.locus_id,
                 np.eye(3)[report.observed], report.observed,
@@ -271,6 +277,10 @@ def report_kernels(fh, sim, seed, workdir):
         ("report_read", 1, lambda pkg: pkg.io_formats.read_error_report(of(pkg)["path"])),
         ("correct", 1, lambda pkg: pkg.analysis.correct_errors(of(pkg)["corpus"],
                                                                of(pkg)["read"])),
+        ("recover", 1, lambda pkg: pkg.analysis.recover_missing(of(pkg)["model"],
+                                                                of(pkg)["corpus"])),
+        ("phase", 1, lambda pkg: pkg.analysis.phase_panel(of(pkg)["model"],
+                                                          of(pkg)["recovered"])),
         ("evaluate", 1, lambda pkg: pkg.evaluate(of(pkg)["calls"], of(pkg)["truth"])),
         ("model_read", 1, lambda pkg: pkg.io_formats.read_model(join("model.txt"))),
         ("cli_parse", len(chain), parses),
