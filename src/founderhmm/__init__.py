@@ -4,10 +4,10 @@ A genotype sequence is modeled as the locus-wise sum of two haplotypes,
 each a recombination mosaic over K latent founder states; both copies share
 one parameter set. The package provides exact collapsed inference that is
 cubic in the founder count per locus, expectation-maximization training
-from haplotype panels, a shared-prefix batch engine for corpora, and the
-analysis flows built on top: error screening and correction, missing-symbol
-recovery, untyped-locus imputation, phasing, plus synthetic data generation
-and benchmarking.
+from haplotype panels, a batch engine over a corpus's sorted distinct
+genotypes, and the analysis flows built on top: error screening and
+correction, missing-symbol recovery, untyped-locus imputation, phasing,
+plus synthetic data generation and benchmarking.
 """
 from .analysis import (DEFAULT_RATIO_THRESHOLD, PIPELINE_IMPUTE_ONLY,
                        PIPELINE_REPAIR_IMPUTE, ErrorEntry, ErrorReport,
@@ -32,8 +32,7 @@ from .simulate import (BenchReport, BenchRow, ErrorRecord, EvalReport,
                        bench_scaling, evaluate, fit_exponent, simulate, sweep)
 from .training import (TrainConfig, TrainReport, bootstrap_config,
                        pooled_config, train_founder_hmm, window_config)
-from .trie import (BatchPosteriorResult, BatchStats, GenotypeTrie, build_trie,
-                   batched_posteriors, reversed_trie)
+from .trie import BatchPosteriorResult, BatchStats, batched_posteriors
 
 __version__ = "0.1.0"
 

@@ -35,7 +35,7 @@ from .model import (MISSING, FounderHMM, GenotypeCorpus, HaplotypePanel,
                     emission_stack)
 from .training import (TrainConfig, bootstrap_config, pooled_config,
                        train_founder_hmm, train_founder_hmms, window_config)
-from .trie import BatchStats, _checked_corpus, _scan_symbols, batched_posteriors, build_trie
+from .trie import BatchStats, _checked_corpus, _distinct_rows, _scan_symbols, batched_posteriors
 
 PIPELINE_IMPUTE_ONLY = "imp"
 PIPELINE_REPAIR_IMPUTE = "edc-mdr-imp"
@@ -472,11 +472,11 @@ def impute_untyped(reference, corpus, locus_map: LocusMap, config: TrainConfig,
         first, stop = np.searchsorted(typed_idx, (lo, hi + 1))
         block = np.full((len(genos), hi - lo + 1), MISSING, dtype=np.int8)
         block[:, typed_idx[first:stop] - lo] = symbols[:, first:stop]
-        trie, (triples, *_), scan_evals = _scan_symbols(wmodel, block)
+        row_of, (triples, *_), scan_evals = _scan_symbols(wmodel, block)
         windows.append(WindowReport(lo, hi, targets, wreport.iterations_run,
                                     wreport.converged, wmodel))
         evals.append(scan_evals)
-        picked.append(triples[:, np.asarray(targets) - lo][trie.row_of])
+        picked.append(triples[:, np.asarray(targets) - lo][row_of])
         loci += targets
     # window_spans holds each untyped locus once, in locus order
     triples, loci = np.concatenate(picked, axis=1), np.array(loci, dtype=np.int64)
@@ -533,11 +533,11 @@ def _assign_alleles(model: FounderHMM, rows: np.ndarray, paths: np.ndarray):
     return first, second
 
 
-def _decode_distinct(model: FounderHMM, rows: np.ndarray, lcps: np.ndarray):
-    """Alleles, founder paths, log joints, first dead loci (-1 for none)
-    and locus evaluations of (D, n) sorted distinct rows with their LCPs,
-    walked (:func:`~founderhmm.inference._viterbi_rows`) and traced back
-    in chunks that fit in ``inference._TILE_BYTES``."""
+def _decode_distinct(model: FounderHMM, rows: np.ndarray):
+    """Alleles, founder paths, log joints and first dead loci (-1 for none)
+    of (D, n) sorted distinct rows, walked
+    (:func:`~founderhmm.inference._viterbi_rows`) and traced back in chunks
+    that fit in ``inference._TILE_BYTES``."""
     n, k = rows.shape[1], model.founders
     # a row's back-pointers, one locus' values, hits, collapsed values,
     # emission gather and peak, the max-product step's K candidate
@@ -547,12 +547,9 @@ def _decode_distinct(model: FounderHMM, rows: np.ndarray, lcps: np.ndarray):
     row_bytes = (2 * (n - 1) * ptr + 40) * k * k + (9 + ptr) * k ** 3 + 72 * n
     step = max(1, inference._TILE_BYTES // row_bytes)
     etab, planes = emission_stack(model), _planes(rows)
-    chunks, evals = [], 0
+    chunks = []
     for lo in range(0, len(rows), step):
-        value, logscale, dead, back, walked = _viterbi_rows(
-            model, etab, planes[lo:lo + step],
-            np.concatenate(([0], lcps[lo + 1:lo + step])))
-        evals += walked
+        value, logscale, dead, back = _viterbi_rows(model, etab, planes[lo:lo + step])
         every = np.arange(value.shape[2])
         pair_a, pair_b = np.divmod(value.reshape(k * k, -1).argmax(axis=0), k)
         with np.errstate(divide="ignore"):  # dead rows end at zero
@@ -565,7 +562,7 @@ def _decode_distinct(model: FounderHMM, rows: np.ndarray, lcps: np.ndarray):
             paths[:, 1, i] = back[i, 1][b, f, every]
         alleles = _assign_alleles(model, rows[lo:lo + step], paths)
         chunks.append((*alleles, paths, log_joint, dead))
-    return (*map(np.concatenate, zip(*chunks)), evals)
+    return tuple(map(np.concatenate, zip(*chunks)))
 
 
 def _phase(model: FounderHMM, corpus):
@@ -579,8 +576,8 @@ def _phase(model: FounderHMM, corpus):
     if not corpus:  # nothing to decode
         none = np.zeros((0, model.loci), dtype=np.int8)
         return corpus, np.zeros(0, dtype=np.intp), none, none, none, none
-    rows, row_of, lcps = build_trie(corpus.matrix)
-    first, second, paths, log_joint, dead, _ = _decode_distinct(model, rows, lcps)
+    rows, _, _, row_of = _distinct_rows(corpus.matrix)
+    first, second, paths, log_joint, dead = _decode_distinct(model, rows)
     failed = np.flatnonzero(dead[row_of] >= 0)
     if failed.size:
         sample, locus = corpus.ids[failed[0]], int(dead[row_of[failed[0]]])
@@ -594,12 +591,12 @@ def _phase(model: FounderHMM, corpus):
 def phase_corpus(model: FounderHMM, corpus) -> list:
     """Max-product phasing of every genotype of ``corpus``, in corpus order.
 
-    Identical genotypes are decoded once, as sorted distinct rows that
-    share their prefixes (:func:`_decode_distinct`), with per-row max
-    rescaling against underflow. Results are bitwise those of decoding
-    each genotype alone. A genotype the model cannot explain
-    raises ``ZeroProbabilityError`` for the first such sample in corpus
-    order, at its first zero-probability locus.
+    Identical genotypes are decoded once, as sorted distinct rows
+    (:func:`_decode_distinct`), with per-row max rescaling against
+    underflow. Results are bitwise those of decoding each genotype alone.
+    A genotype the model cannot explain raises ``ZeroProbabilityError``
+    for the first such sample in corpus order, at its first
+    zero-probability locus.
     """
     corpus, row_of, first, second, paths, log_joint = _phase(model, corpus)
     return [PhaseResult(first=_unchecked(HaplotypeSequence, f"{sid}.h1", first[r]),

@@ -10,15 +10,13 @@ reconstruction of unscaled quantities and log-likelihoods.
 
 One kernel, :func:`_step`, takes that step for a stack of beliefs and
 serves every engine: a single genotype is a (1, K, K) stack, and the batch
-engine, :func:`_scan_rows`, steps tiles of prefix-sorted distinct
-genotypes, their forward and backward walks as one (2, B, K, K) stack. The
-backward direction is the same step over reversed loci, since a transposed
+engine, :func:`_scan_rows`, steps tiles of sorted distinct genotypes,
+their forward and backward walks as one (2, B, K, K) stack. The backward
+direction is the same step over reversed loci, since a transposed
 transition retreats where the original advances. The batch engine and
-phasing's max-product walk, :func:`_viterbi_rows`, step every row of a
-tile from the prior through every locus: a row that shares a prefix with
-the row before repeats that prefix's arithmetic bit for bit, so the rows
-share nothing but their count, which is that of prefix-trie nodes. The
-max-product walk holds its values as (K, K, rows) arrays, the rows last,
+phasing's max-product walk, :func:`_viterbi_rows`, step every row from
+the prior through every locus; rows share no arithmetic. The max-product
+walk holds its values as (K, K, rows) arrays, the rows last,
 so that each depth's peaks reduce over the leading axes and each step
 reads transposed views in place. A dead (zero-mass) belief is divided by
 the least double, which keeps it zero; the max-product step makes the
@@ -112,13 +110,12 @@ def _block_loci(rows: int, loci: int, founders: int) -> int:
     return max(1, min(loci, _TILE_BYTES // per_locus))
 
 
-def _scan_rows(model, etab, planes, lcps):
-    """Posterior scans of prefix-sorted distinct genotypes, as arrays.
+def _scan_rows(model, etab, planes):
+    """Posterior scans of sorted distinct genotypes, as arrays.
 
-    Row r of ``planes`` (rows, n) shares its first lcps[r] emission planes
-    with row r - 1. Returns triples (rows, n, 3), prefix and suffix logs
-    (rows, n) and log-likelihoods (rows,), as :class:`PosteriorScan`
-    defines them, and the counts of forward and backward locus
+    Returns the triples (rows, n, 3), prefix and suffix logs (rows, n) and
+    log-likelihoods (rows,) of the rows of ``planes`` (rows, n), as
+    :class:`PosteriorScan` defines them, and the count of backward locus
     evaluations. Each tile of ``_TILE_ROWS`` rows crosses the blocks of
     :func:`_block_loci` loci left to right; a right-to-left walk first
     keeps the last backward state of each block (one block of all loci
@@ -126,8 +123,7 @@ def _scan_rows(model, etab, planes, lcps):
     and the backward walk from its checkpoint step as one (2, rows, K, K)
     stack, and each locus combines its two states, in the second half of
     the block's walk, as soon as both exist. Every row of a tile is
-    stepped at every depth, from the prior; the forward count is that of
-    prefix-trie nodes, sum(n - lcps), whatever the tiling.
+    stepped at every depth, from the prior.
     """
     rows, n = planes.shape
     k, trans = model.founders, model.transitions
@@ -186,7 +182,7 @@ def _scan_rows(model, etab, planes, lcps):
         logs = _log_sums(np.log(norm), masses[0])
         flogs[t0:t1], loglik[t0:t1] = logs[:-1].T, logs[-1]
         bevals += width * (2 * n - blocks[0][1] - len(blocks))
-    return (triples, flogs, blogs, loglik), (int((n - lcps).sum()), bevals)
+    return (triples, flogs, blogs, loglik), bevals
 
 
 def _max_dot(x, t):
@@ -203,17 +199,17 @@ def _max_dot(x, t):
     return out, k - 1 - ((cand == out) * rank).max(axis=0)
 
 
-def _viterbi_rows(model, etab, planes, lcps):
-    """Max-product walk of every row as in :func:`_scan_rows`, lcps[0] = 0,
+def _viterbi_rows(model, etab, planes):
+    """Max-product walk of every row of ``planes`` as in :func:`_scan_rows`,
     on (K, K, rows) values, the rows last: pair values absorb each
     emission, rescale to unit maximum (a row left with none keeps zeros),
     and collapse the second chain, then the first, by :func:`_max_dot`;
     each depth's row peaks, a reduction over the leading axes, give the
     log scales and first dead loci after the walk. Returns the last (K, K,
-    rows) values, summed log scales, first dead loci (-1 for none),
+    rows) values, summed log scales, first dead loci (-1 for none) and
     back-pointers as (K, K, rows) planes (the best pair (a, b) of row r at
     locus i + 1 comes from (f, back[i, 1, b, f, r]), f = back[i, 0, a, b,
-    r]) and the locus evaluations, counted as prefix-trie nodes."""
+    r])."""
     b, n = planes.shape
     k, trans = model.founders, model.transitions
     tplanes = np.ascontiguousarray(planes.T)
@@ -234,7 +230,7 @@ def _viterbi_rows(model, etab, planes, lcps):
     dead = np.where(zero.any(axis=0), zero.argmax(axis=0), -1)
     peaks[zero] = 1.0  # their log sums in place, by cumsum as in _log_sums
     logscale = np.cumsum(np.log(peaks, out=peaks), axis=0, out=peaks)[-1]
-    return value, logscale, dead, back, int((n - lcps).sum())
+    return value, logscale, dead, back
 
 
 @dataclass(frozen=True)
@@ -394,7 +390,7 @@ def posterior_scan(model: FounderHMM, genotype) -> PosteriorScan:
     zero rows instead of raising."""
     planes, etab = _prepare(model, genotype)
     ((triples,), (flogs,), (blogs,), (loglik,)), _ = _scan_rows(
-        model, etab, planes[None], np.zeros(1, dtype=np.intp))
+        model, etab, planes[None])
     return PosteriorScan(triples, flogs, blogs, float(loglik))
 
 

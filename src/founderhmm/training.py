@@ -423,10 +423,7 @@ def _check_params(init, trans, emis):
     input, so it raises RuntimeError, for the lowest invalid window, with
     ``window`` set to its place in the stack."""
     atol = 1e-9
-    # row sums added a column at a time: a sum over a short last axis
-    # costs a loop per row
-    init_dev, trans_dev = (np.abs(sum(np.moveaxis(x, -1, 0)) - 1.0)
-                           for x in (init, trans))
+    init_dev, trans_dev = (np.abs(_row_sums(x)[..., 0] - 1.0) for x in (init, trans))
     # whole-array tests first, which a NaN fails too
     if (init.min() >= 0.0 and trans.min(initial=0.0) >= 0.0
             and emis.min() >= 0.0 and emis.max() <= 1.0
@@ -519,8 +516,8 @@ def _extrapolate(theta0, theta1, theta2, padding):
     init, trans, emis = (a - 2.0 * s * b + s * s * c for a, b, c, s in zip(
         theta0, r, v, (alpha[:, None], alpha[:, None, None], alpha[:, None])))
     init, trans = (np.maximum(x, _FLOOR) for x in (init, trans))
-    init /= init.sum(axis=-1, keepdims=True)
-    trans /= trans.sum(axis=-1, keepdims=True)
+    init /= _row_sums(init)
+    trans /= _row_sums(trans)
     np.clip(emis, _FLOOR, 1.0 - _FLOOR, out=emis)
     trans[padding[1:]] = np.eye(init.shape[1])
     emis[padding] = 1.0

@@ -1,15 +1,13 @@
 """Batched posterior inference over a genotype corpus, as arrays.
 
-One sort of the rows as byte strings reduces the corpus to its distinct
-rows in order, each sharing its longest common prefix (LCP) with the row
-before: PBWT's prefix arrays (Durbin 2014). Those rows and LCPs stand for
-a prefix trie, one node per distinct (depth, prefix), never built. The
-engine steps the sorted rows 64 at a time, every row from the prior
-through every locus: a forward walk and a backward walk along every row
-step together as one (2, rows, K, K) stack per depth, and each locus
-combines its forward and backward states as soon as both exist. MISSING
-branches like any other symbol. Posterior tables and failures come from
-one pass over the result arrays.
+One sort of the rows as byte strings reduces the corpus to its sorted
+distinct rows; no trie is built. The engine steps the rows 64 at a time,
+every row from the prior through every locus: a forward walk and a
+backward walk along every row step together as one (2, rows, K, K) stack
+per depth, and each locus combines its forward and backward states as
+soon as both exist. Posterior tables and failures come from one pass over
+the result arrays. The rows' prefix-trie nodes, which :class:`BatchStats`
+reports, are counted once, where the corpus is deduplicated.
 
 Memory: the result holds substitution weights, posteriors and prefix and
 suffix log sums, 9 x 8 bytes per distinct genotype and locus, and the
@@ -28,26 +26,11 @@ block, and the tile's masses of both walks (two arrays), emission indices
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .inference import PosteriorTable, _planes, _scan_rows
 from .model import FounderHMM, GenotypeCorpus, InputError, emission_stack
-
-
-class GenotypeTrie(NamedTuple):
-    """Prefix trie over equal-length genotypes, held as sorted rows.
-
-    rows are the distinct genotypes in lexicographic order, row_of[j] is
-    the row of the j-th genotype, and lcps[r] is the length of the prefix
-    row r shares with row r - 1 (0 for the first), so row r adds loci -
-    lcps[r] trie nodes.
-    """
-
-    rows: np.ndarray
-    row_of: np.ndarray
-    lcps: np.ndarray
 
 
 def _distinct_rows(matrix: np.ndarray):
@@ -60,27 +43,29 @@ def _distinct_rows(matrix: np.ndarray):
     return matrix[first], first, counts, inverse
 
 
-def build_trie(symbols: np.ndarray) -> GenotypeTrie:
-    """Sorted distinct rows of a (genotypes, loci) symbol matrix."""
+def build_trie(symbols: np.ndarray):
+    """Sorted distinct rows of a (genotypes, loci) symbol matrix, the row of
+    each genotype, and the node count of the rows' prefix trie: each row
+    adds the loci past the prefix it shares with the row before."""
     rows, _, _, row_of = _distinct_rows(symbols)
-    differs = rows[1:] != rows[:-1]
-    return GenotypeTrie(rows, row_of, np.concatenate(([0], differs.argmax(axis=1))))
+    shared = (rows[1:] != rows[:-1]).argmax(axis=1)
+    return rows, row_of, rows.size - int(shared.sum())
 
 
-def reversed_trie(symbols: np.ndarray) -> GenotypeTrie:
-    """Trie over reversed genotypes, so shared suffixes share nodes."""
+# No caller in the package; perfbench/tracer.py looks it up by name.
+def reversed_trie(symbols: np.ndarray):
+    """:func:`build_trie` of the reversed genotypes."""
     return build_trie(symbols[:, ::-1])
 
 
 def _scan_symbols(model: FounderHMM, symbols: np.ndarray):
-    """The engine: posterior arrays of the distinct rows of a (genotypes,
-    loci) symbol matrix. Returns their trie, the arrays of
-    :func:`~founderhmm.inference._scan_rows` over its rows, and the counts
-    of forward and backward locus evaluations."""
-    trie = build_trie(symbols)
-    arrays, evals = _scan_rows(model, emission_stack(model),
-                               _planes(trie.rows), trie.lcps)
-    return trie, arrays, evals
+    """The engine: posterior arrays of the sorted distinct rows of a
+    (genotypes, loci) symbol matrix. Returns each genotype's row, the
+    arrays of :func:`~founderhmm.inference._scan_rows` over the rows, and
+    the forward (trie node) and backward locus evaluation counts."""
+    rows, row_of, nodes = build_trie(symbols)
+    arrays, bevals = _scan_rows(model, emission_stack(model), _planes(rows))
+    return row_of, arrays, (nodes, bevals)
 
 
 @dataclass(frozen=True)
@@ -88,14 +73,15 @@ class BatchStats:
     """Work accounting for one batched run. A locus evaluation is one
     emission absorption plus its transition step.
 
-    The forward count is that of prefix-trie nodes, loci - lcp per
-    distinct genotype: a tile steps every row at every depth, and a row
-    repeats, bit for bit, the shared prefix that the trie counts once. The
-    backward walk is not shared over suffixes: loci - 1 evaluations per
-    distinct genotype. When the engine splits loci into blocks of b (see
-    the module docstring), it first walks loci - b loci of every distinct
-    genotype to find the blocks' checkpoints, then each block again from
-    its checkpoint, loci - ceil(loci / b) in all.
+    The forward count is the number of nodes of the distinct genotypes'
+    prefix trie, loci - lcp per distinct genotype (lcp: the prefix it
+    shares with the one before): it measures repetition, not work, since
+    the engine steps every distinct genotype through every locus. The
+    backward count is the engine's, loci - 1 per distinct genotype. When
+    the engine splits loci into blocks of b (see the module docstring), it
+    first walks loci - b loci of every distinct genotype to find the
+    blocks' checkpoints, then each block again from its checkpoint,
+    loci - ceil(loci / b) in all.
     """
 
     samples: int
@@ -150,7 +136,7 @@ def batched_posteriors(model: FounderHMM, corpus) -> BatchPosteriorResult:
     the engine's block length.
     """
     corpus = _checked_corpus(model, corpus)
-    trie, arrays, (fevals, bevals) = _scan_symbols(model, corpus.matrix)
+    row_of, arrays, (fevals, bevals) = _scan_symbols(model, corpus.matrix)
     triples, prefix_logs, suffix_logs, _ = arrays
     sums = triples.sum(axis=2)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -160,9 +146,9 @@ def batched_posteriors(model: FounderHMM, corpus) -> BatchPosteriorResult:
     # each row's first locus of zero marginal, -1 for a live row
     first_dead = np.where(dead.any(axis=1), dead.argmax(axis=1), -1).tolist()
     row_tables = list(map(PosteriorTable, probs, log_marginals))
-    pairs = list(zip(corpus.ids, trie.row_of.tolist()))
+    pairs = list(zip(corpus.ids, row_of.tolist()))
     return BatchPosteriorResult(
-        *arrays, row_of=trie.row_of,
+        *arrays, row_of=row_of,
         tables={sid: row_tables[r] for sid, r in pairs if first_dead[r] < 0},
         failures={sid: first_dead[r] for sid, r in pairs if first_dead[r] >= 0},
-        stats=BatchStats(len(corpus), corpus.loci, len(trie.rows), fevals, bevals))
+        stats=BatchStats(len(corpus), corpus.loci, len(triples), fevals, bevals))

@@ -15,10 +15,10 @@ two-sweep loop behind the tiled batch posterior engine, bit for bit;
 ``phase_corpus``, bit for bit; ``max_dot_per_founder``, the loop over
 founders behind the engine's one-product max-dot, bit for bit; ``detect_entries_per_symbol``, the
 per-symbol entry loop behind ``detect_errors``, bit for bit;
-``prefix_nodes``, the trie node count that the batch engine's forward
-walk must match; and ``read_symbol_file_per_line``, the line-by-line,
-character-by-character reader of genotype and haplotype files behind the
-byte-table reader, message for message; ``error_report_text_per_row``
+``prefix_nodes``, the trie node count that ``build_trie`` and the batch
+engine's forward count must match; and ``read_symbol_file_per_line``, the
+line-by-line, character-by-character reader of genotype and haplotype
+files behind the byte-table reader, message for message; ``error_report_text_per_row``
 and ``imputation_text_per_entry``, the row-template and per-entry report
 writers behind the distinct-value writers, byte for byte, with
 ``recovery_text_per_fill``, ``sweep_text_per_row``, ``bench_text_per_row``
@@ -1011,8 +1011,9 @@ def distinct_rows_axis0(matrix):
 
 
 def trie_axis0(symbols):
-    """``build_trie``'s (rows, row_of, lcps) from the ``np.unique(axis=0)``
-    dedupe."""
+    """``build_trie``'s rows and row_of, and the LCPs (the prefix each row
+    shares with the row before) behind its node count, from the
+    ``np.unique(axis=0)`` dedupe."""
     rows, _, row_of, _ = distinct_rows_axis0(symbols)
     differs = rows[1:] != rows[:-1]
     return rows, row_of, np.concatenate(([0], differs.argmax(axis=1)))
@@ -1059,7 +1060,7 @@ def impute_untyped_per_entry(reference, corpus, locus_map, config, *, window):
         first, stop = np.searchsorted(typed_idx, (lo, hi + 1))
         block = np.full((len(genos), hi - lo + 1), MISSING, dtype=np.int8)
         block[:, typed_idx[first:stop] - lo] = symbols[:, first:stop]
-        trie, (triples, *_), (wf, wb) = _scan_symbols(wmodel, block)
+        row_of, (triples, *_), (wf, wb) = _scan_symbols(wmodel, block)
         windows.append(WindowReport(lo, hi, targets, wreport.iterations_run,
                                     wreport.converged, wmodel))
         fevals += wf
@@ -1070,7 +1071,7 @@ def impute_untyped_per_entry(reference, corpus, locus_map, config, *, window):
             probs = (triples / totals[:, :, None]).tolist()
         calls = triples.argmax(axis=2).tolist()
         dead = (totals <= 0.0).tolist()
-        for sid, r in zip(genos.ids, trie.row_of.tolist()):
+        for sid, r in zip(genos.ids, row_of.tolist()):
             for t, p, call, d in zip(targets, probs[r], calls[r], dead[r]):
                 if d:
                     failures.append((sid, t))

@@ -19,7 +19,7 @@ from founderhmm import (MISSING, FounderHMM, GenotypeCorpus, HaplotypePanel,
                         impute_untyped, phase_corpus, phase_decode,
                         phase_panel, posterior_scan, recover_missing,
                         run_pipeline, simulate, substitute, window_spans)
-from founderhmm.trie import BatchStats, batched_posteriors, build_trie
+from founderhmm.trie import BatchStats, batched_posteriors
 
 
 def with_dead_loci(rng, model, count):
@@ -786,28 +786,22 @@ def test_phase_corpus_matches_per_sample_decode_bitwise_to_eight_founders(monkey
 @pytest.mark.parametrize("chunk_rows", [None, 1, 7, 64])
 def test_phase_walk_steps_each_row_past_its_shared_prefix(monkeypatch,
                                                           chunk_rows):
-    """Evaluations count a chunk's first row at all loci and every other
-    row only past its shared prefix, as trie nodes; every row walks in
-    full, so sharing changes no decoded number, dead rows included."""
+    """Sorted distinct rows that share long prefixes decode to the same
+    arrays in chunks of any size as in one chunk, dead rows included:
+    every row walks in full, from the prior."""
     rng = np.random.default_rng(23)
-    saved = 0
     for trial in range(12):
         k, n = int(rng.integers(1, 6)), int(rng.integers(1, 31))
         model = with_dead_loci(rng, random_model(rng, k, n), int(trial % 3 == 2))
-        rows, _, lcps = build_trie(np.stack(
-            [g.symbols for g in tail_mutated_corpus(rng, n, 90)]))
-        if chunk_rows is not None:
-            pin_phase_chunk_rows(monkeypatch, chunk_rows, n, k)
-        *got, evals = analysis._decode_distinct(model, rows, lcps)
-        firsts = np.arange(len(rows)) % (chunk_rows or len(rows)) == 0
-        assert evals == int((n - np.where(firsts, 0, lcps)).sum())
-        saved += n * len(rows) - evals
-        *alone, alone_evals = analysis._decode_distinct(model, rows,
-                                                        np.zeros_like(lcps))
-        assert alone_evals == n * len(rows)
-        for a, b in zip(got, alone):
+        rows = trie._distinct_rows(np.stack(
+            [g.symbols for g in tail_mutated_corpus(rng, n, 90)]))[0]
+        whole = analysis._decode_distinct(model, rows)
+        with monkeypatch.context() as patch:
+            if chunk_rows is not None:
+                pin_phase_chunk_rows(patch, chunk_rows, n, k)
+            got = analysis._decode_distinct(model, rows)
+        for a, b in zip(got, whole):
             assert np.array_equal(a, b)
-    assert (saved > 0) == (chunk_rows != 1)
 
 
 @pytest.mark.filterwarnings("error")  # dead rows decode on without NaNs

@@ -256,8 +256,7 @@ def test_walk_logs_and_viterbi_scales_are_running_sums(rows):
                 half, _ = oracle.max_dot_per_founder(hit.transpose(2, 0, 1), t)
                 full, _ = oracle.max_dot_per_founder(half.transpose(2, 1, 0), t)
                 value = full.transpose(1, 0, 2)
-        _, logscale, first_dead, *_ = inference._viterbi_rows(
-            model, etab, planes, np.zeros(rows, dtype=np.intp))
+        _, logscale, first_dead, _ = inference._viterbi_rows(model, etab, planes)
         assert logscale.tobytes() == running.tobytes()
         assert np.array_equal(first_dead, want_dead)
         assert (first_dead[0] == 2) == dead

@@ -239,14 +239,16 @@ def test_training_fits_a_two_founder_panel_tightly():
 @pytest.mark.parametrize("k", range(1, 25))
 def test_m_step_normalises_rows_as_numpy_sums_them(k):
     """The M-step's row sums are ``np.sum``'s bits at every K, at the
-    typed fits' shape (loci, 1, K, K) and the window stack's (loci, 25, K,
-    K): column adds below 8 founders, NumPy's own sum from 8 on."""
+    typed fits' shapes (1, K) and (loci, 1, K, K) and the window stack's
+    (25, K) and (loci, 25, K, K): column adds below 8 founders, NumPy's
+    own sum from 8 on."""
     rng = np.random.default_rng(k)
     for windows in (1, 25):
         counts = rng.random((12, windows, k, k)) * 10.0 ** rng.integers(-6, 6, (12, windows, k, k))
-        assert (training._row_sums(counts).tobytes()
-                == counts.sum(axis=-1, keepdims=True).tobytes())
         init_counts = rng.random((windows, k)) * 50.0
+        for x in (counts, init_counts, init_counts * 10.0 ** rng.integers(-6, 6, (windows, k))):
+            assert (training._row_sums(x).tobytes()
+                    == x.sum(axis=-1, keepdims=True).tobytes())
         ones, total = rng.random((2, 13, windows, k))
         init, trans, _ = training._m_step((init_counts, counts, ones, total + 1.0), 0.1)
         want_init, want_trans = init_counts + 0.1, counts + 0.1

@@ -1,14 +1,15 @@
-"""Shared-prefix batch engine: equivalence with per-sample inference and
-exact work accounting."""
+"""Batch engine over sorted distinct rows: equivalence with per-sample
+inference and exact work accounting."""
 import numpy as np
 import pytest
 
 import oracle
 from conftest import random_corpus, random_model, random_symbol_matrices
 from founderhmm import (MISSING, FounderHMM, InputError, MultilocusGenotype,
-                        ZeroProbabilityError, batched_posteriors, build_trie,
+                        ZeroProbabilityError, batched_posteriors,
                         genotype_posteriors, inference, posterior_scan,
-                        reversed_trie, table_from_scan)
+                        table_from_scan)
+from founderhmm.trie import build_trie, reversed_trie
 
 
 def symbols_of(corpus):
@@ -48,22 +49,21 @@ def shared_prefix_corpus():
 
 def test_trie_counts_on_shared_prefix_corpus():
     symbols = symbols_of(shared_prefix_corpus())
-    trie = build_trie(symbols)
-    assert ["".join(map(str, row)) for row in trie.rows.tolist()] == \
+    rows, _, nodes = build_trie(symbols)
+    assert ["".join(map(str, row)) for row in rows.tolist()] == \
         sorted(set(SHARED_PREFIX_ROWS))
-    assert trie.lcps.tolist() == [0, 4, 2, 3, 1, 0, 2]
-    assert oracle.prefix_nodes(trie.rows.tolist()) == 23
-    flipped = reversed_trie(symbols)
-    assert np.array_equal(flipped.rows[flipped.row_of], symbols[:, ::-1])
-    assert oracle.prefix_nodes(flipped.rows.tolist()) == 27
+    assert nodes == oracle.prefix_nodes(rows.tolist()) == 23
+    flipped, flipped_of, flipped_nodes = reversed_trie(symbols)
+    assert np.array_equal(flipped[flipped_of], symbols[:, ::-1])
+    assert flipped_nodes == oracle.prefix_nodes(flipped.tolist()) == 27
 
 
 def test_trie_reconstructs_genotypes():
     symbols = symbols_of(shared_prefix_corpus())
-    trie = build_trie(symbols)
+    rows, row_of, _ = build_trie(symbols)
     # duplicates share a row, and every genotype is its row
-    assert trie.row_of.tolist() == [0, 0, 0, 1, 2, 2, 3, 4, 5, 6]
-    assert np.array_equal(trie.rows[trie.row_of], symbols)
+    assert row_of.tolist() == [0, 0, 0, 1, 2, 2, 3, 4, 5, 6]
+    assert np.array_equal(rows[row_of], symbols)
 
 
 def test_build_trie_matches_the_axis0_dedupe():
@@ -72,13 +72,14 @@ def test_build_trie_matches_the_axis0_dedupe():
     rng = np.random.default_rng(31)
     for symbols in random_symbol_matrices(rng, -1, 2):
         for matrix in (symbols, symbols[:, ::-1]):
-            trie = build_trie(matrix)
-            rows, row_of, lcps = oracle.trie_axis0(matrix)
-            assert trie.rows.dtype == np.int8 and np.array_equal(trie.rows, rows)
-            assert np.array_equal(trie.row_of, row_of)
-            assert np.array_equal(trie.lcps, lcps)
-    missing_first = build_trie(np.array([[2], [-1], [0], [-1]], dtype=np.int8))
-    assert missing_first.rows.ravel().tolist() == [-1, 0, 2]
+            rows, row_of, nodes = build_trie(matrix)
+            want_rows, want_row_of, lcps = oracle.trie_axis0(matrix)
+            assert rows.dtype == np.int8 and np.array_equal(rows, want_rows)
+            assert np.array_equal(row_of, want_row_of)
+            assert nodes == int((matrix.shape[1] - lcps).sum()) == \
+                oracle.prefix_nodes(matrix.tolist())
+    missing_first, _, _ = build_trie(np.array([[2], [-1], [0], [-1]], dtype=np.int8))
+    assert missing_first.ravel().tolist() == [-1, 0, 2]
 
 
 def test_batch_engine_counts_match_trie():
@@ -145,7 +146,7 @@ def test_batch_matches_per_sample_bitwise(monkeypatch):
         for rows in (corpus, shuffled, corpus[:1]):
             symbols = symbols_of(rows)
             nodes = oracle.prefix_nodes(symbols.tolist())
-            distinct = len(build_trie(symbols).rows)
+            distinct = len(build_trie(symbols)[0])
             # the default cap, then blocks of 1, 3, n and n + 5 loci
             for block in (None, 1, 3, n, n + 5):
                 if block is None:
@@ -182,7 +183,7 @@ def test_chunked_mode_is_bitwise_identical(monkeypatch, b):
     model = random_model(rng, 3, 11)
     corpus = random_corpus(rng, 12, 11, missing_rate=0.2)
     full = batched_posteriors(model, corpus)
-    pin_block_loci(monkeypatch, len(build_trie(symbols_of(corpus)).rows), 3, b)
+    pin_block_loci(monkeypatch, len(build_trie(symbols_of(corpus))[0]), 3, b)
     chunked = batched_posteriors(model, corpus)
     assert np.array_equal(full.triples, chunked.triples)
     for g in corpus:
@@ -250,10 +251,10 @@ def test_missing_symbols_branch_as_ordinary_symbols():
                                  np.array([-1 if c == "?" else int(c) for c in row],
                                           dtype=np.int8))
               for j, row in enumerate(rows)]
-    trie = build_trie(symbols_of(corpus))
-    assert trie.rows.tolist() == [[0, 1, -1], [0, 1, 0]]
+    distinct, _, nodes = build_trie(symbols_of(corpus))
+    assert distinct.tolist() == [[0, 1, -1], [0, 1, 0]]
     # shared prefix "01" then a two-way branch
-    assert trie.lcps.tolist() == [0, 2]
+    assert nodes == oracle.prefix_nodes(rows) == 4
     stats = batched_posteriors(random_model(np.random.default_rng(3), 2, 3),
                                corpus).stats
     assert stats.forward_locus_evals == oracle.prefix_nodes(rows) == 4
@@ -283,7 +284,7 @@ def test_lanes_join_late_and_across_tile_boundaries(monkeypatch, tile, block):
         symbols = np.concatenate([np.column_stack((heads, np.full(20, x)))
                                   for x in (0, 1, 2, MISSING)]).astype(np.int8)
         corpus = [MultilocusGenotype(f"r{j}", row) for j, row in enumerate(symbols)]
-        pin_block_loci(monkeypatch, len(build_trie(symbols).rows), k, block)
+        pin_block_loci(monkeypatch, len(build_trie(symbols)[0]), k, block)
         batch = batched_posteriors(model, corpus)
         assert batch.stats.forward_locus_evals == oracle.prefix_nodes(symbols.tolist())
         for g, r in zip(corpus, batch.row_of):

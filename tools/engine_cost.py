@@ -24,8 +24,7 @@ On the pipeline workload (``repair-impute``) the kernels are EM's:
 
 On each scan workload it first fits the model the benchmark's set-up fits
 (``train --founders K --max-iterations 30`` on the typed reference panel)
-and sorts the observed genotypes into distinct rows with their shared
-prefixes. The kernels:
+and sorts the observed genotypes into distinct rows. The kernels:
 
 - ``train_fit``: that fit itself, plain EM for 30 iterations;
 - ``walk``: one forward ``_walk`` of the first 64 distinct rows (one tile)
@@ -74,11 +73,14 @@ base tree and of this one, the median over rounds of their ratio (this /
 base) with its lower and upper quartiles, and the rounds in which this
 tree was faster. The base tree's kernels, and its ``_stack``,
 ``_buffer_shapes`` and ``_initial_params``, must take the same arguments
-as this checkout's.
+as this checkout's, except that a tree whose ``_scan_rows`` and
+``_viterbi_rows`` take an ``lcps`` argument is given the rows' longest
+common prefixes, each row's with the row before.
 """
 import argparse
 import contextlib
 import importlib
+import inspect
 import io
 import os
 import statistics
@@ -189,16 +191,25 @@ def engine_kernels(fh, sim, seed):
     this = fh.inference
     data, typed, config, model = scan_setup(fh, sim, seed)
     k = sim["founder_count"]
-    trie = fh.trie.build_trie(fh.GenotypeCorpus.of(data.observed).matrix)
-    rows, n = trie.rows.shape
-    etab, planes = fh.model.emission_stack(model), this._planes(trie.rows)
+    distinct, _, _ = fh.trie.build_trie(fh.GenotypeCorpus.of(data.observed).matrix)
+    rows, n = distinct.shape
+    etab, planes = fh.model.emission_stack(model), this._planes(distinct)
     prior, norm = this._prior(model)
     tile = min(rows, this._TILE_ROWS)
     tplanes = np.ascontiguousarray(planes[:tile].T)
     state = np.repeat(prior[None], tile, axis=0)
     hit = np.random.default_rng(seed).random((k, k, rows)).transpose(1, 0, 2)
     tiles = -(-rows // this._TILE_ROWS)
-    viterbi_lcps = np.concatenate(([0], trie.lcps[1:]))
+    lcps = np.concatenate(([0], (distinct[1:] != distinct[:-1]).argmax(axis=1)))
+    extra = {}
+
+    def over_rows(kernel):
+        """A tree's row kernel over all distinct rows, given their LCPs
+        where its signature takes them, looked up at the kernel's untimed
+        first call."""
+        if kernel not in extra:
+            extra[kernel] = (lcps,) if "lcps" in inspect.signature(kernel).parameters else ()
+        return kernel(model, etab, planes, *extra[kernel])
 
     def max_dots(pkg):
         for _ in range(MAX_DOT_CALLS):
@@ -208,7 +219,7 @@ def engine_kernels(fh, sim, seed):
         m = pkg.inference
         cap, m._TILE_BYTES = m._TILE_BYTES, tile * k * k * 8 * BLOCK_LOCI
         try:
-            m._scan_rows(model, etab, planes, trie.lcps)
+            over_rows(m._scan_rows)
         finally:
             m._TILE_BYTES = cap
 
@@ -216,11 +227,9 @@ def engine_kernels(fh, sim, seed):
         fit_kernel(fh, "train_fit", [typed], config),
         ("walk", n, lambda pkg: pkg.inference._walk(
             etab, model.transitions, tplanes, state, np.log(norm))),
-        ("scan_rows", tiles * n, lambda pkg: pkg.inference._scan_rows(
-            model, etab, planes, trie.lcps)),
+        ("scan_rows", tiles * n, lambda pkg: over_rows(pkg.inference._scan_rows)),
         ("scan_blocks", tiles * n, scan_blocks),
-        ("viterbi_rows", n, lambda pkg: pkg.inference._viterbi_rows(
-            model, etab, planes, viterbi_lcps)),
+        ("viterbi_rows", n, lambda pkg: over_rows(pkg.inference._viterbi_rows)),
         ("max_dot", MAX_DOT_CALLS, max_dots),
     ]
 
