@@ -203,12 +203,13 @@ def _weights(batch, samples, loci):
 
 
 def _peak(weights):
-    """Each entry's largest weight, as ``max`` over its triple."""
+    """Each triple's largest weight, as ``max`` over it; ``weights`` holds
+    the triples' three columns."""
     return np.maximum(np.maximum(weights[0], weights[1]), weights[2])
 
 
 def _first_peak(weights, peak):
-    """Each entry's first symbol of weight ``peak``, as ``argmax``."""
+    """Each triple's first symbol of weight ``peak``, as ``argmax``."""
     return np.where(weights[0] == peak, 0, np.where(weights[1] == peak, 1, 2))
 
 
@@ -220,31 +221,39 @@ def detect_errors(model: FounderHMM, corpus, threshold: float = DEFAULT_RATIO_TH
     the observed symbol, max_x P(g with x at i) / P(g), computed from the
     unnormalized per-locus substitution weights so a zero-probability
     observed symbol yields an infinite ratio rather than an error. A symbol
-    is flagged when its ratio exceeds ``threshold``. All typed symbols of
-    the corpus are screened in one pass over arrays.
+    is flagged when its ratio exceeds ``threshold``. Ratios and suggested
+    symbols are scored once per cell of the (distinct genotype, locus)
+    grid, whose symbols are those of any sample of the row, and each typed
+    symbol of the corpus takes its cell's with one gather per column.
     """
     if not threshold > 0:
         raise InputError(f"threshold must be positive, got {threshold}")
     corpus = GenotypeCorpus.of(corpus)
     batch = batched_posteriors(model, corpus)
+    row_of, triples = batch.row_of, batch.triples
     ids = _entry_locus_ids(locus_ids, corpus.loci)
-    symbols = corpus.matrix
-    samples, loci = np.nonzero(symbols != MISSING)
-    observed = symbols[samples, loci].astype(np.int64)
-    weights = _weights(batch, samples, loci)
+    symbols, n = corpus.matrix, corpus.loci
+    some = np.empty(len(triples), dtype=np.intp)
+    some[row_of] = np.arange(len(row_of))  # any sample of each row
+    grid = symbols[some].reshape(-1)  # the symbol of each cell
+    weights = [triples[:, :, x].reshape(-1) for x in range(3)]
     best = _peak(weights)
-    weight = np.choose(observed, weights)
+    # a MISSING cell is never read
+    weight = triples.reshape(-1).take(3 * np.arange(grid.size) + np.maximum(grid, 0))
     # A zero-probability observed symbol gets an infinite ratio; when
     # nothing at the locus can rescue the genotype, it ties the (zero)
     # maximum and the ratio is 1.
     ratio = np.where(best > 0.0, np.inf, 1.0)
     np.divide(best, weight, out=ratio, where=weight > 0.0)
-    suggested = np.where(weight == best, observed, _first_peak(weights, best))
+    suggested = np.where(weight == best, grid, _first_peak(weights, best))
+    samples, loci = np.nonzero(symbols != MISSING)
+    cell = row_of[samples] * n + loci
+    ratio = ratio.take(cell)
     return ErrorReport(sample_id=IdColumn(samples, corpus.ids),
                        locus_index=loci.astype(np.int64), locus_id=IdColumn(loci, ids),
-                       observed=observed,
+                       observed=grid.take(cell).astype(np.int64),
                        ratio=ratio, flags=ratio > threshold,
-                       suggested=suggested, threshold=float(threshold),
+                       suggested=suggested.take(cell), threshold=float(threshold),
                        failures=dict(batch.failures), stats=batch.stats)
 
 

@@ -119,18 +119,22 @@ def _read_text(path, data=None) -> str:
 def _read_report(path):
     """A report file: its JSON text, which starts with "{" after white
     space, or the UTF-8 bytes of its TSV text as :func:`_read_text` gives
-    it. A file with no \\r is its own bytes, read once: one that is not
-    ASCII is decoded only to check it, and an ASCII one not at all, unless
-    it is JSON."""
+    it, then a \\n and eight zero bytes, as :func:`_read_tsv` takes them
+    (so each line ends in a \\n, and the last cell's words lie in the
+    bytes). A file with no \\r is its own bytes, read once: one that is
+    not ASCII is decoded only to check it, and an ASCII one not at all,
+    unless it is JSON."""
     with open(path, "rb") as fh:
         data = fh.read()
     if b"\r" in data or not data.isascii():
         text = _read_text(path, data)
         if text.lstrip().startswith("{"):
             return text
-        return text.encode() if b"\r" in data else data
-    # str.lstrip()'s white space in ASCII, but \r
-    return data.decode() if re.match(rb"[\t-\x0c\x1c-\x1f ]*\{", data) else data
+        if b"\r" in data:
+            data = text.encode()
+    elif re.match(rb"[\t-\x0c\x1c-\x1f ]*\{", data):  # str.lstrip()'s ASCII white space, but \r
+        return data.decode()
+    return data + b"\n" + bytes(8)
 
 
 def _config_lines(config_line):
@@ -488,6 +492,7 @@ BENCH_TABLE = (("axis", "id"), ("value", "index"), ("locus_evals", "index"),
 ERROR_REPORT_COLUMNS, IMPUTATION_COLUMNS, RECOVERY_COLUMNS = (
     tuple(name for name, _ in t) for t in (ERROR_REPORT_TABLE, IMPUTATION_TABLE, RECOVERY_TABLE))
 _INT64_MAX = (1 << 63) - 1
+_MIX = np.uint64(0x9E3779B97F4A7C15)  # odd, for multiplicative hashing
 _DTYPES = {"index": np.int64, "digit": np.int64, "flag": bool, "float": np.float64}
 _SYMBOLS = {"digit": {"0": 0, "1": 1, "2": 2}, "flag": {"0": False, "1": True}}
 
@@ -506,17 +511,33 @@ def _ranks(at, size):
     return ranks
 
 
+def _labels(keys):
+    """A label in [0, bound) of each of the uint64 ``keys``, shared by
+    equal keys only, and the bound. The distinct keys of the first 4096
+    go in a hash table of at least 16 slots per key; a key found in its
+    slot takes the slot's label, and only the others are sorted."""
+    table = _distinct(keys[:4096])
+    bits = (16 * len(table)).bit_length()
+    slot = lambda x: (x * _MIX >> np.uint64(64 - bits)).astype(np.intp)
+    slots = np.zeros(1 << bits, dtype=np.intp)  # an empty slot reads label 0
+    slots[slot(table)] = np.arange(len(table))
+    label = slots.take(slot(keys))
+    rest = np.flatnonzero(table.take(label) != keys)
+    distinct = _distinct(keys[rest])
+    label[rest] = len(table) + np.searchsorted(distinct, keys[rest])
+    return label, len(table) + len(distinct)
+
+
 def _heads(key):
     """For each row, a row of the same ``key``: the last one. Runs of
-    equal keys are collapsed before the sort, so a column of few long runs
-    sorts only their keys."""
+    equal keys are collapsed first, and the runs labelled by
+    :func:`_labels`, so no column is sorted whole."""
     change = np.ones(len(key), dtype=bool)
     change[1:] = key[1:] != key[:-1]
     starts = np.flatnonzero(change)
-    runs = key[starts]
-    group = np.searchsorted(_distinct(runs), runs)
+    group, bound = _labels(key[starts])
     ends = np.append(starts[1:], len(key))
-    last = np.empty(len(runs), dtype=np.intp)
+    last = np.empty(bound, dtype=np.intp)
     last[group] = ends - 1
     return np.repeat(last[group], ends - starts)
 
@@ -524,26 +545,38 @@ def _heads(key):
 def _coded(column, rows):
     """Each row's code in [0, bound) of ``column`` and the bound: an id
     column's codes, an integer or bool column's values when they lie in
-    [0, rows), else the rank among the distinct values (floats by bit
-    pattern, so -0.0 is not 0.0)."""
+    [0, rows), else a label that equal values share and no others do
+    (floats by bit pattern, so -0.0 is not 0.0), given by :func:`_labels`
+    to the head of each run of equal values and repeated along the run."""
     if isinstance(column, IdColumn):
         return column.codes, len(column.names)
     if column.dtype != np.float64 and rows and 0 <= column.min() and column.max() < rows:
         return column.astype(np.intp), int(column.max()) + 1
-    values = column.view(np.int64) if column.dtype == np.float64 else column.astype(np.int64)
-    distinct = _distinct(values)
-    return np.searchsorted(distinct, values), len(distinct)
+    values = column.view(np.uint64) if column.dtype == np.float64 else column.astype(np.uint64)
+    change = np.ones(rows, dtype=bool)
+    change[1:] = values[1:] != values[:-1]
+    starts = np.flatnonzero(change)
+    codes, bound = _labels(values[starts])
+    return np.repeat(codes, np.diff(starts, append=rows)), bound
 
 
 def _fill(template, *columns):
     """``template % row`` for each row of ``columns`` (arrays and id
     columns), formatted once per distinct row: the columns' codes make one
     key below the row count, and the first row of each key, which
-    ``np.minimum.at`` finds in a documented order, is formatted."""
+    ``np.minimum.at`` finds in a documented order, is formatted. Where a
+    column would take the key past the row count, a gather and a compare
+    first check whether its codes are a function of the key so far; such
+    a column adds nothing to the key and leaves it as it is."""
     rows = len(columns[0])
     key, bound = np.zeros(rows, dtype=np.intp), 1
     for c in columns:
         codes, size = _coded(c, rows)
+        if bound * size > rows:
+            some = np.empty(bound, dtype=np.intp)
+            some[key] = codes  # any row's code of each key
+            if (some.take(key) == codes).all():
+                continue
         key, bound = key * size + codes, bound * size
         if bound > rows:  # keeps the next product below rows x its column's bound
             distinct = _distinct(key)
@@ -710,8 +743,7 @@ def _cells(arr, words, lo, hi, parse, blank):
     keep = np.uint64(2**64 - 1) >> np.arange(64, -1, -8, dtype=np.uint64)
     key = words[lo] & keep[np.minimum(width, 8)] | width.astype(np.uint64) << np.uint64(56)
     long = np.flatnonzero(width > 7)
-    mix = np.uint64(0x9E3779B97F4A7C15)
-    key[long] = (key[long] * mix ^ words[hi[long] - 8]) * mix | ~keep[7]
+    key[long] = (key[long] * _MIX ^ words[hi[long] - 8]) * _MIX | ~keep[7]
     head = _heads(key)
     rows = long[width[head[long]] != width[long]]
     head[rows] = rows
@@ -769,18 +801,20 @@ def _threshold(path, line_no, line) -> float:
 
 def _read_tsv(path, buf, table, what, heads, required=()):
     """The comment values and the columns of the TSV report ``buf`` (its
-    UTF-8 bytes, lines ending in \\n) of ``table``: ids as :class:`IdColumn`
+    UTF-8 bytes, lines ending in \\n, as :func:`_read_report` gives them)
+    of ``table``: ids as :class:`IdColumn`
     codes into the distinct cells, other columns as arrays. ``heads`` maps
     the prefix of each comment line to read to its parser, whose values
     come in file order; each prefix in ``required`` must have one. Lines
     and cells are found from the offsets of line ends and tabs. Each
-    distinct sample id and ``locus_id<TAB>locus_index`` is parsed once; the
-    cells past them are read a column at a time, a symbol cell as one byte
-    and a float column's distinct cells parsed once each. When any row is
+    distinct sample id and ``locus_id<TAB>locus_index`` is parsed once
+    (:func:`_cells`); the cells past them are read a column at a time, a
+    symbol cell as one byte and a float column's distinct cells parsed
+    once each. Rows that lie in one block, as in every file the writer
+    writes, give their columns as views, not gathers. When any row is
     bad, bad rows are checked one by one to name the first."""
-    padded = buf + b"\n" + bytes(8)  # each line ends in a \n; room for the last words
-    arr = np.frombuffer(padded, dtype=np.uint8, count=len(buf) + 1)
-    words = np.ndarray((len(buf) + 1,), "<u8", buffer=padded, strides=(1,))
+    arr = np.frombuffer(buf, dtype=np.uint8, count=len(buf) - 8)
+    words = np.ndarray((len(buf) - 8,), "<u8", buffer=buf, strides=(1,))
     sep = np.flatnonzero((arr == 9) | (arr == 10))
     eol = np.flatnonzero(arr[sep] == 10)  # in sep, of each line's end
     ends = sep[eol]
@@ -804,6 +838,7 @@ def _read_tsv(path, buf, table, what, heads, required=()):
         cut = sep[first[0]:first[-1] + len(table)].reshape(-1, len(table))
     else:
         cut = sep[first[:, None] + np.arange(len(table))]
+    del eol, at, first, comment  # only the cuts live on
     samples, sample, _ = _cells(arr, words, starts[lines[full]], cut[:, 0], str, "")
     loci, locus, rows = _cells(arr, words, cut[:, 0] + 1, cut[:, 2],
                                lambda t: _middle(*t.split("\t")), ("", 0))
@@ -837,6 +872,8 @@ def _read_tsv(path, buf, table, what, heads, required=()):
     values = [column for v, width in ((samples, 1), (loci, 2))
               for column in np.array(v, dtype=object).reshape(-1, width).T]
     rows = np.flatnonzero(rows)
+    if rows.size and rows[-1] - rows[0] == rows.size - 1:  # one block: views, not gathers
+        rows = slice(rows[0], rows[-1] + 1)
     sample, locus = sample[rows], locus[rows]
     ids = [IdColumn(code, v) if kind == "id" else v.astype(_DTYPES[kind])[code]
            for v, code, (_, kind) in zip(values, (sample, locus, locus), table)]

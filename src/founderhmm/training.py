@@ -265,18 +265,42 @@ def _forward(alphas, eprobs, init, trans_t, scales, rescale):
     return at
 
 
-def _e_step(stack: _Stack, init, trans, emis, buffers):
+def _views(x, w):
+    """Per-locus views of a stacked (loci, W, ...) array, 2-D for a stack
+    of one window (see :func:`_locus_ops`)."""
+    return list(x[:, 0]) if w == 1 else list(x)
+
+
+def _buffer_views(stack: _Stack, buffers):
+    """The per-locus views of the alphas and emissions in ``buffers``, cut
+    to ``stack``, that :func:`_e_step` sweeps: the same for every E-step
+    of the stack."""
+    n, w, _ = stack.ones.shape
+    return [_views(b[:n, :w], w) for b in buffers[:2]]
+
+
+def _trans_views(trans):
+    """The per-locus views of stacked transitions and of their transposes
+    that :func:`_e_step` sweeps: the same while ``trans`` is a view of the
+    same array."""
+    w = trans.shape[1]
+    return [_views(x, w) for x in (trans, trans.transpose(0, 1, 3, 2))]
+
+
+def _e_step(stack: _Stack, init, trans, emis, buffers, views):
     """One scaled forward-backward over a stack of windows.
 
     Parameters are stacked too: init (W, K), trans (loci - 1, W, K, K) and
     emis (loci, W, K), with identity transitions and emission 1 at padded
     loci, whose scale is exactly 1 so that they pass the sweeps through
     unchanged. ``buffers`` are the arrays of :func:`_buffer_shapes`,
-    reused across E-steps. Expected counts are additive over haplotypes,
-    so each row's statistics are weighted by its count. The sweeps run over
-    the whole stack, locus by locus, on lists of per-locus views made once
-    per call (2-D views, multiplied by ``np.dot``, for a stack of one
-    window); the stack brings its rescale loci and a float64 copy of its
+    reused across E-steps, and ``views`` their per-locus views and those of
+    the transitions, :func:`_buffer_views` and :func:`_trans_views`, which
+    the caller makes once per stack and once per array of transitions.
+    Expected counts are additive over haplotypes, so each row's statistics
+    are weighted by its count. The sweeps run over the whole stack, locus
+    by locus, on those views (2-D, multiplied by ``np.dot``, for a stack of
+    one window); the stack brings its rescale loci and a float64 copy of its
     allele mask, which the emission counts take at less cost than the bool
     mask, to the same bits. Every sum over rows runs per window,
     on its own rows, after the backward sweep, so a window's result does
@@ -320,11 +344,7 @@ def _e_step(stack: _Stack, init, trans, emis, buffers):
     np.copyto(eprobs, emis[..., None], where=stack.ones[:, :, None, :])
 
     rescale = stack.rescale
-    # the sweeps step per-locus views, made once per E-step, 2-D for a
-    # stack of one window (see _locus_ops)
-    views = (lambda x: list(x[:, 0])) if w == 1 else list
-    alpha_at, eprob_at, trans_at, trans_t = map(views, (
-        alphas, eprobs, trans, trans.transpose(0, 1, 3, 2)))
+    alpha_at, eprob_at, trans_at, trans_t = views
     divide_at = _forward(alpha_at, eprob_at, init, trans_t, scales, rescale)
     # every scale off a window's rescale loci is 1; NaN fails the test too
     if not scales.min() >= _SCALE_FLOOR:
@@ -352,7 +372,7 @@ def _e_step(stack: _Stack, init, trans, emis, buffers):
     # every other scale is 1, and x / 1 is x. Locus 0's are not used again
     product, divisors = _locus_ops(scales, w == 1)
     alphas *= stack.weights[:, None, :]
-    beta = views(betas)[0]
+    beta = betas[0, 0] if w == 1 else betas[0]
     beta[...] = 1.0
     for i, e, t in zip(range(n - 1, 0, -1), eprob_at[:0:-1], trans_at[::-1]):
         if divide_at[i]:
@@ -554,13 +574,19 @@ def _fit_stack(windows, config: TrainConfig, starts):
     steps = np.zeros(w, dtype=int)
     converged = [False] * w
     active, live, fault = list(range(w)), np.arange(w), None
+    buffer_views, trans_views = _buffer_views(stack, buffers), None
     while active:
         if len(live) != len(active):
             live = np.array(active)
             stack = _stack([windows[j] for j in active], r)
+            buffer_views = _buffer_views(stack, buffers)
         loci = stack.ones.shape[0]
+        init, trans, emis = _take(params, live, loci)
+        if trans_views is None or trans.base is not params[1]:  # _take gathered a copy
+            trans_views = _trans_views(trans)
         try:
-            logliks, stats = _e_step(stack, *_take(params, live, loci), buffers)
+            logliks, stats = _e_step(stack, init, trans, emis, buffers,
+                                     (*buffer_views, *trans_views))
         except ZeroProbabilityError as err:
             fault, active = err, active[:err.window]
             continue

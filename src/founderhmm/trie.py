@@ -5,13 +5,16 @@ distinct rows; no trie is built. The engine steps the rows 64 at a time,
 every row from the prior through every locus: a forward walk and a
 backward walk along every row step together as one (2, rows, K, K) stack
 per depth, and each locus combines its forward and backward states as
-soon as both exist. Posterior tables and failures come from one pass over
-the result arrays. The rows' prefix-trie nodes, which :class:`BatchStats`
+soon as both exist. Failures come from one pass over the result arrays;
+posterior tables, from another when they are first read. The rows' prefix-trie nodes, which :class:`BatchStats`
 reports, are counted once, where the corpus is deduplicated.
 
-Memory: the result holds substitution weights, posteriors and prefix and
-suffix log sums, 9 x 8 bytes per distinct genotype and locus, and the
-sorted genotypes and their emission planes take 2 bytes more. While it
+Memory: the engine's arrays hold substitution weights and prefix and
+suffix log sums, 5 x 8 bytes per distinct genotype and locus, and the
+sorted genotypes and their emission planes take 2 bytes more; the
+posterior tables, once read, take 4 x 8 bytes more, and detection's
+scores of the (distinct genotype, locus) grid at most 6 x 8 bytes more
+while they are made (``analysis.detect_errors``). While it
 runs, the engine holds one tile's states of both walks for the first
 half of the loci, 64 x loci x K^2 x 8 bytes for any number of genotypes,
 capped at 64 MiB. Past the cap (above 2674 loci at K = 7) it keeps
@@ -26,6 +29,7 @@ block, and the tile's masses of both walks (two arrays), emission indices
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -102,9 +106,11 @@ class BatchPosteriorResult:
     Row r of ``triples`` (distinct, loci, 3), ``prefix_logs``,
     ``suffix_logs`` and ``log_likelihoods`` is that of distinct genotype r
     (see :class:`~founderhmm.inference.PosteriorScan`); ``row_of[j]`` is
-    the row of the j-th corpus genotype. ``tables`` maps each sample id to
-    its row's :class:`~founderhmm.inference.PosteriorTable`, one object
-    per row. A sample whose genotype has a zero marginal gets no table;
+    the row of the j-th corpus genotype, whose id is ``sample_ids[j]``.
+    ``tables`` maps each sample id to its row's
+    :class:`~founderhmm.inference.PosteriorTable`, one object per row,
+    built when first read, so a caller of the arrays alone never pays for
+    them. A sample whose genotype has a zero marginal gets no table;
     ``failures`` maps it to the first such locus.
     """
 
@@ -113,9 +119,19 @@ class BatchPosteriorResult:
     suffix_logs: np.ndarray
     log_likelihoods: np.ndarray
     row_of: np.ndarray
-    tables: dict
+    sample_ids: tuple
     failures: dict
     stats: BatchStats
+
+    @cached_property
+    def tables(self) -> dict:
+        sums = self.triples.sum(axis=2)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            probs = self.triples / sums[:, :, None]
+            log_marginals = np.log(sums) + self.prefix_logs + self.suffix_logs
+        row_tables = list(map(PosteriorTable, probs, log_marginals))
+        return {sid: row_tables[r] for sid, r in zip(self.sample_ids, self.row_of.tolist())
+                if sid not in self.failures}
 
 
 def _checked_corpus(model: FounderHMM, corpus) -> GenotypeCorpus:
@@ -133,22 +149,18 @@ def batched_posteriors(model: FounderHMM, corpus) -> BatchPosteriorResult:
 
     Results are bitwise equal to per-sample :func:`posterior_scan` and
     :func:`genotype_posteriors`, and independent of corpus order and of
-    the engine's block length.
+    the engine's block length. The tables are built when first read.
     """
     corpus = _checked_corpus(model, corpus)
     row_of, arrays, (fevals, bevals) = _scan_symbols(model, corpus.matrix)
-    triples, prefix_logs, suffix_logs, _ = arrays
-    sums = triples.sum(axis=2)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        probs = triples / sums[:, :, None]
-        log_marginals = np.log(sums) + prefix_logs + suffix_logs
-    dead = sums <= 0.0
+    triples = arrays[0]
+    # the weights are never negative: a zero sum is a triple of zeros
+    dead = (triples[:, :, 0] + triples[:, :, 1] + triples[:, :, 2]) <= 0.0
     # each row's first locus of zero marginal, -1 for a live row
-    first_dead = np.where(dead.any(axis=1), dead.argmax(axis=1), -1).tolist()
-    row_tables = list(map(PosteriorTable, probs, log_marginals))
-    pairs = list(zip(corpus.ids, row_of.tolist()))
+    first_dead = np.where(dead.any(axis=1), dead.argmax(axis=1), -1)
+    failed = np.flatnonzero(first_dead[row_of] >= 0).tolist()
     return BatchPosteriorResult(
-        *arrays, row_of=row_of,
-        tables={sid: row_tables[r] for sid, r in pairs if first_dead[r] < 0},
-        failures={sid: first_dead[r] for sid, r in pairs if first_dead[r] >= 0},
+        *arrays, row_of=row_of, sample_ids=corpus.ids,
+        failures=dict(zip(map(corpus.ids.__getitem__, failed),
+                          first_dead[row_of[failed]].tolist())),
         stats=BatchStats(len(corpus), corpus.loci, len(triples), fevals, bevals))

@@ -233,6 +233,38 @@ def test_detect_and_recover_match_the_oracles_on_tied_and_zero_triples(monkeypat
             assert result.fills == full.fills
 
 
+def test_detect_scores_each_distinct_row_once_bit_for_bit(monkeypatch):
+    """Detection scores each cell of the (distinct row, locus) grid once
+    and gathers every entry's: on corpora of a few rows, MISSING cells
+    among them, repeated in shuffled order, each entry's ratio,
+    suggestion and observed symbol are the per-symbol loop's bit for bit,
+    on the engine's triples and on tied and all-zero ones."""
+    rng = np.random.default_rng(25)
+    for tied in (False, True):
+        if tied:
+            monkeypatch.setattr(analysis, "batched_posteriors", tied_triples(batched_posteriors))
+        for trial in range(12):
+            k, n = int(rng.integers(1, 5)), int(rng.integers(1, 20))
+            model = with_dead_loci(rng, random_model(rng, k, n), trial % 3)
+            pool = random_corpus(rng, int(rng.integers(1, 5)), n, missing_rate=0.3)
+            corpus = [MultilocusGenotype(f"d{j}", pool[p].symbols) for j, p in
+                      enumerate(rng.integers(0, len(pool), size=int(rng.integers(2, 16))))]
+            batch = analysis.batched_posteriors(model, corpus)
+            report = detect_errors(model, corpus, 1.5)
+            want = [(g.sample_id, *entry) for g, row in zip(corpus, batch.row_of)
+                    for entry in oracle.detect_entries_per_symbol(
+                        dataclasses.replace(posterior_scan(model, g), triples=batch.triples[row]),
+                        g.symbols, 1.5)]
+            sample_id, locus, observed, ratio, flagged, suggested = zip(*want)
+            assert report.sample_id.tolist() == list(sample_id)
+            assert report.locus_index.tolist() == list(locus)
+            assert report.ratio.tobytes() == np.array(ratio).tobytes()
+            for column, values in ((report.observed, observed), (report.flags, flagged),
+                                   (report.suggested, suggested)):
+                assert column.tolist() == list(values)
+            assert report.failures == batch.failures
+
+
 def test_threshold_must_be_positive():
     rng = np.random.default_rng(2)
     model = random_model(rng, 2, 4)

@@ -1072,6 +1072,89 @@ def test_error_report_reader_names_a_bad_row_after_many_good_ones(tmp_path):
         read_error_report(path)
 
 
+@pytest.mark.parametrize("bad", ["x", ".", "-", " "])
+def test_one_byte_ratio_cells_read_as_the_oracle_reads_them(tmp_path, capsys, bad):
+    """Ratio cells of one byte read as the oracle reads them among wider
+    ones; a bad one-byte cell far down the file exits 1 with the oracle's
+    line and message."""
+    ratios = ("1", "0", "9", "1", "1", "1.5", "10", "inf", "-0", "1", "0.25", "1")
+    rows = [f"S{j // 500}\tL{j % 500}\t{j % 500}\t{j % 3}\t{ratios[j % 12]}\t0\t{j % 3}"
+            for j in range(6000)]
+    path = tmp_path / "r.tsv"
+    path.write_text(report_text(rows))
+    assert_reads_as_oracle(path)
+    assert read_error_report(path).ratio.tolist()[:12] == [float(r) for r in ratios]
+    rows[5432] = with_cell(rows[5432], "ratio", bad)
+    path.write_text(report_text(rows))
+    message = f"{path}:5436: malformed error report row (could not convert string to float: '{bad}')"
+    with pytest.raises(InputError) as want:
+        oracle.read_error_report_per_row(path)
+    assert str(want.value) == message
+    with pytest.raises(InputError) as have:
+        read_error_report(path)
+    assert str(have.value) == message
+    gen = tmp_path / "g.gen"
+    write_genotypes(gen, [MultilocusGenotype(f"S{j}", np.zeros(500, dtype=np.int8))
+                          for j in range(12)])
+    capsys.readouterr()
+    assert run_cli("correct", "--genotypes", str(gen), "--report", str(path),
+                   "--out", str(tmp_path / "o.gen")) == 1
+    assert message in capsys.readouterr().err
+
+
+def test_middle_pieces_first_seen_late_or_shuffled_read_as_the_oracle_reads_them(tmp_path):
+    """``locus_id<TAB>locus_index`` pieces that the first rows do not
+    hold, a report whose rows are shuffled, and pipeline-style ids, whose
+    pieces past locus 99 are longer than 7 bytes and are keyed by a hash:
+    each read as the oracle reads it. Where no two distinct pieces share a key, each
+    id column names each distinct piece once, in the order of its last
+    row; pieces whose first and last eight bytes agree share a hash and
+    are told apart by width and word by word."""
+    rng = np.random.default_rng(29)
+    late = [f"S{j // 700}\tL{j % 7}\t{j % 7}\t0\t1\t0\t0" for j in range(5000)]
+    late += [f"S{j // 700}\tL{j % 300}\t{j % 300}\t1\t2.5\t0\t1" for j in range(5000, 7000)]
+    pipeline = [f"S{j // 500}\tL{j % 500}\t{j % 500}\t{j % 3}\t{1 + j % 7}\t0\t{j % 3}"
+                for j in range(10_000)]
+    long = [f"{'a' * (16 + 8 * (j % 2))}\tabcdefgh{j % 4}ijklmnop\t{j % 2}\t0\t1\t0\t0"
+            for j in range(400)]
+    path = tmp_path / "r.tsv"
+    for rows in (late, pipeline, long, list(rng.permutation(late)),
+                 list(rng.permutation(pipeline))):
+        path.write_text(report_text(rows))
+        assert_reads_as_oracle(path)
+        if rows is long:
+            continue
+        report = read_error_report(path)
+        # the column header is read as a row first: its cells give the
+        # first names, which no entry uses
+        for column, cells in ((report.sample_id, [r.split("\t")[0] for r in rows]),
+                              (report.locus_id, [r.split("\t")[1] for r in rows])):
+            last = {name: j for j, name in enumerate(cells)}
+            assert column.names[1:] == tuple(sorted(last, key=last.get))
+
+
+def test_error_report_writer_codes_runs_and_skips_functions_of_the_key(tmp_path):
+    """The writer's bytes are the per-row writer's for ratios in runs,
+    -0.0 next to 0.0, inf and NaN, for a locus index that is a function of
+    the locus id (as detect writes it) and for one that is not, and for
+    flags that follow the ratio and flags that do not."""
+    rng = np.random.default_rng(30)
+    odd = [-0.0, 0.0, float("inf"), float("nan"), 1.0, 2.5, 1e300]
+    ratios = np.repeat(rng.choice(odd, size=400), rng.integers(1, 30, size=400))[:6000]
+    n = len(ratios)
+    loci = rng.integers(0, 300, size=n)
+    path = tmp_path / "r.tsv"
+    for index in (loci, np.where(rng.random(n) < 0.01, loci + 1, loci)):
+        for flags in (ratios > 1.5, rng.random(n) < 0.5):
+            report = ErrorReport(
+                founderhmm.IdColumn(np.arange(n) // 500, [f"S{j}" for j in range(12)]), index,
+                founderhmm.IdColumn(loci, [f"L{j}" for j in range(300)]), rng.integers(0, 3, size=n),
+                ratios, flags, rng.integers(0, 3, size=n), threshold=1.5, failures={})
+            write_error_report(path, report)
+            assert path.read_bytes() == oracle.error_report_text_per_row(report).encode()
+            assert_reads_as_oracle(path)
+
+
 AWKWARD_IDS = ("S\u2028x", "a b", " lead", "trail ", "%s", "50%", "a#b", " #x")
 
 

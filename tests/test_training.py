@@ -13,9 +13,9 @@ from founderhmm import (FounderHMM, HaplotypeSequence, InputError, TrainConfig,
                         ZeroProbabilityError, bootstrap_config, pooled_config,
                         train_founder_hmm, window_config)
 import founderhmm.training as training
-from founderhmm.training import (_buffer_shapes, _check_params, _e_step,
+from founderhmm.training import (_buffer_shapes, _buffer_views, _check_params, _e_step,
                                  _initial_params, _stack, _stack_bytes,
-                                 _stack_groups, train_founder_hmms)
+                                 _stack_groups, _trans_views, train_founder_hmms)
 
 
 def test_config_validation():
@@ -321,11 +321,17 @@ def _stacked_inputs(windows, init, trans, emis):
     return stack, s_init, s_trans, s_emis, buffers
 
 
+def _viewed_e_step(stack, init, trans, emis, buffers):
+    """``_e_step`` with the per-locus views that the trainer makes for it."""
+    views = (*_buffer_views(stack, buffers), *_trans_views(trans))
+    return _e_step(stack, init, trans, emis, buffers, views)
+
+
 def _stacked_e_step(windows, init, trans, emis):
     """The E-step over a stack of (haplotypes, loci) windows with their own
     (init, trans, emis), padded as the trainer pads them; returns each
     window's log-likelihood and statistics, cut to its own shape."""
-    logliks, stats = _e_step(*_stacked_inputs(windows, init, trans, emis))
+    logliks, stats = _viewed_e_step(*_stacked_inputs(windows, init, trans, emis))
     init_c, trans_c, ones_c, total_c = stats
     return [(ll, (init_c[p], trans_c[:h.shape[1] - 1, p],
                   ones_c[:h.shape[1], p], total_c[:h.shape[1], p]))
@@ -510,7 +516,7 @@ def test_e_step_matches_the_e_step_dividing_every_locus(monkeypatch):
             params.append((init, trans, emis))
         inputs = _stacked_inputs(windows, *zip(*params))
         sweeps.clear()
-        have = _e_step_outcome(_e_step, inputs)
+        have = _e_step_outcome(_viewed_e_step, inputs)
         fresh = [np.empty_like(b) for b in inputs[-1]]
         want = _e_step_outcome(oracle.e_step_dividing_every_locus, (*inputs[:-1], fresh))
         if isinstance(want[0], list):

@@ -6,9 +6,9 @@ import pytest
 import oracle
 from conftest import random_corpus, random_model, random_symbol_matrices
 from founderhmm import (MISSING, FounderHMM, InputError, MultilocusGenotype,
-                        ZeroProbabilityError, batched_posteriors,
+                        ZeroProbabilityError, batched_posteriors, detect_errors,
                         genotype_posteriors, inference, posterior_scan,
-                        table_from_scan)
+                        recover_missing, table_from_scan, trie)
 from founderhmm.trie import build_trie, reversed_trie
 
 
@@ -231,6 +231,27 @@ def test_impossible_sample_is_isolated_not_fatal():
     assert batch.failures == {"dead": 0}
     direct = posterior_scan(model, bad)
     assert np.array_equal(batch.triples[batch.row_of[1]], direct.triples)
+
+
+def test_posterior_tables_are_built_only_when_read(monkeypatch):
+    """Detection and recovery read the engine's arrays and build no
+    posterior table; ``batched_posteriors`` builds its tables once, when
+    ``tables`` is first read."""
+    built = []
+    real = trie.PosteriorTable
+    monkeypatch.setattr(trie, "PosteriorTable", lambda *a: built.append(a) or real(*a))
+    rng = np.random.default_rng(8)
+    model = random_model(rng, 3, 12)
+    corpus = random_corpus(rng, 9, 12, missing_rate=0.2)
+    detect_errors(model, corpus)
+    recover_missing(model, corpus)
+    batch = batched_posteriors(model, corpus)
+    assert built == []
+    tables = batch.tables
+    assert len(built) == len(batch.triples) and batch.tables is tables
+    for g in corpus:
+        assert np.array_equal(np.asarray(tables[g.sample_id].probs),
+                              np.asarray(genotype_posteriors(model, g).probs))
 
 
 def test_batch_input_validation():

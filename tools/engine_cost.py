@@ -51,6 +51,12 @@ per call:
 - ``detect``: ``detect_errors`` of the observed genotypes;
 - ``report_write``: ``write_error_report`` of that report, as TSV;
 - ``report_read``: ``read_error_report`` of that file;
+- ``map_report_write`` and ``map_report_read``: the same two calls on the
+  report that ``detect --map`` makes with the workload's locus map, whose
+  ids label the typed loci: past locus 99 its ``locus_id<TAB>locus_index``
+  cells are longer than 7 bytes, so the reader keys them by hash and
+  checks them word by word, the general path that the map-less report's
+  short cells skip;
 - ``correct``: ``correct_errors`` of the observed genotypes by the report
   read back, as the ``correct`` command does;
 - ``recover``: ``recover_missing`` of the observed genotypes;
@@ -75,7 +81,10 @@ tree was faster. The base tree's kernels, and its ``_stack``,
 ``_buffer_shapes`` and ``_initial_params``, must take the same arguments
 as this checkout's, except that a tree whose ``_scan_rows`` and
 ``_viterbi_rows`` take an ``lcps`` argument is given the rows' longest
-common prefixes, each row's with the row before.
+common prefixes, each row's with the row before, and a tree whose
+``_e_step`` takes ``views`` is given the per-locus views that its
+``_fit_stack`` makes once per stack (``_buffer_views`` and
+``_trans_views``), made once before the rounds.
 """
 import argparse
 import contextlib
@@ -163,8 +172,11 @@ def training_kernels(fh, sim, seed):
             stack = m._stack(windows)
             n, w, r = stack.ones.shape
             init, trans, emis = m._initial_params(n, k, seed)
-            inputs[pkg] = (stack, init[None], trans[:, None], emis[:, None],
-                           [np.empty(s) for s in m._buffer_shapes(n, w, k, r)])
+            args = (stack, init[None], trans[:, None], emis[:, None],
+                    [np.empty(s) for s in m._buffer_shapes(n, w, k, r)])
+            if "views" in inspect.signature(m._e_step).parameters:
+                args += ((*m._buffer_views(stack, args[4]), *m._trans_views(args[2])),)
+            inputs[pkg] = args
         for _ in range(E_STEP_CALLS):
             pkg.training._e_step(*inputs[pkg])
 
@@ -241,6 +253,7 @@ def report_kernels(fh, sim, seed, workdir):
     data, _, _, model = scan_setup(fh, sim, seed)
     join = lambda name: os.path.join(workdir, name)
     fh.io_formats.write_model(join("model.txt"), model)
+    fh.io_formats.write_locus_map(join("data.map"), data.locus_map)
     fh.io_formats.write_genotypes(join("data.gen"), data.observed)
     fh.io_formats.write_genotypes(join("truth.gen"), data.truth_genotypes)
     chain = [["detect", "--model", join("model.txt"), "--genotypes", join("data.gen"),
@@ -265,6 +278,12 @@ def report_kernels(fh, sim, seed, workdir):
             report = tree["report"] = an.detect_errors(tree["model"], tree["corpus"])
             m.write_error_report(tree["path"], report)
             tree["read"] = m.read_error_report(tree["path"])
+            locus_map = m.read_locus_map(join("data.map"))
+            tree["map_report"] = an.detect_errors(
+                tree["model"], tree["corpus"],
+                locus_ids=[locus_map.locus_ids[j] for j in locus_map.typed_indices()])
+            tree["map_path"] = join(f"map-report-{len(inputs)}.tsv")
+            m.write_error_report(tree["map_path"], tree["map_report"])
             tree["recovered"] = an.recover_missing(tree["model"], tree["corpus"]).corpus
             tree["calls"] = an.ImputationResult(
                 report.sample_id, report.locus_index, report.locus_id,
@@ -284,6 +303,10 @@ def report_kernels(fh, sim, seed, workdir):
         ("report_write", 1, lambda pkg: pkg.io_formats.write_error_report(
             of(pkg)["path"], of(pkg)["report"])),
         ("report_read", 1, lambda pkg: pkg.io_formats.read_error_report(of(pkg)["path"])),
+        ("map_report_write", 1, lambda pkg: pkg.io_formats.write_error_report(
+            of(pkg)["map_path"], of(pkg)["map_report"])),
+        ("map_report_read", 1, lambda pkg: pkg.io_formats.read_error_report(
+            of(pkg)["map_path"])),
         ("correct", 1, lambda pkg: pkg.analysis.correct_errors(of(pkg)["corpus"],
                                                                of(pkg)["read"])),
         ("recover", 1, lambda pkg: pkg.analysis.recover_missing(of(pkg)["model"],
