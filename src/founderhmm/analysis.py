@@ -28,14 +28,14 @@ from typing import NamedTuple
 import numpy as np
 
 from . import inference
-from .inference import _planes, _viterbi_rows
+from .inference import (BatchStats, _checked_corpus, _distinct_rows, _planes,
+                        _viterbi_rows, batched_posteriors)
 from .model import (MISSING, FounderHMM, GenotypeCorpus, HaplotypePanel,
                     HaplotypeSequence, InputError, LocusMap,
                     MultilocusGenotype, ZeroProbabilityError, _unchecked,
                     emission_stack)
 from .training import (TrainConfig, bootstrap_config, pooled_config,
                        train_founder_hmm, train_founder_hmms, window_config)
-from .trie import BatchStats, _checked_corpus, _distinct_rows, _scan_symbols, batched_posteriors
 
 PIPELINE_IMPUTE_ONLY = "imp"
 PIPELINE_REPAIR_IMPUTE = "edc-mdr-imp"
@@ -452,7 +452,7 @@ def impute_untyped(reference, corpus, locus_map: LocusMap, config: TrainConfig,
     the window's loci (iteration cap of 50); all windows are fitted in one
     lockstep EM, each exactly as if alone. The corpus symbol matrix,
     restricted to each window with the target columns MISSING, is then
-    scored in one pass of the batch engine per window. Every window's
+    scored by one :func:`batched_posteriors` call per window. Every window's
     model, and whether its fit converged before the cap, is kept in its
     :class:`WindowReport`. The calls are columns of every sample's target
     triples: the argmax, and the triples over their sum.
@@ -481,11 +481,11 @@ def impute_untyped(reference, corpus, locus_map: LocusMap, config: TrainConfig,
         first, stop = np.searchsorted(typed_idx, (lo, hi + 1))
         block = np.full((len(genos), hi - lo + 1), MISSING, dtype=np.int8)
         block[:, typed_idx[first:stop] - lo] = symbols[:, first:stop]
-        row_of, (triples, *_), scan_evals = _scan_symbols(wmodel, block)
+        batch = batched_posteriors(wmodel, GenotypeCorpus._trusted(genos.ids, block))
         windows.append(WindowReport(lo, hi, targets, wreport.iterations_run,
                                     wreport.converged, wmodel))
-        evals.append(scan_evals)
-        picked.append(triples[:, np.asarray(targets) - lo][row_of])
+        evals.append((batch.stats.forward_locus_evals, batch.stats.backward_locus_evals))
+        picked.append(batch.triples[:, np.asarray(targets) - lo][batch.row_of])
         loci += targets
     # window_spans holds each untyped locus once, in locus order
     triples, loci = np.concatenate(picked, axis=1), np.array(loci, dtype=np.int64)

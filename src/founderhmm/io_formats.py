@@ -529,16 +529,17 @@ def _labels(keys):
 
 
 def _heads(key):
-    """For each row, a row of the same ``key``: the last one. Runs of
-    equal keys are collapsed first, and the runs labelled by
-    :func:`_labels`, so no column is sorted whole."""
+    """For each row, a row of the same ``key``: the last one, which
+    ``np.maximum.at`` finds in a documented order where a key recurs in
+    runs apart. Runs of equal keys are collapsed first, and the runs
+    labelled by :func:`_labels`, so no column is sorted whole."""
     change = np.ones(len(key), dtype=bool)
     change[1:] = key[1:] != key[:-1]
     starts = np.flatnonzero(change)
     group, bound = _labels(key[starts])
     ends = np.append(starts[1:], len(key))
-    last = np.empty(bound, dtype=np.intp)
-    last[group] = ends - 1
+    last = np.zeros(bound, dtype=np.intp)
+    np.maximum.at(last, group, ends - 1)
     return np.repeat(last[group], ends - starts)
 
 

@@ -17,10 +17,12 @@ import numpy as np
 
 from .analysis import (PIPELINE_IMPUTE_ONLY, ImputationResult, WindowSpec, _rows_of,
                        run_pipeline)
+from .inference import batched_posteriors
 from .model import (MISSING, FounderHMM, GenotypeCorpus, HaplotypePanel,
                     InputError, LocusMap)
 from .training import TrainConfig
-from .trie import batched_posteriors
+
+_MAF_RANGE = (0.05, 0.5)  # each locus' minor-allele frequency, drawn uniformly
 
 
 @dataclass(frozen=True)
@@ -39,8 +41,6 @@ class SimConfig:
     error_rate: float = 0.0
     missing_rate: float = 0.0
     mask_fraction: float = 0.0
-    maf_range: tuple = (0.05, 0.5)
-    founder_alleles: object = None  # optional (founder_count, loci) 0/1 array
     seed: int = 0
 
     def __post_init__(self):
@@ -58,17 +58,6 @@ class SimConfig:
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise InputError(f"{name} must lie in [0, 1], got {v}")
-        lo, hi = self.maf_range
-        if not 0.0 <= lo <= hi <= 1.0:
-            raise InputError(f"maf_range must be an ordered pair in [0, 1], got {self.maf_range}")
-        if self.founder_alleles is not None:
-            arr = np.asarray(self.founder_alleles)
-            if arr.shape != (self.founder_count, self.loci):
-                raise InputError(
-                    f"founder_alleles shape {arr.shape} != "
-                    f"({self.founder_count}, {self.loci})")
-            if not np.isin(arr, (0, 1)).all():
-                raise InputError("founder_alleles must be 0/1")
 
 
 class ErrorRecord(NamedTuple):
@@ -143,14 +132,8 @@ def simulate(config: SimConfig) -> SimData:
     rng = np.random.default_rng(config.seed)
     k, n, m = config.founder_count, config.loci, config.sample_count
 
-    if config.founder_alleles is not None:
-        founders = np.asarray(config.founder_alleles, dtype=np.int8).copy()
-        # keep the draw order stable whether or not founders are supplied
-        rng.uniform(size=n)
-        rng.random(size=(k, n))
-    else:
-        maf = rng.uniform(config.maf_range[0], config.maf_range[1], size=n)
-        founders = (rng.random(size=(k, n)) < maf).astype(np.int8)
+    maf = rng.uniform(*_MAF_RANGE, size=n)
+    founders = (rng.random(size=(k, n)) < maf).astype(np.int8)
 
     panel_alleles, _ = _mosaics(rng, founders, config.panel_size, config.switch_rate)
     reference = list(HaplotypePanel([f"R{j}" for j in range(config.panel_size)],
@@ -295,7 +278,7 @@ class SweepRow(NamedTuple):
 
 
 def sweep(data: SimData, *, founder_counts=(7,), panel_sizes=(100,),
-          flanks=(10,), modes=(PIPELINE_IMPUTE_ONLY,), train_seed=0):
+          flanks=(10,), modes=(PIPELINE_IMPUTE_ONLY,)):
     """One pipeline run per grid cell on a shared dataset.
 
     Panels are nested: a cell with panel size p uses the first p reference
@@ -309,7 +292,7 @@ def sweep(data: SimData, *, founder_counts=(7,), panel_sizes=(100,),
         if p > len(data.reference):
             raise InputError(
                 f"panel size {p} exceeds the {len(data.reference)} reference haplotypes")
-    seeds = np.random.SeedSequence(entropy=(data.config.seed, train_seed))
+    seeds = np.random.SeedSequence(entropy=(data.config.seed, 0))
     rows = []
     for (founders, panel, flank, mode), child in zip(cells, seeds.spawn(len(cells))):
         cell_seed = int(child.generate_state(1)[0])

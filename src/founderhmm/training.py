@@ -91,7 +91,7 @@ import numpy as np
 
 from .model import (ALLELE_SYMBOLS, FounderHMM, HaplotypePanel, InputError,
                     ZeroProbabilityError)
-from .trie import _distinct_rows
+from .inference import _distinct_rows
 
 # Byte cap on the E-step arrays of one stack of windows that EM fits in
 # lockstep; the grouping changes the pace, never the answer.

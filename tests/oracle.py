@@ -66,7 +66,6 @@ from founderhmm.io_formats import (ERROR_REPORT_COLUMNS, IMPUTATION_COLUMNS,
                                    fmt, read_imputation)
 from founderhmm.training import (_RESCALE_EVERY, _SCALE_FLOOR, train_founder_hmms,
                                  window_config)
-from founderhmm.trie import _scan_symbols
 
 MISSING = -1
 
@@ -1060,12 +1059,12 @@ def impute_untyped_per_entry(reference, corpus, locus_map, config, *, window):
         first, stop = np.searchsorted(typed_idx, (lo, hi + 1))
         block = np.full((len(genos), hi - lo + 1), MISSING, dtype=np.int8)
         block[:, typed_idx[first:stop] - lo] = symbols[:, first:stop]
-        row_of, (triples, *_), (wf, wb) = _scan_symbols(wmodel, block)
+        batch = batched_posteriors(wmodel, GenotypeCorpus(genos.ids, block))
         windows.append(WindowReport(lo, hi, targets, wreport.iterations_run,
                                     wreport.converged, wmodel))
-        fevals += wf
-        bevals += wb
-        triples = triples[:, np.asarray(targets) - lo]
+        fevals += batch.stats.forward_locus_evals
+        bevals += batch.stats.backward_locus_evals
+        row_of, triples = batch.row_of, batch.triples[:, np.asarray(targets) - lo]
         totals = triples.sum(axis=2)
         with np.errstate(divide="ignore", invalid="ignore"):
             probs = (triples / totals[:, :, None]).tolist()

@@ -8,7 +8,6 @@ import pytest
 import founderhmm.analysis as analysis
 import founderhmm.inference as inference
 import founderhmm.training as training
-import founderhmm.trie as trie
 import oracle
 from conftest import random_corpus, random_genotype, random_model, recoded
 from founderhmm import (MISSING, FounderHMM, GenotypeCorpus, HaplotypePanel,
@@ -19,7 +18,7 @@ from founderhmm import (MISSING, FounderHMM, GenotypeCorpus, HaplotypePanel,
                         impute_untyped, phase_corpus, phase_decode,
                         phase_panel, posterior_scan, recover_missing,
                         run_pipeline, simulate, substitute, window_spans)
-from founderhmm.trie import BatchStats, batched_posteriors
+from founderhmm.inference import BatchStats, batched_posteriors
 
 
 def with_dead_loci(rng, model, count):
@@ -452,7 +451,7 @@ def test_recover_runs_no_engine_without_gaps(monkeypatch):
     def no_scan(*args):
         raise AssertionError("the engine ran on a corpus without gaps")
     monkeypatch.setattr(analysis, "batched_posteriors", no_scan)
-    monkeypatch.setattr(trie, "_scan_symbols", no_scan)
+    monkeypatch.setattr(inference, "_scan_rows", no_scan)
     rng = np.random.default_rng(42)
     model = random_model(rng, 3, 10)
     corpus = random_corpus(rng, 5, 10)
@@ -561,6 +560,28 @@ def test_impute_reports_every_window_model():
     for w in result.windows:
         assert isinstance(w.model, FounderHMM)
         assert w.model.loci == w.hi - w.lo + 1
+
+
+def test_impute_scores_each_window_by_one_batched_posteriors_call(monkeypatch):
+    """Every window's corpus goes through the batch entry once, so whatever
+    wraps or counts ``batched_posteriors`` sees every window's scan."""
+    calls = []
+    real = analysis.batched_posteriors
+
+    def counted(model, corpus):
+        calls.append((model, corpus, real(model, corpus)))
+        return calls[-1][2]
+    monkeypatch.setattr(analysis, "batched_posteriors", counted)
+    data = masked_instance(13, loci=30, mask_fraction=0.1)
+    result = impute_untyped(data.reference, data.observed, data.locus_map,
+                            TrainConfig(founders=2, seed=0), window=WindowSpec(flank=3))
+    assert len(result.windows) > 1 and len(calls) == len(result.windows)
+    ids = tuple(g.sample_id for g in data.observed)
+    for (model, corpus, _), w in zip(calls, result.windows):
+        assert model is w.model
+        assert corpus.ids == ids and corpus.loci == w.hi - w.lo + 1
+    assert result.forward_locus_evals == sum(b.stats.forward_locus_evals for *_, b in calls)
+    assert result.backward_locus_evals == sum(b.stats.backward_locus_evals for *_, b in calls)
 
 
 def test_impute_validates_alignment():
@@ -825,7 +846,7 @@ def test_phase_walk_steps_each_row_past_its_shared_prefix(monkeypatch,
     for trial in range(12):
         k, n = int(rng.integers(1, 6)), int(rng.integers(1, 31))
         model = with_dead_loci(rng, random_model(rng, k, n), int(trial % 3 == 2))
-        rows = trie._distinct_rows(np.stack(
+        rows = inference._distinct_rows(np.stack(
             [g.symbols for g in tail_mutated_corpus(rng, n, 90)]))[0]
         whole = analysis._decode_distinct(model, rows)
         with monkeypatch.context() as patch:

@@ -1365,6 +1365,22 @@ def test_writers_encode_utf8_whatever_the_locale(tmp_path):
     assert read_genotypes(tmp_path / "o.gen").ids == ("S\u00e9",)
 
 
+def test_importing_the_command_line_loads_every_traced_module():
+    # perfbench imports the package through founderhmm.cli, then looks up
+    # each name of its tracer's TARGETS in sys.modules["founderhmm.<layer>"]
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    code = ("import runpy, sys, founderhmm.cli; "
+            "targets = runpy.run_path(sys.argv[1])['TARGETS']; "
+            "print(*sorted({'founderhmm.' + t[0] for t in targets} - set(sys.modules)))")
+    package = os.path.dirname(os.path.dirname(founderhmm.__file__))
+    done = subprocess.run(
+        [sys.executable, "-c", code, os.path.join(root, "perfbench", "tracer.py")],
+        env=dict(os.environ, PYTHONPATH=package), capture_output=True, text=True,
+        timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == []
+
+
 @pytest.mark.parametrize("into_directory", [False, True])
 def test_write_errors_name_the_path_given(tmp_path, capsys, into_directory):
     argv = _correct_inputs(tmp_path)

@@ -47,17 +47,6 @@ def test_zero_switch_rate_yields_pure_founder_haplotypes():
         assert tuple(h.alleles) in rows
 
 
-def test_supplied_founders_are_used_verbatim():
-    founders = np.array([[0, 1, 0, 1, 1], [1, 1, 0, 0, 0]], dtype=np.int8)
-    data = simulate(SimConfig(founder_count=2, loci=5, sample_count=4,
-                              panel_size=6, switch_rate=0.0,
-                              founder_alleles=founders, seed=3))
-    assert np.array_equal(data.founder_alleles, founders)
-    rows = {tuple(r) for r in founders}
-    for h in data.truth_haplotypes:
-        assert tuple(h.alleles) in rows
-
-
 def test_identity_channels_leave_truth_untouched():
     data = simulate(SimConfig(founder_count=4, loci=50, sample_count=9,
                               panel_size=10, seed=5))
@@ -125,14 +114,6 @@ def test_config_validation():
         SimConfig(founder_count=0)
     with pytest.raises(InputError):
         SimConfig(error_rate=1.5)
-    with pytest.raises(InputError):
-        SimConfig(maf_range=(0.6, 0.2))
-    with pytest.raises(InputError):
-        SimConfig(founder_count=2, loci=4,
-                  founder_alleles=np.zeros((2, 5), dtype=np.int8))
-    with pytest.raises(InputError):
-        SimConfig(founder_count=2, loci=3,
-                  founder_alleles=np.full((2, 3), 2))
     with pytest.raises(InputError):
         SimConfig(seed=-1)
     for bad in (dict(seed=-1), dict(repeats=0), dict(loci_grid=(4, 4)),

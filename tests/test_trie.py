@@ -8,8 +8,9 @@ from conftest import random_corpus, random_model, random_symbol_matrices
 from founderhmm import (MISSING, FounderHMM, InputError, MultilocusGenotype,
                         ZeroProbabilityError, batched_posteriors, detect_errors,
                         genotype_posteriors, inference, posterior_scan,
-                        recover_missing, table_from_scan, trie)
-from founderhmm.trie import build_trie, reversed_trie
+                        recover_missing, table_from_scan)
+from founderhmm.inference import build_trie
+from founderhmm.trie import reversed_trie
 
 
 def symbols_of(corpus):
@@ -238,8 +239,8 @@ def test_posterior_tables_are_built_only_when_read(monkeypatch):
     posterior table; ``batched_posteriors`` builds its tables once, when
     ``tables`` is first read."""
     built = []
-    real = trie.PosteriorTable
-    monkeypatch.setattr(trie, "PosteriorTable", lambda *a: built.append(a) or real(*a))
+    real = inference.PosteriorTable
+    monkeypatch.setattr(inference, "PosteriorTable", lambda *a: built.append(a) or real(*a))
     rng = np.random.default_rng(8)
     model = random_model(rng, 3, 12)
     corpus = random_corpus(rng, 9, 12, missing_rate=0.2)

@@ -78,18 +78,12 @@ tree untimed before its rounds. Each line gives the median time of the
 base tree and of this one, the median over rounds of their ratio (this /
 base) with its lower and upper quartiles, and the rounds in which this
 tree was faster. The base tree's kernels, and its ``_stack``,
-``_buffer_shapes`` and ``_initial_params``, must take the same arguments
-as this checkout's, except that a tree whose ``_scan_rows`` and
-``_viterbi_rows`` take an ``lcps`` argument is given the rows' longest
-common prefixes, each row's with the row before, and a tree whose
-``_e_step`` takes ``views`` is given the per-locus views that its
-``_fit_stack`` makes once per stack (``_buffer_views`` and
-``_trans_views``), made once before the rounds.
+``_buffer_shapes``, ``_initial_params``, ``_buffer_views`` and
+``_trans_views``, must take the same arguments as this checkout's.
 """
 import argparse
 import contextlib
 import importlib
-import inspect
 import io
 import os
 import statistics
@@ -163,7 +157,7 @@ def training_kernels(fh, sim, seed):
     reference = fh.HaplotypePanel.of(data.reference).matrix
     spans = fh.analysis.window_spans(data.locus_map, fh.analysis.WindowSpec())
     config = fh.TrainConfig(founders=k, seed=seed)
-    windows = [fh.trie._distinct_rows(matrix)[:3]]
+    windows = [fh.training._distinct_rows(matrix)[:3]]
     inputs = {}
 
     def e_steps(pkg):
@@ -174,9 +168,9 @@ def training_kernels(fh, sim, seed):
             init, trans, emis = m._initial_params(n, k, seed)
             args = (stack, init[None], trans[:, None], emis[:, None],
                     [np.empty(s) for s in m._buffer_shapes(n, w, k, r)])
-            if "views" in inspect.signature(m._e_step).parameters:
-                args += ((*m._buffer_views(stack, args[4]), *m._trans_views(args[2])),)
-            inputs[pkg] = args
+            # the per-locus views that _fit_stack makes once per stack
+            inputs[pkg] = args + ((*m._buffer_views(stack, args[4]),
+                                   *m._trans_views(args[2])),)
         for _ in range(E_STEP_CALLS):
             pkg.training._e_step(*inputs[pkg])
 
@@ -212,16 +206,6 @@ def engine_kernels(fh, sim, seed):
     state = np.repeat(prior[None], tile, axis=0)
     hit = np.random.default_rng(seed).random((k, k, rows)).transpose(1, 0, 2)
     tiles = -(-rows // this._TILE_ROWS)
-    lcps = np.concatenate(([0], (distinct[1:] != distinct[:-1]).argmax(axis=1)))
-    extra = {}
-
-    def over_rows(kernel):
-        """A tree's row kernel over all distinct rows, given their LCPs
-        where its signature takes them, looked up at the kernel's untimed
-        first call."""
-        if kernel not in extra:
-            extra[kernel] = (lcps,) if "lcps" in inspect.signature(kernel).parameters else ()
-        return kernel(model, etab, planes, *extra[kernel])
 
     def max_dots(pkg):
         for _ in range(MAX_DOT_CALLS):
@@ -231,7 +215,7 @@ def engine_kernels(fh, sim, seed):
         m = pkg.inference
         cap, m._TILE_BYTES = m._TILE_BYTES, tile * k * k * 8 * BLOCK_LOCI
         try:
-            over_rows(m._scan_rows)
+            m._scan_rows(model, etab, planes)
         finally:
             m._TILE_BYTES = cap
 
@@ -239,9 +223,9 @@ def engine_kernels(fh, sim, seed):
         fit_kernel(fh, "train_fit", [typed], config),
         ("walk", n, lambda pkg: pkg.inference._walk(
             etab, model.transitions, tplanes, state, np.log(norm))),
-        ("scan_rows", tiles * n, lambda pkg: over_rows(pkg.inference._scan_rows)),
+        ("scan_rows", tiles * n, lambda pkg: pkg.inference._scan_rows(model, etab, planes)),
         ("scan_blocks", tiles * n, scan_blocks),
-        ("viterbi_rows", n, lambda pkg: over_rows(pkg.inference._viterbi_rows)),
+        ("viterbi_rows", n, lambda pkg: pkg.inference._viterbi_rows(model, etab, planes)),
         ("max_dot", MAX_DOT_CALLS, max_dots),
     ]
 
