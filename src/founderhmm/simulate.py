@@ -58,6 +58,14 @@ class SimConfig:
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise InputError(f"{name} must lie in [0, 1], got {v}")
+        if self.mask_count >= self.loci:
+            raise InputError(f"mask_fraction {self.mask_fraction} masks all {self.loci} "
+                             "loci; at least one must stay typed")
+
+    @property
+    def mask_count(self) -> int:
+        """Map columns that the masking channel relabels untyped."""
+        return int(round(self.mask_fraction * self.loci))
 
 
 class ErrorRecord(NamedTuple):
@@ -74,26 +82,29 @@ class MissingRecord(NamedTuple):
 
 @dataclass(frozen=True)
 class SimData:
+    """One synthetic dataset; its panels and corpora are row containers,
+    each a symbol matrix checked once, where it was built."""
+
     config: SimConfig
     founder_alleles: np.ndarray
     locus_map: LocusMap
-    reference: list
-    truth_haplotypes: list  # two per sample, full map
-    truth_genotypes: list   # full map, no MISSING
-    observed: list          # typed columns only, after all channels
+    reference: HaplotypePanel
+    truth_haplotypes: HaplotypePanel  # two per sample, full map
+    truth_genotypes: GenotypeCorpus   # full map, no MISSING
+    observed: GenotypeCorpus          # typed columns only, after all channels
     error_records: tuple
     missing_records: tuple
     masked_loci: tuple      # full-map indices relabeled untyped
 
     def typed_truth(self):
         """Truth genotypes restricted to the typed columns of the map."""
-        truth = GenotypeCorpus.of(self.truth_genotypes)
-        return list(GenotypeCorpus(truth.ids, truth.matrix[:, self.locus_map.typed]))
+        truth = self.truth_genotypes
+        return GenotypeCorpus._trusted(truth.ids, truth.matrix[:, self.locus_map.typed])
 
     def typed_reference(self):
         """Reference panel restricted to the typed columns of the map."""
-        panel = HaplotypePanel.of(self.reference)
-        return list(HaplotypePanel(panel.ids, panel.matrix[:, self.locus_map.typed]))
+        panel = self.reference
+        return HaplotypePanel._trusted(panel.ids, panel.matrix[:, self.locus_map.typed])
 
     def observable_errors(self):
         """Injected errors still visible in the observed corpus: the locus
@@ -110,21 +121,31 @@ class SimData:
         return {int(j): c for c, j in enumerate(typed)}
 
 
+def _switch_paths(start, switch, redraw):
+    """(haplotypes, loci) founder paths from ``start``, entering locus
+    i + 1 in ``redraw[h, i]`` wherever ``switch[h, i]`` is set."""
+    count, gaps = switch.shape
+    steps = np.zeros((count, gaps + 1), dtype=np.int64)
+    steps[:, 0] = start
+    h, i = np.divmod(np.flatnonzero(switch), gaps)  # by haplotype, then interval
+    to = redraw[h, i]
+    first = np.diff(h, prepend=-1) != 0  # the haplotype's first event
+    steps[h, i + 1] = to - np.where(first, start[h], np.roll(to, 1))
+    return np.cumsum(steps, axis=1, out=steps)
+
+
 def _mosaics(rng, founder_alleles, count, switch_rate):
     """Mosaic haplotypes: start in a uniform founder, and at each interval
     redraw the founder uniformly with probability ``switch_rate`` (the
-    redraw may land on the same founder)."""
+    redraw may land on the same founder). A path is built from its switch
+    events, not locus by locus: each event writes its step from the
+    founder before it (the last redraw, or the start), and one cumsum
+    along the loci sums the steps."""
     k, n = founder_alleles.shape
-    paths = np.empty((count, n), dtype=np.int64)
-    paths[:, 0] = rng.integers(k, size=count)
-    if n > 1:
-        switch = rng.random(size=(count, n - 1)) < switch_rate
-        redraw = rng.integers(k, size=(count, n - 1))
-        for i in range(1, n):
-            paths[:, i] = np.where(switch[:, i - 1], redraw[:, i - 1],
-                                   paths[:, i - 1])
-    alleles = founder_alleles[paths, np.arange(n)[None, :]]
-    return alleles.astype(np.int8), paths
+    start = rng.integers(k, size=count)
+    switch = rng.random(size=(count, n - 1)) < switch_rate
+    redraw = rng.integers(k, size=(count, n - 1))
+    return founder_alleles[_switch_paths(start, switch, redraw), np.arange(n)]
 
 
 def simulate(config: SimConfig) -> SimData:
@@ -135,37 +156,33 @@ def simulate(config: SimConfig) -> SimData:
     maf = rng.uniform(*_MAF_RANGE, size=n)
     founders = (rng.random(size=(k, n)) < maf).astype(np.int8)
 
-    panel_alleles, _ = _mosaics(rng, founders, config.panel_size, config.switch_rate)
-    reference = list(HaplotypePanel([f"R{j}" for j in range(config.panel_size)],
-                                    panel_alleles))
+    panel_alleles = _mosaics(rng, founders, config.panel_size, config.switch_rate)
+    reference = HaplotypePanel([f"R{j}" for j in range(config.panel_size)], panel_alleles)
 
-    hap_alleles, _ = _mosaics(rng, founders, 2 * m, config.switch_rate)
+    hap_alleles = _mosaics(rng, founders, 2 * m, config.switch_rate)
     samples = [f"S{j}" for j in range(m)]
-    truth_haplotypes = list(HaplotypePanel(
-        [f"{s}.{copy}" for s in samples for copy in "ab"], hap_alleles))
+    truth_haplotypes = HaplotypePanel([f"{s}.{copy}" for s in samples for copy in "ab"],
+                                      hap_alleles)
     observed_matrix = hap_alleles[0::2] + hap_alleles[1::2]
-    truth_genotypes = list(GenotypeCorpus(samples, observed_matrix))
+    truth_genotypes = GenotypeCorpus(samples, observed_matrix)  # a copy: the channels write below
 
     error_sites = rng.random(size=(m, n)) < config.error_rate
     shifts = rng.integers(1, 3, size=(m, n))
-    error_records = []
-    rows, cols = np.nonzero(error_sites)
-    for r, c in zip(rows, cols):
-        truth_sym = int(observed_matrix[r, c])
-        new_sym = (truth_sym + int(shifts[r, c])) % 3
-        observed_matrix[r, c] = new_sym
-        error_records.append(ErrorRecord(f"S{r}", int(c), truth_sym, new_sym))
+    rows, cols = np.divmod(np.flatnonzero(error_sites), n)
+    truth_sym = observed_matrix[rows, cols]
+    new_sym = (truth_sym + shifts[rows, cols]) % 3
+    observed_matrix[rows, cols] = new_sym
+    error_records = tuple(map(ErrorRecord, [samples[r] for r in rows.tolist()],
+                              cols.tolist(), truth_sym.tolist(), new_sym.tolist()))
 
     missing_sites = rng.random(size=(m, n)) < config.missing_rate
-    missing_records = []
-    rows, cols = np.nonzero(missing_sites)
-    for r, c in zip(rows, cols):
-        observed_matrix[r, c] = MISSING
-        missing_records.append(MissingRecord(f"S{r}", int(c)))
+    rows, cols = np.divmod(np.flatnonzero(missing_sites), n)
+    observed_matrix[rows, cols] = MISSING
+    missing_records = tuple(map(MissingRecord, [samples[r] for r in rows.tolist()],
+                                cols.tolist()))
 
-    mask_count = int(round(config.mask_fraction * n))
-    if mask_count > 0:
-        masked = np.sort(rng.choice(n, size=mask_count, replace=False))
+    if config.mask_count > 0:
+        masked = np.sort(rng.choice(n, size=config.mask_count, replace=False))
     else:
         masked = np.empty(0, dtype=np.int64)
     typed = np.ones(n, dtype=bool)
@@ -176,14 +193,12 @@ def simulate(config: SimConfig) -> SimData:
         positions=np.arange(1, n + 1, dtype=np.int64),
         typed=typed)
 
-    observed = list(GenotypeCorpus(samples, observed_matrix[:, typed]))
-
     return SimData(config=config, founder_alleles=founders, locus_map=locus_map,
                    reference=reference, truth_haplotypes=truth_haplotypes,
-                   truth_genotypes=truth_genotypes, observed=observed,
-                   error_records=tuple(error_records),
-                   missing_records=tuple(missing_records),
-                   masked_loci=tuple(int(j) for j in masked))
+                   truth_genotypes=truth_genotypes,
+                   observed=GenotypeCorpus(samples, observed_matrix[:, typed]),
+                   error_records=error_records, missing_records=missing_records,
+                   masked_loci=tuple(masked.tolist()))
 
 
 @dataclass(frozen=True)

@@ -45,7 +45,11 @@ byte-string sort of ``build_trie`` and ``train_founder_hmms``; and
 ``recover_missing_full_scan``, the recovery that scans every sample,
 behind the one that scans only the samples with a gap; and
 ``impute_untyped_per_entry``, the per-sample, per-locus entry loop behind
-the columns of ``impute_untyped``, bit for bit.
+the columns of ``impute_untyped``, bit for bit; and ``simulate_per_row``,
+the generator that walked its mosaic paths locus by locus
+(``switch_paths_per_locus``), wrote its channels one site at a time and
+returned lists of row objects, behind the matrices of ``simulate``, with
+``typed_truth_per_row`` and ``typed_reference_per_row``, bit for bit.
 """
 import json
 import os
@@ -64,6 +68,8 @@ from founderhmm.io_formats import (ERROR_REPORT_COLUMNS, IMPUTATION_COLUMNS,
                                    _read_error_report_json, _read_text,
                                    _threshold, _tsv_index, _zero_probability,
                                    fmt, read_imputation)
+from founderhmm.model import LocusMap
+from founderhmm.simulate import _MAF_RANGE, ErrorRecord, MissingRecord, SimData
 from founderhmm.training import (_RESCALE_EVERY, _SCALE_FLOOR, train_founder_hmms,
                                  window_config)
 
@@ -1084,3 +1090,100 @@ def impute_untyped_per_entry(reference, corpus, locus_map, config, *, window):
         entries, windows=tuple(windows),
         failures=tuple(sorted(failures, key=lambda f: (order[f[0]], f[1]))),
         forward_locus_evals=fevals, backward_locus_evals=bevals)
+
+
+def switch_paths_per_locus(start, switch, redraw):
+    """Founder paths walked locus by locus: keep the founder before, or
+    take the redraw where the interval switches."""
+    count, gaps = switch.shape
+    paths = np.empty((count, gaps + 1), dtype=np.int64)
+    paths[:, 0] = start
+    for i in range(1, gaps + 1):
+        paths[:, i] = np.where(switch[:, i - 1], redraw[:, i - 1], paths[:, i - 1])
+    return paths
+
+
+def _mosaics_per_locus(rng, founder_alleles, count, switch_rate):
+    k, n = founder_alleles.shape
+    start = rng.integers(k, size=count)
+    paths = start[:, None]
+    if n > 1:
+        switch = rng.random(size=(count, n - 1)) < switch_rate
+        redraw = rng.integers(k, size=(count, n - 1))
+        paths = switch_paths_per_locus(start, switch, redraw)
+    alleles = founder_alleles[paths, np.arange(n)[None, :]]
+    return alleles.astype(np.int8), paths
+
+
+def simulate_per_row(config):
+    """``simulate`` with its panels and corpora as lists of row objects,
+    its paths walked locus by locus and its channels written site by
+    site, in the same draw order."""
+    rng = np.random.default_rng(config.seed)
+    k, n, m = config.founder_count, config.loci, config.sample_count
+
+    maf = rng.uniform(*_MAF_RANGE, size=n)
+    founders = (rng.random(size=(k, n)) < maf).astype(np.int8)
+
+    panel_alleles, _ = _mosaics_per_locus(rng, founders, config.panel_size,
+                                          config.switch_rate)
+    reference = list(HaplotypePanel([f"R{j}" for j in range(config.panel_size)],
+                                    panel_alleles))
+
+    hap_alleles, _ = _mosaics_per_locus(rng, founders, 2 * m, config.switch_rate)
+    samples = [f"S{j}" for j in range(m)]
+    truth_haplotypes = list(HaplotypePanel(
+        [f"{s}.{copy}" for s in samples for copy in "ab"], hap_alleles))
+    observed_matrix = hap_alleles[0::2] + hap_alleles[1::2]
+    truth_genotypes = list(GenotypeCorpus(samples, observed_matrix))
+
+    error_sites = rng.random(size=(m, n)) < config.error_rate
+    shifts = rng.integers(1, 3, size=(m, n))
+    error_records = []
+    rows, cols = np.nonzero(error_sites)
+    for r, c in zip(rows, cols):
+        truth_sym = int(observed_matrix[r, c])
+        new_sym = (truth_sym + int(shifts[r, c])) % 3
+        observed_matrix[r, c] = new_sym
+        error_records.append(ErrorRecord(f"S{r}", int(c), truth_sym, new_sym))
+
+    missing_sites = rng.random(size=(m, n)) < config.missing_rate
+    missing_records = []
+    rows, cols = np.nonzero(missing_sites)
+    for r, c in zip(rows, cols):
+        observed_matrix[r, c] = MISSING
+        missing_records.append(MissingRecord(f"S{r}", int(c)))
+
+    mask_count = int(round(config.mask_fraction * n))
+    if mask_count > 0:
+        masked = np.sort(rng.choice(n, size=mask_count, replace=False))
+    else:
+        masked = np.empty(0, dtype=np.int64)
+    typed = np.ones(n, dtype=bool)
+    typed[masked] = False
+
+    locus_map = LocusMap(
+        locus_ids=tuple(f"L{i}" for i in range(n)),
+        positions=np.arange(1, n + 1, dtype=np.int64),
+        typed=typed)
+
+    observed = list(GenotypeCorpus(samples, observed_matrix[:, typed]))
+
+    return SimData(config=config, founder_alleles=founders, locus_map=locus_map,
+                   reference=reference, truth_haplotypes=truth_haplotypes,
+                   truth_genotypes=truth_genotypes, observed=observed,
+                   error_records=tuple(error_records),
+                   missing_records=tuple(missing_records),
+                   masked_loci=tuple(int(j) for j in masked))
+
+
+def typed_truth_per_row(data):
+    """The truth genotypes of ``simulate_per_row`` at the typed columns."""
+    truth = GenotypeCorpus.of(data.truth_genotypes)
+    return list(GenotypeCorpus(truth.ids, truth.matrix[:, data.locus_map.typed]))
+
+
+def typed_reference_per_row(data):
+    """The reference panel of ``simulate_per_row`` at the typed columns."""
+    panel = HaplotypePanel.of(data.reference)
+    return list(HaplotypePanel(panel.ids, panel.matrix[:, data.locus_map.typed]))

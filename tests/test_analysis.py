@@ -597,8 +597,8 @@ def test_impute_validates_alignment():
 
 def test_impute_checks_the_corpus_before_fitting(monkeypatch):
     data = masked_instance(14)
-    twice = data.observed + [MultilocusGenotype(data.observed[0].sample_id,
-                                                data.observed[1].symbols)]
+    twice = list(data.observed) + [MultilocusGenotype(data.observed[0].sample_id,
+                                                      data.observed[1].symbols)]
 
     def no_fit(panels, config):
         raise AssertionError("windows fitted before the corpus was checked")

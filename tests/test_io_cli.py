@@ -1465,6 +1465,16 @@ def test_simulate_writes_all_artifacts(ws):
     assert len(channels["masked_loci"]) == 4  # round(0.1 * 40)
 
 
+def test_simulate_refuses_a_mask_fraction_that_masks_every_locus(tmp_path, capsys):
+    for loci, fraction in (("200", "1.0"), ("1", "0.6")):
+        assert run_cli("simulate", "--out-prefix", str(tmp_path / "sim"),
+                       "--loci", loci, "--mask-fraction", fraction) == 1
+        assert capsys.readouterr().err == (
+            f"error: mask_fraction {fraction} masks all {loci} loci; "
+            "at least one must stay typed\n")
+    assert os.listdir(tmp_path) == []
+
+
 def test_detect_correct_recover_flow(ws, capsys):
     root = ws["root"]
     report = str(root / "flow.report.tsv")

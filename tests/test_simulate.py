@@ -7,9 +7,10 @@ import pytest
 import founderhmm
 import oracle
 from conftest import recoded
-from founderhmm import (MISSING, GenotypeCorpus, ImputationEntry,
+from founderhmm import (MISSING, GenotypeCorpus, HaplotypePanel, ImputationEntry,
                         ImputationResult, InputError, MultilocusGenotype,
                         SimConfig, evaluate, fit_exponent, simulate, sweep)
+from founderhmm.simulate import _switch_paths
 
 
 # -------------------------------------------------------------- generator
@@ -120,6 +121,88 @@ def test_config_validation():
                 dict(sample_grid=(8,)), dict(founder_grid=())):
         with pytest.raises(InputError):
             founderhmm.bench_scaling(**bad)
+    # a mask_fraction must leave a typed locus
+    for loci, fraction in ((200, 1.0), (1, 0.6), (4, 0.9)):
+        with pytest.raises(InputError) as err:
+            SimConfig(loci=loci, mask_fraction=fraction)
+        assert str(err.value) == (f"mask_fraction {fraction} masks all {loci} loci; "
+                                  "at least one must stay typed")
+    for loci, fraction in ((1, 0.5), (4, 0.8)):  # round(0.5) is 0, round(3.2) is 3
+        data = simulate(SimConfig(loci=loci, sample_count=2, panel_size=2,
+                                  mask_fraction=fraction))
+        assert data.observed.loci == loci - len(data.masked_loci) >= 1
+
+
+# ------------------------------------------------------- per-row oracle
+
+_ORACLE_BASE = dict(founder_count=4, loci=30, sample_count=6, panel_size=9,
+                    switch_rate=0.1, error_rate=0.05, missing_rate=0.05,
+                    mask_fraction=0.1)
+_ORACLE_EDGES = [dict(), dict(loci=1), dict(sample_count=1), dict(panel_size=1),
+                 dict(founder_count=1), dict(switch_rate=0.0), dict(switch_rate=1.0),
+                 dict(error_rate=0.0), dict(error_rate=1.0), dict(missing_rate=0.0),
+                 dict(missing_rate=1.0), dict(error_rate=1.0, missing_rate=1.0),
+                 dict(mask_fraction=0.0), dict(mask_fraction=0.5)]
+
+
+def _same_rows(got, want):
+    want = type(got).of(want)
+    assert got.ids == want.ids
+    assert got.matrix.dtype == want.matrix.dtype == np.int8
+    assert np.array_equal(got.matrix, want.matrix)
+    assert not got.matrix.flags.writeable
+
+
+@pytest.mark.parametrize("seed", [0, 3, 11])
+@pytest.mark.parametrize("edge", _ORACLE_EDGES, ids=lambda e: ",".join(
+    f"{k}={v}" for k, v in e.items()) or "base")
+def test_simulate_matches_the_per_row_generator(edge, seed):
+    config = SimConfig(**{**_ORACLE_BASE, **edge}, seed=seed)
+    got, want = simulate(config), oracle.simulate_per_row(config)
+    assert got.config == want.config
+    assert got.founder_alleles.dtype == want.founder_alleles.dtype
+    assert np.array_equal(got.founder_alleles, want.founder_alleles)
+    assert isinstance(got.reference, HaplotypePanel)
+    assert isinstance(got.truth_haplotypes, HaplotypePanel)
+    assert isinstance(got.truth_genotypes, GenotypeCorpus)
+    assert isinstance(got.observed, GenotypeCorpus)
+    for name in ("reference", "truth_haplotypes", "truth_genotypes", "observed"):
+        _same_rows(getattr(got, name), getattr(want, name))
+    _same_rows(got.typed_truth(), oracle.typed_truth_per_row(want))
+    _same_rows(got.typed_reference(), oracle.typed_reference_per_row(want))
+    # repr tells a Python int from a NumPy integer
+    for name in ("error_records", "missing_records", "masked_loci"):
+        assert repr(getattr(got, name)) == repr(getattr(want, name)), name
+    assert got.locus_map.locus_ids == want.locus_map.locus_ids
+    for name in ("positions", "typed"):
+        a, b = getattr(got.locus_map, name), getattr(want.locus_map, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def test_switch_event_paths_match_the_per_locus_loop():
+    rng = np.random.default_rng(31)
+    for _ in range(300):
+        k, count, gaps = (int(v) for v in rng.integers((1, 1, 0), (7, 9, 25)))
+        start = rng.integers(k, size=count)
+        switch = rng.random((count, gaps)) < rng.choice([0.0, 0.05, 0.3, 0.7, 1.0])
+        redraw = rng.integers(k, size=(count, gaps))
+        got = _switch_paths(start, switch, redraw)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, oracle.switch_paths_per_locus(start, switch, redraw))
+
+
+def test_truth_corpus_does_not_see_the_error_channel():
+    data = simulate(SimConfig(founder_count=3, loci=40, sample_count=8,
+                              panel_size=4, error_rate=1.0, missing_rate=0.3,
+                              seed=4))
+    truth, haps = data.truth_genotypes.matrix, data.truth_haplotypes.matrix
+    assert np.array_equal(truth, haps[0::2] + haps[1::2])
+    assert not np.shares_memory(truth, data.observed.matrix)
+    assert len(data.error_records) == truth.size
+    for r in data.error_records:
+        assert truth[data.truth_genotypes.ids.index(r.sample_id), r.locus_index] == r.truth
+    observed = data.observed.matrix
+    assert np.all((observed != truth) | (observed == MISSING))
 
 
 # ---------------------------------------------------------------- scoring

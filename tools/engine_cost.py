@@ -10,6 +10,14 @@ calls each kernel of the two trees on the same inputs, ROUNDS times each,
 alternating the trees call by call and switching which goes first every
 round, so that the host's speed swings fall on both alike.
 
+On every workload it first times the set-up's simulation, in µs per call:
+
+- ``simulate_cmd``: ``cli.main`` on the workload's ``simulate`` argument
+  list (``setup_commands``), its output silenced, writing the seven files
+  into a temporary directory of their own;
+- ``simulate_fn``: ``simulate(SimConfig(...))`` of the workload's
+  configuration at the seed, alone.
+
 On the pipeline workload (``repair-impute``) the kernels are EM's:
 
 - ``e_step``: one ``training._e_step`` over the distinct rows of the
@@ -94,6 +102,9 @@ import time
 import numpy as np
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+import workloads  # noqa: E402
+
 ROUNDS = 20
 MAX_DOT_CALLS = 20  # per timed round: one call takes tens of µs
 E_STEP_CALLS = 10  # per timed round: one call takes milliseconds
@@ -148,13 +159,31 @@ def fit_kernel(fh, name, panels, config):
     return name, e_step_calls(fh, fit), fit
 
 
+def setup_kernels(w, seed, workdir):
+    """(name, calls per timing, call of a tree's package) of one
+    workload's simulation: its ``simulate`` command into a directory of
+    its own under ``workdir``, and the ``simulate`` call alone."""
+    workdir = os.path.join(workdir, f"simulate-{w.name}")
+    os.makedirs(workdir)
+    argv = workloads.setup_commands(w, seed, workloads.Files(workdir))[0]
+
+    def command(pkg):
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()) as err:
+            if pkg.cli.main(argv):
+                sys.exit(f"founderhmm {' '.join(argv)} failed: {err.getvalue()}")
+
+    return [("simulate_cmd", 1, command),
+            ("simulate_fn", 1, lambda pkg: pkg.simulate(pkg.SimConfig(**w.sim, seed=seed)))]
+
+
 def training_kernels(fh, sim, seed):
     """(name, calls per timing, call of a tree's package) of EM's kernels
     on one pipeline workload's inputs."""
     data = fh.simulate(fh.SimConfig(**sim, seed=seed))
     k = sim["founder_count"]
-    matrix = fh.HaplotypePanel.of(data.typed_reference()).matrix
-    reference = fh.HaplotypePanel.of(data.reference).matrix
+    matrix = data.typed_reference().matrix
+    reference = data.reference.matrix
     spans = fh.analysis.window_spans(data.locus_map, fh.analysis.WindowSpec())
     config = fh.TrainConfig(founders=k, seed=seed)
     windows = [fh.training._distinct_rows(matrix)[:3]]
@@ -185,7 +214,7 @@ def scan_setup(fh, sim, seed):
     """A scan workload's simulated data, typed reference panel, and the
     set-up's fit configuration and model."""
     data = fh.simulate(fh.SimConfig(**sim, seed=seed))
-    typed = fh.HaplotypePanel.of(data.typed_reference()).matrix
+    typed = data.typed_reference().matrix
     config = fh.TrainConfig(founders=sim["founder_count"], max_iterations=30)
     (model, _), = fh.training.train_founder_hmms([typed], config)
     return data, typed, config, model
@@ -197,7 +226,7 @@ def engine_kernels(fh, sim, seed):
     this = fh.inference
     data, typed, config, model = scan_setup(fh, sim, seed)
     k = sim["founder_count"]
-    distinct, _, _ = fh.trie.build_trie(fh.GenotypeCorpus.of(data.observed).matrix)
+    distinct, _, _ = fh.trie.build_trie(data.observed.matrix)
     rows, n = distinct.shape
     etab, planes = fh.model.emission_stack(model), this._planes(distinct)
     prior, norm = this._prior(model)
@@ -310,14 +339,13 @@ def main():
     args = parser.parse_args()
     base = load(os.path.join(os.path.abspath(args.base), "src"))
     fh = load(os.path.join(ROOT, "src"))
-    sys.path.insert(0, os.path.join(ROOT, "perfbench"))
-    from workloads import WORKLOADS
     print("workload\tkernel\tbase_us\tthis_us\tratio\tratio_q1\tratio_q3\tfaster")
     with tempfile.TemporaryDirectory() as workdir:
-        for w in WORKLOADS.values():
-            kernels = (training_kernels(fh, w.sim, args.seed) if w.pipeline else
-                       engine_kernels(fh, w.sim, args.seed)
-                       + report_kernels(fh, w.sim, args.seed, workdir))
+        for w in workloads.WORKLOADS.values():
+            kernels = setup_kernels(w, args.seed, workdir) + (
+                training_kernels(fh, w.sim, args.seed) if w.pipeline else
+                engine_kernels(fh, w.sim, args.seed)
+                + report_kernels(fh, w.sim, args.seed, workdir))
             for kernel, per, call in kernels:
                 b, t, (q1, ratio, q3), wins = alternate(fh, base, call)
                 print(f"{w.name}\t{kernel}\t{b / per * 1e6:.1f}\t{t / per * 1e6:.1f}\t"
