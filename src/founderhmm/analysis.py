@@ -137,10 +137,15 @@ class _EntryColumns:
                 object.__setattr__(self, f.name, IdColumn.of(getattr(self, f.name)))
 
     @classmethod
+    def columns_of(cls, entries):
+        """The columns of entries in ``_entry`` field order."""
+        values = list(zip(*entries)) or [()] * len(cls._dtypes)
+        return list(map(_column, values, cls._dtypes))
+
+    @classmethod
     def from_entries(cls, entries, *args, **kwargs):
         """The report of entries in ``_entry`` field order, then its other fields."""
-        values = list(zip(*entries)) or [()] * len(cls._dtypes)
-        return cls(*map(_column, values, cls._dtypes), *args, **kwargs)
+        return cls(*cls.columns_of(entries), *args, **kwargs)
 
     def columns(self):
         return [getattr(self, f.name) for f in fields(self)[:len(self._dtypes)]]

@@ -25,6 +25,17 @@ parser:
   reader serves the first two, finding lines and tabs in the file's bytes
   as arrays and parsing each distinct piece once
 
+JSON files (the report twins, evaluation reports and ``simulate``'s
+channels file) hold the bytes of ``json.dumps(payload, sort_keys=True,
+indent=1)`` and a newline. Their lists of rows (report entries and
+channel records) are written from columns by one emitter: one row
+template per list, filled by the columns' cells, each distinct value of
+a long column formatted once. Only the small fields still go through
+json.dumps: a report's threshold, failures and windows, an evaluation
+report whole, and the echo line. The twin readers check each field of
+the entries as a column after json.loads; only a list that fails a check
+is checked entry by entry, to name its first bad entry.
+
 Writers are atomic (temp file in the target directory, then rename) and
 accept an optional ``#config:`` echo line. Readers decode a file as UTF-8
 once, end lines at ``\\n``, ``\\r\\n`` or a lone ``\\r`` only, and skip
@@ -40,12 +51,13 @@ import json
 import math
 import os
 import re
-import tempfile
 from itertools import chain, count, islice, repeat, zip_longest
+from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 
 import numpy as np
 
-from .analysis import ErrorEntry, ErrorReport, IdColumn, ImputationEntry, ImputationResult
+from .analysis import ErrorReport, IdColumn, ImputationResult
 from .model import STOCHASTIC_ATOL, FounderHMM, GenotypeCorpus, HaplotypePanel, InputError, LocusMap
 
 CONFIG_ENV = "FOUNDERHMM_CONFIG"
@@ -59,18 +71,22 @@ def fmt(value) -> str:
 
 def atomic_write(path, text: str):
     """Write whole-file UTF-8 text, as every reader decodes it, via a temp
-    file and rename, so readers never see a partial artifact. The file
-    gets the mode open() would give it under the current umask, not
-    mkstemp's 0600. An OSError names ``path``, not the temp file."""
+    file and rename, so readers never see a partial artifact. The temp
+    file, under a fresh name in the target directory, is created with mode
+    0666, which the kernel masks by the process umask as open() would. An
+    OSError names ``path``, not the temp file."""
     directory = os.path.dirname(os.path.abspath(path))
-    umask = os.umask(0)
-    os.umask(umask)
     try:
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+        while True:
+            tmp = os.path.join(directory, f".tmp-{os.urandom(6).hex()}~")
+            try:
+                fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
+                break
+            except FileExistsError:
+                pass
         try:
             with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
                 fh.write(text)
-            os.chmod(tmp, 0o666 & ~umask)
             os.replace(tmp, path)
         except BaseException:
             try:
@@ -139,13 +155,6 @@ def _read_report(path):
 
 def _config_lines(config_line):
     return [config_line] if config_line else []
-
-
-def _write_json(path, payload, config_line):
-    """``payload``, with the echo line as its "config" field, as JSON."""
-    if config_line:
-        payload["config"] = config_line
-    atomic_write(path, json.dumps(payload, sort_keys=True, indent=1) + "\n")
 
 
 # ---------------------------------------------------------------- corpora
@@ -268,20 +277,22 @@ def read_haplotypes(path) -> HaplotypePanel:
 
 # --------------------------------------------------------------- locus map
 
-def _format_position(value):
-    """A position as read_locus_map reads it back: as an integer when it is
-    one that fits an int64."""
-    if value.dtype.kind == "i" or value.is_integer() and -2.0**63 <= value < 2.0**63:
-        return str(int(value))
-    return repr(float(value))
+def _positions(pos):
+    """Each position as read_locus_map reads it back: an int where it is a
+    whole number that fits an int64, else a float."""
+    if pos.dtype.kind == "i":
+        return pos.tolist()
+    values = pos.astype(object)
+    whole = (pos == np.floor(pos)) & (pos >= -2.0**63) & (pos < 2.0**63)
+    values[whole] = pos[whole].astype(np.int64).tolist()
+    return values.tolist()
 
 
 def write_locus_map(path, locus_map: LocusMap, *, config_line=None):
-    lines = _config_lines(config_line)
-    for lid, pos, typed in zip(locus_map.locus_ids, locus_map.positions,
-                               locus_map.typed):
-        status = "typed" if typed else "untyped"
-        lines.append(f"{lid}\t{_format_position(pos)}\t{status}")
+    """One line per locus, its three columns formatted at once."""
+    status = np.where(locus_map.typed, "typed", "untyped").tolist()
+    lines = _config_lines(config_line) + list(map(
+        "{}\t{}\t{}".format, locus_map.locus_ids, _positions(locus_map.positions), status))
     atomic_write(path, "\n".join(lines) + "\n")
 
 
@@ -619,10 +630,96 @@ def _write_table(path, table, columns, config_line, heads=(), tails=()):
     atomic_write(path, text)
 
 
-def _json_entries(report):
-    """A report's entries as its JSON twin's dicts, built from its columns."""
-    columns = [c.tolist() for c in report.columns()]
-    return [dict(zip(report._entry._fields, row)) for row in zip(*columns)]
+# Below this many cells, coding a column costs more than the reprs it saves.
+_CODED_ROWS = 256
+# A number's repr as JSON spells it, where the two differ.
+_JSON_SPELLING = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity",
+                  "True": "true", "False": "false"}
+
+
+def _json_cells(column):
+    """Each cell of ``column`` (an id column or a non-empty array) as
+    json.dumps writes it: a string by the encoder json.dumps uses, a number
+    by its repr, a flag as true or false. Each distinct value of a column
+    longer than _CODED_ROWS is written once (:func:`_coded`); a column of
+    objects (cells kept as given) goes through json.dumps cell by cell."""
+    if isinstance(column, IdColumn):
+        codes = column.codes
+        texts = [encode_basestring_ascii(name) if isinstance(name, str) else json.dumps(name)
+                 for name in column.names]
+    elif column.dtype == object:
+        return list(map(json.dumps, column.tolist()))
+    else:
+        rows = len(column)
+        codes, bound = _coded(column, rows) if rows > _CODED_ROWS else (np.arange(rows), rows)
+        some = np.zeros(bound, dtype=np.intp)
+        some[codes] = np.arange(rows)  # a row of each code
+        texts = list(map(repr, column[some].tolist()))
+        texts = list(map(_JSON_SPELLING.get, texts, texts))
+    return np.array(texts, dtype=object)[codes].tolist()
+
+
+def _json_template(layout, depth):
+    """The %-template of one row of ``layout`` at nesting ``depth`` as
+    json.dumps(..., sort_keys=True, indent=1) lays it out, and its columns
+    in slot order: a dict is an object of its items in key order, a tuple
+    a list, and any other value a column, whose cell fills the slot."""
+    if not isinstance(layout, (dict, tuple)):
+        return "%s", [layout]
+    keyed = isinstance(layout, dict)
+    inner, slots, columns = "\n" + " " * (depth + 1), [], []
+    for key, value in sorted(layout.items()) if keyed else enumerate(layout):
+        text, more = _json_template(value, depth + 1)
+        slots.append(inner + (encode_basestring_ascii(key) + ": " if keyed else "") + text)
+        columns += more
+    brackets = "{}" if keyed else "[]"
+    return brackets[0] + ",".join(slots) + "\n" + " " * depth + brackets[1], columns
+
+
+def _json_list(layout, depth=1):
+    """The JSON text, at nesting ``depth``, of the list of the rows of
+    ``layout``: the pieces of its row template between slots, interleaved
+    with the cells of its columns and joined once."""
+    template, columns = _json_template(layout, depth + 1)
+    rows, width = len(columns[0]), 2 * len(columns)
+    if not rows:
+        return "[]"
+    inner = "\n" + " " * (depth + 1)
+    head, *ends = template.split("%s")  # ends[-1] closes a row
+    pieces = [None] * (rows * width)  # per row: its head, then each cell and its end
+    pieces[0::width] = [ends[-1] + "," + inner + head] * rows
+    pieces[0] = "[" + inner + head
+    for j, column in enumerate(columns):
+        pieces[2 * j + 1::width] = _json_cells(column)
+    for j, end in enumerate(ends[:-1]):
+        pieces[2 * j + 2::width] = [end] * rows
+    pieces.append(ends[-1] + "\n" + " " * depth + "]")
+    return "".join(pieces)
+
+
+def _write_json(path, payload, config_line, tables):
+    """The JSON object of ``payload``, the lists ``tables`` (name: row
+    layout, see :func:`_json_template`) and the echo line as its "config"
+    field: the bytes of json.dumps(..., sort_keys=True, indent=1) + "\\n".
+    The tables are written from their columns, the other fields by
+    json.dumps, each indented to its place."""
+    if config_line:
+        payload["config"] = config_line
+    values = {key: json.dumps(value, sort_keys=True, indent=1).replace("\n", "\n ")
+              for key, value in payload.items()}
+    values.update((key, _json_list(layout)) for key, layout in tables.items())
+    pieces = ["{"]
+    for key in sorted(values):
+        pieces += ["\n ", encode_basestring_ascii(key), ": ", values[key], ","]
+    pieces[-1] = "\n}\n"
+    atomic_write(path, "".join(pieces))
+
+
+def _entry_rows(report):
+    """A report's entries as a row layout: each field of its ``_entry``, its
+    column (a (rows, 3) column as a list of three)."""
+    return {name: tuple(c.T) if c.ndim > 1 else c
+            for name, c in zip(report._entry._fields, report.columns())}
 
 
 def write_error_report(path, report: ErrorReport, *, config_line=None,
@@ -630,9 +727,8 @@ def write_error_report(path, report: ErrorReport, *, config_line=None,
     if json_mode:
         return _write_json(path, {
             "threshold": report.threshold,
-            "entries": _json_entries(report),
             "failures": {k: int(v) for k, v in sorted(report.failures.items())},
-        }, config_line)
+        }, config_line, {"entries": _entry_rows(report)})
     sample_id, locus_index, locus_id, *rest = report.columns()
     _write_table(path, ERROR_REPORT_TABLE, [sample_id, locus_id, locus_index, *rest],
                  config_line, [f"#threshold={fmt(report.threshold)}",
@@ -692,6 +788,51 @@ def _json_entry(e, table, fields):
     kinds = dict(table)
     return [_json_probs(e[name]) if name == "probs"
             else _json_value(e[name], name, kinds[name]) for name in fields]
+
+
+# The type json.loads gives each kind of report cell.
+_JSON_TYPES = {"id": str, "index": int, "digit": int, "float": float, "flag": bool}
+
+
+def _json_column(values, kind):
+    """The column of the JSON report cells ``values`` of ``kind``, or
+    ``probs``, if each is of the type json.loads gives that kind and in its
+    range (a float is not NaN, ``probs`` a list of three floats); else
+    None."""
+    if kind == "probs":
+        if set(map(type, values)) - {list} or set(map(len, values)) - {3}:
+            return None
+        column = _json_column(tuple(chain.from_iterable(values)), "float")
+        return None if column is None else column.reshape(-1, 3)
+    if set(map(type, values)) - {_JSON_TYPES[kind]}:
+        return None
+    if kind == "id":
+        return IdColumn.of(values)
+    top = 2 if kind == "digit" else _INT64_MAX
+    if kind in ("index", "digit") and values and not 0 <= min(values) <= max(values) <= top:
+        return None
+    column = np.array(values, dtype=_DTYPES[kind])
+    return None if kind == "float" and np.isnan(column).any() else column
+
+
+def _json_columns(entries, table, cls):
+    """The columns of the JSON entries of a ``cls`` report: a list of dicts
+    of exactly its ``_entry`` fields, each of its column's kind in
+    ``table``. Each field is checked as a column; where a check fails, the
+    entries are checked one by one, as before, so that the first bad entry
+    names its problem and an entry the columns do not take (an integer
+    for a float) still reads."""
+    fields, kinds = cls._entry._fields, dict(table, probs="probs")
+    try:
+        if (type(entries) is list and set(map(type, entries)) <= {dict}
+                and set(map(len, entries)) <= {len(fields)}):
+            columns = [_json_column(list(map(itemgetter(name), entries)), kinds[name])
+                       for name in fields]
+            if all(c is not None for c in columns):
+                return columns
+    except KeyError:  # an entry lacks a field and holds another
+        pass
+    return cls.columns_of([_json_entry(e, table, fields) for e in entries])
 
 
 def _tsv_index(cell) -> int:
@@ -777,8 +918,7 @@ def _cells(arr, words, lo, hi, parse, blank):
 def _read_error_report_json(path, text) -> ErrorReport:
     try:
         payload = json.loads(text)
-        entries = [_json_entry(e, ERROR_REPORT_TABLE, ErrorEntry._fields)
-                   for e in payload["entries"]]
+        columns = _json_columns(payload["entries"], ERROR_REPORT_TABLE, ErrorReport)
         threshold = _json_number(payload["threshold"], "threshold")
         if not threshold > 0:
             raise ValueError(f"threshold must be positive, not {threshold}")
@@ -786,7 +926,7 @@ def _read_error_report_json(path, text) -> ErrorReport:
                     for k, v in payload.get("failures", {}).items()}
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise InputError(f"{path}: malformed JSON error report ({exc})") from exc
-    return ErrorReport.from_entries(entries, threshold, failures)
+    return ErrorReport(*columns, threshold, failures)
 
 
 def _threshold(path, line_no, line) -> float:
@@ -899,12 +1039,11 @@ def write_imputation(path, result: ImputationResult, *, config_line=None,
                      json_mode=False):
     if json_mode:
         return _write_json(path, {
-            "entries": _json_entries(result),
             "failures": [list(f) for f in result.failures],
             "windows": [{"lo": w.lo, "hi": w.hi, "targets": list(w.targets),
                          "train_iterations": w.train_iterations}
                         for w in result.windows],
-        }, config_line)
+        }, config_line, {"entries": _entry_rows(result)})
     windows = [f"#window\t{w.lo}\t{w.hi}\t{','.join(map(str, w.targets))}\t"
                f"{w.train_iterations}" for w in result.windows]
     _write_table(path, IMPUTATION_TABLE,
@@ -921,14 +1060,13 @@ def read_imputation(path) -> ImputationResult:
     if isinstance(text, str):
         try:
             payload = json.loads(text)
-            entries = [_json_entry(e, IMPUTATION_TABLE, ImputationEntry._fields)
-                       for e in payload["entries"]]
+            columns = _json_columns(payload["entries"], IMPUTATION_TABLE, ImputationResult)
             failures = tuple((_json_value(sample, "failures sample", "id"),
                               _count(locus, "failures locus"))
                              for sample, locus in payload.get("failures", []))
         except (KeyError, TypeError, ValueError, IndexError) as exc:
             raise InputError(f"{path}: malformed JSON imputation file ({exc})") from exc
-        return ImputationResult.from_entries(entries, (), failures, 0, 0)
+        return ImputationResult(*columns, (), failures, 0, 0)
     found, (sample_id, locus_id, index, *probs, call, confidence) = _read_tsv(
         path, text, IMPUTATION_TABLE, "imputation",
         {"#zero-probability\t": _zero_probability})
@@ -941,10 +1079,8 @@ def write_recovery(path, result, *, config_line=None, json_mode=False):
     written as an ordinary genotype file)."""
     failures = sorted(result.failures.items())
     if json_mode:
-        return _write_json(path, {
-            "fills": _json_entries(result),
-            "failures": {k: int(v) for k, v in failures},
-        }, config_line)
+        return _write_json(path, {"failures": {k: int(v) for k, v in failures}},
+                           config_line, {"fills": _entry_rows(result)})
     _write_table(path, RECOVERY_TABLE, result.columns(), config_line, _zero_lines(failures))
 
 
@@ -956,7 +1092,7 @@ def write_eval_report(path, report, *, config_line=None, json_mode=False):
             "discordance_rate": report.discordance_rate,
             "confusion": report.confusion.tolist(),
             "details": {k: v for k, v in sorted(report.details.items())},
-        }, config_line)
+        }, config_line, {})
     lines = _config_lines(config_line)
     lines.append(f"total\t{report.total}")
     lines.append(f"discordant\t{report.discordant}")
@@ -984,12 +1120,16 @@ def write_bench_table(path, report, *, config_line=None):
 
 def write_channels(path, data, *, config_line=None):
     """Simulation corruption bookkeeping (JSON): injected errors, blanked
-    symbols, masked map columns — everything needed to score detection."""
-    _write_json(path, {
-        "error_records": [list(r) for r in data.error_records],
-        "missing_records": [list(r) for r in data.missing_records],
-        "masked_loci": list(data.masked_loci),
-    }, config_line)
+    symbols, masked map columns — everything needed to score detection.
+    Each list of records is written from its columns, a sample id and
+    integers."""
+    records = lambda rows, width: tuple(
+        IdColumn.of(c) if j == 0 else np.array(c, dtype=np.int64)
+        for j, c in enumerate(list(zip(*rows)) or [()] * width))
+    _write_json(path, {}, config_line, {
+        "error_records": records(data.error_records, 4),
+        "missing_records": records(data.missing_records, 2),
+        "masked_loci": np.array(data.masked_loci, dtype=np.int64)})
 
 
 # ------------------------------------------------------------ config files

@@ -8,6 +8,7 @@ locus-specific transition and emission parameters.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, fields
 from itertools import repeat
 
@@ -55,9 +56,21 @@ def _check_id(value, what, rows=()):
     comment line) or holding a tab or a line break."""
     if not value:
         raise InputError(f"{what} must be non-empty", rows)
-    if str(value).startswith("#") or any(c in str(value) for c in "\t\n\r"):
+    if value.startswith("#") or any(c in value for c in "\t\n\r"):
         raise InputError(f"{what} {value!r} must not start with '#' or hold a "
                          "tab or line break", rows)
+
+
+# In the ids joined by line breaks, between two more: a tab, a \r, an
+# empty id or one led by '#'.
+_BAD_ID = re.compile(r"[\t\r]|\n[\n#]")
+
+
+def _ids_pass(ids) -> bool:
+    """Whether no id of ``ids`` (strings) fails :func:`_check_id`, found in
+    one scan of their joined text; an id holding a line break adds one."""
+    text = "\n" + "\n".join(ids) + "\n"
+    return not ids or text.count("\n") == len(ids) + 1 and not _BAD_ID.search(text)
 
 
 @dataclass(frozen=True)
@@ -107,17 +120,19 @@ def _unchecked(cls, *values):
 @dataclass(frozen=True, eq=False)
 class _SymbolRows:
     """Row ids and one read-only int8 (rows, loci) symbol matrix, checked
-    once, where built. Indexing and iterating build the row objects on
-    demand as unchecked views of the matrix; :meth:`of` converts a
-    sequence of row objects once. An empty matrix may have no loci."""
+    once, where built: each id as the text the writers write, its str().
+    Indexing and iterating build the row objects on demand as unchecked
+    views of the matrix; :meth:`of` converts a sequence of row objects
+    once. An empty matrix may have no loci."""
 
     ids: tuple
     matrix: np.ndarray
 
     def __post_init__(self):
-        ids, matrix = tuple(self.ids), np.array(self.matrix)
-        for i in ids:
-            _check_id(i, self._id_what)
+        ids, matrix = tuple(map(str, self.ids)), np.array(self.matrix)
+        if not _ids_pass(ids):
+            for i in ids:
+                _check_id(i, self._id_what)
         if self._unique and len(set(ids)) != len(ids):
             raise InputError("corpus sample ids must be unique")
         if matrix.ndim != 2 or matrix.shape[0] != len(ids):
@@ -209,12 +224,13 @@ class LocusMap:
     typed: np.ndarray
 
     def __post_init__(self):
-        ids, first = tuple(str(i) for i in self.locus_ids), {}
-        for row, i in enumerate(ids):
-            _check_id(i, "locus id", (row,))
-            if i in first:
-                raise InputError(f"duplicate locus id {i!r}", (row, first[i]))
-            first[i] = row
+        ids, first = tuple(map(str, self.locus_ids)), {}
+        if not _ids_pass(ids) or len(set(ids)) != len(ids):
+            for row, i in enumerate(ids):
+                _check_id(i, "locus id", (row,))
+                if i in first:
+                    raise InputError(f"duplicate locus id {i!r}", (row, first[i]))
+                first[i] = row
         pos = np.asarray(self.positions)
         # integer positions stay integer; genetic-map style floats stay float
         pos = pos.astype(np.float64 if pos.dtype.kind == "f" else np.int64)

@@ -49,7 +49,13 @@ the columns of ``impute_untyped``, bit for bit; and ``simulate_per_row``,
 the generator that walked its mosaic paths locus by locus
 (``switch_paths_per_locus``), wrote its channels one site at a time and
 returned lists of row objects, behind the matrices of ``simulate``, with
-``typed_truth_per_row`` and ``typed_reference_per_row``, bit for bit.
+``typed_truth_per_row`` and ``typed_reference_per_row``, bit for bit; and
+``read_error_report_json_per_entry`` and ``read_imputation_json_per_entry``,
+the JSON twin readers that check and build one entry at a time, behind
+the column checks of the package's readers, message for message, with
+the dict-per-entry JSON writers above, ``channels_text_per_record`` (the
+channels file, a list per record) and ``locus_map_text_per_locus``
+behind the column emitters, byte for byte.
 """
 import json
 import os
@@ -58,16 +64,16 @@ from itertools import chain, compress, count, repeat
 
 import numpy as np
 
-from founderhmm import (ErrorReport, EvalReport, FounderHMM, GenotypeCorpus,
+from founderhmm import (ErrorEntry, ErrorReport, EvalReport, FounderHMM, GenotypeCorpus,
                         HaplotypePanel, ImputationEntry, ImputationResult, InputError,
                         ZeroProbabilityError, batched_posteriors)
 from founderhmm.analysis import (RecoveryFill, RecoveryResult, WindowReport,
                                  window_spans)
-from founderhmm.io_formats import (ERROR_REPORT_COLUMNS, IMPUTATION_COLUMNS,
-                                   MODEL_MAGIC, _count, _declared, _fail,
-                                   _read_error_report_json, _read_text,
-                                   _threshold, _tsv_index, _zero_probability,
-                                   fmt, read_imputation)
+from founderhmm.io_formats import (ERROR_REPORT_COLUMNS, ERROR_REPORT_TABLE,
+                                   IMPUTATION_COLUMNS, IMPUTATION_TABLE, MODEL_MAGIC,
+                                   _count, _declared, _fail, _json_entry, _json_number,
+                                   _json_value, _read_text, _threshold, _tsv_index,
+                                   _zero_probability, fmt)
 from founderhmm.model import LocusMap
 from founderhmm.simulate import _MAF_RANGE, ErrorRecord, MissingRecord, SimData
 from founderhmm.training import (_RESCALE_EVERY, _SCALE_FLOOR, train_founder_hmms,
@@ -765,7 +771,7 @@ def read_error_report_per_row(path):
     checked one by one to name the first bad line."""
     text = _read_text(path)
     if text.lstrip().startswith("{"):
-        return _read_error_report_json(path, text)
+        return read_error_report_json_per_entry(path, text)
     lines = text.split("\n")
     comments = list(compress(count(), map(str.startswith, lines, repeat("#"))))
     threshold = None
@@ -804,12 +810,12 @@ def read_error_report_per_row(path):
 
 
 def read_imputation_per_row(path):
-    """An imputation file. A JSON one goes to the package reader; a TSV one
-    is read line by line, each row split and its cells parsed in column
-    order, failing at the first problem."""
+    """An imputation file. A JSON one goes to the per-entry JSON reader; a
+    TSV one is read line by line, each row split and its cells parsed in
+    column order, failing at the first problem."""
     text = _read_text(path)
     if text.lstrip().startswith("{"):
-        return read_imputation(path)
+        return read_imputation_json_per_entry(path, text)
     entries = []
     failures = []
     header_seen = False
@@ -843,6 +849,58 @@ def read_imputation_per_row(path):
     return ImputationResult.from_entries(entries=tuple(entries), windows=(),
                                          failures=tuple(failures), forward_locus_evals=0,
                                          backward_locus_evals=0)
+
+
+def read_error_report_json_per_entry(path, text):
+    """A JSON error report, its entries checked one at a time by the
+    package's per-entry checker and built into the report as tuples."""
+    try:
+        payload = json.loads(text)
+        entries = [_json_entry(e, ERROR_REPORT_TABLE, ErrorEntry._fields)
+                   for e in payload["entries"]]
+        threshold = _json_number(payload["threshold"], "threshold")
+        if not threshold > 0:
+            raise ValueError(f"threshold must be positive, not {threshold}")
+        failures = {k: _count(v, "failures locus")
+                    for k, v in payload.get("failures", {}).items()}
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise InputError(f"{path}: malformed JSON error report ({exc})") from exc
+    return ErrorReport.from_entries(entries, threshold, failures)
+
+
+def read_imputation_json_per_entry(path, text):
+    """A JSON imputation file, its entries checked one at a time by the
+    package's per-entry checker and built into the result as tuples."""
+    try:
+        payload = json.loads(text)
+        entries = [_json_entry(e, IMPUTATION_TABLE, ImputationEntry._fields)
+                   for e in payload["entries"]]
+        failures = tuple((_json_value(sample, "failures sample", "id"),
+                          _count(locus, "failures locus"))
+                         for sample, locus in payload.get("failures", []))
+    except (KeyError, TypeError, ValueError, IndexError) as exc:
+        raise InputError(f"{path}: malformed JSON imputation file ({exc})") from exc
+    return ImputationResult.from_entries(entries, (), failures, 0, 0)
+
+
+def channels_text_per_record(data, config_line=None):
+    """The JSON text of a simulation's channels file, a list per record."""
+    return _json_text({"error_records": [list(r) for r in data.error_records],
+                       "missing_records": [list(r) for r in data.missing_records],
+                       "masked_loci": list(data.masked_loci)}, config_line)
+
+
+def locus_map_text_per_locus(locus_map, config_line=None):
+    """The text of a locus map file, one position formatted at a time: as
+    an integer where it is one that fits an int64."""
+    lines = [config_line] if config_line else []
+    for lid, pos, typed in zip(locus_map.locus_ids, locus_map.positions, locus_map.typed):
+        if pos.dtype.kind == "i" or pos.is_integer() and -2.0**63 <= pos < 2.0**63:
+            text = str(int(pos))
+        else:
+            text = repr(float(pos))
+        lines.append(f"{lid}\t{text}\t{'typed' if typed else 'untyped'}")
+    return "\n".join(lines) + "\n"
 
 
 def read_model_per_line(path):

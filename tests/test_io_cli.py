@@ -33,8 +33,8 @@ from founderhmm.io_formats import (CONFIG_ENV, ERROR_REPORT_COLUMNS,
                                    read_model, write_bench_table,
                                    write_error_report, write_eval_report,
                                    write_genotypes, write_haplotypes,
-                                   write_imputation, write_locus_map,
-                                   write_model, write_recovery,
+                                   write_channels, write_imputation,
+                                   write_locus_map, write_model, write_recovery,
                                    write_sweep_table)
 from founderhmm.simulate import BenchReport, BenchRow, SweepRow
 
@@ -2305,3 +2305,189 @@ def test_imputation_reader_matches_the_per_row_oracle(imputation_file, data):
     path.write_bytes(damaged)
     assert (imputation_outcome(read_imputation, path)
             == imputation_outcome(oracle.read_imputation_per_row, path)), damaged
+
+
+# ------------------------------------------------------------- JSON twins
+
+# Ids that JSON escapes (quotes, backslashes, control and non-ASCII
+# characters) and floats whose repr JSON spells apart or that sit at the
+# edges of repr's forms.
+JSON_IDS = ['a"b', "back\\slash", "tab\tline\nend\r", "\x00\x1f\x7f", "é \U0001f600",
+            "", "S0", "%s{}"]
+JSON_FLOATS = [float("inf"), -float("inf"), -0.0, 0.0, 5e-324, 1e16, 1e-7, 0.1 + 0.2,
+               1234.0625, 1e300]
+
+
+def random_twins(rng, rows, odd_floats=True):
+    """An error report and an imputation result of ``rows`` random entries,
+    their floats drawn from JSON_FLOATS (and NaN) or, without
+    ``odd_floats``, plain values only."""
+    ids = lambda: [JSON_IDS[i] for i in rng.integers(len(JSON_IDS), size=rows)]
+    pool = np.array((JSON_FLOATS + [float("nan")] if odd_floats else [])
+                    + (rng.random(6) * 1e4).tolist())
+    floats = lambda *shape: rng.choice(pool, size=(rows, *shape))
+    digits = lambda: rng.integers(3, size=rows)
+    report = ErrorReport(ids(), rng.choice([0, 7, 2**62, 2**63 - 1], size=rows), ids(),
+                         digits(), floats(), rng.random(rows) < 0.5, digits(),
+                         threshold=1000.0, failures={'q"': 3, "b": 0})
+    result = ImputationResult(ids(), rng.integers(0, 40, size=rows), ids(), floats(3),
+                              digits(), floats(), (WindowReport(0, 4, (1, 2), 7, True, None),),
+                              (("S2", 7), ("\\", 0)), 0, 0)
+    return report, result
+
+
+def test_json_twins_match_the_dict_per_entry_writers(tmp_path):
+    """Each twin's bytes are those of json.dumps over one dict per entry,
+    for tables below and above the size at which cells are coded, empty
+    ones, ids JSON escapes, floats it spells apart, and id columns whose
+    names repeat, come out of first-use order or go unused."""
+    rng = np.random.default_rng(32)
+    path = tmp_path / "t.json"
+    corpus = GenotypeCorpus(["a"], np.zeros((1, 3), dtype=np.int8))
+    for rows in (0, 1, 9, 300, 1500):
+        report, result = random_twins(rng, rows)
+        fills = RecoveryResult(result.sample_id, result.locus_index, result.call,
+                               result.confidence, corpus, {"%s": 3, "b": 0}, None)
+        for write, oracle_text, value in (
+                (write_error_report, oracle.error_report_text_per_row, report),
+                (write_imputation, oracle.imputation_text_per_entry, result),
+                (write_recovery, oracle.recovery_text_per_fill, fills)):
+            for given in with_recoded_ids(value):
+                for config in (None, '#config: "x" \\ é'):
+                    write(path, given, config_line=config, json_mode=True)
+                    assert path.read_bytes() == oracle_text(given, config, True).encode()
+
+
+def test_channels_file_matches_the_per_record_writer(tmp_path):
+    """The channels file of simulations with and without errors, blanks
+    and masked loci, with and without a config line."""
+    path = tmp_path / "c.json"
+    for error_rate, missing_rate, mask_fraction, samples in (
+            (0.0, 0.0, 0.0, 4), (0.05, 0.0, 0.2, 30), (0.0, 0.05, 0.0, 30),
+            (0.2, 0.2, 0.3, 60)):
+        data = founderhmm.simulate(founderhmm.SimConfig(
+            founder_count=3, loci=40, sample_count=samples, panel_size=6,
+            error_rate=error_rate, missing_rate=missing_rate,
+            mask_fraction=mask_fraction, seed=3))
+        for config in (None, "#config: simulate seed=3"):
+            write_channels(path, data, config_line=config)
+            assert path.read_bytes() == oracle.channels_text_per_record(data, config).encode()
+
+
+def test_locus_map_writer_matches_the_per_locus_writer(tmp_path):
+    """Integer positions, and float ones that are whole, not whole, -0.0 or
+    past int64's range."""
+    path = tmp_path / "m.map"
+    for positions in (np.array([-5, 0, 7, 2**62]),
+                      np.array([-2.0**63, -1.5, -0.0, 0.5, 1e16, 2.0**63 - 1024, 2.0**63, 1e300])):
+        n = len(positions)
+        locus_map = LocusMap([f"L{i}" for i in range(n)], positions, np.arange(n) % 3 > 0)
+        for config in (None, "#config: simulate"):
+            write_locus_map(path, locus_map, config_line=config)
+            assert path.read_bytes() == oracle.locus_map_text_per_locus(
+                locus_map, config).encode()
+
+
+def test_json_twins_read_as_the_per_entry_readers(tmp_path):
+    """Twins of random tables read back, column by column, as the reader
+    that checks and builds one entry at a time reads them; so does a twin
+    whose float cells are integers, which only that reader takes."""
+    rng = np.random.default_rng(33)
+    path = tmp_path / "t.json"
+    for rows in (0, 1, 300):
+        report, result = random_twins(rng, rows, odd_floats=False)
+        write_error_report(path, report, json_mode=True)
+        assert len(read_error_report(path)) == rows
+        assert read_outcome(read_error_report, path) == read_outcome(
+            oracle.read_error_report_per_row, path)
+        write_imputation(path, result, json_mode=True)
+        assert len(read_imputation(path)) == rows
+        assert imputation_outcome(read_imputation, path) == imputation_outcome(
+            oracle.read_imputation_per_row, path)
+    for write, value, field, read, oracle_read, outcome in (
+            (write_error_report, report, "ratio", read_error_report,
+             oracle.read_error_report_per_row, read_outcome),
+            (write_imputation, result, "confidence", read_imputation,
+             oracle.read_imputation_per_row, imputation_outcome)):
+        write(path, value, json_mode=True)
+        payload = json.loads(path.read_text())
+        payload["entries"][-1][field] = 5
+        path.write_text(json.dumps(payload))
+        assert len(read(path)) == len(value)
+        assert outcome(read, path) == outcome(oracle_read, path)
+
+
+# Bad values of each kind of JSON report cell: out of range, or of a type
+# that Python would compare or convert as the right one.
+BAD_JSON_CELLS = {"id": [0, None], "index": [-1, True, 0.0, 1 << 63], "digit": [3, True],
+                  "float": ["1.5", True, None], "flag": [0, None],
+                  "probs": [[0.5, 0.5], [True, 0.5, 0.5], (0.5,) * 4]}
+
+
+@pytest.mark.parametrize("twin", ["error report", "imputation"])
+def test_problems_in_the_last_entry_give_the_per_entry_messages(tmp_path, twin):
+    """For each field, a bad value, NaN where a number goes, a missing key,
+    and a key swapped for another, in the last of many entries, and an
+    extra key there, give the message of the per-entry reader exactly."""
+    report, result = random_twins(np.random.default_rng(34), 600, odd_floats=False)
+    if twin == "error report":
+        write, value, read, oracle_read = (write_error_report, report, read_error_report,
+                                           oracle.read_error_report_per_row)
+        kinds = dict(founderhmm.io_formats.ERROR_REPORT_TABLE)
+    else:
+        write, value, read, oracle_read = (write_imputation, result, read_imputation,
+                                           oracle.read_imputation_per_row)
+        kinds = dict(founderhmm.io_formats.IMPUTATION_TABLE, probs="probs")
+    path = tmp_path / "t.json"
+    write(path, value, json_mode=True)
+    payload = json.loads(path.read_text())
+    last = payload["entries"][-1]
+    changes = [{**last, "extra": 1}]
+    for name in last:
+        changes += [{**last, name: bad} for bad in BAD_JSON_CELLS[kinds[name]]]
+        nan = {**last, name: [1.0, float("nan"), 0.0] if name == "probs" else float("nan")}
+        changes += [nan] if kinds[name] in ("float", "probs") else []
+        missing = {key: v for key, v in last.items() if key != name}
+        changes += [missing, {**missing, "other": last[name]}]
+    for entry in changes:
+        path.write_text(json.dumps({**payload, "entries": payload["entries"][:-1] + [entry]}))
+        with pytest.raises(InputError) as got:
+            read(path)
+        with pytest.raises(InputError) as want:
+            oracle_read(path)
+        assert str(got.value) == str(want.value)
+        assert str(got.value).startswith(f"{path}: malformed JSON {twin}")
+
+
+def test_writers_never_read_the_umask(tmp_path, monkeypatch):
+    """Every writer works where os.umask raises: the temp file takes its
+    mode from the kernel, which applies the umask itself."""
+    def refuse(*args):
+        raise AssertionError("os.umask called")
+    rng = np.random.default_rng(35)
+    data = founderhmm.simulate(founderhmm.SimConfig(founder_count=2, loci=8, sample_count=3,
+                                                    panel_size=4, seed=1))
+    report, result = random_twins(rng, 5, odd_floats=False)
+    fills = RecoveryResult.from_entries([RecoveryFill("S0", 1, 2, 0.5)], data.observed, {}, None)
+    evaluation = EvalReport(3, 1, np.eye(3, dtype=np.int64), {"kind": "corpus"})
+    monkeypatch.setattr(os, "umask", refuse)
+    writes = {"a.txt": lambda p: atomic_write(p, "x\n"),
+              "g.gen": lambda p: write_genotypes(p, data.observed),
+              "h.hap": lambda p: write_haplotypes(p, data.reference),
+              "m.map": lambda p: write_locus_map(p, data.locus_map),
+              "m.model": lambda p: write_model(p, random_model(rng, 2, 3)),
+              "c.json": lambda p: write_channels(p, data),
+              "s.tsv": lambda p: write_sweep_table(p, [SweepRow(2, 4, 1, "imp", 3, 0, 0.0, 0.1,
+                                                                False, "")]),
+              "b.tsv": lambda p: write_bench_table(p, BenchReport((BenchRow("loci", 8, 9, 0.1),),
+                                                                  {"loci": 1.0}))}
+    for mode in (False, True):
+        writes.update({f"r{mode:d}": lambda p, m=mode: write_error_report(p, report, json_mode=m),
+                       f"i{mode:d}": lambda p, m=mode: write_imputation(p, result, json_mode=m),
+                       f"f{mode:d}": lambda p, m=mode: write_recovery(p, fills, json_mode=m),
+                       f"e{mode:d}": lambda p, m=mode: write_eval_report(p, evaluation,
+                                                                         json_mode=m)})
+    for name, write in writes.items():
+        write(tmp_path / name)
+    assert sorted(os.listdir(tmp_path)) == sorted(writes)
+    assert read_genotypes(tmp_path / "g.gen") == data.observed

@@ -9,6 +9,7 @@ from founderhmm import (ALLELE_SYMBOLS, GENOTYPE_SYMBOLS, MISSING, FounderHMM,
                         GenotypeCorpus, HaplotypePanel, HaplotypeSequence,
                         InputError, LocusMap, MultilocusGenotype,
                         emission_stack, substitute, symbol_plane)
+from founderhmm.model import _check_id, _ids_pass
 
 
 def tiny_model():
@@ -111,6 +112,51 @@ def test_slices_of_rows_are_matrices_of_the_same_kind(kind, symbols):
     last_id, last_symbols = (getattr(rows[-1], f.name) for f in fields(kind._item))
     assert type(rows[-1]) is kind._item and last_id == "e"
     assert last_symbols.tolist() == matrix[-1].tolist()
+
+
+def test_container_ids_are_checked_as_the_text_written():
+    """An id is held and checked as its str(), the text the writers write:
+    1 and '1' are one sample id, and 1.5 is the id '1.5'."""
+    matrix = np.zeros((2, 3), dtype=np.int8)
+    with pytest.raises(InputError, match="corpus sample ids must be unique"):
+        GenotypeCorpus(["1", 1], matrix)
+    assert GenotypeCorpus([1.5, "b"], matrix).ids == ("1.5", "b")
+    assert HaplotypePanel([7, "7"], matrix).ids == ("7", "7")
+    with pytest.raises(InputError, match="sample_id '#1' must not start with '#'"):
+        GenotypeCorpus(["a", "#1"], matrix)
+
+
+def test_one_scan_of_the_ids_agrees_with_the_per_id_check():
+    """Ids made of pieces that are bad alone or joined (a tab, a line break,
+    a lone \\r, a leading '#', nothing): the one scan passes a set exactly
+    when every id passes on its own, and a failing set gives the message of
+    its first bad id, also when that id is the last of many."""
+    rng = np.random.default_rng(31)
+    pieces = ["a", "#", "\t", "\n", "\r", "\r\n", "\u00e9", "", " "]
+    for _ in range(600):
+        ids = ["".join(rng.choice(pieces, size=rng.integers(0, 3)))
+               for _ in range(rng.integers(0, 5))]
+        problems = []
+        for i in ids:
+            try:
+                _check_id(i, "sample_id")
+            except InputError as exc:
+                problems.append(str(exc))
+        assert _ids_pass(ids) == (not problems), ids
+        if problems and len(set(ids)) == len(ids):
+            with pytest.raises(InputError) as info:
+                GenotypeCorpus(ids, np.zeros((len(ids), 1), dtype=np.int8))
+            assert str(info.value) == problems[0]
+    many = [f"S{j}" for j in range(2000)]
+    for bad, problem in (("", "sample_id must be non-empty"),
+                         ("x\ny", "sample_id 'x\\ny' must not start with '#' or hold a tab "
+                                   "or line break")):
+        with pytest.raises(InputError) as info:
+            GenotypeCorpus(many + [bad], np.zeros((2001, 1), dtype=np.int8))
+        assert str(info.value) == problem
+    with pytest.raises(InputError, match="duplicate locus id 'S5'") as info:
+        LocusMap(many + ["S5"], np.arange(2001), np.ones(2001, dtype=bool))
+    assert info.value.rows == (2000, 5)
 
 
 def test_locus_map_validation():

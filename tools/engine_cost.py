@@ -16,7 +16,11 @@ On every workload it first times the set-up's simulation, in µs per call:
   list (``setup_commands``), its output silenced, writing the seven files
   into a temporary directory of their own;
 - ``simulate_fn``: ``simulate(SimConfig(...))`` of the workload's
-  configuration at the seed, alone.
+  configuration at the seed, alone;
+- ``channels_write``: ``write_channels`` of that simulation's data, the
+  ``channels.json`` the command writes;
+- ``corpus_ids``: a ``GenotypeCorpus`` built from 1600 ids and a
+  (1600, 1) matrix, so that checking the ids is most of its cost.
 
 On the pipeline workload (``repair-impute``) the kernels are EM's:
 
@@ -59,6 +63,8 @@ per call:
 - ``detect``: ``detect_errors`` of the observed genotypes;
 - ``report_write``: ``write_error_report`` of that report, as TSV;
 - ``report_read``: ``read_error_report`` of that file;
+- ``json_report_write`` and ``json_report_read``: the same two calls
+  with ``json_mode=True``, on the report's JSON twin;
 - ``map_report_write`` and ``map_report_read``: the same two calls on the
   report that ``detect --map`` makes with the workload's locus map, whose
   ids label the typed loci: past locus 99 its ``locus_id<TAB>locus_index``
@@ -173,8 +179,18 @@ def setup_kernels(w, seed, workdir):
             if pkg.cli.main(argv):
                 sys.exit(f"founderhmm {' '.join(argv)} failed: {err.getvalue()}")
 
+    sims, ids, matrix = {}, [f"S{j}" for j in range(1600)], np.zeros((1600, 1), dtype=np.int8)
+    channels = os.path.join(workdir, "channels.json")
+
+    def write_channels(pkg):
+        if pkg not in sims:  # each tree's own simulation, made once
+            sims[pkg] = pkg.simulate(pkg.SimConfig(**w.sim, seed=seed))
+        pkg.io_formats.write_channels(channels, sims[pkg])
+
     return [("simulate_cmd", 1, command),
-            ("simulate_fn", 1, lambda pkg: pkg.simulate(pkg.SimConfig(**w.sim, seed=seed)))]
+            ("simulate_fn", 1, lambda pkg: pkg.simulate(pkg.SimConfig(**w.sim, seed=seed))),
+            ("channels_write", 1, write_channels),
+            ("corpus_ids", 1, lambda pkg: pkg.GenotypeCorpus(ids, matrix))]
 
 
 def training_kernels(fh, sim, seed):
@@ -291,6 +307,8 @@ def report_kernels(fh, sim, seed, workdir):
             report = tree["report"] = an.detect_errors(tree["model"], tree["corpus"])
             m.write_error_report(tree["path"], report)
             tree["read"] = m.read_error_report(tree["path"])
+            tree["json_path"] = join(f"report-{len(inputs)}.json")
+            m.write_error_report(tree["json_path"], report, json_mode=True)
             locus_map = m.read_locus_map(join("data.map"))
             tree["map_report"] = an.detect_errors(
                 tree["model"], tree["corpus"],
@@ -316,6 +334,10 @@ def report_kernels(fh, sim, seed, workdir):
         ("report_write", 1, lambda pkg: pkg.io_formats.write_error_report(
             of(pkg)["path"], of(pkg)["report"])),
         ("report_read", 1, lambda pkg: pkg.io_formats.read_error_report(of(pkg)["path"])),
+        ("json_report_write", 1, lambda pkg: pkg.io_formats.write_error_report(
+            of(pkg)["json_path"], of(pkg)["report"], json_mode=True)),
+        ("json_report_read", 1, lambda pkg: pkg.io_formats.read_error_report(
+            of(pkg)["json_path"])),
         ("map_report_write", 1, lambda pkg: pkg.io_formats.write_error_report(
             of(pkg)["map_path"], of(pkg)["map_report"])),
         ("map_report_read", 1, lambda pkg: pkg.io_formats.read_error_report(
